@@ -32,6 +32,18 @@ std::vector<tensor::IdArray> SplitLabeledIds(const tensor::IdArray& labeled, int
 
 }  // namespace
 
+tensor::IdArray WarmupFrontier(const graph::Graph& graph) {
+  const tensor::IdArray& train = graph.train_ids();
+  const int64_t pool = train.size() > 0 ? train.size() : std::max<int64_t>(graph.num_nodes(), 1);
+  const int64_t n = std::min<int64_t>(32, pool);
+  std::vector<int32_t> ids(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    ids[static_cast<size_t>(i)] =
+        train.size() > 0 ? train[i] : static_cast<int32_t>(i % std::max<int64_t>(graph.num_nodes(), 1));
+  }
+  return tensor::IdArray::FromVector(ids);
+}
+
 SamplerSession::SamplerSession(std::shared_ptr<CompiledPlan> plan, const graph::Graph& graph,
                                std::map<std::string, tensor::Tensor> tensors)
     : plan_(std::move(plan)),

@@ -118,8 +118,10 @@ class SamplerSession {
   // Installs the plan's compiled-kernel jump table (src/jit) on every
   // executor this session runs — including the per-call segmented executors
   // the coalesced serving path builds. nullptr restores pure interpretation.
-  // Not thread-safe against concurrent sampling: install before Warmup (the
-  // serving path) or between batches (tools/tests).
+  // Not thread-safe against concurrent sampling: install after Warmup but
+  // before the session is shared (the serving path — warmup calibrates the
+  // plan, which changes the digest JIT artifacts are keyed by) or between
+  // batches (tools/tests).
   void SetJitTable(std::shared_ptr<const FusedKernelTable> table);
   const std::shared_ptr<const FusedKernelTable>& jit_table() const { return jit_table_; }
 
@@ -167,6 +169,11 @@ class SamplerSession {
   int tuned_super_batch_ = 0;
   std::shared_ptr<const FusedKernelTable> jit_table_;
 };
+
+// A small representative frontier for SamplerSession::Warmup: up to 32 of
+// the graph's train ids when it has them (warmup then touches the same
+// UVA/feature paths serving will), otherwise the first node ids.
+tensor::IdArray WarmupFrontier(const graph::Graph& graph);
 
 // Thin facade preserving the pre-split API: compiles a plan and opens one
 // session over it in a single object. New code that shares or serializes

@@ -18,10 +18,14 @@ GroupResult ExecuteGroup(const core::SamplerSession& session,
                           [&result](int64_t b, std::vector<core::Value>& outputs) {
                             result.outputs[static_cast<size_t>(b)] = std::move(outputs);
                           });
+    result.executions = 1;
   } else {
-    GS_CHECK_EQ(frontiers.size(), size_t{1})
-        << "non-coalescable plans must be served one request at a time";
-    result.outputs[0] = session.SampleSeeded(frontiers[0], seeds[0]);
+    // Walk-style plans can't share a segmented execution; serve the members
+    // back to back instead.
+    for (size_t i = 0; i < frontiers.size(); ++i) {
+      result.outputs[i] = session.SampleSeeded(frontiers[i], seeds[i]);
+    }
+    result.executions = static_cast<int64_t>(frontiers.size());
   }
   result.execute_ns = timer.ElapsedNanos();
   return result;

@@ -29,19 +29,31 @@ int64_t ElapsedNs(std::chrono::steady_clock::time_point from,
   return std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count();
 }
 
-// A small representative frontier for plan warmup: real train ids when the
-// dataset has them (warmup then touches the same UVA/feature paths serving
-// will), otherwise the first node ids.
-tensor::IdArray WarmupFrontier(const graph::Graph& graph) {
-  const tensor::IdArray& train = graph.train_ids();
-  const int64_t pool = train.size() > 0 ? train.size() : std::max<int64_t>(graph.num_nodes(), 1);
-  const int64_t n = std::min<int64_t>(32, pool);
-  std::vector<int32_t> ids(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    ids[static_cast<size_t>(i)] =
-        train.size() > 0 ? train[i] : static_cast<int32_t>(i % std::max<int64_t>(graph.num_nodes(), 1));
+// Recovery-ladder constants: the first transient-retry backoff (doubling on
+// each retry) and the hedged cross-shard exchange re-issues allowed per
+// execution attempt.
+constexpr std::chrono::nanoseconds kRetryBackoff{50'000};
+constexpr int kMaxHedgedExchanges = 2;
+
+// Counts one failed response under its error code. Caller holds the stats
+// mutex.
+void CountFailure(ServerStats& stats, fault::ErrorCode code, const std::string& tenant) {
+  ++stats.failed;
+  ++stats.per_tenant_failed[tenant];
+  switch (code) {
+    case fault::ErrorCode::kTransient:
+      ++stats.failed_transient;
+      break;
+    case fault::ErrorCode::kResourceExhausted:
+      ++stats.failed_resource_exhausted;
+      break;
+    case fault::ErrorCode::kInvalidRequest:
+      ++stats.failed_invalid;
+      break;
+    default:
+      ++stats.failed_internal;
+      break;
   }
-  return tensor::IdArray::FromVector(ids);
 }
 
 // The frontier a response's features are gathered for: the last ids output
@@ -65,9 +77,9 @@ std::vector<int64_t> ShedFanouts(const std::vector<int64_t>& fanouts) {
   return shed;
 }
 
-// Registry-backed program construction shared by the static and dynamic
-// endpoint factories. Fanout vectors are honored for the fanout-
-// parameterized algorithms; others compile with their defaults.
+// Registry-backed program construction behind every endpoint factory.
+// Fanout vectors are honored for the fanout-parameterized algorithms;
+// others compile with their defaults.
 algorithms::AlgorithmProgram BuildProgram(const std::string& algorithm, const graph::Graph& g,
                                           const std::vector<int64_t>& fanouts) {
   if (!fanouts.empty()) {
@@ -118,34 +130,33 @@ std::vector<int64_t> RegistryDefaultFanouts(const std::string& algorithm) {
   return {};
 }
 
+// Shared by MakeEndpoint and MakeDynamicEndpoint, which add the graph source.
+Endpoint RegistryEndpoint(const std::string& algorithm, const std::string& dataset,
+                          const core::SamplerOptions& options) {
+  Endpoint ep;
+  ep.algorithm = algorithm;
+  ep.dataset = dataset;
+  ep.options = options;
+  ep.default_fanouts = RegistryDefaultFanouts(algorithm);
+  ep.factory = [algorithm](const graph::Graph& g, const std::vector<int64_t>& fanouts) {
+    return BuildProgram(algorithm, g, fanouts);
+  };
+  return ep;
+}
+
 }  // namespace
 
 Endpoint MakeEndpoint(const std::string& algorithm, const std::string& dataset,
                       const graph::Graph& graph, core::SamplerOptions options) {
-  Endpoint ep;
-  ep.algorithm = algorithm;
-  ep.dataset = dataset;
+  Endpoint ep = RegistryEndpoint(algorithm, dataset, options);
   ep.graph = &graph;
-  ep.options = options;
-  ep.default_fanouts = RegistryDefaultFanouts(algorithm);
-  const graph::Graph* g = &graph;
-  ep.factory = [algorithm, g](const std::vector<int64_t>& fanouts) {
-    return BuildProgram(algorithm, *g, fanouts);
-  };
   return ep;
 }
 
 Endpoint MakeDynamicEndpoint(const std::string& algorithm, const std::string& dataset,
                              graph::GraphStore& store, core::SamplerOptions options) {
-  Endpoint ep;
-  ep.algorithm = algorithm;
-  ep.dataset = dataset;
+  Endpoint ep = RegistryEndpoint(algorithm, dataset, options);
   ep.store = &store;
-  ep.options = options;
-  ep.default_fanouts = RegistryDefaultFanouts(algorithm);
-  ep.dynamic_factory = [algorithm](const graph::Graph& g, const std::vector<int64_t>& fanouts) {
-    return BuildProgram(algorithm, g, fanouts);
-  };
   return ep;
 }
 
@@ -166,13 +177,8 @@ Server::~Server() { Stop(); }
 
 void Server::RegisterEndpoint(Endpoint endpoint) {
   GS_CHECK(!running_) << "endpoints must be registered before Start()";
-  if (endpoint.store != nullptr) {
-    GS_CHECK(endpoint.dynamic_factory != nullptr)
-        << "dynamic endpoints need a dynamic_factory (see MakeDynamicEndpoint)";
-  } else {
-    GS_CHECK(endpoint.graph != nullptr);
-    GS_CHECK(endpoint.factory != nullptr);
-  }
+  GS_CHECK(endpoint.store != nullptr || endpoint.graph != nullptr);
+  GS_CHECK(endpoint.factory != nullptr);
   const std::string key = EndpointKey(endpoint.algorithm, endpoint.dataset);
   endpoints_[key] = std::move(endpoint);
 }
@@ -189,24 +195,32 @@ void Server::Start() {
   tokens_ = std::make_unique<pipeline::BoundedQueue<uint64_t>>(options_.queue_capacity);
   plan_cache_ = std::make_unique<PlanCache>(options_.plan_cache_budget_bytes,
                                             &device::Current().allocator());
-  if (options_.num_shards > 1) {
-    // Partition every registered dataset once and give each shard its own
-    // simulated device: per-shard sessions allocate there and locality
-    // routing (Submit) resolves against these partitions. num_replicas > 1
-    // additionally mirrors each shard's segment (chained declustering) so
-    // execution can fail over past dead devices. Dynamic endpoints
-    // partition the store's current snapshot; later epochs re-partition
-    // incrementally through the mutation listener (OnMutation).
-    for (const auto& [key, endpoint] : endpoints_) {
-      if (partitions_.find(endpoint.dataset) == partitions_.end()) {
-        const graph::Graph& graph =
-            endpoint.store != nullptr ? endpoint.store->Current()->graph() : *endpoint.graph;
-        std::lock_guard<std::mutex> lock(partition_mutex_);
-        partitions_[endpoint.dataset] =
-            std::make_shared<const graph::Partition>(graph::Partitioner::Build(
-                graph, options_.partition_kind, options_.num_shards, options_.num_replicas));
-      }
+  // Per dataset, once. Sharded mode partitions it and gives each shard its
+  // own simulated device: per-shard sessions allocate there and locality
+  // routing (Submit) resolves against these partitions. num_replicas > 1
+  // additionally mirrors each shard's segment (chained declustering) so
+  // execution can fail over past dead devices. Dynamic endpoints partition
+  // the store's current snapshot; later epochs re-partition incrementally
+  // through the mutation listener (OnMutation). Feature serving keeps one
+  // store per dataset that actually has features; endpoints over
+  // feature-less datasets keep serving bare frontiers.
+  for (const auto& [key, endpoint] : endpoints_) {
+    const graph::Graph& graph =
+        endpoint.store != nullptr ? endpoint.store->Current()->graph() : *endpoint.graph;
+    if (options_.num_shards > 1 && partitions_.find(endpoint.dataset) == partitions_.end()) {
+      std::lock_guard<std::mutex> lock(partition_mutex_);
+      partitions_[endpoint.dataset] =
+          std::make_shared<const graph::Partition>(graph::Partitioner::Build(
+              graph, options_.partition_kind, options_.num_shards, options_.num_replicas));
     }
+    if (options_.serve_features && graph.features().defined() &&
+        feature_stores_.find(endpoint.dataset) == feature_stores_.end()) {
+      std::lock_guard<std::mutex> lock(feature_mutex_);
+      feature_stores_[endpoint.dataset] =
+          std::make_shared<const feature::FeatureStore>(graph.features());
+    }
+  }
+  if (options_.num_shards > 1) {
     shard_devices_.reserve(static_cast<size_t>(options_.num_shards));
     for (int s = 0; s < options_.num_shards; ++s) {
       shard_devices_.push_back(std::make_unique<device::Device>(device::Current().profile()));
@@ -218,20 +232,6 @@ void Server::Start() {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     for (int s = 0; s < options_.num_shards; ++s) {
       stats_.per_shard_completed[s] += 0;
-    }
-  }
-  if (options_.serve_features) {
-    // One store per dataset that actually has features; endpoints over
-    // feature-less datasets keep serving bare frontiers.
-    for (const auto& [key, endpoint] : endpoints_) {
-      const graph::Graph& graph =
-          endpoint.store != nullptr ? endpoint.store->Current()->graph() : *endpoint.graph;
-      if (graph.features().defined() &&
-          feature_stores_.find(endpoint.dataset) == feature_stores_.end()) {
-        std::lock_guard<std::mutex> lock(feature_mutex_);
-        feature_stores_[endpoint.dataset] =
-            std::make_shared<const feature::FeatureStore>(graph.features());
-      }
     }
   }
   // Dynamic endpoints: subscribe to each distinct store's mutation stream
@@ -266,7 +266,7 @@ void Server::Start() {
   if (any_dynamic && options_.background_recompile) {
     replanner_ = std::make_unique<dyn::Replanner>(
         [this](const std::string& key, std::shared_ptr<const graph::Snapshot> snapshot) {
-          CompileForSnapshot(key, snapshot, /*background=*/true);
+          CompileForSnapshot(key, snapshot);
         });
     replanner_->Start();
   }
@@ -339,19 +339,34 @@ void Server::Stop() {
   }
   for (auto& pending : leftovers) {
     queued_.fetch_sub(1, std::memory_order_relaxed);
-    SampleResponse response;
-    response.status = Status::kFailed;
-    response.code = fault::ErrorCode::kInternal;
-    response.request_id = pending->id;
-    response.error = "server stopped";
-    const std::string tenant = pending->request.tenant;
-    pending->promise.set_value(std::move(response));
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.failed;
-    ++stats_.failed_internal;
-    ++stats_.per_tenant_failed[tenant];
+    Finish(*pending, Status::kFailed, fault::ErrorCode::kInternal, "server stopped");
   }
   GS_LOG(Info) << "serving: stopped";
+}
+
+void Server::Finish(Pending& pending, Status status, fault::ErrorCode code,
+                    const std::string& error) {
+  SampleResponse response;
+  response.status = status;
+  response.code = code;
+  response.request_id = pending.id;
+  response.error = error;
+  if (status == Status::kRejected) {
+    response.retry_after = options_.retry_after;
+  } else if (status == Status::kDeadlineExceeded) {
+    response.degraded = pending.degraded;
+    response.stages.queue_wait_ns = ElapsedNs(pending.submitted, Clock::now());
+    response.stages.total_ns = response.stages.queue_wait_ns;
+  }
+  pending.promise.set_value(std::move(response));
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  if (status == Status::kRejected) {
+    ++stats_.rejected;
+  } else if (status == Status::kDeadlineExceeded) {
+    ++stats_.deadline_exceeded;
+  } else {
+    CountFailure(stats_, code, pending.request.tenant);
+  }
 }
 
 std::future<SampleResponse> Server::Submit(SampleRequest request) {
@@ -366,49 +381,24 @@ std::future<SampleResponse> Server::Submit(SampleRequest request) {
   }
 
   const SampleRequest& req = pending->request;
-  auto finish = [&](Status status, fault::ErrorCode code, const std::string& error,
-                    bool with_retry) {
-    SampleResponse response;
-    response.status = status;
-    response.code = code;
-    response.request_id = pending->id;
-    response.error = error;
-    if (with_retry) {
-      response.retry_after = options_.retry_after;
-    }
-    pending->promise.set_value(std::move(response));
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (status == Status::kRejected) {
-      ++stats_.rejected;
-    } else {
-      ++stats_.failed;
-      ++stats_.per_tenant_failed[req.tenant];
-      if (code == fault::ErrorCode::kInvalidRequest) {
-        ++stats_.failed_invalid;
-      } else {
-        ++stats_.failed_internal;
-      }
-    }
-  };
-
   if (!running_) {
-    finish(Status::kFailed, fault::ErrorCode::kInternal, "server not running", false);
+    Finish(*pending, Status::kFailed, fault::ErrorCode::kInternal, "server not running");
     return future;
   }
   const Endpoint* endpoint = FindEndpoint(req.algorithm, req.dataset);
   if (endpoint == nullptr) {
-    finish(Status::kFailed, fault::ErrorCode::kInvalidRequest,
-           "unknown endpoint: " + EndpointKey(req.algorithm, req.dataset), false);
+    Finish(*pending, Status::kFailed, fault::ErrorCode::kInvalidRequest,
+           "unknown endpoint: " + EndpointKey(req.algorithm, req.dataset));
     return future;
   }
   if (!req.seeds.defined() || req.seeds.empty()) {
-    finish(Status::kFailed, fault::ErrorCode::kInvalidRequest, "empty seed set", false);
+    Finish(*pending, Status::kFailed, fault::ErrorCode::kInvalidRequest, "empty seed set");
     return future;
   }
   for (const int64_t fanout : req.fanouts) {
     if (fanout <= 0) {
-      finish(Status::kFailed, fault::ErrorCode::kInvalidRequest,
-             "fanouts must be positive, got " + std::to_string(fanout), false);
+      Finish(*pending, Status::kFailed, fault::ErrorCode::kInvalidRequest,
+             "fanouts must be positive, got " + std::to_string(fanout));
       return future;
     }
   }
@@ -435,8 +425,8 @@ std::future<SampleResponse> Server::Submit(SampleRequest request) {
     if (ema > 0) {
       const int64_t waves = backlog / std::max(1, options_.num_workers) + 1;
       if (ema * waves > req.deadline.count()) {
-        finish(Status::kRejected, fault::ErrorCode::kResourceExhausted,
-               "deadline infeasible under current load", true);
+        Finish(*pending, Status::kRejected, fault::ErrorCode::kResourceExhausted,
+               "deadline infeasible under current load");
         return future;
       }
     }
@@ -447,6 +437,7 @@ std::future<SampleResponse> Server::Submit(SampleRequest request) {
   pending->key.device = device::Current().profile().name;
   pending->key.pass_config = PassConfigDigest(endpoint->options);
   pending->key.fanouts = std::move(fanouts);
+  pending->frontier = req.seeds;
   if (endpoint->store != nullptr) {
     // Dynamic endpoint: resolve the latest snapshot at admission and pin it
     // for the request's lifetime. The epoch + digest join the plan key, so
@@ -462,8 +453,7 @@ std::future<SampleResponse> Server::Submit(SampleRequest request) {
     // own session and coalescing stays shard-local.
     const std::shared_ptr<const graph::Partition> partition = PartitionFor(req.dataset);
     if (partition != nullptr) {
-      pending->home_shard = partition->HomeShard(req.seeds.data(), req.seeds.size());
-      pending->key.shard = pending->home_shard;
+      pending->key.shard = partition->HomeShard(req.seeds.data(), req.seeds.size());
     }
   }
   pending->canonical = pending->key.Canonical();
@@ -482,7 +472,7 @@ std::future<SampleResponse> Server::Submit(SampleRequest request) {
       return future;
     }
   }
-  finish(Status::kRejected, fault::ErrorCode::kResourceExhausted, "admission queue full", true);
+  Finish(*pending, Status::kRejected, fault::ErrorCode::kResourceExhausted, "admission queue full");
   return future;
 }
 
@@ -509,27 +499,9 @@ void Server::WorkerLoop(int worker) {
   }
 }
 
-// Strict scheduling order within a tenant: earliest deadline first (requests
-// with deadlines ahead of those without), then priority, then arrival.
-static bool ScheduleBefore(const SampleRequest& a_req, bool a_has_deadline,
-                           std::chrono::steady_clock::time_point a_deadline, uint64_t a_id,
-                           const SampleRequest& b_req, bool b_has_deadline,
-                           std::chrono::steady_clock::time_point b_deadline, uint64_t b_id) {
-  if (a_has_deadline != b_has_deadline) {
-    return a_has_deadline;
-  }
-  if (a_has_deadline && a_deadline != b_deadline) {
-    return a_deadline < b_deadline;
-  }
-  if (a_req.priority != b_req.priority) {
-    return a_req.priority > b_req.priority;
-  }
-  return a_id < b_id;
-}
-
 bool Server::ServeOne() {
-  std::vector<std::unique_ptr<Pending>> expired;
-  std::vector<std::unique_ptr<Pending>> group;
+  Group expired;
+  Group group;
   {
     std::lock_guard<std::mutex> lock(sched_mutex_);
     const Clock::time_point now = Clock::now();
@@ -560,12 +532,25 @@ bool Server::ServeOne() {
       }
     }
     if (best_tenant != tenant_queues_.end()) {
+      // Strict scheduling order within a tenant: earliest deadline first
+      // (requests with deadlines ahead of those without), then priority,
+      // then arrival.
+      const auto before = [](const Pending& a, const Pending& b) {
+        if (a.has_deadline != b.has_deadline) {
+          return a.has_deadline;
+        }
+        if (a.has_deadline && a.deadline_abs != b.deadline_abs) {
+          return a.deadline_abs < b.deadline_abs;
+        }
+        if (a.request.priority != b.request.priority) {
+          return a.request.priority > b.request.priority;
+        }
+        return a.id < b.id;
+      };
       auto& queue = best_tenant->second;
       auto leader = queue.begin();
       for (auto it = std::next(queue.begin()); it != queue.end(); ++it) {
-        if (ScheduleBefore((*it)->request, (*it)->has_deadline, (*it)->deadline_abs, (*it)->id,
-                           (*leader)->request, (*leader)->has_deadline, (*leader)->deadline_abs,
-                           (*leader)->id)) {
+        if (before(**it, **leader)) {
           leader = it;
         }
       }
@@ -602,7 +587,8 @@ bool Server::ServeOne() {
   }
 
   for (auto& pending : expired) {
-    CompleteExpired(std::move(pending));
+    Finish(*pending, Status::kDeadlineExceeded, fault::ErrorCode::kOk,
+           "deadline expired while queued");
   }
   if (group.empty()) {
     return false;  // spurious token (its request was coalesced or expired)
@@ -611,51 +597,45 @@ bool Server::ServeOne() {
   return true;
 }
 
-void Server::CompleteExpired(std::unique_ptr<Pending> pending) {
-  SampleResponse response;
-  response.status = Status::kDeadlineExceeded;
-  response.request_id = pending->id;
-  response.degraded = pending->degraded;
-  response.stages.queue_wait_ns = ElapsedNs(pending->submitted, Clock::now());
-  response.stages.total_ns = response.stages.queue_wait_ns;
-  response.error = "deadline expired while queued";
-  pending->promise.set_value(std::move(response));
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.deadline_exceeded;
-}
-
-std::shared_ptr<core::SamplerSession> Server::CompileDynamicSession(
-    const Endpoint& endpoint, const PlanKey& key,
-    const std::shared_ptr<const graph::Snapshot>& snapshot) {
-  core::SamplerOptions options = endpoint.options;
-  options.super_batch = 1;
-  algorithms::AlgorithmProgram algorithm =
-      endpoint.dynamic_factory(snapshot->graph(), key.fanouts);
-  auto plan = std::make_shared<core::CompiledPlan>(std::move(algorithm.program), options,
-                                                   endpoint.algorithm);
-  auto session = std::make_shared<core::SamplerSession>(std::move(plan), snapshot,
-                                                        std::move(algorithm.tensors));
-  session->Warmup(WarmupFrontier(snapshot->graph()));
-  AttachJit(session);
+std::shared_ptr<core::SamplerSession> Server::OpenSession(
+    const Endpoint& endpoint, const std::vector<int64_t>& fanouts,
+    const std::shared_ptr<const graph::Snapshot>& snapshot,
+    std::shared_ptr<core::CompiledPlan> plan) {
+  const graph::Graph& graph = snapshot != nullptr ? snapshot->graph() : *endpoint.graph;
+  // With an adopted plan the trace only recovers the named tensor bindings:
+  // no passes and no calibration run.
+  algorithms::AlgorithmProgram algorithm = endpoint.factory(graph, fanouts);
+  if (plan == nullptr) {
+    core::SamplerOptions options = endpoint.options;
+    // The server groups requests itself; epoch-style super-batching inside
+    // the plan would fight the coalescer.
+    options.super_batch = 1;
+    plan = std::make_shared<core::CompiledPlan>(std::move(algorithm.program), options,
+                                                endpoint.algorithm);
+  }
+  auto session = snapshot != nullptr
+                     ? std::make_shared<core::SamplerSession>(std::move(plan), snapshot,
+                                                              std::move(algorithm.tensors))
+                     : std::make_shared<core::SamplerSession>(std::move(plan), graph,
+                                                              std::move(algorithm.tensors));
+  session->Warmup(core::WarmupFrontier(graph));
+  // The JIT attaches after Warmup: warmup calibrates the plan, and the
+  // calibration state is part of CompiledPlan::Digest() — attaching earlier
+  // would key artifacts under a digest the persisted (calibrated) plan no
+  // longer has, defeating warm-restart reuse. TableFor never throws:
+  // unresolvable regions demote to the interpreter, and a plan with no
+  // fused regions yields no table at all.
+  if (jit_ != nullptr) {
+    session->SetJitTable(jit_->TableFor(session->plan()));
+  }
   return session;
 }
 
 std::shared_ptr<core::SamplerSession> Server::BuildPlan(
     const Endpoint& endpoint, const PlanKey& key,
     const std::shared_ptr<const graph::Snapshot>& snapshot) {
-  if (endpoint.store == nullptr || snapshot == nullptr) {
-    algorithms::AlgorithmProgram algorithm = endpoint.factory(key.fanouts);
-    core::SamplerOptions options = endpoint.options;
-    // The server groups requests itself; epoch-style super-batching inside
-    // the plan would fight the coalescer.
-    options.super_batch = 1;
-    auto plan = std::make_shared<core::CompiledPlan>(std::move(algorithm.program), options,
-                                                     endpoint.algorithm);
-    auto session = std::make_shared<core::SamplerSession>(std::move(plan), *endpoint.graph,
-                                                          std::move(algorithm.tensors));
-    session->Warmup(WarmupFrontier(*endpoint.graph));
-    AttachJit(session);
-    return session;
+  if (snapshot == nullptr) {
+    return OpenSession(endpoint, key.fanouts, nullptr);
   }
 
   // Dynamic endpoint: consult the epoch-independent compile table before
@@ -668,24 +648,18 @@ std::shared_ptr<core::SamplerSession> Server::BuildPlan(
       (judgment == dyn::PlanJudgment::kDrifted && replanner_ == nullptr)) {
     // Cold start, or drift with background recompilation disabled: the full
     // compile runs here on the serving path.
-    std::shared_ptr<core::SamplerSession> session = CompileDynamicSession(endpoint, key, snapshot);
+    std::shared_ptr<core::SamplerSession> session = OpenSession(endpoint, key.fanouts, snapshot);
     plan_table_.Publish(compile_key, session->plan_ptr(), *snapshot);
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.recompiles_inline;
     return session;
   }
 
-  // Cheap path: rebuild a session over the resident frozen plan — the
-  // re-trace only recovers the named tensor bindings; no passes and no
-  // calibration run. A drifted plan still serves correct results (layout
-  // decisions affect cost, never values) while the replanner recompiles off
-  // the serving path.
-  algorithms::AlgorithmProgram algorithm =
-      endpoint.dynamic_factory(snapshot->graph(), key.fanouts);
-  auto session = std::make_shared<core::SamplerSession>(entry.plan, snapshot,
-                                                        std::move(algorithm.tensors));
-  session->Warmup(WarmupFrontier(snapshot->graph()));
-  AttachJit(session);
+  // Cheap path: rebuild a session over the resident frozen plan. A drifted
+  // plan still serves correct results (layout decisions affect cost, never
+  // values) while the replanner recompiles off the serving path.
+  std::shared_ptr<core::SamplerSession> session =
+      OpenSession(endpoint, key.fanouts, snapshot, entry.plan);
   if (judgment == dyn::PlanJudgment::kDrifted) {
     GS_LOG(Info) << "serving: plan " << compile_key << " drifted past validity (" << why
                  << "); serving stale, recompiling in the background";
@@ -700,8 +674,7 @@ std::shared_ptr<core::SamplerSession> Server::BuildPlan(
 }
 
 void Server::CompileForSnapshot(const std::string& compile_key,
-                                const std::shared_ptr<const graph::Snapshot>& snapshot,
-                                bool background) {
+                                const std::shared_ptr<const graph::Snapshot>& snapshot) {
   PlanKey key = PlanKey::Parse(compile_key);
   const Endpoint* endpoint = FindEndpoint(key.algorithm, key.dataset);
   if (endpoint == nullptr || endpoint->store == nullptr) {
@@ -711,7 +684,7 @@ void Server::CompileForSnapshot(const std::string& compile_key,
   if (options_.num_shards > 1 && key.shard < static_cast<int>(shard_devices_.size())) {
     shard_guard.emplace(*shard_devices_[static_cast<size_t>(key.shard)]);
   }
-  std::shared_ptr<core::SamplerSession> session = CompileDynamicSession(*endpoint, key, snapshot);
+  std::shared_ptr<core::SamplerSession> session = OpenSession(*endpoint, key.fanouts, snapshot);
   plan_table_.Publish(compile_key, session->plan_ptr(), *snapshot);
   // Publish the warmed session at its epoch so the next request there hits
   // the cache instead of rebuilding.
@@ -720,11 +693,7 @@ void Server::CompileForSnapshot(const std::string& compile_key,
   key.graph_digest = snapshot->digest();
   plan_cache_->Insert(key, std::move(session));
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  if (background) {
-    ++stats_.recompiles_background;
-  } else {
-    ++stats_.recompiles_inline;
-  }
+  ++stats_.recompiles_background;
 }
 
 void Server::OnMutation(const std::string& dataset,
@@ -820,46 +789,22 @@ std::shared_ptr<core::SamplerSession> Server::ActivatePlan(
   if (options_.num_shards > 1) {
     shard_guard.emplace(*shard_devices_[static_cast<size_t>(key.shard)]);
   }
-  if (key.dynamic) {
-    // A persisted dynamic plan is only servable when the store's current
-    // epoch has the exact digest it was calibrated against; anything else
-    // must recompile through the plan table's validity machinery.
-    const std::shared_ptr<const graph::Snapshot> snapshot = endpoint->store->Current();
-    if (key.graph_digest != snapshot->digest()) {
-      return nullptr;
-    }
-    algorithms::AlgorithmProgram algorithm =
-        endpoint->dynamic_factory(snapshot->graph(), key.fanouts);
-    std::shared_ptr<core::CompiledPlan> shared = std::move(plan);
-    auto session = std::make_shared<core::SamplerSession>(shared, snapshot,
-                                                          std::move(algorithm.tensors));
-    session->Warmup(WarmupFrontier(snapshot->graph()));
-    AttachJit(session);
-    plan_table_.Publish(key.CompileKey(), std::move(shared), *snapshot);
-    return session;
+  if (!key.dynamic) {
+    // The persisted plan (program + annotations + calibration) is used
+    // as-is, so no passes and no calibration run here.
+    return OpenSession(*endpoint, key.fanouts, nullptr, std::move(plan));
   }
-  // The factory re-traces only to recover the named tensor bindings; the
-  // persisted plan (program + annotations + calibration) is used as-is, so
-  // no passes and no calibration run here.
-  algorithms::AlgorithmProgram algorithm = endpoint->factory(key.fanouts);
-  auto session = std::make_shared<core::SamplerSession>(std::move(plan), *endpoint->graph,
-                                                        std::move(algorithm.tensors));
-  session->Warmup(WarmupFrontier(*endpoint->graph));
-  AttachJit(session);
+  // A persisted dynamic plan is only servable when the store's current
+  // epoch has the exact digest it was calibrated against; anything else
+  // must recompile through the plan table's validity machinery.
+  const std::shared_ptr<const graph::Snapshot> snapshot = endpoint->store->Current();
+  if (key.graph_digest != snapshot->digest()) {
+    return nullptr;
+  }
+  std::shared_ptr<core::SamplerSession> session =
+      OpenSession(*endpoint, key.fanouts, snapshot, std::move(plan));
+  plan_table_.Publish(key.CompileKey(), session->plan_ptr(), *snapshot);
   return session;
-}
-
-// Called after Warmup: warmup calibrates the plan, and the calibration state
-// is part of CompiledPlan::Digest() — attaching earlier would key artifacts
-// under a digest the persisted (calibrated) plan no longer has, defeating
-// warm-restart reuse.
-void Server::AttachJit(const std::shared_ptr<core::SamplerSession>& session) {
-  if (jit_ == nullptr || session == nullptr) {
-    return;
-  }
-  // TableFor never throws: unresolvable regions demote to the interpreter,
-  // and a plan with no fused regions yields no table at all.
-  session->SetJitTable(jit_->TableFor(session->plan()));
 }
 
 feature::HotSetCache* Server::TenantFeatureCache(int shard, const std::string& tenant,
@@ -894,15 +839,7 @@ int64_t Server::SavePlans(const std::string& dir) {
   return plan_cache_->SaveAll(dir);
 }
 
-// GCC 12's -Wmaybe-uninitialized loses track of std::optional's engaged flag
-// for the shard_guard below and claims ThreadDeviceGuard::previous_ may be
-// read uninitialized in the destructor; the guard is only ever destroyed
-// engaged (reset()/emplace() pair inside the retry loop).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-void Server::ExecuteAndScatter(std::vector<std::unique_ptr<Pending>> group) {
+void Server::ExecuteAndScatter(Group group) {
   const Clock::time_point dequeued = Clock::now();
   for (auto& pending : group) {
     pending->dequeued = dequeued;
@@ -916,501 +853,360 @@ void Server::ExecuteAndScatter(std::vector<std::unique_ptr<Pending>> group) {
   }
   ScopedLogTag log_tag(tag.str());
 
-  const Endpoint* endpoint = FindEndpoint(leader.request.algorithm, leader.request.dataset);
-  GS_CHECK(endpoint != nullptr);
-
-  // Sharded mode: each execution attempt re-resolves the executing device —
-  // the home shard's replica chain is walked in placement order, skipping
-  // devices the health monitor holds dead (a dead device still gets one
-  // probe per backoff window). The chosen device is pinned for the
-  // resolve+execute span and cross-shard adjacency pulls are metered with a
-  // FrontierExchange observer. The group is shard-homogeneous because the
-  // shard is part of the plan key; executing on a replica changes only
-  // which timeline is charged, never the outputs (sessions bind the full
-  // graph).
-  const int shard = leader.home_shard;
-  // Pin the partition for the whole execution: a mutation epoch may swap in
-  // an incrementally rebuilt partition mid-flight, and routing decisions
-  // must stay consistent within one group.
-  std::shared_ptr<const graph::Partition> pinned_partition;
-  const graph::Partition* partition = nullptr;
-  std::optional<device::ThreadDeviceGuard> shard_guard;
-  std::optional<fault::ShardScope> fault_scope;
+  // The group is shard-homogeneous because the shard is part of the plan
+  // key; executing on a replica changes only which timeline is charged,
+  // never the outputs (sessions bind the full graph).
+  Execution exec;
+  exec.endpoint = FindEndpoint(leader.request.algorithm, leader.request.dataset);
+  GS_CHECK(exec.endpoint != nullptr);
+  exec.key = leader.key;
+  exec.device = exec.key.shard;
   if (options_.num_shards > 1) {
-    pinned_partition = PartitionFor(endpoint->dataset);
-    partition = pinned_partition.get();
+    exec.partition = PartitionFor(exec.endpoint->dataset);
   }
-  int64_t exchange_hops = 0;
-  int64_t exchange_remote_nodes = 0;
-  int64_t exchange_bytes = 0;
-  int64_t hedged = 0;
-  int exec_shard = shard;     // device that actually executed (== shard unsharded)
-  bool unavailable = false;   // no live replica of the home shard
 
-  // Recovery ladder around plan resolution + execution. Transient failures
-  // (injected kernel faults, watchdog-cancelled batches, UVA transfer
-  // errors) are retried with exponential backoff — results are a pure
-  // function of (seeds, seed), so a retry returns bit-identical outputs.
-  // Resource exhaustion that survived the allocator's own ladder gets one
-  // retry with shed (halved) fanouts, reusing the overload-degradation
-  // path. Invalid requests and internal errors fail immediately.
-  bool cache_hit = false;
-  int64_t compile_ns = 0;
-  GroupResult result;
-  bool coalesced = false;
-  int64_t executions = 0;
-  std::string error;
-  fault::ErrorCode code = fault::ErrorCode::kOk;
-  PlanKey key = leader.key;
+  Attempt(exec, group);
+  if (monitor_ != nullptr && exec.runs > 0 && exec.error.empty()) {
+    monitor_->ReportSuccess(exec.device);
+    device::Device& exec_device = *shard_devices_[static_cast<size_t>(exec.device)];
+    if (exec_device.lost()) {
+      exec_device.Revive();  // a backoff probe made it through
+    }
+  }
+  GS_LOG(Debug) << "serving: executed group of " << group.size() << " ("
+                << (exec.cache_hit ? "plan hit" : "plan miss") << ", "
+                << exec.result.execute_ns / 1000 << " us)"
+                << (exec.error.empty() ? "" : " FAILED");
+
+  std::vector<SampleResponse> responses = Scatter(exec, group);
+  GatherFeatures(exec, group, responses);
+  Record(exec, group, responses);
+  for (size_t i = 0; i < group.size(); ++i) {
+    group[i]->promise.set_value(std::move(responses[i]));
+  }
+}
+
+// place: walks the home shard's replica chain in placement order, skipping
+// devices the health monitor holds dead (a dead device still gets one probe
+// per backoff window); a shard.lost injection at placement marks the device
+// dead and moves on. With no live replica the group turns degraded for good
+// (Attempt never re-places it): it runs on a fallback device, each member
+// cut to its covered seeds.
+void Server::Place(Execution& exec, Group& group) {
+  const graph::Partition& partition = *exec.partition;
+  for (int r = 0; r < partition.num_replicas(); ++r) {
+    const int candidate = partition.ReplicaDevice(exec.key.shard, r);
+    if (!monitor_->AdmitWork(candidate)) {
+      continue;
+    }
+    fault::ShardScope probe_scope(candidate);
+    if (fault::Injected(fault::Site::kShardLost)) {
+      shard_devices_[static_cast<size_t>(candidate)]->MarkLost();
+      monitor_->ReportDeviceLost(candidate);
+      continue;
+    }
+    exec.device = candidate;
+    return;
+  }
+  // No live replica: answer partially from the devices still standing
+  // rather than failing the group. The fallback is the lowest-numbered live
+  // device, so every worker resolves the same device for the same monitor
+  // state and a replayed fault schedule reproduces the same degraded
+  // outputs bit-for-bit.
+  exec.degraded = true;
+  exec.device = -1;
+  for (int s = 0; s < options_.num_shards && exec.device < 0; ++s) {
+    if (monitor_->Alive(s)) {
+      exec.device = s;
+    }
+  }
+  for (auto& pending : group) {
+    const tensor::IdArray& seeds = pending->request.seeds;
+    pending->coverage = ha::CoverageFraction(partition, *monitor_, seeds.data(), seeds.size());
+    pending->frontier = tensor::IdArray::FromVector(
+        ha::CoveredIds(partition, *monitor_, seeds.data(), seeds.size()));
+  }
+}
+
+// Runs `fn` with the executing device and its fault scope installed (as is
+// when unsharded).
+template <typename Fn>
+void Server::OnDevice(const Execution& exec, Fn&& fn) {
+  if (exec.partition == nullptr) {
+    fn();
+    return;
+  }
+  device::ThreadDeviceGuard device_guard(*shard_devices_[static_cast<size_t>(exec.device)]);
+  fault::ShardScope fault_scope(exec.device);
+  fn();
+}
+
+// One try of Attempt on the placed device: resolves the plan through the
+// PlanCache and runs ExecuteGroup. Throws on failure.
+void Server::RunOnce(Execution& exec, const std::shared_ptr<const graph::Snapshot>& snapshot,
+                     const std::vector<tensor::IdArray>& frontiers,
+                     const std::vector<uint64_t>& seeds) {
+  OnDevice(exec, [&] {
+    bool hit = false;
+    int64_t build_ns = 0;
+    std::shared_ptr<core::SamplerSession> session = plan_cache_->GetOrBuild(
+        exec.key, [&] { return BuildPlan(*exec.endpoint, exec.key, snapshot); }, &hit,
+        &build_ns);
+    exec.cache_hit = hit;
+    exec.compile_ns += build_ns;
+    if (exec.partition == nullptr) {
+      exec.result = ExecuteGroup(*session, frontiers, seeds);
+      return;
+    }
+    shard::FrontierExchange exchange(*exec.partition, exec.device, monitor_.get(),
+                                     kMaxHedgedExchanges);
+    core::HopObserverGuard observer(exchange);
+    exec.result = ExecuteGroup(*session, frontiers, seeds);
+    for (const shard::HopRecord& h : exchange.hops()) {
+      exec.exchange_hops += h.remote_nodes > 0 ? 1 : 0;
+      exec.exchange_remote_nodes += h.remote_nodes;
+      exec.exchange_bytes += h.bytes;
+    }
+    exec.hedged = exchange.hedges();
+  });
+}
+
+// attempt: re-places (until degraded), then runs the executing members
+// under the recovery ladder; the last failure lands in exec.error/code.
+// Transient failures
+// (injected kernel faults, watchdog-cancelled batches, UVA transfer errors,
+// exchange timeouts past the hedge budget) are retried with exponential
+// backoff — results are a pure function of (seeds, seed), so a retry
+// returns bit-identical outputs. Resource exhaustion that survived the
+// allocator's own ladder gets one retry with shed (halved) fanouts, reusing
+// the overload-degradation path. Invalid requests and internal errors fail
+// immediately.
+void Server::Attempt(Execution& exec, Group& group) {
   int transient_left = std::max(0, options_.max_transient_retries);
-  bool shed_retry_used = false;
-  std::chrono::nanoseconds backoff = options_.retry_backoff;
-
+  std::chrono::nanoseconds backoff = kRetryBackoff;
   while (true) {
-    error.clear();
-    code = fault::ErrorCode::kOk;
-    result = GroupResult{};
-    coalesced = false;
-    exchange_hops = 0;
-    exchange_remote_nodes = 0;
-    exchange_bytes = 0;
-    hedged = 0;
-    // Placement: walk the home shard's replica chain. A shard.lost
-    // injection at placement marks the device dead and moves on; when no
-    // replica admits work the group degrades instead of failing. Guards
-    // outlive the loop so the feature/scatter phase below still runs on the
-    // executing device.
-    if (options_.num_shards > 1) {
-      fault_scope.reset();
-      shard_guard.reset();
-      exec_shard = -1;
-      const int replicas = partition != nullptr ? partition->num_replicas() : 1;
-      for (int r = 0; r < replicas; ++r) {
-        const int candidate =
-            partition != nullptr ? partition->ReplicaDevice(shard, r) : shard;
-        if (!monitor_->AdmitWork(candidate)) {
-          continue;
-        }
-        fault::ShardScope probe_scope(candidate);
-        if (fault::Injected(fault::Site::kShardLost)) {
-          shard_devices_[static_cast<size_t>(candidate)]->MarkLost();
-          monitor_->ReportDeviceLost(candidate);
-          continue;
-        }
-        exec_shard = candidate;
-        break;
+    exec.result = GroupResult{};
+    exec.error.clear();
+    exec.code = fault::ErrorCode::kOk;
+    if (exec.partition != nullptr && !exec.degraded) {
+      Place(exec, group);
+    }
+    std::vector<tensor::IdArray> frontiers;
+    std::vector<uint64_t> seeds;
+    frontiers.reserve(group.size());
+    seeds.reserve(group.size());
+    for (const auto& pending : group) {
+      if (!pending->frontier.empty()) {
+        frontiers.push_back(pending->frontier);
+        seeds.push_back(pending->request.seed);
       }
-      if (exec_shard < 0) {
-        unavailable = true;
-        code = fault::ErrorCode::kUnavailable;
-        error = "no live replica for shard " + std::to_string(shard);
-        break;
-      }
-      shard_guard.emplace(*shard_devices_[static_cast<size_t>(exec_shard)]);
-      fault_scope.emplace(exec_shard);
+    }
+    exec.runs = static_cast<int64_t>(frontiers.size());
+    if (exec.runs == 0) {
+      return;  // degraded with nothing covered
+    }
+    if (exec.device < 0) {
+      exec.error = "no live device for degraded serving";
+      exec.code = fault::ErrorCode::kUnavailable;
+      return;
     }
     try {
-      bool hit = false;
-      int64_t build_ns = 0;
-      std::shared_ptr<core::SamplerSession> plan = plan_cache_->GetOrBuild(
-          key, [&] { return BuildPlan(*endpoint, key, leader.snapshot); }, &hit, &build_ns);
-      cache_hit = hit;
-      compile_ns += build_ns;
-      auto run_group = [&](const std::vector<tensor::IdArray>& frontiers,
-                           const std::vector<uint64_t>& seeds) {
-        if (partition == nullptr) {
-          return ExecuteGroup(*plan, frontiers, seeds);
-        }
-        shard::FrontierExchange exchange(*partition, exec_shard, monitor_.get(),
-                                         options_.max_hedged_exchanges);
-        core::HopObserverGuard observer(exchange);
-        GroupResult group_result = ExecuteGroup(*plan, frontiers, seeds);
-        for (const shard::HopRecord& h : exchange.hops()) {
-          if (h.remote_nodes > 0) {
-            ++exchange_hops;
-          }
-          exchange_remote_nodes += h.remote_nodes;
-          exchange_bytes += h.bytes;
-        }
-        hedged += exchange.hedges();
-        return group_result;
-      };
-      if (plan->Coalescable()) {
-        std::vector<tensor::IdArray> frontiers;
-        std::vector<uint64_t> seeds;
-        frontiers.reserve(group.size());
-        seeds.reserve(group.size());
-        for (auto& pending : group) {
-          frontiers.push_back(pending->request.seeds);
-          seeds.push_back(pending->request.seed);
-        }
-        result = run_group(frontiers, seeds);
-        coalesced = group.size() > 1;
-        executions = 1;
-        break;
-      }
-      // Walk-style plans can't share a segmented execution; serve the
-      // gathered requests back to back on this worker instead.
-      result.outputs.resize(group.size());
-      Timer timer;
-      for (size_t i = 0; i < group.size(); ++i) {
-        GroupResult solo = run_group({group[i]->request.seeds}, {group[i]->request.seed});
-        result.outputs[i] = std::move(solo.outputs[0]);
-      }
-      result.execute_ns = timer.ElapsedNanos();
-      executions = static_cast<int64_t>(group.size());
-      break;
+      RunOnce(exec, group.front()->snapshot, frontiers, seeds);
+      return;
     } catch (const std::exception& e) {
-      error = e.what();
-      code = fault::Classify(e);
-      if (monitor_ != nullptr && exec_shard >= 0 &&
-          code == fault::ErrorCode::kTransient) {
-        // Injected kernel faults, watchdog cancellations, and exchange
-        // timeouts past the hedge budget feed the shard's suspect state;
-        // the retry below re-resolves placement, so a shard the signals
-        // kill gets skipped on the next attempt.
-        monitor_->ReportTransient(exec_shard);
-      }
+      exec.error = e.what();
+      exec.code = fault::Classify(e);
     }
-    if (code == fault::ErrorCode::kTransient && transient_left > 0) {
+    if (exec.code == fault::ErrorCode::kTransient && monitor_ != nullptr) {
+      // Feeds the device's suspect state; the retry re-places, so a shard
+      // the signals kill gets skipped on the next attempt.
+      monitor_->ReportTransient(exec.device);
+    }
+    if (exec.code == fault::ErrorCode::kTransient && transient_left > 0) {
       --transient_left;
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.transient_retries;
       }
       GS_LOG(Debug) << "serving: transient failure, retrying after " << backoff.count() / 1000
-                    << " us: " << error;
+                    << " us: " << exec.error;
       std::this_thread::sleep_for(backoff);
       backoff *= 2;
       continue;
     }
-    if (code == fault::ErrorCode::kResourceExhausted && options_.shed_on_resource_exhausted &&
-        !shed_retry_used && !key.fanouts.empty()) {
-      shed_retry_used = true;
-      key.fanouts = ShedFanouts(key.fanouts);
+    if (exec.code == fault::ErrorCode::kResourceExhausted && !exec.shed &&
+        !exec.key.fanouts.empty()) {
+      exec.shed = true;
+      exec.key.fanouts = ShedFanouts(exec.key.fanouts);
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.shed_retries;
       }
-      GS_LOG(Warning) << "serving: resource exhausted, retrying with shed fanouts: " << error;
+      GS_LOG(Warning) << "serving: resource exhausted, retrying with shed fanouts: "
+                      << exec.error;
       continue;
     }
-    break;  // terminal failure
+    return;  // terminal failure
   }
-  if (unavailable) {
-    // No live replica of the home shard: answer partially from the devices
-    // still standing rather than failing the whole group.
-    GS_CHECK(partition != nullptr);
-    ServeDegraded(std::move(group), *endpoint, *partition);
-    return;
-  }
-  if (monitor_ != nullptr && error.empty()) {
-    monitor_->ReportSuccess(exec_shard);
-    device::Device& exec_device = *shard_devices_[static_cast<size_t>(exec_shard)];
-    if (exec_device.lost()) {
-      exec_device.Revive();  // a backoff probe made it through
-    }
-  }
-  if (shed_retry_used && error.empty()) {
-    // Shed-fanout results are degraded regardless of admission-time state.
-    for (auto& pending : group) {
-      pending->degraded = true;
-    }
-  }
-  GS_LOG(Debug) << "serving: executed group of " << group.size() << " ("
-                << (cache_hit ? "plan hit" : "plan miss") << ", " << result.execute_ns / 1000
-                << " us)" << (error.empty() ? "" : " FAILED");
+}
 
-  // Scatter results back per request.
-  Timer scatter_timer;
+// scatter: one response per member; kDegraded plus coverage in degraded
+// mode.
+std::vector<SampleResponse> Server::Scatter(Execution& exec, Group& group) {
+  Timer timer;
+  const bool coalesced = exec.result.executions == 1 && exec.runs > 1;
+  // Shed-fanout results are degraded regardless of admission-time state.
+  const bool degraded = exec.degraded || (exec.shed && exec.error.empty());
   std::vector<SampleResponse> responses(group.size());
+  size_t next = 0;  // exec.result.outputs index of the next executing member
   for (size_t i = 0; i < group.size(); ++i) {
-    Pending& pending = *group[i];
+    const Pending& pending = *group[i];
     SampleResponse& response = responses[i];
     response.request_id = pending.id;
-    response.degraded = pending.degraded;
-    response.group_size = coalesced ? static_cast<int>(group.size()) : 1;
+    response.degraded = pending.degraded || degraded;
+    response.coverage = pending.coverage;
+    response.group_size = coalesced ? static_cast<int>(exec.runs) : 1;
     response.stages.queue_wait_ns = ElapsedNs(pending.submitted, pending.dequeued);
-    response.stages.compile_ns = compile_ns;
-    response.stages.plan_cache_hit = cache_hit;
-    response.stages.execute_ns = result.execute_ns;
-    if (error.empty()) {
-      response.status = Status::kOk;
-      response.outputs = std::move(result.outputs[i]);
-    } else {
+    response.stages.compile_ns = exec.compile_ns;
+    response.stages.plan_cache_hit = exec.cache_hit;
+    response.stages.execute_ns = exec.result.execute_ns;
+    if (pending.frontier.empty()) {
+      // Nothing coverable: an honest empty partial (coverage says why),
+      // never a request error.
+      response.status = Status::kDegraded;
+    } else if (!exec.error.empty()) {
       response.status = Status::kFailed;
-      response.error = error;
-      response.code = code;
+      response.error = exec.error;
+      response.code = exec.code;
+    } else {
+      response.status = exec.degraded ? Status::kDegraded : Status::kOk;
+      response.outputs = std::move(exec.result.outputs[next++]);
     }
   }
-  const int64_t scatter_ns = scatter_timer.ElapsedNanos();
+  exec.scatter_ns = timer.ElapsedNanos();
+  return responses;
+}
 
-  // Feature tier: attach the gathered feature rows to every successful
-  // response, each through its tenant's cache partition on this shard (the
-  // shard device guard is still active, so backing pages and gather kernels
-  // land on the executing shard). Coalesced members gather from their own
-  // scattered outputs, so the rows are identical to being served alone.
-  feature::GatherStats group_gather;
-  int64_t feature_responses = 0;
-  int64_t feature_wall_ns = 0;
-  if (options_.serve_features && error.empty()) {
-    // Pin the store: a feature mutation swaps feature_stores_[dataset] under
-    // feature_mutex_, and this group must gather from one consistent tensor.
-    std::shared_ptr<const feature::FeatureStore> pinned_store;
-    {
-      std::lock_guard<std::mutex> lock(feature_mutex_);
-      auto store_it = feature_stores_.find(endpoint->dataset);
-      if (store_it != feature_stores_.end()) {
-        pinned_store = store_it->second;
-      }
-    }
-    if (pinned_store != nullptr) {
-      const feature::FeatureStore& store = *pinned_store;
-      for (size_t i = 0; i < group.size(); ++i) {
-        SampleResponse& response = responses[i];
-        if (response.status != Status::kOk) {
-          continue;
-        }
-        feature::HotSetCache* cache = TenantFeatureCache(
-            exec_shard, group[i]->request.tenant, endpoint->dataset, store.row_bytes());
-        Timer feature_timer;
-        try {
-          const tensor::IdArray& ids =
-              FeatureFrontier(response.outputs, group[i]->request.seeds);
-          response.features = store.Gather(ids, cache, &group_gather);
-          response.feature_ids = ids;
-          response.stages.feature_ns = feature_timer.ElapsedNanos();
-          feature_wall_ns += response.stages.feature_ns;
-          ++feature_responses;
-        } catch (const std::exception& e) {
-          // A failed gather (injected transfer fault) fails the response —
-          // a frontier without the features the caller asked for is not a
-          // success — but never the worker.
-          response.status = Status::kFailed;
-          response.outputs.clear();
-          response.features = {};
-          response.feature_ids = {};
-          response.error = std::string("feature gather failed: ") + e.what();
-          response.code = fault::Classify(e);
-        }
-      }
+// gather features: attaches feature rows to every kOk response.
+void Server::GatherFeatures(Execution& exec, const Group& group,
+                            std::vector<SampleResponse>& responses) {
+  if (!options_.serve_features || exec.degraded || !exec.error.empty()) {
+    return;  // no kOk response to gather for
+  }
+  // Pin the store: a feature mutation swaps feature_stores_[dataset] under
+  // feature_mutex_, and this group must gather from one consistent tensor.
+  std::shared_ptr<const feature::FeatureStore> store;
+  {
+    std::lock_guard<std::mutex> lock(feature_mutex_);
+    auto store_it = feature_stores_.find(exec.endpoint->dataset);
+    if (store_it != feature_stores_.end()) {
+      store = store_it->second;
     }
   }
+  if (store == nullptr) {
+    return;
+  }
+  // Each response gathers through its tenant's cache partition on the
+  // executing device, so backing pages and gather kernels land on that
+  // shard. Coalesced members gather from their own scattered outputs, so the
+  // rows are identical to being served alone.
+  OnDevice(exec, [&] {
+    for (size_t i = 0; i < group.size(); ++i) {
+      SampleResponse& response = responses[i];
+      if (response.status != Status::kOk) {
+        continue;
+      }
+      feature::HotSetCache* cache = TenantFeatureCache(
+          exec.device, group[i]->request.tenant, exec.endpoint->dataset, store->row_bytes());
+      Timer feature_timer;
+      try {
+        const tensor::IdArray& ids = FeatureFrontier(response.outputs, group[i]->request.seeds);
+        response.features = store->Gather(ids, cache, &exec.gather);
+        response.feature_ids = ids;
+        response.stages.feature_ns = feature_timer.ElapsedNanos();
+        exec.feature_ns += response.stages.feature_ns;
+        ++exec.feature_responses;
+      } catch (const std::exception& e) {
+        // A failed gather (injected transfer fault) fails the response — a
+        // frontier without the features the caller asked for is not a
+        // success — but never the worker.
+        response.status = Status::kFailed;
+        response.outputs.clear();
+        response.features = {};
+        response.feature_ids = {};
+        response.error = std::string("feature gather failed: ") + e.what();
+        response.code = fault::Classify(e);
+      }
+    }
+  });
+}
 
+// record: stamps total latency and updates ServerStats once per group.
+void Server::Record(const Execution& exec, const Group& group,
+                    std::vector<SampleResponse>& responses) {
   // Service-time EMA feeding deadline admission (amortized per request).
-  if (error.empty()) {
+  if (exec.runs > 0 && exec.error.empty()) {
     const int64_t per_request =
-        (compile_ns + result.execute_ns) / static_cast<int64_t>(group.size());
+        (exec.compile_ns + exec.result.execute_ns) / static_cast<int64_t>(group.size());
     const int64_t previous = ema_service_ns_.load(std::memory_order_relaxed);
     const int64_t next = previous == 0 ? per_request : (7 * previous + per_request) / 8;
     ema_service_ns_.store(next, std::memory_order_relaxed);
   }
-
-  std::vector<int64_t> totals(group.size());
   const Clock::time_point done = Clock::now();
   for (size_t i = 0; i < group.size(); ++i) {
-    responses[i].stages.scatter_ns = scatter_ns;
-    totals[i] = ElapsedNs(group[i]->submitted, done);
-    responses[i].stages.total_ns = totals[i];
+    responses[i].stages.scatter_ns = exec.scatter_ns;
+    responses[i].stages.total_ns = ElapsedNs(group[i]->submitted, done);
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.executions += executions;
-    stats_.requests_executed += static_cast<int64_t>(group.size());
-    if (coalesced) {
-      ++stats_.coalesced_executions;
+
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  stats_.executions += exec.result.executions;
+  stats_.requests_executed += exec.runs;
+  if (exec.result.executions == 1 && exec.runs > 1) {
+    ++stats_.coalesced_executions;
+  }
+  if (exec.error.empty() && options_.num_shards > 1) {
+    stats_.exchange_hops += exec.exchange_hops;
+    stats_.exchange_remote_nodes += exec.exchange_remote_nodes;
+    stats_.exchange_bytes += exec.exchange_bytes;
+    stats_.hedged_exchanges += exec.hedged;
+    if (!exec.degraded && exec.device != exec.key.shard) {
+      // Served by a non-primary replica: count one failover per execution,
+      // not per coalesced member.
+      ++stats_.failovers;
     }
-    if (error.empty() && options_.num_shards > 1) {
-      stats_.exchange_hops += exchange_hops;
-      stats_.exchange_remote_nodes += exchange_remote_nodes;
-      stats_.exchange_bytes += exchange_bytes;
-      stats_.hedged_exchanges += hedged;
-      if (exec_shard != shard) {
-        // Served by a non-primary replica: count one failover per execution,
-        // not per coalesced member.
-        ++stats_.failovers;
-      }
-    }
-    if (feature_responses > 0) {
-      stats_.feature_requests += feature_responses;
-      stats_.feature_rows += group_gather.rows;
-      stats_.feature_cache_hits += group_gather.hits;
-      stats_.feature_cache_misses += group_gather.misses;
-      stats_.feature_gather_bytes += group_gather.gathered_bytes;
-      stats_.feature_miss_bytes += group_gather.miss_bytes;
-      stats_.feature_gather_ns += feature_wall_ns;
-    }
-    for (size_t i = 0; i < group.size(); ++i) {
-      if (responses[i].status == Status::kOk) {
-        ++stats_.completed;
-        ++stats_.per_tenant_completed[group[i]->request.tenant];
-        if (options_.num_shards > 1) {
-          // Attribute to the device that did the work, so failover shows up
-          // in the per-shard breakdown instead of crediting the dead shard.
-          ++stats_.per_shard_completed[exec_shard];
-        }
-        if (responses[i].degraded) {
-          ++stats_.degraded;
-        }
-        shard_latency_[static_cast<size_t>(exec_shard)].Record(totals[i]);
-      } else {
-        ++stats_.failed;
-        ++stats_.per_tenant_failed[group[i]->request.tenant];
-        switch (responses[i].code) {
-          case fault::ErrorCode::kTransient:
-            ++stats_.failed_transient;
-            break;
-          case fault::ErrorCode::kResourceExhausted:
-            ++stats_.failed_resource_exhausted;
-            break;
-          case fault::ErrorCode::kInvalidRequest:
-            ++stats_.failed_invalid;
-            break;
-          default:
-            ++stats_.failed_internal;
-            break;
-        }
-      }
-    }
+  }
+  if (exec.feature_responses > 0) {
+    stats_.feature_requests += exec.feature_responses;
+    stats_.feature_rows += exec.gather.rows;
+    stats_.feature_cache_hits += exec.gather.hits;
+    stats_.feature_cache_misses += exec.gather.misses;
+    stats_.feature_gather_bytes += exec.gather.gathered_bytes;
+    stats_.feature_miss_bytes += exec.gather.miss_bytes;
+    stats_.feature_gather_ns += exec.feature_ns;
   }
   for (size_t i = 0; i < group.size(); ++i) {
-    group[i]->promise.set_value(std::move(responses[i]));
-  }
-}
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-void Server::ServeDegraded(std::vector<std::unique_ptr<Pending>> group, const Endpoint& endpoint,
-                           const graph::Partition& partition) {
-  // Fallback placement: the lowest-numbered live device. Every worker
-  // resolves the same device for the same monitor state, so a replayed
-  // fault schedule reproduces the same degraded outputs bit-for-bit.
-  int exec = -1;
-  for (int s = 0; s < options_.num_shards; ++s) {
-    if (monitor_->Alive(s)) {
-      exec = s;
-      break;
-    }
-  }
-
-  // Resolve the plan once for the group (shard-homogeneous key). Failures
-  // here must still fulfill every promise below — no future may hang.
-  std::shared_ptr<core::SamplerSession> plan;
-  std::string plan_error;
-  int64_t compile_ns = 0;
-  bool cache_hit = false;
-  if (exec >= 0) {
-    device::ThreadDeviceGuard guard(*shard_devices_[static_cast<size_t>(exec)]);
-    try {
-      bool hit = false;
-      const PlanKey& key = group.front()->key;
-      plan = plan_cache_->GetOrBuild(
-          key, [&] { return BuildPlan(endpoint, key, group.front()->snapshot); }, &hit,
-          &compile_ns);
-      cache_hit = hit;
-    } catch (const std::exception& e) {
-      plan_error = std::string("degraded plan resolution failed: ") + e.what();
-    }
-  }
-
-  std::vector<SampleResponse> responses(group.size());
-  std::vector<char> ran(group.size(), 0);
-  int64_t executed = 0;
-  for (size_t i = 0; i < group.size(); ++i) {
-    Pending& pending = *group[i];
-    SampleResponse& response = responses[i];
-    response.request_id = pending.id;
-    response.group_size = 1;
-    response.degraded = true;
-    response.status = Status::kDegraded;
-    response.stages.queue_wait_ns = ElapsedNs(pending.submitted, pending.dequeued);
-    response.stages.compile_ns = compile_ns;
-    response.stages.plan_cache_hit = cache_hit;
-    const tensor::IdArray& seeds = pending.request.seeds;
-    response.coverage =
-        ha::CoverageFraction(partition, *monitor_, seeds.data(), seeds.size());
-    const std::vector<int32_t> covered =
-        ha::CoveredIds(partition, *monitor_, seeds.data(), seeds.size());
-    if (covered.empty()) {
-      // Nothing coverable: an honest empty partial (coverage says why),
-      // never a request error. Feature gather is skipped in degraded mode.
+    const SampleResponse& response = responses[i];
+    const std::string& tenant = group[i]->request.tenant;
+    if (response.status != Status::kOk && response.status != Status::kDegraded) {
+      CountFailure(stats_, response.code, tenant);
       continue;
     }
-    if (plan == nullptr) {
-      response.status = Status::kFailed;
-      response.error = exec < 0 ? "no live device for degraded serving" : plan_error;
-      response.code = fault::ErrorCode::kUnavailable;
-      continue;
+    ++stats_.completed;
+    ++stats_.per_tenant_completed[tenant];
+    if (response.status == Status::kDegraded) {
+      ++stats_.partial;
+    } else if (response.degraded) {
+      ++stats_.degraded;
     }
-    // Serve the covered subset solo on the fallback device; coalescing is
-    // pointless here because each member's covered frontier differs.
-    device::ThreadDeviceGuard guard(*shard_devices_[static_cast<size_t>(exec)]);
-    fault::ShardScope scope(exec);
-    int transient_left = std::max(0, options_.max_transient_retries);
-    while (true) {
-      try {
-        shard::FrontierExchange exchange(partition, exec, monitor_.get(),
-                                         options_.max_hedged_exchanges);
-        core::HopObserverGuard observer(exchange);
-        GroupResult solo =
-            ExecuteGroup(*plan, {tensor::IdArray::FromVector(covered)}, {pending.request.seed});
-        response.outputs = std::move(solo.outputs[0]);
-        response.stages.execute_ns = solo.execute_ns;
-        ran[i] = 1;
-        ++executed;
-        break;
-      } catch (const std::exception& e) {
-        const fault::ErrorCode code = fault::Classify(e);
-        if (code == fault::ErrorCode::kTransient && transient_left-- > 0) {
-          continue;
-        }
-        response.status = Status::kFailed;
-        response.error = e.what();
-        response.code = code;
-        break;
-      }
+    if (group[i]->frontier.empty()) {
+      continue;  // answered without executing
     }
-  }
-
-  const Clock::time_point done = Clock::now();
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.executions += executed;
-    stats_.requests_executed += executed;
-    for (size_t i = 0; i < group.size(); ++i) {
-      const int64_t total = ElapsedNs(group[i]->submitted, done);
-      responses[i].stages.total_ns = total;
-      if (responses[i].status == Status::kDegraded) {
-        ++stats_.completed;
-        ++stats_.partial;
-        ++stats_.per_tenant_completed[group[i]->request.tenant];
-        if (ran[i]) {
-          ++stats_.per_shard_completed[exec];
-          shard_latency_[static_cast<size_t>(exec)].Record(total);
-        }
-      } else {
-        ++stats_.failed;
-        ++stats_.per_tenant_failed[group[i]->request.tenant];
-        switch (responses[i].code) {
-          case fault::ErrorCode::kTransient:
-            ++stats_.failed_transient;
-            break;
-          case fault::ErrorCode::kResourceExhausted:
-            ++stats_.failed_resource_exhausted;
-            break;
-          case fault::ErrorCode::kInvalidRequest:
-            ++stats_.failed_invalid;
-            break;
-          default:
-            ++stats_.failed_internal;
-            break;
-        }
-      }
+    if (options_.num_shards > 1) {
+      // Attribute to the device that did the work, so failover shows up in
+      // the per-shard breakdown instead of crediting the dead shard.
+      ++stats_.per_shard_completed[exec.device];
     }
-  }
-  for (size_t i = 0; i < group.size(); ++i) {
-    group[i]->promise.set_value(std::move(responses[i]));
+    shard_latency_[static_cast<size_t>(exec.device)].Record(response.stages.total_ns);
   }
 }
 

@@ -12,13 +12,20 @@
 //      the least-served tenant first (fair queueing), then the earliest
 //      deadline within it (EDF; priority breaks ties). Requests that expire
 //      while queued complete as kDeadlineExceeded without executing.
-//   3. Execution: the worker resolves the request's compiled plan through
-//      the PlanCache (LRU under a byte budget), gathers up to coalesce_max
-//      queued requests with the same plan key, and runs them as ONE
-//      segmented super-batch (serving/coalescer.h). Per-segment RNG streams
+//   3. Execution (ExecuteAndScatter), one path for every group in named
+//      steps. Place picks the executing device: the home shard's replica
+//      chain in sharded mode, or — when no replica lives — the lowest-
+//      numbered live device with each member cut to its covered seeds
+//      (degraded mode). Attempt resolves the compiled plan through the
+//      PlanCache (LRU under a byte budget) and runs the group — up to
+//      coalesce_max queued requests with the same plan key — as ONE
+//      segmented super-batch (serving/coalescer.h) under the recovery ladder
+//      (transient backoff, one shed-fanout retry). Per-segment RNG streams
 //      make each member's results bit-identical to being served alone.
-//   4. Scatter: group outputs are split per request and promises fulfilled,
-//      with a per-stage wall-latency breakdown in every response.
+//   4. Scatter splits group outputs per request (kDegraded plus coverage in
+//      degraded mode); GatherFeatures attaches feature rows to kOk
+//      responses; Record updates the stats once per group; promises are
+//      fulfilled with a per-stage wall-latency breakdown in every response.
 //
 // Built on pipeline::WorkerPool (one device stream per worker) and
 // pipeline::BoundedQueue (admission tokens with TryPush rejection). The
@@ -65,6 +72,7 @@
 #include "ha/health.h"
 #include "pipeline/queue.h"
 #include "pipeline/worker_pool.h"
+#include "serving/coalescer.h"
 #include "serving/plan_cache.h"
 #include "serving/request.h"
 #include "serving/stats.h"
@@ -75,28 +83,26 @@ class JitEngine;
 
 namespace gs::serving {
 
-// A servable (algorithm, dataset) pair. The factory builds the traced
-// program for a given effective fanout vector (empty = algorithm defaults);
-// the sampler options are part of the plan key.
+// A servable (algorithm, dataset) pair. The factory traces the program
+// against a graph for a given effective fanout vector (empty = algorithm
+// defaults); the sampler options are part of the plan key.
 struct Endpoint {
   std::string algorithm;
   std::string dataset;
   const graph::Graph* graph = nullptr;
-  std::function<algorithms::AlgorithmProgram(const std::vector<int64_t>& fanouts)> factory;
+  std::function<algorithms::AlgorithmProgram(const graph::Graph& graph,
+                                             const std::vector<int64_t>& fanouts)>
+      factory;
   core::SamplerOptions options;
   // Fallback fanouts used when a request does not specify any and overload
   // shedding needs something to halve.
   std::vector<int64_t> default_fanouts;
   // Dynamic graphs (gs::dyn): a mutable versioned store instead of a static
-  // graph. When set, `graph`/`factory` are ignored: every request resolves
-  // the store's latest snapshot at admission (and pins it to completion),
-  // the plan key carries the snapshot's epoch + digest, and programs are
-  // traced by `dynamic_factory` against the pinned snapshot's graph. The
-  // store must outlive the server.
+  // graph. When set, `graph` is ignored: every request resolves the store's
+  // latest snapshot at admission (and pins it to completion), the plan key
+  // carries the snapshot's epoch + digest, and programs are traced against
+  // the pinned snapshot's graph. The store must outlive the server.
   graph::GraphStore* store = nullptr;
-  std::function<algorithms::AlgorithmProgram(const graph::Graph& graph,
-                                             const std::vector<int64_t>& fanouts)>
-      dynamic_factory;
 };
 
 // Convenience endpoint over the Table-2 registry. Fanout vectors are honored
@@ -129,12 +135,10 @@ struct ServerOptions {
   std::chrono::nanoseconds retry_after{2'000'000};
   // Recovery ladder (gs::fault taxonomy). Transient execution failures are
   // retried up to this many times with exponential backoff starting at
-  // retry_backoff; resource exhaustion (device OOM that survived the
-  // allocator's own ladder) is retried once with halved fanouts, marking
-  // the responses degraded.
+  // 50 us; resource exhaustion (device OOM that survived the allocator's
+  // own ladder) is retried once with halved fanouts, marking the responses
+  // degraded.
   int max_transient_retries = 3;
-  std::chrono::nanoseconds retry_backoff{50'000};
-  bool shed_on_resource_exhausted = true;
   // Persistent plan directory. When non-empty, Start() warm-starts the plan
   // cache from artifacts saved there (skipping passes and calibration for
   // every matching endpoint) and Stop() persists the resident plans back —
@@ -154,8 +158,6 @@ struct ServerOptions {
   // coverage fraction) instead of failing.
   int num_replicas = 1;
   ha::HealthOptions health;
-  // Hedged cross-shard exchange re-issues allowed per execution.
-  int max_hedged_exchanges = 2;
   // Feature serving (gs::feature). When set, every kOk response for a
   // dataset with features also carries the gathered feature rows for its
   // result frontier (SampleResponse::features / feature_ids), gathered
@@ -177,9 +179,10 @@ struct ServerOptions {
   bool background_recompile = true;
   // JIT-compile fused IR regions (gs::jit): every session built or
   // warm-started by this server gets its plan's compiled-kernel jump table
-  // attached before warmup. Kernel artifacts persist in plan_dir (when set)
-  // next to the plans they specialize, so a warm restart re-attaches native
-  // kernels without recompiling. Region compile/load/verify failures demote
+  // attached right after warmup (warmup calibrates the plan, which changes
+  // the digest artifacts are keyed by). Kernel artifacts persist in
+  // plan_dir (when set) next to the plans they specialize, so a warm
+  // restart re-attaches native kernels without recompiling. Region compile/load/verify failures demote
   // to the interpreter (jit_demotions in ServerStats) — never a failed
   // request. Results are bit-identical either way.
   bool jit = false;
@@ -229,52 +232,93 @@ class Server {
     SampleRequest request;
     std::promise<SampleResponse> promise;
     PlanKey key;
-    std::string canonical;  // key.Canonical(), cached
-    int home_shard = 0;     // locality routing target (0 when unsharded)
+    std::string canonical;  // key.Canonical(), cached; key.shard = home shard
     bool degraded = false;
     bool has_deadline = false;
     // Dynamic endpoints: the snapshot resolved at admission, pinned until
     // the response is fulfilled (mutations applied meanwhile never move a
     // request off its epoch).
     std::shared_ptr<const graph::Snapshot> snapshot;
+    // The seeds this member executes: the request's seeds, cut to the
+    // covered subset (fraction `coverage`) in degraded mode. Empty = the
+    // member is answered without executing.
+    tensor::IdArray frontier;
+    double coverage = 1.0;
     Clock::time_point deadline_abs{};
     Clock::time_point submitted{};
     Clock::time_point dequeued{};
   };
+  using Group = std::vector<std::unique_ptr<Pending>>;
+
+  // One group's state, threaded through the steps of ExecuteAndScatter.
+  struct Execution {
+    const Endpoint* endpoint = nullptr;
+    // Pinned for the whole group (a mutation epoch may swap in a rebuilt
+    // partition mid-flight); null when unsharded.
+    std::shared_ptr<const graph::Partition> partition;
+    PlanKey key;  // the leader's; the shed-fanout retry halves its fanouts
+    int device = 0;         // executing device (== key.shard unsharded)
+    bool degraded = false;  // no live replica of the home shard
+    bool shed = false;      // the shed-fanout retry ran
+    // Outcome of the last attempt.
+    GroupResult result;
+    int64_t runs = 0;  // members that executed
+    bool cache_hit = false;
+    int64_t compile_ns = 0;  // summed over attempts
+    std::string error;
+    fault::ErrorCode code = fault::ErrorCode::kOk;
+    int64_t exchange_hops = 0;
+    int64_t exchange_remote_nodes = 0;
+    int64_t exchange_bytes = 0;
+    int64_t hedged = 0;
+    // Scatter and feature gather.
+    int64_t scatter_ns = 0;
+    feature::GatherStats gather;
+    int64_t feature_responses = 0;
+    int64_t feature_ns = 0;
+  };
 
   const Endpoint* FindEndpoint(const std::string& algorithm, const std::string& dataset) const;
+  // Fulfills a request that never executes (refused at admission, expired
+  // while queued, or left over at Stop) and counts it. Caller must not hold
+  // sched_mutex_.
+  void Finish(Pending& pending, Status status, fault::ErrorCode code, const std::string& error);
   void WorkerLoop(int worker);
   // Handles one admission token: picks a group and serves it. Returns false
   // when the token found no queued request (tolerated imbalance).
   bool ServeOne();
-  // Completes `p` as expired. Caller must not hold sched_mutex_.
-  void CompleteExpired(std::unique_ptr<Pending> p);
-  void ExecuteAndScatter(std::vector<std::unique_ptr<Pending>> group);
-  // Degraded-mode path: the group's home shard has no live replica. Serves
-  // each member's *covered* seeds (those whose home shard still has a live
-  // replica) on the lowest-numbered live device and answers with
-  // Status::kDegraded plus the coverage fraction — never a request error.
-  void ServeDegraded(std::vector<std::unique_ptr<Pending>> group, const Endpoint& endpoint,
-                     const graph::Partition& partition);
-  // Compiles + warms up a fresh session for `key` (plan-cache miss path).
-  // For dynamic endpoints (`snapshot` non-null) the compile table is
-  // consulted first: a still-valid frozen plan gets a cheap session rebuild
-  // (no passes, no calibration); a drifted one serves stale and schedules a
-  // background recompile.
+  // The one serving execution path (normal, failed-over, coalesced, walk
+  // and degraded groups), run as the steps below; see server.cc.
+  void ExecuteAndScatter(Group group);
+  void Place(Execution& exec, Group& group);
+  void Attempt(Execution& exec, Group& group);
+  void RunOnce(Execution& exec, const std::shared_ptr<const graph::Snapshot>& snapshot,
+               const std::vector<tensor::IdArray>& frontiers, const std::vector<uint64_t>& seeds);
+  template <typename Fn>
+  void OnDevice(const Execution& exec, Fn&& fn);
+  std::vector<SampleResponse> Scatter(Execution& exec, Group& group);
+  void GatherFeatures(Execution& exec, const Group& group,
+                      std::vector<SampleResponse>& responses);
+  void Record(const Execution& exec, const Group& group, std::vector<SampleResponse>& responses);
+  // Plan-cache miss path. For dynamic endpoints (`snapshot` non-null) the
+  // compile table is consulted first: a still-valid frozen plan gets a cheap
+  // session rebuild (no passes, no calibration); a drifted one serves stale
+  // and schedules a background recompile.
   std::shared_ptr<core::SamplerSession> BuildPlan(
       const Endpoint& endpoint, const PlanKey& key,
       const std::shared_ptr<const graph::Snapshot>& snapshot);
-  // Full compile (trace + passes + calibration + warmup) of a dynamic
-  // endpoint's session against one pinned snapshot.
-  std::shared_ptr<core::SamplerSession> CompileDynamicSession(
-      const Endpoint& endpoint, const PlanKey& key,
-      const std::shared_ptr<const graph::Snapshot>& snapshot);
+  // The one place sessions are built: traces the endpoint's program against
+  // `snapshot`'s graph (the static graph when null), adopts `plan` or
+  // compiles a fresh one when null, warms up, then attaches the JIT table.
+  std::shared_ptr<core::SamplerSession> OpenSession(
+      const Endpoint& endpoint, const std::vector<int64_t>& fanouts,
+      const std::shared_ptr<const graph::Snapshot>& snapshot,
+      std::shared_ptr<core::CompiledPlan> plan = nullptr);
   // Replanner job body: full compile of `compile_key` against `snapshot`,
   // publishing into the plan table and the session cache so the next
   // request at that epoch hits. Runs on the replanner thread.
   void CompileForSnapshot(const std::string& compile_key,
-                          const std::shared_ptr<const graph::Snapshot>& snapshot,
-                          bool background);
+                          const std::shared_ptr<const graph::Snapshot>& snapshot);
   // Mutation listener (runs on the ingest thread, never a serving worker):
   // incremental re-partition, feature-store refresh + cache invalidation,
   // and epoch accounting.
@@ -294,10 +338,6 @@ class Server {
   // shard's allocator). `row_bytes` sizes the entries.
   feature::HotSetCache* TenantFeatureCache(int shard, const std::string& tenant,
                                            const std::string& dataset, int64_t row_bytes);
-  // Installs the plan's JIT jump table on a freshly built session (no-op
-  // when options_.jit is off). Must run before the session's Warmup so even
-  // the warmup batch exercises the compiled kernels.
-  void AttachJit(const std::shared_ptr<core::SamplerSession>& session);
 
   ServerOptions options_;
   std::map<std::string, Endpoint> endpoints_;  // "algorithm|dataset" -> endpoint

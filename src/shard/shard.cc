@@ -9,24 +9,6 @@
 #include "fault/status.h"
 
 namespace gs::shard {
-namespace {
-
-// Small representative frontier for per-shard warmup (same policy as the
-// serving tier): train ids when present, else the first node ids.
-tensor::IdArray WarmupFrontier(const graph::Graph& graph) {
-  const tensor::IdArray& train = graph.train_ids();
-  const int64_t pool = train.size() > 0 ? train.size() : std::max<int64_t>(graph.num_nodes(), 1);
-  const int64_t n = std::min<int64_t>(32, pool);
-  std::vector<int32_t> ids(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    ids[static_cast<size_t>(i)] =
-        train.size() > 0 ? train[i]
-                         : static_cast<int32_t>(i % std::max<int64_t>(graph.num_nodes(), 1));
-  }
-  return tensor::IdArray::FromVector(ids);
-}
-
-}  // namespace
 
 void ExchangeStats::Add(const std::vector<HopRecord>& hops_taken) {
   samples += 1;
@@ -232,7 +214,7 @@ void ShardGroup::Init(const graph::Graph& graph, std::map<std::string, tensor::T
                                  ? options_.feature_cache_rows
                                  : std::max<int64_t>(graph.num_nodes() / 10, 64);
 
-  const tensor::IdArray warmup = WarmupFrontier(graph);
+  const tensor::IdArray warmup = core::WarmupFrontier(graph);
   devices_.reserve(static_cast<size_t>(options_.num_shards));
   sessions_.reserve(static_cast<size_t>(options_.num_shards));
   for (int s = 0; s < options_.num_shards; ++s) {

@@ -3,7 +3,8 @@
 // bit-identity oracle (kill each shard in turn with r=2 — outputs must
 // match single-device sampling), recovery re-admission after a transient
 // device loss, degraded-mode serving (r=1 — typed partial responses with
-// coverage fractions, never failures), and a concurrent-failover TSan
+// coverage fractions, never failures, bit-identical to serving the covered
+// subset, through the normal retry ladder), and a concurrent-failover TSan
 // target (tools/check.sh ha tier).
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "fault/status.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
+#include "graph/store.h"
 #include "ha/health.h"
 #include "serving/request.h"
 #include "serving/server.h"
@@ -391,9 +393,10 @@ TEST(HaConcurrency, ConcurrentFailoverStaysBitIdentical) {
 
 // ---------------------------------------------------- degraded serving
 
-serving::SampleRequest MakeRequest(const IdArray& seeds, uint64_t seed) {
+serving::SampleRequest MakeRequest(const IdArray& seeds, uint64_t seed,
+                                   const std::string& algorithm = "GraphSAGE") {
   serving::SampleRequest request;
-  request.algorithm = "GraphSAGE";
+  request.algorithm = algorithm;
   request.dataset = "small";
   request.seeds = seeds;
   request.seed = seed;
@@ -442,6 +445,149 @@ TEST(HaServing, DegradedPartialResponsesCarryCoverageFractions) {
   ASSERT_NE(server.health_monitor(), nullptr);
   EXPECT_FALSE(server.health_monitor()->Alive(1));
   server.Stop();
+}
+
+// Degraded members run through the normal retry ladder: a transient kernel
+// fault on the fallback device is retried with backoff and counted, the
+// health monitor hears about it, and the degraded execution's cross-shard
+// exchange lands in ServerStats — while the outputs stay bit-identical to
+// the same degraded request without the transient.
+TEST(HaServing, DegradedServingRetriesTransientsAndCountsExchange) {
+  const graph::Graph g = HaGraph();
+  const graph::Partition partition = graph::Partitioner::EdgeCut(g, 2);
+  const std::vector<int32_t>& mine = partition.LocalNodes(1);
+  const std::vector<int32_t>& other = partition.LocalNodes(0);
+  const IdArray seeds = Seeds({mine[0], mine[1], mine[2], other[0]});
+
+  // Members destroy in reverse order: the response before the server whose
+  // shard devices own its memory.
+  struct Served {
+    std::unique_ptr<serving::Server> server;
+    serving::ServerStats before;
+    serving::SampleResponse response;
+  };
+  auto serve_once = [&](const std::string& faults) {
+    serving::ServerOptions options;
+    options.num_workers = 1;
+    options.num_shards = 2;
+    options.num_replicas = 1;
+    auto server = std::make_unique<serving::Server>(options);
+    server->RegisterEndpoint(serving::MakeEndpoint("GraphSAGE", "small", g));
+    server->Start();
+    // Warm the shard-1 plan while shard 1 lives, so the injected transient
+    // hits the degraded execution rather than the plan build's calibration.
+    EXPECT_EQ(server->Submit(MakeRequest(seeds, 7)).get().status, serving::Status::kOk);
+    const serving::ServerStats before = server->stats();
+    fault::FaultScope scope(fault::FaultPlan::Parse(faults, 7));
+    serving::SampleResponse response = server->Submit(MakeRequest(seeds, 7)).get();
+    return Served{std::move(server), before, std::move(response)};
+  };
+
+  auto [clean_server, clean_before, clean] = serve_once("shard1:shard.lost:after=0");
+  auto [faulted_server, before, faulted] =
+      serve_once("shard1:shard.lost:after=0;shard0:kernel.transient:occ=0");
+  ASSERT_EQ(clean.status, serving::Status::kDegraded) << clean.error;
+  ASSERT_EQ(faulted.status, serving::Status::kDegraded) << faulted.error;
+  EXPECT_DOUBLE_EQ(faulted.coverage, 0.25);
+  ExpectBitIdentical(faulted.outputs, clean.outputs, "degraded retry");
+
+  const serving::ServerStats stats = faulted_server->stats();
+  EXPECT_GE(stats.transient_retries - before.transient_retries, 1);
+  EXPECT_GT(stats.exchange_hops - before.exchange_hops, 0);
+  EXPECT_GT(stats.exchange_bytes - before.exchange_bytes, 0);
+  EXPECT_EQ(stats.partial, 1);
+  EXPECT_EQ(stats.failed, 0);
+  EXPECT_GE(faulted_server->health_monitor()->counters(0).transients, 1);
+  clean_server->Stop();
+  faulted_server->Stop();
+}
+
+// Degraded-serving oracle: with shard 1 killed (r=1), every partial is
+// kDegraded with the covered fraction of its seeds, and its outputs are
+// bit-identical to an unfaulted server answering exactly the covered subset
+// with the same seed — for a coalescable and a walk algorithm, over static
+// and dynamic endpoints. Degraded responses carry no feature rows.
+TEST(HaServing, DegradedOutputsMatchServingTheCoveredSubset) {
+  const graph::Graph g = HaGraph();
+  const graph::Partition partition = graph::Partitioner::EdgeCut(g, 2);
+  const std::vector<int32_t>& mine = partition.LocalNodes(1);
+  const std::vector<int32_t>& other = partition.LocalNodes(0);
+  // Each request homes on shard 1 (strict plurality); coverage 1/3, 2/5,
+  // 1/4 and 0.
+  const std::vector<std::vector<int32_t>> requests = {
+      {mine[0], mine[1], other[0]},
+      {mine[2], mine[3], mine[4], other[1], other[2]},
+      {mine[5], mine[6], mine[7], other[3]},
+      {mine[8], mine[9]},
+  };
+
+  for (const std::string algorithm : {"GraphSAGE", "DeepWalk"}) {
+    for (const bool dynamic : {false, true}) {
+      const std::string context = algorithm + (dynamic ? " dynamic" : " static");
+      graph::GraphStore faulted_store(HaGraph());
+      graph::GraphStore clean_store(HaGraph());
+      // Only the faulted server serves features: the comparison is over
+      // sampled outputs, and degraded responses must carry no feature rows.
+      auto make_server = [&](graph::GraphStore& store, bool features) {
+        serving::ServerOptions options;
+        options.num_workers = 1;
+        options.num_shards = 2;
+        options.num_replicas = 1;
+        options.serve_features = features;
+        auto server = std::make_unique<serving::Server>(options);
+        server->RegisterEndpoint(dynamic
+                                     ? serving::MakeDynamicEndpoint(algorithm, "small", store)
+                                     : serving::MakeEndpoint(algorithm, "small", g));
+        server->Start();
+        return server;
+      };
+      auto faulted_server = make_server(faulted_store, /*features=*/true);
+      auto clean_server = make_server(clean_store, /*features=*/false);
+
+      std::vector<std::future<serving::SampleResponse>> partials;
+      {
+        fault::FaultScope scope(fault::FaultPlan::Parse("shard1:shard.lost:after=0", 5));
+        for (size_t i = 0; i < requests.size(); ++i) {
+          ASSERT_EQ(partition.HomeShard(requests[i].data(), requests[i].size()), 1);
+          partials.push_back(
+              faulted_server->Submit(MakeRequest(Seeds(requests[i]), 100 + i, algorithm)));
+        }
+        for (auto& partial : partials) {
+          partial.wait();
+        }
+      }
+
+      for (size_t i = 0; i < requests.size(); ++i) {
+        const std::string where = context + " request " + std::to_string(i);
+        serving::SampleResponse partial = partials[i].get();
+        std::vector<int32_t> covered;
+        for (const int32_t v : requests[i]) {
+          if (partition.OwnerOf(v) == 0) {
+            covered.push_back(v);
+          }
+        }
+        EXPECT_EQ(partial.status, serving::Status::kDegraded) << where << ": " << partial.error;
+        EXPECT_TRUE(partial.degraded) << where;
+        EXPECT_DOUBLE_EQ(partial.coverage, static_cast<double>(covered.size()) /
+                                               static_cast<double>(requests[i].size()))
+            << where;
+        EXPECT_FALSE(partial.features.defined()) << where;
+        if (covered.empty()) {
+          EXPECT_TRUE(partial.outputs.empty()) << where;
+          continue;
+        }
+        serving::SampleResponse reference =
+            clean_server->Submit(MakeRequest(Seeds(covered), 100 + i, algorithm)).get();
+        ASSERT_EQ(reference.status, serving::Status::kOk) << where << ": " << reference.error;
+        ExpectBitIdentical(partial.outputs, reference.outputs, where);
+      }
+      const serving::ServerStats stats = faulted_server->stats();
+      EXPECT_EQ(stats.partial, static_cast<int64_t>(requests.size())) << context;
+      EXPECT_EQ(stats.failed, 0) << context;
+      faulted_server->Stop();
+      clean_server->Stop();
+    }
+  }
 }
 
 // r=2: the same kill is invisible to clients — the replica serves the dead

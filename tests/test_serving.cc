@@ -140,6 +140,15 @@ TEST(Coalescer, WalkPlansServeUncoalesced) {
   GroupResult a = ExecuteGroup(*plan, {Seeds({3, 4, 5})}, {99});
   GroupResult b = ExecuteGroup(*plan, {Seeds({3, 4, 5})}, {99});
   ExpectValuesEqual(a.outputs[0], b.outputs[0]);
+  EXPECT_EQ(a.executions, 1);
+
+  // A multi-member walk group runs its members back to back, one execution
+  // each, every member bit-identical to its solo run.
+  GroupResult solo = ExecuteGroup(*plan, {Seeds({7, 8})}, {5});
+  GroupResult group = ExecuteGroup(*plan, {Seeds({3, 4, 5}), Seeds({7, 8})}, {99, 5});
+  EXPECT_EQ(group.executions, 2);
+  ExpectValuesEqual(group.outputs[0], a.outputs[0]);
+  ExpectValuesEqual(group.outputs[1], solo.outputs[0]);
 }
 
 // --------------------------------------------------------- plan cache

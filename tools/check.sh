@@ -3,8 +3,11 @@
 #
 # Usage: tools/check.sh [--fast | chaos | plans | oracle | shard | feature | ha | dynamic | jit]
 #
-#   (default)  configure + build + full ctest in ./build, then the plans
-#              tier, then the oracle tier, then the shard tier, then the
+#   (default)  configure + build + full ctest in ./build, then the
+#              benchmark smoke (gsbench built standalone in ./build/gsbench
+#              from bench/gsbench, `ctest -L bench` runs every workload
+#              briefly and checks its outputs), then the plans tier, then
+#              the oracle tier, then the shard tier, then the
 #              feature tier, then the ha tier, then the dynamic tier, then
 #              the jit tier, then a -DGS_SANITIZE=thread
 #              build in ./build-tsan running the threaded suites (pipeline,
@@ -316,6 +319,11 @@ fi
 
 echo "== tier-1: full ctest =="
 (cd build && ctest --output-on-failure -j "$JOBS")
+
+echo "== bench: build gsbench + smoke-run every workload =="
+cmake -S bench/gsbench -B build/gsbench >/dev/null
+cmake --build build/gsbench -j "$JOBS" --target gsbench
+ctest --test-dir build/gsbench -L bench --output-on-failure
 
 run_plans_tier
 
