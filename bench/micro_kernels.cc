@@ -288,7 +288,7 @@ void BM_WalkStep(benchmark::State& state) {
   tensor::IdArray cur = Frontier(state.range(0));
   Rng rng(4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sparse::UniformWalkStep(g.adj(), cur, rng));
+    benchmark::DoNotOptimize(sparse::UniformWalkStep(g.adj(), cur, {&rng, 1}));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

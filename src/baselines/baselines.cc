@@ -243,7 +243,7 @@ class SkyWalkerSim final : public Baseline {
       IdArray cur = frontier;
       for (int step = 0; step < algorithms::DeepWalkParams{}.walk_length; ++step) {
         cur = CloneIdsKernel(cur);  // queue compaction between steps
-        cur = sparse::UniformWalkStep(graph_->adj(), cur, rng);
+        cur = sparse::UniformWalkStep(graph_->adj(), cur, {&rng, 1});
         result.traces.push_back(cur);
       }
       return result;
@@ -251,11 +251,11 @@ class SkyWalkerSim final : public Baseline {
     if (algo == "Node2Vec") {
       const algorithms::Node2VecParams p;
       IdArray prev = frontier;
-      IdArray cur = sparse::UniformWalkStep(graph_->adj(), frontier, rng);
+      IdArray cur = sparse::UniformWalkStep(graph_->adj(), frontier, {&rng, 1});
       result.traces.push_back(cur);
       for (int step = 1; step < p.walk_length; ++step) {
         AliasBuildKernel(*graph_, cur, &prev);  // per-step alias tables
-        IdArray next = sparse::Node2VecStep(graph_->adj(), cur, prev, p.p, p.q, rng);
+        IdArray next = sparse::Node2VecStep(graph_->adj(), cur, prev, p.p, p.q, {&rng, 1});
         result.traces.push_back(next);
         prev = cur;
         cur = next;
@@ -349,14 +349,14 @@ class CuGraphSim final : public Baseline {
     // the walk steps.
     FullGraphRenumberKernel(*graph_);
     IdArray prev = frontier;
-    IdArray cur = sparse::UniformWalkStep(graph_->adj(), frontier, rng);
+    IdArray cur = sparse::UniformWalkStep(graph_->adj(), frontier, {&rng, 1});
     result.traces.push_back(cur);
     for (int step = 1; step < walk_length; ++step) {
       IdArray next =
           node2vec ? sparse::Node2VecStep(graph_->adj(), cur, prev,
                                           algorithms::Node2VecParams{}.p,
-                                          algorithms::Node2VecParams{}.q, rng)
-                   : sparse::UniformWalkStep(graph_->adj(), cur, rng);
+                                          algorithms::Node2VecParams{}.q, {&rng, 1})
+                   : sparse::UniformWalkStep(graph_->adj(), cur, {&rng, 1});
       result.traces.push_back(next);
       prev = cur;
       cur = next;

@@ -128,7 +128,7 @@ BaselineResult DeepWalk(const graph::Graph& g, const tensor::IdArray& frontier,
   BaselineResult result;
   IdArray cur = frontier;
   for (int step = 0; step < walk_length; ++step) {
-    cur = sparse::UniformWalkStep(g.adj(), cur, rng);
+    cur = sparse::UniformWalkStep(g.adj(), cur, {&rng, 1});
     result.traces.push_back(MaterializeTrace(cur, style));
   }
   return result;
@@ -138,10 +138,10 @@ BaselineResult Node2Vec(const graph::Graph& g, const tensor::IdArray& frontier,
                         int walk_length, float p, float q, Rng& rng, const Style& style) {
   BaselineResult result;
   IdArray prev = frontier;
-  IdArray cur = sparse::UniformWalkStep(g.adj(), frontier, rng);
+  IdArray cur = sparse::UniformWalkStep(g.adj(), frontier, {&rng, 1});
   result.traces.push_back(MaterializeTrace(cur, style));
   for (int step = 1; step < walk_length; ++step) {
-    IdArray next = sparse::Node2VecStep(g.adj(), cur, prev, p, q, rng);
+    IdArray next = sparse::Node2VecStep(g.adj(), cur, prev, p, q, {&rng, 1});
     result.traces.push_back(MaterializeTrace(next, style));
     prev = cur;
     cur = next;

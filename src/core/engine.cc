@@ -11,16 +11,57 @@
 namespace gs::core {
 namespace {
 
+// Marks the nodes holding one id per frontier entry, in frontier order: the
+// frontier itself and walk steps whose walkers started there.
+std::vector<bool> PerWalkerNodes(const Program& program) {
+  std::vector<bool> per_walker(static_cast<size_t>(program.size()), false);
+  for (const Node& n : program.nodes()) {
+    switch (n.kind) {
+      case OpKind::kFrontierInput:
+        per_walker[static_cast<size_t>(n.id)] = true;
+        break;
+      case OpKind::kWalkStep:
+      case OpKind::kWalkRestartStep:
+      case OpKind::kNode2VecStep:
+        // inputs[1] holds the walkers' previous positions.
+        per_walker[static_cast<size_t>(n.id)] = per_walker[static_cast<size_t>(n.inputs[1])];
+        break;
+      default:
+        break;
+    }
+  }
+  return per_walker;
+}
+
 // Splits labeled ids into per-segment arrays of original node ids.
+// Per-walker outputs split by position (`offsets` are the segments' frontier
+// bounds) and keep their -1 dead-end markers in place; every other id
+// output splits by label.
 std::vector<tensor::IdArray> SplitLabeledIds(const tensor::IdArray& labeled, int64_t n,
-                                             int64_t num_segments) {
-  std::vector<std::vector<int32_t>> per_segment(static_cast<size_t>(num_segments));
+                                             std::span<const int64_t> offsets, bool per_walker) {
+  const size_t segments = offsets.size() - 1;
+  if (per_walker) {
+    if (segments == 1) {
+      return {labeled};  // segment 0's labels are its node ids
+    }
+    std::vector<tensor::IdArray> out;
+    for (size_t b = 0; b < segments; ++b) {
+      tensor::IdArray part = tensor::IdArray::Empty(offsets[b + 1] - offsets[b]);
+      const int32_t offset = static_cast<int32_t>(static_cast<int64_t>(b) * n);
+      for (int64_t i = 0; i < part.size(); ++i) {
+        const int32_t id = labeled[offsets[b] + i];
+        part[i] = id < 0 ? id : id - offset;
+      }
+      out.push_back(std::move(part));
+    }
+    return out;
+  }
+  std::vector<std::vector<int32_t>> per_segment(segments);
   for (int64_t i = 0; i < labeled.size(); ++i) {
     const int32_t id = labeled[i];
-    if (id < 0) {
-      continue;
+    if (id >= 0) {
+      per_segment[static_cast<size_t>(id / n)].push_back(static_cast<int32_t>(id % n));
     }
-    per_segment[static_cast<size_t>(id / n)].push_back(static_cast<int32_t>(id % n));
   }
   std::vector<tensor::IdArray> out;
   out.reserve(per_segment.size());
@@ -152,38 +193,6 @@ std::vector<Value> SamplerSession::Sample(const tensor::IdArray& frontier) {
 void SamplerSession::RunSuperBatch(const std::vector<tensor::IdArray>& group,
                                    int64_t first_index, const BatchCallback& callback) {
   const int64_t segments = static_cast<int64_t>(group.size());
-
-  if (plan_->PureWalk()) {
-    // Walk super-batch: concatenate the walkers, run once, split the traces
-    // positionally.
-    std::vector<int32_t> merged;
-    std::vector<int64_t> offsets = {0};
-    for (const tensor::IdArray& batch : group) {
-      merged.insert(merged.end(), batch.data(), batch.data() + batch.size());
-      offsets.push_back(static_cast<int64_t>(merged.size()));
-    }
-    Bindings bind = bindings_;
-    bind.frontier = tensor::IdArray::FromVector(merged);
-    Rng rng = rng_.Fork(batch_counter_);
-    batch_counter_ += static_cast<uint64_t>(segments);
-    std::vector<Value> outputs = executor_.Run(bind, rng);
-    if (callback == nullptr) {
-      return;
-    }
-    for (int64_t b = 0; b < segments; ++b) {
-      std::vector<Value> batch_outputs;
-      for (const Value& v : outputs) {
-        GS_INTERNAL(v.kind == ValueKind::kIds);
-        const int64_t len = offsets[b + 1] - offsets[b];
-        tensor::IdArray part = tensor::IdArray::Empty(len);
-        std::copy_n(v.ids.data() + offsets[b], len, part.data());
-        batch_outputs.push_back(Value::OfIds(std::move(part)));
-      }
-      callback(first_index + b, batch_outputs);
-    }
-    return;
-  }
-
   // Per-segment RNG streams forked at the same indices solo Sample() would
   // use, so a batch's result is independent of the super-batch grouping —
   // including the final partial group of an epoch.
@@ -192,23 +201,24 @@ void SamplerSession::RunSuperBatch(const std::vector<tensor::IdArray>& group,
   for (int64_t b = 0; b < segments; ++b) {
     segment_rngs.push_back(rng_.Fork(batch_counter_ + static_cast<uint64_t>(b)));
   }
-  Rng rng = rng_.Fork(batch_counter_);
   batch_counter_ += static_cast<uint64_t>(segments);
-  ExecuteLabeled(group, first_index, rng, segment_rngs, callback);
+  ExecuteLabeled(group, first_index, segment_rngs, callback);
 }
 
 void SamplerSession::ExecuteLabeled(const std::vector<tensor::IdArray>& group,
-                                    int64_t first_index, Rng& rng, std::span<Rng> segment_rngs,
+                                    int64_t first_index, std::span<Rng> segment_rngs,
                                     const BatchCallback& callback) const {
   const int64_t n = graph_->num_nodes();
   const int64_t segments = static_cast<int64_t>(group.size());
 
   // Label each mini-batch's frontiers into its own id space: b * N + v.
   std::vector<int32_t> labeled;
+  std::vector<int64_t> offsets = {0};
   for (int64_t b = 0; b < segments; ++b) {
     for (int64_t i = 0; i < group[static_cast<size_t>(b)].size(); ++i) {
       labeled.push_back(static_cast<int32_t>(b * n + group[static_cast<size_t>(b)][i]));
     }
+    offsets.push_back(static_cast<int64_t>(labeled.size()));
   }
 
   Bindings bind = bindings_;
@@ -222,7 +232,7 @@ void SamplerSession::ExecuteLabeled(const std::vector<tensor::IdArray>& group,
   for (const auto& [id, value] : precomputed_) {
     seg_executor.SetPrecomputed(id, value);
   }
-  std::vector<Value> outputs = seg_executor.Run(bind, rng, segment_rngs);
+  std::vector<Value> outputs = seg_executor.Run(bind, segment_rngs);
 
   if (callback == nullptr) {
     return;
@@ -236,11 +246,13 @@ void SamplerSession::ExecuteLabeled(const std::vector<tensor::IdArray>& group,
     std::vector<std::pair<int64_t, int64_t>> col_ranges;  // kMatrix
   };
   std::vector<OutputSplit> splits(outputs.size());
+  const std::vector<bool> per_walker = PerWalkerNodes(program());
   for (size_t o = 0; o < outputs.size(); ++o) {
     Value& v = outputs[o];
     switch (v.kind) {
       case ValueKind::kIds:
-        splits[o].id_parts = SplitLabeledIds(v.ids, n, segments);
+        splits[o].id_parts = SplitLabeledIds(
+            v.ids, n, offsets, per_walker[static_cast<size_t>(program().outputs()[o])]);
         break;
       case ValueKind::kMatrix: {
         // Column segments are contiguous (labeled ids ascend per segment);
@@ -334,7 +346,7 @@ std::vector<Value> SamplerSession::SampleSeeded(const tensor::IdArray& frontier,
 void SamplerSession::SampleGrouped(const std::vector<tensor::IdArray>& group,
                                    const std::vector<uint64_t>& seeds,
                                    const BatchCallback& callback) const {
-  GS_CHECK(Coalescable()) << "program cannot run with per-segment rng streams";
+  GS_CHECK(Coalescable()) << "programs with tensor outputs cannot be grouped";
   GS_CHECK_EQ(group.size(), seeds.size()) << "one seed per group member";
   GS_CHECK(!group.empty());
   GS_CHECK(plan_->calibrated() && !needs_precompute_)
@@ -344,10 +356,7 @@ void SamplerSession::SampleGrouped(const std::vector<tensor::IdArray>& group,
   for (uint64_t seed : seeds) {
     segment_rngs.push_back(rng_.Fork(seed));
   }
-  // All random draws route through the segment rngs (walk ops are excluded
-  // by Coalescable); the shared rng is never consumed.
-  Rng unused(uint64_t{0});
-  ExecuteLabeled(group, 0, unused, segment_rngs, callback);
+  ExecuteLabeled(group, 0, segment_rngs, callback);
 }
 
 int64_t SamplerSession::ResidentBytes() const {

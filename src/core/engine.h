@@ -83,9 +83,9 @@ class SamplerSession {
 
   // True when requests against this plan can be merged into one segmented
   // super-batch with bit-identical per-request results (per-segment RNG
-  // streams). Pure walk programs are super-batch *eligible* but their steps
-  // interleave draws across the whole frontier, so they serve uncoalesced.
-  bool Coalescable() const { return plan_->Coalescable(); }
+  // streams), i.e. the program has no tensor outputs. Walk programs
+  // coalesce like every other program.
+  bool Coalescable() const { return plan_->SuperBatchEligible(); }
 
   // One-time preparation for concurrent serving: runs calibration and
   // pre-computation, freezes the plan, then executes once so every lazily
@@ -144,12 +144,11 @@ class SamplerSession {
   void RunSuperBatch(const std::vector<tensor::IdArray>& group, int64_t first_index,
                      const BatchCallback& callback);
   // Shared labeled-super-batch body: labels frontiers, runs a segmented
-  // executor (per-segment rngs when `segment_rngs` is non-empty, the shared
-  // `rng` otherwise), and splits outputs per mini-batch. Const so the
-  // serving path can run it concurrently after Warmup.
+  // executor where mini-batch b draws only from segment_rngs[b], and splits
+  // outputs per mini-batch. Const so the serving path can run it
+  // concurrently after Warmup.
   void ExecuteLabeled(const std::vector<tensor::IdArray>& group, int64_t first_index,
-                      Rng& rng, std::span<Rng> segment_rngs,
-                      const BatchCallback& callback) const;
+                      std::span<Rng> segment_rngs, const BatchCallback& callback) const;
   int AutoTuneSuperBatch(const std::vector<tensor::IdArray>& batches);
 
   friend class BatchProducer;
@@ -255,9 +254,8 @@ class BatchProducer {
   // because every mini-batch j draws exclusively from the stream forked at
   // counter_base + j, this is all the RNG state resume needs: a producer
   // resumed from a checkpoint yields batches bit-identical to the ones an
-  // uninterrupted epoch would have delivered from that point on (for
-  // programs using per-segment streams, i.e. all non-walk programs; walk
-  // programs additionally need an unchanged super-batch grouping).
+  // uninterrupted epoch would have delivered from that point on, whatever
+  // the super-batch grouping.
   struct Checkpoint {
     int64_t delivered = 0;      // batches handed out via Next()
     uint64_t counter_base = 0;  // session batch counter at epoch start

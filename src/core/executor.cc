@@ -236,14 +236,15 @@ void Executor::SetPrecomputed(int node_id, Value value) {
   precomputed_[node_id] = std::move(value);
 }
 
-std::vector<Value> Executor::Run(const Bindings& bindings, Rng& rng,
-                                 std::span<Rng> segment_rngs) const {
+std::vector<Value> Executor::Run(const Bindings& bindings, Rng& rng) const {
+  GS_CHECK(!options_.super_batch) << "super-batch runs need one rng stream per segment";
+  return Run(bindings, std::span<Rng>(&rng, 1));
+}
+
+std::vector<Value> Executor::Run(const Bindings& bindings, std::span<Rng> rngs) const {
   GS_CHECK(bindings.graph != nullptr) << "bindings must provide the base graph";
-  if (!segment_rngs.empty()) {
-    GS_CHECK(options_.super_batch) << "per-segment rngs require super-batch mode";
-    GS_CHECK_GE(static_cast<int64_t>(segment_rngs.size()), options_.num_segments)
-        << "need one rng per segment";
-  }
+  const int64_t segments = options_.super_batch ? options_.num_segments : 1;
+  GS_CHECK_EQ(static_cast<int64_t>(rngs.size()), segments) << "need one rng stream per segment";
   // Watchdog: drain flags left by kernels that ran outside any executor
   // (model math, feature gathers), then cancel this batch if any program
   // node's kernels blow past the profile's time estimate (see
@@ -257,7 +258,7 @@ std::vector<Value> Executor::Run(const Bindings& bindings, Rng& rng,
     if (pre != precomputed_.end()) {
       values[static_cast<size_t>(n.id)] = pre->second;
     } else {
-      values[static_cast<size_t>(n.id)] = Evaluate(n, values, bindings, rng, segment_rngs);
+      values[static_cast<size_t>(n.id)] = Evaluate(n, values, bindings, rngs);
       if (t_hop_observer != nullptr) {
         // Fires before the free loop below so hop inputs are still alive.
         NotifyHop(t_hop_observer, n, values);
@@ -294,15 +295,14 @@ std::map<int, Value> Executor::RunInvariant(const Bindings& bindings) const {
     if (!n.invariant) {
       continue;
     }
-    values[static_cast<size_t>(n.id)] = Evaluate(n, values, bindings, rng, {});
+    values[static_cast<size_t>(n.id)] = Evaluate(n, values, bindings, {&rng, 1});
     result[n.id] = values[static_cast<size_t>(n.id)];
   }
   return result;
 }
 
 Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
-                         const Bindings& bindings, Rng& rng,
-                         std::span<Rng> segment_rngs) const {
+                         const Bindings& bindings, std::span<Rng> rngs) const {
   auto matrix_in = [&](int slot) -> const sparse::Matrix& {
     const Value& v = values[static_cast<size_t>(node.inputs[static_cast<size_t>(slot)])];
     GS_CHECK(v.kind == ValueKind::kMatrix && v.matrix.defined())
@@ -346,6 +346,10 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
   };
 
   const bool seg = options_.super_batch;
+  // Segmented kernels and walk steps pick each segment's stream themselves;
+  // the solo kernels run only outside super-batch mode, on the one stream.
+  Rng& solo_rng = rngs.front();
+  const int64_t label_nodes = seg ? options_.graph_num_nodes : 0;  // walk id space
 
   switch (node.kind) {
     case OpKind::kGraphInput: {
@@ -437,38 +441,32 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
       return Value::OfTensor(tensor::SumAxis(tensor_in(0), node.attrs.axis));
 
     case OpKind::kIndividualSample:
-      if (seg && !segment_rngs.empty()) {
+      if (seg) {
         return finish_structure(sparse::SegmentedIndividualSample(
-            matrix_in(0), node.attrs.k, sparse::ValueArray{}, options_.graph_num_nodes,
-            segment_rngs));
+            matrix_in(0), node.attrs.k, sparse::ValueArray{}, options_.graph_num_nodes, rngs));
       }
       return finish_structure(
-          sparse::IndividualSample(matrix_in(0), node.attrs.k, sparse::ValueArray{}, rng));
+          sparse::IndividualSample(matrix_in(0), node.attrs.k, sparse::ValueArray{}, solo_rng));
     case OpKind::kIndividualSampleP: {
       const sparse::Matrix& m = matrix_in(0);
       const sparse::Matrix& probs = matrix_in(1);
       GS_CHECK(m.SharesPatternWith(probs))
           << "individual_sample probs must share the matrix's sparsity pattern";
-      if (seg && !segment_rngs.empty()) {
+      if (seg) {
         return finish_structure(sparse::SegmentedIndividualSample(
             m, node.attrs.k, probs.ValuesFor(sparse::Format::kCsc), options_.graph_num_nodes,
-            segment_rngs));
+            rngs));
       }
-      return finish_structure(
-          sparse::IndividualSample(m, node.attrs.k, probs.ValuesFor(sparse::Format::kCsc), rng));
+      return finish_structure(sparse::IndividualSample(
+          m, node.attrs.k, probs.ValuesFor(sparse::Format::kCsc), solo_rng));
     }
     case OpKind::kCollectiveSample:
       if (seg) {
-        if (!segment_rngs.empty()) {
-          return finish_structure(sparse::SegmentedCollectiveSample(
-              matrix_in(0), node.attrs.k, tensor_in(1).array(), options_.graph_num_nodes,
-              segment_rngs));
-        }
         return finish_structure(sparse::SegmentedCollectiveSample(
-            matrix_in(0), node.attrs.k, tensor_in(1).array(), options_.graph_num_nodes, rng));
+            matrix_in(0), node.attrs.k, tensor_in(1).array(), options_.graph_num_nodes, rngs));
       }
       return finish_structure(
-          sparse::CollectiveSample(matrix_in(0), node.attrs.k, tensor_in(1).array(), rng));
+          sparse::CollectiveSample(matrix_in(0), node.attrs.k, tensor_in(1).array(), solo_rng));
 
     case OpKind::kRowIds:
       return Value::OfIds(sparse::RowIds(matrix_in(0)));
@@ -485,23 +483,21 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
     }
 
     case OpKind::kWalkStep:
-      GS_CHECK(segment_rngs.empty()) << "walk ops cannot use per-segment rngs";
-      return Value::OfIds(sparse::UniformWalkStep(matrix_in(0), ids_in(1), rng));
+      return Value::OfIds(sparse::UniformWalkStep(matrix_in(0), ids_in(1), rngs, label_nodes));
     case OpKind::kWalkRestartStep:
-      GS_CHECK(segment_rngs.empty()) << "walk ops cannot use per-segment rngs";
       return Value::OfIds(sparse::UniformWalkStepRestart(matrix_in(0), ids_in(1), ids_in(2),
-                                                         node.attrs.p, rng));
+                                                         node.attrs.p, rngs, label_nodes));
     case OpKind::kNode2VecStep:
-      GS_CHECK(segment_rngs.empty()) << "walk ops cannot use per-segment rngs";
       return Value::OfIds(sparse::Node2VecStep(matrix_in(0), ids_in(1), ids_in(2),
-                                               node.attrs.p, node.attrs.q, rng));
+                                               node.attrs.p, node.attrs.q, rngs, label_nodes));
     case OpKind::kTopKVisited: {
       std::vector<tensor::IdArray> steps;
       for (size_t i = 1; i < node.inputs.size(); ++i) {
         steps.push_back(ids_in(static_cast<int>(i)));
       }
-      return Value::OfMatrix(
-          sparse::TopKVisited(steps, ids_in(0), node.attrs.k, bindings.graph->num_rows()));
+      return Value::OfMatrix(sparse::TopKVisited(
+          steps, ids_in(0), node.attrs.k,
+          seg ? options_.num_segments * options_.graph_num_nodes : bindings.graph->num_rows()));
     }
 
     case OpKind::kFusedSliceSample:
@@ -509,21 +505,17 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
         // Segmented slice-sample interleaves per-segment rng streams; only
         // the interpreter implements that schedule, so super-batch mode
         // never consults the jump table here.
-        if (!segment_rngs.empty()) {
-          return finish_structure(sparse::SegmentedFusedSliceSample(
-              matrix_in(0), ids_in(1), options_.num_segments, node.attrs.k, segment_rngs));
-        }
         return finish_structure(sparse::SegmentedFusedSliceSample(
-            matrix_in(0), ids_in(1), options_.num_segments, node.attrs.k, rng));
+            matrix_in(0), ids_in(1), options_.num_segments, node.attrs.k, rngs));
       }
       if (fused_kernels_ != nullptr) {
         sparse::Matrix jit_out;
-        if (fused_kernels_->SliceSample(node.id, matrix_in(0), ids_in(1), rng, &jit_out)) {
+        if (fused_kernels_->SliceSample(node.id, matrix_in(0), ids_in(1), solo_rng, &jit_out)) {
           return finish_structure(std::move(jit_out));
         }
       }
       return finish_structure(
-          sparse::FusedSliceSample(matrix_in(0), ids_in(1), node.attrs.k, rng));
+          sparse::FusedSliceSample(matrix_in(0), ids_in(1), node.attrs.k, solo_rng));
     case OpKind::kFusedEdgeMap: {
       std::vector<tensor::Tensor> operands;
       for (size_t i = 1; i < node.inputs.size(); ++i) {

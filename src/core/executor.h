@@ -151,17 +151,15 @@ class Executor {
 
   // Executes the program and returns one Value per program output.
   //
-  // `segment_rngs` (super-batch mode only) gives every segment its own RNG
-  // stream: all random draws attributed to mini-batch b come exclusively
-  // from segment_rngs[b], making segment b's output bit-identical to a
-  // one-segment run seeded with the same stream. This is what lets the
-  // serving coalescer merge concurrent requests without changing any
-  // tenant's results. Empty span = legacy behavior (one shared rng,
-  // statistically equivalent only). Programs with walk operators cannot be
-  // run with per-segment rngs (walk steps interleave draws across the whole
-  // frontier).
-  std::vector<Value> Run(const Bindings& bindings, Rng& rng,
-                         std::span<Rng> segment_rngs = {}) const;
+  // `rngs` holds one RNG stream per segment: all random draws attributed to
+  // mini-batch b, walk steps included, come exclusively from rngs[b], making
+  // segment b's output bit-identical to a one-segment run seeded with the
+  // same stream. This is what lets the serving coalescer merge concurrent
+  // requests without changing any tenant's results. A solo run is one
+  // segment; the Rng& overload is its shorthand and throws in super-batch
+  // mode.
+  std::vector<Value> Run(const Bindings& bindings, std::span<Rng> rngs) const;
+  std::vector<Value> Run(const Bindings& bindings, Rng& rng) const;
 
   // Executes only the batch-invariant prefix (nodes marked invariant) and
   // returns their values; used by the engine to populate SetPrecomputed.
@@ -182,7 +180,7 @@ class Executor {
 
  private:
   Value Evaluate(const Node& node, std::vector<Value>& values, const Bindings& bindings,
-                 Rng& rng, std::span<Rng> segment_rngs) const;
+                 std::span<Rng> rngs) const;
 
   const Program* program_;
   ExecOptions options_;

@@ -16,49 +16,6 @@
 namespace gs::core {
 namespace {
 
-bool HasWalkOps(const Program& p) {
-  for (const Node& n : p.nodes()) {
-    if (n.kind == OpKind::kWalkStep || n.kind == OpKind::kWalkRestartStep ||
-        n.kind == OpKind::kNode2VecStep || n.kind == OpKind::kTopKVisited) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// Pure walk programs (DeepWalk, Node2Vec): only inputs and walk steps, all
-// outputs positionally aligned with the frontier. Super-batching these is
-// plain concatenation — every walker is independent — so no labeled id
-// spaces are needed.
-bool IsPureWalkProgram(const Program& p) {
-  bool has_walk = false;
-  for (const Node& n : p.nodes()) {
-    switch (n.kind) {
-      case OpKind::kGraphInput:
-      case OpKind::kFrontierInput:
-      case OpKind::kTensorInput:
-        break;
-      case OpKind::kWalkStep:
-      case OpKind::kWalkRestartStep:
-      case OpKind::kNode2VecStep:
-        has_walk = true;
-        break;
-      default:
-        return false;
-    }
-  }
-  return has_walk;
-}
-
-bool HasTensorOutput(const Program& p) {
-  for (int out : p.outputs()) {
-    if (p.node(out).output_kind() == ValueKind::kTensor) {
-      return true;
-    }
-  }
-  return false;
-}
-
 // --- Text serialization helpers ------------------------------------------
 
 uint64_t Fnv1a(std::string_view s) {
@@ -334,16 +291,10 @@ void CompiledPlan::set_tuned_super_batch(int size) {
 }
 
 bool CompiledPlan::SuperBatchEligible() const {
-  if (IsPureWalkProgram(program_)) {
-    return true;
-  }
-  return !HasWalkOps(program_) && !HasTensorOutput(program_);
-}
-
-bool CompiledPlan::PureWalk() const { return IsPureWalkProgram(program_); }
-
-bool CompiledPlan::Coalescable() const {
-  return SuperBatchEligible() && !IsPureWalkProgram(program_);
+  const std::vector<int>& outputs = program_.outputs();
+  return std::none_of(outputs.begin(), outputs.end(), [this](int out) {
+    return program_.node(out).output_kind() == ValueKind::kTensor;
+  });
 }
 
 LayoutMode CompiledPlan::layout_mode() const {

@@ -75,10 +75,9 @@ struct SamplerOptions {
   bool greedy_when_layout_disabled = true;
   // Section 4.4: number of mini-batches sampled per kernel sequence. 1
   // disables; 0 requests a grid search bounded by memory_budget_bytes.
-  // Ignored (forced to 1) for programs that mix walk operators with matrix
-  // operators or produce tensor outputs. Pure-walk programs group under a
-  // shared RNG stream (statistically equivalent to solo batches); all other
-  // eligible programs use per-segment streams and stay bit-identical.
+  // Ignored (forced to 1) for programs that produce tensor outputs. Every
+  // mini-batch draws from its own RNG stream, so grouped batches stay
+  // bit-identical to solo ones.
   int super_batch = 1;
   int64_t memory_budget_bytes = int64_t{2} * 1024 * 1024 * 1024;
   // Layout calibration batches taken from the first Sample calls.
@@ -170,14 +169,10 @@ class CompiledPlan {
 
   // --- Program-shape queries ----------------------------------------------
 
-  // Super-batching applies to programs without per-batch tensor outputs;
-  // walk ops are allowed only in pure walk programs (see PureWalk).
+  // True for programs without per-batch tensor outputs: they run as one
+  // segmented super-batch, in an epoch or as a coalesced serving group, with
+  // every member bit-identical to running it alone.
   bool SuperBatchEligible() const;
-  // Pure walk programs (DeepWalk, Node2Vec): only inputs and walk steps.
-  bool PureWalk() const;
-  // True when requests against this plan can be merged into one segmented
-  // super-batch with bit-identical per-request results.
-  bool Coalescable() const;
   // Executor layout mode implied by the options.
   LayoutMode layout_mode() const;
 

@@ -130,6 +130,24 @@ std::string CompareFingerprints(const BatchFingerprint& a, const BatchFingerprin
   return {};
 }
 
+// Fails `check` at the first batch whose fingerprints differ.
+void CompareEpochs(const std::vector<BatchFingerprint>& a, const std::vector<BatchFingerprint>& b,
+                   float tolerance, CheckResult& check) {
+  if (a.size() != b.size()) {
+    check.ok = false;
+    check.detail = "batch count differs";
+    return;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    const std::string why = CompareFingerprints(a[i], b[i], tolerance);
+    if (!why.empty()) {
+      check.ok = false;
+      check.detail = "batch " + std::to_string(i) + ": " + why;
+      return;
+    }
+  }
+}
+
 // Random frontier over the graph's training ids (deterministic in `rng`).
 tensor::IdArray MakeFrontiers(const graph::Graph& g, int64_t count, Rng& rng) {
   const device::Array<int32_t>& train = g.train_ids();
@@ -317,7 +335,6 @@ OracleReport VerifyConfig(const std::string& algorithm, const graph::Graph& g,
   // of the optimized config (cheap: passes only, no calibration).
   algorithms::AlgorithmProgram probe = algorithms::MakeAlgorithm(algorithm, g);
   CompiledPlan probe_plan(std::move(probe.program), optimized);
-  const bool pure_walk = probe_plan.PureWalk();
   const bool super_batched = optimized.super_batch != 1 && probe_plan.SuperBatchEligible();
 
   Rng frontier_rng = Rng(options.seed).Fork(0xF0);
@@ -325,34 +342,13 @@ OracleReport VerifyConfig(const std::string& algorithm, const graph::Graph& g,
       MakeFrontiers(g, options.batch_size * options.num_batches, frontier_rng);
 
   // --- Check 1: optimized vs reference, mirrored streams, deterministic ---
-  //
-  // Pure-walk programs under super-batching concatenate frontiers and share
-  // one RNG across the group, so their grouped run is only statistically
-  // equivalent; the deterministic differential forces solo batches there
-  // and the grouping is verified by the stochastic check below.
   {
     CheckResult check;
     check.name = "optimized-vs-reference";
-    SamplerOptions solo = optimized;
-    if (pure_walk) {
-      solo.super_batch = 1;
-    }
-    const std::vector<BatchFingerprint> opt =
-        RunEpoch(algorithm, g, solo, frontiers, options.batch_size);
-    const std::vector<BatchFingerprint> ref =
-        RunEpoch(algorithm, g, ReferenceOptions(optimized), frontiers, options.batch_size);
-    if (opt.size() != ref.size()) {
-      check.ok = false;
-      check.detail = "batch count differs";
-    } else {
-      for (size_t b = 0; b < opt.size() && check.ok; ++b) {
-        const std::string why = CompareFingerprints(opt[b], ref[b], options.value_tolerance);
-        if (!why.empty()) {
-          check.ok = false;
-          check.detail = "batch " + std::to_string(b) + ": " + why;
-        }
-      }
-    }
+    CompareEpochs(RunEpoch(algorithm, g, optimized, frontiers, options.batch_size),
+                  RunEpoch(algorithm, g, ReferenceOptions(optimized), frontiers,
+                           options.batch_size),
+                  options.value_tolerance, check);
     report.checks.push_back(std::move(check));
   }
 
@@ -362,45 +358,14 @@ OracleReport VerifyConfig(const std::string& algorithm, const graph::Graph& g,
     check.name = "super-batch-grouping";
     if (!super_batched) {
       check.applicable = false;
-    } else if (!pure_walk) {
-      // Per-segment RNG streams: grouped execution must be bit-identical to
-      // solo batches.
-      SamplerOptions solo = optimized;
-      solo.super_batch = 1;
-      const std::vector<BatchFingerprint> grouped =
-          RunEpoch(algorithm, g, optimized, frontiers, options.batch_size);
-      const std::vector<BatchFingerprint> sololized =
-          RunEpoch(algorithm, g, solo, frontiers, options.batch_size);
-      if (grouped.size() != sololized.size()) {
-        check.ok = false;
-        check.detail = "batch count differs";
-      } else {
-        for (size_t b = 0; b < grouped.size() && check.ok; ++b) {
-          const std::string why =
-              CompareFingerprints(grouped[b], sololized[b], options.value_tolerance);
-          if (!why.empty()) {
-            check.ok = false;
-            check.detail = "batch " + std::to_string(b) + ": " + why;
-          }
-        }
-      }
     } else {
-      // Pure walk: the grouped run interleaves draws over the concatenated
-      // frontier — compare per-node visit frequencies instead.
-      Rng stochastic_rng = Rng(options.seed).Fork(0xF1);
-      const tensor::IdArray wide = MakeFrontiers(
-          g, options.batch_size * static_cast<int64_t>(options.stochastic_batches),
-          stochastic_rng);
+      // Per-segment RNG streams, walk steps included: grouped execution must
+      // be bit-identical to solo batches.
       SamplerOptions solo = optimized;
       solo.super_batch = 1;
-      SamplerOptions grouped = optimized;
-      grouped.seed = optimized.seed ^ 0x9E3779B97F4A7C15ULL;  // independent draws
-      const std::vector<int64_t> a =
-          AccumulateEngineInclusions(algorithm, g, solo, wide, options.batch_size);
-      const std::vector<int64_t> b =
-          AccumulateEngineInclusions(algorithm, g, grouped, wide, options.batch_size);
-      check = StatisticalCheck("super-batch-grouping", a, b, options.significance,
-                               "solo", "grouped");
+      CompareEpochs(RunEpoch(algorithm, g, optimized, frontiers, options.batch_size),
+                    RunEpoch(algorithm, g, solo, frontiers, options.batch_size),
+                    options.value_tolerance, check);
     }
     report.checks.push_back(std::move(check));
   }
@@ -558,22 +523,9 @@ OracleReport VerifySnapshotEquivalence(const std::string& algorithm,
     Rng frontier_rng = Rng(options.seed).Fork(0xD1);
     const tensor::IdArray frontiers =
         MakeFrontiers(live, options.batch_size * options.num_batches, frontier_rng);
-    const std::vector<BatchFingerprint> on_snapshot =
-        RunEpoch(algorithm, live, optimized, frontiers, options.batch_size);
-    const std::vector<BatchFingerprint> on_reload =
-        RunEpoch(algorithm, reload, optimized, frontiers, options.batch_size);
-    if (on_snapshot.size() != on_reload.size()) {
-      check.ok = false;
-      check.detail = "batch count differs";
-    } else {
-      for (size_t b = 0; b < on_snapshot.size() && check.ok; ++b) {
-        const std::string why = CompareFingerprints(on_snapshot[b], on_reload[b], 0.0f);
-        if (!why.empty()) {
-          check.ok = false;
-          check.detail = "batch " + std::to_string(b) + ": " + why;
-        }
-      }
-    }
+    CompareEpochs(RunEpoch(algorithm, live, optimized, frontiers, options.batch_size),
+                  RunEpoch(algorithm, reload, optimized, frontiers, options.batch_size), 0.0f,
+                  check);
     report.checks.push_back(std::move(check));
   }
 

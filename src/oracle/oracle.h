@@ -12,10 +12,11 @@
 //    from Rng(seed).Fork(j) on both sides) and assert bit-identical sampled
 //    structure (frontiers, edges, walk traces); float payloads compare
 //    within tolerance since fused kernels may reorder reductions.
+//    Super-batch grouping is checked the same way, bit-exactly, for every
+//    program without tensor outputs, walks included.
 //  - Stochastic equivalence: comparisons that are only *statistically*
-//    equivalent — pure-walk super-batch grouping (steps interleave draws
-//    across the concatenated frontier), the eager baseline twins (different
-//    execution order), alias vs. inverse-CDF sampling paths — run
+//    equivalent — the eager baseline twins (different execution order),
+//    alias vs. inverse-CDF sampling paths — run
 //    chi-square / KS equivalence tests over per-node inclusion frequencies
 //    at a configurable significance level.
 //

@@ -1,11 +1,11 @@
 // Statistical machinery for the differential-correctness oracle.
 //
 // The oracle compares sampler implementations that are only *statistically*
-// equivalent (different execution orders, super-batch groupings, alias vs.
-// inverse-CDF paths), so it needs proper hypothesis tests, not ad-hoc
-// thresholds: chi-square goodness-of-fit against analytic probabilities,
-// chi-square homogeneity between two empirical count vectors, and a
-// two-sample Kolmogorov-Smirnov test. All tests return an actual p-value
+// equivalent (different execution orders, alias vs. inverse-CDF paths), so
+// it needs proper hypothesis tests, not ad-hoc thresholds: chi-square
+// goodness-of-fit against analytic probabilities, chi-square homogeneity
+// between two empirical count vectors, and a two-sample Kolmogorov-Smirnov
+// test. All tests return an actual p-value
 // (via the regularized incomplete gamma function / the Kolmogorov
 // distribution) so callers can pick their significance level.
 

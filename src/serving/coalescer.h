@@ -24,15 +24,11 @@ struct GroupResult {
   // outputs[i] belongs to the i-th group member.
   std::vector<std::vector<core::Value>> outputs;
   int64_t execute_ns = 0;  // wall time of the shared execution
-  // Plan executions performed: 1 when coalesced, one per member otherwise.
-  int64_t executions = 0;
 };
 
-// Runs `frontiers` through `session` as one coalesced execution when the
-// plan supports it (session.Coalescable()); otherwise (walk plans) the
-// members run back to back through the uncoalesced seeded path. Either way
-// member i's outputs are bit-identical to serving it alone.
-// Thread-safe after session.Warmup().
+// Runs `frontiers` through `session` as one coalesced execution; member i's
+// outputs are bit-identical to serving it alone. Walk plans coalesce too.
+// Requires session.Coalescable(); thread-safe after session.Warmup().
 GroupResult ExecuteGroup(const core::SamplerSession& session,
                          const std::vector<tensor::IdArray>& frontiers,
                          const std::vector<uint64_t>& seeds);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -57,13 +58,22 @@ void CountFailure(ServerStats& stats, fault::ErrorCode code, const std::string& 
 }
 
 // The frontier a response's features are gathered for: the last ids output
-// of the program (the sampled frontier the caller will train on), falling
-// back to the request's seeds for programs that emit no id output.
-const tensor::IdArray& FeatureFrontier(const std::vector<core::Value>& outputs,
-                                       const tensor::IdArray& seeds) {
+// of the program (the sampled frontier the caller will train on) without
+// the -1 markers of walkers that hit a dead end, falling back to the
+// request's seeds for programs that emit no id output.
+tensor::IdArray FeatureFrontier(const std::vector<core::Value>& outputs,
+                                const tensor::IdArray& seeds) {
   for (auto it = outputs.rbegin(); it != outputs.rend(); ++it) {
     if (it->kind == core::ValueKind::kIds && it->ids.defined() && !it->ids.empty()) {
-      return it->ids;
+      const int32_t* begin = it->ids.data();
+      const int32_t* end = begin + it->ids.size();
+      const auto dead = [](int32_t id) { return id < 0; };
+      if (std::none_of(begin, end, dead)) {
+        return it->ids;
+      }
+      std::vector<int32_t> live;
+      std::remove_copy_if(begin, end, std::back_inserter(live), dead);
+      return tensor::IdArray::FromVector(live);
     }
   }
   return seeds;
@@ -1054,7 +1064,7 @@ void Server::Attempt(Execution& exec, Group& group) {
 // mode.
 std::vector<SampleResponse> Server::Scatter(Execution& exec, Group& group) {
   Timer timer;
-  const bool coalesced = exec.result.executions == 1 && exec.runs > 1;
+  const bool coalesced = exec.runs > 1 && exec.error.empty();
   // Shed-fanout results are degraded regardless of admission-time state.
   const bool degraded = exec.degraded || (exec.shed && exec.error.empty());
   std::vector<SampleResponse> responses(group.size());
@@ -1120,7 +1130,7 @@ void Server::GatherFeatures(Execution& exec, const Group& group,
           exec.device, group[i]->request.tenant, exec.endpoint->dataset, store->row_bytes());
       Timer feature_timer;
       try {
-        const tensor::IdArray& ids = FeatureFrontier(response.outputs, group[i]->request.seeds);
+        const tensor::IdArray ids = FeatureFrontier(response.outputs, group[i]->request.seeds);
         response.features = store->Gather(ids, cache, &exec.gather);
         response.feature_ids = ids;
         response.stages.feature_ns = feature_timer.ElapsedNanos();
@@ -1159,9 +1169,12 @@ void Server::Record(const Execution& exec, const Group& group,
   }
 
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_.executions += exec.result.executions;
+  // One execution per group that ran; requests_executed also counts the
+  // members of a group that failed.
+  const bool executed = exec.runs > 0 && exec.error.empty();
+  stats_.executions += executed ? 1 : 0;
   stats_.requests_executed += exec.runs;
-  if (exec.result.executions == 1 && exec.runs > 1) {
+  if (executed && exec.runs > 1) {
     ++stats_.coalesced_executions;
   }
   if (exec.error.empty() && options_.num_shards > 1) {

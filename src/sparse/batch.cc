@@ -25,17 +25,15 @@ Labeled Decode(int32_t labeled, int64_t num_nodes) {
   return {labeled / num_nodes, static_cast<int32_t>(labeled % num_nodes)};
 }
 
-// The segmented samplers are written against an rng-per-segment provider so
-// one implementation serves both entry points: the legacy epoch path hands
-// every segment the same shared Rng (draws interleave across segments in
-// column/segment order — statistically a super-batch, not bit-equal to
-// per-batch runs), while the serving path hands each segment its own stream
-// (bit-equal to running that segment alone; see batch.h).
-template <typename RngFor>
-Matrix SegmentedFusedSliceSampleImpl(const Matrix& base, const IdArray& labeled_cols,
-                                     int64_t num_segments, int64_t k, RngFor&& rng_for) {
+}  // namespace
+
+Matrix SegmentedFusedSliceSample(const Matrix& base, const IdArray& labeled_cols,
+                                 int64_t num_segments, int64_t k,
+                                 std::span<Rng> segment_rngs) {
   GS_CHECK(!base.has_col_ids()) << "super-batch extract requires the base graph";
   GS_CHECK_GT(k, 0);
+  GS_CHECK_GE(static_cast<int64_t>(segment_rngs.size()), num_segments)
+      << "need one rng per segment";
   const Compressed& csc = base.Csc();
   const int64_t n = base.num_cols();
   device::KernelScope kernel(CurrentStream());
@@ -58,7 +56,8 @@ Matrix SegmentedFusedSliceSampleImpl(const Matrix& base, const IdArray& labeled_
     const int64_t deg = csc.indptr[lc.node + 1] - begin;
     const int32_t offset = static_cast<int32_t>(lc.segment * n);
     picked.clear();
-    SampleUniformWithoutReplacement(deg, k, rng_for(lc.segment), picked);
+    SampleUniformWithoutReplacement(deg, k, segment_rngs[static_cast<size_t>(lc.segment)],
+                                    picked);
     for (int32_t slot : picked) {
       indices.push_back(csc.indices[begin + slot] + offset);
       if (weighted) {
@@ -83,9 +82,8 @@ Matrix SegmentedFusedSliceSampleImpl(const Matrix& base, const IdArray& labeled_
   return out;
 }
 
-template <typename RngFor>
-Matrix SegmentedCollectiveSampleImpl(const Matrix& m, int64_t k, const ValueArray& row_probs,
-                                     int64_t num_nodes, RngFor&& rng_for) {
+Matrix SegmentedCollectiveSample(const Matrix& m, int64_t k, const ValueArray& row_probs,
+                                 int64_t num_nodes, std::span<Rng> segment_rngs) {
   GS_CHECK_GT(k, 0);
   // row_probs is either in the matrix's local row space (length ==
   // num_rows) or in the labeled row space, gathered through the row id map
@@ -114,6 +112,8 @@ Matrix SegmentedCollectiveSampleImpl(const Matrix& m, int64_t k, const ValueArra
     segment_of[static_cast<size_t>(r)] = s;
     num_segments = std::max(num_segments, s + 1);
   }
+  GS_CHECK_LE(num_segments, static_cast<int64_t>(segment_rngs.size()))
+      << "need one rng per segment";
 
   // Gather positive-probability candidates per segment, then sample each
   // segment independently (the "segmented collective sample" operator).
@@ -131,7 +131,8 @@ Matrix SegmentedCollectiveSampleImpl(const Matrix& m, int64_t k, const ValueArra
     }
     for (int64_t s = 0; s < num_segments; ++s) {
       std::vector<int32_t> picked;
-      SampleWeightedWithoutReplacement(weights[static_cast<size_t>(s)], k, rng_for(s), picked);
+      SampleWeightedWithoutReplacement(weights[static_cast<size_t>(s)], k,
+                                       segment_rngs[static_cast<size_t>(s)], picked);
       for (int32_t slot : picked) {
         selected.push_back(candidates[static_cast<size_t>(s)][static_cast<size_t>(slot)]);
       }
@@ -178,8 +179,6 @@ Matrix SegmentedCollectiveSampleImpl(const Matrix& m, int64_t k, const ValueArra
   return result;
 }
 
-}  // namespace
-
 Matrix SegmentedSliceColumns(const Matrix& base, const IdArray& labeled_cols,
                              int64_t num_segments) {
   GS_CHECK(!base.has_col_ids()) << "super-batch extract requires the base graph";
@@ -224,38 +223,6 @@ Matrix SegmentedSliceColumns(const Matrix& base, const IdArray& labeled_cols,
                  .hbm_bytes = 2 * out_nnz * int64_t{8},
                  .pcie_bytes = pcie});
   return out;
-}
-
-Matrix SegmentedFusedSliceSample(const Matrix& base, const IdArray& labeled_cols,
-                                 int64_t num_segments, int64_t k, Rng& rng) {
-  return SegmentedFusedSliceSampleImpl(base, labeled_cols, num_segments, k,
-                                       [&rng](int64_t) -> Rng& { return rng; });
-}
-
-Matrix SegmentedFusedSliceSample(const Matrix& base, const IdArray& labeled_cols,
-                                 int64_t num_segments, int64_t k,
-                                 std::span<Rng> segment_rngs) {
-  GS_CHECK_GE(static_cast<int64_t>(segment_rngs.size()), num_segments)
-      << "need one rng per segment";
-  return SegmentedFusedSliceSampleImpl(
-      base, labeled_cols, num_segments, k,
-      [segment_rngs](int64_t s) -> Rng& { return segment_rngs[static_cast<size_t>(s)]; });
-}
-
-Matrix SegmentedCollectiveSample(const Matrix& m, int64_t k, const ValueArray& row_probs,
-                                 int64_t num_nodes, Rng& rng) {
-  return SegmentedCollectiveSampleImpl(m, k, row_probs, num_nodes,
-                                       [&rng](int64_t) -> Rng& { return rng; });
-}
-
-Matrix SegmentedCollectiveSample(const Matrix& m, int64_t k, const ValueArray& row_probs,
-                                 int64_t num_nodes, std::span<Rng> segment_rngs) {
-  return SegmentedCollectiveSampleImpl(m, k, row_probs, num_nodes,
-                                       [segment_rngs](int64_t s) -> Rng& {
-                                         GS_CHECK_LT(s, static_cast<int64_t>(segment_rngs.size()))
-                                             << "need one rng per segment";
-                                         return segment_rngs[static_cast<size_t>(s)];
-                                       });
 }
 
 Matrix SegmentedIndividualSample(const Matrix& m, int64_t k, const ValueArray& probs,

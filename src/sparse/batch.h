@@ -25,12 +25,8 @@ Matrix SegmentedSliceColumns(const Matrix& base, const IdArray& labeled_cols,
                              int64_t num_segments);
 
 // Fused extract + uniform node-wise sample of k in-neighbors per labeled
-// frontier (the super-batch counterpart of FusedSliceSample).
-Matrix SegmentedFusedSliceSample(const Matrix& base, const IdArray& labeled_cols,
-                                 int64_t num_segments, int64_t k, Rng& rng);
-
-// Per-segment-RNG variant (serving / request coalescing): every draw for a
-// column of segment b comes exclusively from segment_rngs[b], so segment
+// frontier (the super-batch counterpart of FusedSliceSample). Every draw for
+// a column of segment b comes exclusively from segment_rngs[b], so segment
 // b's sample is bit-identical to running that segment alone (one segment,
 // the same RNG stream) — the property the request coalescer relies on.
 Matrix SegmentedFusedSliceSample(const Matrix& base, const IdArray& labeled_cols,
@@ -40,11 +36,8 @@ Matrix SegmentedFusedSliceSample(const Matrix& base, const IdArray& labeled_cols
 // Layer-wise sampling per segment: independently samples up to k rows within
 // each segment's labeled id range [s*num_nodes, (s+1)*num_nodes) according
 // to row_probs (length m.num_rows()), then keeps only edges whose row was
-// selected. Rows come out compacted with labeled row_ids.
-Matrix SegmentedCollectiveSample(const Matrix& m, int64_t k, const ValueArray& row_probs,
-                                 int64_t num_nodes, Rng& rng);
-
-// Per-segment-RNG variant; see SegmentedFusedSliceSample above.
+// selected. Rows come out compacted with labeled row_ids. Segment s draws
+// from segment_rngs[s].
 Matrix SegmentedCollectiveSample(const Matrix& m, int64_t k, const ValueArray& row_probs,
                                  int64_t num_nodes, std::span<Rng> segment_rngs);
 

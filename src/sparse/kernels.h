@@ -114,16 +114,23 @@ IdArray Unique(std::span<const IdArray> arrays);
 ValueArray GatherValues(const ValueArray& vec, const IdArray& ids);
 
 // ------------------------------------------------------------------ Walks
+//
+// Walk steps run in the super-batch's labeled id space (sparse/batch.h):
+// walker id b * num_nodes + v is node v of segment b, moves to a labeled id
+// of the same segment, and draws only from rngs[b], in frontier order. A
+// segment's walks are therefore the same alone or grouped. num_nodes = 0
+// means plain node ids of m, i.e. one segment: a solo run passes one rng.
 
 // One uniform random-walk step: out[i] = uniformly sampled in-neighbor of
 // cur[i] in m, or -1 when cur[i] is -1 or has no in-neighbors. Requires CSC.
-IdArray UniformWalkStep(const Matrix& m, const IdArray& cur, Rng& rng);
+IdArray UniformWalkStep(const Matrix& m, const IdArray& cur, std::span<Rng> rngs,
+                        int64_t num_nodes = 0);
 
 // One random-walk step with restarts (PinSAGE/HetGNN): with probability
 // `restart_prob`, or when cur[i] has no in-neighbors, the walker jumps back
 // to root[i]; otherwise it moves to a uniform in-neighbor.
 IdArray UniformWalkStepRestart(const Matrix& m, const IdArray& cur, const IdArray& root,
-                               float restart_prob, Rng& rng);
+                               float restart_prob, std::span<Rng> rngs, int64_t num_nodes = 0);
 
 // PinSAGE neighbor construction: given per-root walk traces (`steps[t][i]`
 // is walker i's position after step t; -1 entries are skipped), counts
@@ -138,7 +145,7 @@ Matrix TopKVisited(std::span<const IdArray> steps, const IdArray& roots, int64_t
 // (prev[i] == -1 means a first, uniform step). Requires CSC with
 // per-column-sorted indices for the adjacency test.
 IdArray Node2VecStep(const Matrix& m, const IdArray& cur, const IdArray& prev, float p,
-                     float q, Rng& rng);
+                     float q, std::span<Rng> rngs, int64_t num_nodes = 0);
 
 }  // namespace gs::sparse
 

@@ -263,27 +263,64 @@ Matrix FusedSliceSample(const Matrix& m, const IdArray& cols, int64_t k, Rng& rn
   return result;
 }
 
-IdArray UniformWalkStep(const Matrix& m, const IdArray& cur, Rng& rng) {
+namespace {
+
+// A live walker decoded from its labeled id (see the Walks note in
+// kernels.h).
+struct Walker {
+  int32_t node;    // column of m
+  int32_t offset;  // segment * num_nodes: labels a node of m into the segment
+  Rng& rng;        // the segment's stream
+};
+
+// Decodes the walkers of one step; the per-kernel constants are computed
+// once because every walker of every step is decoded.
+class WalkerDecoder {
+ public:
+  WalkerDecoder(const Matrix& m, std::span<Rng> rngs, int64_t num_nodes)
+      : rngs_(rngs),
+        n_(static_cast<int32_t>(num_nodes > 0 ? num_nodes : m.num_cols())),
+        num_cols_(static_cast<int32_t>(m.num_cols())) {}
+
+  Walker operator()(int32_t id) const {
+    const int32_t segment = rngs_.size() == 1 ? 0 : id / n_;  // no division when solo
+    const int32_t offset = segment * n_;
+    GS_CHECK(static_cast<size_t>(segment) < rngs_.size() && id - offset < num_cols_)
+        << "walker id " << id << " out of range";
+    return {id - offset, offset, rngs_[static_cast<size_t>(segment)]};
+  }
+
+ private:
+  std::span<Rng> rngs_;
+  int32_t n_;
+  int32_t num_cols_;
+};
+
+}  // namespace
+
+IdArray UniformWalkStep(const Matrix& m, const IdArray& cur, std::span<Rng> rngs,
+                        int64_t num_nodes) {
   const Compressed& csc = m.Csc();
   device::KernelScope kernel(CurrentStream());
+  const WalkerDecoder decode(m, rngs, num_nodes);
   IdArray out = IdArray::Empty(cur.size());
   int64_t pcie = 0;
   for (int64_t i = 0; i < cur.size(); ++i) {
-    const int32_t c = cur[i];
-    if (c < 0) {
+    if (cur[i] < 0) {
       out[i] = -1;
       continue;
     }
-    GS_CHECK_LT(c, m.num_cols());
-    const int64_t begin = csc.indptr[c];
-    const int64_t deg = csc.indptr[c + 1] - begin;
+    const Walker w = decode(cur[i]);
+    const int64_t begin = csc.indptr[w.node];
+    const int64_t deg = csc.indptr[w.node + 1] - begin;
     if (deg == 0) {
       out[i] = -1;
       continue;
     }
-    out[i] = csc.indices[begin + static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(deg)))];
+    const auto slot = static_cast<int64_t>(w.rng.UniformInt(static_cast<uint64_t>(deg)));
+    out[i] = w.offset + csc.indices[begin + slot];
     if (m.IsUva()) {
-      pcie += internal::UvaCharge(m, static_cast<uint64_t>(c), 4);
+      pcie += internal::UvaCharge(m, static_cast<uint64_t>(w.node), 4);
     }
   }
   kernel.Finish({.parallel_items = cur.size(),
@@ -293,29 +330,34 @@ IdArray UniformWalkStep(const Matrix& m, const IdArray& cur, Rng& rng) {
 }
 
 IdArray UniformWalkStepRestart(const Matrix& m, const IdArray& cur, const IdArray& root,
-                               float restart_prob, Rng& rng) {
+                               float restart_prob, std::span<Rng> rngs, int64_t num_nodes) {
   GS_CHECK_EQ(cur.size(), root.size());
   GS_CHECK(restart_prob >= 0.0f && restart_prob <= 1.0f);
   const Compressed& csc = m.Csc();
   device::KernelScope kernel(CurrentStream());
+  const WalkerDecoder decode(m, rngs, num_nodes);
   IdArray out = IdArray::Empty(cur.size());
   int64_t pcie = 0;
   for (int64_t i = 0; i < cur.size(); ++i) {
-    const int32_t c = cur[i];
-    if (c < 0 || rng.UniformF() < restart_prob) {
+    if (cur[i] < 0) {
       out[i] = root[i];
       continue;
     }
-    GS_CHECK_LT(c, m.num_cols());
-    const int64_t begin = csc.indptr[c];
-    const int64_t deg = csc.indptr[c + 1] - begin;
+    const Walker w = decode(cur[i]);
+    if (w.rng.UniformF() < restart_prob) {
+      out[i] = root[i];
+      continue;
+    }
+    const int64_t begin = csc.indptr[w.node];
+    const int64_t deg = csc.indptr[w.node + 1] - begin;
     if (deg == 0) {
       out[i] = root[i];  // dead end: restart
       continue;
     }
-    out[i] = csc.indices[begin + static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(deg)))];
+    const auto slot = static_cast<int64_t>(w.rng.UniformInt(static_cast<uint64_t>(deg)));
+    out[i] = w.offset + csc.indices[begin + slot];
     if (m.IsUva()) {
-      pcie += internal::UvaCharge(m, static_cast<uint64_t>(c), 4);
+      pcie += internal::UvaCharge(m, static_cast<uint64_t>(w.node), 4);
     }
   }
   kernel.Finish({.parallel_items = cur.size(),
@@ -378,7 +420,7 @@ Matrix TopKVisited(std::span<const IdArray> steps, const IdArray& roots, int64_t
 }
 
 IdArray Node2VecStep(const Matrix& m, const IdArray& cur, const IdArray& prev, float p,
-                     float q, Rng& rng) {
+                     float q, std::span<Rng> rngs, int64_t num_nodes) {
   GS_CHECK_EQ(cur.size(), prev.size());
   GS_CHECK_GT(p, 0.0f);
   GS_CHECK_GT(q, 0.0f);
@@ -393,45 +435,47 @@ IdArray Node2VecStep(const Matrix& m, const IdArray& cur, const IdArray& prev, f
     return std::binary_search(csc.indices.data() + begin, csc.indices.data() + end, node);
   };
 
+  const WalkerDecoder decode(m, rngs, num_nodes);
   IdArray out = IdArray::Empty(cur.size());
   std::vector<float> bias;
   int64_t edges_scored = 0;
   int64_t pcie = 0;
   for (int64_t i = 0; i < cur.size(); ++i) {
-    const int32_t c = cur[i];
-    if (c < 0) {
+    if (cur[i] < 0) {
       out[i] = -1;
       continue;
     }
-    const int64_t begin = csc.indptr[c];
-    const int64_t deg = csc.indptr[c + 1] - begin;
+    const Walker w = decode(cur[i]);
+    const int64_t begin = csc.indptr[w.node];
+    const int64_t deg = csc.indptr[w.node + 1] - begin;
     if (deg == 0) {
       out[i] = -1;
       continue;
     }
     if (prev[i] < 0) {
-      out[i] =
-          csc.indices[begin + static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(deg)))];
+      const auto slot = static_cast<int64_t>(w.rng.UniformInt(static_cast<uint64_t>(deg)));
+      out[i] = w.offset + csc.indices[begin + slot];
     } else {
+      const int32_t prev_node = prev[i] - w.offset;  // same segment as the walker
       bias.clear();
       for (int64_t e = begin; e < begin + deg; ++e) {
         const int32_t r = csc.indices[e];
         float b;
-        if (r == prev[i]) {
+        if (r == prev_node) {
           b = 1.0f / p;
-        } else if (is_neighbor(prev[i], r)) {
+        } else if (is_neighbor(prev_node, r)) {
           b = 1.0f;
         } else {
           b = 1.0f / q;
         }
         bias.push_back(b);
       }
-      const int32_t slot = SampleWeightedOne(bias, rng);
-      out[i] = slot >= 0 ? csc.indices[begin + slot] : -1;
+      const int32_t slot = SampleWeightedOne(bias, w.rng);
+      out[i] = slot >= 0 ? w.offset + csc.indices[begin + slot] : -1;
       edges_scored += deg;
     }
     if (m.IsUva()) {
-      pcie += internal::UvaCharge(m, static_cast<uint64_t>(c), deg * int64_t{4});
+      pcie += internal::UvaCharge(m, static_cast<uint64_t>(w.node), deg * int64_t{4});
     }
   }
   kernel.Finish({.parallel_items = cur.size(),

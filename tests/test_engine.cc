@@ -153,43 +153,89 @@ TEST(Engine, SuperBatchLayerWise) {
   EXPECT_EQ(batches, 4);
 }
 
-TEST(Engine, WalkProgramsSuperBatchByConcatenation) {
-  graph::Graph g = gs::testing::SmallRmat();
-  algorithms::AlgorithmProgram ap = algorithms::DeepWalk(g, {.walk_length = 5});
-  SamplerOptions opts;
-  opts.super_batch = 8;  // pure walk programs batch by concatenation
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
-  int batches = 0;
-  const auto edges = gs::testing::EdgeSet(g.adj());
-  sampler.SampleEpoch(Iota(32), 8, [&](int64_t index, std::vector<Value>& out) {
-    ++batches;
-    ASSERT_EQ(out.size(), 5u);
-    // Traces stay aligned per batch: step 1 must be an in-neighbor of the
-    // batch's own frontier (or -1).
-    for (int64_t i = 0; i < 8; ++i) {
-      const int32_t start = static_cast<int32_t>(index * 8 + i);
-      const int32_t step1 = out[0].ids[i];
-      if (step1 >= 0) {
-        EXPECT_NE(edges.find({step1, start}), edges.end());
+// Walk programs super-batch like every other program: a walker draws from
+// its mini-batch's stream in frontier order, so an epoch at super_batch 8
+// equals one at super_batch 1 (ids bit for bit, -1 markers included; edge
+// sets exactly), and a producer resumed from a checkpoint taken inside a
+// group reproduces the rest of the epoch.
+TEST(Engine, WalkProgramsSuperBatchBitIdentically) {
+  graph::Graph g = gs::testing::SmallRmat(400, 4000, 11);
+  const IdArray seeds = Iota(150);  // 19 batches of 8: groups of 8, 8 and 3
+  for (const std::string name : {"DeepWalk", "Node2Vec", "GraphSAINT", "PinSAGE", "HetGNN"}) {
+    // Delivers `cut` batches, checkpoints, and drains a resumed producer.
+    auto epoch = [&](int super_batch, int64_t cut) {
+      algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(name, g);
+      SamplerOptions opts;
+      opts.super_batch = super_batch;
+      CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+      sampler.BindGraph("rel0", &g.adj());  // HetGNN's relations; unused elsewhere
+      sampler.BindGraph("rel1", &g.adj());
+      std::vector<std::vector<Value>> batches;
+      BatchProducer producer(sampler, seeds, 8);
+      EpochBatch batch;
+      while (static_cast<int64_t>(batches.size()) < cut && producer.Next(&batch)) {
+        batches.push_back(std::move(batch.outputs));
+      }
+      BatchProducer resumed(sampler, seeds, 8);
+      resumed.Resume(producer.Save());
+      while (resumed.Next(&batch)) {
+        batches.push_back(std::move(batch.outputs));
+      }
+      return batches;
+    };
+    const auto solo = epoch(1, 19);
+    ASSERT_EQ(solo.size(), 19u) << name;
+    for (const auto& grouped : {epoch(8, 19), epoch(8, 11)}) {
+      ASSERT_EQ(grouped.size(), solo.size()) << name;
+      for (size_t b = 0; b < solo.size(); ++b) {
+        ASSERT_EQ(grouped[b].size(), solo[b].size()) << name;
+        for (size_t o = 0; o < solo[b].size(); ++o) {
+          const Value& got = grouped[b][o];
+          const Value& want = solo[b][o];
+          ASSERT_EQ(got.kind, want.kind) << name;
+          if (want.kind == ValueKind::kIds) {
+            EXPECT_TRUE(BitIdentical(got, want)) << name << " batch " << b << " output " << o;
+          } else {
+            EXPECT_EQ(gs::testing::EdgeSet(got.matrix), gs::testing::EdgeSet(want.matrix))
+                << name << " batch " << b << " output " << o;
+          }
+        }
       }
     }
-  });
-  EXPECT_EQ(batches, 4);
+  }
 }
 
-TEST(Engine, MixedWalkProgramsSkipSuperBatch) {
-  // GraphSAINT mixes walks with matrix outputs: not batchable.
-  graph::Graph g = gs::testing::SmallRmat();
-  algorithms::AlgorithmProgram ap = algorithms::GraphSaint(g, {.walk_length = 3});
-  SamplerOptions opts;
-  opts.super_batch = 4;
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
-  int batches = 0;
-  sampler.SampleEpoch(Iota(32), 8, [&](int64_t, std::vector<Value>& out) {
-    ++batches;
-    EXPECT_EQ(out.size(), 2u);
-  });
-  EXPECT_EQ(batches, 4);
+// FNV-1a over every id of every output, in order: pins an output stream to
+// the bit, -1 dead-end markers included.
+uint64_t IdsDigest(const std::vector<Value>& outputs) {
+  uint64_t h = 1469598103934665603ull;
+  for (const Value& v : outputs) {
+    for (int64_t i = 0; i < v.ids.size(); ++i) {
+      h = (h ^ static_cast<uint32_t>(v.ids[i])) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// Golden digests of seeded DeepWalk and Node2Vec walks. A walker draws from
+// its segment's stream and a solo request is one segment, so SampleSeeded
+// consumes the seed's stream in frontier order; the digests pin that stream.
+TEST(Engine, SeededWalkStreamsArePinned) {
+  graph::Graph g = gs::testing::SmallRmat(400, 4000, 11);
+  const std::vector<std::pair<std::string, uint64_t>> goldens = {
+      {"DeepWalk", 0x3bbd405a210f8c2full}, {"Node2Vec", 0xe5076fa5ffcfd716ull}};
+  for (const auto& [name, digest] : goldens) {
+    algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(name, g);
+    CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), SamplerOptions{});
+    sampler.Warmup(Iota(4));
+    const std::vector<Value> out = sampler.SampleSeeded(Iota(64), 2026);
+    int64_t dead = 0;
+    for (const Value& step : out) {
+      dead += std::count(step.ids.data(), step.ids.data() + step.ids.size(), -1);
+    }
+    EXPECT_GT(dead, 0) << name << " walks should hit dead ends";
+    EXPECT_EQ(IdsDigest(out), digest) << name << std::hex << " digest 0x" << IdsDigest(out);
+  }
 }
 
 TEST(Engine, AutoSuperBatchRespectsMemoryBudget) {

@@ -182,13 +182,19 @@ TEST(Executor, SuperBatchGatherDecodesLabeledIds) {
   bind.tensors["feat"] = tensor::Tensor::Full({g.num_nodes()}, 2.0f);
   const int32_t n = static_cast<int32_t>(g.num_nodes());
   bind.frontier = IdArray::FromVector({1, 2, n + 3, n + 4});
-  Rng rng(11);
-  std::vector<Value> out = exec.Run(bind, rng);
+  std::vector<Rng> segment_rngs = {Rng(11), Rng(12)};
+  std::vector<Value> out = exec.Run(bind, segment_rngs);
   // Every edge weight got multiplied by the gathered feature value 2.
   for (const auto& [edge, w] : gs::testing::EdgeSet(out[0].matrix)) {
     (void)edge;
     EXPECT_GT(w, 0.0f);
   }
+
+  // Super-batch mode has no shared stream: a run without one stream per
+  // segment is an error, not a silent fallback.
+  Rng shared(11);
+  EXPECT_THROW(exec.Run(bind, shared), Error);
+  EXPECT_THROW(exec.Run(bind, std::span<Rng>(segment_rngs).first(1)), Error);
 }
 
 TEST(Executor, MissingFrontierThrows) {

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -343,6 +345,35 @@ TEST(ServingFeatureGather, CoalescedResponsesCarryExactFeatures) {
   EXPECT_GE(stats.FeatureHitRate(), 0.0);
   EXPECT_LE(stats.FeatureHitRate(), 1.0);
   server.Stop();
+}
+
+// Regression: a walk response's last step carries -1 for walkers that hit a
+// dead end. The gather skips them instead of failing the response with
+// "feature gather index -1 out of range".
+TEST(ServingFeatureGather, WalkDeadEndsGatherOnlyLiveIds) {
+  const graph::Graph g = FeatureGraph();
+  serving::ServerOptions options;
+  options.num_workers = 1;
+  options.serve_features = true;
+  serving::Server server(options);
+  server.RegisterEndpoint(serving::MakeEndpoint("DeepWalk", "small", g));
+  server.Start();
+
+  serving::SampleRequest request;
+  request.algorithm = "DeepWalk";
+  request.dataset = "small";
+  std::vector<int32_t> seeds(64);
+  std::iota(seeds.begin(), seeds.end(), 0);
+  request.seeds = Seeds(seeds);
+  request.seed = 3;
+  const serving::SampleResponse response = server.Submit(std::move(request)).get();
+  server.Stop();
+  ASSERT_EQ(response.status, serving::Status::kOk) << response.error;
+  const IdArray& last = response.outputs.back().ids;
+  ASSERT_GT(std::count(last.data(), last.data() + last.size(), -1), 0)
+      << "the walks should hit dead ends";
+  EXPECT_EQ(response.feature_ids.ToVector(), FoldIds(last, g.num_nodes()).ToVector());
+  ExpectRowsMatchEager(g.features(), response.feature_ids, response.features, "walk response");
 }
 
 // ------------------------------------------------- overlap pipeline

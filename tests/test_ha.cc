@@ -505,8 +505,9 @@ TEST(HaServing, DegradedServingRetriesTransientsAndCountsExchange) {
 // Degraded-serving oracle: with shard 1 killed (r=1), every partial is
 // kDegraded with the covered fraction of its seeds, and its outputs are
 // bit-identical to an unfaulted server answering exactly the covered subset
-// with the same seed — for a coalescable and a walk algorithm, over static
-// and dynamic endpoints. Degraded responses carry no feature rows.
+// with the same seed — for a matrix and a walk algorithm, over static and
+// dynamic endpoints. Both servers serve features: degraded responses carry
+// no feature rows, while the reference answers do, walk dead ends included.
 TEST(HaServing, DegradedOutputsMatchServingTheCoveredSubset) {
   const graph::Graph g = HaGraph();
   const graph::Partition partition = graph::Partitioner::EdgeCut(g, 2);
@@ -526,14 +527,12 @@ TEST(HaServing, DegradedOutputsMatchServingTheCoveredSubset) {
       const std::string context = algorithm + (dynamic ? " dynamic" : " static");
       graph::GraphStore faulted_store(HaGraph());
       graph::GraphStore clean_store(HaGraph());
-      // Only the faulted server serves features: the comparison is over
-      // sampled outputs, and degraded responses must carry no feature rows.
-      auto make_server = [&](graph::GraphStore& store, bool features) {
+      auto make_server = [&](graph::GraphStore& store) {
         serving::ServerOptions options;
         options.num_workers = 1;
         options.num_shards = 2;
         options.num_replicas = 1;
-        options.serve_features = features;
+        options.serve_features = true;
         auto server = std::make_unique<serving::Server>(options);
         server->RegisterEndpoint(dynamic
                                      ? serving::MakeDynamicEndpoint(algorithm, "small", store)
@@ -541,8 +540,8 @@ TEST(HaServing, DegradedOutputsMatchServingTheCoveredSubset) {
         server->Start();
         return server;
       };
-      auto faulted_server = make_server(faulted_store, /*features=*/true);
-      auto clean_server = make_server(clean_store, /*features=*/false);
+      auto faulted_server = make_server(faulted_store);
+      auto clean_server = make_server(clean_store);
 
       std::vector<std::future<serving::SampleResponse>> partials;
       {
@@ -579,6 +578,7 @@ TEST(HaServing, DegradedOutputsMatchServingTheCoveredSubset) {
         serving::SampleResponse reference =
             clean_server->Submit(MakeRequest(Seeds(covered), 100 + i, algorithm)).get();
         ASSERT_EQ(reference.status, serving::Status::kOk) << where << ": " << reference.error;
+        EXPECT_TRUE(reference.features.defined()) << where;
         ExpectBitIdentical(partial.outputs, reference.outputs, where);
       }
       const serving::ServerStats stats = faulted_server->stats();

@@ -201,6 +201,13 @@ void RunMatrix(const device::DeviceProfile& profile) {
       const OracleReport report = VerifyConfig(algo, g, FullyOptimized(), oracle_opts);
       EXPECT_TRUE(report.ok())
           << c.dataset << " on " << profile.name << ": " << report.ToString();
+      // No algorithm has tensor outputs, so grouping is checked bit-exactly
+      // for all of them, walks included.
+      for (const CheckResult& check : report.checks) {
+        if (check.name == "super-batch-grouping") {
+          EXPECT_TRUE(check.applicable && check.deterministic) << algo;
+        }
+      }
     }
   }
 }

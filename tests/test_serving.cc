@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -126,29 +128,43 @@ TEST(Coalescer, MemberResultsIndependentOfGroupComposition) {
   ExpectValuesEqual(last.outputs[2], solo);
 }
 
-// Walk programs serve uncoalesced (their draws interleave across the whole
-// frontier) but are still deterministic per (frontier, seed).
-TEST(Coalescer, WalkPlansServeUncoalesced) {
+// Walk plans coalesce like every other plan: a multi-member DeepWalk group
+// runs once (one kernel per step, as a solo request does), and every member
+// is bit-identical to its solo run, -1 dead-end markers in place.
+TEST(Coalescer, WalkPlansCoalesceBitIdentically) {
   graph::Graph g = ServingGraph();
-  algorithms::AlgorithmProgram ap = algorithms::DeepWalk(g, {.walk_length = 5});
+  constexpr int kSteps = 40;
+  algorithms::AlgorithmProgram ap = algorithms::DeepWalk(g, {.walk_length = kSteps});
   core::SamplerOptions options;
   auto plan = std::make_shared<core::CompiledSampler>(std::move(ap.program), g,
                                                       std::move(ap.tensors), options);
   plan->Warmup(Seeds({0, 1, 2, 3}));
-  EXPECT_FALSE(plan->Coalescable());
+  ASSERT_TRUE(plan->Coalescable());
 
-  GroupResult a = ExecuteGroup(*plan, {Seeds({3, 4, 5})}, {99});
-  GroupResult b = ExecuteGroup(*plan, {Seeds({3, 4, 5})}, {99});
-  ExpectValuesEqual(a.outputs[0], b.outputs[0]);
-  EXPECT_EQ(a.executions, 1);
+  std::vector<int32_t> low(48);
+  std::vector<int32_t> high(48);
+  std::iota(low.begin(), low.end(), 0);
+  std::iota(high.begin(), high.end(), 200);
+  const std::vector<tensor::IdArray> frontiers = {Seeds(low), Seeds({7, 8}), Seeds(high)};
+  const std::vector<uint64_t> seeds = {99, 5, 31337};
 
-  // A multi-member walk group runs its members back to back, one execution
-  // each, every member bit-identical to its solo run.
-  GroupResult solo = ExecuteGroup(*plan, {Seeds({7, 8})}, {5});
-  GroupResult group = ExecuteGroup(*plan, {Seeds({3, 4, 5}), Seeds({7, 8})}, {99, 5});
-  EXPECT_EQ(group.executions, 2);
-  ExpectValuesEqual(group.outputs[0], a.outputs[0]);
-  ExpectValuesEqual(group.outputs[1], solo.outputs[0]);
+  device::Stream& stream = device::Current().stream();
+  const int64_t before = stream.counters().kernels_launched;
+  GroupResult group = ExecuteGroup(*plan, frontiers, seeds);
+  EXPECT_EQ(stream.counters().kernels_launched - before, kSteps);
+
+  int64_t dead = 0;
+  for (size_t i = 0; i < frontiers.size(); ++i) {
+    const std::vector<core::Value> solo = plan->SampleSeeded(frontiers[i], seeds[i]);
+    ASSERT_EQ(group.outputs[i].size(), solo.size());
+    for (size_t step = 0; step < solo.size(); ++step) {
+      EXPECT_TRUE(core::BitIdentical(group.outputs[i][step], solo[step]))
+          << "member " << i << " step " << step;
+      const tensor::IdArray& ids = group.outputs[i][step].ids;
+      dead += std::count(ids.data(), ids.data() + ids.size(), -1);
+    }
+  }
+  EXPECT_GT(dead, 0) << "the walks should hit dead ends";
 }
 
 // --------------------------------------------------------- plan cache
@@ -449,6 +465,41 @@ TEST(Server, CoalescesCompatibleRequestsBitIdentically) {
     EXPECT_GT(stats.coalesced_executions, 0);
     EXPECT_GT(stats.CoalescingRatio(), 1.0);
   }
+}
+
+// A live walk endpoint coalesces: requests queued behind the plan compile
+// share one execution, each bit-identical to its solo run.
+TEST(Server, CoalescesWalkRequests) {
+  graph::Graph g = ServingGraph();
+  algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm("DeepWalk", g);
+  core::SamplerOptions options;
+  options.super_batch = 1;
+  core::CompiledSampler reference(std::move(ap.program), g, std::move(ap.tensors), options);
+  reference.Warmup(Seeds({0, 1, 2, 3}));
+
+  Server server(SmallServer(/*workers=*/1));
+  server.RegisterEndpoint(MakeEndpoint("DeepWalk", "rmat", g));
+  server.Start();
+  std::vector<SampleRequest> requests;
+  std::vector<std::future<SampleResponse>> futures;
+  for (int i = 0; i < 6; ++i) {
+    SampleRequest req;
+    req.algorithm = "DeepWalk";
+    req.dataset = "rmat";
+    req.seeds = Seeds({i, 10 * i + 1, 10 * i + 2});
+    req.seed = static_cast<uint64_t>(100 + i);
+    requests.push_back(req);
+    futures.push_back(server.Submit(std::move(req)));
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    SampleResponse r = futures[i].get();
+    ASSERT_EQ(r.status, Status::kOk) << r.error;
+    ExpectValuesEqual(r.outputs, reference.SampleSeeded(requests[i].seeds, requests[i].seed));
+  }
+  server.Stop();
+  const ServerStats stats = server.stats();
+  EXPECT_GT(stats.coalesced_executions, 0);
+  EXPECT_GT(stats.CoalescingRatio(), 1.0);
 }
 
 // Requests that expire while queued complete as kDeadlineExceeded without

@@ -65,8 +65,8 @@ TEST(SegmentedFusedSliceSample, FanoutPerLabeledColumn) {
   const int64_t n = g.num_nodes();
   IdArray labeled = IdArray::FromVector(
       {1, 2, static_cast<int32_t>(n + 1), static_cast<int32_t>(n + 9)});
-  Rng rng(157);
-  Matrix sample = SegmentedFusedSliceSample(g.adj(), labeled, 2, 3, rng);
+  std::vector<Rng> rngs = {Rng(157), Rng(158)};
+  Matrix sample = SegmentedFusedSliceSample(g.adj(), labeled, 2, 3, rngs);
   EXPECT_EQ(sample.num_cols(), 4);
   const Compressed& csc = sample.Csc();
   const Compressed& base = g.adj().Csc();
@@ -89,8 +89,8 @@ TEST(SegmentedCollectiveSample, SamplesWithinEachSegment) {
                                          static_cast<int32_t>(n + 3)});
   Matrix seg = SegmentedSliceColumns(g.adj(), labeled, 2);
   ValueArray probs = SumAxis(seg, 0);
-  Rng rng(163);
-  Matrix sample = SegmentedCollectiveSample(seg, 4, probs, n, rng);
+  std::vector<Rng> rngs = {Rng(163), Rng(164)};
+  Matrix sample = SegmentedCollectiveSample(seg, 4, probs, n, rngs);
   EXPECT_TRUE(sample.rows_compact());
   // At most 4 rows per segment, each within its own id space.
   int64_t per_segment[2] = {0, 0};

@@ -182,7 +182,7 @@ TEST(UniformWalkStep, StepsToInNeighbors) {
   graph::Graph g = gs::testing::SmallRmat();
   IdArray cur = IdArray::FromVector({0, 1, 2, 3, 4, 5, 6, 7});
   Rng rng(131);
-  IdArray next = UniformWalkStep(g.adj(), cur, rng);
+  IdArray next = UniformWalkStep(g.adj(), cur, {&rng, 1});
   const auto edges = EdgeSet(g.adj());
   for (int64_t i = 0; i < cur.size(); ++i) {
     if (next[i] >= 0) {
@@ -198,7 +198,7 @@ TEST(UniformWalkStep, DeadEndsAndTombstones) {
   graph::Graph g = graph::Graph::FromEdges("line", 3, edges);
   IdArray cur = IdArray::FromVector({0, -1});
   Rng rng(137);
-  IdArray next = UniformWalkStep(g.adj(), cur, rng);
+  IdArray next = UniformWalkStep(g.adj(), cur, {&rng, 1});
   EXPECT_EQ(next[0], -1);  // node 0 has no in-neighbors
   EXPECT_EQ(next[1], -1);
 }
@@ -215,17 +215,17 @@ TEST(Node2VecStep, ExtremeParamsSteerWalk) {
   IdArray prev = IdArray::FromVector({0});
   // Huge p, huge q: must go to the common neighbor 2.
   for (int t = 0; t < 50; ++t) {
-    IdArray next = Node2VecStep(g.adj(), cur, prev, 1e6f, 1e6f, rng);
+    IdArray next = Node2VecStep(g.adj(), cur, prev, 1e6f, 1e6f, {&rng, 1});
     EXPECT_EQ(next[0], 2);
   }
   // Tiny p: must return to prev = 0.
   for (int t = 0; t < 50; ++t) {
-    IdArray next = Node2VecStep(g.adj(), cur, prev, 1e-6f, 1.0f, rng);
+    IdArray next = Node2VecStep(g.adj(), cur, prev, 1e-6f, 1.0f, {&rng, 1});
     EXPECT_EQ(next[0], 0);
   }
   // prev = -1 behaves uniformly (just check validity).
   IdArray no_prev = IdArray::FromVector({-1});
-  IdArray next = Node2VecStep(g.adj(), cur, no_prev, 2.0f, 0.5f, rng);
+  IdArray next = Node2VecStep(g.adj(), cur, no_prev, 2.0f, 0.5f, {&rng, 1});
   EXPECT_GE(next[0], 0);
 }
 
@@ -234,7 +234,7 @@ TEST(WalkRestart, AlwaysRestartsAtProbabilityOne) {
   IdArray cur = IdArray::FromVector({10, 20, 30});
   IdArray root = IdArray::FromVector({1, 2, 3});
   Rng rng(149);
-  IdArray next = UniformWalkStepRestart(g.adj(), cur, root, 1.0f, rng);
+  IdArray next = UniformWalkStepRestart(g.adj(), cur, root, 1.0f, {&rng, 1});
   EXPECT_EQ(next[0], 1);
   EXPECT_EQ(next[1], 2);
   EXPECT_EQ(next[2], 3);
@@ -245,7 +245,7 @@ TEST(WalkRestart, NeverRestartsAtZeroFollowsEdges) {
   IdArray cur = IdArray::FromVector({5, 6});
   IdArray root = IdArray::FromVector({0, 0});
   Rng rng(151);
-  IdArray next = UniformWalkStepRestart(g.adj(), cur, root, 0.0f, rng);
+  IdArray next = UniformWalkStepRestart(g.adj(), cur, root, 0.0f, {&rng, 1});
   const auto edges = EdgeSet(g.adj());
   for (int64_t i = 0; i < 2; ++i) {
     const bool is_edge = edges.find({next[i], cur[i]}) != edges.end();

@@ -9,7 +9,9 @@
 #              briefly and checks its outputs), then the plans tier, then
 #              the oracle tier, then the shard tier, then the
 #              feature tier, then the ha tier, then the dynamic tier, then
-#              the jit tier, then a -DGS_SANITIZE=thread
+#              the jit tier, then a fixed-seed fuzz drawing every dimension
+#              together (fuzz_passes --shards 2 --kill-shard --features
+#              --mutate --jit), then a -DGS_SANITIZE=thread
 #              build in ./build-tsan running the threaded suites (pipeline,
 #              serving, device accounting, fault ladder) with pass-boundary
 #              verification (GS_VERIFY_PASSES=1), then the chaos tier.
@@ -338,6 +340,9 @@ run_ha_tier
 run_dynamic_tier
 
 run_jit_tier
+
+echo "== combined: fixed-seed fuzz, every dimension drawn together (40 draws) =="
+./build/tools/fuzz_passes --seeds 40 --shards 2 --kill-shard --features --mutate --jit
 
 echo "== TSan: configure + build (GS_SANITIZE=thread) =="
 cmake -B build-tsan -S . -DGS_SANITIZE=thread >/dev/null
