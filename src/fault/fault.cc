@@ -251,8 +251,9 @@ FaultPlan FaultPlan::Parse(const std::string& spec, uint64_t seed) {
         } catch (const std::exception&) {
           pos = 0;
         }
-        GS_CHECK(pos == value.size() && magnitude > 0.0)
-            << "fault plan: magnitude must be > 0, got '" << value << "'";
+        GS_CHECK(pos == value.size() && magnitude > 0.0 && magnitude <= kMaxMagnitude)
+            << "fault plan: magnitude must be finite and in (0, " << kMaxMagnitude << "], got '"
+            << value << "'";
         schedule.magnitude = magnitude;
       } else {
         GS_CHECK(false) << "fault plan: unknown key '" << key

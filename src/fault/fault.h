@@ -88,6 +88,10 @@ inline constexpr double kDefaultStuckMagnitude = 1024.0;
 // the cost model, far below the watchdog's stuck threshold.
 inline constexpr double kDefaultSlowMagnitude = 8.0;
 
+// Largest `mag=` a fault plan accepts; leaves room above the default stuck
+// magnitude.
+inline constexpr double kMaxMagnitude = 1e6;
+
 // Per-site schedule. A probe fires if its number appears in `occurrences`
 // (sorted, 0-based), is at or past `after` (when set), or if the seeded
 // hash draw falls below `probability`.
@@ -112,7 +116,9 @@ struct SiteSchedule {
 // Text form (for --fault-plan): semicolon-separated site clauses, each
 // `[shardN:]site:key=value[:key=value...]` with keys `p` (probability),
 // `occ` (comma-separated occurrence indices), `after` (every probe from
-// this number on), and `mag` (magnitude), e.g.
+// this number on), and `mag` (magnitude: finite, in (0, kMaxMagnitude];
+// the multiplier scales charged times that are converted back to integer
+// nanoseconds, so an unbounded one would overflow them), e.g.
 //
 //   "alloc.oom:p=0.001;kernel.stuck:occ=3,17:mag=64;shard1:shard.lost:after=0"
 struct FaultPlan {

@@ -70,6 +70,10 @@ TEST(FaultPlan, MalformedSpecsThrow) {
   EXPECT_THROW(FaultPlan::Parse("alloc.oom:p=nope", 0), Error);
   EXPECT_THROW(FaultPlan::Parse("alloc.oom:occ=-3", 0), Error);
   EXPECT_THROW(FaultPlan::Parse("alloc.oom:frobnicate=1", 0), Error);
+  EXPECT_THROW(FaultPlan::Parse("kernel.stuck:p=1:mag=inf", 0), Error);
+  EXPECT_THROW(FaultPlan::Parse("kernel.stuck:p=1:mag=nan", 0), Error);
+  EXPECT_THROW(FaultPlan::Parse("kernel.stuck:p=1:mag=1e300", 0), Error);
+  EXPECT_NO_THROW(FaultPlan::Parse("kernel.stuck:p=1:mag=1e6", 0));
 }
 
 TEST(FaultPlan, ShardQualifiedClausesRoundTrip) {

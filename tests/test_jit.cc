@@ -46,6 +46,7 @@ using jit::KernelCacheOptions;
 using jit::Region;
 using jit::RegionExtractor;
 using tensor::IdArray;
+using testing::ExpectBitIdentical;
 
 graph::Graph JitGraph() { return testing::SmallRmat(300, 3000, 41); }
 
@@ -105,14 +106,6 @@ std::shared_ptr<SamplerSession> MakeSession(
   session->Warmup(Seeds({0, 1, 2, 3}));
   session->SetJitTable(std::move(table));
   return session;
-}
-
-void ExpectBitIdentical(const std::vector<Value>& a, const std::vector<Value>& b,
-                        const std::string& context) {
-  ASSERT_EQ(a.size(), b.size()) << context;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(core::BitIdentical(a[i], b[i])) << context << " output " << i << " diverged";
-  }
 }
 
 // ------------------------------------------------------- region extraction

@@ -31,12 +31,12 @@
 namespace gs {
 namespace {
 
-using core::BitIdentical;
 using core::CompiledPlan;
 using core::SamplerOptions;
 using core::SamplerSession;
 using core::Value;
 using tensor::IdArray;
+using testing::ExpectBitIdentical;
 
 graph::Graph PlanGraph() { return testing::SmallRmat(400, 4000, 23); }
 
@@ -73,14 +73,6 @@ std::shared_ptr<CompiledPlan> CompileAlgorithm(const std::string& name, const gr
   }
   *tensors = std::move(ap.tensors);
   return std::make_shared<CompiledPlan>(std::move(ap.program), options, name);
-}
-
-void ExpectBitIdentical(const std::vector<Value>& a, const std::vector<Value>& b,
-                        const std::string& context) {
-  ASSERT_EQ(a.size(), b.size()) << context;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(BitIdentical(a[i], b[i])) << context << " output " << i << " diverged";
-  }
 }
 
 // ------------------------------------------------------- pass manager

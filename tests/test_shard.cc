@@ -30,29 +30,12 @@ namespace {
 using core::BitIdentical;
 using core::Value;
 using tensor::IdArray;
+using testing::ExpectBitIdentical;
+using testing::ReferenceSample;
 
 graph::Graph ShardGraph() { return testing::SmallRmat(300, 3000, 9); }
 
 IdArray Seeds(std::vector<int32_t> ids) { return IdArray::FromVector(ids); }
-
-void ExpectBitIdentical(const std::vector<Value>& a, const std::vector<Value>& b,
-                        const std::string& context) {
-  ASSERT_EQ(a.size(), b.size()) << context;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(BitIdentical(a[i], b[i])) << context << " output " << i << " diverged";
-  }
-}
-
-// Single-device reference: same program, same options, same seed.
-std::vector<Value> ReferenceSample(const std::string& algorithm, const graph::Graph& g,
-                                   const IdArray& frontier, uint64_t seed) {
-  algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(algorithm, g);
-  auto plan = std::make_shared<core::CompiledPlan>(std::move(ap.program), core::SamplerOptions{},
-                                                   algorithm);
-  core::SamplerSession session(std::move(plan), g, std::move(ap.tensors));
-  session.Warmup(Seeds({0, 1, 2, 3}));
-  return session.SampleSeeded(frontier, seed);
-}
 
 // ------------------------------------------------- bit-identity oracle
 

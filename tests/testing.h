@@ -3,14 +3,24 @@
 #ifndef GSAMPLER_TESTS_TESTING_H_
 #define GSAMPLER_TESTS_TESTING_H_
 
+#include <gtest/gtest.h>
+
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "algorithms/algorithms.h"
+#include "core/engine.h"
+#include "core/executor.h"
+#include "core/plan.h"
 #include "graph/generator.h"
 #include "graph/graph.h"
 #include "sparse/matrix.h"
+#include "tensor/tensor.h"
 
 namespace gs::testing {
 
@@ -52,6 +62,28 @@ inline std::map<std::pair<int32_t, int32_t>, float> EdgeSet(const sparse::Matrix
     out[{r, c}] = coo.values.defined() ? coo.values[e] : 1.0f;
   }
   return out;
+}
+
+// Expects two output lists to match bit for bit; `context` names the case
+// in the failure message.
+inline void ExpectBitIdentical(const std::vector<core::Value>& a,
+                               const std::vector<core::Value>& b, const std::string& context) {
+  ASSERT_EQ(a.size(), b.size()) << context;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(core::BitIdentical(a[i], b[i])) << context << " output " << i << " diverged";
+  }
+}
+
+// Single-device reference: same program, default options, same seed.
+inline std::vector<core::Value> ReferenceSample(const std::string& algorithm,
+                                                const graph::Graph& g,
+                                                const tensor::IdArray& frontier, uint64_t seed) {
+  algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(algorithm, g);
+  auto plan = std::make_shared<core::CompiledPlan>(std::move(ap.program), core::SamplerOptions{},
+                                                   algorithm);
+  core::SamplerSession session(std::move(plan), g, std::move(ap.tensors));
+  session.Warmup(tensor::IdArray::FromVector({0, 1, 2, 3}));
+  return session.SampleSeeded(frontier, seed);
 }
 
 // Chi-square upper-tail test helper: returns the statistic for observed

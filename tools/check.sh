@@ -1,325 +1,173 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus the concurrency-sensitive suites under TSan.
+# Tier-1 verification, the per-subsystem tiers, and the concurrency-sensitive
+# suites under TSan.
 #
-# Usage: tools/check.sh [--fast | chaos | plans | oracle | shard | feature | ha | dynamic | jit]
+# Usage: tools/check.sh [--fast | plans | oracle | shard | feature | ha | dynamic | jit | chaos]...
 #
-#   (default)  configure + build + full ctest in ./build, then the
-#              benchmark smoke (gsbench built standalone in ./build/gsbench
-#              from bench/gsbench, `ctest -L bench` runs every workload
-#              briefly and checks its outputs), then the plans tier, then
-#              the oracle tier, then the shard tier, then the
-#              feature tier, then the ha tier, then the dynamic tier, then
-#              the jit tier, then a fixed-seed fuzz drawing every dimension
-#              together (fuzz_passes --shards 2 --kill-shard --features
-#              --mutate --jit), then a -DGS_SANITIZE=thread
-#              build in ./build-tsan running the threaded suites (pipeline,
-#              serving, device accounting, fault ladder) with pass-boundary
-#              verification (GS_VERIFY_PASSES=1), then the chaos tier.
-#   --fast     tier-1 only, restricted to `ctest -L fast` (skips the
-#              soak/chaos tests, the plans tier, and the TSan pass).
-#   plans      plan round-trip tier only: builds gsampler_cli and, for every
-#              Table-2 algorithm, compiles + serializes + reloads the plan
-#              and requires bit-identical samples from the restored artifact
-#              (gsampler_cli --verify-plan), saving each one under
-#              build/plans/.
-#   oracle     differential-correctness tier only: builds test_oracle +
-#              fuzz_passes, runs `ctest -L oracle` (optimized-vs-reference
-#              checks for every algorithm plus the primitive distribution
-#              tests), then a fixed-seed 200-draw pass fuzz that must come
-#              back clean. Everything is seeded, so a failure here is a
-#              deterministic reproducer, printed as a --repro line.
-#   shard      multi-device sharding tier only (gs::shard): runs
-#              `ctest -L shard` (partitioner goldens + the sharded-vs-single
-#              bit-identity oracle + sharded serving), then the ShardGroup
-#              concurrency suite under TSan, then a sharded pass fuzz
-#              (fuzz_passes --shards 2) differencing 2-shard sampling
-#              against single-device for every drawn config.
-#   feature    feature-serving tier only (gs::feature): runs
-#              `ctest -L feature` (hot-set cache semantics + the gather
-#              bit-identity oracle across all algorithms, 2/4-way shards,
-#              and coalesced serving), then the gather suite under TSan
-#              (concurrent tenants sharing one cache), then a fixed-seed
-#              feature-gather fuzz (fuzz_passes --features) differencing
-#              cached gathers against the eager per-node lookup for every
-#              drawn config and admission policy.
-#   ha         high-availability tier only (gs::ha): runs `ctest -L ha`
-#              (failover bit-identity oracle, degraded-mode coverage,
-#              health state-machine goldens, recovery re-admission), then
-#              the same suite under TSan (concurrent failover), then a
-#              fixed-seed shard-kill fuzz (fuzz_passes --shards 2
-#              --kill-shard) requiring bit-identical samples with one shard
-#              permanently dead and 2 replicas.
-#   dynamic    dynamic-graph tier only (gs::dyn + graph::GraphStore): runs
-#              `ctest -L dynamic` (versioned-snapshot semantics, COW/seal
-#              accounting, plan judgment + background replanning, the
-#              all-algorithm snapshot-equivalence oracle over single-device,
-#              4-shard, and 2-replica configs, and the live-server mutation
-#              soak with zero failed requests), then the mutation soak under
-#              TSan (ingest thread racing serving workers and the
-#              replanner), then a fixed-seed mutation fuzz
-#              (fuzz_passes --mutate) requiring every maintained epoch to
+#   (default)  configure + build + full ctest in ./build; the benchmark smoke
+#              (gsbench built standalone in ./build/gsbench from
+#              bench/gsbench, `ctest -L bench` runs every workload briefly
+#              and checks its outputs); the plans tier; every row of TIERS
+#              below except --fast, in order (which includes a fixed-seed
+#              fuzz drawing every dimension together); then the threaded
+#              suites (pipeline, serving, device accounting) under TSan with
+#              pass-boundary verification (GS_VERIFY_PASSES=1).
+#   TIER...    runs each named tier, in the order given. Unknown names exit 2.
+#
+# A row of TIERS runs, in order and skipping "-" columns: the build targets
+# in ./build, `ctest -L <label>`, each TSan suite built in ./build-tsan
+# (-DGS_SANITIZE=thread, configured once per invocation), and a fixed-seed
+# `fuzz_passes` run. Everything is seeded, so a failure reproduces exactly;
+# the fuzzer prints a minimized `--repro` line.
+#
+#   --fast     tier-1 restricted to `ctest -L fast` (no soak/chaos tests).
+#   plans      for every Table-2 algorithm, compile + serialize + reload the
+#              plan and require bit-identical samples from the restored
+#              artifact (gsampler_cli --verify-plan), saving each under
+#              build/plans/ so a --load-plan run can pick them up.
+#   oracle     optimized-vs-reference checks for every algorithm plus the
+#              primitive distribution tests, then a 200-draw pass fuzz.
+#   shard      partitioner goldens, the sharded-vs-single bit-identity
+#              oracle, sharded serving; ShardGroup's four threads on four
+#              shard devices under TSan; fuzz differencing 2-shard sampling
+#              against single-device.
+#   feature    hot-set cache semantics and the gather bit-identity oracle
+#              across algorithms, shards and coalesced serving; concurrent
+#              tenants sharing one cache under TSan; fuzz differencing cached
+#              gathers against the eager lookup under every admission policy.
+#   ha         failover bit-identity, degraded coverage, health
+#              state-machine goldens, recovery re-admission; concurrent
+#              failover under TSan; fuzz with one drawn shard permanently
+#              dead and 2 replicas, still bit-identical to a single device.
+#   dynamic    versioned snapshots, plan judgment + background replanning,
+#              the snapshot-equivalence oracle, the live-server mutation
+#              soak; the ingest thread racing serving workers and the
+#              replanner under TSan; fuzz requiring every maintained epoch to
 #              sample bit-identically to a from-scratch reload.
-#   jit        JIT-compilation tier only (gs::jit): runs `ctest -L jit`
-#              (region extraction, kernel-cache artifact reuse + corruption
-#              recovery, compile-fault demotion, the JIT-vs-interpreter
-#              bit-identity oracle over all algorithms including sharded and
-#              mutated-epoch serving), then the same suite under TSan
-#              (serving workers racing the per-plan compile), then a
-#              fixed-seed JIT fuzz (fuzz_passes --jit) differencing native
-#              kernels against the interpreter for every drawn config.
-#   chaos      fault-injection tier only: builds with GS_SANITIZE=thread and
-#              runs the gs::fault suites (test_fault + the chaos soak) under
-#              TSan — the deterministic-injection racing workout.
+#   jit        region extraction, kernel-cache reuse + corruption recovery,
+#              compile-fault demotion, the JIT-vs-interpreter oracle (fused
+#              goldens included); serving workers racing the per-plan
+#              compile under TSan; fuzz differencing native kernels against
+#              the interpreter. The fuzzer's minimizer drops jit first, so a
+#              repro that survives without it is a plain interpreter bug.
+#   chaos      the gs::fault suites (test_fault + the chaos soak) under
+#              TSan: the deterministic-injection racing workout.
 #
 # Exits non-zero on the first failing step.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FAST=0
-CHAOS=0
-PLANS=0
-ORACLE=0
-SHARD=0
-FEATURE=0
-HA=0
-DYNAMIC=0
-JIT=0
-for arg in "$@"; do
-  case "$arg" in
-    --fast) FAST=1 ;;
-    chaos|--chaos) CHAOS=1 ;;
-    plans|--plans) PLANS=1 ;;
-    oracle|--oracle) ORACLE=1 ;;
-    shard|--shard) SHARD=1 ;;
-    feature|--feature) FEATURE=1 ;;
-    ha|--ha) HA=1 ;;
-    dynamic|--dynamic) DYNAMIC=1 ;;
-    jit|--jit) JIT=1 ;;
-    *) echo "unknown flag: $arg (usage: tools/check.sh [--fast | chaos | plans | oracle | shard | feature | ha | dynamic | jit])" >&2; exit 2 ;;
-  esac
-done
-
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-run_chaos_tier() {
-  echo "== chaos: configure + build (GS_SANITIZE=thread) =="
-  cmake -B build-tsan -S . -DGS_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target test_fault test_fault_soak
+# tier|ctest label|build targets|TSan suites|fuzz_passes arguments ("-" = none).
+# The row named "default" runs only in the default run.
+TIERS=(
+  "--fast|fast|all|-|-"
+  "oracle|oracle|test_oracle fuzz_passes|-|--seeds 200"
+  "shard|shard|test_partition test_shard fuzz_passes|test_shard|--seeds 100 --shards 2"
+  "feature|feature|test_feature fuzz_passes|test_feature|--seeds 100 --features"
+  "ha|ha|test_ha fuzz_passes|test_ha|--seeds 60 --shards 2 --kill-shard"
+  "dynamic|dynamic|test_dyn fuzz_passes|test_dyn|--seeds 100 --mutate"
+  "jit|jit|test_jit test_fused fuzz_passes|test_jit|--seeds 60 --jit"
+  "default|-|fuzz_passes|-|--seeds 40 --shards 2 --kill-shard --features --mutate --jit"
+  "chaos|-|-|test_fault test_fault_soak|-"
+)
 
-  echo "== chaos: fault suites under TSan =="
-  ./build-tsan/tests/test_fault
-  ./build-tsan/tests/test_fault_soak
+# Build targets in ./build, or in ./build-tsan (-DGS_SANITIZE=thread); each
+# directory is configured once per invocation.
+BUILD_CONFIGURED=
+TSAN_CONFIGURED=
+build() {
+  if [[ -z $BUILD_CONFIGURED ]]; then
+    cmake -B build -S . >/dev/null
+    BUILD_CONFIGURED=1
+  fi
+  cmake --build build -j "$JOBS" --target "$@"
+}
+build_tsan() {
+  if [[ -z $TSAN_CONFIGURED ]]; then
+    cmake -B build-tsan -S . -DGS_SANITIZE=thread >/dev/null
+    TSAN_CONFIGURED=1
+  fi
+  cmake --build build-tsan -j "$JOBS" --target "$@"
 }
 
-# Plan round-trip tier: every algorithm must compile, serialize, reload, and
-# re-sample bit-identically; the verified artifacts are left in build/plans/
-# so a --load-plan run can pick them up.
-run_plans_tier() {
-  echo "== plans: build gsampler_cli =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS" --target gsampler_cli
+# Prints the TIERS row a command-line tier name selects (`oracle` or
+# `--oracle`; `--fast` only with its dashes); fails when none does.
+tier_row() {
+  local row name
+  for row in "${TIERS[@]}"; do
+    name=${row%%|*}
+    if [[ $name != default && ($1 == "$name" || $1 == "--$name") ]]; then
+      echo "$row"
+      return 0
+    fi
+  done
+  return 1
+}
 
+# Runs one TIERS row. Its columns hold space-separated lists, word-split on
+# purpose when passed on.
+run_tier() {
+  local name label targets tsan fuzz suite
+  IFS='|' read -r name label targets tsan fuzz <<<"$1"
+  if [[ $targets != - ]]; then
+    echo "== $name: build $targets =="
+    build $targets
+  fi
+  if [[ $label != - ]]; then
+    echo "== $name: ctest -L $label =="
+    (cd build && ctest -L "$label" --output-on-failure -j "$JOBS")
+  fi
+  if [[ $tsan != - ]]; then
+    echo "== $name: $tsan under TSan =="
+    build_tsan $tsan
+    for suite in $tsan; do
+      "./build-tsan/tests/$suite"
+    done
+  fi
+  if [[ $fuzz != - ]]; then
+    echo "== $name: fuzz_passes $fuzz =="
+    ./build/tools/fuzz_passes $fuzz
+  fi
+}
+
+run_plans() {
   echo "== plans: round-trip every algorithm =="
+  build gsampler_cli
   mkdir -p build/plans
-  local algorithms
-  algorithms="$(./build/tools/gsampler_cli --list | sed -n 's/^algorithms: //p')"
-  for alg in $algorithms; do
+  local alg
+  for alg in $(./build/tools/gsampler_cli --list | sed -n 's/^algorithms: //p'); do
     ./build/tools/gsampler_cli --algorithm "$alg" --dataset PD --scale 0.1 \
       --verify-plan --save-plan "build/plans/$alg.plan"
   done
 }
 
-# Differential-correctness tier: the oracle ctest label (optimized plan vs
-# eager reference for every algorithm, plus primitive distribution tests),
-# then a fixed-seed pass fuzz. Both are fully seeded — layout calibration
-# ranks candidates on the deterministic model clock — so any failure here
-# reproduces exactly; the fuzzer prints a minimized `--repro` line.
-run_oracle_tier() {
-  echo "== oracle: build test_oracle + fuzz_passes =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS" --target test_oracle fuzz_passes
+# Every argument must name a tier before anything runs, so a typo cannot
+# turn a run into a partial one.
+for arg in "$@"; do
+  if [[ $arg != plans && $arg != --plans ]] && ! tier_row "$arg" >/dev/null; then
+    echo "unknown tier: $arg (usage: tools/check.sh [--fast | plans | oracle | shard |" \
+      "feature | ha | dynamic | jit | chaos]...)" >&2
+    exit 2
+  fi
+done
 
-  echo "== oracle: ctest -L oracle =="
-  (cd build && ctest -L oracle --output-on-failure -j "$JOBS")
-
-  echo "== oracle: fixed-seed pass fuzz (200 draws) =="
-  ./build/tools/fuzz_passes --seeds 200
-}
-
-# Multi-device sharding tier: the shard ctest label, the ShardGroup
-# concurrency suite under TSan (four threads on four shard devices), and a
-# sharded pass fuzz differencing 2-shard against single-device sampling.
-run_shard_tier() {
-  echo "== shard: build test_partition + test_shard + fuzz_passes =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS" --target test_partition test_shard fuzz_passes
-
-  echo "== shard: ctest -L shard =="
-  (cd build && ctest -L shard --output-on-failure -j "$JOBS")
-
-  echo "== shard: ShardGroup suite under TSan =="
-  cmake -B build-tsan -S . -DGS_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target test_shard
-  ./build-tsan/tests/test_shard
-
-  echo "== shard: sharded pass fuzz (100 draws, 2 shards) =="
-  ./build/tools/fuzz_passes --seeds 100 --shards 2
-}
-
-# Feature-serving tier: the feature ctest label (cache semantics plus the
-# gather bit-identity oracle across algorithms, shards, and coalesced
-# serving), the gather suite under TSan, and a feature-gather fuzz that
-# checks cached-vs-eager bit-identity and cache-counter determinism for
-# every drawn config.
-run_feature_tier() {
-  echo "== feature: build test_feature + fuzz_passes =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS" --target test_feature fuzz_passes
-
-  echo "== feature: ctest -L feature =="
-  (cd build && ctest -L feature --output-on-failure -j "$JOBS")
-
-  echo "== feature: gather suite under TSan =="
-  cmake -B build-tsan -S . -DGS_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target test_feature
-  ./build-tsan/tests/test_feature
-
-  echo "== feature: feature-gather fuzz (100 draws) =="
-  ./build/tools/fuzz_passes --seeds 100 --features
-}
-
-# High-availability tier: the ha ctest label (failover bit-identity against
-# single-device, degraded coverage fractions, health state-machine goldens,
-# recovery re-admission), the same suite under TSan (failover and health
-# signals from concurrent workers), and a shard-kill fuzz: every drawn
-# config runs with one randomly drawn shard permanently dead and 2 replicas,
-# and must still sample bit-identically to a single device.
-run_ha_tier() {
-  echo "== ha: build test_ha + fuzz_passes =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS" --target test_ha fuzz_passes
-
-  echo "== ha: ctest -L ha =="
-  (cd build && ctest -L ha --output-on-failure -j "$JOBS")
-
-  echo "== ha: failover suite under TSan =="
-  cmake -B build-tsan -S . -DGS_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target test_ha
-  ./build-tsan/tests/test_ha
-
-  echo "== ha: shard-kill fuzz (60 draws, 2 shards, 2 replicas) =="
-  ./build/tools/fuzz_passes --seeds 60 --shards 2 --kill-shard
-}
-
-# Dynamic-graph tier: the dynamic ctest label (GraphStore semantics, plan
-# judgment/replanning, the snapshot-equivalence oracle, the serving soak),
-# the mutation soak under TSan (the ingest thread applying epochs while
-# serving workers sample and the replanner publishes), and a fixed-seed
-# mutation fuzz differencing every maintained epoch against a from-scratch
-# FromEdges reload of the same effective edge set.
-run_dynamic_tier() {
-  echo "== dynamic: build test_dyn + fuzz_passes =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS" --target test_dyn fuzz_passes
-
-  echo "== dynamic: ctest -L dynamic =="
-  (cd build && ctest -L dynamic --output-on-failure -j "$JOBS")
-
-  echo "== dynamic: mutation soak under TSan =="
-  cmake -B build-tsan -S . -DGS_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target test_dyn
-  ./build-tsan/tests/test_dyn
-
-  echo "== dynamic: mutation fuzz (100 draws) =="
-  ./build/tools/fuzz_passes --seeds 100 --mutate
-}
-
-# JIT tier: the jit ctest label (region extraction, kernel-cache artifact
-# reuse and corruption recovery, compile-fault demotion, and the
-# JIT-vs-interpreter bit-identity oracle over every algorithm including
-# 4-shard serving and a mutated-epoch snapshot), the same suite under TSan
-# (serving workers race TableFor's per-plan compile + memoization), and a
-# fixed-seed JIT fuzz: every drawn config samples once through the
-# interpreter and once through the compiled kernels, and the outputs must be
-# bit-identical. In the fuzzer's minimizer the jit dimension is dropped
-# first, so a repro that survives without --jit is a plain interpreter bug.
-run_jit_tier() {
-  echo "== jit: build test_jit + test_fused + fuzz_passes =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS" --target test_jit test_fused fuzz_passes
-
-  echo "== jit: ctest -L jit =="
-  (cd build && ctest -L jit --output-on-failure -j "$JOBS")
-
-  echo "== jit: suite under TSan =="
-  cmake -B build-tsan -S . -DGS_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target test_jit
-  ./build-tsan/tests/test_jit
-
-  echo "== jit: differential fuzz (60 draws, native vs interpreter) =="
-  ./build/tools/fuzz_passes --seeds 60 --jit
-}
-
-if [[ "$JIT" == 1 ]]; then
-  run_jit_tier
-  echo "check.sh: jit tier green"
+if (($# > 0)); then
+  for arg in "$@"; do
+    if [[ $arg == plans || $arg == --plans ]]; then
+      run_plans
+    else
+      run_tier "$(tier_row "$arg")"
+    fi
+    echo "check.sh: ${arg#--} tier green"
+  done
   exit 0
 fi
 
-if [[ "$DYNAMIC" == 1 ]]; then
-  run_dynamic_tier
-  echo "check.sh: dynamic tier green"
-  exit 0
-fi
-
-if [[ "$HA" == 1 ]]; then
-  run_ha_tier
-  echo "check.sh: ha tier green"
-  exit 0
-fi
-
-if [[ "$FEATURE" == 1 ]]; then
-  run_feature_tier
-  echo "check.sh: feature tier green"
-  exit 0
-fi
-
-if [[ "$SHARD" == 1 ]]; then
-  run_shard_tier
-  echo "check.sh: shard tier green"
-  exit 0
-fi
-
-if [[ "$ORACLE" == 1 ]]; then
-  run_oracle_tier
-  echo "check.sh: oracle tier green"
-  exit 0
-fi
-
-if [[ "$CHAOS" == 1 ]]; then
-  run_chaos_tier
-  echo "check.sh: chaos tier green"
-  exit 0
-fi
-
-if [[ "$PLANS" == 1 ]]; then
-  run_plans_tier
-  echo "check.sh: plans tier green"
-  exit 0
-fi
-
-echo "== tier-1: configure + build =="
-cmake -B build -S . >/dev/null
-cmake --build build -j "$JOBS"
-
-if [[ "$FAST" == 1 ]]; then
-  echo "== tier-1: ctest -L fast =="
-  (cd build && ctest -L fast --output-on-failure -j "$JOBS")
-  exit 0
-fi
-
-echo "== tier-1: full ctest =="
+echo "== tier-1: configure + build + full ctest =="
+build all
 (cd build && ctest --output-on-failure -j "$JOBS")
 
 echo "== bench: build gsbench + smoke-run every workload =="
@@ -327,36 +175,18 @@ cmake -S bench/gsbench -B build/gsbench >/dev/null
 cmake --build build/gsbench -j "$JOBS" --target gsbench
 ctest --test-dir build/gsbench -L bench --output-on-failure
 
-run_plans_tier
-
-run_oracle_tier
-
-run_shard_tier
-
-run_feature_tier
-
-run_ha_tier
-
-run_dynamic_tier
-
-run_jit_tier
-
-echo "== combined: fixed-seed fuzz, every dimension drawn together (40 draws) =="
-./build/tools/fuzz_passes --seeds 40 --shards 2 --kill-shard --features --mutate --jit
-
-echo "== TSan: configure + build (GS_SANITIZE=thread) =="
-cmake -B build-tsan -S . -DGS_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j "$JOBS" \
-  --target test_pipeline test_serving test_serving_soak test_device
+run_plans
+for row in "${TIERS[@]}"; do
+  [[ ${row%%|*} == --fast ]] || run_tier "$row"
+done
 
 echo "== TSan: threaded suites (pass-boundary verification on) =="
+build_tsan test_pipeline test_serving test_serving_soak test_device
 export GS_VERIFY_PASSES=1
 ./build-tsan/tests/test_pipeline
 ./build-tsan/tests/test_serving
 ./build-tsan/tests/test_serving_soak
 ./build-tsan/tests/test_device --gtest_filter='Allocator.*'
 unset GS_VERIFY_PASSES
-
-run_chaos_tier
 
 echo "check.sh: all green"

@@ -1,71 +1,48 @@
-// Randomized differential fuzzer for the pass pipeline.
+// Randomized differential fuzzer for the pass pipeline and the tiers built
+// on it.
 //
 // Each seeded draw picks an algorithm, an R-MAT graph, an epoch shape, and a
 // random optimization configuration (pass flags, super-batch size, device
 // profile), then runs the gs::oracle differential checks: the optimized plan
 // must sample exactly what the all-optimizations-off reference samples under
 // mirrored RNG streams (statistical equivalence where the contract is only
-// distributional). Failures are *minimized* — optimization flags are dropped
-// one at a time, the pass pipeline is truncated via SamplerOptions.pass_limit
-// to the shortest failing prefix, and the graph/epoch are shrunk — down to a
-// one-line reproducer that `--repro` replays.
+// distributional).
 //
-// With --shards N (N > 1) every draw additionally runs the gs::shard
-// differential: the same config is sampled through an N-way ShardGroup
-// (randomly edge- or vertex-cut) and every batch must come back bit-identical
-// to a single-device SamplerSession with the same plan and seed — the
-// subsystem's core guarantee that sharding changes where time is charged,
-// never what is sampled.
+// Each dimension (kDimensions, in draw order) adds a differential with the
+// same contract — the tier changes where work runs, never what is sampled:
+//   --shards N    N-way ShardGroup vs a single-device session
+//   --features    hot-set-cache feature gathers vs an eager lookup
+//   --kill-shard  the shard differential with one shard dead and 2 replicas
+//                 (needs --shards N with N >= 2)
+//   --mutate      a mutated GraphStore snapshot vs a from-scratch load
+//   --jit         native JIT kernels vs the interpreter
 //
-// With --kill-shard (requires --shards N > 1) every sharded draw also kills
-// one randomly drawn shard permanently (a seeded shard.lost FaultPlan with
-// after=0) and runs the group with 2 replicas: the gs::ha failover path must
-// still return batches bit-identical to the single-device session — the
-// high-availability tier's core guarantee that failover changes which
-// device executes, never what is sampled.
-//
-// With --features every draw additionally runs the gs::feature differential:
-// the oracle's feature-gather check (cold + warm gathers under every
-// admission policy must match an eager lookup bit for bit), plus a
-// determinism check — two fresh hot-set caches fed the identical access
-// sequence under a randomly drawn admission policy must report identical
-// hit/miss counts and identical gathered rows.
-//
-// With --jit every draw additionally runs the gs::jit differential: the same
-// compiled plan is sampled twice — once purely interpreted, once with the
-// JIT engine's native jump table attached — and every batch must come back
-// bit-identical. This is the JIT tier's core guarantee that native code
-// changes where cycles are spent, never what is sampled. Draws whose config
-// produces no fused regions (fusion off, or an algorithm with nothing to
-// fuse) skip the comparison.
-//
-// With --mutate every draw additionally runs the gs::dyn differential: the
-// base graph is wrapped in a GraphStore, a seeded MutationGen stream applies
-// a drawn number of MutationBatches (with a mid-stream Seal), and the
-// resulting snapshot must satisfy gs::oracle::VerifySnapshotEquivalence —
-// digest-identical and bit-identical sampling against a from-scratch
-// FromEdges load of the same effective edge set. This is the versioned-graph
-// tier's core guarantee that incremental maintenance changes how the CSC is
-// stored, never what is sampled.
+// Failures are *minimized* to a one-line reproducer that `--repro` replays:
+// dimensions are dropped in reverse table order, then optimization flags one
+// at a time, then the pass pipeline is truncated via
+// SamplerOptions.pass_limit to the shortest failing prefix, and the
+// graph/epoch are shrunk. Every step is re-verified; a dimension whose drop
+// makes the failure vanish is restored and reported as surviving.
 //
 // Usage:
 //   fuzz_passes --seeds 200                 # fuzz 200 seeded draws
 //   fuzz_passes --seeds 50 --base-seed 7    # different deterministic stream
-//   fuzz_passes --seeds 100 --shards 2      # + 2-shard-vs-single differential
-//   fuzz_passes --seeds 100 --features      # + feature-gather differential
-//   fuzz_passes --seeds 100 --mutate        # + snapshot-equivalence differential
-//   fuzz_passes --seeds 100 --jit           # + JIT-vs-interpreter differential
+//   fuzz_passes --seeds 40 --shards 2 --kill-shard --features --mutate --jit
 //   fuzz_passes --out failures.txt          # append reproducer lines
 //   fuzz_passes --repro 'algo=LADIES nodes=200 ...'   # replay one line
 //
-// Exit status: 0 when every draw passes, 1 on any failure, 2 on bad usage.
+// Exit status: 0 when every draw passes, 1 on any failure, 2 on bad usage,
+// which includes a count that is not a positive integer, --kill-shard
+// without a second shard, and a repro token with an unknown key.
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <filesystem>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -94,6 +71,16 @@
 namespace {
 
 using gs::Rng;
+using gs::core::SamplerSession;
+using gs::core::Value;
+using gs::tensor::IdArray;
+
+// Parses all of `text`; false on junk, trailing characters, or overflow.
+template <typename T>
+bool ParseValue(const std::string& text, T& out) {
+  std::istringstream in(text);
+  return (in >> out) && in.eof();
+}
 
 // One fuzz draw, fully determined by its fields; serializes to the
 // reproducer line.
@@ -124,63 +111,66 @@ struct FuzzConfig {
   uint64_t mseed = 1;         // mutation-stream seed
   bool jit = false;           // adds the JIT-vs-interpreter differential
 
+  bool operator==(const FuzzConfig&) const = default;
+
+  // Every field under its reproducer-line key, in line order; ToLine and
+  // FromLine both walk this list.
+  template <typename Self, typename F>
+  static void ForEachField(Self& c, F&& f) {
+    f("algo", c.algo);
+    f("nodes", c.nodes);
+    f("edges", c.edges);
+    f("gseed", c.gseed);
+    f("weighted", c.weighted);
+    f("batches", c.num_batches);
+    f("batch_size", c.batch_size);
+    f("fusion", c.fusion);
+    f("preproc", c.preproc);
+    f("layout", c.layout);
+    f("greedy", c.greedy);
+    f("super_batch", c.super_batch);
+    f("seed", c.seed);
+    f("profile", c.profile);
+    f("pass_limit", c.pass_limit);
+    f("shards", c.shards);
+    f("cut", c.cut);
+    f("features", c.features);
+    f("admission", c.admission);
+    f("replicas", c.replicas);
+    f("kill", c.kill);
+    f("mutate", c.mutate);
+    f("mutations", c.mutations);
+    f("mseed", c.mseed);
+    f("jit", c.jit);
+  }
+
   std::string ToLine() const {
     std::ostringstream os;
-    os << "algo=" << algo << " nodes=" << nodes << " edges=" << edges
-       << " gseed=" << gseed << " weighted=" << weighted
-       << " batches=" << num_batches << " batch_size=" << batch_size
-       << " fusion=" << fusion << " preproc=" << preproc << " layout=" << layout
-       << " greedy=" << greedy << " super_batch=" << super_batch
-       << " seed=" << seed << " profile=" << profile
-       << " pass_limit=" << pass_limit << " shards=" << shards
-       << " cut=" << cut << " features=" << features << " admission=" << admission
-       << " replicas=" << replicas << " kill=" << kill
-       << " mutate=" << mutate << " mutations=" << mutations << " mseed=" << mseed
-       << " jit=" << jit;
+    ForEachField(*this, [&](const char* key, const auto& value) {
+      os << (os.tellp() > 0 ? " " : "") << key << "=" << value;
+    });
     return os.str();
   }
 
-  static bool FromLine(const std::string& line, FuzzConfig& out) {
+  // Applies a reproducer line over `out`; returns the first token that is
+  // not key=value with a known key and a valid value, or "". An unknown key
+  // must not be skipped: the line would replay a different config.
+  static std::string FromLine(const std::string& line, FuzzConfig& out) {
     std::istringstream is(line);
     std::string tok;
-    std::map<std::string, std::string> kv;
     while (is >> tok) {
       const size_t eq = tok.find('=');
-      if (eq == std::string::npos) {
-        return false;
+      bool parsed = false;
+      ForEachField(out, [&](const char* key, auto& value) {
+        if (eq != std::string::npos && tok.compare(0, eq, key) == 0) {
+          parsed = ParseValue(tok.substr(eq + 1), value);
+        }
+      });
+      if (!parsed) {
+        return tok;
       }
-      kv[tok.substr(0, eq)] = tok.substr(eq + 1);
     }
-    try {
-      if (kv.count("algo")) out.algo = kv["algo"];
-      if (kv.count("nodes")) out.nodes = std::stoll(kv["nodes"]);
-      if (kv.count("edges")) out.edges = std::stoll(kv["edges"]);
-      if (kv.count("gseed")) out.gseed = std::stoull(kv["gseed"]);
-      if (kv.count("weighted")) out.weighted = std::stoi(kv["weighted"]) != 0;
-      if (kv.count("batches")) out.num_batches = std::stoi(kv["batches"]);
-      if (kv.count("batch_size")) out.batch_size = std::stoll(kv["batch_size"]);
-      if (kv.count("fusion")) out.fusion = std::stoi(kv["fusion"]) != 0;
-      if (kv.count("preproc")) out.preproc = std::stoi(kv["preproc"]) != 0;
-      if (kv.count("layout")) out.layout = std::stoi(kv["layout"]) != 0;
-      if (kv.count("greedy")) out.greedy = std::stoi(kv["greedy"]) != 0;
-      if (kv.count("super_batch")) out.super_batch = std::stoi(kv["super_batch"]);
-      if (kv.count("seed")) out.seed = std::stoull(kv["seed"]);
-      if (kv.count("profile")) out.profile = kv["profile"];
-      if (kv.count("pass_limit")) out.pass_limit = std::stoi(kv["pass_limit"]);
-      if (kv.count("shards")) out.shards = std::stoi(kv["shards"]);
-      if (kv.count("cut")) out.cut = kv["cut"];
-      if (kv.count("features")) out.features = std::stoi(kv["features"]) != 0;
-      if (kv.count("admission")) out.admission = kv["admission"];
-      if (kv.count("replicas")) out.replicas = std::stoi(kv["replicas"]);
-      if (kv.count("kill")) out.kill = std::stoi(kv["kill"]);
-      if (kv.count("mutate")) out.mutate = std::stoi(kv["mutate"]) != 0;
-      if (kv.count("mutations")) out.mutations = std::stoi(kv["mutations"]);
-      if (kv.count("mseed")) out.mseed = std::stoull(kv["mseed"]);
-      if (kv.count("jit")) out.jit = std::stoi(kv["jit"]) != 0;
-    } catch (const std::exception&) {
-      return false;
-    }
-    return true;
+    return "";
   }
 };
 
@@ -206,17 +196,64 @@ gs::graph::Graph MakeGraph(const FuzzConfig& c) {
   return gs::graph::MakeRMatGraph(p);
 }
 
+// A draw's device and graph, in that order: lazy format materialization
+// allocates into the current device's caching allocator, so the graph must
+// die first.
+struct Fixture {
+  explicit Fixture(const FuzzConfig& c)
+      : device(c.profile == "t4" ? gs::device::T4Sim() : gs::device::V100Sim()),
+        guard(device),
+        g(MakeGraph(c)) {}
+
+  gs::device::Device device;
+  gs::device::DeviceGuard guard;
+  gs::graph::Graph g;
+};
+
+// batch_size seed ids drawn uniformly over the graph's nodes.
+IdArray DrawFrontier(const FuzzConfig& c, Rng& rng) {
+  std::vector<int32_t> ids(static_cast<size_t>(c.batch_size));
+  for (int32_t& id : ids) {
+    id = static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(c.nodes)));
+  }
+  return IdArray::FromVector(ids);
+}
+
+// What one differential found; `detail` is the skip reason, the ok summary,
+// or the divergence, as --repro prints it.
+struct Verdict {
+  enum Kind { kSkipped, kOk, kDiverged } kind;
+  std::string detail;
+};
+
+// Samples num_batches drawn frontiers (batch b under seed c.seed + b *
+// stride) through `reference` and through `got(b, frontier, seed)`, and
+// requires bit-identical outputs.
+template <typename Got>
+Verdict CompareBatches(const FuzzConfig& c, uint64_t salt, uint64_t stride,
+                       SamplerSession& reference, Got got, std::string ok) {
+  Rng rng = Rng(c.seed ^ salt);
+  for (int b = 0; b < c.num_batches; ++b) {
+    const IdArray frontier = DrawFrontier(c, rng);
+    const uint64_t seed = c.seed + static_cast<uint64_t>(b) * stride;
+    const std::vector<Value> want = reference.SampleSeeded(frontier, seed);
+    const std::vector<Value> have = got(b, frontier, seed);
+    for (size_t v = 0; v < std::max(want.size(), have.size()); ++v) {
+      if (v >= want.size() || v >= have.size() || !gs::core::BitIdentical(have[v], want[v])) {
+        return {Verdict::kDiverged, c.algo + ": batch " + std::to_string(b) + " output " +
+                                        std::to_string(v) + " diverged"};
+      }
+    }
+  }
+  return {Verdict::kOk, std::move(ok)};
+}
+
 // Runs the oracle once for a config; returns the report. The eager-twin
 // comparison stays off (it checks the hand-written baselines, not the pass
 // pipeline) and the stochastic significance is tight so that hundreds of
 // draws keep a negligible false-positive rate.
 gs::oracle::OracleReport RunConfig(const FuzzConfig& c) {
-  // Device before graph: lazy format materialization allocates into the
-  // current device's caching allocator, so the graph must die first.
-  gs::device::Device device(c.profile == "t4" ? gs::device::T4Sim()
-                                              : gs::device::V100Sim());
-  gs::device::DeviceGuard guard(device);
-  gs::graph::Graph g = MakeGraph(c);
+  Fixture fx(c);
   gs::oracle::OracleOptions opts;
   opts.seed = c.seed ^ 0xF022F022ULL;
   opts.num_batches = c.num_batches;
@@ -227,157 +264,96 @@ gs::oracle::OracleReport RunConfig(const FuzzConfig& c) {
   // The feature-gather differential runs only in --features draws (it is
   // orthogonal to the pass pipeline the default stream targets).
   opts.check_feature_gather = c.features;
-  return gs::oracle::VerifyConfig(c.algo, g, ToSamplerOptions(c), opts);
+  return gs::oracle::VerifyConfig(c.algo, fx.g, ToSamplerOptions(c), opts);
 }
 
 // Sharded-vs-single differential (--shards N): every batch sampled through
 // an N-way ShardGroup must be bit-identical to a single-device session over
-// the same plan, frontier, and seed. Returns an empty string when the
-// contract holds, a description of the first divergence otherwise.
-// Model-updating algorithms are skipped (SampleSeeded is pure, but their
-// contract is defined over the stateful epoch path the group does not run),
-// as is HetGNN (its extra relation bindings have no ShardGroup hook).
-std::string ShardMismatch(const FuzzConfig& c, bool* ran = nullptr) {
-  if (ran) *ran = false;
-  if (c.shards <= 1) {
-    return "";
+// the same plan, frontier, and seed; batch b runs on shard b mod N so every
+// shard gets checked. Model-updating algorithms are skipped (SampleSeeded is
+// pure, but their contract is defined over the stateful epoch path the group
+// does not run), as is HetGNN (its extra relation bindings have no
+// ShardGroup hook).
+//
+// Under --kill-shard one shard is permanently lost from the first placement
+// probe (a seeded shard.lost FaultPlan with after=0) and the group runs 2
+// replicas: failover changes which device executes, never what is sampled.
+// The reference session probes with no shard context, so the shard-qualified
+// plan cannot touch it.
+Verdict ShardCheck(const FuzzConfig& c, Fixture& fx) {
+  gs::algorithms::AlgorithmProgram ref = gs::algorithms::MakeAlgorithm(c.algo, fx.g);
+  if (ref.updates_model || c.algo == "HetGNN") {
+    return {Verdict::kSkipped, "skipped (stateful or extra bindings)"};
   }
-  try {
-    const gs::device::DeviceProfile profile =
-        c.profile == "t4" ? gs::device::T4Sim() : gs::device::V100Sim();
-    // Device before graph, as in RunConfig: the graph must die first.
-    gs::device::Device device(profile);
-    gs::device::DeviceGuard guard(device);
-    gs::graph::Graph g = MakeGraph(c);
-    gs::algorithms::AlgorithmProgram ref = gs::algorithms::MakeAlgorithm(c.algo, g);
-    if (ref.updates_model || c.algo == "HetGNN") {
-      return "";
-    }
-    if (ran) *ran = true;
-    gs::core::SamplerOptions opts = ToSamplerOptions(c);
-    opts.super_batch = 1;  // both sides sample one request at a time
-    auto plan = std::make_shared<gs::core::CompiledPlan>(std::move(ref.program), opts, c.algo);
-    gs::core::SamplerSession session(std::move(plan), g, std::move(ref.tensors));
-    session.Warmup(gs::tensor::IdArray::FromVector({0, 1, 2, 3}));
+  gs::core::SamplerOptions opts = ToSamplerOptions(c);
+  opts.super_batch = 1;  // both sides sample one request at a time
+  SamplerSession session(
+      std::make_shared<gs::core::CompiledPlan>(std::move(ref.program), opts, c.algo), fx.g,
+      std::move(ref.tensors));
+  session.Warmup(IdArray::FromVector({0, 1, 2, 3}));
 
-    gs::algorithms::AlgorithmProgram ap = gs::algorithms::MakeAlgorithm(c.algo, g);
-    gs::shard::ShardGroupOptions shard_opts;
-    shard_opts.num_shards = c.shards;
-    shard_opts.partition = c.cut == "vertex" ? gs::graph::PartitionKind::kVertexCut
-                                             : gs::graph::PartitionKind::kEdgeCut;
-    shard_opts.profile = profile;
-    shard_opts.sampler = opts;
-    shard_opts.num_replicas = std::min(std::max(c.replicas, 1), c.shards);
-    const gs::shard::ShardGroup group(g, std::move(ap.program), std::move(ap.tensors),
-                                      shard_opts);
-
-    // Kill dimension (--kill-shard): one shard is permanently lost from the
-    // first placement probe. The reference session probes with no shard
-    // context, so the shard-qualified plan cannot touch it; failover must
-    // keep the group bit-identical anyway.
-    std::unique_ptr<gs::fault::FaultScope> kill_scope;
-    if (c.kill >= 0 && c.kill < c.shards) {
-      kill_scope = std::make_unique<gs::fault::FaultScope>(gs::fault::FaultPlan::Parse(
-          "shard" + std::to_string(c.kill) + ":shard.lost:after=0", c.seed));
-    }
-
-    Rng rng = Rng(c.seed ^ 0x5A4D5A4DULL);
-    for (int b = 0; b < c.num_batches; ++b) {
-      std::vector<int32_t> ids;
-      ids.reserve(static_cast<size_t>(c.batch_size));
-      for (int64_t j = 0; j < c.batch_size; ++j) {
-        ids.push_back(static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(c.nodes))));
-      }
-      const gs::tensor::IdArray frontier = gs::tensor::IdArray::FromVector(ids);
-      const uint64_t seed = c.seed + static_cast<uint64_t>(b) * 1315423911ULL;
-      const std::vector<gs::core::Value> want = session.SampleSeeded(frontier, seed);
-      const int shard = b % c.shards;  // rotate so every shard gets checked
-      const std::vector<gs::core::Value> got = group.Sample(shard, frontier, seed);
-      if (got.size() != want.size()) {
-        return c.algo + ": shard " + std::to_string(shard) + " returned " +
-               std::to_string(got.size()) + " outputs, single-device returned " +
-               std::to_string(want.size());
-      }
-      for (size_t v = 0; v < want.size(); ++v) {
-        if (!gs::core::BitIdentical(got[v], want[v])) {
-          return c.algo + ": batch " + std::to_string(b) + " output " + std::to_string(v) +
-                 " on shard " + std::to_string(shard) +
-                 " diverged from single-device (" + c.cut + "-cut x" +
-                 std::to_string(c.shards) + ")";
-        }
-      }
-    }
-  } catch (const std::exception& e) {
-    return std::string("shard THROW ") + e.what();
+  gs::algorithms::AlgorithmProgram ap = gs::algorithms::MakeAlgorithm(c.algo, fx.g);
+  gs::shard::ShardGroupOptions shard_opts;
+  shard_opts.num_shards = c.shards;
+  shard_opts.partition = c.cut == "vertex" ? gs::graph::PartitionKind::kVertexCut
+                                           : gs::graph::PartitionKind::kEdgeCut;
+  shard_opts.profile = fx.device.profile();
+  shard_opts.sampler = opts;
+  shard_opts.num_replicas = std::min(std::max(c.replicas, 1), c.shards);
+  const gs::shard::ShardGroup group(fx.g, std::move(ap.program), std::move(ap.tensors),
+                                    shard_opts);
+  std::unique_ptr<gs::fault::FaultScope> kill_scope;
+  if (c.kill >= 0 && c.kill < c.shards) {
+    kill_scope = std::make_unique<gs::fault::FaultScope>(gs::fault::FaultPlan::Parse(
+        "shard" + std::to_string(c.kill) + ":shard.lost:after=0", c.seed));
   }
-  return "";
+  return CompareBatches(
+      c, 0x5A4D5A4DULL, 1315423911ULL, session,
+      [&](int b, const IdArray& f, uint64_t seed) { return group.Sample(b % c.shards, f, seed); },
+      std::to_string(c.shards) + "-shard " + c.cut + "-cut bit-identical");
 }
 
 // Feature-gather determinism differential (--features): two fresh hot-set
 // caches fed the identical access sequence under the drawn admission policy
 // must produce bit-identical gathered rows (both matching an eager lookup)
-// and identical hit/miss counters. Returns an empty string when the contract
-// holds. The bit-identity-across-policies check itself runs inside the
-// oracle (check_feature_gather); this adds the cache-determinism axis the
-// oracle's single-cache pass cannot see.
-std::string FeatureMismatch(const FuzzConfig& c, bool* ran = nullptr) {
-  if (ran) *ran = false;
-  if (!c.features) {
-    return "";
+// and identical hit/miss counters. The bit-identity-across-policies check
+// itself runs inside the oracle (check_feature_gather); this adds the
+// cache-determinism axis the oracle's single-cache pass cannot see.
+Verdict FeatureCheck(const FuzzConfig& c, Fixture& fx) {
+  const gs::tensor::Tensor& table = fx.g.features();
+  if (!table.defined()) {
+    return {Verdict::kSkipped, "skipped (no feature table)"};
   }
-  try {
-    gs::device::Device device(c.profile == "t4" ? gs::device::T4Sim()
-                                                : gs::device::V100Sim());
-    gs::device::DeviceGuard guard(device);
-    gs::graph::Graph g = MakeGraph(c);
-    if (!g.features().defined()) {
-      return "";
-    }
-    if (ran) *ran = true;
-    const gs::feature::FeatureStore store(g.features());
-    gs::feature::HotSetCacheOptions cache_opts;
-    cache_opts.capacity = std::max<int64_t>(c.nodes / 8, 64);
-    cache_opts.admission = gs::feature::AdmissionFromName(c.admission);
-    gs::feature::HotSetCache cache_a(cache_opts);
-    gs::feature::HotSetCache cache_b(cache_opts);
-    const int64_t dim = g.features().cols();
+  const gs::feature::FeatureStore store(table);
+  gs::feature::HotSetCacheOptions cache_opts;
+  cache_opts.capacity = std::max<int64_t>(c.nodes / 8, 64);
+  cache_opts.admission = gs::feature::AdmissionFromName(c.admission);
+  gs::feature::HotSetCache cache_a(cache_opts);
+  gs::feature::HotSetCache cache_b(cache_opts);
+  const int64_t dim = table.cols();
+  const size_t row_bytes = static_cast<size_t>(dim) * sizeof(float);
 
-    Rng rng = Rng(c.seed ^ 0xFEA7FEA7ULL);
-    for (int b = 0; b < c.num_batches * 2; ++b) {  // x2: revisit for warm hits
-      std::vector<int32_t> ids;
-      ids.reserve(static_cast<size_t>(c.batch_size));
-      Rng batch_rng = rng.Fork(static_cast<uint64_t>(b % c.num_batches));
-      for (int64_t j = 0; j < c.batch_size; ++j) {
-        ids.push_back(
-            static_cast<int32_t>(batch_rng.UniformInt(static_cast<uint64_t>(c.nodes))));
-      }
-      const gs::tensor::IdArray frontier = gs::tensor::IdArray::FromVector(ids);
-      const gs::tensor::Tensor got_a = store.Gather(frontier, &cache_a);
-      const gs::tensor::Tensor got_b = store.Gather(frontier, &cache_b);
-      for (size_t i = 0; i < ids.size(); ++i) {
-        const float* a = got_a.data() + static_cast<int64_t>(i) * dim;
-        const float* bb = got_b.data() + static_cast<int64_t>(i) * dim;
-        const float* want = g.features().data() + static_cast<int64_t>(ids[i]) * dim;
-        if (std::memcmp(a, want, static_cast<size_t>(dim) * sizeof(float)) != 0) {
-          return c.admission + ": batch " + std::to_string(b) + " row " + std::to_string(i) +
-                 " (node " + std::to_string(ids[i]) + ") diverged from the eager lookup";
-        }
-        if (std::memcmp(a, bb, static_cast<size_t>(dim) * sizeof(float)) != 0) {
-          return c.admission + ": batch " + std::to_string(b) + " row " + std::to_string(i) +
-                 " differs between two caches fed the same sequence";
-        }
+  Rng rng = Rng(c.seed ^ 0xFEA7FEA7ULL);
+  for (int b = 0; b < c.num_batches * 2; ++b) {  // x2: revisit for warm hits
+    Rng batch_rng = rng.Fork(static_cast<uint64_t>(b % c.num_batches));
+    const IdArray frontier = DrawFrontier(c, batch_rng);
+    const gs::tensor::Tensor got_a = store.Gather(frontier, &cache_a);
+    const gs::tensor::Tensor got_b = store.Gather(frontier, &cache_b);
+    for (int64_t i = 0; i < frontier.size(); ++i) {
+      const float* row = got_a.data() + i * dim;
+      const bool eager = std::memcmp(row, table.data() + frontier.data()[i] * dim, row_bytes) == 0;
+      if (!eager || std::memcmp(row, got_b.data() + i * dim, row_bytes) != 0) {
+        return {Verdict::kDiverged,
+                c.admission + ": batch " + std::to_string(b) + " row " + std::to_string(i) +
+                    (eager ? " differs between two caches fed the same sequence"
+                           : " diverged from the eager lookup")};
       }
     }
-    if (cache_a.hits() != cache_b.hits() || cache_a.misses() != cache_b.misses()) {
-      return c.admission + ": nondeterministic cache counters (hits " +
-             std::to_string(cache_a.hits()) + " vs " + std::to_string(cache_b.hits()) +
-             ", misses " + std::to_string(cache_a.misses()) + " vs " +
-             std::to_string(cache_b.misses()) + ")";
-    }
-  } catch (const std::exception& e) {
-    return std::string("feature THROW ") + e.what();
   }
-  return "";
+  if (cache_a.hits() != cache_b.hits() || cache_a.misses() != cache_b.misses()) {
+    return {Verdict::kDiverged, c.admission + ": twin caches count different hits or misses"};
+  }
+  return {Verdict::kOk, c.admission + " bit-identical and deterministic"};
 }
 
 // Snapshot-equivalence differential (--mutate): apply a seeded mutation
@@ -385,54 +361,40 @@ std::string FeatureMismatch(const FuzzConfig& c, bool* ran = nullptr) {
 // compaction is exercised too), then require the oracle's
 // VerifySnapshotEquivalence to hold — the incremental snapshot must be
 // digest-identical and sample bit-identically to a from-scratch FromEdges
-// load of the same effective edge set. Returns an empty string when the
-// contract holds.
-std::string MutateMismatch(const FuzzConfig& c, bool* ran = nullptr) {
-  if (ran) *ran = false;
-  if (!c.mutate || c.mutations <= 0) {
-    return "";
-  }
-  try {
-    gs::device::Device device(c.profile == "t4" ? gs::device::T4Sim()
-                                                : gs::device::V100Sim());
-    gs::device::DeviceGuard guard(device);
-    gs::graph::Graph g = MakeGraph(c);
-    const int64_t feature_dim = g.features().defined() ? g.features().cols() : 0;
-    gs::graph::GraphStoreOptions store_opts;
-    store_opts.segment_cols = 64;  // small segments so COW sharing is exercised
-    gs::graph::GraphStore store(std::move(g), store_opts);
-    if (ran) *ran = true;
+// load of the same effective edge set.
+Verdict MutateCheck(const FuzzConfig& c, Fixture& fx) {
+  const int64_t feature_dim = fx.g.features().defined() ? fx.g.features().cols() : 0;
+  gs::graph::GraphStoreOptions store_opts;
+  store_opts.segment_cols = 64;  // small segments so COW sharing is exercised
+  gs::graph::GraphStore store(std::move(fx.g), store_opts);
 
-    gs::dyn::MutationGenOptions gen_opts;
-    gen_opts.seed = c.mseed;
-    gen_opts.num_nodes = c.nodes;
-    gen_opts.adds_per_batch = 16;
-    gen_opts.removes_per_batch = 4;
-    gen_opts.feature_updates_per_batch = feature_dim > 0 ? 4 : 0;
-    gen_opts.feature_dim = feature_dim;
-    gen_opts.weighted = c.weighted;
-    gen_opts.skew = 0.8;
-    gs::dyn::MutationGen gen(gen_opts);
-    for (int m = 0; m < c.mutations; ++m) {
-      store.Apply(gen.Next());
-      if (m == c.mutations / 2) {
-        store.Seal();  // mid-stream compaction must not change the epoch
-      }
+  gs::dyn::MutationGenOptions gen_opts;
+  gen_opts.seed = c.mseed;
+  gen_opts.num_nodes = c.nodes;
+  gen_opts.adds_per_batch = 16;
+  gen_opts.removes_per_batch = 4;
+  gen_opts.feature_updates_per_batch = feature_dim > 0 ? 4 : 0;
+  gen_opts.feature_dim = feature_dim;
+  gen_opts.weighted = c.weighted;
+  gen_opts.skew = 0.8;
+  gs::dyn::MutationGen gen(gen_opts);
+  for (int m = 0; m < c.mutations; ++m) {
+    store.Apply(gen.Next());
+    if (m == c.mutations / 2) {
+      store.Seal();  // mid-stream compaction must not change the epoch
     }
-
-    gs::oracle::OracleOptions opts;
-    opts.seed = c.seed ^ 0xD1D1D1D1ULL;
-    opts.num_batches = c.num_batches;
-    opts.batch_size = c.batch_size;
-    const gs::oracle::OracleReport report =
-        gs::oracle::VerifySnapshotEquivalence(c.algo, store, ToSamplerOptions(c), opts);
-    if (!report.ok()) {
-      return report.ToString();
-    }
-  } catch (const std::exception& e) {
-    return std::string("mutate THROW ") + e.what();
   }
-  return "";
+
+  gs::oracle::OracleOptions opts;
+  opts.seed = c.seed ^ 0xD1D1D1D1ULL;
+  opts.num_batches = c.num_batches;
+  opts.batch_size = c.batch_size;
+  const gs::oracle::OracleReport report =
+      gs::oracle::VerifySnapshotEquivalence(c.algo, store, ToSamplerOptions(c), opts);
+  if (!report.ok()) {
+    return {Verdict::kDiverged, report.ToString()};
+  }
+  return {Verdict::kOk, std::to_string(c.mutations) + " batches snapshot-equivalent"};
 }
 
 // JIT-vs-interpreter differential (--jit): the same compiled plan is sampled
@@ -440,161 +402,168 @@ std::string MutateMismatch(const FuzzConfig& c, bool* ran = nullptr) {
 // engine's native jump table attached — and every batch must be
 // bit-identical. The engine is process-global so artifacts accumulate in one
 // scratch dir across draws (the cache verifies each reloaded .so by its
-// embedded key, so stale artifacts cannot poison a draw). Returns an empty
-// string when the contract holds.
-std::string JitMismatch(const FuzzConfig& c, bool* ran = nullptr) {
-  if (ran) *ran = false;
-  if (!c.jit) {
-    return "";
+// embedded key, so stale artifacts cannot poison a draw).
+Verdict JitCheck(const FuzzConfig& c, Fixture& fx) {
+  static gs::jit::JitEngine* engine = [] {
+    gs::jit::JitEngineOptions options;
+    options.artifact_dir = (std::filesystem::temp_directory_path() / "gs_fuzz_jit").string();
+    std::filesystem::create_directories(options.artifact_dir);
+    return new gs::jit::JitEngine(options);
+  }();
+  gs::algorithms::AlgorithmProgram ap = gs::algorithms::MakeAlgorithm(c.algo, fx.g);
+  gs::core::SamplerOptions opts = ToSamplerOptions(c);
+  if (ap.updates_model) {
+    opts.super_batch = 1;
   }
-  try {
-    gs::device::Device device(c.profile == "t4" ? gs::device::T4Sim()
-                                                : gs::device::V100Sim());
-    gs::device::DeviceGuard guard(device);
-    gs::graph::Graph g = MakeGraph(c);
-    gs::algorithms::AlgorithmProgram ap = gs::algorithms::MakeAlgorithm(c.algo, g);
-    gs::core::SamplerOptions opts = ToSamplerOptions(c);
-    if (ap.updates_model) {
-      opts.super_batch = 1;
-    }
-    auto plan = std::make_shared<gs::core::CompiledPlan>(std::move(ap.program), opts, c.algo);
-    static gs::jit::JitEngine* engine = [] {
-      gs::jit::JitEngineOptions options;
-      options.artifact_dir =
-          (std::filesystem::temp_directory_path() / "gs_fuzz_jit").string();
-      std::filesystem::create_directories(options.artifact_dir);
-      return new gs::jit::JitEngine(options);
-    }();
-    gs::core::SamplerSession interp(plan, g, ap.tensors);
-    gs::core::SamplerSession jitted(plan, g, ap.tensors);
+  auto plan = std::make_shared<gs::core::CompiledPlan>(std::move(ap.program), opts, c.algo);
+  SamplerSession interp(plan, fx.g, ap.tensors);
+  SamplerSession jitted(plan, fx.g, ap.tensors);
+  for (SamplerSession* session : {&interp, &jitted}) {
     if (c.algo == "HetGNN") {
-      interp.BindGraph("rel0", &g.adj());
-      interp.BindGraph("rel1", &g.adj());
-      jitted.BindGraph("rel0", &g.adj());
-      jitted.BindGraph("rel1", &g.adj());
+      session->BindGraph("rel0", &fx.g.adj());
+      session->BindGraph("rel1", &fx.g.adj());
     }
-    const gs::tensor::IdArray warm = gs::tensor::IdArray::FromVector({0, 1, 2, 3});
-    interp.Warmup(warm);
-    jitted.Warmup(warm);
-    // Post-warmup, like serving: warmup calibrates the plan, and calibration
-    // is part of the digest the artifact keys embed.
-    const auto table = engine->TableFor(*plan);
-    if (table == nullptr) {
-      return "";  // no fused regions under this config: nothing to compare
-    }
-    if (ran) *ran = true;
-    jitted.SetJitTable(table);
-
-    Rng rng = Rng(c.seed ^ 0x317317ULL);
-    for (int b = 0; b < c.num_batches; ++b) {
-      std::vector<int32_t> ids;
-      ids.reserve(static_cast<size_t>(c.batch_size));
-      for (int64_t j = 0; j < c.batch_size; ++j) {
-        ids.push_back(static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(c.nodes))));
-      }
-      const gs::tensor::IdArray frontier = gs::tensor::IdArray::FromVector(ids);
-      const uint64_t seed = c.seed + static_cast<uint64_t>(b) * 2654435761ULL;
-      const std::vector<gs::core::Value> want = interp.SampleSeeded(frontier, seed);
-      const std::vector<gs::core::Value> got = jitted.SampleSeeded(frontier, seed);
-      if (got.size() != want.size()) {
-        return c.algo + ": jit returned " + std::to_string(got.size()) +
-               " outputs, interpreter returned " + std::to_string(want.size());
-      }
-      for (size_t v = 0; v < want.size(); ++v) {
-        if (!gs::core::BitIdentical(got[v], want[v])) {
-          return c.algo + ": batch " + std::to_string(b) + " output " + std::to_string(v) +
-                 " diverged between jit and interpreter";
-        }
-      }
-    }
-  } catch (const std::exception& e) {
-    return std::string("jit THROW ") + e.what();
+    session->Warmup(IdArray::FromVector({0, 1, 2, 3}));
   }
-  return "";
+  // Post-warmup, like serving: warmup calibrates the plan, and calibration
+  // is part of the digest the artifact keys embed.
+  const auto table = engine->TableFor(*plan);
+  if (table == nullptr) {
+    return {Verdict::kSkipped, "skipped (no fused regions)"};
+  }
+  jitted.SetJitTable(table);
+  return CompareBatches(
+      c, 0x317317ULL, 2654435761ULL, interp,
+      [&](int, const IdArray& f, uint64_t seed) { return jitted.SampleSeeded(f, seed); },
+      "native kernels bit-identical");
 }
 
-bool Fails(const FuzzConfig& c) {
+// One fuzz dimension: a CLI flag, --<name>, that adds a differential.
+struct Dimension {
+  const char* name;   // also the name the minimizer reports
+  bool counted;       // --<name> N takes a count (1 = off) instead of a switch
+  const char* label;  // reports say "<label> differential: ..."
+  // Sets the dimension's fields from its CLI setting (the count, or 0/1).
+  void (*draw)(FuzzConfig& c, Rng& rng, int setting);
+  // Turns the dimension off; a config has it on exactly when this changes it.
+  void (*drop)(FuzzConfig& c);
+  Verdict (*check)(const FuzzConfig& c, Fixture& fx);  // null: it changes another check
+};
+
+// Every dimension, in draw order. The draws are a contract: cut and
+// admission are drawn on every draw, kill/replicas only under --kill-shard,
+// mutations/mseed only under --mutate, and jit draws nothing, so every
+// fixed-seed run keeps fuzzing the configs it always fuzzed. A new dimension
+// goes last and draws only under its own flag.
+const std::array<Dimension, 5> kDimensions = {{
+    {"shards", true, "shard",
+     [](FuzzConfig& c, Rng& rng, int shards) {
+       c.shards = shards;
+       c.cut = rng.UniformInt(2) == 1 ? "vertex" : "edge";
+     },
+     [](FuzzConfig& c) {
+       c.shards = 1;
+       c.kill = -1;  // a killed shard goes with the group
+       c.replicas = 1;
+     },
+     ShardCheck},
+    {"features", false, "feature",
+     [](FuzzConfig& c, Rng& rng, int on) {
+       const char* admissions[] = {"static-degree", "lru", "frequency-ema"};
+       c.features = on != 0;
+       c.admission = admissions[rng.UniformInt(3)];
+     },
+     [](FuzzConfig& c) { c.features = false; }, FeatureCheck},
+    {"kill-shard", false, nullptr,
+     [](FuzzConfig& c, Rng& rng, int on) {
+       if (on != 0) {
+         c.kill = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(c.shards)));
+         c.replicas = 2;
+       }
+     },
+     [](FuzzConfig& c) {
+       c.kill = -1;
+       c.replicas = 1;
+     },
+     nullptr},  // changes the shard differential
+    {"mutate", false, "mutate",
+     [](FuzzConfig& c, Rng& rng, int on) {
+       if (on != 0) {
+         c.mutate = true;
+         c.mutations = 1 + static_cast<int>(rng.UniformInt(4));  // 1..4 batches
+         c.mseed = rng.UniformInt(1 << 20);
+       }
+     },
+     [](FuzzConfig& c) {
+       c.mutate = false;
+       c.mutations = 0;
+     },
+     MutateCheck},
+    {"jit", false, "jit", [](FuzzConfig& c, Rng&, int on) { c.jit = on != 0; },
+     [](FuzzConfig& c) { c.jit = false; }, JitCheck},
+}};
+
+bool On(const Dimension& d, const FuzzConfig& c) {
+  FuzzConfig off = c;
+  d.drop(off);
+  return off != c;
+}
+
+// Index of the dimension whose flag is `arg`, or kDimensions.size().
+size_t DimensionIndex(const std::string& arg) {
+  return std::find_if(kDimensions.begin(), kDimensions.end(),
+                      [&](const Dimension& d) { return arg == std::string("--") + d.name; }) -
+         kDimensions.begin();
+}
+
+// Runs one dimension's check on a fresh fixture; a throw is a divergence.
+Verdict RunCheck(const Dimension& d, const FuzzConfig& c) {
   try {
-    return !RunConfig(c).ok() || !ShardMismatch(c).empty() || !FeatureMismatch(c).empty() ||
-           !MutateMismatch(c).empty() || !JitMismatch(c).empty();
-  } catch (const std::exception&) {
-    return true;  // a throwing config is a failing config — keep minimizing
+    Fixture fx(c);
+    return d.check(c, fx);
+  } catch (const std::exception& e) {
+    return {Verdict::kDiverged, std::string(d.label) + " THROW " + e.what()};
   }
 }
 
-// Ordered differential-dimension ladder, run before the knob minimization:
-// try to drop each dimension — jit first (the cheapest to rule out), then
-// features, mutate, kill-shard, shards — re-verifying the failure after
-// *each* drop rather than assuming the fixed order preserves the repro (a
-// kill-shard failure, for instance, vanishes when the shard drop goes first).
-// A dimension whose removal makes the failure disappear is load-bearing: it
-// is restored and reported back so the --repro line can name it.
-std::vector<std::string> MinimizeDimensions(FuzzConfig& c) {
-  std::vector<std::string> surviving;
-  auto attempt = [&](const char* name, auto&& drop) {
-    FuzzConfig t = c;
-    drop(t);
-    if (Fails(t)) {
-      c = t;
-    } else {
-      surviving.push_back(name);
+// Runs the oracle, then each differential `c` turns on, in table order.
+// Returns the first failure's report, or "" when everything holds; with a
+// `log`, runs every check and writes each one's report there.
+std::string Verify(const FuzzConfig& c, std::ostream* log) {
+  std::ostream discard(nullptr);
+  std::ostream& out = log != nullptr ? *log : discard;
+  std::string failure;
+  try {
+    const gs::oracle::OracleReport report = RunConfig(c);
+    out << report.ToString() << "\n";
+    failure = report.ok() ? "" : report.ToString();
+  } catch (const std::exception& e) {
+    out << c.algo << ": THROW " << e.what() << "\n";
+    return c.algo + ": THROW " + e.what();
+  }
+  for (const Dimension& d : kDimensions) {
+    if (d.check == nullptr || !On(d, c) || (log == nullptr && !failure.empty())) {
+      continue;
     }
-  };
-  if (c.jit) {
-    attempt("jit", [](FuzzConfig& t) { t.jit = false; });
+    const Verdict v = RunCheck(d, c);
+    const std::string report = std::string(d.label) + " differential: " + v.detail;
+    out << report << "\n";
+    if (v.kind == Verdict::kDiverged && failure.empty()) {
+      failure = report;
+    }
   }
-  if (c.features) {
-    attempt("features", [](FuzzConfig& t) { t.features = false; });
-  }
-  if (c.mutate) {
-    attempt("mutate", [](FuzzConfig& t) {
-      t.mutate = false;
-      t.mutations = 0;
-    });
-  }
-  if (c.kill >= 0) {
-    attempt("kill-shard", [](FuzzConfig& t) {
-      t.kill = -1;
-      t.replicas = 1;
-    });
-  }
-  if (c.shards > 1) {
-    // Re-verified like every other rung: if kill-shard survived above, this
-    // trial also removes it, and Fails() decides whether that still repros.
-    attempt("shards", [](FuzzConfig& t) {
-      t.shards = 1;
-      t.kill = -1;
-      t.replicas = 1;
-    });
-  }
-  return surviving;
+  return failure;
 }
 
-// Greedy ddmin over the discrete knobs: repeatedly try every single-knob
-// reduction towards the reference configuration and keep the ones that
-// preserve the failure, until a fixpoint.
-void MinimizeFlags(FuzzConfig& c) {
-  bool changed = true;
-  while (changed) {
+bool Fails(const FuzzConfig& c) { return !Verify(c, nullptr).empty(); }
+
+// Greedy ddmin: applies the first reduction in trials(c) that keeps the
+// failure, and repeats until none does. Every reduction is re-verified
+// rather than assuming an order preserves the repro.
+void Shrink(FuzzConfig& c, std::vector<FuzzConfig> (*trials)(const FuzzConfig&)) {
+  for (bool changed = true; changed;) {
     changed = false;
-    std::vector<FuzzConfig> trials;
-    if (c.super_batch != 1) {
-      trials.push_back(c);
-      trials.back().super_batch = 1;
-    }
-    if (c.shards > 1 && c.cut != "edge") {
-      trials.push_back(c);
-      trials.back().cut = "edge";
-    }
-    for (bool FuzzConfig::* knob :
-         {&FuzzConfig::fusion, &FuzzConfig::preproc, &FuzzConfig::layout,
-          &FuzzConfig::greedy, &FuzzConfig::weighted}) {
-      if (c.*knob) {
-        trials.push_back(c);
-        trials.back().*knob = false;
-      }
-    }
-    for (const FuzzConfig& t : trials) {
+    for (const FuzzConfig& t : trials(c)) {
       if (Fails(t)) {
         c = t;
         changed = true;
@@ -602,6 +571,62 @@ void MinimizeFlags(FuzzConfig& c) {
       }
     }
   }
+}
+
+// Each dimension the config has, dropped, in reverse table order (so the
+// shard count goes after the kill that needs it). A dimension still on after
+// shrinking is load-bearing: dropping it makes the failure disappear, and
+// the failure report names it as surviving.
+std::vector<FuzzConfig> DimensionTrials(const FuzzConfig& c) {
+  std::vector<FuzzConfig> trials;
+  for (auto d = kDimensions.rbegin(); d != kDimensions.rend(); ++d) {
+    if (On(*d, c)) {
+      d->drop(trials.emplace_back(c));
+    }
+  }
+  return trials;
+}
+
+// Single-knob reductions towards the reference configuration.
+std::vector<FuzzConfig> FlagTrials(const FuzzConfig& c) {
+  std::vector<FuzzConfig> trials;
+  if (c.super_batch != 1) {
+    trials.emplace_back(c).super_batch = 1;
+  }
+  if (c.shards > 1 && c.cut != "edge") {
+    trials.emplace_back(c).cut = "edge";
+  }
+  for (bool FuzzConfig::* knob : {&FuzzConfig::fusion, &FuzzConfig::preproc,
+                                  &FuzzConfig::layout, &FuzzConfig::greedy,
+                                  &FuzzConfig::weighted}) {
+    if (c.*knob) {
+      trials.emplace_back(c).*knob = false;
+    }
+  }
+  return trials;
+}
+
+// Halvings of the graph and the epoch.
+std::vector<FuzzConfig> ShapeTrials(const FuzzConfig& c) {
+  std::vector<FuzzConfig> trials;
+  if (c.nodes / 2 >= 32) {
+    FuzzConfig& t = trials.emplace_back(c);
+    t.nodes = c.nodes / 2;
+    t.edges = std::max<int64_t>(c.edges / 2, c.nodes / 2);
+  }
+  if (c.edges / 2 >= c.nodes) {
+    trials.emplace_back(c).edges = c.edges / 2;
+  }
+  if (c.num_batches > 1) {
+    trials.emplace_back(c).num_batches = c.num_batches / 2;
+  }
+  if (c.batch_size / 2 >= 1) {
+    trials.emplace_back(c).batch_size = c.batch_size / 2;
+  }
+  if (c.mutations > 1) {
+    trials.emplace_back(c).mutations = c.mutations / 2;
+  }
+  return trials;
 }
 
 // Pass-pipeline bisection through SamplerOptions.pass_limit: find the
@@ -634,45 +659,9 @@ void MinimizePasses(FuzzConfig& c, std::string& culprit) {
   // stochastic rejection, most likely); leave pass_limit untouched.
 }
 
-// Shrinks the graph and the epoch while the failure persists.
-void MinimizeShape(FuzzConfig& c) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    std::vector<FuzzConfig> trials;
-    if (c.nodes / 2 >= 32) {
-      trials.push_back(c);
-      trials.back().nodes = c.nodes / 2;
-      trials.back().edges = std::max<int64_t>(c.edges / 2, c.nodes / 2);
-    }
-    if (c.edges / 2 >= c.nodes) {
-      trials.push_back(c);
-      trials.back().edges = c.edges / 2;
-    }
-    if (c.num_batches > 1) {
-      trials.push_back(c);
-      trials.back().num_batches = c.num_batches / 2;
-    }
-    if (c.batch_size / 2 >= 1) {
-      trials.push_back(c);
-      trials.back().batch_size = c.batch_size / 2;
-    }
-    if (c.mutations > 1) {
-      trials.push_back(c);
-      trials.back().mutations = c.mutations / 2;
-    }
-    for (const FuzzConfig& t : trials) {
-      if (Fails(t)) {
-        c = t;
-        changed = true;
-        break;
-      }
-    }
-  }
-}
-
-FuzzConfig Draw(uint64_t base_seed, uint64_t index, int shards, bool features,
-                bool kill_shard, bool mutate, bool jit) {
+// Draw `index` of the stream `base_seed`: the base config, then each
+// dimension from its CLI setting (settings[d] for kDimensions[d]).
+FuzzConfig Draw(uint64_t base_seed, uint64_t index, const std::vector<int>& settings) {
   Rng rng = Rng(base_seed).Fork(index);
   const std::vector<std::string> algos = gs::algorithms::AllAlgorithmNames();
   FuzzConfig c;
@@ -691,40 +680,20 @@ FuzzConfig Draw(uint64_t base_seed, uint64_t index, int shards, bool features,
   c.super_batch = sb[rng.UniformInt(3)];
   c.seed = rng.UniformInt(int64_t{1} << 32);
   c.profile = rng.UniformInt(2) == 1 ? "t4" : "v100";
-  c.pass_limit = -1;
-  // The shard count comes from the CLI, not the stream, so `--seeds N` draws
-  // the same configs with and without `--shards`; only the cut is drawn (and
-  // drawn last, keeping every pre-shard field identical to older streams).
-  c.shards = shards;
-  c.cut = rng.UniformInt(2) == 1 ? "vertex" : "edge";
-  // Like the shard count, the feature toggle comes from the CLI; only the
-  // admission policy is drawn (last, preserving older streams).
-  c.features = features;
-  const char* admissions[] = {"static-degree", "lru", "frequency-ema"};
-  c.admission = admissions[rng.UniformInt(3)];
-  // The kill dimension is drawn LAST and only under --kill-shard, so every
-  // older stream (and every --shards run without it) is unchanged.
-  if (kill_shard && shards > 1) {
-    c.kill = static_cast<int>(rng.UniformInt(shards));
-    c.replicas = 2;
+  for (size_t d = 0; d < kDimensions.size(); ++d) {
+    kDimensions[d].draw(c, rng, settings[d]);
   }
-  // The mutate dimension is drawn after kill (and only under --mutate), so
-  // every pre-existing stream stays byte-identical without the flag.
-  if (mutate) {
-    c.mutate = true;
-    c.mutations = 1 + static_cast<int>(rng.UniformInt(4));  // 1..4 batches
-    c.mseed = rng.UniformInt(1 << 20);
-  }
-  // The jit dimension comes from the CLI and draws nothing from the stream,
-  // so every pre-existing stream stays byte-identical without the flag.
-  c.jit = jit;
   return c;
 }
 
-int Usage() {
-  std::cerr << "usage: fuzz_passes [--seeds N] [--base-seed S] [--out FILE]\n"
-               "                   [--shards N] [--kill-shard] [--features] [--mutate]\n"
-               "                   [--jit] [--repro 'key=value ...']\n";
+int Usage(const std::string& why) {
+  std::cerr << "fuzz_passes: " << why
+            << "\nusage: fuzz_passes [--seeds N] [--base-seed S] [--out FILE]"
+               " [--repro 'key=value ...']";
+  for (const Dimension& d : kDimensions) {
+    std::cerr << " [--" << d.name << (d.counted ? " N]" : "]");
+  }
+  std::cerr << "\n";
   return 2;
 }
 
@@ -733,141 +702,67 @@ int Usage() {
 int main(int argc, char** argv) {
   int64_t num_seeds = 50;
   uint64_t base_seed = 0xF022;
-  int shards = 1;
-  bool kill_shard = false;
-  bool features = false;
-  bool mutate = false;
-  bool jit = false;
+  std::vector<int> settings;
+  for (const Dimension& d : kDimensions) {
+    settings.push_back(d.counted ? 1 : 0);
+  }
   std::string out_path;
   std::string repro_line;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "--seeds") {
-      const char* v = next();
-      if (!v) return Usage();
-      num_seeds = std::atoll(v);
-    } else if (arg == "--base-seed") {
-      const char* v = next();
-      if (!v) return Usage();
-      base_seed = std::strtoull(v, nullptr, 0);
-    } else if (arg == "--shards") {
-      const char* v = next();
-      if (!v) return Usage();
-      shards = std::atoi(v);
-      if (shards < 1) return Usage();
-    } else if (arg == "--kill-shard") {
-      kill_shard = true;
-    } else if (arg == "--features") {
-      features = true;
-    } else if (arg == "--mutate") {
-      mutate = true;
-    } else if (arg == "--jit") {
-      jit = true;
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (!v) return Usage();
-      out_path = v;
-    } else if (arg == "--repro") {
-      const char* v = next();
-      if (!v) return Usage();
-      repro_line = v;
-    } else {
-      return Usage();
+    const size_t d = DimensionIndex(arg);
+    if (d < kDimensions.size() && !kDimensions[d].counted) {
+      settings[d] = 1;
+      continue;
     }
+    const std::string value = i + 1 < argc ? argv[++i] : "";
+    bool ok = !value.empty();
+    if (d < kDimensions.size()) {
+      ok = ParseValue(value, settings[d]) && settings[d] >= 1;
+    } else if (arg == "--seeds") {
+      ok = ParseValue(value, num_seeds) && num_seeds >= 1;
+    } else if (arg == "--base-seed") {
+      char* end = nullptr;
+      base_seed = std::strtoull(value.c_str(), &end, 0);  // decimal or 0x hex
+      ok = ok && *end == '\0';
+    } else if (arg == "--out") {
+      out_path = value;
+    } else if (arg == "--repro") {
+      repro_line = value;
+    } else {
+      return Usage("unknown flag " + arg);
+    }
+    if (!ok) {
+      return Usage("bad value '" + value + "' for " + arg);
+    }
+  }
+  if (settings[DimensionIndex("--kill-shard")] != 0 && settings[DimensionIndex("--shards")] < 2) {
+    return Usage("--kill-shard needs --shards N with N >= 2 to fail over");
   }
 
   if (!repro_line.empty()) {
     FuzzConfig c;
-    if (!FuzzConfig::FromLine(repro_line, c)) {
-      std::cerr << "fuzz_passes: cannot parse repro line\n";
-      return 2;
+    const std::string bad = FuzzConfig::FromLine(repro_line, c);
+    if (!bad.empty()) {
+      return Usage("repro token '" + bad + "' has an unknown key or a bad value");
     }
-    try {
-      const gs::oracle::OracleReport report = RunConfig(c);
-      std::cout << report.ToString() << "\n";
-      bool ran = false;
-      const std::string mismatch = ShardMismatch(c, &ran);
-      if (!mismatch.empty()) {
-        std::cout << "shard differential: " << mismatch << "\n";
-      } else if (ran) {
-        std::cout << "shard differential: " << c.shards << "-shard " << c.cut
-                  << "-cut bit-identical\n";
-      } else if (c.shards > 1) {
-        std::cout << "shard differential: skipped (stateful or extra bindings)\n";
-      }
-      bool feature_ran = false;
-      const std::string feature_mismatch = FeatureMismatch(c, &feature_ran);
-      if (!feature_mismatch.empty()) {
-        std::cout << "feature differential: " << feature_mismatch << "\n";
-      } else if (feature_ran) {
-        std::cout << "feature differential: " << c.admission
-                  << " bit-identical and deterministic\n";
-      }
-      bool mutate_ran = false;
-      const std::string mutate_mismatch = MutateMismatch(c, &mutate_ran);
-      if (!mutate_mismatch.empty()) {
-        std::cout << "mutate differential: " << mutate_mismatch << "\n";
-      } else if (mutate_ran) {
-        std::cout << "mutate differential: " << c.mutations
-                  << " batches snapshot-equivalent\n";
-      }
-      bool jit_ran = false;
-      const std::string jit_mismatch = JitMismatch(c, &jit_ran);
-      if (!jit_mismatch.empty()) {
-        std::cout << "jit differential: " << jit_mismatch << "\n";
-      } else if (jit_ran) {
-        std::cout << "jit differential: native kernels bit-identical\n";
-      } else if (c.jit) {
-        std::cout << "jit differential: skipped (no fused regions)\n";
-      }
-      return report.ok() && mismatch.empty() && feature_mismatch.empty() &&
-                     mutate_mismatch.empty() && jit_mismatch.empty()
-                 ? 0
-                 : 1;
-    } catch (const std::exception& e) {
-      std::cout << c.algo << ": THROW " << e.what() << "\n";
-      return 1;
-    }
+    return Verify(c, &std::cout).empty() ? 0 : 1;
   }
 
   int64_t failures = 0;
   for (int64_t i = 0; i < num_seeds; ++i) {
-    FuzzConfig c = Draw(base_seed, static_cast<uint64_t>(i), shards, features, kill_shard,
-                        mutate, jit);
-    std::string detail;
-    try {
-      const gs::oracle::OracleReport report = RunConfig(c);
-      if (report.ok()) {
-        const std::string mismatch = ShardMismatch(c);
-        const std::string feature_mismatch = mismatch.empty() ? FeatureMismatch(c) : "";
-        const std::string mutate_mismatch =
-            mismatch.empty() && feature_mismatch.empty() ? MutateMismatch(c) : "";
-        const std::string jit_mismatch =
-            mismatch.empty() && feature_mismatch.empty() && mutate_mismatch.empty()
-                ? JitMismatch(c)
-                : "";
-        if (mismatch.empty() && feature_mismatch.empty() && mutate_mismatch.empty() &&
-            jit_mismatch.empty()) {
-          continue;
-        }
-        detail = !mismatch.empty()           ? "shard differential: " + mismatch
-                 : !feature_mismatch.empty() ? "feature differential: " + feature_mismatch
-                 : !mutate_mismatch.empty()  ? "mutate differential: " + mutate_mismatch
-                                             : "jit differential: " + jit_mismatch;
-      } else {
-        detail = report.ToString();
-      }
-    } catch (const std::exception& e) {
-      detail = std::string("THROW ") + e.what();
+    FuzzConfig c = Draw(base_seed, static_cast<uint64_t>(i), settings);
+    const std::string detail = Verify(c, nullptr);
+    if (detail.empty()) {
+      continue;
     }
     ++failures;
     std::cout << "FAIL draw " << i << ": " << detail << "\n";
     std::string culprit;
-    const std::vector<std::string> surviving = MinimizeDimensions(c);
-    MinimizeFlags(c);
+    Shrink(c, DimensionTrials);
+    Shrink(c, FlagTrials);
     MinimizePasses(c, culprit);
-    MinimizeShape(c);
+    Shrink(c, ShapeTrials);
     // The shipped reproducer must actually reproduce: re-verify the whole
     // minimized config once, end to end, before printing it.
     if (!Fails(c)) {
@@ -875,8 +770,8 @@ int main(int argc, char** argv) {
                    "likely a flaky stochastic rejection)\n";
     }
     std::string survived;
-    for (const std::string& dim : surviving) {
-      survived += (survived.empty() ? "" : ",") + dim;
+    for (const Dimension& d : kDimensions) {
+      survived += On(d, c) ? (survived.empty() ? "" : ",") + std::string(d.name) : "";
     }
     const std::string line = c.ToLine();
     std::cout << "  minimized: " << line << "\n";
@@ -889,11 +784,7 @@ int main(int argc, char** argv) {
     std::cout << "  replay: fuzz_passes --repro '" << line << "'"
               << (survived.empty() ? "" : "  # surviving: " + survived) << "\n";
     if (!out_path.empty()) {
-      FILE* f = std::fopen(out_path.c_str(), "a");
-      if (f) {
-        std::fprintf(f, "%s\n", line.c_str());
-        std::fclose(f);
-      }
+      std::ofstream(out_path, std::ios::app) << line << "\n";
     }
   }
   std::cout << "fuzz_passes: " << (num_seeds - failures) << "/" << num_seeds
