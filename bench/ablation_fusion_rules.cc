@@ -1,6 +1,7 @@
 // Ablation: contribution of each individual fusion rule (Section 4.2) —
-// Extract-Select fusion, Edge-Map(-Reduce) fusion, SDDMM rewriting — for
-// the algorithm each rule targets.
+// Extract-Select fusion (node-wise for GraphSAGE, layer-wise for LADIES),
+// Edge-Map(-Reduce) fusion, SDDMM rewriting — for the algorithm each rule
+// targets.
 
 #include <cstdio>
 
@@ -35,6 +36,8 @@ void Run() {
   };
   const std::vector<Case> cases = {
       {"GraphSAGE", "extract-select",
+       [](core::SamplerOptions& o) { o.fuse_extract_select = true; }},
+      {"LADIES", "extract-select",
        [](core::SamplerOptions& o) { o.fuse_extract_select = true; }},
       {"LADIES", "edge-map(-reduce)",
        [](core::SamplerOptions& o) { o.fuse_edge_maps = true; }},

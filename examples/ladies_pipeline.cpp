@@ -43,7 +43,9 @@ int main() {
   std::printf("=== traced LADIES program ===\n%s\n", traced.program.ToString().c_str());
 
   // After the pass pipeline: note the hoisted, pre-computed A**2
-  // ([invariant] eltwise_scalar on the graph input) and the fused
+  // ([invariant] eltwise_scalar on the graph input), the layer-wise
+  // Extract-Select nodes (fused_slice_reduce, fused_slice_collective_sample)
+  // reading the frontier's columns in place, and the fused
   // edge-map(-reduce) nodes replacing the normalization chain.
   core::SamplerOptions options;
   algorithms::AlgorithmProgram compiled_copy =

@@ -49,6 +49,8 @@ sparse::Format GreedyPreferredFormat(const Node& node) {
     case OpKind::kIndividualSample:
     case OpKind::kIndividualSampleP:
     case OpKind::kFusedSliceSample:
+    case OpKind::kFusedSliceCollectiveSample:
+    case OpKind::kFusedSliceReduce:
     case OpKind::kWalkStep:
     case OpKind::kNode2VecStep:
       return sparse::Format::kCsc;
@@ -82,13 +84,15 @@ void EnsureFormat(const sparse::Matrix& m, sparse::Format format) {
 thread_local HopObserver* t_hop_observer = nullptr;
 
 // Notifies the observer when `n` is a frontier hop against the base graph:
-// a slice/sample/walk whose matrix operand has no column id map (only the
-// full adjacency — and matrices sharing its column space — qualifies;
-// already-sliced subgraphs are local by construction).
+// a slice (fused or not)/walk whose matrix operand has no column id map
+// (only the full adjacency — and matrices sharing its column space —
+// qualifies; already-sliced subgraphs are local by construction).
 void NotifyHop(HopObserver* observer, const Node& n, const std::vector<Value>& values) {
   switch (n.kind) {
     case OpKind::kSliceCols:
     case OpKind::kFusedSliceSample:
+    case OpKind::kFusedSliceCollectiveSample:
+    case OpKind::kFusedSliceReduce:
     case OpKind::kWalkStep:
     case OpKind::kWalkRestartStep:
     case OpKind::kNode2VecStep:
@@ -222,7 +226,9 @@ Executor::Executor(const Program& program, ExecOptions options)
   // distribution.
   if (options_.layout == LayoutMode::kPlanned) {
     for (const Node& n : program.nodes()) {
-      if (n.kind == OpKind::kCollectiveSample && !n.inputs.empty()) {
+      if ((n.kind == OpKind::kCollectiveSample ||
+           n.kind == OpKind::kFusedSliceCollectiveSample) &&
+          !n.inputs.empty()) {
         const Node& in = program.node(n.inputs[0]);
         GS_CHECK(!in.compact_rows)
             << "node " << in.id << " feeds collective sample " << n.id
@@ -384,6 +390,12 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
       return Value::OfTensor(tensor::Tensor::FromArray(
           {node.attrs.axis == 0 ? matrix_in(0).num_rows() : matrix_in(0).num_cols()},
           sparse::SumAxis(matrix_in(0), node.attrs.axis)));
+    case OpKind::kFusedSliceReduce: {
+      sparse::ValueArray sums =
+          sparse::FusedSliceReduce(matrix_in(0), ids_in(1), seg ? options_.num_segments : 1);
+      const int64_t rows = sums.size();
+      return Value::OfTensor(tensor::Tensor::FromArray({rows}, std::move(sums)));
+    }
     case OpKind::kBroadcast:
       return Value::OfMatrix(sparse::Broadcast(matrix_in(0), node.attrs.bop,
                                                tensor_in(1).array(), node.attrs.axis));
@@ -467,6 +479,10 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
       }
       return finish_structure(
           sparse::CollectiveSample(matrix_in(0), node.attrs.k, tensor_in(1).array(), solo_rng));
+    case OpKind::kFusedSliceCollectiveSample:
+      // One rng per segment; a solo run passes its one stream.
+      return finish_structure(sparse::FusedSliceCollectiveSample(
+          matrix_in(0), ids_in(1), node.attrs.k, tensor_in(2).array(), rngs));
 
     case OpKind::kRowIds:
       return Value::OfIds(sparse::RowIds(matrix_in(0)));

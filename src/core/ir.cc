@@ -44,6 +44,8 @@ const char* OpKindName(OpKind kind) {
     case OpKind::kNode2VecStep: return "node2vec_step";
     case OpKind::kTopKVisited: return "topk_visited";
     case OpKind::kFusedSliceSample: return "fused_slice_sample";
+    case OpKind::kFusedSliceCollectiveSample: return "fused_slice_collective_sample";
+    case OpKind::kFusedSliceReduce: return "fused_slice_reduce";
     case OpKind::kFusedEdgeMap: return "fused_edge_map";
     case OpKind::kFusedEdgeMapReduce: return "fused_edge_map_reduce";
     case OpKind::kConvertFormat: return "convert_format";
@@ -70,7 +72,8 @@ bool OpKindFromName(const std::string& name, OpKind* kind) {
       OpKind::kCompactRows,       OpKind::kUnique,
       OpKind::kWalkStep,          OpKind::kWalkRestartStep,
       OpKind::kNode2VecStep,      OpKind::kTopKVisited,
-      OpKind::kFusedSliceSample,  OpKind::kFusedEdgeMap,
+      OpKind::kFusedSliceSample,  OpKind::kFusedSliceCollectiveSample,
+      OpKind::kFusedSliceReduce,  OpKind::kFusedEdgeMap,
       OpKind::kFusedEdgeMapReduce, OpKind::kConvertFormat,
   };
   for (const OpKind candidate : kAll) {
@@ -98,6 +101,7 @@ ValueKind OutputKindOf(OpKind kind) {
     case OpKind::kCollectiveSample:
     case OpKind::kCompactRows:
     case OpKind::kFusedSliceSample:
+    case OpKind::kFusedSliceCollectiveSample:
     case OpKind::kFusedEdgeMap:
     case OpKind::kConvertFormat:
     case OpKind::kTopKVisited:
@@ -123,6 +127,7 @@ ValueKind OutputKindOf(OpKind kind) {
     case OpKind::kGatherRows:
     case OpKind::kStackColumns:
     case OpKind::kTensorSum:
+    case OpKind::kFusedSliceReduce:
     case OpKind::kFusedEdgeMapReduce:
       return ValueKind::kTensor;
   }
@@ -137,6 +142,7 @@ bool IsStructureOp(OpKind kind) {
     case OpKind::kIndividualSampleP:
     case OpKind::kCollectiveSample:
     case OpKind::kFusedSliceSample:
+    case OpKind::kFusedSliceCollectiveSample:
     case OpKind::kCompactRows:
       return true;
     default:
@@ -163,7 +169,10 @@ Signature SignatureOf(OpKind kind) {
     case OpKind::kSliceCols:
     case OpKind::kSliceRows:
     case OpKind::kFusedSliceSample:
+    case OpKind::kFusedSliceReduce:
       return {{VK::kMatrix, VK::kIds}};
+    case OpKind::kFusedSliceCollectiveSample:
+      return {{VK::kMatrix, VK::kIds, VK::kTensor}};
     case OpKind::kSumAxis:
     case OpKind::kEltwiseScalar:
     case OpKind::kEdgeValues:

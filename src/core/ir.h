@@ -76,6 +76,8 @@ enum class OpKind {
 
   // --- Introduced by optimization passes ---
   kFusedSliceSample,    // (matrix, ids) -> matrix    attrs.k  (Extract-Select)
+  kFusedSliceCollectiveSample,  // (matrix, ids, probs_tensor) -> matrix  attrs.k
+  kFusedSliceReduce,            // (matrix, ids) -> tensor   row sums of matrix[:, ids]
   kFusedEdgeMap,        // (matrix, operands...) -> matrix   attrs.stages
   kFusedEdgeMapReduce,  // (matrix, operands...) -> tensor   attrs.stages, axis
   kConvertFormat,       // (matrix) -> matrix          attrs.format (layout pass)

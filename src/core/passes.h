@@ -4,7 +4,8 @@
 //   1. RewriteSddmm          — sub_A * (U @ V^T)  ->  SDDMM
 //   2. HoistOverExtract      — move batch-invariant edge ops above A[:, f]
 //   3. MarkInvariant         — flag nodes computable at compile time
-//   4. FuseExtractSelect     — A[:, f].individual_sample(k) -> fused kernel
+//   4. FuseExtractSelect     — A[:, f] read in place by its one consumer:
+//                              individual/collective sample, row sum
 //   5. FuseEdgeMaps          — collapse edge-map chains (no intermediates)
 //   6. FuseEdgeMapReduce     — absorb maps into reductions
 //   7. EliminateCommonSubexpressions, DeadCodeElimination
@@ -40,7 +41,10 @@ int HoistOverExtract(Program& program);
 // the engine evaluates them once at compile time.
 void MarkInvariant(Program& program);
 
-// Extract-Select fusion (Figure 5a). Returns number of fusions.
+// Extract-Select fusion (Figure 5a): a column slice whose only consumer is
+// a node-wise sample, a layer-wise (collective) sample or an axis-0 sum is
+// folded into that consumer, which then reads the slice's columns in place.
+// Returns number of fusions.
 int FuseExtractSelect(Program& program);
 
 // Edge-map chain fusion (Figure 5b): canonicalizes edge-map ops to

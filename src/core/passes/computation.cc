@@ -38,6 +38,7 @@ bool IsRandomOp(OpKind kind) {
     case OpKind::kIndividualSampleP:
     case OpKind::kCollectiveSample:
     case OpKind::kFusedSliceSample:
+    case OpKind::kFusedSliceCollectiveSample:
     case OpKind::kWalkStep:
     case OpKind::kWalkRestartStep:
     case OpKind::kNode2VecStep:
@@ -234,17 +235,28 @@ int FuseExtractSelect(Program& p) {
   int fusions = 0;
   const std::vector<int> uses = p.UseCounts();
   for (Node& n : p.nodes()) {
-    if (n.kind != OpKind::kIndividualSample) {
+    const bool node_wise = n.kind == OpKind::kIndividualSample;
+    const bool layer_wise = n.kind == OpKind::kCollectiveSample;
+    const bool row_sum = n.kind == OpKind::kSumAxis && n.attrs.axis == 0;
+    if (!node_wise && !layer_wise && !row_sum) {
       continue;
     }
     const Node& extract = p.node(n.inputs[0]);
     if (extract.kind != OpKind::kSliceCols || uses[static_cast<size_t>(extract.id)] != 1) {
       continue;
     }
-    // A[:, f].individual_sample(k)  ->  fused_slice_sample(A, f, k): the
-    // extracted subgraph is never materialized (Figure 5a).
-    n.kind = OpKind::kFusedSliceSample;
-    n.inputs = {extract.inputs[0], extract.inputs[1]};
+    // The extracted subgraph is never materialized (Figure 5a):
+    //   A[:, f].individual_sample(k)     ->  fused_slice_sample(A, f, k)
+    //   A[:, f].collective_sample(k, p)  ->  fused_slice_collective_sample(A, f, p, k)
+    //   A[:, f].sum(0)                   ->  fused_slice_reduce(A, f)
+    std::vector<int> inputs = {extract.inputs[0], extract.inputs[1]};
+    if (layer_wise) {
+      inputs.push_back(n.inputs[1]);
+    }
+    n.kind = node_wise    ? OpKind::kFusedSliceSample
+             : layer_wise ? OpKind::kFusedSliceCollectiveSample
+                          : OpKind::kFusedSliceReduce;
+    n.inputs = std::move(inputs);
     ++fusions;
   }
   if (fusions > 0) {

@@ -95,8 +95,9 @@ void SelectDataLayout(Program& program, const Bindings& bindings,
   double best_total = measure();  // baseline: all-natural layouts
 
   // Stage 1: joint row-compaction of all extract nodes. Hoisting can split
-  // one logical extract into several pattern-coupled slices (e.g. LADIES'
-  // A[:, f] and (A**2)[:, f]); their row spaces must compact together, so
+  // one logical extract into several pattern-coupled slices (e.g. A[:, f]
+  // and op(A)[:, f] when both have more than one consumer; single-consumer
+  // ones are fused away); their row spaces must compact together, so
   // compaction is searched as a single joint switch.
   // Extracts feeding a collective sample stay uncompacted: the sample's
   // row-probability operand may live in the uncompacted row space (e.g.
@@ -107,7 +108,8 @@ void SelectDataLayout(Program& program, const Bindings& bindings,
   // here would also make plans data-dependent.
   std::vector<int> collective_inputs;
   for (const Node& n : program.nodes()) {
-    if (n.kind == OpKind::kCollectiveSample && !n.inputs.empty()) {
+    if ((n.kind == OpKind::kCollectiveSample || n.kind == OpKind::kFusedSliceCollectiveSample) &&
+        !n.inputs.empty()) {
       collective_inputs.push_back(n.inputs[0]);
     }
   }

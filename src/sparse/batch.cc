@@ -82,103 +82,6 @@ Matrix SegmentedFusedSliceSample(const Matrix& base, const IdArray& labeled_cols
   return out;
 }
 
-Matrix SegmentedCollectiveSample(const Matrix& m, int64_t k, const ValueArray& row_probs,
-                                 int64_t num_nodes, std::span<Rng> segment_rngs) {
-  GS_CHECK_GT(k, 0);
-  // row_probs is either in the matrix's local row space (length ==
-  // num_rows) or in the labeled row space, gathered through the row id map
-  // when the input was compacted — the same contract CollectiveSample
-  // implements with RowOperand. Per-node probability vectors repeat per
-  // segment under labeled ids, hence the modulo.
-  const bool local_probs = row_probs.size() == m.num_rows();
-  GS_CHECK(local_probs || m.has_row_ids() ||
-           (row_probs.size() > 0 && m.num_rows() % row_probs.size() == 0))
-      << "row operand length " << row_probs.size() << " does not match num_rows "
-      << m.num_rows() << " and the matrix has no row id map";
-  const auto prob_of = [&](int64_t r) -> float {
-    if (local_probs) {
-      return row_probs[r];
-    }
-    return row_probs[m.GlobalRowId(static_cast<int32_t>(r)) % row_probs.size()];
-  };
-  device::KernelScope kernel(CurrentStream());
-
-  // A row's segment comes from its labeled id (works both for the full
-  // labeled space and for compacted matrices whose row_ids carry labels).
-  int64_t num_segments = 0;
-  std::vector<int64_t> segment_of(static_cast<size_t>(m.num_rows()));
-  for (int64_t r = 0; r < m.num_rows(); ++r) {
-    const int64_t s = m.GlobalRowId(static_cast<int32_t>(r)) / num_nodes;
-    segment_of[static_cast<size_t>(r)] = s;
-    num_segments = std::max(num_segments, s + 1);
-  }
-  GS_CHECK_LE(num_segments, static_cast<int64_t>(segment_rngs.size()))
-      << "need one rng per segment";
-
-  // Gather positive-probability candidates per segment, then sample each
-  // segment independently (the "segmented collective sample" operator).
-  std::vector<int32_t> selected;
-  {
-    std::vector<std::vector<int32_t>> candidates(static_cast<size_t>(num_segments));
-    std::vector<std::vector<float>> weights(static_cast<size_t>(num_segments));
-    for (int64_t r = 0; r < m.num_rows(); ++r) {
-      const float p = prob_of(r);
-      if (p > 0.0f) {
-        const size_t s = static_cast<size_t>(segment_of[static_cast<size_t>(r)]);
-        candidates[s].push_back(static_cast<int32_t>(r));
-        weights[s].push_back(p);
-      }
-    }
-    for (int64_t s = 0; s < num_segments; ++s) {
-      std::vector<int32_t> picked;
-      SampleWeightedWithoutReplacement(weights[static_cast<size_t>(s)], k,
-                                       segment_rngs[static_cast<size_t>(s)], picked);
-      for (int32_t slot : picked) {
-        selected.push_back(candidates[static_cast<size_t>(s)][static_cast<size_t>(slot)]);
-      }
-    }
-  }
-  std::sort(selected.begin(), selected.end());
-  const int64_t s = static_cast<int64_t>(selected.size());
-
-  // Filter edges to the selected rows, preserving CSC column grouping.
-  const Compressed& csc = m.Csc();
-  const bool weighted = csc.values.defined();
-  std::vector<int32_t> row_map(static_cast<size_t>(m.num_rows()), -1);
-  IdArray row_ids = IdArray::Empty(s);
-  for (int64_t i = 0; i < s; ++i) {
-    row_map[static_cast<size_t>(selected[static_cast<size_t>(i)])] = static_cast<int32_t>(i);
-    row_ids[i] = m.GlobalRowId(selected[static_cast<size_t>(i)]);
-  }
-  Compressed out;
-  out.indptr = OffsetArray::Empty(m.num_cols() + 1);
-  out.indptr[0] = 0;
-  std::vector<int32_t> idx;
-  std::vector<float> vals;
-  for (int64_t c = 0; c < m.num_cols(); ++c) {
-    for (int64_t e = csc.indptr[c]; e < csc.indptr[c + 1]; ++e) {
-      const int32_t mapped = row_map[static_cast<size_t>(csc.indices[e])];
-      if (mapped >= 0) {
-        idx.push_back(mapped);
-        if (weighted) {
-          vals.push_back(csc.values[e]);
-        }
-      }
-    }
-    out.indptr[c + 1] = static_cast<int64_t>(idx.size());
-  }
-  out.indices = IdArray::FromVector(idx);
-  if (weighted) {
-    out.values = ValueArray::FromVector(vals);
-  }
-  Matrix result = Matrix::FromCsc(s, m.num_cols(), std::move(out));
-  result.SetRowIds(std::move(row_ids));
-  result.SetRowsCompact(true);
-  result.SetColIds(m.col_ids());
-  kernel.Finish({.parallel_items = m.nnz(), .hbm_bytes = m.nnz() * int64_t{12}});
-  return result;
-}
-
 Matrix SegmentedSliceColumns(const Matrix& base, const IdArray& labeled_cols,
                              int64_t num_segments) {
   GS_CHECK(!base.has_col_ids()) << "super-batch extract requires the base graph";

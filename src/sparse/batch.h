@@ -37,7 +37,7 @@ Matrix SegmentedFusedSliceSample(const Matrix& base, const IdArray& labeled_cols
 // each segment's labeled id range [s*num_nodes, (s+1)*num_nodes) according
 // to row_probs (length m.num_rows()), then keeps only edges whose row was
 // selected. Rows come out compacted with labeled row_ids. Segment s draws
-// from segment_rngs[s].
+// from segment_rngs[s]. Probabilities are validated as in CollectiveSample.
 Matrix SegmentedCollectiveSample(const Matrix& m, int64_t k, const ValueArray& row_probs,
                                  int64_t num_nodes, std::span<Rng> segment_rngs);
 

@@ -74,7 +74,8 @@ Matrix IndividualSample(const Matrix& m, int64_t k, const ValueArray& probs, Rng
 
 // Layer-wise selection: samples up to k distinct row nodes proportional to
 // row_probs (length num_rows, non-negative; rows with zero probability are
-// never selected) and keeps only edges whose row was selected. Result shape
+// never selected; a negative or NaN probability throws gs::Error) and
+// keeps only edges whose row was selected. Result shape
 // is (#selected x num_cols) with rows compacted (row_ids set). Fast path
 // gathers selected rows from CSR; COO/CSC paths scan all edges (Table 5 row
 // 3).
@@ -84,6 +85,22 @@ Matrix CollectiveSample(const Matrix& m, int64_t k, const ValueArray& row_probs,
 // in-neighbors for each of `cols` directly from the base matrix without
 // materializing the sliced subgraph (Figure 5a). Requires CSC on m.
 Matrix FusedSliceSample(const Matrix& m, const IdArray& cols, int64_t k, Rng& rng);
+
+// Fused Extract-Select for layer-wise sampling: the two kernels read the
+// frontier's columns of m in place, so m[:, cols] is never materialized.
+// Their results are bit-identical to the unfused pairs. A call with one
+// segment is solo: cols are m's global column ids and the slice keeps m's
+// row space, as in SliceColumns. With several segments m must be the base
+// graph and cols are labeled ids (sparse/batch.h), as in
+// SegmentedSliceColumns. Both require CSC on m.
+
+// CollectiveSample(m[:, cols], k, row_probs) — or, with one rng per
+// segment (rngs.size() segments), SegmentedCollectiveSample.
+Matrix FusedSliceCollectiveSample(const Matrix& m, const IdArray& cols, int64_t k,
+                                  const ValueArray& row_probs, std::span<Rng> rngs);
+
+// SumAxis(m[:, cols], 0) over the slice's (labeled) row space.
+ValueArray FusedSliceReduce(const Matrix& m, const IdArray& cols, int64_t num_segments = 1);
 
 // --------------------------------------------------------------- Finalize
 

@@ -128,27 +128,39 @@ inline void InheritRowSpace(const Matrix& in, Matrix& out) {
 class RowOperand {
  public:
   RowOperand(const Matrix& m, int64_t operand_rows)
-      : matrix_(&m), operand_rows_(operand_rows) {
-    local_ = operand_rows == m.num_rows();
+      : RowOperand(m.num_rows(), m.row_ids(), operand_rows) {}
+
+  // A row space of `num_rows` rows whose global ids are `row_ids`
+  // (identity when undefined) — e.g. a slice the fused kernels never
+  // materialize. `row_ids` must outlive the operand.
+  RowOperand(int64_t num_rows, const IdArray& row_ids, int64_t operand_rows)
+      : num_rows_(num_rows),
+        row_ids_(row_ids.defined() ? row_ids.data() : nullptr),
+        operand_rows_(operand_rows),
+        local_(operand_rows == num_rows) {
     // Under super-batching the row space is labeled (segment * n + node)
     // while per-node operands keep length n; the label folds away with a
     // modulo, both through an explicit row id map (compacted matrices
     // inherit labeled ids) and in the full labeled space where global ids
     // are the identity and num_rows is a multiple of the operand length.
-    GS_CHECK(local_ || m.has_row_ids() ||
-             (operand_rows > 0 && m.num_rows() % operand_rows == 0))
-        << "row operand length " << operand_rows << " does not match num_rows "
-        << m.num_rows() << " and the matrix has no row id map";
+    GS_CHECK(local_ || row_ids_ != nullptr || (operand_rows > 0 && num_rows % operand_rows == 0))
+        << "row operand length " << operand_rows << " does not match num_rows " << num_rows
+        << " and the matrix has no row id map";
+  }
+
+  int32_t GlobalRowId(int32_t local_row) const {
+    return row_ids_ != nullptr ? row_ids_[local_row] : local_row;
   }
 
   int64_t Index(int32_t local_row) const {
-    return local_ ? local_row : matrix_->GlobalRowId(local_row) % operand_rows_;
+    return local_ ? local_row : GlobalRowId(local_row) % operand_rows_;
   }
 
-  bool local() const { return local_; }
+  int64_t num_rows() const { return num_rows_; }
 
  private:
-  const Matrix* matrix_;
+  int64_t num_rows_;
+  const int32_t* row_ids_;
   int64_t operand_rows_;
   bool local_;
 };

@@ -1,5 +1,6 @@
-// Select-step kernels: node-wise (individual) and layer-wise (collective)
-// sampling, the fused extract+sample kernel, and random-walk steps.
+// Select-step kernels: node-wise (individual) sampling, the fused
+// extract+sample kernel, and random-walk steps. Layer-wise (collective)
+// sampling lives in layerwise.cc.
 
 #include <algorithm>
 #include <vector>
@@ -11,7 +12,6 @@
 namespace gs::sparse {
 
 using internal::CurrentStream;
-using internal::PickFormat;
 
 Matrix IndividualSample(const Matrix& m, int64_t k, const ValueArray& probs, Rng& rng) {
   GS_CHECK_GT(k, 0) << "fanout must be positive";
@@ -72,141 +72,6 @@ Matrix IndividualSample(const Matrix& m, int64_t k, const ValueArray& probs, Rng
   kernel.Finish({.parallel_items = std::max<int64_t>(m.nnz(), 1),
                  .hbm_bytes = m.nnz() * int64_t{4} + out_nnz * int64_t{8},
                  .pcie_bytes = pcie});
-  return result;
-}
-
-Matrix CollectiveSample(const Matrix& m, int64_t k, const ValueArray& row_probs, Rng& rng) {
-  GS_CHECK_GT(k, 0);
-  const internal::RowOperand row_op(m, row_probs.size());
-  const Format format = PickFormat(m, {Format::kCsr, Format::kCoo, Format::kCsc});
-  device::KernelScope kernel(CurrentStream());
-
-  std::vector<int32_t> selected;
-  if (row_op.local()) {
-    SampleWeightedWithoutReplacement(row_probs.span(), k, rng, selected);
-  } else {
-    // Global-space probabilities: gather into the local row space first.
-    std::vector<float> local(static_cast<size_t>(m.num_rows()));
-    for (int64_t r = 0; r < m.num_rows(); ++r) {
-      local[static_cast<size_t>(r)] = row_probs[row_op.Index(static_cast<int32_t>(r))];
-    }
-    SampleWeightedWithoutReplacement(local, k, rng, selected);
-  }
-  std::sort(selected.begin(), selected.end());
-  const int64_t s = static_cast<int64_t>(selected.size());
-
-  IdArray row_ids = IdArray::Empty(s);
-  for (int64_t i = 0; i < s; ++i) {
-    row_ids[i] = m.GlobalRowId(selected[static_cast<size_t>(i)]);
-  }
-
-  Matrix result;
-  int64_t hbm = 0;
-
-  switch (format) {
-    case Format::kCsr: {
-      // Fast path: gather only the selected rows.
-      const Compressed& csr = m.Csr();
-      const bool weighted = csr.values.defined();
-      Compressed out;
-      out.indptr = OffsetArray::Empty(s + 1);
-      out.indptr[0] = 0;
-      for (int64_t i = 0; i < s; ++i) {
-        const int32_t r = selected[static_cast<size_t>(i)];
-        out.indptr[i + 1] = out.indptr[i] + (csr.indptr[r + 1] - csr.indptr[r]);
-      }
-      const int64_t out_nnz = out.indptr[s];
-      out.indices = IdArray::Empty(out_nnz);
-      if (weighted) {
-        out.values = ValueArray::Empty(out_nnz);
-      }
-      for (int64_t i = 0; i < s; ++i) {
-        const int32_t r = selected[static_cast<size_t>(i)];
-        const int64_t begin = csr.indptr[r];
-        const int64_t len = csr.indptr[r + 1] - begin;
-        std::copy_n(csr.indices.data() + begin, len, out.indices.data() + out.indptr[i]);
-        if (weighted) {
-          std::copy_n(csr.values.data() + begin, len, out.values.data() + out.indptr[i]);
-        }
-      }
-      hbm = 2 * out_nnz * int64_t{8} + m.num_rows() * int64_t{4};
-      result = Matrix::FromCsr(s, m.num_cols(), std::move(out));
-      break;
-    }
-    case Format::kCoo: {
-      // Scan path over the edge list.
-      const Coo& coo = m.GetCoo();
-      const bool weighted = coo.values.defined();
-      std::vector<int32_t> row_map(static_cast<size_t>(m.num_rows()), -1);
-      for (int64_t i = 0; i < s; ++i) {
-        row_map[static_cast<size_t>(selected[static_cast<size_t>(i)])] =
-            static_cast<int32_t>(i);
-      }
-      std::vector<int32_t> rows_kept;
-      std::vector<int32_t> cols_kept;
-      std::vector<float> vals_kept;
-      for (int64_t e = 0; e < m.nnz(); ++e) {
-        const int32_t mapped = row_map[static_cast<size_t>(coo.row[e])];
-        if (mapped >= 0) {
-          rows_kept.push_back(mapped);
-          cols_kept.push_back(coo.col[e]);
-          if (weighted) {
-            vals_kept.push_back(coo.values[e]);
-          }
-        }
-      }
-      Coo out;
-      out.row = IdArray::FromVector(rows_kept);
-      out.col = IdArray::FromVector(cols_kept);
-      if (weighted) {
-        out.values = ValueArray::FromVector(vals_kept);
-      }
-      hbm = m.nnz() * int64_t{8};
-      result = Matrix::FromCoo(s, m.num_cols(), std::move(out));
-      break;
-    }
-    case Format::kCsc: {
-      // Slowest path: per-column scans with row filtering (preserves CSC).
-      const Compressed& csc = m.Csc();
-      const bool weighted = csc.values.defined();
-      std::vector<int32_t> row_map(static_cast<size_t>(m.num_rows()), -1);
-      for (int64_t i = 0; i < s; ++i) {
-        row_map[static_cast<size_t>(selected[static_cast<size_t>(i)])] =
-            static_cast<int32_t>(i);
-      }
-      Compressed out;
-      out.indptr = OffsetArray::Empty(m.num_cols() + 1);
-      out.indptr[0] = 0;
-      std::vector<int32_t> idx;
-      std::vector<float> vals;
-      for (int64_t c = 0; c < m.num_cols(); ++c) {
-        for (int64_t e = csc.indptr[c]; e < csc.indptr[c + 1]; ++e) {
-          const int32_t mapped = row_map[static_cast<size_t>(csc.indices[e])];
-          if (mapped >= 0) {
-            idx.push_back(mapped);
-            if (weighted) {
-              vals.push_back(csc.values[e]);
-            }
-          }
-        }
-        out.indptr[c + 1] = static_cast<int64_t>(idx.size());
-      }
-      out.indices = IdArray::FromVector(idx);
-      if (weighted) {
-        out.values = ValueArray::FromVector(vals);
-      }
-      hbm = m.nnz() * int64_t{12};
-      result = Matrix::FromCsc(s, m.num_cols(), std::move(out));
-      break;
-    }
-  }
-
-  result.SetRowIds(std::move(row_ids));
-  result.SetRowsCompact(true);
-  result.SetColIds(m.col_ids());
-  kernel.Finish({.parallel_items = m.nnz(),
-                 .hbm_bytes = hbm,
-                 .pcie_bytes = m.IsUva() ? m.nnz() * int64_t{8} : 0});
   return result;
 }
 

@@ -122,11 +122,19 @@ TEST(Program, ToStringListsOpsAndOutputs) {
 }
 
 TEST(OpKindMeta, NamesAndKindsConsistent) {
-  // Every op has a printable name and a stable output kind.
+  // Every op has a printable name that plan artifacts parse back, and a
+  // stable output kind.
   for (int k = 0; k <= static_cast<int>(OpKind::kConvertFormat); ++k) {
     const OpKind kind = static_cast<OpKind>(k);
     EXPECT_STRNE(OpKindName(kind), "?");
+    OpKind parsed = OpKind::kGraphInput;
+    EXPECT_TRUE(OpKindFromName(OpKindName(kind), &parsed)) << OpKindName(kind);
+    EXPECT_EQ(parsed, kind) << OpKindName(kind);
   }
+  EXPECT_EQ(OutputKindOf(OpKind::kFusedSliceReduce), ValueKind::kTensor);
+  EXPECT_EQ(OutputKindOf(OpKind::kFusedSliceCollectiveSample), ValueKind::kMatrix);
+  EXPECT_TRUE(IsStructureOp(OpKind::kFusedSliceCollectiveSample));
+  EXPECT_FALSE(IsStructureOp(OpKind::kFusedSliceReduce));
   EXPECT_EQ(OutputKindOf(OpKind::kRowIds), ValueKind::kIds);
   EXPECT_EQ(OutputKindOf(OpKind::kSumAxis), ValueKind::kTensor);
   EXPECT_EQ(OutputKindOf(OpKind::kTopKVisited), ValueKind::kMatrix);

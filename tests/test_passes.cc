@@ -111,6 +111,104 @@ TEST(FuseExtractSelect, FusesSingleConsumerOnly) {
   EXPECT_EQ(FuseExtractSelect(p2), 0);
 }
 
+// The compile-time pass pipeline (layout selection runs at calibration).
+Program Optimize(Program p, const SamplerOptions& options) {
+  StandardPassPipeline(options).Run(p, {}, nullptr);
+  p.Verify();
+  return p;
+}
+
+Program OneLayer(const std::string& algorithm) {
+  const graph::Graph g = gs::testing::SmallRmat();
+  const algorithms::LayerWiseParams params{.num_layers = 1, .layer_width = 8};
+  return algorithm == "LADIES" ? algorithms::Ladies(g, params).program
+                               : algorithms::FastGcn(g, params).program;
+}
+
+TEST(FuseExtractSelect, LadiesLayerReadsBothSlicesInPlace) {
+  // (A**2)[:, f].sum(0) and A[:, f].collective_sample(k, p) each become
+  // one fused node; no slice is left.
+  const Program p = Optimize(OneLayer("LADIES"), SamplerOptions{});
+  EXPECT_EQ(CountKind(p, OpKind::kSliceCols), 0);
+  EXPECT_EQ(CountKind(p, OpKind::kFusedSliceReduce), 1);
+  EXPECT_EQ(CountKind(p, OpKind::kFusedSliceCollectiveSample), 1);
+  EXPECT_EQ(CountKind(p, OpKind::kCollectiveSample), 0);
+  for (const Node& n : p.nodes()) {
+    if (n.kind == OpKind::kFusedSliceCollectiveSample) {
+      EXPECT_EQ(p.node(n.inputs[0]).kind, OpKind::kGraphInput);
+      EXPECT_EQ(p.node(n.inputs[2]).kind, OpKind::kFusedSliceReduce);
+      EXPECT_FALSE(n.invariant);
+    }
+  }
+}
+
+TEST(FuseExtractSelect, FastGcnGetsOnlyTheCollectiveFusion) {
+  // q = A.sum(0) reduces the whole graph, not a slice.
+  const Program p = Optimize(OneLayer("FastGCN"), SamplerOptions{});
+  EXPECT_EQ(CountKind(p, OpKind::kSliceCols), 0);
+  EXPECT_EQ(CountKind(p, OpKind::kFusedSliceCollectiveSample), 1);
+  EXPECT_EQ(CountKind(p, OpKind::kFusedSliceReduce), 0);
+  EXPECT_EQ(CountKind(p, OpKind::kSumAxis), 1);
+}
+
+TEST(FuseExtractSelect, SharedSliceStaysUnfused) {
+  // sub feeds both the row sum and the sample (no hoisting splits it).
+  Builder b;
+  MVal a = b.Graph();
+  IVal f = b.Frontier();
+  MVal sub = a.Cols(f);
+  b.Output(sub.CollectiveSample(4, sub.Sum(0)));
+  Program p = std::move(b).Build();
+  EXPECT_EQ(FuseExtractSelect(p), 0);
+  EXPECT_EQ(CountKind(p, OpKind::kSliceCols), 1);
+  EXPECT_EQ(CountKind(p, OpKind::kCollectiveSample), 1);
+  EXPECT_EQ(CountKind(p, OpKind::kSumAxis), 1);
+}
+
+TEST(FuseExtractSelect, DisabledLeavesLayerWisePlansUnfused) {
+  SamplerOptions off;
+  off.fuse_extract_select = false;
+  for (const std::string algorithm : {"LADIES", "FastGCN"}) {
+    const Program unfused = Optimize(OneLayer(algorithm), off);
+    const Program fused = Optimize(OneLayer(algorithm), SamplerOptions{});
+    EXPECT_EQ(CountKind(unfused, OpKind::kFusedSliceCollectiveSample), 0) << algorithm;
+    EXPECT_EQ(CountKind(unfused, OpKind::kFusedSliceReduce), 0) << algorithm;
+    EXPECT_EQ(CountKind(unfused, OpKind::kCollectiveSample), 1) << algorithm;
+    // Every fusion removes exactly one slice node.
+    const int fusions = CountKind(fused, OpKind::kFusedSliceCollectiveSample) +
+                        CountKind(fused, OpKind::kFusedSliceReduce);
+    EXPECT_EQ(CountKind(unfused, OpKind::kSliceCols), fusions) << algorithm;
+    EXPECT_EQ(unfused.size(), fused.size() + fusions) << algorithm;
+  }
+}
+
+TEST(FuseExtractSelect, LayerWiseFusionSamplesIdentically) {
+  // Fused and unfused plans sample the same subgraphs, solo and
+  // super-batched (the oracle's fusion-off reference, bit for bit).
+  const graph::Graph g = gs::testing::SmallRmat(300, 3000, 9, true);
+  const tensor::IdArray frontiers =
+      tensor::IdArray::FromVector({3, 17, 42, 101, 250, 9, 5, 6, 250, 3, 77, 128, 64, 1});
+  for (const std::string algorithm : {"LADIES", "FastGCN", "AS-GCN"}) {
+    for (const int super_batch : {1, 3}) {
+      std::vector<std::vector<Value>> runs;
+      for (const bool fuse : {true, false}) {
+        SamplerOptions options;
+        options.fuse_extract_select = fuse;
+        options.super_batch = super_batch;
+        algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(algorithm, g);
+        CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), options);
+        std::vector<Value> outputs;
+        sampler.SampleEpoch(frontiers, 3, [&](int64_t, std::vector<Value>& batch) {
+          outputs.insert(outputs.end(), batch.begin(), batch.end());
+        });
+        runs.push_back(std::move(outputs));
+      }
+      gs::testing::ExpectBitIdentical(runs[0], runs[1],
+                                      algorithm + " super_batch=" + std::to_string(super_batch));
+    }
+  }
+}
+
 TEST(FuseEdgeMapReduce, AbsorbsMapIntoReduce) {
   Program p = TraceLadiesLayer();
   const int fused = FuseEdgeMapReduce(p);

@@ -121,6 +121,39 @@ TEST(ShardGroupTest, FrontierExchangeChargesRemoteAdjacency) {
   EXPECT_EQ(group.exchange_stats(1).samples, 0);
 }
 
+// The fused layer-wise kernels are frontier hops too: a LADIES group with
+// Extract-Select fusion must charge exactly the exchange of the unfused
+// group, whose column slices are the hops.
+TEST(ShardGroupTest, FusedLayerWiseHopsMatchUnfusedExchange) {
+  const graph::Graph g = ShardGraph();
+  const IdArray frontier = Seeds({5, 17, 42, 101, 250});
+  std::vector<std::vector<HopRecord>> runs;
+  for (const bool fuse : {true, false}) {
+    algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm("LADIES", g);
+    ShardGroupOptions options;
+    options.num_shards = 2;
+    options.sampler.fuse_extract_select = fuse;
+    const ShardGroup group(g, std::move(ap.program), std::move(ap.tensors), options);
+    std::vector<HopRecord> hops;
+    group.Sample(0, frontier, 31, &hops);
+    runs.push_back(std::move(hops));
+  }
+  const std::vector<HopRecord>& fused = runs[0];
+  const std::vector<HopRecord>& unfused = runs[1];
+  // Two layers, each hopping for A[:, f] and (A**2)[:, f].
+  ASSERT_EQ(unfused.size(), 4u);
+  ASSERT_EQ(fused.size(), unfused.size());
+  int64_t remote = 0;
+  for (size_t i = 0; i < fused.size(); ++i) {
+    EXPECT_EQ(fused[i].hop, unfused[i].hop) << "hop " << i;
+    EXPECT_EQ(fused[i].frontier_nodes, unfused[i].frontier_nodes) << "hop " << i;
+    EXPECT_EQ(fused[i].remote_nodes, unfused[i].remote_nodes) << "hop " << i;
+    EXPECT_EQ(fused[i].bytes, unfused[i].bytes) << "hop " << i;
+    remote += fused[i].remote_nodes;
+  }
+  EXPECT_GT(remote, 0) << "the frontier never left shard 0";
+}
+
 TEST(ShardGroupTest, SingleShardGroupHasNoExchange) {
   const graph::Graph g = ShardGraph();
   algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm("GraphSAGE", g);

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "common/error.h"
+#include "common/sampling.h"
 #include "sparse/batch.h"
 #include "sparse/kernels.h"
 #include "tests/testing.h"
@@ -103,6 +108,166 @@ TEST(SegmentedCollectiveSample, SamplesWithinEachSegment) {
   EXPECT_LE(per_segment[1], 4);
   EXPECT_GT(per_segment[0], 0);
   EXPECT_GT(per_segment[1], 0);
+}
+
+// Solo CollectiveSample rejects negative and NaN row probabilities with a
+// typed error; super-batching must not turn such a program into one that
+// succeeds by silently skipping those rows.
+TEST(SegmentedCollectiveSample, RejectsNegativeAndNanProbabilitiesLikeSolo) {
+  graph::Graph g = gs::testing::SmallRmat();
+  const int64_t n = g.num_nodes();
+  const IdArray labeled = IdArray::FromVector({0, 1, 2, static_cast<int32_t>(n + 3)});
+  const Matrix seg = SegmentedSliceColumns(g.adj(), labeled, 2);
+  const Matrix solo = SliceColumns(g.adj(), IdArray::FromVector({0, 1, 2}));
+  for (const float bad : {-1.0f, std::numeric_limits<float>::quiet_NaN()}) {
+    ValueArray seg_probs = SumAxis(seg, 0);
+    seg_probs[seg.Csc().indices[0]] = bad;
+    std::vector<Rng> rngs = {Rng(1), Rng(2)};
+    EXPECT_THROW(SegmentedCollectiveSample(seg, 4, seg_probs, n, rngs), Error) << bad;
+
+    ValueArray solo_probs = SumAxis(solo, 0);
+    solo_probs[solo.Csc().indices[0]] = bad;
+    Rng rng(1);
+    EXPECT_THROW(CollectiveSample(solo, 4, solo_probs, rng), Error) << bad;
+  }
+}
+
+// ----------------------------------------- fused layer-wise extract-select
+
+using core::Value;
+
+Value Tensor(ValueArray values) {
+  const int64_t size = values.size();
+  return Value::OfTensor(tensor::Tensor::FromArray({size}, std::move(values)));
+}
+
+// `per_segment` distinct nodes of each of `segments` mini-batches, labeled
+// b * n + v.
+IdArray LabeledFrontier(int64_t n, int64_t segments, int64_t per_segment, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int32_t> ids;
+  for (int64_t b = 0; b < segments; ++b) {
+    std::vector<int32_t> picked;
+    SampleUniformWithoutReplacement(n, per_segment, rng, picked);
+    for (int32_t v : picked) {
+      ids.push_back(static_cast<int32_t>(b * n + v));
+    }
+  }
+  return IdArray::FromVector(ids);
+}
+
+std::vector<Rng> Streams(int64_t segments, uint64_t seed) {
+  std::vector<Rng> rngs;
+  for (int64_t b = 0; b < segments; ++b) {
+    rngs.emplace_back(seed + static_cast<uint64_t>(b));
+  }
+  return rngs;
+}
+
+// The fused kernels against the unfused pairs they replace, bit for bit:
+// solo (SliceColumns then CollectiveSample / SumAxis) and segmented
+// (SegmentedSliceColumns then SegmentedCollectiveSample / SumAxis), on
+// weighted and unweighted graphs, with row probabilities in the slice's
+// own row space and per node (folded by modulo). k = 3 draws among the
+// candidates; k = 10000 keeps every positive-probability row.
+TEST(FusedLayerWise, BitIdenticalToUnfusedPairs) {
+  for (const bool weighted : {true, false}) {
+    const graph::Graph g = gs::testing::SmallRmat(300, 3000, 9, weighted);
+    const Matrix& a = g.adj();
+    const int64_t n = g.num_nodes();
+    const Matrix squared = EltwiseScalar(a, BinaryOp::kPow, 2.0f);
+    const ValueArray degree = SumAxis(a, 0);  // per-node probabilities
+    for (const int64_t segments : {int64_t{1}, int64_t{3}}) {
+      const IdArray cols = LabeledFrontier(n, segments, 6, 40 + static_cast<uint64_t>(segments));
+      const std::string label = std::string(weighted ? "weighted" : "unweighted") +
+                                " segments=" + std::to_string(segments);
+      const bool solo = segments == 1;
+      const Matrix sub = solo ? SliceColumns(a, cols) : SegmentedSliceColumns(a, cols, segments);
+      const Matrix sub_squared =
+          solo ? SliceColumns(squared, cols) : SegmentedSliceColumns(squared, cols, segments);
+
+      const ValueArray local = SumAxis(sub_squared, 0);
+      gs::testing::ExpectBitIdentical({Tensor(FusedSliceReduce(squared, cols, segments))},
+                                      {Tensor(local)}, label + " reduce");
+      gs::testing::ExpectBitIdentical({Tensor(FusedSliceReduce(a, cols, segments))},
+                                      {Tensor(SumAxis(sub, 0))}, label + " reduce of A");
+
+      for (const ValueArray& probs : {local, degree}) {
+        for (const int64_t k : {int64_t{3}, int64_t{10000}}) {
+          std::vector<Rng> fused_rngs = Streams(segments, 7);
+          std::vector<Rng> ref_rngs = Streams(segments, 7);
+          const Matrix fused = FusedSliceCollectiveSample(a, cols, k, probs, fused_rngs);
+          const Matrix ref = solo ? CollectiveSample(sub, k, probs, ref_rngs[0])
+                                  : SegmentedCollectiveSample(sub, k, probs, n, ref_rngs);
+          const std::string name = label + " probs=" + std::to_string(probs.size()) +
+                                   " k=" + std::to_string(k);
+          gs::testing::ExpectBitIdentical({Value::OfMatrix(fused)}, {Value::OfMatrix(ref)},
+                                          name);
+          EXPECT_TRUE(fused.rows_compact()) << name;
+          if (k == 10000) {
+            EXPECT_GT(fused.nnz(), 0) << name;  // kept edges carry compared values
+          }
+          // Both consumed the same draws.
+          for (int64_t b = 0; b < segments; ++b) {
+            EXPECT_EQ(fused_rngs[static_cast<size_t>(b)].NextU64(),
+                      ref_rngs[static_cast<size_t>(b)].NextU64())
+                << name;
+          }
+        }
+      }
+    }
+  }
+}
+
+// A solo call on a matrix with its own col and row id maps (a compacted
+// slice): cols are global ids localized through the col map, and
+// probabilities resolve in the slice's row space or per node through the
+// row map, exactly as SliceColumns then CollectiveSample.
+TEST(FusedLayerWise, SoloMatrixWithIdMapsMatchesUnfused) {
+  const graph::Graph g = gs::testing::SmallRmat(300, 3000, 9, true);
+  const Matrix base_cols = CompactRows(SliceColumns(
+      g.adj(), IdArray::FromVector({3, 7, 11, 19, 23, 42, 57, 64, 99, 128, 200, 255})));
+  ASSERT_TRUE(base_cols.has_col_ids());
+  ASSERT_TRUE(base_cols.has_row_ids());
+  const IdArray cols = IdArray::FromVector({42, 3, 255, 19, 99});
+  const Matrix sub = SliceColumns(base_cols, cols);
+
+  gs::testing::ExpectBitIdentical({Tensor(FusedSliceReduce(base_cols, cols))},
+                                  {Tensor(SumAxis(sub, 0))}, "reduce");
+  for (const ValueArray& probs : {SumAxis(sub, 0), SumAxis(g.adj(), 0)}) {
+    Rng fused_rng(11);
+    Rng ref_rng(11);
+    const Matrix fused =
+        FusedSliceCollectiveSample(base_cols, cols, 2, probs, std::span<Rng>(&fused_rng, 1));
+    gs::testing::ExpectBitIdentical({Value::OfMatrix(fused)},
+                                    {Value::OfMatrix(CollectiveSample(sub, 2, probs, ref_rng))},
+                                    "probs=" + std::to_string(probs.size()));
+  }
+}
+
+TEST(FusedLayerWise, RejectsNegativeAndNanProbabilities) {
+  const graph::Graph g = gs::testing::SmallRmat();
+  const int64_t n = g.num_nodes();
+  for (const int64_t segments : {int64_t{1}, int64_t{2}}) {
+    const IdArray cols = LabeledFrontier(n, segments, 4, 5);
+    ValueArray probs = FusedSliceReduce(g.adj(), cols, segments);
+    for (const float bad : {-0.5f, std::numeric_limits<float>::quiet_NaN()}) {
+      probs[5] = bad;  // every row is validated, with or without frontier edges
+      std::vector<Rng> rngs = Streams(segments, 3);
+      EXPECT_THROW(FusedSliceCollectiveSample(g.adj(), cols, 4, probs, rngs), Error)
+          << "segments=" << segments << " p=" << bad;
+    }
+  }
+}
+
+TEST(FusedLayerWise, SegmentedRequiresBaseGraphAndLabelsInRange) {
+  const graph::Graph g = gs::testing::SmallRmat();
+  const int64_t n = g.num_nodes();
+  const Matrix sub = SliceColumns(g.adj(), IdArray::FromVector({1, 2}));
+  EXPECT_THROW(FusedSliceReduce(sub, IdArray::FromVector({1}), 2), Error);
+  EXPECT_THROW(FusedSliceReduce(g.adj(), IdArray::FromVector({static_cast<int32_t>(2 * n)}), 2),
+               Error);
+  EXPECT_THROW(FusedSliceReduce(g.adj(), IdArray::FromVector({-1}), 2), Error);
 }
 
 TEST(SliceColumnRange, PreservesMetadata) {
