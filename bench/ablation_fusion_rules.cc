@@ -1,7 +1,7 @@
 // Ablation: contribution of each individual fusion rule (Section 4.2) —
 // Extract-Select fusion (node-wise for GraphSAGE, layer-wise for LADIES),
-// Edge-Map(-Reduce) fusion, SDDMM rewriting — for the algorithm each rule
-// targets.
+// Edge-Map(-Reduce) fusion, SDDMM rewriting, walk fusion (DeepWalk,
+// Node2Vec) — for the algorithm each rule targets.
 
 #include <cstdio>
 
@@ -29,6 +29,8 @@ void Run() {
   BenchContext ctx(config);
   const device::DeviceProfile gpu = device::V100Sim();
 
+  // Walk fusion has no flag of its own: its rows (enable == nullptr)
+  // compare enable_fusion off and on.
   struct Case {
     const char* algo;
     const char* rule;
@@ -48,15 +50,21 @@ void Run() {
          o.fuse_edge_maps = true;
          o.rewrite_sddmm = true;
        }},
+      {"DeepWalk", "walk", nullptr},
+      {"Node2Vec", "walk", nullptr},
   };
 
   PrintTitle("Fusion-rule ablation (PD graph, epoch ms)");
   PrintRow("algorithm", {"rule", "off", "on", "speedup"});
   for (const Case& c : cases) {
     core::SamplerOptions off = Base();
-    const CellResult r_off = ctx.RunGsampler("PD", c.algo, gpu, off);
     core::SamplerOptions on = Base();
-    c.enable(on);
+    if (c.enable != nullptr) {
+      c.enable(on);
+    } else {
+      off.enable_fusion = false;
+    }
+    const CellResult r_off = ctx.RunGsampler("PD", c.algo, gpu, off);
     const CellResult r_on = ctx.RunGsampler("PD", c.algo, gpu, on);
     char a[64];
     char b[64];
@@ -68,7 +76,8 @@ void Run() {
   }
   std::printf("\n(Each rule should speed up the algorithm it targets; the SDDMM rewrite\n"
               " is the decisive one for PASS — without it the attention scores go\n"
-              " through a dense |V| x |batch| product.)\n");
+              " through a dense |V| x |batch| product. Walk fusion saves L - 1 launches\n"
+              " per walk of L steps, so it matters most at small batches.)\n");
 }
 
 }  // namespace

@@ -294,6 +294,20 @@ void BM_WalkStep(benchmark::State& state) {
 }
 BENCHMARK(BM_WalkStep)->Arg(1024);
 
+// DeepWalk's 80 steps in one fused launch: compare per item with
+// BM_WalkStep (the wall clock of 80 launches' worth of walk work).
+void BM_FusedWalk(benchmark::State& state) {
+  constexpr int64_t kSteps = 80;
+  const graph::Graph& g = BenchGraph();
+  tensor::IdArray start = Frontier(state.range(0));
+  Rng rng(4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sparse::UniformWalk(g.adj(), start, kSteps, {&rng, 1}));
+  }
+  state.SetItemsProcessed(state.iterations() * kSteps * state.range(0));
+}
+BENCHMARK(BM_FusedWalk)->Arg(1024);
+
 }  // namespace
 }  // namespace gs
 

@@ -12,7 +12,8 @@ namespace gs::core {
 namespace {
 
 // Marks the nodes holding one id per frontier entry, in frontier order: the
-// frontier itself and walk steps whose walkers started there.
+// frontier itself, and walk steps and fused-walk path rows whose walkers
+// started there.
 std::vector<bool> PerWalkerNodes(const Program& program) {
   std::vector<bool> per_walker(static_cast<size_t>(program.size()), false);
   for (const Node& n : program.nodes()) {
@@ -25,6 +26,11 @@ std::vector<bool> PerWalkerNodes(const Program& program) {
       case OpKind::kNode2VecStep:
         // inputs[1] holds the walkers' previous positions.
         per_walker[static_cast<size_t>(n.id)] = per_walker[static_cast<size_t>(n.inputs[1])];
+        break;
+      case OpKind::kWalkPathStep:
+        // The fused walk's inputs[1] holds its walkers' start positions.
+        per_walker[static_cast<size_t>(n.id)] =
+            per_walker[static_cast<size_t>(program.node(n.inputs[0]).inputs[1])];
         break;
       default:
         break;

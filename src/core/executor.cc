@@ -86,7 +86,8 @@ thread_local HopObserver* t_hop_observer = nullptr;
 // Notifies the observer when `n` is a frontier hop against the base graph:
 // a slice (fused or not)/walk whose matrix operand has no column id map
 // (only the full adjacency — and matrices sharing its column space —
-// qualifies; already-sliced subgraphs are local by construction).
+// qualifies; already-sliced subgraphs are local by construction). A fused
+// walk is one hop per step, in step order, like the chain it replaced.
 void NotifyHop(HopObserver* observer, const Node& n, const std::vector<Value>& values) {
   switch (n.kind) {
     case OpKind::kSliceCols:
@@ -96,6 +97,7 @@ void NotifyHop(HopObserver* observer, const Node& n, const std::vector<Value>& v
     case OpKind::kWalkStep:
     case OpKind::kWalkRestartStep:
     case OpKind::kNode2VecStep:
+    case OpKind::kFusedWalk:
       break;
     default:
       return;
@@ -107,6 +109,14 @@ void NotifyHop(HopObserver* observer, const Node& n, const std::vector<Value>& v
     return;
   }
   observer->OnHop(m.matrix, ids.ids);
+  if (n.kind == OpKind::kFusedWalk) {
+    // Step t + 1 starts from path row t. Empty rows are reported too, as
+    // the unfused chain reports its empty frontiers; Verify caps the count.
+    const tensor::IdArray& path = values[static_cast<size_t>(n.id)].ids;
+    for (int64_t row = 0; row + 1 < n.attrs.k; ++row) {
+      observer->OnHop(m.matrix, sparse::WalkPathRow(path, n.attrs.k, row));
+    }
+  }
 }
 
 }  // namespace
@@ -506,6 +516,28 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
     case OpKind::kNode2VecStep:
       return Value::OfIds(sparse::Node2VecStep(matrix_in(0), ids_in(1), ids_in(2),
                                                node.attrs.p, node.attrs.q, rngs, label_nodes));
+    case OpKind::kFusedWalk: {
+      const int64_t steps = node.attrs.k;
+      switch (node.attrs.step_kind) {
+        case OpKind::kWalkStep:
+          return Value::OfIds(
+              sparse::UniformWalk(matrix_in(0), ids_in(1), steps, rngs, label_nodes));
+        case OpKind::kWalkRestartStep:
+          return Value::OfIds(sparse::UniformWalkRestart(matrix_in(0), ids_in(1), ids_in(2),
+                                                         node.attrs.p, steps, rngs, label_nodes));
+        case OpKind::kNode2VecStep:
+          return Value::OfIds(sparse::Node2VecWalk(matrix_in(0), ids_in(1), ids_in(2),
+                                                   node.attrs.p, node.attrs.q, steps, rngs,
+                                                   label_nodes));
+        default:
+          break;
+      }
+      GS_CHECK(false) << "node " << node.id << " fuses a non-walk step kind";
+      return {};
+    }
+    case OpKind::kWalkPathStep:
+      return Value::OfIds(
+          sparse::WalkPathRow(ids_in(0), program_->node(node.inputs[0]).attrs.k, node.attrs.k));
     case OpKind::kTopKVisited: {
       std::vector<tensor::IdArray> steps;
       for (size_t i = 1; i < node.inputs.size(); ++i) {

@@ -66,10 +66,11 @@ enum class LayoutMode {
 };
 
 // Observer of frontier hops. The executor calls OnHop once per hop operator
-// (column slice, the fused kernels that read a slice in place, walk step)
-// whose matrix operand spans the full base graph, passing that matrix and
-// the frontier ids being gathered from it — exactly the points where a
-// multi-device run would pull remote adjacency. shard::FrontierExchange implements this to charge the
+// (column slice, the fused kernels that read a slice in place, walk step;
+// a fused walk once per step, in step order) whose matrix operand spans the
+// full base graph, passing that matrix and the frontier ids being gathered
+// from it — exactly the points where a multi-device run would pull remote
+// adjacency. shard::FrontierExchange implements this to charge the
 // interconnect all-to-all; the observer is a pure cost-model tap and must
 // not influence execution (sampled output is identical with or without
 // one). Installed per thread so concurrent shard workers observe only their

@@ -49,6 +49,8 @@ const char* OpKindName(OpKind kind) {
     case OpKind::kFusedEdgeMap: return "fused_edge_map";
     case OpKind::kFusedEdgeMapReduce: return "fused_edge_map_reduce";
     case OpKind::kConvertFormat: return "convert_format";
+    case OpKind::kFusedWalk: return "fused_walk";
+    case OpKind::kWalkPathStep: return "walk_path_step";
   }
   return "?";
 }
@@ -75,6 +77,7 @@ bool OpKindFromName(const std::string& name, OpKind* kind) {
       OpKind::kFusedSliceSample,  OpKind::kFusedSliceCollectiveSample,
       OpKind::kFusedSliceReduce,  OpKind::kFusedEdgeMap,
       OpKind::kFusedEdgeMapReduce, OpKind::kConvertFormat,
+      OpKind::kFusedWalk,         OpKind::kWalkPathStep,
   };
   for (const OpKind candidate : kAll) {
     if (name == OpKindName(candidate)) {
@@ -113,6 +116,8 @@ ValueKind OutputKindOf(OpKind kind) {
     case OpKind::kWalkStep:
     case OpKind::kWalkRestartStep:
     case OpKind::kNode2VecStep:
+    case OpKind::kFusedWalk:
+    case OpKind::kWalkPathStep:
       return ValueKind::kIds;
     case OpKind::kTensorInput:
     case OpKind::kSumAxis:
@@ -218,11 +223,20 @@ Signature SignatureOf(OpKind kind) {
     case OpKind::kFusedEdgeMap:
     case OpKind::kFusedEdgeMapReduce:
       return {{VK::kMatrix, VK::kTensor}, true};
+    case OpKind::kWalkPathStep:
+      return {{VK::kIds}};
+    case OpKind::kFusedWalk:  // takes its first step's inputs
+      return {{VK::kMatrix, VK::kIds}};
   }
   return {{}};
 }
 
 }  // namespace
+
+bool IsWalkStepOp(OpKind kind) {
+  return kind == OpKind::kWalkStep || kind == OpKind::kWalkRestartStep ||
+         kind == OpKind::kNode2VecStep;
+}
 
 int Program::Add(OpKind kind, std::vector<int> inputs, Attrs attrs) {
   Node n;
@@ -252,7 +266,26 @@ std::vector<int> Program::UseCounts() const {
 
 void Program::Verify() const {
   for (const Node& n : nodes_) {
-    const Signature sig = SignatureOf(n.kind);
+    // A fused walk takes its first step's inputs; a path projection reads a
+    // row of a fused walk. Both attributes arrive in untrusted plan text.
+    if (n.kind == OpKind::kFusedWalk) {
+      GS_CHECK(IsWalkStepOp(n.attrs.step_kind))
+          << "node " << n.id << " (fused_walk) has step kind "
+          << OpKindName(n.attrs.step_kind) << ", not a walk step";
+      GS_CHECK(n.attrs.k >= 1 && n.attrs.k <= kMaxFusedWalkSteps)
+          << "node " << n.id << " (fused_walk) step count " << n.attrs.k << " outside [1, "
+          << kMaxFusedWalkSteps << "]";
+    }
+    if (n.kind == OpKind::kWalkPathStep) {
+      GS_CHECK_EQ(n.inputs.size(), 1u) << "node " << n.id << " (walk_path_step) arity";
+      GS_CHECK(node(n.inputs[0]).kind == OpKind::kFusedWalk)
+          << "node " << n.id << " (walk_path_step) must read a fused_walk";
+      GS_CHECK(n.attrs.k >= 0 && n.attrs.k < node(n.inputs[0]).attrs.k)
+          << "node " << n.id << " (walk_path_step) row " << n.attrs.k
+          << " outside the walk's " << node(n.inputs[0]).attrs.k << " steps";
+    }
+    const Signature sig =
+        SignatureOf(n.kind == OpKind::kFusedWalk ? n.attrs.step_kind : n.kind);
     if (sig.variadic) {
       // kFusedEdgeMap* take a matrix plus zero or more tensors; the other
       // variadic ops take one-or-more of the listed kind.
@@ -297,7 +330,9 @@ std::string Program::ToString() const {
     if (n.kind == OpKind::kTensorInput || !n.attrs.name.empty()) {
       out << " name=" << n.attrs.name;
     }
-    if (n.attrs.k != 0) {
+    if (n.kind == OpKind::kWalkPathStep) {
+      out << " row=" << n.attrs.k;
+    } else if (n.attrs.k != 0) {
       out << " k=" << n.attrs.k;
     }
     switch (n.kind) {
@@ -324,6 +359,9 @@ std::string Program::ToString() const {
     }
     if (!n.attrs.stages.empty()) {
       out << " stages=" << n.attrs.stages.size();
+    }
+    if (n.kind == OpKind::kFusedWalk) {
+      out << " step=" << OpKindName(n.attrs.step_kind);
     }
     if (n.invariant) {
       out << " [invariant]";

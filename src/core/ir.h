@@ -81,6 +81,11 @@ enum class OpKind {
   kFusedEdgeMap,        // (matrix, operands...) -> matrix   attrs.stages
   kFusedEdgeMapReduce,  // (matrix, operands...) -> tensor   attrs.stages, axis
   kConvertFormat,       // (matrix) -> matrix          attrs.format (layout pass)
+  // A chain of attrs.k walk steps of kind attrs.step_kind in one kernel; its
+  // inputs are the first step's. Output: the step-major path, attrs.k rows
+  // of one id per walker (walk fusion).
+  kFusedWalk,     // (matrix, ids[, ids]) -> ids   attrs.step_kind, attrs.k, p, q
+  kWalkPathStep,  // (fused_walk) -> ids           attrs.k = row (host copy)
 };
 
 const char* OpKindName(OpKind kind);
@@ -91,6 +96,12 @@ ValueKind OutputKindOf(OpKind kind);
 // True for operators that produce a new sparsity structure (extract/select/
 // compaction); only these get layout annotations (Section 4.3).
 bool IsStructureOp(OpKind kind);
+// True for the three walk step operators a fused walk may chain.
+bool IsWalkStepOp(OpKind kind);
+
+// Most steps one fused walk takes. Bounds the work and hop reports a plan
+// artifact's step count can ask for; walk fusion splits longer chains.
+inline constexpr int64_t kMaxFusedWalkSteps = int64_t{1} << 16;
 
 // Operator attributes; which fields are meaningful depends on OpKind.
 struct Attrs {
@@ -103,6 +114,7 @@ struct Attrs {
   sparse::Format format = sparse::Format::kCsc;  // layout annotation target
   std::string name;                     // input binding name
   std::vector<sparse::EdgeMapStage> stages;      // fused edge-map pipeline
+  OpKind step_kind = OpKind::kWalkStep;          // fused walk's step operator
 };
 
 struct Node {
@@ -145,7 +157,9 @@ class Program {
   std::vector<int> UseCounts() const;
 
   // Structural checks: topological input order, arity, and value-kind
-  // agreement for every operator. Throws gs::Error on violations.
+  // agreement for every operator, plus the fused-walk attributes (a walk
+  // step kind, 1..kMaxFusedWalkSteps steps, projections of an existing row
+  // of a fused walk). Throws gs::Error on violations.
   void Verify() const;
 
   // Human-readable listing (one node per line).

@@ -8,8 +8,11 @@
 //                              individual/collective sample, row sum
 //   5. FuseEdgeMaps          — collapse edge-map chains (no intermediates)
 //   6. FuseEdgeMapReduce     — absorb maps into reductions
-//   7. EliminateCommonSubexpressions, DeadCodeElimination
-//   8. SelectDataLayout      — measured, cost-aware format + compaction
+//   7. FuseWalks             — a chain of walk steps becomes one kernel
+//                              writing the step-major path; each step's
+//                              value is a kernel-free row projection
+//   8. EliminateCommonSubexpressions, DeadCodeElimination
+//   9. SelectDataLayout      — measured, cost-aware format + compaction
 //
 // Super-batch (Section 4.4) is an execution-mode transform: the Executor
 // swaps extract/select for their segmented counterparts and the engine
@@ -54,6 +57,18 @@ int FuseEdgeMaps(Program& program);
 // Edge-MapReduce fusion (Figure 5c): SumAxis over a fused edge map becomes a
 // single-pass kFusedEdgeMapReduce. Returns number of fusions.
 int FuseEdgeMapReduce(Program& program);
+
+// Walk fusion: each maximal chain of two or more same-kind walk steps
+// (walk_step, walk_restart_step or node2vec_step) over one graph operand,
+// where each step moves the previous step's walkers and no other random or
+// hop operator runs in between, becomes one kFusedWalk node. The fused node
+// takes the first step's inputs and writes the L x W step-major path; every
+// former step output becomes kWalkPathStep(path, row), a host-side copy that
+// launches no kernel. A chain longer than kMaxFusedWalkSteps (core/ir.h)
+// becomes several fused walks. Draw order and frontier hops match the
+// unfused chain, so outputs are bit-identical. Returns number of fused
+// walks.
+int FuseWalks(Program& program);
 
 // Classic cleanups. CSE never merges sampling/walk ops (they consume
 // randomness). Both return the number of nodes eliminated.

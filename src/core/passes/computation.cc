@@ -1,5 +1,5 @@
 // Computation-optimization passes: SDDMM rewriting, pre-processing hoist,
-// invariant marking, the three fusion rules, CSE, and DCE (Section 4.2).
+// invariant marking, the fusion rules, CSE, and DCE (Section 4.2).
 
 #include <map>
 #include <optional>
@@ -42,9 +42,38 @@ bool IsRandomOp(OpKind kind) {
     case OpKind::kWalkStep:
     case OpKind::kWalkRestartStep:
     case OpKind::kNode2VecStep:
+    case OpKind::kFusedWalk:
       return true;
     default:
       return false;
+  }
+}
+
+// Operators whose relative order is observable: random ops draw from the
+// shared per-segment streams, and frontier hops report to the executor's
+// hop observer in program order.
+bool IsOrderedOp(OpKind kind) {
+  return IsRandomOp(kind) || kind == OpKind::kSliceCols ||
+         kind == OpKind::kFusedSliceReduce;
+}
+
+// True when walk step `next` takes the step after `prev`: same operator,
+// graph operand and parameters, it moves prev's walkers, and its third
+// operand follows the walk (restart: the same roots; node2vec: prev's
+// walkers become the previous positions).
+bool ContinuesWalk(const Node& prev, const Node& next) {
+  if (next.kind != prev.kind || next.inputs[0] != prev.inputs[0] ||
+      next.inputs[1] != prev.id || next.attrs.p != prev.attrs.p ||
+      next.attrs.q != prev.attrs.q) {
+    return false;
+  }
+  switch (next.kind) {
+    case OpKind::kWalkRestartStep:
+      return next.inputs[2] == prev.inputs[2];
+    case OpKind::kNode2VecStep:
+      return next.inputs[2] == prev.inputs[1];
+    default:
+      return true;
   }
 }
 
@@ -320,6 +349,82 @@ int FuseEdgeMapReduce(Program& p) {
     p.RemoveDead();
   }
   return fusions;
+}
+
+int FuseWalks(Program& p) {
+  // next[s]: the step that continues step s's walk, linked only when no
+  // other ordered op runs between them, so the fused kernel's draws and
+  // hops keep the unfused order. That also keeps chains linear: a step
+  // that two steps continue links to the first one only. depth[s] is s's
+  // position in its chain; a chain at kMaxFusedWalkSteps ends there and
+  // the next step heads a new one.
+  const size_t size = static_cast<size_t>(p.size());
+  std::vector<int> next(size, -1);
+  std::vector<int64_t> depth(size, 1);
+  int last_ordered = -1;
+  for (const Node& n : p.nodes()) {
+    if (IsWalkStepOp(n.kind) && n.inputs[1] == last_ordered &&
+        ContinuesWalk(p.node(n.inputs[1]), n) &&
+        depth[static_cast<size_t>(n.inputs[1])] < kMaxFusedWalkSteps) {
+      next[static_cast<size_t>(n.inputs[1])] = n.id;
+      depth[static_cast<size_t>(n.id)] = depth[static_cast<size_t>(n.inputs[1])] + 1;
+    }
+    if (IsOrderedOp(n.kind)) {
+      last_ordered = n.id;
+    }
+  }
+
+  // Rebuild the program with each chain of two or more steps replaced, at
+  // its first step's position, by one fused walk and a projection per step.
+  Program out;
+  std::vector<int> remap(size, -1);
+  int fused = 0;
+  for (const Node& n : p.nodes()) {
+    if (remap[static_cast<size_t>(n.id)] >= 0) {
+      continue;  // a later step of a chain already fused
+    }
+    std::vector<int> inputs;
+    for (int in : n.inputs) {
+      inputs.push_back(remap[static_cast<size_t>(in)]);
+    }
+    const bool head = IsWalkStepOp(n.kind) && depth[static_cast<size_t>(n.id)] == 1 &&
+                      next[static_cast<size_t>(n.id)] >= 0;
+    if (!head) {
+      const int id = out.Add(n.kind, std::move(inputs), n.attrs);
+      Node& copy = out.node(id);
+      copy.invariant = n.invariant;
+      copy.has_format_choice = n.has_format_choice;
+      copy.chosen_format = n.chosen_format;
+      copy.compact_rows = n.compact_rows;
+      remap[static_cast<size_t>(n.id)] = id;
+      continue;
+    }
+    std::vector<int> chain;
+    for (int s = n.id; s >= 0; s = next[static_cast<size_t>(s)]) {
+      chain.push_back(s);
+    }
+    Attrs attrs = n.attrs;
+    attrs.step_kind = n.kind;
+    attrs.k = static_cast<int64_t>(chain.size());
+    const int walk = out.Add(OpKind::kFusedWalk, std::move(inputs), std::move(attrs));
+    for (size_t row = 0; row < chain.size(); ++row) {
+      Attrs projection;
+      projection.k = static_cast<int64_t>(row);
+      remap[static_cast<size_t>(chain[row])] =
+          out.Add(OpKind::kWalkPathStep, {walk}, std::move(projection));
+    }
+    ++fused;
+  }
+  if (fused == 0) {
+    return 0;
+  }
+  std::vector<int> outputs;
+  for (int o : p.outputs()) {
+    outputs.push_back(remap[static_cast<size_t>(o)]);
+  }
+  out.SetOutputs(std::move(outputs));
+  p = std::move(out);
+  return fused;
 }
 
 int EliminateCommonSubexpressions(Program& p) {

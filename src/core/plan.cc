@@ -129,7 +129,11 @@ std::string SemanticBody(const Program& program, const SamplerOptions& o,
         << " name=" << (n.attrs.name.empty() ? "-" : n.attrs.name)
         << " nstages=" << n.attrs.stages.size() << " inv=" << n.invariant
         << " fc=" << n.has_format_choice << " cf=" << static_cast<int>(n.chosen_format)
-        << " cr=" << n.compact_rows << "\n";
+        << " cr=" << n.compact_rows;
+    if (n.kind == OpKind::kFusedWalk) {
+      out << " step=" << OpKindName(n.attrs.step_kind);
+    }
+    out << "\n";
     for (const sparse::EdgeMapStage& s : n.attrs.stages) {
       out << "stage op=" << static_cast<int>(s.op) << " kind=" << static_cast<int>(s.kind)
           << " scalar=" << HexFloat(s.scalar) << " a=" << s.operand << " b=" << s.operand2
@@ -217,6 +221,7 @@ PassManager StandardPassPipeline(const SamplerOptions& options) {
       pipeline.Register("fuse-edge-maps", FuseEdgeMaps);
       pipeline.Register("fuse-edge-map-reduce", FuseEdgeMapReduce);
     }
+    pipeline.Register("fuse-walks", FuseWalks);
   }
   pipeline.Register("cse", EliminateCommonSubexpressions);
   pipeline.Register("dce", DeadCodeElimination);
@@ -466,6 +471,11 @@ std::shared_ptr<CompiledPlan> CompiledPlan::Deserialize(const std::string& text)
       const int64_t chosen = TakeInt(ls, "cf");
       GS_CHECK(chosen >= 0 && chosen <= 2) << "plan: bad chosen format " << chosen;
       const bool compact_rows = TakeBool(ls, "cr");
+      if (kind == OpKind::kFusedWalk) {
+        const std::string step = TakeField(ls, "step");
+        GS_CHECK(OpKindFromName(step, &attrs.step_kind))
+            << "plan: unknown walk step kind '" << step << "'";
+      }
       for (int64_t s = 0; s < nstages; ++s) {
         GS_CHECK(std::getline(in, line)) << "plan: truncated stage list";
         body += line;

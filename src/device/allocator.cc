@@ -1,5 +1,6 @@
 #include "device/allocator.h"
 
+#include <bit>
 #include <cstdlib>
 #include <string>
 
@@ -24,6 +25,13 @@ CachingAllocator::~CachingAllocator() {
   }
 }
 
+namespace {
+
+// The largest power-of-two size class an int64 byte count can hold.
+constexpr int64_t kLargestClass = int64_t{1} << 62;
+
+}  // namespace
+
 int64_t CachingAllocator::RoundToClass(int64_t bytes) {
   // 512-byte granularity below 4 KiB, power-of-two classes above — the same
   // shape as the PyTorch caching allocator's block rounding.
@@ -33,11 +41,10 @@ int64_t CachingAllocator::RoundToClass(int64_t bytes) {
   if (bytes <= 4096) {
     return (bytes + 511) / 512 * 512;
   }
-  int64_t cls = 8192;
-  while (cls < bytes) {
-    cls *= 2;
+  if (bytes > kLargestClass) {
+    return bytes;  // no larger power of two fits in int64; no capacity holds it
   }
-  return cls;
+  return static_cast<int64_t>(std::bit_ceil(static_cast<uint64_t>(bytes)));
 }
 
 void* CachingAllocator::TryAllocateLocked(int64_t rounded, bool inject_oom) {
@@ -54,7 +61,7 @@ void* CachingAllocator::TryAllocateLocked(int64_t rounded, bool inject_oom) {
       return ptr;
     }
   }
-  if (inject_oom || stats_.bytes_in_use + rounded > capacity_bytes_) {
+  if (inject_oom || rounded > capacity_bytes_ - stats_.bytes_in_use) {
     return nullptr;
   }
   void* ptr = std::malloc(static_cast<size_t>(rounded));

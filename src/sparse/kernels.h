@@ -132,20 +132,42 @@ ValueArray GatherValues(const ValueArray& vec, const IdArray& ids);
 
 // ------------------------------------------------------------------ Walks
 //
-// Walk steps run in the super-batch's labeled id space (sparse/batch.h):
-// walker id b * num_nodes + v is node v of segment b, moves to a labeled id
-// of the same segment, and draws only from rngs[b], in frontier order. A
-// segment's walks are therefore the same alone or grouped. num_nodes = 0
-// means plain node ids of m, i.e. one segment: a solo run passes one rng.
+// Walks run in the super-batch's labeled id space (sparse/batch.h): walker
+// id b * num_nodes + v is node v of segment b, moves to a labeled id of the
+// same segment, and draws only from rngs[b], in frontier order. A segment's
+// walks are therefore the same alone or grouped. num_nodes = 0 means plain
+// node ids of m, i.e. one segment: a solo run passes one rng.
+//
+// Each walk kernel moves every walker through `steps` steps in one launch
+// (walk fusion, core/passes.h), steps on the outside and walkers on the
+// inside, and returns the step-major path: row t, ids [t * W, (t + 1) * W)
+// for W = start.size(), holds every walker's position after step t + 1 —
+// the layout samgraph's random-walk kernel writes. Step t + 1 draws right
+// after step t, so the path equals `steps` one-step calls bit for bit, and
+// the kernel charges the sum of their work items, HBM and PCIe bytes: only
+// the saved launches change the cost. A one-step walk is the per-step
+// operator (UniformWalkStep and friends). A steps x W shape that
+// overflows int64 throws gs::Error before the path is allocated; with no
+// walkers no step runs.
 
-// One uniform random-walk step: out[i] = uniformly sampled in-neighbor of
-// cur[i] in m, or -1 when cur[i] is -1 or has no in-neighbors. Requires CSC.
+// Row `row` of a step-major walk path of `steps` rows: a host-side copy
+// that launches no kernel (the fused walk's per-step projection).
+IdArray WalkPathRow(const IdArray& path, int64_t steps, int64_t row);
+
+// Uniform random walk: each step moves a walker to a uniformly sampled
+// in-neighbor in m, or to -1 when it is at -1 or at a node without
+// in-neighbors. Requires CSC.
+IdArray UniformWalk(const Matrix& m, const IdArray& start, int64_t steps, std::span<Rng> rngs,
+                    int64_t num_nodes = 0);
 IdArray UniformWalkStep(const Matrix& m, const IdArray& cur, std::span<Rng> rngs,
                         int64_t num_nodes = 0);
 
-// One random-walk step with restarts (PinSAGE/HetGNN): with probability
-// `restart_prob`, or when cur[i] has no in-neighbors, the walker jumps back
-// to root[i]; otherwise it moves to a uniform in-neighbor.
+// Random walk with restarts (PinSAGE/HetGNN): each step, with probability
+// `restart_prob`, or when the walker has no in-neighbors, it jumps back to
+// root[i]; otherwise it moves to a uniform in-neighbor.
+IdArray UniformWalkRestart(const Matrix& m, const IdArray& start, const IdArray& root,
+                           float restart_prob, int64_t steps, std::span<Rng> rngs,
+                           int64_t num_nodes = 0);
 IdArray UniformWalkStepRestart(const Matrix& m, const IdArray& cur, const IdArray& root,
                                float restart_prob, std::span<Rng> rngs, int64_t num_nodes = 0);
 
@@ -157,10 +179,14 @@ IdArray UniformWalkStepRestart(const Matrix& m, const IdArray& cur, const IdArra
 Matrix TopKVisited(std::span<const IdArray> steps, const IdArray& roots, int64_t k,
                    int64_t num_rows);
 
-// One node2vec step: neighbor r of cur[i] gets bias 1/p when r == prev[i],
-// 1 when r is also an in/out-neighbor of prev[i], and 1/q otherwise
-// (prev[i] == -1 means a first, uniform step). Requires CSC with
-// per-column-sorted indices for the adjacency test.
+// node2vec walk: each step, in-neighbor r of a walker's node gets bias 1/p
+// when r is the walker's previous position, 1 when r is also an
+// in/out-neighbor of that position, and 1/q otherwise (a previous position
+// of -1 means a first, uniform step). The first step's previous positions
+// are `prev`; each later step's are the positions the step before started
+// from. Requires CSC with per-column-sorted indices for the adjacency test.
+IdArray Node2VecWalk(const Matrix& m, const IdArray& start, const IdArray& prev, float p,
+                     float q, int64_t steps, std::span<Rng> rngs, int64_t num_nodes = 0);
 IdArray Node2VecStep(const Matrix& m, const IdArray& cur, const IdArray& prev, float p,
                      float q, std::span<Rng> rngs, int64_t num_nodes = 0);
 

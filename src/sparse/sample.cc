@@ -1,5 +1,5 @@
 // Select-step kernels: node-wise (individual) sampling, the fused
-// extract+sample kernel, and random-walk steps. Layer-wise (collective)
+// extract+sample kernel, and random walks. Layer-wise (collective)
 // sampling lives in layerwise.cc.
 
 #include <algorithm>
@@ -161,74 +161,117 @@ class WalkerDecoder {
   int32_t num_cols_;
 };
 
+// Allocates the step-major path of `steps` rows of `walkers` ids, rejecting
+// a shape whose id or byte count overflows int64 before allocating.
+IdArray AllocatePath(int64_t steps, int64_t walkers) {
+  GS_CHECK_GE(steps, 1) << "a walk takes at least one step";
+  int64_t ids = 0;
+  int64_t bytes = 0;
+  GS_CHECK(!__builtin_mul_overflow(steps, walkers, &ids) &&
+           !__builtin_mul_overflow(ids, static_cast<int64_t>(sizeof(int32_t)), &bytes))
+      << "walk path of " << steps << " steps x " << walkers << " walkers overflows int64";
+  return IdArray::Empty(ids);
+}
+
 }  // namespace
 
-IdArray UniformWalkStep(const Matrix& m, const IdArray& cur, std::span<Rng> rngs,
-                        int64_t num_nodes) {
-  const Compressed& csc = m.Csc();
-  device::KernelScope kernel(CurrentStream());
-  const WalkerDecoder decode(m, rngs, num_nodes);
-  IdArray out = IdArray::Empty(cur.size());
-  int64_t pcie = 0;
-  for (int64_t i = 0; i < cur.size(); ++i) {
-    if (cur[i] < 0) {
-      out[i] = -1;
-      continue;
-    }
-    const Walker w = decode(cur[i]);
-    const int64_t begin = csc.indptr[w.node];
-    const int64_t deg = csc.indptr[w.node + 1] - begin;
-    if (deg == 0) {
-      out[i] = -1;
-      continue;
-    }
-    const auto slot = static_cast<int64_t>(w.rng.UniformInt(static_cast<uint64_t>(deg)));
-    out[i] = w.offset + csc.indices[begin + slot];
-    if (m.IsUva()) {
-      pcie += internal::UvaCharge(m, static_cast<uint64_t>(w.node), 4);
-    }
-  }
-  kernel.Finish({.parallel_items = cur.size(),
-                 .hbm_bytes = cur.size() * int64_t{12},
-                 .pcie_bytes = pcie});
+IdArray WalkPathRow(const IdArray& path, int64_t steps, int64_t row) {
+  GS_CHECK(row >= 0 && row < steps) << "walk path row " << row << " of " << steps;
+  const int64_t walkers = path.size() / steps;
+  IdArray out = IdArray::Empty(walkers);
+  std::copy_n(path.data() + row * walkers, walkers, out.data());
   return out;
 }
 
-IdArray UniformWalkStepRestart(const Matrix& m, const IdArray& cur, const IdArray& root,
-                               float restart_prob, std::span<Rng> rngs, int64_t num_nodes) {
-  GS_CHECK_EQ(cur.size(), root.size());
+IdArray UniformWalk(const Matrix& m, const IdArray& start, int64_t steps, std::span<Rng> rngs,
+                    int64_t num_nodes) {
+  const Compressed& csc = m.Csc();
+  device::KernelScope kernel(CurrentStream());
+  const WalkerDecoder decode(m, rngs, num_nodes);
+  const int64_t walkers = start.size();
+  IdArray path = AllocatePath(steps, walkers);
+  int64_t pcie = 0;
+  const int32_t* cur = start.data();
+  for (int64_t t = 0; walkers > 0 && t < steps; ++t) {
+    int32_t* out = path.data() + t * walkers;
+    for (int64_t i = 0; i < walkers; ++i) {
+      if (cur[i] < 0) {
+        out[i] = -1;
+        continue;
+      }
+      const Walker w = decode(cur[i]);
+      const int64_t begin = csc.indptr[w.node];
+      const int64_t deg = csc.indptr[w.node + 1] - begin;
+      if (deg == 0) {
+        out[i] = -1;
+        continue;
+      }
+      const auto slot = static_cast<int64_t>(w.rng.UniformInt(static_cast<uint64_t>(deg)));
+      out[i] = w.offset + csc.indices[begin + slot];
+      if (m.IsUva()) {
+        pcie += internal::UvaCharge(m, static_cast<uint64_t>(w.node), 4);
+      }
+    }
+    cur = out;
+  }
+  kernel.Finish({.parallel_items = steps * walkers,
+                 .hbm_bytes = steps * walkers * int64_t{12},
+                 .pcie_bytes = pcie});
+  return path;
+}
+
+IdArray UniformWalkStep(const Matrix& m, const IdArray& cur, std::span<Rng> rngs,
+                        int64_t num_nodes) {
+  return UniformWalk(m, cur, 1, rngs, num_nodes);
+}
+
+IdArray UniformWalkRestart(const Matrix& m, const IdArray& start, const IdArray& root,
+                           float restart_prob, int64_t steps, std::span<Rng> rngs,
+                           int64_t num_nodes) {
+  GS_CHECK_EQ(start.size(), root.size());
   GS_CHECK(restart_prob >= 0.0f && restart_prob <= 1.0f);
   const Compressed& csc = m.Csc();
   device::KernelScope kernel(CurrentStream());
   const WalkerDecoder decode(m, rngs, num_nodes);
-  IdArray out = IdArray::Empty(cur.size());
+  const int64_t walkers = start.size();
+  IdArray path = AllocatePath(steps, walkers);
   int64_t pcie = 0;
-  for (int64_t i = 0; i < cur.size(); ++i) {
-    if (cur[i] < 0) {
-      out[i] = root[i];
-      continue;
+  const int32_t* cur = start.data();
+  for (int64_t t = 0; walkers > 0 && t < steps; ++t) {
+    int32_t* out = path.data() + t * walkers;
+    for (int64_t i = 0; i < walkers; ++i) {
+      if (cur[i] < 0) {
+        out[i] = root[i];
+        continue;
+      }
+      const Walker w = decode(cur[i]);
+      if (w.rng.UniformF() < restart_prob) {
+        out[i] = root[i];
+        continue;
+      }
+      const int64_t begin = csc.indptr[w.node];
+      const int64_t deg = csc.indptr[w.node + 1] - begin;
+      if (deg == 0) {
+        out[i] = root[i];  // dead end: restart
+        continue;
+      }
+      const auto slot = static_cast<int64_t>(w.rng.UniformInt(static_cast<uint64_t>(deg)));
+      out[i] = w.offset + csc.indices[begin + slot];
+      if (m.IsUva()) {
+        pcie += internal::UvaCharge(m, static_cast<uint64_t>(w.node), 4);
+      }
     }
-    const Walker w = decode(cur[i]);
-    if (w.rng.UniformF() < restart_prob) {
-      out[i] = root[i];
-      continue;
-    }
-    const int64_t begin = csc.indptr[w.node];
-    const int64_t deg = csc.indptr[w.node + 1] - begin;
-    if (deg == 0) {
-      out[i] = root[i];  // dead end: restart
-      continue;
-    }
-    const auto slot = static_cast<int64_t>(w.rng.UniformInt(static_cast<uint64_t>(deg)));
-    out[i] = w.offset + csc.indices[begin + slot];
-    if (m.IsUva()) {
-      pcie += internal::UvaCharge(m, static_cast<uint64_t>(w.node), 4);
-    }
+    cur = out;
   }
-  kernel.Finish({.parallel_items = cur.size(),
-                 .hbm_bytes = cur.size() * int64_t{16},
+  kernel.Finish({.parallel_items = steps * walkers,
+                 .hbm_bytes = steps * walkers * int64_t{16},
                  .pcie_bytes = pcie});
-  return out;
+  return path;
+}
+
+IdArray UniformWalkStepRestart(const Matrix& m, const IdArray& cur, const IdArray& root,
+                               float restart_prob, std::span<Rng> rngs, int64_t num_nodes) {
+  return UniformWalkRestart(m, cur, root, restart_prob, 1, rngs, num_nodes);
 }
 
 Matrix TopKVisited(std::span<const IdArray> steps, const IdArray& roots, int64_t k,
@@ -284,9 +327,9 @@ Matrix TopKVisited(std::span<const IdArray> steps, const IdArray& roots, int64_t
   return result;
 }
 
-IdArray Node2VecStep(const Matrix& m, const IdArray& cur, const IdArray& prev, float p,
-                     float q, std::span<Rng> rngs, int64_t num_nodes) {
-  GS_CHECK_EQ(cur.size(), prev.size());
+IdArray Node2VecWalk(const Matrix& m, const IdArray& start, const IdArray& prev, float p,
+                     float q, int64_t steps, std::span<Rng> rngs, int64_t num_nodes) {
+  GS_CHECK_EQ(start.size(), prev.size());
   GS_CHECK_GT(p, 0.0f);
   GS_CHECK_GT(q, 0.0f);
   const Compressed& csc = m.Csc();
@@ -301,52 +344,65 @@ IdArray Node2VecStep(const Matrix& m, const IdArray& cur, const IdArray& prev, f
   };
 
   const WalkerDecoder decode(m, rngs, num_nodes);
-  IdArray out = IdArray::Empty(cur.size());
+  const int64_t walkers = start.size();
+  IdArray path = AllocatePath(steps, walkers);
   std::vector<float> bias;
   int64_t edges_scored = 0;
   int64_t pcie = 0;
-  for (int64_t i = 0; i < cur.size(); ++i) {
-    if (cur[i] < 0) {
-      out[i] = -1;
-      continue;
-    }
-    const Walker w = decode(cur[i]);
-    const int64_t begin = csc.indptr[w.node];
-    const int64_t deg = csc.indptr[w.node + 1] - begin;
-    if (deg == 0) {
-      out[i] = -1;
-      continue;
-    }
-    if (prev[i] < 0) {
-      const auto slot = static_cast<int64_t>(w.rng.UniformInt(static_cast<uint64_t>(deg)));
-      out[i] = w.offset + csc.indices[begin + slot];
-    } else {
-      const int32_t prev_node = prev[i] - w.offset;  // same segment as the walker
-      bias.clear();
-      for (int64_t e = begin; e < begin + deg; ++e) {
-        const int32_t r = csc.indices[e];
-        float b;
-        if (r == prev_node) {
-          b = 1.0f / p;
-        } else if (is_neighbor(prev_node, r)) {
-          b = 1.0f;
-        } else {
-          b = 1.0f / q;
-        }
-        bias.push_back(b);
+  const int32_t* before = prev.data();
+  const int32_t* cur = start.data();
+  for (int64_t t = 0; walkers > 0 && t < steps; ++t) {
+    int32_t* out = path.data() + t * walkers;
+    for (int64_t i = 0; i < walkers; ++i) {
+      if (cur[i] < 0) {
+        out[i] = -1;
+        continue;
       }
-      const int32_t slot = SampleWeightedOne(bias, w.rng);
-      out[i] = slot >= 0 ? w.offset + csc.indices[begin + slot] : -1;
-      edges_scored += deg;
+      const Walker w = decode(cur[i]);
+      const int64_t begin = csc.indptr[w.node];
+      const int64_t deg = csc.indptr[w.node + 1] - begin;
+      if (deg == 0) {
+        out[i] = -1;
+        continue;
+      }
+      if (before[i] < 0) {
+        const auto slot = static_cast<int64_t>(w.rng.UniformInt(static_cast<uint64_t>(deg)));
+        out[i] = w.offset + csc.indices[begin + slot];
+      } else {
+        const int32_t prev_node = before[i] - w.offset;  // same segment as the walker
+        bias.clear();
+        for (int64_t e = begin; e < begin + deg; ++e) {
+          const int32_t r = csc.indices[e];
+          float b;
+          if (r == prev_node) {
+            b = 1.0f / p;
+          } else if (is_neighbor(prev_node, r)) {
+            b = 1.0f;
+          } else {
+            b = 1.0f / q;
+          }
+          bias.push_back(b);
+        }
+        const int32_t slot = SampleWeightedOne(bias, w.rng);
+        out[i] = slot >= 0 ? w.offset + csc.indices[begin + slot] : -1;
+        edges_scored += deg;
+      }
+      if (m.IsUva()) {
+        pcie += internal::UvaCharge(m, static_cast<uint64_t>(w.node), deg * int64_t{4});
+      }
     }
-    if (m.IsUva()) {
-      pcie += internal::UvaCharge(m, static_cast<uint64_t>(w.node), deg * int64_t{4});
-    }
+    before = cur;
+    cur = out;
   }
-  kernel.Finish({.parallel_items = cur.size(),
-                 .hbm_bytes = edges_scored * int64_t{8} + cur.size() * int64_t{8},
+  kernel.Finish({.parallel_items = steps * walkers,
+                 .hbm_bytes = edges_scored * int64_t{8} + steps * walkers * int64_t{8},
                  .pcie_bytes = pcie});
-  return out;
+  return path;
+}
+
+IdArray Node2VecStep(const Matrix& m, const IdArray& cur, const IdArray& prev, float p,
+                     float q, std::span<Rng> rngs, int64_t num_nodes) {
+  return Node2VecWalk(m, cur, prev, p, q, 1, rngs, num_nodes);
 }
 
 }  // namespace gs::sparse

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "device/device.h"
 #include "device/profile.h"
 #include "device/stream.h"
+#include "fault/status.h"
 #include "feature/hot_set_cache.h"
 
 namespace gs::device {
@@ -61,6 +63,17 @@ TEST(Allocator, OutOfMemoryThrowsAfterCacheRelease) {
   void* b = alloc.Allocate(16 * 1024);
   EXPECT_NE(b, nullptr);
   alloc.Free(b);
+}
+
+// A request beyond the largest power-of-two size class (for example an
+// untrusted walk path of 2^58 steps x 4 walkers) fails with the typed
+// out-of-memory error instead of looping on an overflowing class.
+TEST(Allocator, RequestBeyondLargestClassThrowsTyped) {
+  CachingAllocator alloc(1 << 20);
+  EXPECT_THROW(alloc.Allocate((int64_t{1} << 62) + 16), fault::ResourceExhaustedError);
+  EXPECT_THROW(alloc.Allocate(std::numeric_limits<int64_t>::max()),
+               fault::ResourceExhaustedError);
+  EXPECT_EQ(alloc.stats().bytes_in_use, 0);
 }
 
 TEST(Allocator, FreeUnknownPointerThrows) {

@@ -124,7 +124,7 @@ TEST(Program, ToStringListsOpsAndOutputs) {
 TEST(OpKindMeta, NamesAndKindsConsistent) {
   // Every op has a printable name that plan artifacts parse back, and a
   // stable output kind.
-  for (int k = 0; k <= static_cast<int>(OpKind::kConvertFormat); ++k) {
+  for (int k = 0; k <= static_cast<int>(OpKind::kWalkPathStep); ++k) {
     const OpKind kind = static_cast<OpKind>(k);
     EXPECT_STRNE(OpKindName(kind), "?");
     OpKind parsed = OpKind::kGraphInput;
@@ -140,6 +140,10 @@ TEST(OpKindMeta, NamesAndKindsConsistent) {
   EXPECT_EQ(OutputKindOf(OpKind::kTopKVisited), ValueKind::kMatrix);
   EXPECT_TRUE(IsStructureOp(OpKind::kSliceCols));
   EXPECT_FALSE(IsStructureOp(OpKind::kSumAxis));
+  EXPECT_EQ(OutputKindOf(OpKind::kFusedWalk), ValueKind::kIds);
+  EXPECT_EQ(OutputKindOf(OpKind::kWalkPathStep), ValueKind::kIds);
+  EXPECT_TRUE(IsWalkStepOp(OpKind::kNode2VecStep));
+  EXPECT_FALSE(IsWalkStepOp(OpKind::kFusedWalk));
 }
 
 TEST(Trace, CrossBuilderValuesRejected) {

@@ -209,6 +209,207 @@ TEST(FuseExtractSelect, LayerWiseFusionSamplesIdentically) {
   }
 }
 
+// --- Walk fusion ---
+
+int WalkKernels(const Program& p) {
+  return CountKind(p, OpKind::kWalkStep) + CountKind(p, OpKind::kWalkRestartStep) +
+         CountKind(p, OpKind::kNode2VecStep) + CountKind(p, OpKind::kFusedWalk);
+}
+
+Program CompileAlgorithm(const std::string& algorithm, const SamplerOptions& options = {}) {
+  const graph::Graph g = gs::testing::SmallRmat();
+  return Optimize(algorithms::MakeAlgorithm(algorithm, g).program, options);
+}
+
+TEST(FuseWalks, DeepWalkBecomesOneFusedWalkAndItsRows) {
+  const Program p = CompileAlgorithm("DeepWalk");
+  EXPECT_EQ(CountKind(p, OpKind::kWalkStep), 0);
+  ASSERT_EQ(CountKind(p, OpKind::kFusedWalk), 1);
+  EXPECT_EQ(CountKind(p, OpKind::kWalkPathStep), 80);
+  for (const Node& n : p.nodes()) {
+    if (n.kind == OpKind::kFusedWalk) {
+      EXPECT_EQ(n.attrs.k, 80);
+      EXPECT_EQ(n.attrs.step_kind, OpKind::kWalkStep);
+      EXPECT_EQ(p.node(n.inputs[1]).kind, OpKind::kFrontierInput);
+      EXPECT_FALSE(n.invariant);
+    }
+  }
+  // The outputs are still the 80 steps, in step order.
+  ASSERT_EQ(p.outputs().size(), 80u);
+  for (size_t i = 0; i < p.outputs().size(); ++i) {
+    const Node& out = p.node(p.outputs()[i]);
+    EXPECT_EQ(out.kind, OpKind::kWalkPathStep);
+    EXPECT_EQ(out.attrs.k, static_cast<int64_t>(i));
+  }
+}
+
+TEST(FuseWalks, Node2VecRunsAtMostTwoWalkKernels) {
+  // The uniform first step stays a walk_step; the 79 node2vec steps fuse.
+  const Program p = CompileAlgorithm("Node2Vec");
+  EXPECT_LE(WalkKernels(p), 2);
+  ASSERT_EQ(CountKind(p, OpKind::kFusedWalk), 1);
+  for (const Node& n : p.nodes()) {
+    if (n.kind == OpKind::kFusedWalk) {
+      EXPECT_EQ(n.attrs.step_kind, OpKind::kNode2VecStep);
+      EXPECT_EQ(n.attrs.k, 79);
+      EXPECT_EQ(p.node(n.inputs[1]).kind, OpKind::kWalkStep);
+      EXPECT_EQ(p.node(n.inputs[2]).kind, OpKind::kFrontierInput);
+      EXPECT_EQ(n.attrs.p, 2.0f);
+      EXPECT_EQ(n.attrs.q, 0.5f);
+    }
+  }
+}
+
+TEST(FuseWalks, UniqueAndTopKReadProjections) {
+  const Program saint = CompileAlgorithm("GraphSAINT");
+  ASSERT_EQ(CountKind(saint, OpKind::kFusedWalk), 1);
+  for (const Node& n : saint.nodes()) {
+    if (n.kind == OpKind::kUnique) {
+      ASSERT_EQ(n.inputs.size(), 5u);  // the roots and four steps
+      EXPECT_EQ(saint.node(n.inputs[0]).kind, OpKind::kFrontierInput);
+      for (size_t i = 1; i < n.inputs.size(); ++i) {
+        EXPECT_EQ(saint.node(n.inputs[i]).kind, OpKind::kWalkPathStep);
+      }
+    }
+  }
+
+  // PinSAGE: one fused restart walk per walk (10 walks of 3 steps).
+  const Program pinsage = CompileAlgorithm("PinSAGE");
+  EXPECT_EQ(CountKind(pinsage, OpKind::kWalkRestartStep), 0);
+  EXPECT_EQ(CountKind(pinsage, OpKind::kFusedWalk), 10);
+  for (const Node& n : pinsage.nodes()) {
+    if (n.kind == OpKind::kFusedWalk) {
+      EXPECT_EQ(n.attrs.k, 3);
+      EXPECT_EQ(n.attrs.step_kind, OpKind::kWalkRestartStep);
+      EXPECT_EQ(n.attrs.p, 0.5f);
+    }
+    if (n.kind == OpKind::kTopKVisited) {
+      ASSERT_EQ(n.inputs.size(), 31u);
+      for (size_t i = 1; i < n.inputs.size(); ++i) {
+        EXPECT_EQ(pinsage.node(n.inputs[i]).kind, OpKind::kWalkPathStep);
+      }
+    }
+  }
+}
+
+TEST(FuseWalks, HetGnnMetapathStaysUnfused) {
+  // Consecutive steps alternate relation graphs, so no two form a chain.
+  const graph::Graph g = gs::testing::SmallRmat();
+  Program p = algorithms::MakeAlgorithm("HetGNN", g).program;
+  const std::string before = p.ToString();
+  EXPECT_EQ(FuseWalks(p), 0);
+  EXPECT_EQ(p.ToString(), before);
+  EXPECT_EQ(CountKind(CompileAlgorithm("HetGNN"), OpKind::kWalkRestartStep), 40);
+}
+
+TEST(FuseWalks, FusionOffLeavesEveryWalkStep) {
+  SamplerOptions off;
+  off.enable_fusion = false;
+  const graph::Graph g = gs::testing::SmallRmat();
+  for (const std::string& algorithm : algorithms::AllAlgorithmNames()) {
+    const Program traced = algorithms::MakeAlgorithm(algorithm, g).program;
+    const Program p = CompileAlgorithm(algorithm, off);
+    EXPECT_EQ(CountKind(p, OpKind::kFusedWalk), 0) << algorithm;
+    EXPECT_EQ(CountKind(p, OpKind::kWalkPathStep), 0) << algorithm;
+    for (const OpKind kind :
+         {OpKind::kWalkStep, OpKind::kWalkRestartStep, OpKind::kNode2VecStep}) {
+      EXPECT_EQ(CountKind(p, kind), CountKind(traced, kind)) << algorithm;
+    }
+  }
+}
+
+TEST(FuseWalks, IdenticalChainsStayTwoFusedWalks) {
+  // Random ops are never merged: two identical chains are two walks.
+  Builder b;
+  MVal a = b.Graph();
+  IVal f = b.Frontier();
+  for (int chain = 0; chain < 2; ++chain) {
+    IVal cur = f;
+    for (int step = 0; step < 5; ++step) {
+      cur = b.WalkStep(a, cur);
+      b.Output(cur);
+    }
+  }
+  const Program p = Optimize(std::move(b).Build(), SamplerOptions{});
+  EXPECT_EQ(CountKind(p, OpKind::kFusedWalk), 2);
+  EXPECT_EQ(CountKind(p, OpKind::kWalkPathStep), 10);
+  EXPECT_EQ(CountKind(p, OpKind::kWalkStep), 0);
+}
+
+TEST(FuseWalks, ChainsPastTheStepCapSplit) {
+  // A chain two steps longer than kMaxFusedWalkSteps becomes a capped
+  // fused walk and a two-step one that starts from the first's last row.
+  Builder b;
+  MVal a = b.Graph();
+  IVal cur = b.Frontier();
+  for (int64_t step = 0; step < kMaxFusedWalkSteps + 2; ++step) {
+    cur = b.WalkStep(a, cur);
+  }
+  b.Output(cur);
+  Program p = std::move(b).Build();
+  EXPECT_EQ(FuseWalks(p), 2);
+  p.Verify();
+  std::vector<const Node*> walks;
+  for (const Node& n : p.nodes()) {
+    if (n.kind == OpKind::kFusedWalk) {
+      walks.push_back(&n);
+    }
+  }
+  ASSERT_EQ(walks.size(), 2u);
+  EXPECT_EQ(walks[0]->attrs.k, kMaxFusedWalkSteps);
+  EXPECT_EQ(walks[1]->attrs.k, 2);
+  const Node& start = p.node(walks[1]->inputs[1]);
+  EXPECT_EQ(start.kind, OpKind::kWalkPathStep);
+  EXPECT_EQ(start.inputs[0], walks[0]->id);
+  EXPECT_EQ(start.attrs.k, kMaxFusedWalkSteps - 1);
+  EXPECT_EQ(CountKind(p, OpKind::kWalkStep), 0);
+}
+
+TEST(FuseWalks, InterleavedChainsStayUnfused) {
+  // Fusing either chain would move its draws past the other chain's.
+  Builder b;
+  MVal a = b.Graph();
+  IVal f = b.Frontier();
+  IVal x = f;
+  IVal y = f;
+  for (int step = 0; step < 4; ++step) {
+    x = b.WalkStep(a, x);
+    y = b.WalkStep(a, y);
+    b.Output(x);
+    b.Output(y);
+  }
+  Program p = std::move(b).Build();
+  EXPECT_EQ(FuseWalks(p), 0);
+  EXPECT_EQ(CountKind(p, OpKind::kWalkStep), 8);
+}
+
+TEST(FuseWalks, WalkFusionSamplesIdentically) {
+  // Fused and unfused walk plans sample the same ids, solo and
+  // super-batched, -1 dead ends in place.
+  const graph::Graph g = gs::testing::SmallRmat(300, 3000, 9, true);
+  const tensor::IdArray frontiers =
+      tensor::IdArray::FromVector({3, 17, 42, 101, 250, 9, 5, 6, 250, 3, 77, 128, 64, 1});
+  for (const std::string algorithm : {"DeepWalk", "Node2Vec", "GraphSAINT", "PinSAGE"}) {
+    for (const int super_batch : {1, 3}) {
+      std::vector<std::vector<Value>> runs;
+      for (const bool fuse : {true, false}) {
+        SamplerOptions options;
+        options.enable_fusion = fuse;
+        options.super_batch = super_batch;
+        algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(algorithm, g);
+        CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), options);
+        std::vector<Value> outputs;
+        sampler.SampleEpoch(frontiers, 3, [&](int64_t, std::vector<Value>& batch) {
+          outputs.insert(outputs.end(), batch.begin(), batch.end());
+        });
+        runs.push_back(std::move(outputs));
+      }
+      gs::testing::ExpectBitIdentical(runs[0], runs[1],
+                                      algorithm + " super_batch=" + std::to_string(super_batch));
+    }
+  }
+}
+
 TEST(FuseEdgeMapReduce, AbsorbsMapIntoReduce) {
   Program p = TraceLadiesLayer();
   const int fused = FuseEdgeMapReduce(p);

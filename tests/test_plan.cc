@@ -13,7 +13,9 @@
 #include <iterator>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algorithms/algorithms.h"
@@ -89,6 +91,7 @@ TEST(PassManager, RecordsPerPassStatsInPipelineOrder) {
   EXPECT_TRUE(name_set.count("dce"));
   EXPECT_TRUE(name_set.count("mark-invariant"));
   EXPECT_TRUE(name_set.count("fuse-extract-select"));
+  EXPECT_TRUE(name_set.count("fuse-walks"));
 
   algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm("GraphSAGE", g);
   const size_t before = ap.program.size();
@@ -233,6 +236,110 @@ TEST(PlanRoundTrip, FileHelpersRoundTrip) {
   std::shared_ptr<CompiledPlan> loaded = core::LoadPlanFile(path);
   EXPECT_EQ(loaded->Digest(), plan->Digest());
   EXPECT_THROW({ (void)core::LoadPlanFile(dir + "/missing.plan"); }, Error);
+}
+
+// ------------------------------------------- untrusted walk artifacts
+
+// Re-signs a hand-edited artifact: recomputes the FNV-1a digest over the
+// digest-covered lines (everything but the header, the digest line and the
+// informational report/pass/validity trailer), so the load gets past the
+// integrity check and reaches Program::Verify.
+std::string Resign(const std::string& text) {
+  std::istringstream in(text);
+  std::string header;
+  std::string line;
+  std::getline(in, header);
+  std::getline(in, line);  // the stale digest
+  std::string body;
+  std::string trailer;
+  while (std::getline(in, line)) {
+    const std::string tag = line.substr(0, line.find(' '));
+    std::string& part = tag == "report" || tag == "pass" || tag == "validity" ? trailer : body;
+    part += line + "\n";
+  }
+  uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : body) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  char digest[24];
+  std::snprintf(digest, sizeof(digest), "%016llx", static_cast<unsigned long long>(h));
+  return header + "\ndigest " + digest + "\n" + body + trailer;
+}
+
+// Replaces the first `from` in node `id`'s line with `to`, then re-signs.
+std::string EditNode(const std::string& text, int id, const std::string& from,
+                     const std::string& to) {
+  const std::string prefix = "\nnode id=" + std::to_string(id) + " ";
+  const size_t begin = text.find(prefix);
+  EXPECT_NE(begin, std::string::npos) << "no node " << id;
+  const size_t end = text.find('\n', begin + 1);
+  std::string node_line = text.substr(begin, end - begin);
+  const size_t at = node_line.find(from);
+  EXPECT_NE(at, std::string::npos) << "node " << id << " has no '" << from << "'";
+  node_line.replace(at, from.size(), to);
+  return Resign(text.substr(0, begin) + node_line + text.substr(end));
+}
+
+// A fused DeepWalk plan of 3 steps: %2 = fused_walk(%0, %1) k=3 and its
+// rows %3..%5.
+std::string FusedWalkArtifact() {
+  graph::Graph g = PlanGraph();
+  algorithms::AlgorithmProgram ap = algorithms::DeepWalk(g, {.walk_length = 3});
+  CompiledPlan plan(std::move(ap.program), SamplerOptions{}, "DeepWalk");
+  const core::Program& p = plan.program();
+  EXPECT_EQ(p.node(2).kind, core::OpKind::kFusedWalk);
+  EXPECT_EQ(p.node(3).kind, core::OpKind::kWalkPathStep);
+  return plan.Serialize();
+}
+
+TEST(UntrustedPlan, FusedWalkArtifactRoundTrips) {
+  const std::string text = FusedWalkArtifact();
+  EXPECT_NE(text.find(" step=walk_step\n"), std::string::npos);
+  std::shared_ptr<CompiledPlan> loaded = CompiledPlan::Deserialize(Resign(text));
+  EXPECT_EQ(loaded->program().node(2).attrs.step_kind, core::OpKind::kWalkStep);
+  EXPECT_EQ(loaded->program().node(2).attrs.k, 3);
+  EXPECT_EQ(loaded->program().node(5).attrs.k, 2);
+}
+
+TEST(UntrustedPlan, FusedWalkDefectsAreTypedErrors) {
+  const std::string text = FusedWalkArtifact();
+  const std::vector<std::pair<std::string, std::string>> defects = {
+      {"step count 0", EditNode(text, 2, " k=3 ", " k=0 ")},
+      {"negative step count", EditNode(text, 2, " k=3 ", " k=-2 ")},
+      {"step count past the cap",
+       EditNode(text, 2, " k=3 ", " k=" + std::to_string(core::kMaxFusedWalkSteps + 1) + " ")},
+      {"step count whose path overflows int64",
+       EditNode(text, 2, " k=3 ", " k=4611686018427387904 ")},
+      {"non-walk step kind", EditNode(text, 2, "step=walk_step", "step=slice_cols")},
+      {"unknown step kind", EditNode(text, 2, "step=walk_step", "step=teleport")},
+      {"missing step kind", EditNode(text, 2, " step=walk_step", "")},
+      {"arity of the step kind", EditNode(text, 2, "step=walk_step", "step=node2vec_step")},
+      {"projection of the frontier", EditNode(text, 3, " in=2 ", " in=1 ")},
+      {"projection of the graph", EditNode(text, 3, " in=2 ", " in=0 ")},
+      {"row past the last step", EditNode(text, 5, " k=2 ", " k=3 ")},
+      {"negative row", EditNode(text, 3, " k=0 ", " k=-1 ")},
+  };
+  for (const auto& [defect, artifact] : defects) {
+    EXPECT_THROW({ (void)CompiledPlan::Deserialize(artifact); }, Error) << defect;
+  }
+}
+
+TEST(UntrustedPlan, WalkAtTheStepCapLoadsAndRuns) {
+  // The largest step count Verify accepts loads and runs, with walkers and
+  // without; the projections still read the first three rows.
+  graph::Graph g = PlanGraph();
+  const std::string text = EditNode(FusedWalkArtifact(), 2, " k=3 ",
+                                    " k=" + std::to_string(core::kMaxFusedWalkSteps) + " ");
+  SamplerSession session(CompiledPlan::Deserialize(text), g, {});
+  session.Warmup(Seeds({1, 2, 3, 4}));
+  for (const IdArray& frontier : {Seeds({1, 2}), Seeds({})}) {
+    const std::vector<Value> out = session.SampleSeeded(frontier, 7);
+    ASSERT_EQ(out.size(), 3u);
+    for (const Value& v : out) {
+      EXPECT_EQ(v.ids.size(), frontier.size());
+    }
+  }
 }
 
 // ------------------------------------------------- session binding contract

@@ -121,37 +121,56 @@ TEST(ShardGroupTest, FrontierExchangeChargesRemoteAdjacency) {
   EXPECT_EQ(group.exchange_stats(1).samples, 0);
 }
 
-// The fused layer-wise kernels are frontier hops too: a LADIES group with
-// Extract-Select fusion must charge exactly the exchange of the unfused
-// group, whose column slices are the hops.
-TEST(ShardGroupTest, FusedLayerWiseHopsMatchUnfusedExchange) {
+// Fusion never changes the exchange: for every algorithm a shard group can
+// run (all but HetGNN's relation graphs and the model-updating ones), a
+// group with fusion records exactly the hops of the group without it. The
+// fused layer-wise kernels read A's columns in place, and a fused walk
+// reports one hop per step, in step order. The expected counts pin the
+// unfused side too, so a hop dropped on both sides fails: LADIES hops for
+// A[:, f] and (A**2)[:, f] in each of its two layers, and a walk hops once
+// per step (PinSAGE: 10 walks of 3).
+TEST(ShardGroupTest, FusedHopsMatchUnfusedExchange) {
+  const std::map<std::string, size_t> kHops = {
+      {"DeepWalk", 80}, {"GraphSAINT", 5}, {"PinSAGE", 30}, {"GraphSAGE", 2},
+      {"VR-GCN", 2},    {"SEAL", 5},       {"ShaDow", 3},   {"Node2Vec", 80},
+      {"FastGCN", 2},   {"LADIES", 4},
+  };
   const graph::Graph g = ShardGraph();
   const IdArray frontier = Seeds({5, 17, 42, 101, 250});
-  std::vector<std::vector<HopRecord>> runs;
-  for (const bool fuse : {true, false}) {
-    algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm("LADIES", g);
-    ShardGroupOptions options;
-    options.num_shards = 2;
-    options.sampler.fuse_extract_select = fuse;
-    const ShardGroup group(g, std::move(ap.program), std::move(ap.tensors), options);
-    std::vector<HopRecord> hops;
-    group.Sample(0, frontier, 31, &hops);
-    runs.push_back(std::move(hops));
+  size_t checked = 0;
+  for (const std::string& algorithm : algorithms::AllAlgorithmNames()) {
+    if (algorithm == "HetGNN" || algorithms::MakeAlgorithm(algorithm, g).updates_model) {
+      EXPECT_EQ(kHops.count(algorithm), 0u) << algorithm << " cannot run on a shard group";
+      continue;
+    }
+    ASSERT_EQ(kHops.count(algorithm), 1u) << algorithm << " has no expected hop count";
+    std::vector<std::vector<HopRecord>> runs;
+    for (const bool fuse : {true, false}) {
+      algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(algorithm, g);
+      ShardGroupOptions options;
+      options.num_shards = 2;
+      options.sampler.enable_fusion = fuse;
+      const ShardGroup group(g, std::move(ap.program), std::move(ap.tensors), options);
+      std::vector<HopRecord> hops;
+      group.Sample(0, frontier, 31, &hops);
+      runs.push_back(std::move(hops));
+    }
+    const std::vector<HopRecord>& fused = runs[0];
+    const std::vector<HopRecord>& unfused = runs[1];
+    ASSERT_EQ(unfused.size(), kHops.at(algorithm)) << algorithm;
+    ASSERT_EQ(fused.size(), unfused.size()) << algorithm;
+    int64_t remote = 0;
+    for (size_t i = 0; i < fused.size(); ++i) {
+      EXPECT_EQ(fused[i].hop, unfused[i].hop) << algorithm << " hop " << i;
+      EXPECT_EQ(fused[i].frontier_nodes, unfused[i].frontier_nodes) << algorithm << " hop " << i;
+      EXPECT_EQ(fused[i].remote_nodes, unfused[i].remote_nodes) << algorithm << " hop " << i;
+      EXPECT_EQ(fused[i].bytes, unfused[i].bytes) << algorithm << " hop " << i;
+      remote += fused[i].remote_nodes;
+    }
+    EXPECT_GT(remote, 0) << algorithm << ": the frontier never left shard 0";
+    ++checked;
   }
-  const std::vector<HopRecord>& fused = runs[0];
-  const std::vector<HopRecord>& unfused = runs[1];
-  // Two layers, each hopping for A[:, f] and (A**2)[:, f].
-  ASSERT_EQ(unfused.size(), 4u);
-  ASSERT_EQ(fused.size(), unfused.size());
-  int64_t remote = 0;
-  for (size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_EQ(fused[i].hop, unfused[i].hop) << "hop " << i;
-    EXPECT_EQ(fused[i].frontier_nodes, unfused[i].frontier_nodes) << "hop " << i;
-    EXPECT_EQ(fused[i].remote_nodes, unfused[i].remote_nodes) << "hop " << i;
-    EXPECT_EQ(fused[i].bytes, unfused[i].bytes) << "hop " << i;
-    remote += fused[i].remote_nodes;
-  }
-  EXPECT_GT(remote, 0) << "the frontier never left shard 0";
+  EXPECT_EQ(checked, kHops.size());
 }
 
 TEST(ShardGroupTest, SingleShardGroupHasNoExchange) {

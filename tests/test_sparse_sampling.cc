@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
+#include "device/device.h"
+#include "fault/status.h"
 #include "sparse/kernels.h"
 #include "tests/testing.h"
 
@@ -201,6 +207,172 @@ TEST(UniformWalkStep, DeadEndsAndTombstones) {
   IdArray next = UniformWalkStep(g.adj(), cur, {&rng, 1});
   EXPECT_EQ(next[0], -1);  // node 0 has no in-neighbors
   EXPECT_EQ(next[1], -1);
+}
+
+// --- Fused walks: one launch for the whole chain, the unfused chain's
+// path and costs.
+
+enum class WalkKind { kUniform, kRestart, kNode2Vec };
+
+// 64 nodes; every fifth node has no in-edges, so walkers hit dead ends.
+// The other edges mostly come in both directions, so node2vec's three bias
+// classes (return, common neighbor, outward) all occur.
+graph::Graph WalkGraph(bool uva) {
+  constexpr int32_t kNodes = 64;
+  std::vector<std::pair<int32_t, int32_t>> edges;
+  for (int32_t v = 0; v < kNodes; ++v) {
+    if (v % 5 == 0) {
+      continue;
+    }
+    for (const int32_t src : {(v * 7 + 1) % kNodes, (v * 13 + 3) % kNodes, (v * 3 + 2) % kNodes}) {
+      edges.emplace_back(src, v);
+      if (src % 5 != 0) {
+        edges.emplace_back(v, src);
+      }
+    }
+  }
+  return graph::Graph::FromEdges("walk", kNodes, edges, nullptr, uva);
+}
+
+IdArray WalkStep(WalkKind kind, const Matrix& m, const IdArray& cur, const IdArray& aux,
+                 std::span<Rng> rngs, int64_t num_nodes) {
+  switch (kind) {
+    case WalkKind::kUniform:
+      return UniformWalkStep(m, cur, rngs, num_nodes);
+    case WalkKind::kRestart:
+      return UniformWalkStepRestart(m, cur, aux, 0.3f, rngs, num_nodes);
+    case WalkKind::kNode2Vec:
+      return Node2VecStep(m, cur, aux, 2.0f, 0.5f, rngs, num_nodes);
+  }
+  return {};
+}
+
+IdArray FusedWalk(WalkKind kind, const Matrix& m, const IdArray& start, const IdArray& aux,
+                  int64_t steps, std::span<Rng> rngs, int64_t num_nodes) {
+  switch (kind) {
+    case WalkKind::kUniform:
+      return UniformWalk(m, start, steps, rngs, num_nodes);
+    case WalkKind::kRestart:
+      return UniformWalkRestart(m, start, aux, 0.3f, steps, rngs, num_nodes);
+    case WalkKind::kNode2Vec:
+      return Node2VecWalk(m, start, aux, 2.0f, 0.5f, steps, rngs, num_nodes);
+  }
+  return {};
+}
+
+// The fused kernel writes the step-major path of the unfused chain bit for
+// bit (solo, and 3 labeled segments drawing from their own streams), and
+// charges the chain's work items, HBM and PCIe bytes in one launch: the
+// model clock differs by exactly the saved launches. The test profile
+// charges whole nanoseconds per item and byte, so the per-kernel integer
+// model clock adds up exactly.
+TEST(FusedWalk, MatchesUnfusedChainBitForBitAndCostForCost) {
+  device::DeviceProfile profile = device::V100Sim();
+  profile.model_compute_ns_per_item = 1.0;
+  profile.hbm_penalty_ns_per_byte = 1.0;
+  profile.pcie_ns_per_byte = 1.0;
+  device::Device dev(profile);
+  device::DeviceGuard guard(dev);
+  constexpr int64_t kSteps = 7;
+  constexpr int32_t kNodes = 64;
+  int64_t dead = 0;
+  for (const bool uva : {false, true}) {
+    for (const int64_t segments : {1, 3}) {
+      for (const WalkKind kind : {WalkKind::kUniform, WalkKind::kRestart, WalkKind::kNode2Vec}) {
+        const std::string context = "kind " + std::to_string(static_cast<int>(kind)) +
+                                    " uva " + std::to_string(uva) + " segments " +
+                                    std::to_string(segments);
+        // Labeled walkers b * N + v; node2vec's first step sees previous
+        // positions, some -1 (a uniform first step).
+        std::vector<int32_t> start;
+        std::vector<int32_t> aux;
+        for (int32_t b = 0; b < segments; ++b) {
+          for (const int32_t v : {1, 3, 7, 10, 22, 41, 63, 5, 3}) {
+            start.push_back(b * kNodes + v);
+            aux.push_back(kind == WalkKind::kRestart ? b * kNodes + v
+                          : v % 3 == 0               ? -1
+                                                     : b * kNodes + (v * 7 + 1) % kNodes);
+          }
+        }
+        const IdArray start_ids = IdArray::FromVector(start);
+        const IdArray aux_ids = IdArray::FromVector(aux);
+        const int64_t num_nodes = segments == 1 ? 0 : kNodes;
+
+        struct Run {
+          std::vector<core::Value> rows;
+          device::StreamCounters cost;
+        };
+        auto run = [&](bool fused) {
+          const graph::Graph g = WalkGraph(uva);  // a cold UVA cache per run
+          std::vector<Rng> rngs;
+          for (int64_t b = 0; b < segments; ++b) {
+            rngs.emplace_back(4000 + static_cast<uint64_t>(b));
+          }
+          const device::StreamCounters before = dev.stream().counters();
+          Run r;
+          if (fused) {
+            const IdArray path =
+                FusedWalk(kind, g.adj(), start_ids, aux_ids, kSteps, rngs, num_nodes);
+            EXPECT_EQ(path.size(), kSteps * start_ids.size()) << context;
+            for (int64_t t = 0; t < kSteps; ++t) {
+              const int32_t* row = path.data() + t * start_ids.size();
+              r.rows.push_back(core::Value::OfIds(IdArray::FromVector(
+                  std::vector<int32_t>(row, row + start_ids.size()))));
+            }
+          } else {
+            IdArray cur = start_ids;
+            IdArray aux_t = aux_ids;
+            for (int64_t t = 0; t < kSteps; ++t) {
+              IdArray next = WalkStep(kind, g.adj(), cur, aux_t, rngs, num_nodes);
+              r.rows.push_back(core::Value::OfIds(next));
+              if (kind == WalkKind::kNode2Vec) {
+                aux_t = cur;
+              }
+              cur = next;
+            }
+          }
+          const device::StreamCounters after = dev.stream().counters();
+          r.cost.kernels_launched = after.kernels_launched - before.kernels_launched;
+          r.cost.hbm_bytes = after.hbm_bytes - before.hbm_bytes;
+          r.cost.pcie_bytes = after.pcie_bytes - before.pcie_bytes;
+          r.cost.model_ns = after.model_ns - before.model_ns;
+          return r;
+        };
+        const Run fused = run(true);
+        const Run unfused = run(false);
+        gs::testing::ExpectBitIdentical(fused.rows, unfused.rows, context);
+        EXPECT_EQ(fused.cost.kernels_launched, 1) << context;
+        EXPECT_EQ(unfused.cost.kernels_launched, kSteps) << context;
+        EXPECT_EQ(fused.cost.hbm_bytes, unfused.cost.hbm_bytes) << context;
+        EXPECT_EQ(fused.cost.pcie_bytes, unfused.cost.pcie_bytes) << context;
+        EXPECT_EQ(fused.cost.pcie_bytes > 0, uva) << context;
+        EXPECT_EQ(unfused.cost.model_ns - fused.cost.model_ns,
+                  (kSteps - 1) * profile.launch_overhead_ns)
+            << context;
+        for (const core::Value& row : fused.rows) {
+          dead += std::count(row.ids.data(), row.ids.data() + row.ids.size(), -1);
+        }
+      }
+    }
+  }
+  EXPECT_GT(dead, 0) << "the walks should hit dead ends";
+}
+
+TEST(FusedWalk, RejectsOversizedPathsWithTypedErrors) {
+  const graph::Graph g = WalkGraph(false);
+  const IdArray start = IdArray::FromVector({1, 2, 3, 4});
+  Rng rng(7);
+  EXPECT_THROW(UniformWalk(g.adj(), start, 0, {&rng, 1}), Error);
+  // steps x walkers overflows int64 ids; then only the byte count does.
+  EXPECT_THROW(UniformWalk(g.adj(), start, int64_t{1} << 62, {&rng, 1}), Error);
+  EXPECT_THROW(UniformWalkRestart(g.adj(), start, start, 0.5f, int64_t{1} << 60, {&rng, 1}),
+               Error);
+  EXPECT_THROW(Node2VecWalk(g.adj(), start, start, 1.0f, 1.0f,
+                            std::numeric_limits<int64_t>::max(), {&rng, 1}),
+               Error);
+  // No overflow, but far beyond the device: the typed out-of-memory error.
+  EXPECT_THROW(UniformWalk(g.adj(), start, (int64_t{1} << 58) + 1, {&rng, 1}),
+               fault::ResourceExhaustedError);
 }
 
 TEST(Node2VecStep, ExtremeParamsSteerWalk) {
