@@ -49,7 +49,7 @@ void BM_FusedSliceSample(benchmark::State& state) {
   tensor::IdArray frontier = Frontier(state.range(0));
   Rng rng(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sparse::FusedSliceSample(g.adj(), frontier, 10, rng));
+    benchmark::DoNotOptimize(sparse::FusedSliceSample(g.adj(), frontier, 10, {&rng, 1}));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -61,7 +61,7 @@ void BM_UnfusedSliceSample(benchmark::State& state) {
   Rng rng(1);
   for (auto _ : state) {
     sparse::Matrix sub = sparse::SliceColumns(g.adj(), frontier);
-    benchmark::DoNotOptimize(sparse::IndividualSample(sub, 10, sparse::ValueArray{}, rng));
+    benchmark::DoNotOptimize(sparse::IndividualSample(sub, 10, sparse::ValueArray{}, {&rng, 1}));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -74,7 +74,7 @@ void BM_CollectiveSample(benchmark::State& state) {
   sparse::ValueArray probs = sparse::SumAxis(sub, 0);
   Rng rng(2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sparse::CollectiveSample(sub, state.range(0), probs, rng));
+    benchmark::DoNotOptimize(sparse::CollectiveSample(sub, state.range(0), probs, {&rng, 1}));
   }
 }
 BENCHMARK(BM_CollectiveSample)->Arg(64)->Arg(256)->Arg(512);

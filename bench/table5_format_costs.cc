@@ -94,7 +94,7 @@ void Run() {
     for (Format f : formats) {
       Matrix sub = OnlyFormat(sub_csc, f);
       const double ms =
-          MeasureMs([&] { sparse::CollectiveSample(sub, 256, probs, rng); });
+          MeasureMs([&] { sparse::CollectiveSample(sub, 256, probs, {&rng, 1}); });
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%.3f", ms);
       row.push_back(buf);

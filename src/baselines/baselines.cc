@@ -232,7 +232,7 @@ class SkyWalkerSim final : public Baseline {
       IdArray cur = frontier;
       for (int64_t fanout : algorithms::SageParams{}.fanouts) {
         cur = CloneIdsKernel(cur);  // walker-queue scheduling pass
-        Matrix sample = sparse::FusedSliceSample(graph_->adj(), cur, fanout, rng);
+        Matrix sample = sparse::FusedSliceSample(graph_->adj(), cur, fanout, {&rng, 1});
         cur = sparse::RowIds(sample);
         result.layers.push_back(std::move(sample));
       }
@@ -295,7 +295,7 @@ class GunRockSim final : public Baseline {
     for (int64_t fanout : algorithms::SageParams{}.fanouts) {
       // Advance: materialize the whole frontier neighborhood, then filter.
       Matrix sub = sparse::SliceColumns(graph_->adj(), cur);
-      Matrix sample = sparse::IndividualSample(sub, fanout, ValueArray{}, rng);
+      Matrix sample = sparse::IndividualSample(sub, fanout, ValueArray{}, {&rng, 1});
       cur = sparse::RowIds(sample);
       cur = CloneIdsKernel(cur);  // frontier compaction pass
       result.layers.push_back(std::move(sample));
@@ -335,7 +335,7 @@ class CuGraphSim final : public Baseline {
       IdArray cur = frontier;
       for (int64_t fanout : algorithms::SageParams{}.fanouts) {
         FullGraphRenumberKernel(*graph_);  // bulk-call overhead
-        Matrix sample = sparse::FusedSliceSample(graph_->adj(), cur, fanout, rng);
+        Matrix sample = sparse::FusedSliceSample(graph_->adj(), cur, fanout, {&rng, 1});
         cur = sparse::RowIds(sample);
         result.layers.push_back(std::move(sample));
       }

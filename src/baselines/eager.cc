@@ -158,7 +158,7 @@ BaselineResult GraphSage(const graph::Graph& g, const tensor::IdArray& frontier,
     // Unfused extract + select: the sliced subgraph is materialized.
     Matrix sub = sparse::SliceColumns(g.adj(), cur);
     Ensure(sub, Format::kCsc, style);
-    Matrix sample = sparse::IndividualSample(sub, fanout, ValueArray{}, rng);
+    Matrix sample = sparse::IndividualSample(sub, fanout, ValueArray{}, {&rng, 1});
     if (include_seeds) {
       std::vector<IdArray> merged = {cur, sparse::RowIds(sample)};
       cur = sparse::Unique(merged);
@@ -184,7 +184,7 @@ BaselineResult Ladies(const graph::Graph& g, const tensor::IdArray& frontier, in
     Ensure(sq, Format::kCsr, style);
     ValueArray row_probs = sparse::SumAxis(sq, 0);
     Ensure(sub, Format::kCsr, style);
-    Matrix sample = sparse::CollectiveSample(sub, width, row_probs, rng);
+    Matrix sample = sparse::CollectiveSample(sub, width, row_probs, {&rng, 1});
     Matrix sample_sq = sparse::EltwiseScalar(sample, BinaryOp::kPow, 2.0f);
     Ensure(sample_sq, Format::kCsr, style);
     ValueArray selected = sparse::SumAxis(sample_sq, 0);
@@ -206,7 +206,7 @@ BaselineResult FastGcn(const graph::Graph& g, const tensor::IdArray& frontier, i
   for (int layer = 0; layer < num_layers; ++layer) {
     Matrix sub = sparse::SliceColumns(g.adj(), cur);
     Ensure(sub, Format::kCsr, style);
-    Matrix sample = sparse::CollectiveSample(sub, width, q, rng);
+    Matrix sample = sparse::CollectiveSample(sub, width, q, {&rng, 1});
     ValueArray selected = sparse::GatherValues(q, sparse::RowIds(sample));
     Matrix weighted = NormalizeSample(sample, selected, style);
     cur = sparse::RowIds(sample);
@@ -235,7 +235,7 @@ BaselineResult Asgcn(const graph::Graph& g, const tensor::IdArray& frontier, int
     Ensure(scored, Format::kCsr, style);
     ValueArray row_probs = sparse::SumAxis(scored, 0);
     Ensure(sub, Format::kCsr, style);
-    Matrix sample = sparse::CollectiveSample(sub, width, row_probs, rng);
+    Matrix sample = sparse::CollectiveSample(sub, width, row_probs, {&rng, 1});
     Matrix sample_scored = sparse::Broadcast(sample, BinaryOp::kMul, h.array(), 0);
     Ensure(sample_scored, Format::kCsr, style);
     ValueArray selected = sparse::SumAxis(sample_scored, 0);
@@ -280,7 +280,7 @@ BaselineResult Pass(const graph::Graph& g, const tensor::IdArray& frontier,
     std::vector<Tensor> heads = {a1, a2, a3};
     Tensor att = tensor::StackColumns(heads);
     Tensor mixed = tensor::Relu(tensor::MatMul(att, tensor::Transpose(w3)));
-    Matrix sample = sparse::IndividualSample(sub, fanout, mixed.array(), rng);
+    Matrix sample = sparse::IndividualSample(sub, fanout, mixed.array(), {&rng, 1});
     cur = sparse::RowIds(sample);
     result.layers.push_back(std::move(sample));
   }
@@ -296,7 +296,7 @@ BaselineResult Shadow(const graph::Graph& g, const tensor::IdArray& frontier, in
   for (int layer = 0; layer < depth; ++layer) {
     Matrix sub = sparse::SliceColumns(g.adj(), cur);
     Ensure(sub, Format::kCsc, style);
-    Matrix sample = sparse::IndividualSample(sub, fanout, ValueArray{}, rng);
+    Matrix sample = sparse::IndividualSample(sub, fanout, ValueArray{}, {&rng, 1});
     cur = sparse::RowIds(sample);
     collected.push_back(cur);
   }

@@ -1,11 +1,14 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
 #include "device/device.h"
+#include "fault/status.h"
 #include "sparse/batch.h"
 
 namespace gs::core {
@@ -218,11 +221,24 @@ void SamplerSession::ExecuteLabeled(const std::vector<tensor::IdArray>& group,
   const int64_t segments = static_cast<int64_t>(group.size());
 
   // Label each mini-batch's frontiers into its own id space: b * N + v.
+  // Every label must fit int32, and a seed outside [0, N) would land in a
+  // neighbouring member's id space; either rejects the group before it runs.
+  if (segments * n - 1 > std::numeric_limits<int32_t>::max()) {
+    throw fault::InvalidRequestError("a group of " + std::to_string(segments) +
+                                     " members over " + std::to_string(n) +
+                                     " nodes overflows int32 labels");
+  }
   std::vector<int32_t> labeled;
   std::vector<int64_t> offsets = {0};
   for (int64_t b = 0; b < segments; ++b) {
-    for (int64_t i = 0; i < group[static_cast<size_t>(b)].size(); ++i) {
-      labeled.push_back(static_cast<int32_t>(b * n + group[static_cast<size_t>(b)][i]));
+    const tensor::IdArray& seeds = group[static_cast<size_t>(b)];
+    for (int64_t i = 0; i < seeds.size(); ++i) {
+      if (seeds[i] < 0 || seeds[i] >= n) {
+        throw fault::InvalidRequestError("member " + std::to_string(b) + " seed " +
+                                         std::to_string(seeds[i]) + " outside [0, " +
+                                         std::to_string(n) + ")");
+      }
+      labeled.push_back(static_cast<int32_t>(b * n + seeds[i]));
     }
     offsets.push_back(static_cast<int64_t>(labeled.size()));
   }
@@ -230,8 +246,6 @@ void SamplerSession::ExecuteLabeled(const std::vector<tensor::IdArray>& group,
   Bindings bind = bindings_;
   bind.frontier = tensor::IdArray::FromVector(labeled);
   ExecOptions opts = executor_.options();
-  opts.super_batch = true;
-  opts.num_segments = segments;
   opts.graph_num_nodes = n;
   Executor seg_executor(plan_->program(), opts);
   seg_executor.SetFusedKernels(jit_table_);

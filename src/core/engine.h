@@ -100,11 +100,13 @@ class SamplerSession {
   // same request served inside any coalesced group. Requires Warmup.
   std::vector<Value> SampleSeeded(const tensor::IdArray& frontier, uint64_t seed) const;
 
-  // Thread-safe coalesced sampling: runs `group` as one segmented
+  // Thread-safe coalesced sampling: runs `group` as one labeled
   // super-batch where segment b draws exclusively from a stream derived
   // from seeds[b]. The callback receives (b, outputs) for every member, and
   // each member's outputs are bit-identical to
   // SampleSeeded(group[b], seeds[b]). Requires Warmup and Coalescable.
+  // Throws fault::InvalidRequestError, before anything runs, when a seed
+  // lies outside [0, num_nodes) or the group's labels overflow int32.
   void SampleGrouped(const std::vector<tensor::IdArray>& group,
                      const std::vector<uint64_t>& seeds, const BatchCallback& callback) const;
 
@@ -116,7 +118,7 @@ class SamplerSession {
   bool warmed_up() const { return warmed_up_; }
 
   // Installs the plan's compiled-kernel jump table (src/jit) on every
-  // executor this session runs — including the per-call segmented executors
+  // executor this session runs — including the per-call labeled executors
   // the coalesced serving path builds. nullptr restores pure interpretation.
   // Not thread-safe against concurrent sampling: install after Warmup but
   // before the session is shared (the serving path — warmup calibrates the
@@ -143,7 +145,7 @@ class SamplerSession {
   // per-batch split results via the callback.
   void RunSuperBatch(const std::vector<tensor::IdArray>& group, int64_t first_index,
                      const BatchCallback& callback);
-  // Shared labeled-super-batch body: labels frontiers, runs a segmented
+  // Shared labeled-super-batch body: labels frontiers, runs a labeled
   // executor where mini-batch b draws only from segment_rngs[b], and splits
   // outputs per mini-batch. Const so the serving path can run it
   // concurrently after Warmup.

@@ -253,14 +253,13 @@ void Executor::SetPrecomputed(int node_id, Value value) {
 }
 
 std::vector<Value> Executor::Run(const Bindings& bindings, Rng& rng) const {
-  GS_CHECK(!options_.super_batch) << "super-batch runs need one rng stream per segment";
   return Run(bindings, std::span<Rng>(&rng, 1));
 }
 
 std::vector<Value> Executor::Run(const Bindings& bindings, std::span<Rng> rngs) const {
   GS_CHECK(bindings.graph != nullptr) << "bindings must provide the base graph";
-  const int64_t segments = options_.super_batch ? options_.num_segments : 1;
-  GS_CHECK_EQ(static_cast<int64_t>(rngs.size()), segments) << "need one rng stream per segment";
+  GS_CHECK(rngs.size() == 1 || (!rngs.empty() && options_.graph_num_nodes > 0))
+      << "a run of " << rngs.size() << " rng streams needs labeled ids (graph_num_nodes)";
   // Watchdog: drain flags left by kernels that ran outside any executor
   // (model math, feature gathers), then cancel this batch if any program
   // node's kernels blow past the profile's time estimate (see
@@ -361,11 +360,10 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
     return Value::OfMatrix(std::move(m));
   };
 
-  const bool seg = options_.super_batch;
-  // Segmented kernels and walk steps pick each segment's stream themselves;
-  // the solo kernels run only outside super-batch mode, on the one stream.
-  Rng& solo_rng = rngs.front();
-  const int64_t label_nodes = seg ? options_.graph_num_nodes : 0;  // walk id space
+  // Every sampling kernel picks each segment's stream itself; label_nodes = 0
+  // means plain node ids (one segment).
+  const auto segments = static_cast<int64_t>(rngs.size());
+  const int64_t label_nodes = options_.graph_num_nodes;
 
   switch (node.kind) {
     case OpKind::kGraphInput: {
@@ -388,11 +386,7 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
     }
 
     case OpKind::kSliceCols:
-      if (seg) {
-        return finish_structure(sparse::SegmentedSliceColumns(matrix_in(0), ids_in(1),
-                                                              options_.num_segments));
-      }
-      return finish_structure(sparse::SliceColumns(matrix_in(0), ids_in(1)));
+      return finish_structure(sparse::SliceColumns(matrix_in(0), ids_in(1), segments));
     case OpKind::kSliceRows:
       return finish_structure(sparse::SliceRows(matrix_in(0), ids_in(1)));
 
@@ -401,8 +395,7 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
           {node.attrs.axis == 0 ? matrix_in(0).num_rows() : matrix_in(0).num_cols()},
           sparse::SumAxis(matrix_in(0), node.attrs.axis)));
     case OpKind::kFusedSliceReduce: {
-      sparse::ValueArray sums =
-          sparse::FusedSliceReduce(matrix_in(0), ids_in(1), seg ? options_.num_segments : 1);
+      sparse::ValueArray sums = sparse::FusedSliceReduce(matrix_in(0), ids_in(1), segments);
       const int64_t rows = sums.size();
       return Value::OfTensor(tensor::Tensor::FromArray({rows}, std::move(sums)));
     }
@@ -446,9 +439,9 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
     case OpKind::kGatherRows: {
       const tensor::Tensor& t = tensor_in(0);
       tensor::IdArray index = ids_in(1);
-      if (seg && options_.graph_num_nodes > 0 && t.rows() == options_.graph_num_nodes) {
+      if (label_nodes > 0 && t.rows() == label_nodes) {
         // Labeled id space -> original node ids for graph-sized tensors.
-        index = sparse::MapIdsModulo(index, options_.graph_num_nodes);
+        index = sparse::MapIdsModulo(index, label_nodes);
       }
       return Value::OfTensor(tensor::GatherRows(t, index));
     }
@@ -463,34 +456,20 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
       return Value::OfTensor(tensor::SumAxis(tensor_in(0), node.attrs.axis));
 
     case OpKind::kIndividualSample:
-      if (seg) {
-        return finish_structure(sparse::SegmentedIndividualSample(
-            matrix_in(0), node.attrs.k, sparse::ValueArray{}, options_.graph_num_nodes, rngs));
-      }
-      return finish_structure(
-          sparse::IndividualSample(matrix_in(0), node.attrs.k, sparse::ValueArray{}, solo_rng));
+      return finish_structure(sparse::IndividualSample(matrix_in(0), node.attrs.k,
+                                                       sparse::ValueArray{}, rngs, label_nodes));
     case OpKind::kIndividualSampleP: {
       const sparse::Matrix& m = matrix_in(0);
       const sparse::Matrix& probs = matrix_in(1);
       GS_CHECK(m.SharesPatternWith(probs))
           << "individual_sample probs must share the matrix's sparsity pattern";
-      if (seg) {
-        return finish_structure(sparse::SegmentedIndividualSample(
-            m, node.attrs.k, probs.ValuesFor(sparse::Format::kCsc), options_.graph_num_nodes,
-            rngs));
-      }
       return finish_structure(sparse::IndividualSample(
-          m, node.attrs.k, probs.ValuesFor(sparse::Format::kCsc), solo_rng));
+          m, node.attrs.k, probs.ValuesFor(sparse::Format::kCsc), rngs, label_nodes));
     }
     case OpKind::kCollectiveSample:
-      if (seg) {
-        return finish_structure(sparse::SegmentedCollectiveSample(
-            matrix_in(0), node.attrs.k, tensor_in(1).array(), options_.graph_num_nodes, rngs));
-      }
-      return finish_structure(
-          sparse::CollectiveSample(matrix_in(0), node.attrs.k, tensor_in(1).array(), solo_rng));
+      return finish_structure(sparse::CollectiveSample(matrix_in(0), node.attrs.k,
+                                                       tensor_in(1).array(), rngs, label_nodes));
     case OpKind::kFusedSliceCollectiveSample:
-      // One rng per segment; a solo run passes its one stream.
       return finish_structure(sparse::FusedSliceCollectiveSample(
           matrix_in(0), ids_in(1), node.attrs.k, tensor_in(2).array(), rngs));
 
@@ -545,25 +524,21 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
       }
       return Value::OfMatrix(sparse::TopKVisited(
           steps, ids_in(0), node.attrs.k,
-          seg ? options_.num_segments * options_.graph_num_nodes : bindings.graph->num_rows()));
+          label_nodes > 0 ? segments * label_nodes : bindings.graph->num_rows()));
     }
 
     case OpKind::kFusedSliceSample:
-      if (seg) {
-        // Segmented slice-sample interleaves per-segment rng streams; only
-        // the interpreter implements that schedule, so super-batch mode
-        // never consults the jump table here.
-        return finish_structure(sparse::SegmentedFusedSliceSample(
-            matrix_in(0), ids_in(1), options_.num_segments, node.attrs.k, rngs));
-      }
-      if (fused_kernels_ != nullptr) {
+      // The compiled kernel draws from one stream, so only one-segment runs
+      // (solo, or a one-member group) consult the jump table.
+      if (fused_kernels_ != nullptr && rngs.size() == 1) {
         sparse::Matrix jit_out;
-        if (fused_kernels_->SliceSample(node.id, matrix_in(0), ids_in(1), solo_rng, &jit_out)) {
+        if (fused_kernels_->SliceSample(node.id, matrix_in(0), ids_in(1), rngs.front(),
+                                        &jit_out)) {
           return finish_structure(std::move(jit_out));
         }
       }
       return finish_structure(
-          sparse::FusedSliceSample(matrix_in(0), ids_in(1), node.attrs.k, solo_rng));
+          sparse::FusedSliceSample(matrix_in(0), ids_in(1), node.attrs.k, rngs));
     case OpKind::kFusedEdgeMap: {
       std::vector<tensor::Tensor> operands;
       for (size_t i = 1; i < node.inputs.size(); ++i) {

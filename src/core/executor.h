@@ -10,9 +10,9 @@
 //  - kPlanned: structure-producing nodes carry format/compaction
 //              annotations chosen by the data-layout-selection pass.
 //
-// Super-batch execution (Section 4.4) swaps extract/select operators for
-// their segmented counterparts; mini-batch b's node v travels through the
-// program as the labeled id `b * N + v`, which keeps batches independent.
+// Super-batch execution (Section 4.4) runs the same program and kernels in
+// labeled mode: mini-batch b's node v travels through the program as the
+// labeled id `b * N + v`, which keeps batches independent.
 
 #ifndef GSAMPLER_CORE_EXECUTOR_H_
 #define GSAMPLER_CORE_EXECUTOR_H_
@@ -101,10 +101,10 @@ class HopObserverGuard {
 
 struct ExecOptions {
   LayoutMode layout = LayoutMode::kAsIs;
-  // Super-batch mode: the frontier carries labeled ids (b * N + v) spanning
-  // `num_segments` mini-batches over a graph of `graph_num_nodes` nodes.
-  bool super_batch = false;
-  int64_t num_segments = 1;
+  // Labeled (super-batch) mode when graph_num_nodes > 0: the frontier
+  // carries labeled ids (b * N + v) over a graph of N = graph_num_nodes
+  // nodes, one mini-batch per rng stream the run gets. Otherwise ids are
+  // plain node ids and the run has one stream.
   int64_t graph_num_nodes = 0;
 };
 
@@ -133,9 +133,9 @@ class FusedKernelTable {
                              std::span<const tensor::Tensor> operands,
                              sparse::ValueArray* out) const = 0;
 
-  // kFusedSliceSample (non-segmented only): consumes draws from `rng` in
+  // kFusedSliceSample on a one-segment run: consumes draws from `rng` in
   // exactly the interpreter's order, so the sampled neighborhood is
-  // bit-identical to sparse::FusedSliceSample with the same stream.
+  // bit-identical to sparse::FusedSliceSample with that one stream.
   virtual bool SliceSample(int node_id, const sparse::Matrix& m,
                            const tensor::IdArray& cols, Rng& rng,
                            sparse::Matrix* out) const = 0;
@@ -157,8 +157,8 @@ class Executor {
   // segment b's output bit-identical to a one-segment run seeded with the
   // same stream. This is what lets the serving coalescer merge concurrent
   // requests without changing any tenant's results. A solo run is one
-  // segment; the Rng& overload is its shorthand and throws in super-batch
-  // mode.
+  // segment; the Rng& overload is its shorthand. Several streams need
+  // labeled mode.
   std::vector<Value> Run(const Bindings& bindings, std::span<Rng> rngs) const;
   std::vector<Value> Run(const Bindings& bindings, Rng& rng) const;
 
@@ -167,7 +167,6 @@ class Executor {
   std::map<int, Value> RunInvariant(const Bindings& bindings) const;
 
   const ExecOptions& options() const { return options_; }
-  void set_options(const ExecOptions& options) { options_ = options; }
 
   // Installs the plan's compiled-kernel jump table (nullptr = interpret
   // everything). Must not race with Run(): set it before the executor is

@@ -14,9 +14,9 @@
 //   8. EliminateCommonSubexpressions, DeadCodeElimination
 //   9. SelectDataLayout      — measured, cost-aware format + compaction
 //
-// Super-batch (Section 4.4) is an execution-mode transform: the Executor
-// swaps extract/select for their segmented counterparts and the engine
-// labels/concatenates/splits mini-batches (see core/engine.h).
+// Super-batch (Section 4.4) is an execution mode, not a pass: the engine
+// labels/concatenates/splits mini-batches (see core/engine.h) and the same
+// extract/select kernels serve every segment in one launch.
 
 #ifndef GSAMPLER_CORE_PASSES_H_
 #define GSAMPLER_CORE_PASSES_H_

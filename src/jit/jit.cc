@@ -182,8 +182,8 @@ struct CompiledRegion {
 };
 
 // The per-plan jump table the executor consults before interpreting a fused
-// node. Calls it declines (missing region, segmented sampling handled at
-// the executor, irregular operands) fall through to the interpreter; calls
+// node. Calls it declines (missing region, irregular operands) fall through
+// to the interpreter, as do multi-segment slice-samples; calls
 // it accepts charge the same simulated-device costs as the interpreter's
 // kernels and produce bit-identical results.
 class JitKernelTable : public core::FusedKernelTable {
@@ -480,7 +480,7 @@ bool SelfCheckSliceSample(const Region& region, void* entry) {
   IdArray cols = IdArray::FromVector({0, 1, 2, 3, 4});
 
   Rng want_rng(0xC0FFEE);
-  const Matrix want = sparse::FusedSliceSample(m, cols, k, want_rng);
+  const Matrix want = sparse::FusedSliceSample(m, cols, k, {&want_rng, 1});
 
   Rng got_rng(0xC0FFEE);
   std::vector<int32_t> local_cols;

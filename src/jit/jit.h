@@ -17,8 +17,9 @@
 // self-check probe. Any rung failing demotes that region (and only that
 // region) to the interpreter with a counted reason; a demotion is never a
 // failed request. At run time the jump table can still decline a call it
-// cannot handle (segmented sampling, irregular operands) — that falls
-// through to the interpreter per call, not per region.
+// cannot handle (irregular operands) — that falls through to the
+// interpreter per call, not per region; the executor interprets
+// multi-segment slice-samples without asking.
 //
 // Bit-identity: the emitted code mirrors the interpreter's kernels
 // statement for statement, and every random draw is routed back through the

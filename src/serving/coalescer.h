@@ -2,8 +2,8 @@
 // segmented super-batch (Section 4.4's machinery, repurposed for serving).
 //
 // The group's frontiers are labeled into disjoint id spaces (request b's
-// node v becomes b*N + v), the plan runs its segmented kernel sequence once
-// over the block-diagonal super-batch, and the outputs are split back per
+// node v becomes b*N + v), the plan runs its kernel sequence once over the
+// block-diagonal super-batch, and the outputs are split back per
 // request. Because every random draw attributed to segment b comes from
 // request b's own RNG stream (SamplerSession::SampleGrouped), each
 // request's results are bit-identical to being served alone — coalescing

@@ -412,6 +412,23 @@ std::future<SampleResponse> Server::Submit(SampleRequest request) {
       return future;
     }
   }
+  if (endpoint->store != nullptr) {
+    // Dynamic endpoint: resolve the latest snapshot at admission and pin it
+    // for the request's lifetime; seeds are checked against it.
+    pending->snapshot = endpoint->store->Current();
+  }
+  // A seed outside [0, num_nodes) would alias a node of a neighbouring
+  // member once coalesced; reject it before it joins a group.
+  pending->num_nodes = pending->snapshot != nullptr ? pending->snapshot->graph().num_nodes()
+                                                    : endpoint->graph->num_nodes();
+  for (int64_t i = 0; i < req.seeds.size(); ++i) {
+    if (req.seeds[i] < 0 || req.seeds[i] >= pending->num_nodes) {
+      Finish(*pending, Status::kFailed, fault::ErrorCode::kInvalidRequest,
+             "seed " + std::to_string(req.seeds[i]) + " outside [0, " +
+                 std::to_string(pending->num_nodes) + ")");
+      return future;
+    }
+  }
 
   // Graceful degradation: past the shed threshold, admit with halved
   // fanouts instead of rejecting outright.
@@ -448,11 +465,9 @@ std::future<SampleResponse> Server::Submit(SampleRequest request) {
   pending->key.pass_config = PassConfigDigest(endpoint->options);
   pending->key.fanouts = std::move(fanouts);
   pending->frontier = req.seeds;
-  if (endpoint->store != nullptr) {
-    // Dynamic endpoint: resolve the latest snapshot at admission and pin it
-    // for the request's lifetime. The epoch + digest join the plan key, so
+  if (pending->snapshot != nullptr) {
+    // The snapshot pinned above: its epoch + digest join the plan key, so
     // sessions and coalescing groups never mix epochs.
-    pending->snapshot = endpoint->store->Current();
     pending->key.dynamic = true;
     pending->key.graph_epoch = pending->snapshot->epoch();
     pending->key.graph_digest = pending->snapshot->digest();
@@ -573,14 +588,17 @@ bool Server::ServeOne() {
       // plan key matches the leader's, consuming one admission token per
       // extra so tokens keep pace with queued requests. A TryPop miss just
       // leaves a surplus token that some worker later pops as a no-op.
+      // Members share the leader's graph, and the group stops growing before
+      // its labels b * N + v would overflow int32.
       if (options_.enable_coalescing) {
         const std::string& canonical = group.front()->canonical;
+        const size_t max_members = static_cast<size_t>(std::min<int64_t>(
+            options_.coalesce_max, (int64_t{1} << 31) / group.front()->num_nodes));
         for (auto& [tenant, queue2] : tenant_queues_) {
-          if (static_cast<int>(group.size()) >= options_.coalesce_max) {
+          if (group.size() >= max_members) {
             break;
           }
-          for (auto it = queue2.begin();
-               it != queue2.end() && static_cast<int>(group.size()) < options_.coalesce_max;) {
+          for (auto it = queue2.begin(); it != queue2.end() && group.size() < max_members;) {
             if ((*it)->canonical == canonical) {
               tokens_->TryPop();
               queued_.fetch_sub(1, std::memory_order_relaxed);

@@ -18,8 +18,9 @@
 //      numbered live device with each member cut to its covered seeds
 //      (degraded mode). Attempt resolves the compiled plan through the
 //      PlanCache (LRU under a byte budget) and runs the group — up to
-//      coalesce_max queued requests with the same plan key — as ONE
-//      segmented super-batch (serving/coalescer.h) under the recovery ladder
+//      coalesce_max queued requests with the same plan key, and at most
+//      2^31 / num_nodes so its labels fit int32 — as ONE labeled
+//      super-batch (serving/coalescer.h) under the recovery ladder
 //      (transient backoff, one shed-fanout retry). Per-segment RNG streams
 //      make each member's results bit-identical to being served alone.
 //   4. Scatter splits group outputs per request (kDegraded plus coverage in
@@ -122,7 +123,8 @@ struct ServerOptions {
   int num_workers = 2;
   // Admission queue capacity; TryPush failure = reject with retry-after.
   int queue_capacity = 64;
-  // Maximum requests merged into one segmented execution.
+  // Maximum requests merged into one labeled execution (a group also stops
+  // at 2^31 / num_nodes members, where its labels would overflow int32).
   int coalesce_max = 8;
   bool enable_coalescing = true;
   int64_t plan_cache_budget_bytes = int64_t{256} * 1024 * 1024;
@@ -239,6 +241,8 @@ class Server {
     // the response is fulfilled (mutations applied meanwhile never move a
     // request off its epoch).
     std::shared_ptr<const graph::Snapshot> snapshot;
+    // Node count of the graph the seeds were checked against at admission.
+    int64_t num_nodes = 0;
     // The seeds this member executes: the request's seeds, cut to the
     // covered subset (fraction `coverage`) in degraded mode. Empty = the
     // member is answered without executing.

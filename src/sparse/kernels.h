@@ -26,8 +26,11 @@ namespace gs::sparse {
 // original-graph ids; they become the result's col_ids. Works on any input
 // format (CSC is O(output); COO/CSR scan all edges — this cost asymmetry is
 // Table 5's first row). Result is produced in the same format family it was
-// computed from.
-Matrix SliceColumns(const Matrix& m, const IdArray& cols);
+// computed from. With several segments m must be the base graph and cols
+// are labeled ids (sparse/batch.h): column i holds the in-edges of node
+// cols[i] % n with rows labeled into the same segment, read from CSC, in a
+// row space of num_segments * n rows.
+Matrix SliceColumns(const Matrix& m, const IdArray& cols, int64_t num_segments = 1);
 
 // A[rows, :]: symmetric to SliceColumns (CSR is the fast path).
 Matrix SliceRows(const Matrix& m, const IdArray& rows);
@@ -65,37 +68,47 @@ Matrix Sddmm(const Matrix& m, const tensor::Tensor& u, const tensor::Tensor& v,
              bool mul_existing);
 
 // ----------------------------------------------------------------- Select
+//
+// Every select kernel serves a super-batch (sparse/batch.h) in one launch,
+// and a solo call is segment 0. Segment b draws only from rngs[b], in
+// frontier (column or row) order, so a segment's sample is the same alone or
+// grouped, and the kernel charges the sum of the solo calls' costs. The
+// fused Extract-Select kernels take the segment count from rngs.size() and
+// resolve their frontier as SliceColumns does. The kernels over an already
+// extracted matrix take a column's or row's segment from its global
+// (labeled) id / num_nodes; num_nodes = 0 puts everything in segment 0, as
+// in the walk kernels.
 
 // Node-wise selection: for every column, samples up to k of its edges
 // without replacement, uniformly or proportional to `probs` (edge weights
-// aligned with m's CSC order; pass an undefined array for uniform). Requires
-// / materializes CSC. Result: CSC, same column set, original row dimension.
-Matrix IndividualSample(const Matrix& m, int64_t k, const ValueArray& probs, Rng& rng);
+// aligned with m's CSC order; pass an undefined array for uniform). Each
+// column emits its picks in ascending slot order. Requires / materializes
+// CSC. Result: CSC, same column set, original row dimension.
+Matrix IndividualSample(const Matrix& m, int64_t k, const ValueArray& probs,
+                        std::span<Rng> rngs, int64_t num_nodes = 0);
 
-// Layer-wise selection: samples up to k distinct row nodes proportional to
-// row_probs (length num_rows, non-negative; rows with zero probability are
-// never selected; a negative or NaN probability throws gs::Error) and
-// keeps only edges whose row was selected. Result shape
-// is (#selected x num_cols) with rows compacted (row_ids set). Fast path
-// gathers selected rows from CSR; COO/CSC paths scan all edges (Table 5 row
-// 3).
-Matrix CollectiveSample(const Matrix& m, int64_t k, const ValueArray& row_probs, Rng& rng);
+// Layer-wise selection: each segment samples up to k distinct row nodes
+// proportional to row_probs (length num_rows, or per node and folded through
+// the row ids with a modulo; non-negative; rows with zero probability are
+// never selected; a negative or NaN probability throws gs::Error) and keeps
+// only edges whose row was selected. Result shape is (#selected x num_cols)
+// with rows compacted (row_ids set). Fast path gathers selected rows from
+// CSR; COO/CSC paths scan all edges (Table 5 row 3).
+Matrix CollectiveSample(const Matrix& m, int64_t k, const ValueArray& row_probs,
+                        std::span<Rng> rngs, int64_t num_nodes = 0);
 
 // Fused Extract-Select for uniform node-wise sampling: samples k
 // in-neighbors for each of `cols` directly from the base matrix without
-// materializing the sliced subgraph (Figure 5a). Requires CSC on m.
-Matrix FusedSliceSample(const Matrix& m, const IdArray& cols, int64_t k, Rng& rng);
+// materializing the sliced subgraph (Figure 5a); each column emits its picks
+// in ascending slot order. Requires CSC on m.
+Matrix FusedSliceSample(const Matrix& m, const IdArray& cols, int64_t k, std::span<Rng> rngs);
 
 // Fused Extract-Select for layer-wise sampling: the two kernels read the
 // frontier's columns of m in place, so m[:, cols] is never materialized.
-// Their results are bit-identical to the unfused pairs. A call with one
-// segment is solo: cols are m's global column ids and the slice keeps m's
-// row space, as in SliceColumns. With several segments m must be the base
-// graph and cols are labeled ids (sparse/batch.h), as in
-// SegmentedSliceColumns. Both require CSC on m.
+// Their results are bit-identical to the unfused pairs, with the frontier
+// resolved as in SliceColumns. Both require CSC on m.
 
-// CollectiveSample(m[:, cols], k, row_probs) — or, with one rng per
-// segment (rngs.size() segments), SegmentedCollectiveSample.
+// CollectiveSample(m[:, cols], k, row_probs), with one rng per segment.
 Matrix FusedSliceCollectiveSample(const Matrix& m, const IdArray& cols, int64_t k,
                                   const ValueArray& row_probs, std::span<Rng> rngs);
 

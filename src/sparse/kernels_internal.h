@@ -6,6 +6,7 @@
 
 #include <initializer_list>
 #include <unordered_map>
+#include <vector>
 
 #include "common/error.h"
 #include "device/device.h"
@@ -99,15 +100,69 @@ class RowLocalizer {
   std::unordered_map<int32_t, int32_t> map_;
 };
 
+// One column of a (possibly virtual) slice: column `local` of the source
+// matrix, whose row ids are shifted by `row_offset` (a super-batch label)
+// and whose draws come from the stream of `segment`.
+struct SliceColumn {
+  int32_t local;
+  int32_t row_offset;
+  int32_t segment;
+};
+
+// The frontier of an extract, A[:, cols] (see sparse/batch.h for labels).
+// A one-segment call reads m's columns by global id (through its col id
+// map) and the slice keeps m's row space. With several segments m must be
+// the base graph and an id is the label segment * n + v (n = m.num_cols());
+// the column's rows carry the same label, in a row space of
+// num_segments * n rows.
+class Frontier {
+ public:
+  Frontier(const Matrix& m, const IdArray& cols, int64_t num_segments) : columns_(cols.size()) {
+    GS_CHECK_GE(num_segments, 1);
+    const int64_t n = m.num_cols();
+    if (num_segments == 1) {
+      const ColLocalizer localizer(m);
+      for (int64_t i = 0; i < cols.size(); ++i) {
+        columns_[static_cast<size_t>(i)] = {localizer.ToLocal(cols[i]), 0, 0};
+      }
+      num_rows_ = m.num_rows();
+      row_ids_ = m.row_ids();
+      return;
+    }
+    GS_CHECK(!m.has_col_ids()) << "super-batch extract requires the base graph";
+    for (int64_t i = 0; i < cols.size(); ++i) {
+      const int64_t segment = cols[i] / n;
+      GS_CHECK(cols[i] >= 0 && segment < num_segments)
+          << "labeled column " << cols[i] << " out of range";
+      columns_[static_cast<size_t>(i)] = {static_cast<int32_t>(cols[i] % n),
+                                          static_cast<int32_t>(segment * n),
+                                          static_cast<int32_t>(segment)};
+    }
+    num_rows_ = num_segments * n;
+  }
+
+  SliceColumn operator[](int64_t i) const { return columns_[static_cast<size_t>(i)]; }
+  int64_t size() const { return static_cast<int64_t>(columns_.size()); }
+  // Row space of the slice m[:, cols].
+  int64_t num_rows() const { return num_rows_; }
+  const IdArray& row_ids() const { return row_ids_; }
+
+ private:
+  std::vector<SliceColumn> columns_;
+  int64_t num_rows_ = 0;
+  IdArray row_ids_;
+};
+
 // PCIe bytes for touching `bytes` of adjacency data of node `key` on a
 // UVA-resident matrix; 0 for device-resident matrices.
 inline int64_t UvaCharge(const Matrix& m, uint64_t key, int64_t bytes) {
   return m.IsUva() ? m.uva_cache()->Access(key, bytes) : 0;
 }
 
-// Propagates the row id map from input to a sliced/sampled result. The
-// compact flag does NOT propagate: these kernels drop edges, so rows that
-// were non-empty in the input may be empty in the output, and a stale
+// Gives a sliced/sampled result the row id map of the row space it was
+// read from (the input's, or a frontier's). The compact flag does NOT
+// propagate: these kernels drop edges, so rows that were non-empty in the
+// input may be empty in the output, and a stale
 // rows_compact claim flips RowIds from "rows that still carry edges" to
 // "every inherited row" — which would make the node-set outputs depend on
 // whether a layout pass happened to compact the input (a plan decision must
@@ -115,8 +170,8 @@ inline int64_t UvaCharge(const Matrix& m, uint64_t key, int64_t bytes) {
 // this). Kernels that build a fresh row space whose rows are the intended
 // node set (collective sample, slice-rows, compact-rows) set the flag
 // themselves.
-inline void InheritRowSpace(const Matrix& in, Matrix& out) {
-  out.SetRowIds(in.row_ids());
+inline void InheritRowSpace(const IdArray& row_ids, Matrix& out) {
+  out.SetRowIds(row_ids);
   out.SetRowsCompact(false);
 }
 

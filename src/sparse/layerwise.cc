@@ -1,10 +1,10 @@
-// Layer-wise select kernels: collective sampling (solo and segmented) and
-// the two fused layer-wise Extract-Select kernels, which read the
-// frontier's columns of the base matrix in place instead of slicing them.
+// Layer-wise select kernels: collective sampling and the two fused
+// layer-wise Extract-Select kernels, which read the frontier's columns of
+// the base matrix in place instead of slicing them.
 //
-// All three collective samples share one RowSelection: candidate
-// gathering, per-segment draws and the selected-row edge filter. That is
-// what keeps a fused sample bit-identical to the unfused slice + sample.
+// All collective samples share one RowSelection: candidate gathering,
+// per-segment draws and the selected-row edge filter. That is what keeps a
+// fused sample bit-identical to the unfused slice + sample.
 
 #include <algorithm>
 #include <bit>
@@ -12,24 +12,18 @@
 #include <vector>
 
 #include "common/sampling.h"
-#include "sparse/batch.h"
 #include "sparse/kernels.h"
 #include "sparse/kernels_internal.h"
 
 namespace gs::sparse {
 
 using internal::CurrentStream;
+using internal::Frontier;
 using internal::PickFormat;
 using internal::RowOperand;
+using internal::SliceColumn;
 
 namespace {
-
-// One column of a (possibly virtual) slice: column `local` of the source
-// matrix, whose row ids are shifted by `row_offset` (a super-batch label).
-struct SliceColumn {
-  int32_t local;
-  int32_t row_offset;
-};
 
 // Layer-wise row selection over the rows of `rows`. Segment s draws up to
 // k rows from rngs[s] among its positive-probability rows, in row order.
@@ -153,59 +147,20 @@ class RowSelection {
   std::vector<int32_t> rank_;
 };
 
-SliceColumn Identity(int64_t c) { return {static_cast<int32_t>(c), 0}; }
-
-// The frontier of a fused extract. A one-segment call reads m's columns by
-// global id (through its col id map) and the virtual slice keeps m's row
-// space, as SliceColumns does. With several segments m must be the base
-// graph and an id is the label segment * n + v (n = m.num_cols()); the
-// column's rows carry the same label, as in SegmentedSliceColumns.
-class Frontier {
- public:
-  Frontier(const Matrix& m, const IdArray& cols, int64_t num_segments) : columns_(cols.size()) {
-    GS_CHECK_GE(num_segments, 1);
-    const int64_t n = m.num_cols();
-    if (num_segments == 1) {
-      const internal::ColLocalizer localizer(m);
-      for (int64_t i = 0; i < cols.size(); ++i) {
-        columns_[static_cast<size_t>(i)] = {localizer.ToLocal(cols[i]), 0};
-      }
-      num_rows_ = m.num_rows();
-      row_ids_ = m.row_ids();
-      return;
-    }
-    GS_CHECK(!m.has_col_ids()) << "super-batch extract requires the base graph";
-    for (int64_t i = 0; i < cols.size(); ++i) {
-      const int64_t segment = cols[i] / n;
-      GS_CHECK(cols[i] >= 0 && segment < num_segments)
-          << "labeled column " << cols[i] << " out of range";
-      columns_[static_cast<size_t>(i)] = {static_cast<int32_t>(cols[i] % n),
-                                          static_cast<int32_t>(segment * n)};
-    }
-    num_rows_ = num_segments * n;
-  }
-
-  SliceColumn operator[](int64_t i) const { return columns_[static_cast<size_t>(i)]; }
-  int64_t size() const { return static_cast<int64_t>(columns_.size()); }
-  // Row space of the virtual slice m[:, cols].
-  int64_t num_rows() const { return num_rows_; }
-  const IdArray& row_ids() const { return row_ids_; }
-
- private:
-  std::vector<SliceColumn> columns_;
-  int64_t num_rows_ = 0;
-  IdArray row_ids_;
-};
+SliceColumn Identity(int64_t c) { return {static_cast<int32_t>(c), 0, 0}; }
 
 }  // namespace
 
-Matrix CollectiveSample(const Matrix& m, int64_t k, const ValueArray& row_probs, Rng& rng) {
+Matrix CollectiveSample(const Matrix& m, int64_t k, const ValueArray& row_probs,
+                        std::span<Rng> rngs, int64_t num_nodes) {
   GS_CHECK_GT(k, 0);
+  // row_probs lives in m's local row space or per node, folded through the
+  // (labeled) row ids with a modulo.
   const RowOperand rows(m, row_probs.size());
   const Format format = PickFormat(m, {Format::kCsr, Format::kCoo, Format::kCsc});
   device::KernelScope kernel(CurrentStream());
 
-  const RowSelection selection(rows, row_probs, k, 0, {&rng, 1});
+  const RowSelection selection(rows, row_probs, k, num_nodes, rngs);
   const std::vector<int32_t>& selected = selection.rows();
   const int64_t s = selection.size();
   Matrix result;
@@ -281,26 +236,6 @@ Matrix CollectiveSample(const Matrix& m, int64_t k, const ValueArray& row_probs,
   kernel.Finish({.parallel_items = m.nnz(),
                  .hbm_bytes = hbm,
                  .pcie_bytes = m.IsUva() ? m.nnz() * int64_t{8} : 0});
-  return result;
-}
-
-Matrix SegmentedCollectiveSample(const Matrix& m, int64_t k, const ValueArray& row_probs,
-                                 int64_t num_nodes, std::span<Rng> segment_rngs) {
-  GS_CHECK_GT(k, 0);
-  // row_probs is either in the matrix's local row space or per node, folded
-  // through the (labeled) row ids with a modulo; a row's segment comes from
-  // its labeled id, both in the full labeled space and for compacted
-  // matrices whose row_ids carry labels.
-  const RowOperand rows(m, row_probs.size());
-  device::KernelScope kernel(CurrentStream());
-  const RowSelection selection(rows, row_probs, k, num_nodes, segment_rngs);
-  Matrix result =
-      Matrix::FromCsc(selection.size(), m.num_cols(),
-                      selection.Filter(m.Csc(), m.num_cols(), Identity));
-  result.SetRowIds(selection.GlobalIds());
-  result.SetRowsCompact(true);
-  result.SetColIds(m.col_ids());
-  kernel.Finish({.parallel_items = m.nnz(), .hbm_bytes = m.nnz() * int64_t{12}});
   return result;
 }
 

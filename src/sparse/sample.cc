@@ -13,7 +13,8 @@ namespace gs::sparse {
 
 using internal::CurrentStream;
 
-Matrix IndividualSample(const Matrix& m, int64_t k, const ValueArray& probs, Rng& rng) {
+Matrix IndividualSample(const Matrix& m, int64_t k, const ValueArray& probs,
+                        std::span<Rng> rngs, int64_t num_nodes) {
   GS_CHECK_GT(k, 0) << "fanout must be positive";
   if (probs.defined()) {
     GS_CHECK_EQ(probs.size(), m.nnz()) << "probs must align with the matrix's CSC edge order";
@@ -33,6 +34,12 @@ Matrix IndividualSample(const Matrix& m, int64_t k, const ValueArray& probs, Rng
   int64_t pcie = 0;
 
   for (int64_t c = 0; c < t; ++c) {
+    // A column's segment comes from its global (labeled) id.
+    const int32_t id = m.GlobalColId(static_cast<int32_t>(c));
+    const int64_t segment = num_nodes > 0 ? id / num_nodes : 0;
+    GS_CHECK(id >= 0 && segment < static_cast<int64_t>(rngs.size()))
+        << "column " << id << " has no rng for its segment";
+    Rng& rng = rngs[static_cast<size_t>(segment)];
     const int64_t begin = csc.indptr[c];
     const int64_t deg = csc.indptr[c + 1] - begin;
     picked.clear();
@@ -56,7 +63,7 @@ Matrix IndividualSample(const Matrix& m, int64_t k, const ValueArray& probs, Rng
     out.indptr[c + 1] = static_cast<int64_t>(indices.size());
     if (m.IsUva()) {
       // Selection needs the full candidate list (degrees + weights).
-      pcie += internal::UvaCharge(m, static_cast<uint64_t>(m.GlobalColId(static_cast<int32_t>(c))),
+      pcie += internal::UvaCharge(m, static_cast<uint64_t>(id - segment * num_nodes),
                                   deg * int64_t{4});
     }
   }
@@ -67,7 +74,7 @@ Matrix IndividualSample(const Matrix& m, int64_t k, const ValueArray& probs, Rng
     out.values = ValueArray::FromVector(values);
   }
   Matrix result = Matrix::FromCsc(m.num_rows(), t, std::move(out));
-  internal::InheritRowSpace(m, result);
+  internal::InheritRowSpace(m.row_ids(), result);
   result.SetColIds(m.col_ids());
   kernel.Finish({.parallel_items = std::max<int64_t>(m.nnz(), 1),
                  .hbm_bytes = m.nnz() * int64_t{4} + out_nnz * int64_t{8},
@@ -75,14 +82,14 @@ Matrix IndividualSample(const Matrix& m, int64_t k, const ValueArray& probs, Rng
   return result;
 }
 
-Matrix FusedSliceSample(const Matrix& m, const IdArray& cols, int64_t k, Rng& rng) {
+Matrix FusedSliceSample(const Matrix& m, const IdArray& cols, int64_t k, std::span<Rng> rngs) {
   GS_CHECK_GT(k, 0);
   const Compressed& csc = m.Csc();
   const bool weighted = csc.values.defined();
   device::KernelScope kernel(CurrentStream());
-  internal::ColLocalizer localizer(m);
+  const internal::Frontier frontier(m, cols, static_cast<int64_t>(rngs.size()));
 
-  const int64_t t = cols.size();
+  const int64_t t = frontier.size();
   Compressed out;
   out.indptr = OffsetArray::Empty(t + 1);
   out.indptr[0] = 0;
@@ -93,14 +100,14 @@ Matrix FusedSliceSample(const Matrix& m, const IdArray& cols, int64_t k, Rng& rn
   int64_t pcie = 0;
 
   for (int64_t i = 0; i < t; ++i) {
-    const int32_t c = localizer.ToLocal(cols[i]);
-    const int64_t begin = csc.indptr[c];
-    const int64_t deg = csc.indptr[c + 1] - begin;
+    const internal::SliceColumn c = frontier[i];
+    const int64_t begin = csc.indptr[c.local];
+    const int64_t deg = csc.indptr[c.local + 1] - begin;
     picked.clear();
-    SampleUniformWithoutReplacement(deg, k, rng, picked);
+    SampleUniformWithoutReplacement(deg, k, rngs[static_cast<size_t>(c.segment)], picked);
     std::sort(picked.begin(), picked.end());  // canonical output order
     for (int32_t slot : picked) {
-      indices.push_back(csc.indices[begin + slot]);
+      indices.push_back(c.row_offset + csc.indices[begin + slot]);
       if (weighted) {
         values.push_back(csc.values[begin + slot]);
       }
@@ -109,7 +116,7 @@ Matrix FusedSliceSample(const Matrix& m, const IdArray& cols, int64_t k, Rng& rn
     if (m.IsUva()) {
       // Uniform selection touches only the chosen slots, not the whole
       // adjacency list — one of the wins of Extract-Select fusion on UVA.
-      pcie += internal::UvaCharge(m, static_cast<uint64_t>(cols[i]),
+      pcie += internal::UvaCharge(m, static_cast<uint64_t>(m.GlobalColId(c.local)),
                                   static_cast<int64_t>(picked.size()) * 4);
     }
   }
@@ -119,8 +126,8 @@ Matrix FusedSliceSample(const Matrix& m, const IdArray& cols, int64_t k, Rng& rn
   if (weighted) {
     out.values = ValueArray::FromVector(values);
   }
-  Matrix result = Matrix::FromCsc(m.num_rows(), t, std::move(out));
-  internal::InheritRowSpace(m, result);
+  Matrix result = Matrix::FromCsc(frontier.num_rows(), t, std::move(out));
+  internal::InheritRowSpace(frontier.row_ids(), result);
   result.SetColIds(cols.Clone());
   kernel.Finish({.parallel_items = std::max<int64_t>(out_nnz, 1),
                  .hbm_bytes = out_nnz * int64_t{8},

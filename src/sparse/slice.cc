@@ -13,16 +13,6 @@ using internal::PickFormat;
 
 namespace {
 
-// Resolves the requested global ids into local column indices of m.
-std::vector<int32_t> LocalizeCols(const Matrix& m, const IdArray& cols) {
-  internal::ColLocalizer localizer(m);
-  std::vector<int32_t> locals(static_cast<size_t>(cols.size()));
-  for (int64_t i = 0; i < cols.size(); ++i) {
-    locals[static_cast<size_t>(i)] = localizer.ToLocal(cols[i]);
-  }
-  return locals;
-}
-
 std::vector<int32_t> LocalizeRows(const Matrix& m, const IdArray& rows) {
   internal::RowLocalizer localizer(m);
   std::vector<int32_t> locals(static_cast<size_t>(rows.size()));
@@ -38,11 +28,13 @@ IdArray CloneIds(const IdArray& ids) { return ids.Clone(); }
 
 }  // namespace
 
-Matrix SliceColumns(const Matrix& m, const IdArray& cols) {
-  const Format format = PickFormat(m, {Format::kCsc, Format::kCoo, Format::kCsr});
+Matrix SliceColumns(const Matrix& m, const IdArray& cols, int64_t num_segments) {
+  // Labeled frontiers read the base graph's columns, so only CSC serves them.
+  const Format format =
+      num_segments == 1 ? PickFormat(m, {Format::kCsc, Format::kCoo, Format::kCsr}) : Format::kCsc;
   const int64_t t = cols.size();
   device::KernelScope kernel(CurrentStream());
-  std::vector<int32_t> locals = LocalizeCols(m, cols);
+  const internal::Frontier frontier(m, cols, num_segments);
   Matrix out;
   int64_t hbm = 0;
   int64_t pcie = 0;
@@ -56,7 +48,7 @@ Matrix SliceColumns(const Matrix& m, const IdArray& cols) {
       sub.indptr = OffsetArray::Empty(t + 1);
       sub.indptr[0] = 0;
       for (int64_t i = 0; i < t; ++i) {
-        const int32_t c = locals[static_cast<size_t>(i)];
+        const int32_t c = frontier[i].local;
         sub.indptr[i + 1] = sub.indptr[i] + (csc.indptr[c + 1] - csc.indptr[c]);
       }
       const int64_t out_nnz = sub.indptr[t];
@@ -65,18 +57,20 @@ Matrix SliceColumns(const Matrix& m, const IdArray& cols) {
         sub.values = ValueArray::Empty(out_nnz);
       }
       for (int64_t i = 0; i < t; ++i) {
-        const int32_t c = locals[static_cast<size_t>(i)];
-        const int64_t begin = csc.indptr[c];
-        const int64_t len = csc.indptr[c + 1] - begin;
-        std::copy_n(csc.indices.data() + begin, len, sub.indices.data() + sub.indptr[i]);
+        const internal::SliceColumn c = frontier[i];
+        const int64_t begin = csc.indptr[c.local];
+        const int64_t len = csc.indptr[c.local + 1] - begin;
+        std::transform(csc.indices.data() + begin, csc.indices.data() + begin + len,
+                       sub.indices.data() + sub.indptr[i],
+                       [&c](int32_t row) { return c.row_offset + row; });
         if (weighted) {
           std::copy_n(csc.values.data() + begin, len, sub.values.data() + sub.indptr[i]);
         }
         const int64_t bytes = len * static_cast<int64_t>(weighted ? 8 : 4);
-        pcie += internal::UvaCharge(m, static_cast<uint64_t>(cols[i]), bytes);
+        pcie += internal::UvaCharge(m, static_cast<uint64_t>(m.GlobalColId(c.local)), bytes);
         hbm += 2 * bytes;
       }
-      out = Matrix::FromCsc(m.num_rows(), t, std::move(sub));
+      out = Matrix::FromCsc(frontier.num_rows(), t, std::move(sub));
       break;
     }
     case Format::kCoo: {
@@ -85,7 +79,7 @@ Matrix SliceColumns(const Matrix& m, const IdArray& cols) {
       const bool weighted = coo.values.defined();
       std::vector<int32_t> col_map(static_cast<size_t>(m.num_cols()), -1);
       for (int64_t i = 0; i < t; ++i) {
-        col_map[static_cast<size_t>(locals[static_cast<size_t>(i)])] = static_cast<int32_t>(i);
+        col_map[static_cast<size_t>(frontier[i].local)] = static_cast<int32_t>(i);
       }
       std::vector<int32_t> rows_kept;
       std::vector<int32_t> cols_kept;
@@ -117,7 +111,7 @@ Matrix SliceColumns(const Matrix& m, const IdArray& cols) {
       const bool weighted = csr.values.defined();
       std::vector<int32_t> col_map(static_cast<size_t>(m.num_cols()), -1);
       for (int64_t i = 0; i < t; ++i) {
-        col_map[static_cast<size_t>(locals[static_cast<size_t>(i)])] = static_cast<int32_t>(i);
+        col_map[static_cast<size_t>(frontier[i].local)] = static_cast<int32_t>(i);
       }
       Compressed sub;
       sub.indptr = OffsetArray::Empty(m.num_rows() + 1);
@@ -147,7 +141,7 @@ Matrix SliceColumns(const Matrix& m, const IdArray& cols) {
     }
   }
 
-  internal::InheritRowSpace(m, out);
+  internal::InheritRowSpace(frontier.row_ids(), out);
   out.SetColIds(CloneIds(cols));
   kernel.Finish({.parallel_items = std::max<int64_t>(out.nnz(), 1),
                  .hbm_bytes = hbm,

@@ -174,9 +174,7 @@ TEST(Executor, SuperBatchGatherDecodesLabeledIds) {
   b.Output(scaled);
   Program p = std::move(b).Build();
 
-  Executor exec(p, ExecOptions{.super_batch = true,
-                               .num_segments = 2,
-                               .graph_num_nodes = g.num_nodes()});
+  Executor exec(p, ExecOptions{.graph_num_nodes = g.num_nodes()});
   Bindings bind;
   bind.graph = &g.adj();
   bind.tensors["feat"] = tensor::Tensor::Full({g.num_nodes()}, 2.0f);
@@ -191,10 +189,14 @@ TEST(Executor, SuperBatchGatherDecodesLabeledIds) {
   }
 
   // Super-batch mode has no shared stream: a run without one stream per
-  // segment is an error, not a silent fallback.
+  // segment is an error, not a silent fallback. Several streams need the
+  // labeled id space (graph_num_nodes), even over plain node ids.
   Rng shared(11);
   EXPECT_THROW(exec.Run(bind, shared), Error);
   EXPECT_THROW(exec.Run(bind, std::span<Rng>(segment_rngs).first(1)), Error);
+  Bindings plain = bind;
+  plain.frontier = IdArray::FromVector({1, 2});
+  EXPECT_THROW(Executor(p, ExecOptions{}).Run(plain, segment_rngs), Error);
 }
 
 TEST(Executor, MissingFrontierThrows) {

@@ -296,7 +296,7 @@ TEST(FusedGoldens, SliceSampleFixedDraws) {
       {5, 1, 0.699999988f},  {5, 4, 0.300000012f}, {6, 4, 0.899999976f}};
 
   Rng interp_rng(123);
-  Matrix interp = FusedSliceSample(g.adj(), cols, k, interp_rng);
+  Matrix interp = FusedSliceSample(g.adj(), cols, k, {&interp_rng, 1});
 
   gs::core::Program program;
   const int gin = program.Add(gs::core::OpKind::kGraphInput, {});

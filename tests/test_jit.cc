@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -360,6 +361,47 @@ TEST(JitOracle, MutatedEpochSnapshotBitIdentical) {
   for (const uint64_t seed : {uint64_t{3}, uint64_t{0xD00D}}) {
     ExpectBitIdentical(interp.SampleSeeded(frontier, seed),
                        jitted.SampleSeeded(frontier, seed), "mutated epoch");
+  }
+}
+
+// Every one-segment run consults the jump table: a one-member seeded
+// GraphSAGE request runs the native slice-sample once per
+// fused_slice_sample node and matches the interpreter bit for bit. A
+// coalesced group of three interprets (the compiled kernel draws from one
+// stream), and each member still matches its solo response.
+TEST(JitOracle, OneMemberRequestsRunTheNativeSliceSample) {
+  graph::Graph g = JitGraph();
+  JitEngine engine(EngineOptions(ScratchDir("onemember")));
+  std::map<std::string, tensor::Tensor> tensors;
+  auto plan = Compile("GraphSAGE", g, Optimized(), &tensors);
+  std::shared_ptr<const core::FusedKernelTable> table = engine.TableFor(*plan);
+  ASSERT_NE(table, nullptr);
+  const auto& nodes = plan->program().nodes();
+  ASSERT_EQ(std::count_if(nodes.begin(), nodes.end(),
+                          [](const core::Node& n) {
+                            return n.kind == core::OpKind::kFusedSliceSample;
+                          }),
+            2);
+  auto interp = MakeSession(plan, g, tensors, nullptr);
+  auto jitted = MakeSession(plan, g, tensors, table);
+
+  const IdArray frontier = Seeds({5, 17, 2, 42, 8});
+  int64_t hits = jit::GlobalJitStats().hits;
+  const std::vector<Value> native = jitted->SampleSeeded(frontier, 9);
+  EXPECT_EQ(jit::GlobalJitStats().hits - hits, 2);
+  ExpectBitIdentical(interp->SampleSeeded(frontier, 9), native, "one member");
+
+  const std::vector<IdArray> group = {frontier, Seeds({1, 2, 3}), Seeds({99})};
+  const std::vector<uint64_t> seeds = {9, 10, 11};
+  std::vector<std::vector<Value>> grouped(group.size());
+  hits = jit::GlobalJitStats().hits;
+  jitted->SampleGrouped(group, seeds, [&grouped](int64_t b, std::vector<Value>& outputs) {
+    grouped[static_cast<size_t>(b)] = std::move(outputs);
+  });
+  EXPECT_EQ(jit::GlobalJitStats().hits, hits);
+  for (size_t b = 0; b < group.size(); ++b) {
+    ExpectBitIdentical(grouped[b], jitted->SampleSeeded(group[b], seeds[b]),
+                       "member " + std::to_string(b));
   }
 }
 

@@ -265,8 +265,8 @@ TEST(Oracle, RowCompactionDoesNotChangeNodeSets) {
 
   Rng rng_a(798216);
   Rng rng_b(798216);
-  const sparse::Matrix sampled_plain = sparse::IndividualSample(plain, 2, {}, rng_a);
-  const sparse::Matrix sampled_compacted = sparse::IndividualSample(compacted, 2, {}, rng_b);
+  const sparse::Matrix sampled_plain = sparse::IndividualSample(plain, 2, {}, {&rng_a, 1});
+  const sparse::Matrix sampled_compacted = sparse::IndividualSample(compacted, 2, {}, {&rng_b, 1});
   EXPECT_FALSE(sampled_compacted.rows_compact())
       << "sampling can empty rows; the compact claim must not survive it";
 

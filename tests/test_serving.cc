@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -20,8 +21,10 @@
 #include "common/timer.h"
 #include "core/engine.h"
 #include "device/device.h"
+#include "fault/status.h"
 #include "graph/generator.h"
 #include "graph/graph.h"
+#include "graph/store.h"
 #include "serving/coalescer.h"
 #include "serving/loadgen.h"
 #include "serving/plan_cache.h"
@@ -165,6 +168,62 @@ TEST(Coalescer, WalkPlansCoalesceBitIdentically) {
     }
   }
   EXPECT_GT(dead, 0) << "the walks should hit dead ends";
+}
+
+// A seed outside [0, n) would alias a node of a neighbouring member once
+// labeled b * n + v: 305 in member 0 is node 5 of member 1, and -1 in
+// member 1 is node n - 1 of member 0. A group holding one is rejected with
+// a typed error naming the member and the seed, before anything runs.
+TEST(Coalescer, OutOfRangeSeedsRejectTheGroup) {
+  graph::Graph g = testing::SmallRmat(300, 3000, 9);
+  auto sage = BuildSagePlan(g, {5});
+  algorithms::AlgorithmProgram ap = algorithms::DeepWalk(g, {.walk_length = 4});
+  auto walk_plan =
+      std::make_shared<core::CompiledPlan>(std::move(ap.program), core::SamplerOptions{});
+  core::SamplerSession walk(walk_plan, g, std::move(ap.tensors));
+  walk.Warmup(Seeds({0, 1, 2, 3}));
+
+  const std::vector<std::pair<std::vector<tensor::IdArray>, std::string>> groups = {
+      {{Seeds({10, 305, 20}), Seeds({7, 8, 9})}, "member 0 seed 305"},
+      {{Seeds({7, 8, 9}), Seeds({-1})}, "member 1 seed -1"},
+  };
+  for (const auto& [group, what] : groups) {
+    for (const core::SamplerSession* session : {sage.get(), &walk}) {
+      try {
+        session->SampleGrouped(group, {1, 2}, nullptr);
+        ADD_FAILURE() << session->plan().label() << ": " << what << " was not rejected";
+      } catch (const fault::InvalidRequestError& e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+      }
+    }
+  }
+}
+
+// Labels b * n + v must fit int32. On a 2^21-node graph 1,024 one-seed
+// members label up to 2^31 - 1 and run; a 1,025th member's labels would
+// wrap (its first step came back -1 where a solo run walks to node 6), so
+// that group is rejected before labeling.
+TEST(Coalescer, GroupsWhoseLabelsOverflowInt32AreRejected) {
+  constexpr int64_t kNodes = int64_t{1} << 21;
+  const graph::Graph g = graph::Graph::FromEdges("wide", kNodes, {{6, 5}});
+  algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm("DeepWalk", g);
+  auto plan = std::make_shared<core::CompiledPlan>(std::move(ap.program), core::SamplerOptions{});
+  core::SamplerSession session(plan, g, std::move(ap.tensors));
+  session.Warmup(Seeds({5}));
+  ASSERT_EQ(session.SampleSeeded(Seeds({5}), 1)[0].ids[0], 6);
+
+  std::vector<tensor::IdArray> group(1024, Seeds({5}));
+  std::vector<uint64_t> seeds(group.size(), 1);
+  int64_t members = 0;
+  session.SampleGrouped(group, seeds, [&members](int64_t b, std::vector<core::Value>& outputs) {
+    EXPECT_EQ(outputs[0].ids[0], 6) << "member " << b;
+    ++members;
+  });
+  EXPECT_EQ(members, 1024);
+
+  group.push_back(Seeds({5}));
+  seeds.push_back(1);
+  EXPECT_THROW(session.SampleGrouped(group, seeds, nullptr), fault::InvalidRequestError);
 }
 
 // --------------------------------------------------------- plan cache
@@ -404,6 +463,108 @@ TEST(Server, UnknownEndpointAndEmptySeedsFailFast) {
   SampleResponse r2 = server.Submit(empty).get();
   EXPECT_EQ(r2.status, Status::kFailed);
   server.Stop();
+}
+
+// A request with a seed outside [0, n) fails at admission as an invalid
+// request, on static endpoints and against the pinned snapshot of dynamic
+// ones, so it never joins a group: a valid request queued beside it is
+// bit-identical to its solo replay.
+TEST(Server, OutOfRangeSeedsFailAtAdmission) {
+  graph::Graph g = testing::SmallRmat(300, 3000, 9);
+  graph::GraphStore store(testing::SmallRmat(300, 3000, 9));
+  Server server(SmallServer(/*workers=*/1));
+  server.RegisterEndpoint(MakeEndpoint("GraphSAGE", "rmat", g));
+  server.RegisterEndpoint(MakeDynamicEndpoint("GraphSAGE", "dyn", store));
+  server.Start();
+
+  auto make = [](const std::string& dataset, std::vector<int32_t> ids, uint64_t seed) {
+    SampleRequest req;
+    req.algorithm = "GraphSAGE";
+    req.dataset = dataset;
+    req.seeds = Seeds(std::move(ids));
+    req.seed = seed;
+    req.fanouts = {5};
+    return req;
+  };
+  // The first submission occupies the worker with the plan compile; the
+  // rest queue behind it, where compatible requests coalesce.
+  std::future<SampleResponse> first = server.Submit(make("rmat", {0, 1}, 1));
+  std::future<SampleResponse> victim = server.Submit(make("rmat", {7, 8, 9}, 3));
+  std::vector<std::pair<std::future<SampleResponse>, std::string>> bad;
+  bad.emplace_back(server.Submit(make("rmat", {10, 305, 20}, 2)), "seed 305");
+  bad.emplace_back(server.Submit(make("rmat", {-1}, 4)), "seed -1");
+  bad.emplace_back(server.Submit(make("dyn", {300}, 5)), "seed 300");
+  for (auto& [future, what] : bad) {
+    const SampleResponse r = future.get();
+    EXPECT_EQ(r.status, Status::kFailed) << what;
+    EXPECT_EQ(r.code, fault::ErrorCode::kInvalidRequest) << what;
+    EXPECT_NE(r.error.find(what), std::string::npos) << r.error;
+  }
+  ASSERT_EQ(first.get().status, Status::kOk);
+  const SampleResponse grouped = victim.get();
+  ASSERT_EQ(grouped.status, Status::kOk) << grouped.error;
+  const SampleResponse replay = server.Submit(make("rmat", {7, 8, 9}, 3)).get();
+  ASSERT_EQ(replay.status, Status::kOk) << replay.error;
+  EXPECT_EQ(replay.group_size, 1);
+  testing::ExpectBitIdentical(grouped.outputs, replay.outputs, "victim vs solo replay");
+  server.Stop();
+}
+
+// On a graph of N nodes a group's labels b * N + v fit int32 only up to
+// 2^31 / N members, so the worker stops growing a group there even when
+// coalesce_max allows more. On a 2^21-node graph that is 1,024 members. The
+// first request holds the worker in its plan compile until 1,100 more are
+// queued; they then all succeed, each as its solo run, in groups of at most
+// 1,024 instead of one group that fails.
+TEST(Server, GroupsStopGrowingBeforeTheirLabelsOverflowInt32) {
+  constexpr int64_t kNodes = int64_t{1} << 21;
+  const graph::Graph g = graph::Graph::FromEdges("wide", kNodes, {{6, 5}});
+  ServerOptions options = SmallServer(/*workers=*/1);
+  options.queue_capacity = 2048;
+  options.coalesce_max = 2048;
+  Server server(options);
+  // The endpoint's program factory runs on the worker during the first
+  // plan compile; it signals `compiling` and waits for `release`.
+  std::promise<void> compiling;
+  std::promise<void> release;
+  std::once_flag signalled;
+  Endpoint endpoint = MakeEndpoint("DeepWalk", "wide", g);
+  endpoint.factory = [trace = endpoint.factory, &compiling, &signalled,
+                      released = release.get_future().share()](
+                         const graph::Graph& graph, const std::vector<int64_t>& fanouts) {
+    std::call_once(signalled, [&compiling] { compiling.set_value(); });
+    released.wait();
+    return trace(graph, fanouts);
+  };
+  server.RegisterEndpoint(std::move(endpoint));
+  server.Start();
+
+  auto submit = [&server](int i) {
+    SampleRequest req;
+    req.algorithm = "DeepWalk";
+    req.dataset = "wide";
+    req.seeds = Seeds({5});
+    req.seed = static_cast<uint64_t>(i);
+    return server.Submit(std::move(req));
+  };
+  std::vector<std::future<SampleResponse>> futures;
+  futures.push_back(submit(0));
+  compiling.get_future().wait();
+  for (int i = 1; i <= 1100; ++i) {
+    futures.push_back(submit(i));
+  }
+  release.set_value();
+
+  std::vector<int> group_sizes;
+  for (auto& future : futures) {
+    const SampleResponse r = future.get();
+    ASSERT_EQ(r.status, Status::kOk) << r.error;
+    EXPECT_EQ(r.outputs[0].ids[0], 6);  // the only step a walk from node 5 can take
+    group_sizes.push_back(r.group_size);
+  }
+  server.Stop();
+  EXPECT_EQ(group_sizes.front(), 1);
+  EXPECT_EQ(*std::max_element(group_sizes.begin(), group_sizes.end()), 1024);
 }
 
 // Two compatible requests submitted while the worker is busy compiling the

@@ -1,14 +1,21 @@
-// Tests for the super-batch (segmented) kernels: labeled id spaces keep
-// mini-batches independent, and splitting recovers per-batch results.
+// Tests for super-batch execution in the sparse kernels: a node v of
+// mini-batch b carries the label b * n + v, every extract and select kernel
+// serves all segments in one launch (a solo call is segment 0), and
+// splitting recovers per-batch results.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "common/sampling.h"
+#include "device/device.h"
+#include "feature/hot_set_cache.h"
 #include "sparse/batch.h"
 #include "sparse/kernels.h"
 #include "tests/testing.h"
@@ -16,130 +23,8 @@
 namespace gs::sparse {
 namespace {
 
-using gs::testing::EdgeSet;
-using tensor::IdArray;
-
-TEST(SegmentedSliceColumns, MatchesPerBatchSlices) {
-  graph::Graph g = gs::testing::SmallRmat();
-  const int64_t n = g.num_nodes();
-  std::vector<int32_t> batch0 = {1, 2, 3};
-  std::vector<int32_t> batch1 = {2, 5};
-
-  std::vector<int32_t> labeled;
-  for (int32_t v : batch0) {
-    labeled.push_back(v);
-  }
-  for (int32_t v : batch1) {
-    labeled.push_back(static_cast<int32_t>(n + v));
-  }
-  Matrix seg = SegmentedSliceColumns(g.adj(), IdArray::FromVector(labeled), 2);
-  EXPECT_EQ(seg.num_rows(), 2 * n);
-  EXPECT_EQ(seg.num_cols(), 5);
-
-  // Split back and compare with plain slices (labels mod n).
-  Matrix part0 = SliceColumnRange(seg, 0, 3);
-  Matrix ref0 = SliceColumns(g.adj(), IdArray::FromVector(batch0));
-  auto strip = [&](const Matrix& m) {
-    std::map<std::pair<int32_t, int32_t>, float> out;
-    for (const auto& [edge, w] : EdgeSet(m)) {
-      out[{static_cast<int32_t>(edge.first % n), static_cast<int32_t>(edge.second % n)}] = w;
-    }
-    return out;
-  };
-  EXPECT_EQ(strip(part0), EdgeSet(ref0));
-
-  Matrix part1 = SliceColumnRange(seg, 3, 5);
-  Matrix ref1 = SliceColumns(g.adj(), IdArray::FromVector(batch1));
-  EXPECT_EQ(strip(part1), EdgeSet(ref1));
-
-  // Segment 1's rows are all labeled into its own id space.
-  for (const auto& [edge, w] : EdgeSet(part1)) {
-    EXPECT_GE(edge.first, n);
-    (void)w;
-  }
-}
-
-TEST(SegmentedSliceColumns, RejectsNonBaseMatrix) {
-  graph::Graph g = gs::testing::SmallRmat();
-  Matrix sub = SliceColumns(g.adj(), IdArray::FromVector({1, 2}));
-  EXPECT_THROW(SegmentedSliceColumns(sub, IdArray::FromVector({1}), 1), Error);
-}
-
-TEST(SegmentedFusedSliceSample, FanoutPerLabeledColumn) {
-  graph::Graph g = gs::testing::SmallRmat();
-  const int64_t n = g.num_nodes();
-  IdArray labeled = IdArray::FromVector(
-      {1, 2, static_cast<int32_t>(n + 1), static_cast<int32_t>(n + 9)});
-  std::vector<Rng> rngs = {Rng(157), Rng(158)};
-  Matrix sample = SegmentedFusedSliceSample(g.adj(), labeled, 2, 3, rngs);
-  EXPECT_EQ(sample.num_cols(), 4);
-  const Compressed& csc = sample.Csc();
-  const Compressed& base = g.adj().Csc();
-  for (int64_t c = 0; c < 4; ++c) {
-    const int32_t node = labeled[c] % static_cast<int32_t>(n);
-    const int64_t deg = base.indptr[node + 1] - base.indptr[node];
-    EXPECT_EQ(csc.indptr[c + 1] - csc.indptr[c], std::min<int64_t>(deg, 3));
-    // Edges stay in the column's segment id space.
-    const int64_t segment = labeled[c] / n;
-    for (int64_t e = csc.indptr[c]; e < csc.indptr[c + 1]; ++e) {
-      EXPECT_EQ(csc.indices[e] / n, segment);
-    }
-  }
-}
-
-TEST(SegmentedCollectiveSample, SamplesWithinEachSegment) {
-  graph::Graph g = gs::testing::SmallRmat();
-  const int64_t n = g.num_nodes();
-  IdArray labeled = IdArray::FromVector({0, 1, 2, static_cast<int32_t>(n + 0),
-                                         static_cast<int32_t>(n + 3)});
-  Matrix seg = SegmentedSliceColumns(g.adj(), labeled, 2);
-  ValueArray probs = SumAxis(seg, 0);
-  std::vector<Rng> rngs = {Rng(163), Rng(164)};
-  Matrix sample = SegmentedCollectiveSample(seg, 4, probs, n, rngs);
-  EXPECT_TRUE(sample.rows_compact());
-  // At most 4 rows per segment, each within its own id space.
-  int64_t per_segment[2] = {0, 0};
-  for (int64_t i = 0; i < sample.row_ids().size(); ++i) {
-    const int64_t s = sample.row_ids()[i] / n;
-    ASSERT_LT(s, 2);
-    ++per_segment[s];
-  }
-  EXPECT_LE(per_segment[0], 4);
-  EXPECT_LE(per_segment[1], 4);
-  EXPECT_GT(per_segment[0], 0);
-  EXPECT_GT(per_segment[1], 0);
-}
-
-// Solo CollectiveSample rejects negative and NaN row probabilities with a
-// typed error; super-batching must not turn such a program into one that
-// succeeds by silently skipping those rows.
-TEST(SegmentedCollectiveSample, RejectsNegativeAndNanProbabilitiesLikeSolo) {
-  graph::Graph g = gs::testing::SmallRmat();
-  const int64_t n = g.num_nodes();
-  const IdArray labeled = IdArray::FromVector({0, 1, 2, static_cast<int32_t>(n + 3)});
-  const Matrix seg = SegmentedSliceColumns(g.adj(), labeled, 2);
-  const Matrix solo = SliceColumns(g.adj(), IdArray::FromVector({0, 1, 2}));
-  for (const float bad : {-1.0f, std::numeric_limits<float>::quiet_NaN()}) {
-    ValueArray seg_probs = SumAxis(seg, 0);
-    seg_probs[seg.Csc().indices[0]] = bad;
-    std::vector<Rng> rngs = {Rng(1), Rng(2)};
-    EXPECT_THROW(SegmentedCollectiveSample(seg, 4, seg_probs, n, rngs), Error) << bad;
-
-    ValueArray solo_probs = SumAxis(solo, 0);
-    solo_probs[solo.Csc().indices[0]] = bad;
-    Rng rng(1);
-    EXPECT_THROW(CollectiveSample(solo, 4, solo_probs, rng), Error) << bad;
-  }
-}
-
-// ----------------------------------------- fused layer-wise extract-select
-
 using core::Value;
-
-Value Tensor(ValueArray values) {
-  const int64_t size = values.size();
-  return Value::OfTensor(tensor::Tensor::FromArray({size}, std::move(values)));
-}
+using tensor::IdArray;
 
 // `per_segment` distinct nodes of each of `segments` mini-batches, labeled
 // b * n + v.
@@ -164,9 +49,306 @@ std::vector<Rng> Streams(int64_t segments, uint64_t seed) {
   return rngs;
 }
 
-// The fused kernels against the unfused pairs they replace, bit for bit:
-// solo (SliceColumns then CollectiveSample / SumAxis) and segmented
-// (SegmentedSliceColumns then SegmentedCollectiveSample / SumAxis), on
+// ------------------------------------------------ one kernel per sampling op
+
+enum class Op {
+  kSliceColumns,
+  kFusedSliceSample,
+  kIndividualSample,
+  kIndividualSampleBiased,
+  kCollectiveSample,           // per-node row probabilities
+  kCollectiveSampleSliceRows,  // row probabilities in the slice's own row space
+};
+
+constexpr Op kOps[] = {Op::kSliceColumns,     Op::kFusedSliceSample,
+                       Op::kIndividualSample, Op::kIndividualSampleBiased,
+                       Op::kCollectiveSample, Op::kCollectiveSampleSliceRows};
+
+bool Collective(Op op) {
+  return op == Op::kCollectiveSample || op == Op::kCollectiveSampleSliceRows;
+}
+
+const char* OpName(Op op) {
+  switch (op) {
+    case Op::kSliceColumns:
+      return "SliceColumns";
+    case Op::kFusedSliceSample:
+      return "FusedSliceSample";
+    case Op::kIndividualSample:
+      return "IndividualSample";
+    case Op::kIndividualSampleBiased:
+      return "IndividualSample(biased)";
+    case Op::kCollectiveSample:
+      return "CollectiveSample";
+    case Op::kCollectiveSampleSliceRows:
+      return "CollectiveSample(slice-row probs)";
+  }
+  return "?";
+}
+
+constexpr int64_t kFanout = 3;
+
+// m's structure and id maps, read through `cache` (UVA) or from device
+// memory (nullptr).
+Matrix Resident(const Matrix& m, feature::HotSetCache* cache) {
+  Matrix out = Matrix::FromCsc(m.num_rows(), m.num_cols(), m.Csc());
+  out.SetRowIds(m.row_ids());
+  out.SetColIds(m.col_ids());
+  out.SetUvaCache(cache);
+  return out;
+}
+
+// Edge probabilities aligned with m's CSC order, a function of each edge's
+// node id alone (so labels do not change them); a quarter are zero.
+ValueArray EdgeProbs(const Matrix& m, int64_t n) {
+  const Compressed& csc = m.Csc();
+  ValueArray probs = ValueArray::Empty(m.nnz());
+  for (int64_t e = 0; e < m.nnz(); ++e) {
+    probs[e] = static_cast<float>(m.GlobalRowId(csc.indices[e]) % n % 4);
+  }
+  return probs;
+}
+
+// Per-node row probabilities (folded through labels by a modulo); a fifth
+// are zero.
+ValueArray NodeProbs(int64_t n) {
+  ValueArray probs = ValueArray::Empty(n);
+  for (int64_t v = 0; v < n; ++v) {
+    probs[v] = static_cast<float>(v % 5);
+  }
+  return probs;
+}
+
+struct OpRun {
+  Matrix out;
+  int64_t kernels = 0;
+  int64_t hbm_bytes = 0;
+  int64_t pcie_bytes = 0;
+};
+
+// One call of `op` on the frontier `cols` of a's columns: segments > 1
+// means labeled ids with one rng per segment, 1 a solo call (num_nodes 0).
+// The kernels that sample an already extracted matrix get A[:, cols],
+// sliced before the measured call; slice-row probabilities are its row sums
+// (SumAxis(A[:, cols], 0)), taken before the call too. Every matrix the
+// call reads goes through `cache` (nullptr: device-resident).
+OpRun RunOp(Op op, const Matrix& a, const IdArray& cols, int64_t segments, std::span<Rng> rngs,
+            feature::HotSetCache* cache) {
+  const int64_t n = a.num_cols();
+  const int64_t num_nodes = segments > 1 ? n : 0;
+  const bool extracts = op == Op::kSliceColumns || op == Op::kFusedSliceSample;
+  const Matrix extracted = extracts ? a : SliceColumns(a, cols, segments);
+  const Matrix input = Resident(extracted, cache);
+  ValueArray probs;
+  if (op == Op::kIndividualSampleBiased) {
+    probs = EdgeProbs(input, n);
+  } else if (op == Op::kCollectiveSample) {
+    probs = NodeProbs(n);
+  } else if (op == Op::kCollectiveSampleSliceRows) {
+    probs = SumAxis(extracted, 0);
+  }
+  device::Stream& stream = device::Current().stream();
+  const device::StreamCounters before = stream.counters();
+  OpRun run;
+  switch (op) {
+    case Op::kSliceColumns:
+      run.out = SliceColumns(input, cols, segments);
+      break;
+    case Op::kFusedSliceSample:
+      run.out = FusedSliceSample(input, cols, kFanout, rngs);
+      break;
+    case Op::kIndividualSample:
+    case Op::kIndividualSampleBiased:
+      run.out = IndividualSample(input, kFanout, probs, rngs, num_nodes);
+      break;
+    case Op::kCollectiveSample:
+    case Op::kCollectiveSampleSliceRows:
+      run.out = CollectiveSample(input, kFanout, probs, rngs, num_nodes);
+      break;
+  }
+  const device::StreamCounters after = stream.counters();
+  run.kernels = after.kernels_launched - before.kernels_launched;
+  run.hbm_bytes = after.hbm_bytes - before.hbm_bytes;
+  run.pcie_bytes = after.pcie_bytes - before.pcie_bytes;
+  return run;
+}
+
+// Column c of m as (row id, value) pairs in order, each row id less
+// `label` (b * n for segment b). A row from another segment's id space
+// lands outside [0, n), so it cannot match a solo call's row.
+std::vector<std::pair<int64_t, float>> Column(const Matrix& m, int64_t c, int64_t label) {
+  const Compressed& csc = m.Csc();
+  std::vector<std::pair<int64_t, float>> edges;
+  for (int64_t e = csc.indptr[c]; e < csc.indptr[c + 1]; ++e) {
+    edges.emplace_back(int64_t{m.GlobalRowId(csc.indices[e])} - label,
+                       csc.values.defined() ? csc.values[e] : 1.0f);
+  }
+  return edges;
+}
+
+// A 3-segment call of `op` on g is one launch and equals three solo calls.
+// Segment b's columns, split back out with SliceColumnRange, hold the solo
+// call's rows (label removed) and values in the same order, every stream
+// consumed the same draws, and the HBM and PCIe bytes are the solo calls'
+// sum (each side reads through its own fresh UVA cache, so both see the same
+// access sequence).
+void ExpectThreeSegmentsEqualThreeSoloCalls(Op op, const graph::Graph& g, bool uva) {
+  constexpr int64_t kSegments = 3;
+  const Matrix& a = g.adj();
+  const int64_t n = g.num_nodes();
+  const IdArray cols = LabeledFrontier(n, kSegments, 8, 21);
+  const Compressed& base = a.Csc();
+  feature::HotSetCache multi_cache(16);
+  feature::HotSetCache solo_cache(16);
+  std::vector<Rng> multi_rngs = Streams(kSegments, 5);
+  const OpRun multi = RunOp(op, a, cols, kSegments, multi_rngs, uva ? &multi_cache : nullptr);
+  EXPECT_EQ(multi.kernels, 1);
+  if (!Collective(op)) {
+    EXPECT_EQ(multi.out.num_rows(), kSegments * n);
+  }
+
+  std::vector<Rng> solo_rngs = Streams(kSegments, 5);
+  int64_t solo_hbm = 0;
+  int64_t solo_pcie = 0;
+  int64_t first = 0;  // the multi call's first column of segment b
+  for (int64_t b = 0; b < kSegments; ++b) {
+    std::vector<int32_t> ids;
+    for (int64_t i = 0; i < cols.size(); ++i) {
+      if (cols[i] / n == b) {
+        ids.push_back(static_cast<int32_t>(cols[i] - b * n));
+      }
+    }
+    const OpRun solo = RunOp(op, a, IdArray::FromVector(ids), 1, {&solo_rngs[b], 1},
+                             uva ? &solo_cache : nullptr);
+    EXPECT_EQ(solo.kernels, 1);
+    solo_hbm += solo.hbm_bytes;
+    solo_pcie += solo.pcie_bytes;
+    // Split segment b back out, as the super-batch scatter does.
+    const int64_t t = solo.out.num_cols();
+    ASSERT_LE(first + t, multi.out.num_cols());
+    const Matrix part = SliceColumnRange(multi.out, first, first + t);
+    first += t;
+    for (int64_t c = 0; c < t; ++c) {
+      const auto local = static_cast<int32_t>(c);
+      EXPECT_EQ(part.GlobalColId(local), b * n + solo.out.GlobalColId(local));
+      EXPECT_EQ(Column(part, c, b * n), Column(solo.out, c, 0))
+          << "segment " << b << " column " << c;
+      if (op == Op::kFusedSliceSample || op == Op::kIndividualSample) {
+        const int32_t v = ids[static_cast<size_t>(c)];
+        EXPECT_EQ(part.Csc().indptr[c + 1] - part.Csc().indptr[c],
+                  std::min(base.indptr[v + 1] - base.indptr[v], kFanout))
+            << "node " << v;
+      }
+    }
+    EXPECT_EQ(multi_rngs[static_cast<size_t>(b)].NextU64(),
+              solo_rngs[static_cast<size_t>(b)].NextU64())
+        << "segment " << b;
+    if (Collective(op)) {
+      // Compacted rows keep their labels; each segment drew its own 1..k rows.
+      EXPECT_TRUE(multi.out.rows_compact());
+      const IdArray& rows = multi.out.row_ids();
+      const int64_t drawn = std::count_if(rows.data(), rows.data() + rows.size(),
+                                          [&](int32_t r) { return r / n == b; });
+      EXPECT_EQ(drawn, solo.out.num_rows());
+      EXPECT_GT(drawn, 0);
+      EXPECT_LE(drawn, kFanout);
+    }
+  }
+  EXPECT_EQ(first, multi.out.num_cols());
+  EXPECT_EQ(multi.hbm_bytes, solo_hbm);
+  EXPECT_EQ(multi.pcie_bytes, solo_pcie);
+  if (uva) {
+    EXPECT_GT(multi.pcie_bytes, 0);
+  }
+}
+
+// The merged-kernel table. Its first rows run every op form on weighted and
+// unweighted graphs, device-resident and UVA, through the three-segments
+// check above. The rest are inputs each kernel rejects with gs::Error: a
+// labeled extract from a matrix other than the base graph, a label (or id)
+// out of range or without a stream, and negative or NaN probabilities (row
+// probabilities per node and in the slice's row space), solo and segmented
+// alike.
+TEST(SuperBatchKernels, OneKernelPerOp) {
+  std::vector<std::pair<std::string, std::function<void()>>> rows;
+  const graph::Graph weighted = gs::testing::SmallRmat(300, 3000, 9, true);
+  const graph::Graph unweighted = gs::testing::SmallRmat(300, 3000, 9, false);
+  for (const graph::Graph* g : {&weighted, &unweighted}) {
+    for (const bool uva : {false, true}) {
+      for (const Op op : kOps) {
+        rows.emplace_back(std::string(OpName(op)) + (g == &weighted ? " weighted" : " unweighted") +
+                              (uva ? " uva" : " device"),
+                          [op, g, uva] { ExpectThreeSegmentsEqualThreeSoloCalls(op, *g, uva); });
+      }
+    }
+  }
+
+  const graph::Graph& g = weighted;
+  const Matrix& a = g.adj();
+  const int64_t n = g.num_nodes();
+  const int32_t n32 = static_cast<int32_t>(n);
+  const Matrix sub = SliceColumns(a, IdArray::FromVector({1, 2}));
+  const Matrix three = SliceColumns(a, LabeledFrontier(n, 3, 4, 5), 3);
+  std::vector<Rng> two = Streams(2, 1);
+  auto rejects = [&rows](const std::string& name, std::function<void()> call) {
+    rows.emplace_back("rejects " + name, [call] { EXPECT_THROW(call(), Error); });
+  };
+  rejects("a slice of a sliced matrix",
+          [&] { SliceColumns(sub, IdArray::FromVector({1}), 2); });
+  rejects("a slice-sample of a sliced matrix",
+          [&] { FusedSliceSample(sub, IdArray::FromVector({1}), kFanout, two); });
+  rejects("slice id n", [&] { SliceColumns(a, IdArray::FromVector({n32})); });
+  rejects("slice label 2n", [&] { SliceColumns(a, IdArray::FromVector({2 * n32}), 2); });
+  rejects("slice label -1", [&] { SliceColumns(a, IdArray::FromVector({-1}), 2); });
+  rejects("slice-sample label 2n",
+          [&] { FusedSliceSample(a, IdArray::FromVector({2 * n32}), kFanout, two); });
+  rejects("slice-sample label -1",
+          [&] { FusedSliceSample(a, IdArray::FromVector({-1}), kFanout, two); });
+  rejects("an individual-sample label without a stream",
+          [&] { IndividualSample(three, kFanout, ValueArray{}, two, n); });
+  rejects("a collective-sample label without a stream",
+          [&] { CollectiveSample(three, kFanout, NodeProbs(n), two, n); });
+  for (const int64_t segments : {int64_t{1}, int64_t{3}}) {
+    const Matrix m = SliceColumns(a, LabeledFrontier(n, segments, 4, 5), segments);
+    const int64_t num_nodes = segments > 1 ? n : 0;
+    for (const float bad : {-1.0f, std::numeric_limits<float>::quiet_NaN()}) {
+      const std::string tag = " p=" + std::to_string(bad) + " segments=" + std::to_string(segments);
+      rejects("collective" + tag, [m, num_nodes, n, bad, segments] {
+        ValueArray probs = NodeProbs(n);
+        probs[6] = bad;  // every row is validated, with or without edges
+        std::vector<Rng> rngs = Streams(segments, 3);
+        CollectiveSample(m, kFanout, probs, rngs, num_nodes);
+      });
+      rejects("collective slice-row" + tag, [m, num_nodes, bad, segments] {
+        ValueArray probs = SumAxis(m, 0);
+        probs[6] = bad;
+        std::vector<Rng> rngs = Streams(segments, 3);
+        CollectiveSample(m, kFanout, probs, rngs, num_nodes);
+      });
+      rejects("individual biased" + tag, [m, num_nodes, n, bad, segments] {
+        ValueArray probs = EdgeProbs(m, n);
+        probs[0] = bad;
+        std::vector<Rng> rngs = Streams(segments, 3);
+        IndividualSample(m, kFanout, probs, rngs, num_nodes);
+      });
+    }
+  }
+
+  for (const auto& [name, check] : rows) {
+    SCOPED_TRACE(name);
+    check();
+  }
+}
+
+// ----------------------------------------- fused layer-wise extract-select
+
+Value Tensor(ValueArray values) {
+  const int64_t size = values.size();
+  return Value::OfTensor(tensor::Tensor::FromArray({size}, std::move(values)));
+}
+
+// The fused kernels against the unfused pairs they replace (SliceColumns
+// then CollectiveSample / SumAxis), bit for bit, solo and segmented, on
 // weighted and unweighted graphs, with row probabilities in the slice's
 // own row space and per node (folded by modulo). k = 3 draws among the
 // candidates; k = 10000 keeps every positive-probability row.
@@ -181,10 +363,8 @@ TEST(FusedLayerWise, BitIdenticalToUnfusedPairs) {
       const IdArray cols = LabeledFrontier(n, segments, 6, 40 + static_cast<uint64_t>(segments));
       const std::string label = std::string(weighted ? "weighted" : "unweighted") +
                                 " segments=" + std::to_string(segments);
-      const bool solo = segments == 1;
-      const Matrix sub = solo ? SliceColumns(a, cols) : SegmentedSliceColumns(a, cols, segments);
-      const Matrix sub_squared =
-          solo ? SliceColumns(squared, cols) : SegmentedSliceColumns(squared, cols, segments);
+      const Matrix sub = SliceColumns(a, cols, segments);
+      const Matrix sub_squared = SliceColumns(squared, cols, segments);
 
       const ValueArray local = SumAxis(sub_squared, 0);
       gs::testing::ExpectBitIdentical({Tensor(FusedSliceReduce(squared, cols, segments))},
@@ -197,8 +377,7 @@ TEST(FusedLayerWise, BitIdenticalToUnfusedPairs) {
           std::vector<Rng> fused_rngs = Streams(segments, 7);
           std::vector<Rng> ref_rngs = Streams(segments, 7);
           const Matrix fused = FusedSliceCollectiveSample(a, cols, k, probs, fused_rngs);
-          const Matrix ref = solo ? CollectiveSample(sub, k, probs, ref_rngs[0])
-                                  : SegmentedCollectiveSample(sub, k, probs, n, ref_rngs);
+          const Matrix ref = CollectiveSample(sub, k, probs, ref_rngs, segments > 1 ? n : 0);
           const std::string name = label + " probs=" + std::to_string(probs.size()) +
                                    " k=" + std::to_string(k);
           gs::testing::ExpectBitIdentical({Value::OfMatrix(fused)}, {Value::OfMatrix(ref)},
@@ -239,8 +418,8 @@ TEST(FusedLayerWise, SoloMatrixWithIdMapsMatchesUnfused) {
     Rng ref_rng(11);
     const Matrix fused =
         FusedSliceCollectiveSample(base_cols, cols, 2, probs, std::span<Rng>(&fused_rng, 1));
-    gs::testing::ExpectBitIdentical({Value::OfMatrix(fused)},
-                                    {Value::OfMatrix(CollectiveSample(sub, 2, probs, ref_rng))},
+    const Matrix ref = CollectiveSample(sub, 2, probs, {&ref_rng, 1});
+    gs::testing::ExpectBitIdentical({Value::OfMatrix(fused)}, {Value::OfMatrix(ref)},
                                     "probs=" + std::to_string(probs.size()));
   }
 }

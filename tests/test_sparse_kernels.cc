@@ -76,7 +76,7 @@ TEST_P(PerFormat, CollectiveSampleFiltersSelectedRows) {
   Matrix m = OnlyFormat(g.adj(), GetParam());
   ValueArray probs = SumAxis(m, 0);
   Rng rng(71);
-  Matrix sample = CollectiveSample(m, 40, probs, rng);
+  Matrix sample = CollectiveSample(m, 40, probs, {&rng, 1});
   EXPECT_EQ(sample.num_rows(), 40);
   EXPECT_TRUE(sample.rows_compact());
   // Every edge of a selected row to any column must be preserved.

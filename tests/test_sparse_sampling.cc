@@ -30,7 +30,7 @@ TEST_P(FanoutParam, IndividualSampleRespectsFanout) {
   IdArray cols = IdArray::FromVector({1, 2, 3, 4, 5, 6, 7, 8});
   Matrix sub = SliceColumns(g.adj(), cols);
   Rng rng(101);
-  Matrix sample = IndividualSample(sub, k, ValueArray{}, rng);
+  Matrix sample = IndividualSample(sub, k, ValueArray{}, {&rng, 1});
   EXPECT_EQ(sample.num_cols(), sub.num_cols());
   const Compressed& sub_csc = sub.Csc();
   const Compressed& s_csc = sample.Csc();
@@ -65,7 +65,7 @@ TEST(IndividualSample, ZeroProbEdgesNeverChosen) {
   ValueArray probs = ValueArray::FromVector({0.0f, 1.0f, 1.0f});
   Rng rng(103);
   for (int t = 0; t < 100; ++t) {
-    Matrix sample = IndividualSample(sub, 2, probs, rng);
+    Matrix sample = IndividualSample(sub, 2, probs, {&rng, 1});
     const Compressed& csc = sample.Csc();
     for (int64_t e = 0; e < sample.nnz(); ++e) {
       EXPECT_NE(csc.indices[e], sub.Csc().indices[0]);
@@ -83,7 +83,7 @@ TEST(IndividualSample, BiasedDistribution) {
   const int64_t trials = 30000;
   std::vector<int64_t> counts(3, 0);
   for (int64_t t = 0; t < trials; ++t) {
-    Matrix sample = IndividualSample(sub, 1, probs, rng);
+    Matrix sample = IndividualSample(sub, 1, probs, {&rng, 1});
     ASSERT_EQ(sample.nnz(), 1);
     for (int64_t e = 0; e < 3; ++e) {
       if (sample.Csc().indices[0] == sub.Csc().indices[e]) {
@@ -98,9 +98,9 @@ TEST(IndividualSample, BiasedDistribution) {
 TEST(IndividualSample, InvalidArgsThrow) {
   graph::Graph g = gs::testing::ToyGraph();
   Rng rng(1);
-  EXPECT_THROW(IndividualSample(g.adj(), 0, ValueArray{}, rng), Error);
+  EXPECT_THROW(IndividualSample(g.adj(), 0, ValueArray{}, {&rng, 1}), Error);
   ValueArray short_probs = ValueArray::Full(2, 1.0f);
-  EXPECT_THROW(IndividualSample(g.adj(), 1, short_probs, rng), Error);
+  EXPECT_THROW(IndividualSample(g.adj(), 1, short_probs, {&rng, 1}), Error);
 }
 
 TEST(CollectiveSample, SamplesAtMostKDistinctRows) {
@@ -109,7 +109,7 @@ TEST(CollectiveSample, SamplesAtMostKDistinctRows) {
   Matrix sub = SliceColumns(g.adj(), cols);
   ValueArray probs = SumAxis(sub, 0);
   Rng rng(109);
-  Matrix sample = CollectiveSample(sub, 5, probs, rng);
+  Matrix sample = CollectiveSample(sub, 5, probs, {&rng, 1});
   EXPECT_LE(sample.num_rows(), 5);
   EXPECT_TRUE(sample.rows_compact());
   std::set<int32_t> ids;
@@ -129,7 +129,7 @@ TEST(CollectiveSample, LayerWiseSharedNeighbors) {
   Matrix sub = SliceColumns(g.adj(), cols);
   ValueArray probs = SumAxis(sub, 0);
   Rng rng(113);
-  Matrix sample = CollectiveSample(sub, 4, probs, rng);
+  Matrix sample = CollectiveSample(sub, 4, probs, {&rng, 1});
   std::set<int32_t> ids;
   for (int64_t i = 0; i < sample.row_ids().size(); ++i) {
     EXPECT_TRUE(ids.insert(sample.row_ids()[i]).second) << "duplicate sampled node";
@@ -150,7 +150,7 @@ TEST(CollectiveSample, InclusionProportionalForK1) {
   const int64_t trials = 30000;
   std::map<int32_t, int64_t> counts;
   for (int64_t t = 0; t < trials; ++t) {
-    Matrix sample = CollectiveSample(sub, 1, probs, rng);
+    Matrix sample = CollectiveSample(sub, 1, probs, {&rng, 1});
     ASSERT_EQ(sample.row_ids().size(), 1);
     ++counts[sample.row_ids()[0]];
   }
@@ -166,8 +166,8 @@ TEST(CollectiveSample, DeterministicForSeed) {
   ValueArray probs = SumAxis(sub, 0);
   Rng a(77);
   Rng b(77);
-  Matrix s1 = CollectiveSample(sub, 10, probs, a);
-  Matrix s2 = CollectiveSample(sub, 10, probs, b);
+  Matrix s1 = CollectiveSample(sub, 10, probs, {&a, 1});
+  Matrix s2 = CollectiveSample(sub, 10, probs, {&b, 1});
   EXPECT_EQ(gs::testing::EdgeSet(s1), gs::testing::EdgeSet(s2));
 }
 
@@ -178,9 +178,9 @@ TEST(FusedSliceSample, EquivalentToSliceThenSample) {
   IdArray cols = IdArray::FromVector({2, 4, 8, 16, 32});
   Rng rng_fused(127);
   Rng rng_unfused(127);
-  Matrix fused = FusedSliceSample(g.adj(), cols, 3, rng_fused);
+  Matrix fused = FusedSliceSample(g.adj(), cols, 3, {&rng_fused, 1});
   Matrix sub = SliceColumns(g.adj(), cols);
-  Matrix unfused = IndividualSample(sub, 3, ValueArray{}, rng_unfused);
+  Matrix unfused = IndividualSample(sub, 3, ValueArray{}, {&rng_unfused, 1});
   EXPECT_EQ(EdgeSet(fused), EdgeSet(unfused));
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification, the per-subsystem tiers, and the concurrency-sensitive
-# suites under TSan.
+# Tier-1 verification, the per-subsystem tiers, the concurrency-sensitive
+# suites under TSan, and the kernel and serving suites under ASan+UBSan.
 #
-# Usage: tools/check.sh [--fast | plans | oracle | shard | feature | ha | dynamic | jit | chaos]...
+# Usage: tools/check.sh [--fast | plans | oracle | shard | feature | ha | dynamic | jit | asan |
+#                        chaos]...
 #
 #   (default)  configure + build + full ctest in ./build; the benchmark smoke
 #              (gsbench built standalone in ./build/gsbench from
@@ -16,8 +17,10 @@
 #
 # A row of TIERS runs, in order and skipping "-" columns: the build targets
 # in ./build, `ctest -L <label>`, each TSan suite built in ./build-tsan
-# (-DGS_SANITIZE=thread, configured once per invocation), and a fixed-seed
-# `fuzz_passes` run. Everything is seeded, so a failure reproduces exactly;
+# (-DGS_SANITIZE=thread), each ASan suite built in ./build-asan
+# (-DGS_SANITIZE=address, which adds UBSan with undefined behaviour fatal),
+# and a fixed-seed `fuzz_passes` run. Each build directory is configured
+# once per invocation. Everything is seeded, so a failure reproduces exactly;
 # the fuzzer prints a minimized `--repro` line.
 #
 #   --fast     tier-1 restricted to `ctest -L fast` (no soak/chaos tests).
@@ -50,6 +53,9 @@
 #              compile under TSan; fuzz differencing native kernels against
 #              the interpreter. The fuzzer's minimizer drops jit first, so a
 #              repro that survives without it is a plain interpreter bug.
+#   asan       the sparse kernel, executor, engine and serving suites under
+#              ASan+UBSan: labeled super-batch ids, merged kernels and the
+#              request scatter, where an out-of-range id is a memory error.
 #   chaos      the gs::fault suites (test_fault + the chaos soak) under
 #              TSan: the deterministic-injection racing workout.
 #
@@ -60,37 +66,45 @@ cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-# tier|ctest label|build targets|TSan suites|fuzz_passes arguments ("-" = none).
-# The row named "default" runs only in the default run.
+# tier|ctest label|build targets|TSan suites|ASan suites|fuzz_passes arguments
+# ("-" = none). The row named "default" runs only in the default run.
 TIERS=(
-  "--fast|fast|all|-|-"
-  "oracle|oracle|test_oracle fuzz_passes|-|--seeds 200"
-  "shard|shard|test_partition test_shard fuzz_passes|test_shard|--seeds 100 --shards 2"
-  "feature|feature|test_feature fuzz_passes|test_feature|--seeds 100 --features"
-  "ha|ha|test_ha fuzz_passes|test_ha|--seeds 60 --shards 2 --kill-shard"
-  "dynamic|dynamic|test_dyn fuzz_passes|test_dyn|--seeds 100 --mutate"
-  "jit|jit|test_jit test_fused fuzz_passes|test_jit|--seeds 60 --jit"
-  "default|-|fuzz_passes|-|--seeds 40 --shards 2 --kill-shard --features --mutate --jit"
-  "chaos|-|-|test_fault test_fault_soak|-"
+  "--fast|fast|all|-|-|-"
+  "oracle|oracle|test_oracle fuzz_passes|-|-|--seeds 200"
+  "shard|shard|test_partition test_shard fuzz_passes|test_shard|-|--seeds 100 --shards 2"
+  "feature|feature|test_feature fuzz_passes|test_feature|-|--seeds 100 --features"
+  "ha|ha|test_ha fuzz_passes|test_ha|-|--seeds 60 --shards 2 --kill-shard"
+  "dynamic|dynamic|test_dyn fuzz_passes|test_dyn|-|--seeds 100 --mutate"
+  "jit|jit|test_jit test_fused fuzz_passes|test_jit|-|--seeds 60 --jit"
+  "asan|-|-|-|test_sparse_kernels test_sparse_sampling test_sparse_batch test_executor test_engine test_serving|-"
+  "default|-|fuzz_passes|-|-|--seeds 40 --shards 2 --kill-shard --features --mutate --jit"
+  "chaos|-|-|test_fault test_fault_soak|-|-"
 )
 
-# Build targets in ./build, or in ./build-tsan (-DGS_SANITIZE=thread); each
-# directory is configured once per invocation.
-BUILD_CONFIGURED=
-TSAN_CONFIGURED=
-build() {
-  if [[ -z $BUILD_CONFIGURED ]]; then
-    cmake -B build -S . >/dev/null
-    BUILD_CONFIGURED=1
+# Builds targets in directory $1 configured with GS_SANITIZE=$2 ("" = none);
+# each directory is configured once per invocation.
+CONFIGURED=" "
+build_in() {
+  local dir=$1 sanitize=$2
+  shift 2
+  if [[ $CONFIGURED != *" $dir "* ]]; then
+    cmake -B "$dir" -S . -DGS_SANITIZE="$sanitize" >/dev/null
+    CONFIGURED+="$dir "
   fi
-  cmake --build build -j "$JOBS" --target "$@"
+  cmake --build "$dir" -j "$JOBS" --target "$@"
 }
-build_tsan() {
-  if [[ -z $TSAN_CONFIGURED ]]; then
-    cmake -B build-tsan -S . -DGS_SANITIZE=thread >/dev/null
-    TSAN_CONFIGURED=1
-  fi
-  cmake --build build-tsan -j "$JOBS" --target "$@"
+build() { build_in build "" "$@"; }
+
+# Builds one sanitizer column's suites ("-" = none) in directory $3 under
+# GS_SANITIZE=$4 and runs each.
+run_sanitized() {
+  local name=$1 title=$2 dir=$3 sanitize=$4 suites=$5 suite
+  [[ $suites != - ]] || return 0
+  echo "== $name: $suites under $title =="
+  build_in "$dir" "$sanitize" $suites
+  for suite in $suites; do
+    "./$dir/tests/$suite"
+  done
 }
 
 # Prints the TIERS row a command-line tier name selects (`oracle` or
@@ -110,8 +124,8 @@ tier_row() {
 # Runs one TIERS row. Its columns hold space-separated lists, word-split on
 # purpose when passed on.
 run_tier() {
-  local name label targets tsan fuzz suite
-  IFS='|' read -r name label targets tsan fuzz <<<"$1"
+  local name label targets tsan asan fuzz
+  IFS='|' read -r name label targets tsan asan fuzz <<<"$1"
   if [[ $targets != - ]]; then
     echo "== $name: build $targets =="
     build $targets
@@ -120,13 +134,8 @@ run_tier() {
     echo "== $name: ctest -L $label =="
     (cd build && ctest -L "$label" --output-on-failure -j "$JOBS")
   fi
-  if [[ $tsan != - ]]; then
-    echo "== $name: $tsan under TSan =="
-    build_tsan $tsan
-    for suite in $tsan; do
-      "./build-tsan/tests/$suite"
-    done
-  fi
+  run_sanitized "$name" TSan build-tsan thread "$tsan"
+  run_sanitized "$name" ASan+UBSan build-asan address "$asan"
   if [[ $fuzz != - ]]; then
     echo "== $name: fuzz_passes $fuzz =="
     ./build/tools/fuzz_passes $fuzz
@@ -149,7 +158,7 @@ run_plans() {
 for arg in "$@"; do
   if [[ $arg != plans && $arg != --plans ]] && ! tier_row "$arg" >/dev/null; then
     echo "unknown tier: $arg (usage: tools/check.sh [--fast | plans | oracle | shard |" \
-      "feature | ha | dynamic | jit | chaos]...)" >&2
+      "feature | ha | dynamic | jit | asan | chaos]...)" >&2
     exit 2
   fi
 done
@@ -181,7 +190,7 @@ for row in "${TIERS[@]}"; do
 done
 
 echo "== TSan: threaded suites (pass-boundary verification on) =="
-build_tsan test_pipeline test_serving test_serving_soak test_device
+build_in build-tsan thread test_pipeline test_serving test_serving_soak test_device
 export GS_VERIFY_PASSES=1
 ./build-tsan/tests/test_pipeline
 ./build-tsan/tests/test_serving
