@@ -14,45 +14,15 @@
 namespace gs::core {
 namespace {
 
-// Marks the nodes holding one id per frontier entry, in frontier order: the
-// frontier itself, and walk steps and fused-walk path rows whose walkers
-// started there.
-std::vector<bool> PerWalkerNodes(const Program& program) {
-  std::vector<bool> per_walker(static_cast<size_t>(program.size()), false);
-  for (const Node& n : program.nodes()) {
-    switch (n.kind) {
-      case OpKind::kFrontierInput:
-        per_walker[static_cast<size_t>(n.id)] = true;
-        break;
-      case OpKind::kWalkStep:
-      case OpKind::kWalkRestartStep:
-      case OpKind::kNode2VecStep:
-        // inputs[1] holds the walkers' previous positions.
-        per_walker[static_cast<size_t>(n.id)] = per_walker[static_cast<size_t>(n.inputs[1])];
-        break;
-      case OpKind::kWalkPathStep:
-        // The fused walk's inputs[1] holds its walkers' start positions.
-        per_walker[static_cast<size_t>(n.id)] =
-            per_walker[static_cast<size_t>(program.node(n.inputs[0]).inputs[1])];
-        break;
-      default:
-        break;
-    }
-  }
-  return per_walker;
-}
-
 // Splits labeled ids into per-segment arrays of original node ids.
 // Per-walker outputs split by position (`offsets` are the segments' frontier
 // bounds) and keep their -1 dead-end markers in place; every other id
-// output splits by label.
+// output splits by label and holds no -1, because SuperBatchEligible keeps
+// walks from any other start out of labeled runs.
 std::vector<tensor::IdArray> SplitLabeledIds(const tensor::IdArray& labeled, int64_t n,
                                              std::span<const int64_t> offsets, bool per_walker) {
   const size_t segments = offsets.size() - 1;
   if (per_walker) {
-    if (segments == 1) {
-      return {labeled};  // segment 0's labels are its node ids
-    }
     std::vector<tensor::IdArray> out;
     for (size_t b = 0; b < segments; ++b) {
       tensor::IdArray part = tensor::IdArray::Empty(offsets[b + 1] - offsets[b]);
@@ -68,9 +38,8 @@ std::vector<tensor::IdArray> SplitLabeledIds(const tensor::IdArray& labeled, int
   std::vector<std::vector<int32_t>> per_segment(segments);
   for (int64_t i = 0; i < labeled.size(); ++i) {
     const int32_t id = labeled[i];
-    if (id >= 0) {
-      per_segment[static_cast<size_t>(id / n)].push_back(static_cast<int32_t>(id % n));
-    }
+    GS_INTERNAL(id >= 0) << "a dead-end marker in an id output that is not per walker";
+    per_segment[static_cast<size_t>(id / n)].push_back(static_cast<int32_t>(id % n));
   }
   std::vector<tensor::IdArray> out;
   out.reserve(per_segment.size());
@@ -257,36 +226,32 @@ void SamplerSession::ExecuteLabeled(const std::vector<tensor::IdArray>& group,
   if (callback == nullptr) {
     return;
   }
+  if (segments == 1) {
+    // Segment 0's labels are its node ids: this already is the plain run.
+    callback(first_index, outputs);
+    return;
+  }
 
-  // Pre-split every output once — id parts and per-segment column ranges
-  // are computed in a single pass over each output, so the whole scatter is
-  // linear in the super-batch instead of per-member.
-  struct OutputSplit {
-    std::vector<tensor::IdArray> id_parts;                // kIds
-    std::vector<std::pair<int64_t, int64_t>> col_ranges;  // kMatrix
-  };
-  std::vector<OutputSplit> splits(outputs.size());
-  const std::vector<bool> per_walker = PerWalkerNodes(program());
+  // Split every output once: id outputs on the host, each matrix output in
+  // one kernel for the whole group.
+  std::vector<std::vector<Value>> members(static_cast<size_t>(segments),
+                                          std::vector<Value>(outputs.size()));
+  const std::vector<bool> per_walker = program().PerWalkerNodes();
   for (size_t o = 0; o < outputs.size(); ++o) {
-    Value& v = outputs[o];
+    const Value& v = outputs[o];
     switch (v.kind) {
-      case ValueKind::kIds:
-        splits[o].id_parts = SplitLabeledIds(
+      case ValueKind::kIds: {
+        std::vector<tensor::IdArray> parts = SplitLabeledIds(
             v.ids, n, offsets, per_walker[static_cast<size_t>(program().outputs()[o])]);
+        for (size_t b = 0; b < parts.size(); ++b) {
+          members[b][o] = Value::OfIds(std::move(parts[b]));
+        }
         break;
+      }
       case ValueKind::kMatrix: {
-        // Column segments are contiguous (labeled ids ascend per segment);
-        // one sweep over the labeled col ids yields every batch's range.
-        const sparse::IdArray& col_ids = v.matrix.col_ids();
-        auto& ranges = splits[o].col_ranges;
-        ranges.assign(static_cast<size_t>(segments), {0, 0});
-        int64_t cursor = 0;
-        for (int64_t b = 0; b < segments; ++b) {
-          const int64_t begin = cursor;
-          while (cursor < col_ids.size() && col_ids[cursor] / n == b) {
-            ++cursor;
-          }
-          ranges[static_cast<size_t>(b)] = {begin, cursor};
+        std::vector<sparse::Matrix> parts = sparse::ScatterSegments(v.matrix, n, segments);
+        for (size_t b = 0; b < parts.size(); ++b) {
+          members[b][o] = Value::OfMatrix(std::move(parts[b]));
         }
         break;
       }
@@ -294,39 +259,8 @@ void SamplerSession::ExecuteLabeled(const std::vector<tensor::IdArray>& group,
         GS_CHECK(false) << "super-batch programs cannot return raw tensors";
     }
   }
-
   for (int64_t b = 0; b < segments; ++b) {
-    std::vector<Value> batch_outputs;
-    batch_outputs.reserve(outputs.size());
-    for (size_t o = 0; o < outputs.size(); ++o) {
-      Value& v = outputs[o];
-      switch (v.kind) {
-        case ValueKind::kIds:
-          batch_outputs.push_back(Value::OfIds(splits[o].id_parts[static_cast<size_t>(b)]));
-          break;
-        case ValueKind::kMatrix: {
-          const auto [begin, end] = splits[o].col_ranges[static_cast<size_t>(b)];
-          sparse::Matrix part = sparse::SliceColumnRange(v.matrix, begin, end);
-          // When rows still span the full labeled space, member b's rows
-          // live in [b*N, (b+1)*N); windowed compaction keeps the scatter
-          // independent of how many segments share that row dimension.
-          // Layer-wise programs compact rows mid-program, leaving a small
-          // row space where the generic kernel is already cheap.
-          if (!v.matrix.rows_compact() && v.matrix.num_rows() == segments * n) {
-            part = sparse::CompactRowsInWindow(part, b * n, (b + 1) * n);
-          } else {
-            part = sparse::CompactRows(part);
-          }
-          part.SetRowIds(sparse::MapIdsModulo(part.row_ids(), n));
-          part.SetColIds(sparse::MapIdsModulo(part.col_ids(), n));
-          batch_outputs.push_back(Value::OfMatrix(std::move(part)));
-          break;
-        }
-        case ValueKind::kTensor:
-          GS_CHECK(false) << "unreachable";
-      }
-    }
-    callback(first_index + b, batch_outputs);
+    callback(first_index + b, members[static_cast<size_t>(b)]);
   }
 }
 

@@ -83,8 +83,9 @@ class SamplerSession {
 
   // True when requests against this plan can be merged into one segmented
   // super-batch with bit-identical per-request results (per-segment RNG
-  // streams), i.e. the program has no tensor outputs. Walk programs
-  // coalesce like every other program.
+  // streams), i.e. the program has no tensor outputs and every walk it
+  // outputs starts at the frontier (CompiledPlan::SuperBatchEligible). Walk
+  // programs coalesce like every other program.
   bool Coalescable() const { return plan_->SuperBatchEligible(); }
 
   // One-time preparation for concurrent serving: runs calibration and
@@ -94,19 +95,22 @@ class SamplerSession {
   // are const and safe to call concurrently from multiple threads.
   void Warmup(const tensor::IdArray& frontier);
 
-  // Thread-safe seeded sampling: the RNG stream derives from `seed` instead
-  // of the internal batch counter. For coalescable plans this runs through
-  // the one-segment super-batch path, so the result is bit-identical to the
+  // Thread-safe seeded sampling: the result equals Executor::Run of
+  // `frontier` on rng_.Fork(seed), bit for bit and in the program's own row
+  // space, as Sample returns it. For coalescable plans this runs as a
+  // one-segment group, which already is that plain run, so it is also the
   // same request served inside any coalesced group. Requires Warmup.
   std::vector<Value> SampleSeeded(const tensor::IdArray& frontier, uint64_t seed) const;
 
   // Thread-safe coalesced sampling: runs `group` as one labeled
-  // super-batch where segment b draws exclusively from a stream derived
-  // from seeds[b]. The callback receives (b, outputs) for every member, and
-  // each member's outputs are bit-identical to
-  // SampleSeeded(group[b], seeds[b]). Requires Warmup and Coalescable.
-  // Throws fault::InvalidRequestError, before anything runs, when a seed
-  // lies outside [0, num_nodes) or the group's labels overflow int32.
+  // super-batch where segment b draws exclusively from rng_.Fork(seeds[b]).
+  // The callback receives (b, outputs) for every member, and each member's
+  // outputs equal Executor::Run of group[b] on that stream, i.e.
+  // SampleSeeded(group[b], seeds[b]), bit for bit. A group of two or more
+  // splits each matrix output in one scatter kernel
+  // (sparse::ScatterSegments). Requires Warmup and Coalescable. Throws
+  // fault::InvalidRequestError, before anything runs, when a seed lies
+  // outside [0, num_nodes) or the group's labels overflow int32.
   void SampleGrouped(const std::vector<tensor::IdArray>& group,
                      const std::vector<uint64_t>& seeds, const BatchCallback& callback) const;
 
@@ -147,8 +151,9 @@ class SamplerSession {
                      const BatchCallback& callback);
   // Shared labeled-super-batch body: labels frontiers, runs a labeled
   // executor where mini-batch b draws only from segment_rngs[b], and splits
-  // outputs per mini-batch. Const so the serving path can run it
-  // concurrently after Warmup.
+  // outputs per mini-batch into what a plain run of that mini-batch on its
+  // stream returns. Const so the serving path can run it concurrently after
+  // Warmup.
   void ExecuteLabeled(const std::vector<tensor::IdArray>& group, int64_t first_index,
                       std::span<Rng> segment_rngs, const BatchCallback& callback) const;
   int AutoTuneSuperBatch(const std::vector<tensor::IdArray>& batches);

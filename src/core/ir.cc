@@ -264,6 +264,31 @@ std::vector<int> Program::UseCounts() const {
   return uses;
 }
 
+std::vector<bool> Program::PerWalkerNodes() const {
+  std::vector<bool> per_walker(nodes_.size(), false);
+  for (const Node& n : nodes_) {
+    switch (n.kind) {
+      case OpKind::kFrontierInput:
+        per_walker[static_cast<size_t>(n.id)] = true;
+        break;
+      case OpKind::kWalkStep:
+      case OpKind::kWalkRestartStep:
+      case OpKind::kNode2VecStep:
+        // inputs[1] holds the walkers' previous positions.
+        per_walker[static_cast<size_t>(n.id)] = per_walker[static_cast<size_t>(n.inputs[1])];
+        break;
+      case OpKind::kWalkPathStep:
+        // The fused walk's inputs[1] holds its walkers' start positions.
+        per_walker[static_cast<size_t>(n.id)] =
+            per_walker[static_cast<size_t>(node(n.inputs[0]).inputs[1])];
+        break;
+      default:
+        break;
+    }
+  }
+  return per_walker;
+}
+
 void Program::Verify() const {
   for (const Node& n : nodes_) {
     // A fused walk takes its first step's inputs; a path projection reads a

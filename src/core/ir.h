@@ -156,6 +156,11 @@ class Program {
   // Consumer counts (recomputed on demand after rewrites).
   std::vector<int> UseCounts() const;
 
+  // Marks the nodes holding one id per frontier entry, in frontier order:
+  // the frontier itself, and walk steps and fused-walk path rows whose
+  // walkers started there.
+  std::vector<bool> PerWalkerNodes() const;
+
   // Structural checks: topological input order, arity, and value-kind
   // agreement for every operator, plus the fused-walk attributes (a walk
   // step kind, 1..kMaxFusedWalkSteps steps, projections of an existing row

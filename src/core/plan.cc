@@ -297,8 +297,13 @@ void CompiledPlan::set_tuned_super_batch(int size) {
 
 bool CompiledPlan::SuperBatchEligible() const {
   const std::vector<int>& outputs = program_.outputs();
-  return std::none_of(outputs.begin(), outputs.end(), [this](int out) {
-    return program_.node(out).output_kind() == ValueKind::kTensor;
+  const std::vector<bool> per_walker = program_.PerWalkerNodes();
+  return std::none_of(outputs.begin(), outputs.end(), [&](int out) {
+    const OpKind kind = program_.node(out).kind;
+    const bool walk = IsWalkStepOp(kind) || kind == OpKind::kFusedWalk ||
+                      kind == OpKind::kWalkPathStep;
+    return OutputKindOf(kind) == ValueKind::kTensor ||
+           (walk && !per_walker[static_cast<size_t>(out)]);
   });
 }
 

@@ -169,9 +169,12 @@ class CompiledPlan {
 
   // --- Program-shape queries ----------------------------------------------
 
-  // True for programs without per-batch tensor outputs: they run as one
-  // segmented super-batch, in an epoch or as a coalesced serving group, with
-  // every member bit-identical to running it alone.
+  // True for programs without per-batch tensor outputs whose walk outputs
+  // all start at the frontier: they run as one segmented super-batch, in an
+  // epoch or as a coalesced serving group, with every member bit-identical
+  // to running it alone. A walk from anywhere else is left out because its
+  // -1 dead-end markers carry no label, so nothing tells which member each
+  // one belongs to.
   bool SuperBatchEligible() const;
   // Executor layout mode implied by the options.
   LayoutMode layout_mode() const;

@@ -13,7 +13,7 @@
 //    structure (frontiers, edges, walk traces); float payloads compare
 //    within tolerance since fused kernels may reorder reductions.
 //    Super-batch grouping is checked the same way, bit-exactly, for every
-//    program without tensor outputs, walks included.
+//    super-batch eligible program (CompiledPlan::SuperBatchEligible).
 //  - Stochastic equivalence: comparisons that are only *statistically*
 //    equivalent — the eager baseline twins (different execution order),
 //    alias vs. inverse-CDF sampling paths — run

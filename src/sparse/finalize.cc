@@ -192,125 +192,6 @@ Matrix CompactRows(const Matrix& m) {
   return out;
 }
 
-Matrix CompactRowsInWindow(const Matrix& m, int64_t row_begin, int64_t row_end) {
-  device::KernelScope kernel(CurrentStream());
-  GS_CHECK(row_begin >= 0 && row_begin <= row_end && row_end <= m.num_rows())
-      << "row window [" << row_begin << ", " << row_end << ") outside row space "
-      << m.num_rows();
-  const int64_t window = row_end - row_begin;
-
-  // Dense mark over the window only. CompactRows' heuristics would see the
-  // full (huge) labeled row space and fall back to sort-unique plus binary
-  // search; the window keeps both tables cache-resident.
-  const Format format = PickFormat(m, {Format::kCsc, Format::kCoo, Format::kCsr});
-  std::vector<uint8_t> mark(static_cast<size_t>(window), 0);
-  const auto mark_row = [&](int32_t r) {
-    GS_INTERNAL(r >= row_begin && r < row_end);
-    mark[static_cast<size_t>(r - row_begin)] = 1;
-  };
-  switch (format) {
-    case Format::kCsc: {
-      const Compressed& csc = m.Csc();
-      for (int64_t e = 0; e < m.nnz(); ++e) {
-        mark_row(csc.indices[e]);
-      }
-      break;
-    }
-    case Format::kCoo: {
-      const Coo& coo = m.GetCoo();
-      for (int64_t e = 0; e < m.nnz(); ++e) {
-        mark_row(coo.row[e]);
-      }
-      break;
-    }
-    case Format::kCsr: {
-      const Compressed& csr = m.Csr();
-      for (int64_t r = row_begin; r < row_end; ++r) {
-        if (csr.indptr[r + 1] > csr.indptr[r]) {
-          mark[static_cast<size_t>(r - row_begin)] = 1;
-        }
-      }
-      break;
-    }
-  }
-
-  std::vector<int32_t> renumber(static_cast<size_t>(window), -1);
-  int64_t s = 0;
-  for (int64_t w = 0; w < window; ++w) {
-    if (mark[static_cast<size_t>(w)] != 0) {
-      renumber[static_cast<size_t>(w)] = static_cast<int32_t>(s++);
-    }
-  }
-  IdArray row_ids = IdArray::Empty(s);
-  for (int64_t w = 0; w < window; ++w) {
-    const int32_t local = renumber[static_cast<size_t>(w)];
-    if (local >= 0) {
-      row_ids[local] = m.GlobalRowId(static_cast<int32_t>(row_begin + w));
-    }
-  }
-
-  Matrix out;
-  switch (format) {
-    case Format::kCsc: {
-      const Compressed& csc = m.Csc();
-      Compressed rebuilt;
-      rebuilt.indptr = csc.indptr;  // column structure unchanged
-      rebuilt.indices = IdArray::Empty(m.nnz());
-      rebuilt.values = csc.values;
-      for (int64_t e = 0; e < m.nnz(); ++e) {
-        rebuilt.indices[e] = renumber[static_cast<size_t>(csc.indices[e] - row_begin)];
-      }
-      out = Matrix::FromCsc(s, m.num_cols(), std::move(rebuilt));
-      break;
-    }
-    case Format::kCoo: {
-      const Coo& coo = m.GetCoo();
-      Coo rebuilt;
-      rebuilt.row = IdArray::Empty(m.nnz());
-      rebuilt.col = coo.col;
-      rebuilt.values = coo.values;
-      for (int64_t e = 0; e < m.nnz(); ++e) {
-        rebuilt.row[e] = renumber[static_cast<size_t>(coo.row[e] - row_begin)];
-      }
-      out = Matrix::FromCoo(s, m.num_cols(), std::move(rebuilt));
-      break;
-    }
-    case Format::kCsr: {
-      const Compressed& csr = m.Csr();
-      Compressed rebuilt;
-      rebuilt.indptr = OffsetArray::Empty(s + 1);
-      rebuilt.indptr[0] = 0;
-      rebuilt.indices = IdArray::Empty(m.nnz());
-      if (csr.values.defined()) {
-        rebuilt.values = ValueArray::Empty(m.nnz());
-      }
-      int64_t i = 0;
-      for (int64_t r = row_begin; r < row_end; ++r) {
-        if (renumber[static_cast<size_t>(r - row_begin)] < 0) {
-          continue;
-        }
-        const int64_t begin = csr.indptr[r];
-        const int64_t len = csr.indptr[r + 1] - begin;
-        rebuilt.indptr[i + 1] = rebuilt.indptr[i] + len;
-        std::copy_n(csr.indices.data() + begin, len, rebuilt.indices.data() + rebuilt.indptr[i]);
-        if (csr.values.defined()) {
-          std::copy_n(csr.values.data() + begin, len, rebuilt.values.data() + rebuilt.indptr[i]);
-        }
-        ++i;
-      }
-      out = Matrix::FromCsr(s, m.num_cols(), std::move(rebuilt));
-      break;
-    }
-  }
-
-  out.SetRowIds(std::move(row_ids));
-  out.SetRowsCompact(true);
-  out.SetColIds(m.col_ids());
-  kernel.Finish({.parallel_items = m.nnz(),
-                 .hbm_bytes = 2 * m.nnz() * int64_t{4} + window * int64_t{8}});
-  return out;
-}
-
 IdArray Unique(std::span<const IdArray> arrays) {
   device::KernelScope kernel(CurrentStream());
   std::vector<int32_t> all;

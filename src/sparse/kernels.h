@@ -129,14 +129,6 @@ IdArray ColIds(const Matrix& m);
 // layout pass weighs against smaller downstream matrices (Section 4.3).
 Matrix CompactRows(const Matrix& m);
 
-// CompactRows for a matrix whose populated rows are known to lie within
-// [row_begin, row_end) of its (possibly much larger) row space — the
-// super-batch scatter case, where member b of a block-diagonal super
-// matrix only touches rows [b*N, (b+1)*N). A dense mark/renumber table
-// sized to the window keeps the cost O(window + nnz) regardless of how
-// many segments share the labeled row space.
-Matrix CompactRowsInWindow(const Matrix& m, int64_t row_begin, int64_t row_end);
-
 // Sorted union of id arrays; negative ids (dead walk ends) are dropped.
 IdArray Unique(std::span<const IdArray> arrays);
 

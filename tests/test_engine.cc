@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 
 #include "algorithms/algorithms.h"
@@ -153,21 +155,24 @@ TEST(Engine, SuperBatchLayerWise) {
   EXPECT_EQ(batches, 4);
 }
 
-// Walk programs super-batch like every other program: a walker draws from
-// its mini-batch's stream in frontier order, so an epoch at super_batch 8
-// equals one at super_batch 1 (ids bit for bit, -1 markers included; edge
-// sets exactly), and a producer resumed from a checkpoint taken inside a
-// group reproduces the rest of the epoch.
-TEST(Engine, WalkProgramsSuperBatchBitIdentically) {
+// The plain-run output contract: every member of a labeled run gets bit for
+// bit what a plain run of its frontier on its own stream returns, in the
+// program's own row space. So for every algorithm an epoch at super_batch 8
+// or 9 equals one at super_batch 1 (ids with their -1 markers, matrices with
+// their row space and id maps), and a producer resumed from a checkpoint
+// taken inside a group reproduces the rest of the epoch. Super-batch 9
+// leaves a trailing group of one, which runs as a one-segment labeled run.
+TEST(Engine, SuperBatchIsBitIdenticalToSolo) {
   graph::Graph g = gs::testing::SmallRmat(400, 4000, 11);
-  const IdArray seeds = Iota(150);  // 19 batches of 8: groups of 8, 8 and 3
-  for (const std::string name : {"DeepWalk", "Node2Vec", "GraphSAINT", "PinSAGE", "HetGNN"}) {
+  const IdArray seeds = Iota(150);  // 19 batches: groups of 8, 8 and 3, or 9, 9 and 1
+  for (const std::string& name : algorithms::AllAlgorithmNames()) {
     // Delivers `cut` batches, checkpoints, and drains a resumed producer.
     auto epoch = [&](int super_batch, int64_t cut) {
       algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(name, g);
       SamplerOptions opts;
       opts.super_batch = super_batch;
       CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+      EXPECT_TRUE(sampler.Coalescable()) << name;
       sampler.BindGraph("rel0", &g.adj());  // HetGNN's relations; unused elsewhere
       sampler.BindGraph("rel1", &g.adj());
       std::vector<std::vector<Value>> batches;
@@ -185,24 +190,84 @@ TEST(Engine, WalkProgramsSuperBatchBitIdentically) {
     };
     const auto solo = epoch(1, 19);
     ASSERT_EQ(solo.size(), 19u) << name;
-    for (const auto& grouped : {epoch(8, 19), epoch(8, 11)}) {
+    for (const auto& grouped : {epoch(8, 19), epoch(8, 11), epoch(9, 19)}) {
       ASSERT_EQ(grouped.size(), solo.size()) << name;
       for (size_t b = 0; b < solo.size(); ++b) {
         ASSERT_EQ(grouped[b].size(), solo[b].size()) << name;
         for (size_t o = 0; o < solo[b].size(); ++o) {
-          const Value& got = grouped[b][o];
-          const Value& want = solo[b][o];
-          ASSERT_EQ(got.kind, want.kind) << name;
-          if (want.kind == ValueKind::kIds) {
-            EXPECT_TRUE(BitIdentical(got, want)) << name << " batch " << b << " output " << o;
-          } else {
-            EXPECT_EQ(gs::testing::EdgeSet(got.matrix), gs::testing::EdgeSet(want.matrix))
-                << name << " batch " << b << " output " << o;
-          }
+          EXPECT_TRUE(BitIdentical(grouped[b][o], solo[b][o]))
+              << name << " batch " << b << " output " << o;
         }
       }
     }
   }
+}
+
+// A walk from anywhere but the frontier, here a sample's rows, marks a dead
+// end with a -1 that carries no label, so nothing could tell which member of
+// a group it belongs to. Its plan is not super-batch eligible: an epoch at
+// super_batch 8 runs every batch plain, -1 markers in place, and equals one
+// at super_batch 1.
+TEST(Engine, WalksFromOtherStartsRunUngrouped) {
+  graph::Graph g = gs::testing::SmallRmat(400, 4000, 11);
+  auto epoch = [&g](int super_batch) {
+    Builder b;
+    MVal a = b.Graph();
+    IVal cur = a.Cols(b.Frontier()).IndividualSample(4).Row();
+    for (int step = 0; step < 3; ++step) {
+      cur = b.WalkStep(a, cur);
+    }
+    b.Output(cur);
+    SamplerOptions opts;
+    opts.super_batch = super_batch;
+    CompiledSampler sampler(std::move(b).Build(), g, {}, opts);
+    EXPECT_FALSE(sampler.Coalescable());
+    std::vector<IdArray> walks;
+    BatchProducer producer(sampler, Iota(64), 8);
+    EpochBatch batch;
+    while (producer.Next(&batch)) {
+      walks.push_back(batch.outputs[0].ids);
+    }
+    return walks;
+  };
+  const std::vector<IdArray> solo = epoch(1);
+  const std::vector<IdArray> grouped = epoch(8);
+  ASSERT_EQ(grouped.size(), solo.size());
+  int64_t dead = 0;
+  for (size_t b = 0; b < solo.size(); ++b) {
+    dead += std::count(solo[b].data(), solo[b].data() + solo[b].size(), -1);
+    EXPECT_TRUE(BitIdentical(Value::OfIds(grouped[b]), Value::OfIds(solo[b]))) << "batch " << b;
+  }
+  EXPECT_GT(dead, 0) << "the walks should hit dead ends";
+}
+
+// On V100Sim a served GraphSAGE {10,5} request, a one-segment labeled run,
+// launches exactly the kernels Sample launches for the same frontier, and a
+// 3-member group launches those plus one scatter kernel per matrix output.
+TEST(Engine, LabeledRunsLaunchThePlainRunsKernels) {
+  device::Device v100(device::V100Sim());
+  device::DeviceGuard guard(v100);
+  graph::Graph g = gs::testing::SmallRmat(400, 4000, 11);
+  algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {.fanouts = {10, 5}});
+  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), SamplerOptions{});
+  const IdArray frontier = Iota(64);
+  sampler.Warmup(frontier);
+  auto launches = [&v100](const std::function<void()>& run) {
+    const int64_t before = v100.stream().counters().kernels_launched;
+    run();
+    return v100.stream().counters().kernels_launched - before;
+  };
+  int64_t matrices = 0;
+  const int64_t plain = launches([&] {
+    for (const Value& v : sampler.Sample(frontier)) {
+      matrices += v.kind == ValueKind::kMatrix ? 1 : 0;
+    }
+  });
+  EXPECT_EQ(matrices, 2);
+  EXPECT_EQ(launches([&] { sampler.SampleSeeded(frontier, 7); }), plain);
+  const std::vector<IdArray> group = {frontier, Iota(64, 64), Iota(64, 128)};
+  EXPECT_EQ(launches([&] { sampler.SampleGrouped(group, {1, 2, 3}, [](int64_t, auto&) {}); }),
+            plain + matrices);
 }
 
 // FNV-1a over every id of every output, in order: pins an output stream to

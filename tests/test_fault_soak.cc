@@ -157,11 +157,12 @@ TEST(FaultSoak, ServerSurvivesSeededFaultScheduleBitIdentically) {
 
   std::vector<serving::SampleResponse> responses;
   {
-    // The seeded fault schedule. Per-kernel transient probability is kept
-    // low because one execution probes hundreds of kernels; the occurrence
-    // entry guarantees at least one watchdog trip.
+    // The seeded fault schedule. The soak makes a few hundred kernel probes,
+    // so the kernel sites inject by construction: occurrence 40 fails one
+    // launch transiently on top of the low seeded draw, and occurrence 90
+    // trips the watchdog once.
     FaultScope scope(FaultPlan::Parse(
-        "kernel.transient:p=0.002;alloc.oom:p=0.005;kernel.stuck:occ=2000;"
+        "kernel.transient:p=0.002:occ=40;alloc.oom:p=0.005;kernel.stuck:occ=90;"
         "transfer.error:p=0.0005",
         2024));
 
@@ -189,9 +190,10 @@ TEST(FaultSoak, ServerSurvivesSeededFaultScheduleBitIdentically) {
         << "recovery must happen inside the ladder, not at the worker boundary";
     EXPECT_GT(stats.transient_retries, 0) << "the schedule must actually inject";
 
-    // Faults were injected at the kernel site (probabilistic sites on this
-    // schedule fire with overwhelming probability across ~10^4 probes).
+    // Both kernel sites injected, and the allocation site was probed.
     EXPECT_GT(scope.injector().counters(Site::kKernelTransient).injected, 0);
+    EXPECT_GT(scope.injector().counters(Site::kKernelStuck).injected, 0)
+        << "the schedule must trip the watchdog";
     EXPECT_GT(scope.injector().counters(Site::kAllocOom).probes, 0);
   }
 

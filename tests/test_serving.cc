@@ -45,25 +45,6 @@ tensor::IdArray Seeds(std::vector<int32_t> ids) {
   return tensor::IdArray::FromVector(ids);
 }
 
-void ExpectValuesEqual(const std::vector<core::Value>& a, const std::vector<core::Value>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].kind, b[i].kind);
-    switch (a[i].kind) {
-      case core::ValueKind::kIds:
-        EXPECT_EQ(a[i].ids.ToVector(), b[i].ids.ToVector());
-        break;
-      case core::ValueKind::kMatrix:
-        EXPECT_EQ(testing::EdgeSet(a[i].matrix), testing::EdgeSet(b[i].matrix));
-        break;
-      case core::ValueKind::kTensor:
-        ASSERT_EQ(a[i].tensor.shape(), b[i].tensor.shape());
-        EXPECT_EQ(a[i].tensor.array().ToVector(), b[i].tensor.array().ToVector());
-        break;
-    }
-  }
-}
-
 std::shared_ptr<core::SamplerSession> BuildSagePlan(const graph::Graph& g,
                                                     std::vector<int64_t> fanouts) {
   algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {.fanouts = fanouts});
@@ -111,7 +92,7 @@ TEST(Coalescer, GroupedMatchesSoloBitIdentical) {
   GroupResult grouped = ExecuteGroup(*plan, frontiers, seeds);
   ASSERT_EQ(grouped.outputs.size(), frontiers.size());
   for (size_t i = 0; i < frontiers.size(); ++i) {
-    ExpectValuesEqual(grouped.outputs[i], solo[i]);
+    testing::ExpectBitIdentical(grouped.outputs[i], solo[i], "member " + std::to_string(i));
   }
 }
 
@@ -127,8 +108,8 @@ TEST(Coalescer, MemberResultsIndependentOfGroupComposition) {
 
   GroupResult first = ExecuteGroup(*plan, {target, Seeds({1, 2})}, {seed, 1});
   GroupResult last = ExecuteGroup(*plan, {Seeds({7}), Seeds({8, 9}), target}, {2, 3, seed});
-  ExpectValuesEqual(first.outputs[0], solo);
-  ExpectValuesEqual(last.outputs[2], solo);
+  testing::ExpectBitIdentical(first.outputs[0], solo, "first of two");
+  testing::ExpectBitIdentical(last.outputs[2], solo, "last of three");
 }
 
 // Walk plans coalesce like every other plan: a multi-member DeepWalk group
@@ -431,7 +412,7 @@ TEST(Server, ServesRequestsAndReportsStages) {
   EXPECT_TRUE(second.stages.plan_cache_hit);
   EXPECT_EQ(second.stages.compile_ns, 0);
   // Identical request -> bit-identical response, plan cache or not.
-  ExpectValuesEqual(first.outputs, second.outputs);
+  testing::ExpectBitIdentical(first.outputs, second.outputs, "plan cache hit vs miss");
 
   server.Stop();
   const ServerStats stats = server.stats();
@@ -615,7 +596,7 @@ TEST(Server, CoalescesCompatibleRequestsBitIdentically) {
   for (size_t i = 0; i < tail.size(); ++i) {
     std::vector<core::Value> solo =
         reference->SampleSeeded(Seeds(std::move(tail[i].first)), tail[i].second);
-    ExpectValuesEqual(responses[i + 1].outputs, solo);
+    testing::ExpectBitIdentical(responses[i + 1].outputs, solo, "tail " + std::to_string(i));
   }
   // The compile window makes coalescing all but certain; stats must agree
   // with the per-response group sizes.
@@ -655,7 +636,9 @@ TEST(Server, CoalescesWalkRequests) {
   for (size_t i = 0; i < futures.size(); ++i) {
     SampleResponse r = futures[i].get();
     ASSERT_EQ(r.status, Status::kOk) << r.error;
-    ExpectValuesEqual(r.outputs, reference.SampleSeeded(requests[i].seeds, requests[i].seed));
+    testing::ExpectBitIdentical(r.outputs,
+                                reference.SampleSeeded(requests[i].seeds, requests[i].seed),
+                                "request " + std::to_string(i));
   }
   server.Stop();
   const ServerStats stats = server.stats();

@@ -1,7 +1,7 @@
 // Tests for super-batch execution in the sparse kernels: a node v of
 // mini-batch b carries the label b * n + v, every extract and select kernel
-// serves all segments in one launch (a solo call is segment 0), and
-// splitting recovers per-batch results.
+// serves all segments in one launch (a solo call is segment 0), and one
+// scatter launch splits the result into each segment's solo result.
 
 #include <gtest/gtest.h>
 
@@ -36,6 +36,17 @@ IdArray LabeledFrontier(int64_t n, int64_t segments, int64_t per_segment, uint64
     SampleUniformWithoutReplacement(n, per_segment, rng, picked);
     for (int32_t v : picked) {
       ids.push_back(static_cast<int32_t>(b * n + v));
+    }
+  }
+  return IdArray::FromVector(ids);
+}
+
+// Segment b's ids of a labeled array, label removed, in order.
+IdArray Unlabeled(const IdArray& labeled, int64_t n, int64_t b) {
+  std::vector<int32_t> ids;
+  for (int64_t i = 0; i < labeled.size(); ++i) {
+    if (labeled[i] / n == b) {
+      ids.push_back(static_cast<int32_t>(labeled[i] - b * n));
     }
   }
   return IdArray::FromVector(ids);
@@ -173,25 +184,11 @@ OpRun RunOp(Op op, const Matrix& a, const IdArray& cols, int64_t segments, std::
   return run;
 }
 
-// Column c of m as (row id, value) pairs in order, each row id less
-// `label` (b * n for segment b). A row from another segment's id space
-// lands outside [0, n), so it cannot match a solo call's row.
-std::vector<std::pair<int64_t, float>> Column(const Matrix& m, int64_t c, int64_t label) {
-  const Compressed& csc = m.Csc();
-  std::vector<std::pair<int64_t, float>> edges;
-  for (int64_t e = csc.indptr[c]; e < csc.indptr[c + 1]; ++e) {
-    edges.emplace_back(int64_t{m.GlobalRowId(csc.indices[e])} - label,
-                       csc.values.defined() ? csc.values[e] : 1.0f);
-  }
-  return edges;
-}
-
 // A 3-segment call of `op` on g is one launch and equals three solo calls.
-// Segment b's columns, split back out with SliceColumnRange, hold the solo
-// call's rows (label removed) and values in the same order, every stream
-// consumed the same draws, and the HBM and PCIe bytes are the solo calls'
-// sum (each side reads through its own fresh UVA cache, so both see the same
-// access sequence).
+// ScatterSegments splits it back, in one more launch, into segments that are
+// bit-identical to the solo calls' results; every stream consumed the same
+// draws, and the HBM and PCIe bytes are the solo calls' sum (each side reads
+// through its own fresh UVA cache, so both see the same access sequence).
 void ExpectThreeSegmentsEqualThreeSoloCalls(Op op, const graph::Graph& g, bool uva) {
   constexpr int64_t kSegments = 3;
   const Matrix& a = g.adj();
@@ -206,35 +203,28 @@ void ExpectThreeSegmentsEqualThreeSoloCalls(Op op, const graph::Graph& g, bool u
   if (!Collective(op)) {
     EXPECT_EQ(multi.out.num_rows(), kSegments * n);
   }
+  device::Stream& stream = device::Current().stream();
+  const int64_t launched = stream.counters().kernels_launched;
+  const std::vector<Matrix> parts = ScatterSegments(multi.out, n, kSegments);
+  EXPECT_EQ(stream.counters().kernels_launched - launched, 1);
+  ASSERT_EQ(parts.size(), static_cast<size_t>(kSegments));
 
   std::vector<Rng> solo_rngs = Streams(kSegments, 5);
   int64_t solo_hbm = 0;
   int64_t solo_pcie = 0;
-  int64_t first = 0;  // the multi call's first column of segment b
   for (int64_t b = 0; b < kSegments; ++b) {
-    std::vector<int32_t> ids;
-    for (int64_t i = 0; i < cols.size(); ++i) {
-      if (cols[i] / n == b) {
-        ids.push_back(static_cast<int32_t>(cols[i] - b * n));
-      }
-    }
-    const OpRun solo = RunOp(op, a, IdArray::FromVector(ids), 1, {&solo_rngs[b], 1},
-                             uva ? &solo_cache : nullptr);
+    const IdArray ids = Unlabeled(cols, n, b);
+    const OpRun solo = RunOp(op, a, ids, 1, {&solo_rngs[b], 1}, uva ? &solo_cache : nullptr);
     EXPECT_EQ(solo.kernels, 1);
     solo_hbm += solo.hbm_bytes;
     solo_pcie += solo.pcie_bytes;
-    // Split segment b back out, as the super-batch scatter does.
-    const int64_t t = solo.out.num_cols();
-    ASSERT_LE(first + t, multi.out.num_cols());
-    const Matrix part = SliceColumnRange(multi.out, first, first + t);
-    first += t;
-    for (int64_t c = 0; c < t; ++c) {
-      const auto local = static_cast<int32_t>(c);
-      EXPECT_EQ(part.GlobalColId(local), b * n + solo.out.GlobalColId(local));
-      EXPECT_EQ(Column(part, c, b * n), Column(solo.out, c, 0))
-          << "segment " << b << " column " << c;
-      if (op == Op::kFusedSliceSample || op == Op::kIndividualSample) {
-        const int32_t v = ids[static_cast<size_t>(c)];
+    const Matrix& part = parts[static_cast<size_t>(b)];
+    EXPECT_TRUE(core::BitIdentical(Value::OfMatrix(part), Value::OfMatrix(solo.out)))
+        << "segment " << b;
+    EXPECT_EQ(part.rows_compact(), solo.out.rows_compact()) << "segment " << b;
+    if (op == Op::kFusedSliceSample || op == Op::kIndividualSample) {
+      for (int64_t c = 0; c < part.num_cols(); ++c) {
+        const int32_t v = ids[c];
         EXPECT_EQ(part.Csc().indptr[c + 1] - part.Csc().indptr[c],
                   std::min(base.indptr[v + 1] - base.indptr[v], kFanout))
             << "node " << v;
@@ -244,17 +234,12 @@ void ExpectThreeSegmentsEqualThreeSoloCalls(Op op, const graph::Graph& g, bool u
               solo_rngs[static_cast<size_t>(b)].NextU64())
         << "segment " << b;
     if (Collective(op)) {
-      // Compacted rows keep their labels; each segment drew its own 1..k rows.
-      EXPECT_TRUE(multi.out.rows_compact());
-      const IdArray& rows = multi.out.row_ids();
-      const int64_t drawn = std::count_if(rows.data(), rows.data() + rows.size(),
-                                          [&](int32_t r) { return r / n == b; });
-      EXPECT_EQ(drawn, solo.out.num_rows());
-      EXPECT_GT(drawn, 0);
-      EXPECT_LE(drawn, kFanout);
+      // Each segment drew its own 1..k rows.
+      EXPECT_TRUE(part.rows_compact());
+      EXPECT_GT(part.num_rows(), 0);
+      EXPECT_LE(part.num_rows(), kFanout);
     }
   }
-  EXPECT_EQ(first, multi.out.num_cols());
   EXPECT_EQ(multi.hbm_bytes, solo_hbm);
   EXPECT_EQ(multi.pcie_bytes, solo_pcie);
   if (uva) {
@@ -264,11 +249,13 @@ void ExpectThreeSegmentsEqualThreeSoloCalls(Op op, const graph::Graph& g, bool u
 
 // The merged-kernel table. Its first rows run every op form on weighted and
 // unweighted graphs, device-resident and UVA, through the three-segments
-// check above. The rest are inputs each kernel rejects with gs::Error: a
-// labeled extract from a matrix other than the base graph, a label (or id)
-// out of range or without a stream, and negative or NaN probabilities (row
-// probabilities per node and in the slice's row space), solo and segmented
-// alike.
+// check above. The rest are inputs each kernel rejects with a gs::Error from
+// a GS_CHECK, never an internal invariant: a labeled extract from a matrix
+// other than the base graph, a label (or id) out of range or without a
+// stream, negative or NaN probabilities (row probabilities per node and in
+// the slice's row space), solo and segmented alike, and scatters of labels
+// out of range or out of segment order, of an identity row space other than
+// segments x n, and of an edge outside its segment's row window.
 TEST(SuperBatchKernels, OneKernelPerOp) {
   std::vector<std::pair<std::string, std::function<void()>>> rows;
   const graph::Graph weighted = gs::testing::SmallRmat(300, 3000, 9, true);
@@ -290,8 +277,20 @@ TEST(SuperBatchKernels, OneKernelPerOp) {
   const Matrix sub = SliceColumns(a, IdArray::FromVector({1, 2}));
   const Matrix three = SliceColumns(a, LabeledFrontier(n, 3, 4, 5), 3);
   std::vector<Rng> two = Streams(2, 1);
+  // Segment 1's column keeps unlabeled rows, which lie in segment 0's window.
+  ASSERT_GT(sub.Csc().indptr[2], sub.Csc().indptr[1]);
+  Matrix crossing = Matrix::FromCsc(2 * n, 2, sub.Csc());
+  crossing.SetColIds(IdArray::FromVector({1, n32 + 2}));
   auto rejects = [&rows](const std::string& name, std::function<void()> call) {
-    rows.emplace_back("rejects " + name, [call] { EXPECT_THROW(call(), Error); });
+    rows.emplace_back("rejects " + name, [call] {
+      try {
+        call();
+        ADD_FAILURE() << "no gs::Error thrown";
+      } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()).find("[internal invariant]"), std::string::npos)
+            << e.what();
+      }
+    });
   };
   rejects("a slice of a sliced matrix",
           [&] { SliceColumns(sub, IdArray::FromVector({1}), 2); });
@@ -308,6 +307,13 @@ TEST(SuperBatchKernels, OneKernelPerOp) {
           [&] { IndividualSample(three, kFanout, ValueArray{}, two, n); });
   rejects("a collective-sample label without a stream",
           [&] { CollectiveSample(three, kFanout, NodeProbs(n), two, n); });
+  rejects("a scatter of segment 1's column ahead of segment 0's",
+          [&] { ScatterSegments(SliceColumns(a, IdArray::FromVector({n32 + 1, 2}), 2), n, 2); });
+  rejects("a scatter of labels beyond its segments", [&] { ScatterSegments(three, n, 2); });
+  rejects("a scatter of an identity row space other than segments x n",
+          [&] { ScatterSegments(sub, n, 2); });
+  rejects("a scatter of an edge outside its segment's row window",
+          [&] { ScatterSegments(crossing, n, 2); });
   for (const int64_t segments : {int64_t{1}, int64_t{3}}) {
     const Matrix m = SliceColumns(a, LabeledFrontier(n, segments, 4, 5), segments);
     const int64_t num_nodes = segments > 1 ? n : 0;
@@ -447,19 +453,6 @@ TEST(FusedLayerWise, SegmentedRequiresBaseGraphAndLabelsInRange) {
   EXPECT_THROW(FusedSliceReduce(g.adj(), IdArray::FromVector({static_cast<int32_t>(2 * n)}), 2),
                Error);
   EXPECT_THROW(FusedSliceReduce(g.adj(), IdArray::FromVector({-1}), 2), Error);
-}
-
-TEST(SliceColumnRange, PreservesMetadata) {
-  graph::Graph g = gs::testing::SmallRmat();
-  IdArray cols = IdArray::FromVector({4, 5, 6, 7});
-  Matrix sub = SliceColumns(g.adj(), cols);
-  Matrix range = SliceColumnRange(sub, 1, 3);
-  EXPECT_EQ(range.num_cols(), 2);
-  ASSERT_TRUE(range.has_col_ids());
-  EXPECT_EQ(range.col_ids()[0], 5);
-  EXPECT_EQ(range.col_ids()[1], 6);
-  EXPECT_THROW(SliceColumnRange(sub, 3, 1), Error);
-  EXPECT_THROW(SliceColumnRange(sub, 0, 9), Error);
 }
 
 TEST(MapIdsModulo, WrapsAndKeepsNegatives) {

@@ -7,7 +7,6 @@
 #include <map>
 
 #include "common/error.h"
-#include "sparse/batch.h"
 #include "sparse/kernels.h"
 #include "tests/testing.h"
 
@@ -282,60 +281,6 @@ TEST(CompactRows, DropsEmptyRowsKeepsEdges) {
   EXPECT_TRUE(compact.rows_compact());
   EXPECT_LT(compact.num_rows(), sub.num_rows());
   EXPECT_EQ(EdgeSet(compact), EdgeSet(sub));  // global ids identical
-}
-
-TEST(CompactRowsInWindow, MatchesCompactRowsOnBlockSlice) {
-  // Build a 2-segment block-diagonal-style matrix: segment b's rows live in
-  // [b*N, (b+1)*N). Windowed compaction must agree with CompactRows exactly
-  // (same kept rows, same global ids, same edges) on each segment slice.
-  graph::Graph g = gs::testing::SmallRmat();
-  const int64_t n = g.num_nodes();
-  IdArray cols = IdArray::FromVector({3, 9, 11});
-  Matrix sub = SliceColumns(g.adj(), cols);
-  const Compressed& csc = sub.Csc();
-
-  Compressed super;
-  const int64_t t = sub.num_cols(), nnz = sub.nnz();
-  super.indptr = OffsetArray::Empty(2 * t + 1);
-  super.indices = IdArray::Empty(2 * nnz);
-  super.values = ValueArray::Empty(2 * nnz);
-  std::vector<int32_t> col_ids(static_cast<size_t>(2 * t));
-  for (int64_t b = 0; b < 2; ++b) {
-    for (int64_t c = 0; c < t; ++c) {
-      col_ids[static_cast<size_t>(b * t + c)] = static_cast<int32_t>(b * n + cols[c]);
-    }
-    for (int64_t c = 0; c <= t; ++c) {
-      super.indptr[b * t + c] = b * nnz + csc.indptr[c];
-    }
-    for (int64_t e = 0; e < nnz; ++e) {
-      super.indices[b * nnz + e] = static_cast<int32_t>(b * n + csc.indices[e]);
-      super.values[b * nnz + e] = csc.values.defined() ? csc.values[e] : 1.0f;
-    }
-  }
-  Matrix labeled = Matrix::FromCsc(2 * n, 2 * t, std::move(super));
-  labeled.SetColIds(IdArray::FromVector(col_ids));
-  labeled.SetRowsCompact(false);
-
-  for (int64_t b = 0; b < 2; ++b) {
-    Matrix part = SliceColumnRange(labeled, b * t, (b + 1) * t);
-    Matrix generic = CompactRows(part);
-    Matrix windowed = CompactRowsInWindow(part, b * n, (b + 1) * n);
-    EXPECT_TRUE(windowed.rows_compact());
-    ASSERT_EQ(windowed.num_rows(), generic.num_rows());
-    ASSERT_EQ(windowed.row_ids().size(), generic.row_ids().size());
-    for (int64_t i = 0; i < windowed.row_ids().size(); ++i) {
-      EXPECT_EQ(windowed.row_ids()[i], generic.row_ids()[i]);
-    }
-    EXPECT_EQ(EdgeSet(windowed), EdgeSet(generic));
-  }
-}
-
-TEST(CompactRowsInWindow, RejectsBadWindow) {
-  graph::Graph g = gs::testing::ToyGraph();
-  IdArray cols = IdArray::FromVector({0, 1});
-  Matrix sub = SliceColumns(g.adj(), cols);
-  EXPECT_THROW(CompactRowsInWindow(sub, -1, sub.num_rows()), gs::Error);
-  EXPECT_THROW(CompactRowsInWindow(sub, 0, sub.num_rows() + 1), gs::Error);
 }
 
 TEST(Unique, SortedUnionDropsNegatives) {
