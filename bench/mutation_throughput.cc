@@ -18,7 +18,8 @@
 // off the serving path.
 //
 // Output: one JSON object per line ("jsonl"): first a header line, then one
-// line per cell — trivially machine-parseable without a JSON library.
+// line per cell — trivially machine-parseable without a JSON library. A
+// cell's plan-layer counters are in its "server" object (ServerStats::ToJson).
 //
 // Usage: mutation_throughput [--scale=0.05] [--requests=300] [--workers=4]
 //                            [--rps=1500] [--rates=0,4,16]
@@ -159,24 +160,14 @@ int main(int argc, char** argv) {
       std::printf(
           "{\"mutations\":%lld,\"background_recompile\":%s,"
           "\"goodput_rps\":%.1f,\"ok\":%lld,\"rejected\":%lld,\"failed\":%lld,"
-          "\"p50_us\":%lld,\"p95_us\":%lld,\"p99_us\":%lld,"
-          "\"graph_epochs\":%lld,\"plan_reuses\":%lld,\"stale_plans_served\":%lld,"
-          "\"recompiles_inline\":%lld,\"recompiles_background\":%lld,"
-          "\"partition_rebuilt\":%lld,\"partition_reused\":%lld}\n",
+          "\"p50_us\":%lld,\"p95_us\":%lld,\"p99_us\":%lld,\"server\":%s}\n",
           static_cast<long long>(mutations), background ? "true" : "false",
           cell.report.achieved_rps, static_cast<long long>(cell.report.ok),
           static_cast<long long>(cell.report.rejected),
           static_cast<long long>(cell.report.failed),
           static_cast<long long>(cell.report.p50_ns / 1000),
           static_cast<long long>(cell.report.p95_ns / 1000),
-          static_cast<long long>(cell.report.p99_ns / 1000),
-          static_cast<long long>(cell.stats.graph_epochs),
-          static_cast<long long>(cell.stats.plan_reuses),
-          static_cast<long long>(cell.stats.stale_plans_served),
-          static_cast<long long>(cell.stats.recompiles_inline),
-          static_cast<long long>(cell.stats.recompiles_background),
-          static_cast<long long>(cell.stats.partition_segments_rebuilt),
-          static_cast<long long>(cell.stats.partition_segments_reused));
+          static_cast<long long>(cell.report.p99_ns / 1000), cell.stats.ToJson().c_str());
     }
   }
   // Mutation epochs must never fail a request — admission pins a snapshot

@@ -18,8 +18,9 @@
 //
 // Feature serving (--features, gs::feature): every response additionally
 // carries the gathered feature rows for its result frontier, pulled through
-// per-tenant hot-set cache partitions; the report (and --json) then includes
-// the aggregate cache hit rate and gather/miss byte counts.
+// per-tenant hot-set cache partitions; the report then includes the
+// aggregate cache hit rate and gather/miss byte counts. Every --json cell
+// carries the server's counters (ServerStats::ToJson) under "server".
 //
 // Usage: serving_throughput [--scale=0.05] [--requests=400] [--workers=4]
 //                           [--shards=4] [--vertex-cut] [--features] [--json]
@@ -248,20 +249,13 @@ int main(int argc, char** argv) {
       const gs::serving::LoadGenReport report = RunCell(graph, rps, coalesce, sweep, &stats);
       if (sweep.json) {
         std::printf("%s  {\"offered_rps\": %.0f, \"coalesce\": %s, \"goodput_rps\": %.1f,\n"
-                    "   \"ok\": %lld, \"rejected\": %lld, \"coalescing_ratio\": %.3f,\n"
-                    "   \"p50_us\": %lld, \"p95_us\": %lld,\n"
-                    "   \"feature_hit_rate\": %.4f, \"feature_rows\": %lld,\n"
-                    "   \"feature_gather_bytes\": %lld, \"feature_miss_bytes\": %lld,\n"
-                    "   \"feature_gather_us\": %lld}",
+                    "   \"ok\": %lld, \"rejected\": %lld, \"p50_us\": %lld, \"p95_us\": %lld,\n"
+                    "   \"server\": %s}",
                     first_cell ? "" : ",\n", rps, coalesce ? "true" : "false",
                     report.achieved_rps, static_cast<long long>(report.ok),
-                    static_cast<long long>(report.rejected), stats.CoalescingRatio(),
+                    static_cast<long long>(report.rejected),
                     static_cast<long long>(report.p50_ns / 1000),
-                    static_cast<long long>(report.p95_ns / 1000), stats.FeatureHitRate(),
-                    static_cast<long long>(stats.feature_rows),
-                    static_cast<long long>(stats.feature_gather_bytes),
-                    static_cast<long long>(stats.feature_miss_bytes),
-                    static_cast<long long>(stats.feature_gather_ns / 1000));
+                    static_cast<long long>(report.p95_ns / 1000), stats.ToJson().c_str());
         first_cell = false;
       } else {
         std::printf("%10.0f %10s | %9.0f %8lld %8lld %8.2f | %9lld %9lld", rps,

@@ -213,6 +213,16 @@ void SamplerSession::ExecuteLabeled(const std::vector<tensor::IdArray>& group,
   }
 
   Bindings bind = bindings_;
+  if (segments == 1) {
+    // Segment 0's labels are its node ids: the session's own executor runs
+    // it as the plain run.
+    bind.frontier = group.front();
+    std::vector<Value> outputs = executor_.Run(bind, segment_rngs.front());
+    if (callback != nullptr) {
+      callback(first_index, outputs);
+    }
+    return;
+  }
   bind.frontier = tensor::IdArray::FromVector(labeled);
   ExecOptions opts = executor_.options();
   opts.graph_num_nodes = n;
@@ -224,11 +234,6 @@ void SamplerSession::ExecuteLabeled(const std::vector<tensor::IdArray>& group,
   std::vector<Value> outputs = seg_executor.Run(bind, segment_rngs);
 
   if (callback == nullptr) {
-    return;
-  }
-  if (segments == 1) {
-    // Segment 0's labels are its node ids: this already is the plain run.
-    callback(first_index, outputs);
     return;
   }
 
@@ -273,24 +278,12 @@ void SamplerSession::Warmup(const tensor::IdArray& frontier) {
   // One throwaway execution materializes every lazily cached structure the
   // concurrent path would otherwise race to build: format conversions on
   // the (shared) base graph and on the pre-computed invariant matrices.
-  if (Coalescable()) {
-    SampleGrouped({frontier}, {uint64_t{0}}, nullptr);
-  } else {
-    (void)SampleSeeded(frontier, uint64_t{0});
-  }
+  (void)SampleSeeded(frontier, uint64_t{0});
 }
 
 std::vector<Value> SamplerSession::SampleSeeded(const tensor::IdArray& frontier,
                                                 uint64_t seed) const {
   GS_CHECK(warmed_up_) << "Warmup() must run before concurrent sampling";
-  if (!Coalescable()) {
-    Bindings b = bindings_;
-    b.frontier = frontier;
-    Rng rng = rng_.Fork(seed);
-    return executor_.Run(b, rng);
-  }
-  // Always go through the one-segment super-batch path so a request's
-  // results do not depend on whether it was coalesced with others.
   std::vector<Value> result;
   SampleGrouped({frontier}, {seed},
                 [&result](int64_t, std::vector<Value>& outputs) { result = std::move(outputs); });
@@ -300,7 +293,8 @@ std::vector<Value> SamplerSession::SampleSeeded(const tensor::IdArray& frontier,
 void SamplerSession::SampleGrouped(const std::vector<tensor::IdArray>& group,
                                    const std::vector<uint64_t>& seeds,
                                    const BatchCallback& callback) const {
-  GS_CHECK(Coalescable()) << "programs with tensor outputs cannot be grouped";
+  GS_CHECK(group.size() == 1 || Coalescable())
+      << "programs with tensor outputs cannot be grouped";
   GS_CHECK_EQ(group.size(), seeds.size()) << "one seed per group member";
   GS_CHECK(!group.empty());
   GS_CHECK(plan_->calibrated() && !needs_precompute_)

@@ -97,8 +97,8 @@ class SamplerSession {
 
   // Thread-safe seeded sampling: the result equals Executor::Run of
   // `frontier` on rng_.Fork(seed), bit for bit and in the program's own row
-  // space, as Sample returns it. For coalescable plans this runs as a
-  // one-segment group, which already is that plain run, so it is also the
+  // space, as Sample returns it, and launches the kernels Sample launches.
+  // It runs as a one-member group, so for coalescable plans it is also the
   // same request served inside any coalesced group. Requires Warmup.
   std::vector<Value> SampleSeeded(const tensor::IdArray& frontier, uint64_t seed) const;
 
@@ -108,7 +108,8 @@ class SamplerSession {
   // outputs equal Executor::Run of group[b] on that stream, i.e.
   // SampleSeeded(group[b], seeds[b]), bit for bit. A group of two or more
   // splits each matrix output in one scatter kernel
-  // (sparse::ScatterSegments). Requires Warmup and Coalescable. Throws
+  // (sparse::ScatterSegments) and requires Coalescable; a group of one is
+  // any plan's plain run. Requires Warmup. Throws
   // fault::InvalidRequestError, before anything runs, when a seed lies
   // outside [0, num_nodes) or the group's labels overflow int32.
   void SampleGrouped(const std::vector<tensor::IdArray>& group,
@@ -152,8 +153,9 @@ class SamplerSession {
   // Shared labeled-super-batch body: labels frontiers, runs a labeled
   // executor where mini-batch b draws only from segment_rngs[b], and splits
   // outputs per mini-batch into what a plain run of that mini-batch on its
-  // stream returns. Const so the serving path can run it concurrently after
-  // Warmup.
+  // stream returns. One mini-batch skips the labeling and runs on executor_
+  // as that plain run. Const so the serving path can run it concurrently
+  // after Warmup.
   void ExecuteLabeled(const std::vector<tensor::IdArray>& group, int64_t first_index,
                       std::span<Rng> segment_rngs, const BatchCallback& callback) const;
   int AutoTuneSuperBatch(const std::vector<tensor::IdArray>& batches);

@@ -28,7 +28,8 @@ struct GroupResult {
 
 // Runs `frontiers` through `session` as one coalesced execution; member i's
 // outputs are bit-identical to serving it alone. Walk plans coalesce too.
-// Requires session.Coalescable(); thread-safe after session.Warmup().
+// Two or more frontiers require session.Coalescable(); thread-safe after
+// session.Warmup().
 GroupResult ExecuteGroup(const core::SamplerSession& session,
                          const std::vector<tensor::IdArray>& frontiers,
                          const std::vector<uint64_t>& seeds);

@@ -385,10 +385,7 @@ std::future<SampleResponse> Server::Submit(SampleRequest request) {
   pending->submitted = Clock::now();
   pending->request = std::move(request);
   std::future<SampleResponse> future = pending->promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.received;
-  }
+  Count(&ServerStats::received);
 
   const SampleRequest& req = pending->request;
   if (!running_) {
@@ -492,8 +489,7 @@ std::future<SampleResponse> Server::Submit(SampleRequest request) {
     if (tokens_->TryPush(pending->id)) {
       queued_.fetch_add(1, std::memory_order_relaxed);
       tenant_queues_[tenant].push_back(std::move(pending));
-      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      ++stats_.admitted;
+      Count(&ServerStats::admitted);
       return future;
     }
   }
@@ -513,13 +509,11 @@ void Server::WorkerLoop(int worker) {
     } catch (const std::exception& e) {
       GS_LOG(Warning) << "serving: worker " << worker
                       << " caught exception at the loop boundary: " << e.what();
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.worker_exceptions;
+      Count(&ServerStats::worker_exceptions);
     } catch (...) {
       GS_LOG(Warning) << "serving: worker " << worker
                       << " caught non-standard exception at the loop boundary";
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.worker_exceptions;
+      Count(&ServerStats::worker_exceptions);
     }
   }
 }
@@ -678,8 +672,7 @@ std::shared_ptr<core::SamplerSession> Server::BuildPlan(
     // compile runs here on the serving path.
     std::shared_ptr<core::SamplerSession> session = OpenSession(endpoint, key.fanouts, snapshot);
     plan_table_.Publish(compile_key, session->plan_ptr(), *snapshot);
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.recompiles_inline;
+    Count(&ServerStats::recompiles_inline);
     return session;
   }
 
@@ -692,11 +685,9 @@ std::shared_ptr<core::SamplerSession> Server::BuildPlan(
     GS_LOG(Info) << "serving: plan " << compile_key << " drifted past validity (" << why
                  << "); serving stale, recompiling in the background";
     replanner_->Enqueue(compile_key, snapshot);
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.stale_plans_served;
+    Count(&ServerStats::stale_plans_served);
   } else {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.plan_reuses;
+    Count(&ServerStats::plan_reuses);
   }
   return session;
 }
@@ -720,17 +711,13 @@ void Server::CompileForSnapshot(const std::string& compile_key,
   key.graph_epoch = snapshot->epoch();
   key.graph_digest = snapshot->digest();
   plan_cache_->Insert(key, std::move(session));
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.recompiles_background;
+  Count(&ServerStats::recompiles_background);
 }
 
 void Server::OnMutation(const std::string& dataset,
                         const std::shared_ptr<const graph::Snapshot>& snapshot,
                         const graph::MutationBatch& batch) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.graph_epochs;
-  }
+  Count(&ServerStats::graph_epochs);
   // Incremental re-partition with pinned ownership: only shards owning a
   // touched column get their CSC segment re-sliced; routing (and every
   // global<->local map) stays stable, so in-flight requests keep resolving
@@ -744,9 +731,8 @@ void Server::OnMutation(const std::string& dataset,
         std::lock_guard<std::mutex> lock(partition_mutex_);
         partitions_[dataset] = next;
       }
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      stats_.partition_segments_rebuilt += next->segments_rebuilt();
-      stats_.partition_segments_reused += next->segments_reused();
+      Count(&ServerStats::partition_segments_rebuilt, next->segments_rebuilt());
+      Count(&ServerStats::partition_segments_reused, next->segments_reused());
     }
   }
   // Feature tier: swap the store to the epoch's (copied-on-write) tensor
@@ -772,10 +758,7 @@ void Server::OnMutation(const std::string& dataset,
         }
       }
     }
-    if (invalidated > 0) {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      stats_.feature_invalidations += invalidated;
-    }
+    Count(&ServerStats::feature_invalidations, invalidated);
   }
 }
 
@@ -991,11 +974,11 @@ void Server::RunOnce(Execution& exec, const std::shared_ptr<const graph::Snapsho
     core::HopObserverGuard observer(exchange);
     exec.result = ExecuteGroup(*session, frontiers, seeds);
     for (const shard::HopRecord& h : exchange.hops()) {
-      exec.exchange_hops += h.remote_nodes > 0 ? 1 : 0;
-      exec.exchange_remote_nodes += h.remote_nodes;
-      exec.exchange_bytes += h.bytes;
+      exec.counters.exchange_hops += h.remote_nodes > 0 ? 1 : 0;
+      exec.counters.exchange_remote_nodes += h.remote_nodes;
+      exec.counters.exchange_bytes += h.bytes;
     }
-    exec.hedged = exchange.hedges();
+    exec.counters.hedged_exchanges = exchange.hedges();
   });
 }
 
@@ -1052,10 +1035,7 @@ void Server::Attempt(Execution& exec, Group& group) {
     }
     if (exec.code == fault::ErrorCode::kTransient && transient_left > 0) {
       --transient_left;
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.transient_retries;
-      }
+      Count(&ServerStats::transient_retries);
       GS_LOG(Debug) << "serving: transient failure, retrying after " << backoff.count() / 1000
                     << " us: " << exec.error;
       std::this_thread::sleep_for(backoff);
@@ -1066,10 +1046,7 @@ void Server::Attempt(Execution& exec, Group& group) {
         !exec.key.fanouts.empty()) {
       exec.shed = true;
       exec.key.fanouts = ShedFanouts(exec.key.fanouts);
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.shed_retries;
-      }
+      Count(&ServerStats::shed_retries);
       GS_LOG(Warning) << "serving: resource exhausted, retrying with shed fanouts: "
                       << exec.error;
       continue;
@@ -1138,26 +1115,28 @@ void Server::GatherFeatures(Execution& exec, const Group& group,
   // executing device, so backing pages and gather kernels land on that
   // shard. Coalesced members gather from their own scattered outputs, so the
   // rows are identical to being served alone.
+  feature::GatherStats gather;
   OnDevice(exec, [&] {
     for (size_t i = 0; i < group.size(); ++i) {
       SampleResponse& response = responses[i];
       if (response.status != Status::kOk) {
         continue;
       }
-      feature::HotSetCache* cache = TenantFeatureCache(
-          exec.device, group[i]->request.tenant, exec.endpoint->dataset, store->row_bytes());
-      Timer feature_timer;
       try {
+        feature::HotSetCache* cache = TenantFeatureCache(
+            exec.device, group[i]->request.tenant, exec.endpoint->dataset, store->row_bytes());
+        Timer feature_timer;
         const tensor::IdArray ids = FeatureFrontier(response.outputs, group[i]->request.seeds);
-        response.features = store->Gather(ids, cache, &exec.gather);
+        response.features = store->Gather(ids, cache, &gather);
         response.feature_ids = ids;
         response.stages.feature_ns = feature_timer.ElapsedNanos();
-        exec.feature_ns += response.stages.feature_ns;
-        ++exec.feature_responses;
+        exec.counters.feature_gather_ns += response.stages.feature_ns;
+        ++exec.counters.feature_requests;
       } catch (const std::exception& e) {
-        // A failed gather (injected transfer fault) fails the response — a
-        // frontier without the features the caller asked for is not a
-        // success — but never the worker.
+        // A failed gather (injected transfer fault, or a cache partition
+        // the device cannot hold) fails the response — a frontier without
+        // the features the caller asked for is not a success — but never
+        // the worker.
         response.status = Status::kFailed;
         response.outputs.clear();
         response.features = {};
@@ -1167,6 +1146,11 @@ void Server::GatherFeatures(Execution& exec, const Group& group,
       }
     }
   });
+  exec.counters.feature_rows = gather.rows;
+  exec.counters.feature_cache_hits = gather.hits;
+  exec.counters.feature_cache_misses = gather.misses;
+  exec.counters.feature_gather_bytes = gather.gathered_bytes;
+  exec.counters.feature_miss_bytes = gather.miss_bytes;
 }
 
 // record: stamps total latency and updates ServerStats once per group.
@@ -1195,26 +1179,14 @@ void Server::Record(const Execution& exec, const Group& group,
   if (executed && exec.runs > 1) {
     ++stats_.coalesced_executions;
   }
-  if (exec.error.empty() && options_.num_shards > 1) {
-    stats_.exchange_hops += exec.exchange_hops;
-    stats_.exchange_remote_nodes += exec.exchange_remote_nodes;
-    stats_.exchange_bytes += exec.exchange_bytes;
-    stats_.hedged_exchanges += exec.hedged;
-    if (!exec.degraded && exec.device != exec.key.shard) {
-      // Served by a non-primary replica: count one failover per execution,
-      // not per coalesced member.
-      ++stats_.failovers;
-    }
+  if (exec.error.empty() && !exec.degraded && exec.device != exec.key.shard) {
+    // Served by a non-primary replica: count one failover per execution,
+    // not per coalesced member.
+    ++stats_.failovers;
   }
-  if (exec.feature_responses > 0) {
-    stats_.feature_requests += exec.feature_responses;
-    stats_.feature_rows += exec.gather.rows;
-    stats_.feature_cache_hits += exec.gather.hits;
-    stats_.feature_cache_misses += exec.gather.misses;
-    stats_.feature_gather_bytes += exec.gather.gathered_bytes;
-    stats_.feature_miss_bytes += exec.gather.miss_bytes;
-    stats_.feature_gather_ns += exec.feature_ns;
-  }
+  // Exchange counters come only from the attempt that succeeded, and feature
+  // counters only from gathers that did.
+  stats_.Add(exec.counters);
   for (size_t i = 0; i < group.size(); ++i) {
     const SampleResponse& response = responses[i];
     const std::string& tenant = group[i]->request.tenant;
@@ -1239,6 +1211,11 @@ void Server::Record(const Execution& exec, const Group& group,
     }
     shard_latency_[static_cast<size_t>(exec.device)].Record(response.stages.total_ns);
   }
+}
+
+void Server::Count(int64_t ServerStats::*field, int64_t n) {
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  stats_.*field += n;
 }
 
 ServerStats Server::stats() const {

@@ -271,15 +271,10 @@ class Server {
     int64_t compile_ns = 0;  // summed over attempts
     std::string error;
     fault::ErrorCode code = fault::ErrorCode::kOk;
-    int64_t exchange_hops = 0;
-    int64_t exchange_remote_nodes = 0;
-    int64_t exchange_bytes = 0;
-    int64_t hedged = 0;
-    // Scatter and feature gather.
     int64_t scatter_ns = 0;
-    feature::GatherStats gather;
-    int64_t feature_responses = 0;
-    int64_t feature_ns = 0;
+    // The group's exchange and feature-gather counters, which Record adds
+    // into the server's.
+    ServerStats counters;
   };
 
   const Endpoint* FindEndpoint(const std::string& algorithm, const std::string& dataset) const;
@@ -304,6 +299,8 @@ class Server {
   void GatherFeatures(Execution& exec, const Group& group,
                       std::vector<SampleResponse>& responses);
   void Record(const Execution& exec, const Group& group, std::vector<SampleResponse>& responses);
+  // Adds `n` to one server counter under stats_mutex_.
+  void Count(int64_t ServerStats::*field, int64_t n = 1);
   // Plan-cache miss path. For dynamic endpoints (`snapshot` non-null) the
   // compile table is consulted first: a still-valid frozen plan gets a cheap
   // session rebuild (no passes, no calibration); a drifted one serves stale

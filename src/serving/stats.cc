@@ -2,9 +2,46 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <sstream>
 
 namespace gs::serving {
+namespace {
+
+// A JSON string literal. Tenant names come from requests, so quotes,
+// backslashes and control characters are escaped.
+std::string JsonString(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char escaped[8];
+      std::snprintf(escaped, sizeof(escaped), "\\u%04x", static_cast<unsigned>(c));
+      out += escaped;
+    } else {
+      out += c;
+    }
+  }
+  return out + "\"";
+}
+
+std::string JsonString(int shard) { return JsonString(std::to_string(shard)); }
+
+// Appends `,"name":{"key":count,...}`.
+template <typename Key>
+void JsonMap(std::ostringstream& out, const char* name, const std::map<Key, int64_t>& map) {
+  out << ",\"" << name << "\":{";
+  const char* sep = "";
+  for (const auto& [key, count] : map) {
+    out << sep << JsonString(key) << ':' << count;
+    sep = ",";
+  }
+  out << '}';
+}
+
+}  // namespace
 
 void LatencyHistogram::Record(int64_t ns) {
   const uint64_t v = ns > 0 ? static_cast<uint64_t>(ns) : 1;
@@ -74,52 +111,33 @@ int64_t LatencyHistogram::Percentile(double p) const {
   return max_ns_;
 }
 
+void ServerStats::Add(const ServerStats& other) {
+#define GS_SERVER_STAT_ADD(name) name += other.name;
+  GS_SERVER_STATS(GS_SERVER_STAT_ADD)
+#undef GS_SERVER_STAT_ADD
+}
+
 std::string ServerStats::ToString() const {
   std::ostringstream out;
-  out << "received=" << received << " admitted=" << admitted << " completed=" << completed
-      << " rejected=" << rejected << " deadline_exceeded=" << deadline_exceeded
-      << " failed=" << failed << " degraded=" << degraded << " executions=" << executions
-      << " coalesced=" << coalesced_executions << " coalescing_ratio=" << CoalescingRatio()
-      << " plan_hits=" << plan_cache_hits << " plan_misses=" << plan_cache_misses
-      << " plan_evictions=" << plan_cache_evictions
-      << " plan_resident_bytes=" << plan_resident_bytes << " plans_saved=" << plans_saved
-      << " plans_loaded=" << plans_loaded
-      << " transient_retries=" << transient_retries << " shed_retries=" << shed_retries
-      << " worker_exceptions=" << worker_exceptions
-      << " failed_by_code=[t=" << failed_transient << " re=" << failed_resource_exhausted
-      << " inv=" << failed_invalid << " int=" << failed_internal << "]"
-      << " partial=" << partial << " failovers=" << failovers
-      << " hedged_exchanges=" << hedged_exchanges
-      << " p50_us=" << latency_p50_ns / 1000 << " p95_us=" << latency_p95_ns / 1000
-      << " p99_us=" << latency_p99_ns / 1000;
-  if (jit_regions > 0) {
-    out << " jit=[regions=" << jit_regions << " compiled=" << jit_compiled
-        << " artifact_hits=" << jit_artifact_hits << " hits=" << jit_hits
-        << " demotions=" << jit_demotions << "]";
-  }
-  if (feature_requests > 0) {
-    out << " features=[requests=" << feature_requests << " rows=" << feature_rows
-        << " hit_rate=" << FeatureHitRate() << " gather_mb="
-        << static_cast<double>(feature_gather_bytes) / 1e6 << " miss_mb="
-        << static_cast<double>(feature_miss_bytes) / 1e6 << " gather_us="
-        << feature_gather_ns / 1000 << "]";
-  }
-  if (!per_shard_completed.empty()) {
-    out << " exchange=[hops=" << exchange_hops << " remote_nodes=" << exchange_remote_nodes
-        << " bytes=" << exchange_bytes << "] shards=[";
-    for (const auto& [shard, completed] : per_shard_completed) {
-      out << "s" << shard << "=" << completed << " ";
-    }
-    out << "]";
-  }
-  if (graph_epochs > 0) {
-    out << " dyn=[epochs=" << graph_epochs << " plan_reuses=" << plan_reuses
-        << " stale_served=" << stale_plans_served << " recompiles_inline=" << recompiles_inline
-        << " recompiles_bg=" << recompiles_background
-        << " feature_invalidations=" << feature_invalidations
-        << " partition_rebuilt=" << partition_segments_rebuilt
-        << " partition_reused=" << partition_segments_reused << "]";
-  }
+#define GS_SERVER_STAT_TEXT(name) out << #name "=" << name << ' ';
+  GS_SERVER_STATS(GS_SERVER_STAT_TEXT)
+#undef GS_SERVER_STAT_TEXT
+  out << "coalescing_ratio=" << CoalescingRatio() << " feature_hit_rate=" << FeatureHitRate();
+  return out.str();
+}
+
+std::string ServerStats::ToJson() const {
+  std::ostringstream out;
+  out << '{';
+#define GS_SERVER_STAT_JSON(name) out << "\"" #name "\":" << name << ',';
+  GS_SERVER_STATS(GS_SERVER_STAT_JSON)
+#undef GS_SERVER_STAT_JSON
+  out << "\"coalescing_ratio\":" << CoalescingRatio()
+      << ",\"feature_hit_rate\":" << FeatureHitRate();
+  JsonMap(out, "per_shard_completed", per_shard_completed);
+  JsonMap(out, "per_tenant_completed", per_tenant_completed);
+  JsonMap(out, "per_tenant_failed", per_tenant_failed);
+  out << '}';
   return out.str();
 }
 

@@ -34,94 +34,102 @@ class LatencyHistogram {
   int64_t max_ns_ = 0;
 };
 
+// Every scalar ServerStats counter, declared once: each X(name) entry
+// expands into an int64_t field of ServerStats and into ToString, ToJson and
+// Add, so a new counter takes one line here and every report carries it.
+#define GS_SERVER_STATS(X)                                                              \
+  /* Request lifecycle counters. */                                                     \
+  X(received)                                                                           \
+  X(admitted)                                                                           \
+  X(rejected)          /* admission refusals (queue full / deadline) */                 \
+  X(deadline_exceeded) /* expired in queue, never executed */                           \
+  X(failed)                                                                             \
+  X(completed)                                                                          \
+  X(degraded) /* served with shed fanouts */                                            \
+  X(partial)  /* kDegraded responses (some shards uncovered) */                         \
+                                                                                        \
+  /* Execution counters. */                                                             \
+  X(executions)           /* super-batch executions launched */                         \
+  X(requests_executed)    /* sum of group sizes */                                      \
+  X(coalesced_executions) /* executions with group size > 1 */                          \
+                                                                                        \
+  /* Plan cache. */                                                                     \
+  X(plan_cache_hits)                                                                    \
+  X(plan_cache_misses)                                                                  \
+  X(plan_cache_evictions)                                                               \
+  X(plan_resident_bytes)                                                                \
+  X(plans_saved)  /* plan artifacts persisted to the plan dir */                        \
+  X(plans_loaded) /* sessions warm-started from persisted plans */                      \
+                                                                                        \
+  /* JIT kernel compilation (gs::jit, ServerOptions::jit). Mirrors the                  \
+     process-wide jit::GlobalJitStats() counters: fused regions seen, how               \
+     many run native code (and of those, how many reloaded a persisted                  \
+     artifact instead of compiling), fused-op executions served natively,               \
+     and regions demoted to the interpreter by the fallback ladder. */                  \
+  X(jit_regions)                                                                        \
+  X(jit_compiled)                                                                       \
+  X(jit_artifact_hits)                                                                  \
+  X(jit_hits)                                                                           \
+  X(jit_demotions)                                                                      \
+                                                                                        \
+  /* Feature serving (gs::feature): responses that carried gathered feature             \
+     rows, and the hot-set cache's aggregate behavior across every tenant               \
+     partition on every shard. */                                                       \
+  X(feature_requests)     /* completed responses carrying features */                   \
+  X(feature_rows)         /* feature rows gathered */                                   \
+  X(feature_cache_hits)   /* rows served from device-side caches */                     \
+  X(feature_cache_misses) /* rows fetched over host DRAM + PCIe */                      \
+  X(feature_gather_bytes) /* total feature bytes produced */                            \
+  X(feature_miss_bytes)   /* bytes that crossed the bus */                              \
+  X(feature_gather_ns)    /* wall time spent gathering features */                      \
+                                                                                        \
+  /* Fault recovery (gs::fault taxonomy). */                                            \
+  X(transient_retries) /* execution retries after transient faults */                   \
+  X(shed_retries)      /* retries with shed fanouts after resource exhaustion */        \
+  X(worker_exceptions) /* exceptions stopped at the worker boundary */                  \
+  X(failed_transient)  /* terminal failures by code */                                  \
+  X(failed_resource_exhausted)                                                          \
+  X(failed_invalid)                                                                     \
+  X(failed_internal)                                                                    \
+                                                                                        \
+  /* High availability (gs::ha). */                                                     \
+  X(failovers)        /* executions served by a non-primary replica */                  \
+  X(hedged_exchanges) /* hedged cross-shard exchange re-issues */                       \
+                                                                                        \
+  /* Dynamic graphs (gs::dyn): online-mutation traffic and what each epoch              \
+     cost the plan layer. `plan_reuses` + `stale_plans_served` are the                  \
+     cheap-path sessions (no passes, no calibration); `recompiles_inline`               \
+     are full compiles on the serving path (cold starts, or drifted plans               \
+     with background recompilation disabled); `recompiles_background` ran on            \
+     the replanner thread, never blocking a request. */                                 \
+  X(graph_epochs)               /* mutation epochs observed (all stores) */             \
+  X(plan_reuses)                /* sessions rebuilt over a still-valid frozen plan */   \
+  X(stale_plans_served)         /* drifted plans that kept serving while recompiling */ \
+  X(recompiles_inline)          /* full compiles on the serving path */                 \
+  X(recompiles_background)      /* replanner compiles (off the serving path) */         \
+  X(feature_invalidations)      /* cache rows invalidated by feature updates */         \
+  X(partition_segments_rebuilt) /* incremental re-partition: segments re-sliced */      \
+  X(partition_segments_reused)  /* ... vs reused by reference */                        \
+                                                                                        \
+  /* End-to-end wall latency of completed requests (submit -> response). */             \
+  X(latency_p50_ns)                                                                     \
+  X(latency_p95_ns)                                                                     \
+  X(latency_p99_ns)                                                                     \
+  X(latency_max_ns)                                                                     \
+                                                                                        \
+  /* Multi-shard serving (gs::shard): cross-shard frontier-exchange traffic             \
+     accumulated over all executions. */                                                \
+  X(exchange_hops)         /* frontier hops that pulled remote adjacency */             \
+  X(exchange_remote_nodes) /* frontier nodes whose adjacency was remote */              \
+  X(exchange_bytes)        /* adjacency bytes moved over the interconnect */
+
 struct ServerStats {
-  // Request lifecycle counters.
-  int64_t received = 0;
-  int64_t admitted = 0;
-  int64_t rejected = 0;           // admission refusals (queue full / deadline)
-  int64_t deadline_exceeded = 0;  // expired in queue, never executed
-  int64_t failed = 0;
-  int64_t completed = 0;
-  int64_t degraded = 0;  // served with shed fanouts
-  int64_t partial = 0;   // kDegraded responses (some shards uncovered)
+#define GS_SERVER_STAT_FIELD(name) int64_t name = 0;
+  GS_SERVER_STATS(GS_SERVER_STAT_FIELD)
+#undef GS_SERVER_STAT_FIELD
 
-  // Execution counters.
-  int64_t executions = 0;          // super-batch executions launched
-  int64_t requests_executed = 0;   // sum of group sizes
-  int64_t coalesced_executions = 0;  // executions with group size > 1
-
-  // Plan cache.
-  int64_t plan_cache_hits = 0;
-  int64_t plan_cache_misses = 0;
-  int64_t plan_cache_evictions = 0;
-  int64_t plan_resident_bytes = 0;
-  int64_t plans_saved = 0;   // plan artifacts persisted to the plan dir
-  int64_t plans_loaded = 0;  // sessions warm-started from persisted plans
-
-  // JIT kernel compilation (gs::jit, ServerOptions::jit). Mirrors the
-  // process-wide jit::GlobalJitStats() counters: fused regions seen, how
-  // many run native code (and of those, how many reloaded a persisted
-  // artifact instead of compiling), fused-op executions served natively,
-  // and regions demoted to the interpreter by the fallback ladder.
-  int64_t jit_regions = 0;
-  int64_t jit_compiled = 0;
-  int64_t jit_artifact_hits = 0;
-  int64_t jit_hits = 0;
-  int64_t jit_demotions = 0;
-
-  // Feature serving (gs::feature): responses that carried gathered feature
-  // rows, and the hot-set cache's aggregate behavior across every tenant
-  // partition on every shard.
-  int64_t feature_requests = 0;      // completed responses carrying features
-  int64_t feature_rows = 0;          // feature rows gathered
-  int64_t feature_cache_hits = 0;    // rows served from device-side caches
-  int64_t feature_cache_misses = 0;  // rows fetched over host DRAM + PCIe
-  int64_t feature_gather_bytes = 0;  // total feature bytes produced
-  int64_t feature_miss_bytes = 0;    // bytes that crossed the bus
-  int64_t feature_gather_ns = 0;     // wall time spent gathering features
-
-  // Fault recovery (gs::fault taxonomy).
-  int64_t transient_retries = 0;    // execution retries after transient faults
-  int64_t shed_retries = 0;         // retries with shed fanouts after resource exhaustion
-  int64_t worker_exceptions = 0;    // exceptions stopped at the worker boundary
-  int64_t failed_transient = 0;     // terminal failures by code
-  int64_t failed_resource_exhausted = 0;
-  int64_t failed_invalid = 0;
-  int64_t failed_internal = 0;
-
-  // High availability (gs::ha).
-  int64_t failovers = 0;         // executions served by a non-primary replica
-  int64_t hedged_exchanges = 0;  // hedged cross-shard exchange re-issues
-
-  // Dynamic graphs (gs::dyn): online-mutation traffic and what each epoch
-  // cost the plan layer. `plan_reuses` + `stale_plans_served` are the
-  // cheap-path sessions (no passes, no calibration); `recompiles_inline`
-  // are full compiles on the serving path (cold starts, or drifted plans
-  // with background recompilation disabled); `recompiles_background` ran on
-  // the replanner thread, never blocking a request.
-  int64_t graph_epochs = 0;            // mutation epochs observed (all stores)
-  int64_t plan_reuses = 0;             // sessions rebuilt over a still-valid frozen plan
-  int64_t stale_plans_served = 0;      // drifted plans that kept serving while recompiling
-  int64_t recompiles_inline = 0;       // full compiles on the serving path
-  int64_t recompiles_background = 0;   // replanner compiles (off the serving path)
-  int64_t feature_invalidations = 0;   // cache rows invalidated by feature updates
-  int64_t partition_segments_rebuilt = 0;  // incremental re-partition: segments re-sliced
-  int64_t partition_segments_reused = 0;   // ... vs reused by reference
-
-  // End-to-end wall latency of completed requests (submit -> response).
-  int64_t latency_p50_ns = 0;
-  int64_t latency_p95_ns = 0;
-  int64_t latency_p99_ns = 0;
-  int64_t latency_max_ns = 0;
-
-  // Multi-shard serving (gs::shard): cross-shard frontier-exchange traffic
-  // accumulated over all executions, and per-shard completion counts
-  // (locality-routing visibility).
-  int64_t exchange_hops = 0;          // frontier hops that pulled remote adjacency
-  int64_t exchange_remote_nodes = 0;  // frontier nodes whose adjacency was remote
-  int64_t exchange_bytes = 0;         // adjacency bytes moved over the interconnect
+  // Per-shard completion counts (locality-routing visibility).
   std::map<int, int64_t> per_shard_completed;
-
   // Completed requests per tenant (fair-queueing visibility).
   std::map<std::string, int64_t> per_tenant_completed;
   // Failed requests per tenant (who is hitting errors, fed by the serving
@@ -142,7 +150,15 @@ struct ServerStats {
                : 0.0;
   }
 
+  // Adds every scalar field of `other` into this one; the maps are left
+  // alone. Meant for per-group deltas: the gauges (plan_resident_bytes, the
+  // latency percentiles) are filled by Server::stats() and do not sum.
+  void Add(const ServerStats& other);
+
+  // One line of `name=value` pairs: every scalar counter, then both ratios.
   std::string ToString() const;
+  // One JSON object: every scalar counter, both ratios and the three maps.
+  std::string ToJson() const;
 };
 
 }  // namespace gs::serving

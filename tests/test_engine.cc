@@ -241,22 +241,34 @@ TEST(Engine, WalksFromOtherStartsRunUngrouped) {
   EXPECT_GT(dead, 0) << "the walks should hit dead ends";
 }
 
-// On V100Sim a served GraphSAGE {10,5} request, a one-segment labeled run,
-// launches exactly the kernels Sample launches for the same frontier, and a
-// 3-member group launches those plus one scatter kernel per matrix output.
+// On V100Sim a seeded request, a one-member labeled run, launches exactly
+// the kernels Sample launches for the same frontier, for every algorithm; a
+// 3-member GraphSAGE {10,5} group launches those plus one scatter kernel per
+// matrix output.
 TEST(Engine, LabeledRunsLaunchThePlainRunsKernels) {
   device::Device v100(device::V100Sim());
   device::DeviceGuard guard(v100);
   graph::Graph g = gs::testing::SmallRmat(400, 4000, 11);
-  algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {.fanouts = {10, 5}});
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), SamplerOptions{});
   const IdArray frontier = Iota(64);
-  sampler.Warmup(frontier);
   auto launches = [&v100](const std::function<void()>& run) {
     const int64_t before = v100.stream().counters().kernels_launched;
     run();
     return v100.stream().counters().kernels_launched - before;
   };
+  for (const std::string& name : algorithms::AllAlgorithmNames()) {
+    algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(name, g);
+    CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), SamplerOptions{});
+    sampler.BindGraph("rel0", &g.adj());  // HetGNN's relations; unused elsewhere
+    sampler.BindGraph("rel1", &g.adj());
+    sampler.Warmup(frontier);
+    const int64_t plain = launches([&] { sampler.Sample(frontier); });
+    EXPECT_EQ(launches([&] { sampler.SampleSeeded(frontier, 7); }), plain) << name;
+    EXPECT_EQ(launches([&] { sampler.SampleSeeded(frontier, 8); }), plain) << name;
+  }
+
+  algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {.fanouts = {10, 5}});
+  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), SamplerOptions{});
+  sampler.Warmup(frontier);
   int64_t matrices = 0;
   const int64_t plain = launches([&] {
     for (const Value& v : sampler.Sample(frontier)) {
@@ -264,7 +276,6 @@ TEST(Engine, LabeledRunsLaunchThePlainRunsKernels) {
     }
   });
   EXPECT_EQ(matrices, 2);
-  EXPECT_EQ(launches([&] { sampler.SampleSeeded(frontier, 7); }), plain);
   const std::vector<IdArray> group = {frontier, Iota(64, 64), Iota(64, 128)};
   EXPECT_EQ(launches([&] { sampler.SampleGrouped(group, {1, 2, 3}, [](int64_t, auto&) {}); }),
             plain + matrices);

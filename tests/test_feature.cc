@@ -20,6 +20,7 @@
 #include "common/error.h"
 #include "core/engine.h"
 #include "device/device.h"
+#include "fault/status.h"
 #include "feature/hot_set_cache.h"
 #include "feature/pipeline.h"
 #include "feature/store.h"
@@ -374,6 +375,40 @@ TEST(ServingFeatureGather, WalkDeadEndsGatherOnlyLiveIds) {
       << "the walks should hit dead ends";
   EXPECT_EQ(response.feature_ids.ToVector(), FoldIds(last, g.num_nodes()).ToVector());
   ExpectRowsMatchEager(g.features(), response.feature_ids, response.features, "walk response");
+}
+
+// Regression: a tenant's cache partition is created on the first gather and
+// allocates its backing pages on the device. A partition the device cannot
+// hold fails that response as resource-exhausted; before, the allocation
+// escaped to the worker boundary and broke the response's promise.
+TEST(ServingFeatureGather, PartitionAllocationFailureFailsTheResponse) {
+  const graph::Graph g = FeatureGraph();
+  device::Device v100(device::V100Sim());  // 16 GiB
+  device::DeviceGuard guard(v100);
+  serving::ServerOptions options;
+  options.num_workers = 1;
+  options.serve_features = true;
+  options.feature_cache_partitions = 1;
+  options.feature_cache_budget_bytes = int64_t{1} << 40;
+  serving::Server server(options);
+  server.RegisterEndpoint(serving::MakeEndpoint("GraphSAGE", "small", g));
+  server.Start();
+
+  serving::SampleRequest request;
+  request.algorithm = "GraphSAGE";
+  request.dataset = "small";
+  request.seeds = Seeds({1, 2, 3, 4});
+  request.seed = 5;
+  const serving::SampleResponse response = server.Submit(std::move(request)).get();
+  server.Stop();
+  EXPECT_EQ(response.status, serving::Status::kFailed);
+  EXPECT_EQ(response.code, fault::ErrorCode::kResourceExhausted) << response.error;
+  EXPECT_TRUE(response.outputs.empty());
+  const serving::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.failed, 1);
+  EXPECT_EQ(stats.failed_resource_exhausted, 1);
+  EXPECT_EQ(stats.worker_exceptions, 0);
+  EXPECT_EQ(stats.received, stats.completed + stats.failed);
 }
 
 // ------------------------------------------------- overlap pipeline

@@ -12,8 +12,10 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "algorithms/algorithms.h"
@@ -958,6 +960,52 @@ TEST(ServerStatsTest, CoalescingRatio) {
   s.executions = 4;
   s.requests_executed = 10;
   EXPECT_DOUBLE_EQ(s.CoalescingRatio(), 2.5);
+}
+
+// Every scalar counter is declared once, as a GS_SERVER_STATS entry, and the
+// reports walk that list: each field appears exactly once under its own name
+// in ToString and ToJson, and Add folds every one of them.
+TEST(ServerStatsTest, EveryReportWalksTheFieldList) {
+  ServerStats stats;
+  std::vector<std::pair<std::string, int64_t>> fields;
+  int64_t next = 1001;  // distinct, same width: no value prefixes another
+#define GS_TEST_SET_FIELD(name) \
+  stats.name = next++;          \
+  fields.emplace_back(#name, stats.name);
+  GS_SERVER_STATS(GS_TEST_SET_FIELD)
+#undef GS_TEST_SET_FIELD
+  stats.per_shard_completed[2] = 5;
+  stats.per_tenant_completed["a\"b\\c"] = 7;
+
+  std::vector<std::string> words;
+  std::istringstream text(stats.ToString());
+  for (std::string word; text >> word;) {
+    words.push_back(word);
+  }
+  const std::string json = stats.ToJson();
+  const auto occurrences = [&json](const std::string& needle) {
+    int count = 0;
+    for (size_t at = json.find(needle); at != std::string::npos; at = json.find(needle, at + 1)) {
+      ++count;
+    }
+    return count;
+  };
+  for (const auto& [name, value] : fields) {
+    const std::string v = std::to_string(value);
+    EXPECT_EQ(std::count(words.begin(), words.end(), name + "=" + v), 1) << name;
+    EXPECT_EQ(occurrences("\"" + name + "\":" + v + ","), 1) << name;
+  }
+  EXPECT_EQ(occurrences(R"("per_shard_completed":{"2":5})"), 1) << json;
+  EXPECT_EQ(occurrences(R"("per_tenant_completed":{"a\"b\\c":7})"), 1) << json;
+  EXPECT_EQ(occurrences(R"("per_tenant_failed":{})"), 1) << json;
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_EQ(json.back(), '}');
+
+  ServerStats doubled = stats;
+  doubled.Add(stats);
+#define GS_TEST_EXPECT_DOUBLED(name) EXPECT_EQ(doubled.name, 2 * stats.name) << #name;
+  GS_SERVER_STATS(GS_TEST_EXPECT_DOUBLED)
+#undef GS_TEST_EXPECT_DOUBLED
 }
 
 TEST(RequestTest, StatusNames) {

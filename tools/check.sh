@@ -76,7 +76,7 @@ TIERS=(
   "shard|shard|test_partition test_shard fuzz_passes|test_shard|-|--seeds 100 --shards 2"
   "feature|feature|test_feature fuzz_passes|test_feature|-|--seeds 100 --features"
   "ha|ha|test_ha fuzz_passes|test_ha|-|--seeds 60 --shards 2 --kill-shard"
-  "dynamic|dynamic|test_dyn fuzz_passes|test_dyn|-|--seeds 100 --mutate"
+  "dynamic|dynamic|test_dyn fuzz_passes gsampler_cli|test_dyn|-|--seeds 100 --mutate"
   "jit|jit|test_jit test_fused fuzz_passes|test_jit|-|--seeds 60 --jit"
   "asan|-|-|-|test_sparse_kernels test_sparse_sampling test_sparse_batch test_executor test_engine test_serving test_fault_soak|-"
   "default|-|fuzz_passes|-|-|--seeds 40 --shards 2 --kill-shard --features --mutate --jit"

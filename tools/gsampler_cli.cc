@@ -35,7 +35,10 @@
 //   --dump-ir          log the IR after each pass
 //   --list             list algorithms and datasets, then exit
 //   --json             emit a single-line JSON run summary on stdout instead
-//                      of the human-readable report
+//                      of the human-readable report; in serve mode the
+//                      client's outcome and latency keys sit at the top
+//                      level and every server counter under `server`
+//                      (ServerStats::ToJson)
 //   --serve            embedded-server mode: register the algorithm as a
 //                      serving endpoint and drive it with an open-loop
 //                      Poisson client (see --requests / --rps / --workers)
@@ -45,8 +48,7 @@
 //   --features         serve mode: attach gathered feature rows to every
 //                      response (per-tenant hot-set cache, gs::feature);
 //                      cache hit rate + gather bytes land in the report
-//                      and in the --json keys feature_hit_rate /
-//                      feature_gather_bytes
+//                      and under the --json `server` object
 //   --fault-plan SPEC  gs::fault injection schedule for the whole run, e.g.
 //                      "kernel.transient:p=0.001;alloc.oom:occ=5". Injector
 //                      probe/injection counts are printed to stderr on exit.
@@ -63,8 +65,8 @@
 //                      the session after warmup; serve mode sets
 //                      ServerOptions::jit so every cached plan gets one.
 //                      Region/compile/demotion counters land in the report
-//                      and in the --json keys jit_regions / jit_compiled /
-//                      jit_artifact_hits / jit_hits / jit_demotions
+//                      and under the --json `server` object (serve mode)
+//                      or in the jit_* keys (epoch mode)
 
 #include <algorithm>
 #include <chrono>
@@ -265,57 +267,21 @@ int RunServe(const Args& args, gs::graph::Graph& g) {
   server.Stop();
   const serving::ServerStats stats = server.stats();
 
-  char dyn_tail[320] = "";
-  if (args.mutate_stream > 0) {
-    std::snprintf(dyn_tail, sizeof(dyn_tail),
-                  ",\"graph_epochs\":%lld,\"plan_reuses\":%lld,"
-                  "\"stale_plans_served\":%lld,\"recompiles_inline\":%lld,"
-                  "\"recompiles_background\":%lld,\"feature_invalidations\":%lld",
-                  static_cast<long long>(stats.graph_epochs),
-                  static_cast<long long>(stats.plan_reuses),
-                  static_cast<long long>(stats.stale_plans_served),
-                  static_cast<long long>(stats.recompiles_inline),
-                  static_cast<long long>(stats.recompiles_background),
-                  static_cast<long long>(stats.feature_invalidations));
-  }
-  char jit_tail[192] = "";
-  if (args.jit) {
-    std::snprintf(jit_tail, sizeof(jit_tail),
-                  ",\"jit_regions\":%lld,\"jit_compiled\":%lld,"
-                  "\"jit_artifact_hits\":%lld,\"jit_hits\":%lld,\"jit_demotions\":%lld",
-                  static_cast<long long>(stats.jit_regions),
-                  static_cast<long long>(stats.jit_compiled),
-                  static_cast<long long>(stats.jit_artifact_hits),
-                  static_cast<long long>(stats.jit_hits),
-                  static_cast<long long>(stats.jit_demotions));
-  }
   if (args.json) {
     std::printf(
         "{\"mode\":\"serve\",\"algorithm\":\"%s\",\"dataset\":\"%s\","
         "\"requests\":%lld,\"ok\":%lld,\"rejected\":%lld,\"deadline_exceeded\":%lld,"
-        "\"failed\":%lld,\"degraded\":%lld,\"coalesced\":%lld,"
-        "\"achieved_rps\":%.1f,\"coalescing_ratio\":%.2f,"
-        "\"p50_us\":%lld,\"p95_us\":%lld,\"p99_us\":%lld,"
-        "\"plan_cache_hits\":%lld,\"plan_cache_misses\":%lld,"
-        "\"feature_requests\":%lld,\"feature_rows\":%lld,"
-        "\"feature_hit_rate\":%.4f,\"feature_gather_bytes\":%lld,"
-        "\"feature_miss_bytes\":%lld,\"feature_gather_us\":%lld%s%s}\n",
+        "\"failed\":%lld,\"degraded\":%lld,\"coalesced\":%lld,\"achieved_rps\":%.1f,"
+        "\"p50_us\":%lld,\"p95_us\":%lld,\"p99_us\":%lld,\"server\":%s}\n",
         args.algorithm.c_str(), args.dataset.c_str(),
         static_cast<long long>(report.submitted), static_cast<long long>(report.ok),
         static_cast<long long>(report.rejected),
         static_cast<long long>(report.deadline_exceeded),
         static_cast<long long>(report.failed), static_cast<long long>(report.degraded),
         static_cast<long long>(report.coalesced), report.achieved_rps,
-        stats.CoalescingRatio(), static_cast<long long>(report.p50_ns / 1000),
+        static_cast<long long>(report.p50_ns / 1000),
         static_cast<long long>(report.p95_ns / 1000),
-        static_cast<long long>(report.p99_ns / 1000),
-        static_cast<long long>(stats.plan_cache_hits),
-        static_cast<long long>(stats.plan_cache_misses),
-        static_cast<long long>(stats.feature_requests),
-        static_cast<long long>(stats.feature_rows), stats.FeatureHitRate(),
-        static_cast<long long>(stats.feature_gather_bytes),
-        static_cast<long long>(stats.feature_miss_bytes),
-        static_cast<long long>(stats.feature_gather_ns / 1000), dyn_tail, jit_tail);
+        static_cast<long long>(report.p99_ns / 1000), stats.ToJson().c_str());
   } else {
     std::printf("%s\n%s\n", report.ToString().c_str(), stats.ToString().c_str());
   }
