@@ -8,11 +8,12 @@
 // throughput and cuts p95 latency at high offered load, and the plan cache
 // amortizes compilation (misses stay O(distinct plan keys)).
 //
-// Sharded capacity mode (--shards=N, gs::shard): this machine cannot show
+// Sharded capacity mode (--shards=N, gs::shard): one host cannot show
 // multi-device scaling on wall clock, so the shard sweep is judged on the
-// simulated device clock instead — each shard owns its own virtual timeline,
-// requests route to their seed frontier's home shard, and capacity is
-// requests / max-shard timeline advance. Cross-shard adjacency is charged at
+// simulated device clock instead — each shard owns its own device and
+// virtual timeline, requests route to their seed frontier's home shard as
+// the sharded server routes them, and capacity is requests / max-shard
+// timeline advance. Cross-shard adjacency is charged at
 // the profile's interconnect rate, so the per-hop exchange-bytes table and
 // the (slightly) higher per-request latency are part of the report.
 //
@@ -29,10 +30,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "algorithms/algorithms.h"
+#include "core/engine.h"
+#include "core/executor.h"
+#include "device/device.h"
 #include "graph/datasets.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
@@ -83,26 +88,50 @@ struct ShardCell {
   double capacity_rps = 0;  // requests per simulated second
   int64_t p50_ns = 0;       // per-request simulated service latency
   int64_t p95_ns = 0;
-  gs::shard::ExchangeStats exchange;
+  int64_t exchange_bytes = 0;
+  int64_t exchange_ns = 0;
+  // Summed over requests per hop index (hop 0 = the seeds, hop 1 = their
+  // neighbors, ...).
+  std::vector<gs::shard::HopRecord> per_hop;
 };
 
-// Closed-loop capacity on the simulated clock: route every request to its
-// home shard, measure its service time as that shard's virtual-timeline
-// advance, and divide the request count by the busiest shard's timeline.
+// Closed-loop capacity on the simulated clock, on the pieces the sharded
+// server executes with: one device per shard and one session per shard
+// over one compiled plan. Every request runs on its home shard's device
+// under a FrontierExchange; its service time is that shard's timeline
+// advance, and capacity divides the request count by the busiest shard's.
 ShardCell RunShardCell(const gs::graph::Graph& graph, int shards, const Sweep& sweep) {
-  gs::shard::ShardGroupOptions options;
-  options.num_shards = shards;
-  options.partition = sweep.vertex_cut ? gs::graph::PartitionKind::kVertexCut
-                                       : gs::graph::PartitionKind::kEdgeCut;
+  const gs::graph::Partition partition = gs::graph::Partitioner::Build(
+      graph,
+      sweep.vertex_cut ? gs::graph::PartitionKind::kVertexCut : gs::graph::PartitionKind::kEdgeCut,
+      shards);
   gs::algorithms::AlgorithmProgram algorithm =
       gs::algorithms::GraphSage(graph, {.fanouts = {10, 5}});
-  gs::shard::ShardGroup group(graph, std::move(algorithm.program), std::move(algorithm.tensors),
-                              options);
+  auto plan = std::make_shared<gs::core::CompiledPlan>(std::move(algorithm.program),
+                                                       gs::core::SamplerOptions{});
+  const gs::tensor::IdArray warmup = gs::core::WarmupFrontier(graph);
+  std::vector<std::unique_ptr<gs::device::Device>> devices;
+  // Declared after devices: each session's values live on its shard's
+  // allocator, so the sessions are destroyed first.
+  std::vector<std::unique_ptr<gs::core::SamplerSession>> sessions;
+  for (int s = 0; s < shards; ++s) {
+    devices.push_back(std::make_unique<gs::device::Device>(gs::device::V100Sim()));
+    // Warmed in turn under the shard's device: shard 0 calibrates and
+    // freezes the shared plan, later shards adopt it.
+    gs::device::ThreadDeviceGuard guard(*devices.back());
+    sessions.push_back(std::make_unique<gs::core::SamplerSession>(plan, graph, algorithm.tensors));
+    sessions.back()->Warmup(warmup);
+  }
+  auto timeline_ns = [&](int s) {
+    return devices[static_cast<size_t>(s)]->default_stream().counters().virtual_ns;
+  };
 
+  ShardCell cell;
+  cell.shards = shards;
   const int64_t batch = 64;
   std::vector<int64_t> start_ns(static_cast<size_t>(shards));
   for (int s = 0; s < shards; ++s) {
-    start_ns[static_cast<size_t>(s)] = group.counters(s).virtual_ns;
+    start_ns[static_cast<size_t>(s)] = timeline_ns(s);
   }
   std::vector<int64_t> latencies;
   latencies.reserve(static_cast<size_t>(sweep.requests));
@@ -113,8 +142,7 @@ ShardCell RunShardCell(const gs::graph::Graph& graph, int shards, const Sweep& s
   // nodes, starving the rest).
   uint64_t rng = 0x9e3779b97f4a7c15ULL;
   for (int64_t r = 0; r < sweep.requests; ++r) {
-    const std::vector<int32_t>& local =
-        group.partition().LocalNodes(static_cast<int>(r % shards));
+    const std::vector<int32_t>& local = partition.LocalNodes(static_cast<int>(r % shards));
     const int64_t pool = static_cast<int64_t>(local.size());
     const int64_t window = std::min<int64_t>(pool, 128);
     rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -127,25 +155,39 @@ ShardCell RunShardCell(const gs::graph::Graph& graph, int shards, const Sweep& s
       seeds[static_cast<size_t>(i)] = local[static_cast<size_t>(offset)];
     }
     const gs::tensor::IdArray frontier = gs::tensor::IdArray::FromVector(seeds);
-    const int shard = group.Route(frontier);
-    const int64_t before = group.counters(shard).virtual_ns;
-    group.Sample(shard, frontier, static_cast<uint64_t>(r));
-    latencies.push_back(group.counters(shard).virtual_ns - before);
+    const int shard = partition.HomeShard(frontier.data(), frontier.size());
+    const int64_t before = timeline_ns(shard);
+    gs::device::ThreadDeviceGuard guard(*devices[static_cast<size_t>(shard)]);
+    gs::shard::FrontierExchange exchange(partition, shard);
+    gs::core::HopObserverGuard observer(exchange);
+    sessions[static_cast<size_t>(shard)]->SampleSeeded(frontier, static_cast<uint64_t>(r));
+    latencies.push_back(timeline_ns(shard) - before);
+    if (cell.per_hop.size() < exchange.hops().size()) {
+      cell.per_hop.resize(exchange.hops().size());
+    }
+    for (size_t h = 0; h < exchange.hops().size(); ++h) {
+      const gs::shard::HopRecord& hop = exchange.hops()[h];
+      gs::shard::HopRecord& sum = cell.per_hop[h];
+      sum.hop = hop.hop;
+      sum.frontier_nodes += hop.frontier_nodes;
+      sum.remote_nodes += hop.remote_nodes;
+      sum.bytes += hop.bytes;
+      sum.exchange_ns += hop.exchange_ns;
+      cell.exchange_bytes += hop.bytes;
+      cell.exchange_ns += hop.exchange_ns;
+    }
   }
 
   int64_t busiest_ns = 0;
   for (int s = 0; s < shards; ++s) {
-    busiest_ns = std::max(busiest_ns, group.counters(s).virtual_ns - start_ns[static_cast<size_t>(s)]);
+    busiest_ns = std::max(busiest_ns, timeline_ns(s) - start_ns[static_cast<size_t>(s)]);
   }
   std::sort(latencies.begin(), latencies.end());
-  ShardCell cell;
-  cell.shards = shards;
   cell.capacity_rps = busiest_ns > 0
                           ? static_cast<double>(sweep.requests) * 1e9 / static_cast<double>(busiest_ns)
                           : 0;
   cell.p50_ns = latencies[latencies.size() / 2];
   cell.p95_ns = latencies[latencies.size() * 95 / 100];
-  cell.exchange = group.TotalExchange();
   return cell;
 }
 
@@ -174,15 +216,15 @@ int RunShardSweep(const gs::graph::Graph& graph, const Sweep& sweep) {
                 base_capacity > 0 ? cell.capacity_rps / base_capacity : 0.0,
                 static_cast<long long>(cell.p50_ns / 1000),
                 static_cast<long long>(cell.p95_ns / 1000),
-                static_cast<long long>(cell.exchange.bytes),
-                static_cast<long long>(cell.exchange.exchange_ns / 1000));
+                static_cast<long long>(cell.exchange_bytes),
+                static_cast<long long>(cell.exchange_ns / 1000));
     last = cell;
   }
 
   std::printf("\nper-hop exchange at %d shards (all requests):\n", last.shards);
   std::printf("%5s | %15s %13s %13s %11s\n", "hop", "frontier_nodes", "remote_nodes", "bytes",
               "exch(us)");
-  for (const gs::shard::HopRecord& hop : last.exchange.per_hop) {
+  for (const gs::shard::HopRecord& hop : last.per_hop) {
     std::printf("%5d | %15lld %13lld %13lld %11lld\n", hop.hop,
                 static_cast<long long>(hop.frontier_nodes),
                 static_cast<long long>(hop.remote_nodes), static_cast<long long>(hop.bytes),

@@ -7,7 +7,6 @@
 #ifndef GSAMPLER_DEVICE_DEVICE_H_
 #define GSAMPLER_DEVICE_DEVICE_H_
 
-#include <atomic>
 #include <memory>
 
 #include "device/allocator.h"
@@ -34,20 +33,10 @@ class Device {
   Stream& stream();
   Stream& default_stream() { return stream_; }
 
-  // Simulated device-lost latch (the shard.lost fault site): a lost device
-  // models a GPU that fell off the interconnect. The HA layer marks it on
-  // injection, routes work to replicas while it is set, and Revives it when
-  // a health probe succeeds. Purely advisory — kernels on a lost device
-  // still "run" (this is a simulator); placement honors the latch.
-  void MarkLost() { lost_.store(true, std::memory_order_release); }
-  void Revive() { lost_.store(false, std::memory_order_release); }
-  bool lost() const { return lost_.load(std::memory_order_acquire); }
-
  private:
   DeviceProfile profile_;
   CachingAllocator allocator_;
   Stream stream_;
-  std::atomic<bool> lost_{false};
 };
 
 // The device new work runs on: the calling thread's override if one is
@@ -60,8 +49,8 @@ Device* SetCurrent(Device* device);
 
 // Replaces the calling thread's device override (nullptr clears it);
 // returns the previous override. Unlike SetCurrent this affects only the
-// calling thread — a ShardGroup worker pins its shard's device here while
-// other shards run concurrently on theirs.
+// calling thread — a sharded server worker pins its executing shard's device
+// here while other shards run concurrently on theirs.
 Device* SetThreadDevice(Device* device);
 
 // Replaces the calling thread's stream override (nullptr clears it);

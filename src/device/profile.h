@@ -69,10 +69,10 @@ struct DeviceProfile {
 
   // Charge per byte exchanged with peer shards over the (simulated)
   // device-to-device interconnect — the shard-to-shard analog of the UVA
-  // PCIe charge. A multi-device ShardGroup charges each frontier hop's
-  // coalesced all-to-all of remote adjacency at this rate
-  // (shard::FrontierExchange). 0 disables the charge (single-device
-  // profiles / CPU baselines, where there is no interconnect).
+  // PCIe charge. Sharded serving charges each frontier hop's coalesced
+  // all-to-all of remote adjacency at this rate (shard::FrontierExchange).
+  // 0 disables the charge (single-device profiles / CPU baselines, where
+  // there is no interconnect).
   double interconnect_ns_per_byte = 0.0;
 
   // Deterministic compute charge per parallel work item, used for the

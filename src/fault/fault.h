@@ -28,8 +28,8 @@
 // Shard targeting: a clause may carry a `shardN:` qualifier
 // (`shard3:kernel.transient:p=0.5`) restricting it to probes made while
 // shard N is the thread's executing shard (fault::ShardScope, installed by
-// gs::shard / sharded serving workers). A shard-qualified clause *overrides*
-// the unqualified clause for that shard, so `shard2:kernel.transient:p=0`
+// sharded serving workers). A shard-qualified clause *overrides* the
+// unqualified clause for that shard, so `shard2:kernel.transient:p=0`
 // exempts shard 2 from a chaos run that targets everyone else. Probes on
 // different shards number independently and draw from shard-salted streams,
 // so per-shard fault sequences are deterministic regardless of how threads
@@ -207,9 +207,9 @@ class FaultScope {
   FaultInjector* previous_;
 };
 
-// Thread-local executing-shard context. gs::shard and sharded serving
-// workers install one around each placement so shard-qualified clauses and
-// the shard-level sites know which shard is probing. Scopes nest.
+// Thread-local executing-shard context. Sharded serving workers install
+// one around each placement so shard-qualified clauses and the shard-level
+// sites know which shard is probing. Scopes nest.
 class ShardScope {
  public:
   explicit ShardScope(int shard);

@@ -26,9 +26,6 @@ ErrorCode Classify(const std::exception& e) {
   if (dynamic_cast<const TransientError*>(&e) != nullptr) {
     return ErrorCode::kTransient;
   }
-  if (dynamic_cast<const ShardUnavailableError*>(&e) != nullptr) {
-    return ErrorCode::kUnavailable;
-  }
   if (dynamic_cast<const ResourceExhaustedError*>(&e) != nullptr) {
     return ErrorCode::kResourceExhausted;
   }

@@ -14,9 +14,9 @@
 //   kResourceExhausted  device memory exhausted even after the allocator's
 //                       recovery ladder ran; degrade (shed fanouts) or shed
 //                       load
-//   kUnavailable        a shard and all of its replicas are dead; retrying
-//                       the same placement cannot help — serve a degraded
-//                       partial response instead
+//   kUnavailable        no live device is left to serve even a degraded
+//                       partial response; retrying cannot help until one
+//                       recovers
 //   kInvalidRequest     the input can never succeed; reject, never retry
 //   kInternal           everything else (plain gs::Error, std::exception);
 //                       fail the unit of work, keep the worker alive
@@ -69,14 +69,6 @@ class InvalidRequestError : public Error {
 class ExchangeTimeoutError : public TransientError {
  public:
   explicit ExchangeTimeoutError(const std::string& what) : TransientError(what) {}
-};
-
-// A shard and every replica hosting it are dead. Not transient: retrying
-// the same request cannot succeed until a replica recovers, so serving
-// answers with a Degraded partial response instead of burning retries.
-class ShardUnavailableError : public Error {
- public:
-  explicit ShardUnavailableError(const std::string& what) : Error(what) {}
 };
 
 // Maps an in-flight exception to its code. Unrecognized exception types

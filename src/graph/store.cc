@@ -120,15 +120,6 @@ uint64_t Snapshot::DigestOf(const Graph& graph) {
   return h;
 }
 
-std::shared_ptr<const Snapshot> Snapshot::Wrap(const Graph& graph) {
-  auto snap = std::shared_ptr<Snapshot>(new Snapshot());
-  snap->epoch_ = 0;
-  snap->digest_ = DigestOf(graph);
-  snap->graph_ = graph;
-  snap->degree_stats_ = DegreeStats::FromMatrix(graph.adj());
-  return snap;
-}
-
 GraphStore::GraphStore(Graph base, GraphStoreOptions options) : options_(options) {
   GS_CHECK_GT(options_.segment_cols, 0);
   name_ = base.name();

@@ -111,10 +111,6 @@ class Snapshot {
   const Graph& graph() const { return graph_; }
   const DegreeStats& degree_stats() const { return degree_stats_; }
 
-  // Wraps a standalone static graph as an epoch-0 snapshot so legacy
-  // static-graph paths and dynamic paths share one pinning currency.
-  static std::shared_ptr<const Snapshot> Wrap(const Graph& graph);
-
   // Digest of a graph's materialized CSC (what digest() reports).
   static uint64_t DigestOf(const Graph& graph);
 

@@ -125,15 +125,6 @@ void HealthMonitor::ReportTransient(int shard) {
   GraySignal(shard, "transient");
 }
 
-void HealthMonitor::ReportStuckKernels(int shard, int64_t count) {
-  if (count <= 0) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  Check(shard).counters.stuck_kernels += count;
-  GraySignal(shard, "stuck-kernel");
-}
-
 void HealthMonitor::ReportSuccess(int shard) {
   std::lock_guard<std::mutex> lock(mu_);
   ShardState& s = Check(shard);
@@ -156,17 +147,6 @@ void HealthMonitor::ReportSuccess(int shard) {
       }
       break;
   }
-}
-
-void HealthMonitor::ReportProbeFailure(int shard) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ShardState& s = Check(shard);
-  ++s.counters.probes_failed;
-  if (s.state != ShardHealth::kDead) {
-    return;
-  }
-  s.backoff = std::min(s.backoff * 2, options_.max_probe_backoff);
-  s.next_probe_at = s.probe_attempts + s.backoff;
 }
 
 bool HealthMonitor::AdmitWork(int shard) {

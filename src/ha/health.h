@@ -1,10 +1,10 @@
 // High-availability layer: per-shard health tracking for failover.
 //
-// Multi-device sampling (gs::shard) and sharded serving place every unit of
-// work on a device hosting the target shard's segment. The HealthMonitor is
-// the shared brain of that placement: signal sinks fed by the fault sites
-// (shard.lost, exchange.timeout, shard.slow), the stream watchdog, and
-// ordinary successes drive a per-shard state machine
+// Sharded serving places every unit of work on a device hosting the target
+// shard's segment. The HealthMonitor is the shared brain of that placement:
+// signal sinks fed by the fault sites (shard.lost, exchange.timeout,
+// shard.slow), failed attempts (transient faults and watchdog-cancelled
+// kernels), and ordinary successes drive a per-shard state machine
 //
 //           transient signals              >= dead_threshold signals
 //   healthy ----------------> suspect -----------------------------> dead
@@ -16,11 +16,11 @@
 //
 // device-lost jumps any state straight to dead. Dead shards are probed with
 // counter-space exponential backoff (AdmitWork admits one probe attempt per
-// backoff window; the window doubles on each failed probe up to
-// max_probe_backoff) — backoff counts *placement attempts*, not wall-clock,
-// so replays are deterministic. A successful probe moves the shard to
-// recovering; recover_successes consecutive successes re-admit it as
-// healthy.
+// backoff window; the window doubles on each failed probe — a device-lost
+// or gray signal while dead — up to max_probe_backoff) — backoff counts
+// *placement attempts*, not wall-clock, so replays are deterministic. A
+// successful probe moves the shard to recovering; recover_successes
+// consecutive successes re-admit it as healthy.
 //
 // Determinism: every transition is a pure function of the signal sequence.
 // The monitor holds one mutex for its state; given the same ordered signal
@@ -49,8 +49,8 @@ enum class ShardHealth {
 const char* HealthName(ShardHealth state);
 
 struct HealthOptions {
-  // Gray signals (exchange timeout, slow shard, transient, stuck kernels)
-  // before a healthy shard becomes suspect.
+  // Gray signals (exchange timeout, slow shard, transient) before a
+  // healthy shard becomes suspect.
   int suspect_threshold = 1;
   // Gray signals accumulated while suspect before the shard is declared
   // dead.
@@ -80,14 +80,13 @@ struct HealthCounters {
   int64_t exchange_timeouts = 0;
   int64_t slow_signals = 0;
   int64_t transients = 0;
-  int64_t stuck_kernels = 0;
   int64_t successes = 0;
   int64_t probes_admitted = 0;
   int64_t probes_failed = 0;
 };
 
 // Thread-safe per-shard health state machine. One instance is shared by all
-// workers of a ShardGroup / sharded Server.
+// workers of a sharded Server.
 class HealthMonitor {
  public:
   explicit HealthMonitor(int num_shards, HealthOptions options = {});
@@ -99,19 +98,18 @@ class HealthMonitor {
   const HealthOptions& options() const { return options_; }
 
   // --- Signal sinks ---------------------------------------------------
-  // The device dropped off the interconnect: any state -> dead.
+  // The device dropped off the interconnect: any state -> dead. On a dead
+  // shard it is a failed probe and doubles the backoff window.
   void ReportDeviceLost(int shard);
   // Gray-failure signals: healthy -> suspect; suspect accumulates toward
-  // dead; recovering falls back to suspect.
+  // dead; recovering falls back to suspect; dead doubles the backoff
+  // window like a failed probe.
   void ReportExchangeTimeout(int shard);
   void ReportSlowShard(int shard);
   void ReportTransient(int shard);
-  void ReportStuckKernels(int shard, int64_t count);
   // A unit of work completed on the shard: suspect/recovering count toward
   // re-admission; dead (a successful probe) -> recovering.
   void ReportSuccess(int shard);
-  // A probe admitted by AdmitWork failed; doubles the backoff window.
-  void ReportProbeFailure(int shard);
 
   // --- Placement ------------------------------------------------------
   // Whether the shard may take work right now. Healthy, suspect, and

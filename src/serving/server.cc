@@ -878,11 +878,7 @@ void Server::ExecuteAndScatter(Group group) {
 
   Attempt(exec, group);
   if (monitor_ != nullptr && exec.runs > 0 && exec.error.empty()) {
-    monitor_->ReportSuccess(exec.device);
-    device::Device& exec_device = *shard_devices_[static_cast<size_t>(exec.device)];
-    if (exec_device.lost()) {
-      exec_device.Revive();  // a backoff probe made it through
-    }
+    monitor_->ReportSuccess(exec.device);  // may readmit a probed dead device
   }
   GS_LOG(Debug) << "serving: executed group of " << group.size() << " ("
                 << (exec.cache_hit ? "plan hit" : "plan miss") << ", "
@@ -912,7 +908,6 @@ void Server::Place(Execution& exec, Group& group) {
     }
     fault::ShardScope probe_scope(candidate);
     if (fault::Injected(fault::Site::kShardLost)) {
-      shard_devices_[static_cast<size_t>(candidate)]->MarkLost();
       monitor_->ReportDeviceLost(candidate);
       continue;
     }

@@ -1,11 +1,10 @@
-// gs::shard — multi-device sharded sampling with cross-shard frontier
-// exchange.
+// gs::shard — the cross-shard frontier exchange, the cost tap of sharded
+// sampling.
 //
-// A ShardGroup partitions a graph across N simulated devices
-// (graph::Partitioner) and runs the full sampling engine per shard: one
-// device::Device (allocator + stream set) per shard, one SamplerSession per
-// shard over a single shared frozen CompiledPlan. Each frontier hop
-// executes locally; frontier nodes whose adjacency is owned by a remote
+// Sharded serving (serving::Server with ServerOptions::num_shards > 1)
+// partitions each dataset across N simulated devices (graph::Partitioner)
+// and runs every request on a device hosting its home shard. Each frontier
+// hop executes locally; frontier nodes whose adjacency is owned by a remote
 // shard are detected by a FrontierExchange observer, which charges one
 // coalesced all-to-all per hop at the profile's interconnect_ns_per_byte —
 // the shard-to-shard analog of the UVA PCIe charge.
@@ -15,36 +14,21 @@
 // shard session binds the full graph and the exchange only advances the
 // shard's virtual clock and counters. Sharded sampling is therefore
 // bit-identical to single-device SampleSeeded with the same plan and seed —
-// the property the oracle test checks — while capacity (requests per
+// the property the shard oracle tests check — while capacity (requests per
 // simulated second) scales with the shard count because each shard's work
-// lands on its own timeline.
+// lands on its own timeline (bench/serving_throughput --shards).
 //
-// High availability (gs::ha): with ShardGroupOptions::num_replicas > 1 the
-// partition mirrors each shard's segment onto replica devices (chained
-// declustering) and Sample() walks the replica chain — primary first, then
-// each replica in placement order — skipping devices the shared
-// HealthMonitor has declared dead. Shard-level fault sites drive the
-// monitor: shard.lost kills a device mid-placement (work fails over to the
-// next replica, bit-identically, since every session binds the full graph),
-// exchange.timeout triggers bounded hedged exchanges before unwinding as a
-// Transient error, and shard.slow inflates exchange time, flagging the
-// shard suspect. Failover order is a pure function of (partition, monitor
-// state), so a seeded FaultPlan reproduces the same decisions every run.
+// High availability (gs::ha): with a HealthMonitor attached the exchange
+// runs the exchange half of the HA protocol (below); replica failover is
+// the server's placement step.
 
 #ifndef GSAMPLER_SHARD_SHARD_H_
 #define GSAMPLER_SHARD_SHARD_H_
 
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
+#include <cstdint>
 #include <vector>
 
-#include "core/engine.h"
-#include "device/device.h"
-#include "feature/hot_set_cache.h"
-#include "feature/store.h"
-#include "graph/graph.h"
+#include "core/executor.h"
 #include "graph/partition.h"
 #include "ha/health.h"
 
@@ -60,29 +44,10 @@ struct HopRecord {
   int64_t hedges = 0;          // hedged re-issues of this hop's exchange
 };
 
-// Aggregated exchange counters (per shard, or group-wide).
-struct ExchangeStats {
-  int64_t samples = 0;
-  int64_t hops = 0;
-  int64_t frontier_nodes = 0;
-  int64_t remote_nodes = 0;
-  int64_t bytes = 0;
-  int64_t exchange_ns = 0;
-  int64_t hedges = 0;     // hedged exchange re-issues (timeouts + suspects)
-  int64_t failovers = 0;  // samples served by a non-primary replica
-  // Aggregate per hop index across samples (hop 0 = seeds, hop 1 = their
-  // neighbors, ...): the per-hop exchange-bytes table the bench reports.
-  std::vector<HopRecord> per_hop;
-
-  void Add(const std::vector<HopRecord>& hops_taken);
-  void Merge(const ExchangeStats& other);
-  std::string ToString() const;
-};
-
-// Hop observer charging the cross-shard all-to-all. One instance per Sample
-// call (it carries the per-call hop index), installed on the executing
-// thread via core::HopObserverGuard. For every hop against the base graph
-// it deduplicates the frontier, looks up each node's owner in the
+// Hop observer charging the cross-shard all-to-all. One instance per
+// execution (it carries the hop index), installed on the executing thread
+// via core::HopObserverGuard. For every hop against the base graph it
+// deduplicates the frontier, looks up each node's owner in the
 // partition, sums the bytes of adjacency not hosted on the executing
 // device, and records one kernel on the current stream whose only cost is
 // those bytes at the profile's interconnect_ns_per_byte. Hops with no
@@ -113,132 +78,6 @@ class FrontierExchange : public core::HopObserver {
   int max_hedges_;
   int64_t hedges_ = 0;
   std::vector<HopRecord> hops_;
-};
-
-struct ShardGroupOptions {
-  int num_shards = 2;
-  graph::PartitionKind partition = graph::PartitionKind::kEdgeCut;
-  // Profile every shard device is created with (interconnect_ns_per_byte
-  // prices the exchange).
-  device::DeviceProfile profile = device::V100Sim();
-  core::SamplerOptions sampler;
-  // Feature serving (gs::feature): when true and the graph has features,
-  // every shard gets its own hot-set cache over the shared feature store,
-  // and GatherFeatures() gathers rows on the shard's device and clock.
-  bool serve_features = false;
-  // Per-shard cache capacity in feature rows; 0 sizes it to 10% of the
-  // graph's nodes (floor 64).
-  int64_t feature_cache_rows = 0;
-  feature::Admission feature_admission = feature::Admission::kFrequencyEma;
-  // High availability: replicas per shard (1 = no failover; r > 1 mirrors
-  // each shard's segment onto r devices by chained declustering).
-  int num_replicas = 1;
-  // Health state-machine thresholds shared by every shard.
-  ha::HealthOptions health;
-  // Hedged exchange re-issues allowed per sample (timeout absorption and
-  // proactive suspect hedging share the budget).
-  int max_hedged_exchanges = 2;
-};
-
-// N complete sampling engines over one partitioned graph and one shared
-// compiled plan. Construction compiles (or adopts) the plan, partitions the
-// graph, creates one device per shard, and warms one session per shard —
-// sequentially, so lazily cached structures on shared objects materialize
-// race-free. After construction Sample() is const-safe from any number of
-// threads; concurrent samples on one shard serialize onto that shard's
-// virtual timeline (one device executes one kernel at a time), which is
-// exactly the per-device capacity model the serving bench measures.
-class ShardGroup {
- public:
-  ShardGroup(const graph::Graph& graph, core::Program program,
-             std::map<std::string, tensor::Tensor> tensors, ShardGroupOptions options);
-  // Adopts an existing (possibly deserialized) plan instead of compiling.
-  ShardGroup(const graph::Graph& graph, std::shared_ptr<core::CompiledPlan> plan,
-             std::map<std::string, tensor::Tensor> tensors, ShardGroupOptions options);
-  // Snapshot-pinning constructors (gs::dyn): the group holds the snapshot's
-  // shared_ptr so the epoch outlives the store's later mutations. Sampling
-  // is bit-identical to the same-epoch static-graph constructors.
-  ShardGroup(std::shared_ptr<const graph::Snapshot> snapshot, core::Program program,
-             std::map<std::string, tensor::Tensor> tensors, ShardGroupOptions options);
-  ShardGroup(std::shared_ptr<const graph::Snapshot> snapshot,
-             std::shared_ptr<core::CompiledPlan> plan,
-             std::map<std::string, tensor::Tensor> tensors, ShardGroupOptions options);
-
-  ShardGroup(const ShardGroup&) = delete;
-  ShardGroup& operator=(const ShardGroup&) = delete;
-  ~ShardGroup();
-
-  int num_shards() const { return options_.num_shards; }
-  int num_replicas() const { return options_.num_replicas; }
-  const graph::Partition& partition() const { return *partition_; }
-  // Shared per-shard health state machine (failover decisions, coverage).
-  ha::HealthMonitor& monitor() const { return *monitor_; }
-  const core::CompiledPlan& plan() const { return *plan_; }
-  std::shared_ptr<core::CompiledPlan> plan_ptr() const { return plan_; }
-
-  // Locality routing: the frontier's plurality home shard.
-  int Route(const tensor::IdArray& frontier) const;
-
-  // Samples `frontier` on `shard`'s device with the shared plan. Thread-safe
-  // after construction; bit-identical to SamplerSession::SampleSeeded on a
-  // single device with the same plan and seed. Per-hop exchange records are
-  // folded into the shard's aggregate (and copied to `hops` if given).
-  //
-  // With num_replicas > 1 the call walks `shard`'s replica chain in
-  // placement order, skipping devices the monitor holds dead (except
-  // backoff-admitted probes) and failing over on device loss or transient
-  // faults. Because every replica runs the same pure SampleSeeded, a
-  // failed-over sample is bit-identical to the primary's. Throws
-  // fault::TransientError when every admitted replica failed transiently
-  // (the serving retry ladder re-resolves placement), or
-  // fault::ShardUnavailableError when no replica admits work at all.
-  std::vector<core::Value> Sample(int shard, const tensor::IdArray& frontier, uint64_t seed,
-                                  std::vector<HopRecord>* hops = nullptr) const;
-
-  // Sample on the frontier's home shard (locality-aware entry point).
-  std::vector<core::Value> SampleRouted(const tensor::IdArray& frontier, uint64_t seed,
-                                        std::vector<HopRecord>* hops = nullptr) const;
-
-  // Gathers the feature rows for `ids` through `shard`'s hot-set cache, on
-  // that shard's device and virtual clock. Bit-identical to an eager
-  // per-node lookup regardless of cache state. Requires
-  // ShardGroupOptions::serve_features and a graph with features.
-  tensor::Tensor GatherFeatures(int shard, const tensor::IdArray& ids,
-                                feature::GatherStats* stats = nullptr) const;
-  // Null when the group was built without serve_features (or no features).
-  const feature::FeatureStore* feature_store() const { return feature_store_.get(); }
-  feature::HotSetCache* feature_cache(int shard) const;
-
-  device::Device& device(int shard) const;
-  core::SamplerSession& session(int shard) const;
-
-  // Accumulated exchange traffic of one shard / all shards.
-  ExchangeStats exchange_stats(int shard) const;
-  ExchangeStats TotalExchange() const;
-  // The shard device's default-stream counters (virtual clock, bytes).
-  device::StreamCounters counters(int shard) const;
-
-  std::string DebugString() const;
-
- private:
-  void Init(const graph::Graph& graph, std::map<std::string, tensor::Tensor> tensors);
-
-  ShardGroupOptions options_;
-  // Pinned graph epoch (null for groups over a caller-owned static graph).
-  // Declared before graph_ so graph_ may point into *snapshot_.
-  std::shared_ptr<const graph::Snapshot> snapshot_;
-  const graph::Graph* graph_;
-  std::shared_ptr<core::CompiledPlan> plan_;
-  std::unique_ptr<graph::Partition> partition_;
-  std::unique_ptr<ha::HealthMonitor> monitor_;
-  std::vector<std::unique_ptr<device::Device>> devices_;
-  // Declared after devices_: each shard's cache holds backing pages on that
-  // shard's allocator, so the caches must be destroyed first.
-  std::unique_ptr<feature::FeatureStore> feature_store_;
-  std::vector<std::unique_ptr<feature::HotSetCache>> feature_caches_;
-  std::vector<std::unique_ptr<core::SamplerSession>> sessions_;
-  mutable std::mutex stats_mutex_;
-  mutable std::vector<ExchangeStats> exchange_;
 };
 
 }  // namespace gs::shard

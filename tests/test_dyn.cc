@@ -29,7 +29,6 @@
 #include "graph/store.h"
 #include "oracle/oracle.h"
 #include "serving/server.h"
-#include "shard/shard.h"
 #include "tests/testing.h"
 
 namespace gs {
@@ -480,9 +479,10 @@ TEST(DynOracle, EveryAlgorithmBitIdenticalAfterMutationStream) {
 }
 
 // Sharding and replication change where time is charged, never what is
-// sampled — including on a mutated snapshot. Every shard of a 4-way group
-// (with and without 2-way replication) returns bit-identical outputs to a
-// single-device session pinned to the same epoch.
+// sampled — including on a mutated snapshot. A request homed on each shard
+// of a 4-way server over the dynamic endpoint (with and without 2-way
+// replication) is bit-identical to a single-device session pinned to the
+// same epoch.
 TEST(DynShardOracle, MutatedSnapshotShardedAndReplicatedBitIdentity) {
   graph::Graph base = testing::SmallRmat();
   GraphStore store(std::move(base));
@@ -491,7 +491,6 @@ TEST(DynShardOracle, MutatedSnapshotShardedAndReplicatedBitIdentity) {
     store.Apply(gen.Next());
   }
   const std::shared_ptr<const Snapshot> snap = store.Current();
-  const tensor::IdArray frontier = Seeds({5, 17, 42, 101, 250});
 
   for (const std::string algorithm : {"GraphSAGE", "LADIES"}) {
     // Single-device reference over the same pinned epoch.
@@ -500,23 +499,26 @@ TEST(DynShardOracle, MutatedSnapshotShardedAndReplicatedBitIdentity) {
                                                      core::SamplerOptions{}, algorithm);
     core::SamplerSession session(std::move(plan), snap, std::move(ref.tensors));
     session.Warmup(Seeds({0, 1, 2, 3}));
-    const std::vector<core::Value> reference = session.SampleSeeded(frontier, 77);
 
     for (const int replicas : {1, 2}) {
-      algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(algorithm, snap->graph());
-      shard::ShardGroupOptions options;
-      options.num_shards = 4;
-      options.num_replicas = replicas;
-      const shard::ShardGroup group(snap, std::move(ap.program), std::move(ap.tensors),
-                                    options);
+      const graph::Partition partition =
+          graph::Partitioner::Build(snap->graph(), graph::PartitionKind::kEdgeCut, 4, replicas);
+      auto server = testing::StartServer(testing::ShardedOptions(4, replicas),
+                                         serving::MakeDynamicEndpoint(algorithm, "small", store));
       for (int s = 0; s < 4; ++s) {
-        const std::vector<core::Value> got = group.Sample(s, frontier, 77);
-        ASSERT_EQ(got.size(), reference.size());
-        for (size_t i = 0; i < got.size(); ++i) {
-          EXPECT_TRUE(core::BitIdentical(got[i], reference[i]))
-              << algorithm << " replicas=" << replicas << " shard " << s << " output " << i;
-        }
+        const std::string where =
+            algorithm + " replicas=" + std::to_string(replicas) + " shard " + std::to_string(s);
+        const tensor::IdArray frontier = testing::OwnedSeeds(partition, s, 5);
+        const serving::SampleResponse response =
+            server->Submit(testing::DefaultRequest(algorithm, frontier, 77)).get();
+        ASSERT_EQ(response.status, serving::Status::kOk) << where << ": " << response.error;
+        testing::ExpectBitIdentical(response.outputs, session.SampleSeeded(frontier, 77), where);
       }
+      const serving::ServerStats stats = server->stats();
+      for (int s = 0; s < 4; ++s) {
+        EXPECT_EQ(stats.per_shard_completed.at(s), 1) << algorithm << " shard " << s;
+      }
+      server->Stop();
     }
   }
 }

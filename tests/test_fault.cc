@@ -219,9 +219,8 @@ TEST(Status, ClassifyMapsTypedErrors) {
   EXPECT_EQ(Classify(std::runtime_error("other")), ErrorCode::kInternal);
   EXPECT_STREQ(ErrorCodeName(ErrorCode::kTransient), "transient");
   // Cross-shard exchange timeouts are transient (they route through the
-  // serving retry ladder); a shard with no live replica is kUnavailable.
+  // serving retry ladder).
   EXPECT_EQ(Classify(ExchangeTimeoutError("et")), ErrorCode::kTransient);
-  EXPECT_EQ(Classify(ShardUnavailableError("su")), ErrorCode::kUnavailable);
   EXPECT_STREQ(ErrorCodeName(ErrorCode::kUnavailable), "unavailable");
 }
 

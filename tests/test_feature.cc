@@ -25,9 +25,9 @@
 #include "feature/pipeline.h"
 #include "feature/store.h"
 #include "graph/graph.h"
+#include "graph/partition.h"
 #include "serving/request.h"
 #include "serving/server.h"
-#include "shard/shard.h"
 #include "tensor/tensor.h"
 #include "tests/testing.h"
 
@@ -266,35 +266,40 @@ INSTANTIATE_TEST_SUITE_P(Features, AllAlgorithmsFeature,
                            return name;
                          });
 
-// Sharded gathers: each shard owns its own cache on its own device, but the
-// gathered rows must match the eager lookup — and therefore each other —
-// for 2- and 4-way groups.
+// Sharded gathers: a feature-serving server gives each shard its own cache
+// partition on its own device, but the rows a request homed on any shard
+// gathers must match the eager lookup — and therefore each other — for 2-
+// and 4-way servers, and its second pass must hit that shard's cache.
 TEST(ShardedFeatureGather, PerShardGatherMatchesEagerLookup) {
   const graph::Graph g = FeatureGraph();
-  const IdArray frontier = Seeds({5, 17, 42, 101, 250});
   for (const int shards : {2, 4}) {
-    algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm("GraphSAGE", g);
-    shard::ShardGroupOptions options;
-    options.num_shards = shards;
+    const graph::Partition partition = graph::Partitioner::EdgeCut(g, shards);
+    serving::ServerOptions options = testing::ShardedOptions(shards);
     options.serve_features = true;
-    const shard::ShardGroup group(g, std::move(ap.program), std::move(ap.tensors), options);
-    ASSERT_NE(group.feature_store(), nullptr);
+    auto server = testing::StartServer(options, serving::MakeEndpoint("GraphSAGE", "small", g));
     for (int s = 0; s < shards; ++s) {
-      ASSERT_NE(group.feature_cache(s), nullptr);
-      const std::vector<core::Value> out = group.Sample(s, frontier, 77);
-      const IdArray ids = FoldIds(FeatureFrontier(out, frontier), g.num_nodes());
-      ASSERT_FALSE(ids.empty());
-      for (int pass = 0; pass < 2; ++pass) {
-        GatherStats stats;
-        const tensor::Tensor gathered = group.GatherFeatures(s, ids, &stats);
-        ExpectRowsMatchEager(g.features(), ids, gathered,
-                             "x" + std::to_string(shards) + " shard " + std::to_string(s) +
-                                 " pass " + std::to_string(pass));
-        EXPECT_EQ(stats.rows, ids.size());
+      const IdArray seeds = testing::OwnedSeeds(partition, s, 5);
+      for (int pass = 0; pass < 2; ++pass) {  // cold, then warm (hit path)
+        const std::string where =
+            "x" + std::to_string(shards) + " shard " + std::to_string(s) + " pass " +
+            std::to_string(pass);
+        const serving::ServerStats before = server->stats();
+        const serving::SampleResponse response =
+            server->Submit(testing::DefaultRequest("GraphSAGE", seeds, 77)).get();
+        ASSERT_EQ(response.status, serving::Status::kOk) << where << ": " << response.error;
+        ASSERT_TRUE(response.features.defined()) << where;
+        ASSERT_FALSE(response.feature_ids.empty()) << where;
+        ExpectRowsMatchEager(g.features(), response.feature_ids, response.features, where);
+        const serving::ServerStats after = server->stats();
+        EXPECT_EQ(after.feature_rows - before.feature_rows, response.feature_ids.size()) << where;
+        if (pass == 1) {
+          EXPECT_GT(after.feature_cache_hits, before.feature_cache_hits)
+              << where << ": the warm pass missed its shard's cache";
+        }
       }
-      // The warm pass went through this shard's own cache.
-      EXPECT_GT(group.feature_cache(s)->hits(), 0);
+      EXPECT_EQ(server->stats().per_shard_completed.at(s), 2) << "shard " << s;
     }
+    server->Stop();
   }
 }
 

@@ -1,11 +1,12 @@
 // Tests for gs::ha (src/ha/): replica placement invariants, the health
-// state-machine transition goldens, coverage helpers, the failover
-// bit-identity oracle (kill each shard in turn with r=2 — outputs must
-// match single-device sampling), recovery re-admission after a transient
-// device loss, degraded-mode serving (r=1 — typed partial responses with
-// coverage fractions, never failures, bit-identical to serving the covered
-// subset, through the normal retry ladder), and a concurrent-failover TSan
-// target (tools/check.sh ha tier).
+// state-machine transition goldens, coverage helpers, and — through a
+// sharded serving::Server — the failover bit-identity oracle (kill each
+// shard in turn with r=2 — outputs must match single-device sampling),
+// recovery re-admission after a transient device loss, degraded-mode
+// serving (r=1 — typed partial responses with coverage fractions, never
+// failures, bit-identical to serving the covered subset, through the normal
+// retry ladder), and a concurrent-failover TSan target (tools/check.sh ha
+// tier).
 
 #include <gtest/gtest.h>
 
@@ -28,7 +29,6 @@
 #include "ha/health.h"
 #include "serving/request.h"
 #include "serving/server.h"
-#include "shard/shard.h"
 #include "tests/testing.h"
 
 namespace gs::ha {
@@ -37,20 +37,14 @@ namespace {
 using core::BitIdentical;
 using core::Value;
 using tensor::IdArray;
+using testing::DefaultRequest;
 using testing::ExpectBitIdentical;
+using testing::OwnedSeeds;
 using testing::ReferenceSample;
 
 graph::Graph HaGraph() { return testing::SmallRmat(300, 3000, 9); }
 
 IdArray Seeds(std::vector<int32_t> ids) { return IdArray::FromVector(ids); }
-
-shard::ShardGroup MakeGroup(const graph::Graph& g, int num_shards, int num_replicas) {
-  algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm("GraphSAGE", g);
-  shard::ShardGroupOptions options;
-  options.num_shards = num_shards;
-  options.num_replicas = num_replicas;
-  return shard::ShardGroup(g, std::move(ap.program), std::move(ap.tensors), options);
-}
 
 // ---------------------------------------------------- replica placement
 
@@ -117,7 +111,7 @@ TEST(HealthMonitorTest, GraySignalLadderTransitionGoldens) {
 
   monitor.ReportTransient(0);
   monitor.ReportTransient(0);  // suspect again
-  monitor.ReportStuckKernels(0, 3);  // gray 1/2 while suspect
+  monitor.ReportSlowShard(0);  // gray 1/2 while suspect
   monitor.ReportExchangeTimeout(0);  // gray 2/2: dead
   EXPECT_EQ(monitor.state(0), ShardHealth::kDead);
   EXPECT_FALSE(monitor.Alive(0));
@@ -147,9 +141,8 @@ TEST(HealthMonitorTest, GraySignalLadderTransitionGoldens) {
   EXPECT_TRUE(monitor.Alive(1));
   const HealthCounters c = monitor.counters(0);
   EXPECT_EQ(c.exchange_timeouts, 2);
-  EXPECT_EQ(c.slow_signals, 1);
+  EXPECT_EQ(c.slow_signals, 2);
   EXPECT_EQ(c.transients, 2);
-  EXPECT_EQ(c.stuck_kernels, 3);
   EXPECT_EQ(c.successes, 2);
 }
 
@@ -170,13 +163,14 @@ TEST(HealthMonitorTest, DeviceLostProbesWithCounterSpaceBackoff) {
   // Window 1 (backoff 2): attempt 1 denied, attempt 2 admits the probe.
   EXPECT_FALSE(monitor.AdmitWork(0));
   EXPECT_TRUE(monitor.AdmitWork(0));
-  monitor.ReportProbeFailure(0);  // window doubles to 4: next probe at attempt 6
+  monitor.ReportDeviceLost(0);  // failed probe: window doubles to 4, next probe at attempt 6
   EXPECT_FALSE(monitor.AdmitWork(0));
   EXPECT_FALSE(monitor.AdmitWork(0));
   EXPECT_FALSE(monitor.AdmitWork(0));
   EXPECT_TRUE(monitor.AdmitWork(0));
   EXPECT_EQ(monitor.counters(0).probes_admitted, 2);
   EXPECT_EQ(monitor.counters(0).probes_failed, 1);
+  EXPECT_EQ(monitor.counters(0).device_lost, 2);
 
   // The probe made it through: dead -> recovering, then successes re-admit.
   monitor.ReportSuccess(0);
@@ -259,119 +253,137 @@ TEST(CoverageTest, ReplicasKeepShardsCovered) {
 // ------------------------------------------- failover bit-identity oracle
 
 // The HA core guarantee: killing any one shard's device with r=2 never
-// changes what is sampled. Every replica binds the full graph and
-// SampleSeeded is pure, so a failed-over sample is bit-identical to the
-// single-device reference — kill each shard in turn and check all of them.
+// changes what is served. Every replica binds the full graph and sampling
+// is pure, so a failed-over request is bit-identical to the single-device
+// reference — kill each shard in turn and serve a request homed on each.
 TEST(HaOracle, FailoverIsBitIdenticalKillingEachShardInTurn) {
   const graph::Graph g = HaGraph();
-  const IdArray frontier = Seeds({5, 17, 42, 101, 250});
-  const std::vector<Value> reference = ReferenceSample("GraphSAGE", g, frontier, 77);
   constexpr int kShards = 3;
+  const graph::Partition partition = graph::Partitioner::EdgeCut(g, kShards);
+  std::vector<IdArray> frontiers;
+  std::vector<std::vector<Value>> references;
+  for (int s = 0; s < kShards; ++s) {
+    frontiers.push_back(OwnedSeeds(partition, s, 5));
+    references.push_back(ReferenceSample("GraphSAGE", g, frontiers.back(), 77));
+  }
   for (int victim = 0; victim < kShards; ++victim) {
-    const shard::ShardGroup group = MakeGroup(g, kShards, /*num_replicas=*/2);
+    auto server = testing::StartServer(testing::ShardedOptions(kShards, /*num_replicas=*/2),
+                                       serving::MakeEndpoint("GraphSAGE", "small", g));
     fault::FaultScope scope(fault::FaultPlan::Parse(
         "shard" + std::to_string(victim) + ":shard.lost:after=0",
         1234 + static_cast<uint64_t>(victim)));
     for (int s = 0; s < kShards; ++s) {
-      ExpectBitIdentical(group.Sample(s, frontier, 77), reference,
-                         "victim " + std::to_string(victim) + " shard " + std::to_string(s));
+      const std::string where = "victim " + std::to_string(victim) + " shard " + std::to_string(s);
+      const serving::SampleResponse response =
+          server->Submit(DefaultRequest("GraphSAGE", frontiers[s], 77)).get();
+      ASSERT_EQ(response.status, serving::Status::kOk) << where << ": " << response.error;
+      ExpectBitIdentical(response.outputs, references[s], where);
     }
-    // The kill was observed and absorbed: the victim is dead, its sample
+    // The kill was observed and absorbed: the victim is dead, its request
     // was served by the next replica in the chain, and nothing failed.
-    EXPECT_EQ(group.monitor().state(victim), ShardHealth::kDead);
-    EXPECT_GE(group.monitor().counters(victim).device_lost, 1);
-    EXPECT_GE(group.exchange_stats(victim).failovers, 1)
-        << "victim " << victim << "'s sample should have failed over";
+    const HealthMonitor& monitor = *server->health_monitor();
+    EXPECT_EQ(monitor.state(victim), ShardHealth::kDead);
+    EXPECT_GE(monitor.counters(victim).device_lost, 1);
+    const serving::ServerStats stats = server->stats();
+    EXPECT_EQ(stats.failovers, 1) << "victim " << victim << "'s request should have failed over";
+    EXPECT_EQ(stats.per_shard_completed.at(victim), 0);
+    EXPECT_EQ(stats.failed, 0);
+    server->Stop();
   }
-}
-
-// With r=1 there is nowhere to fail over: a permanently dead shard raises
-// the typed unavailability error (serving converts it into a degraded
-// partial response), while other shards keep sampling bit-identically.
-TEST(HaOracle, SingleReplicaKillRaisesShardUnavailable) {
-  const graph::Graph g = HaGraph();
-  const IdArray frontier = Seeds({5, 17, 42, 101});
-  const std::vector<Value> reference = ReferenceSample("GraphSAGE", g, frontier, 11);
-  const shard::ShardGroup group = MakeGroup(g, 2, /*num_replicas=*/1);
-  fault::FaultScope scope(fault::FaultPlan::Parse("shard0:shard.lost:after=0", 3));
-  EXPECT_THROW(group.Sample(0, frontier, 11), fault::ShardUnavailableError);
-  ExpectBitIdentical(group.Sample(1, frontier, 11), reference, "surviving shard");
-  EXPECT_EQ(group.monitor().state(0), ShardHealth::kDead);
 }
 
 // A device lost exactly once (occ=0 fires on the first placement probe
 // only) is re-admitted by the backoff ladder: the next admitted probe
-// succeeds, revives the device, and the shard walks dead -> recovering ->
-// healthy — with every sample along the way still bit-identical.
+// succeeds and the shard walks dead -> recovering -> healthy — with every
+// request along the way still bit-identical.
 TEST(HaOracle, RecoveryReadmitsShardAfterTransientLoss) {
   const graph::Graph g = HaGraph();
-  const IdArray frontier = Seeds({3, 33, 133, 233});
+  const IdArray frontier = OwnedSeeds(graph::Partitioner::EdgeCut(g, 2), 0, 4);
   const std::vector<Value> reference = ReferenceSample("GraphSAGE", g, frontier, 21);
-  const shard::ShardGroup group = MakeGroup(g, 2, /*num_replicas=*/2);
+  auto server = testing::StartServer(testing::ShardedOptions(2, /*num_replicas=*/2),
+                                     serving::MakeEndpoint("GraphSAGE", "small", g));
   fault::FaultScope scope(fault::FaultPlan::Parse("shard0:shard.lost:occ=0", 7));
 
-  // Sample 1: the kill fires, work fails over to the replica (device 1).
-  // Sample 2: probe denied by backoff, replica serves again. Sample 3: the
-  // admitted probe succeeds (the plan's single occurrence is spent) and
-  // revives the device. Sample 4: recovering shard serves on its primary
-  // and graduates to healthy.
-  constexpr int kSamples = 6;
-  for (int i = 0; i < kSamples; ++i) {
-    ExpectBitIdentical(group.Sample(0, frontier, 21), reference,
-                       "recovery sample " + std::to_string(i));
+  // Request 1: the kill fires, work fails over to the replica (device 1).
+  // Request 2: probe denied by backoff, replica serves again. Request 3:
+  // the admitted probe succeeds (the plan's single occurrence is spent) and
+  // starts re-admission. Request 4: the recovering shard serves on its
+  // primary and graduates to healthy.
+  constexpr int kRequests = 6;
+  for (int i = 0; i < kRequests; ++i) {
+    const serving::SampleResponse response =
+        server->Submit(DefaultRequest("GraphSAGE", frontier, 21)).get();
+    ASSERT_EQ(response.status, serving::Status::kOk) << response.error;
+    ExpectBitIdentical(response.outputs, reference, "recovery request " + std::to_string(i));
   }
-  EXPECT_EQ(group.monitor().state(0), ShardHealth::kHealthy);
-  EXPECT_FALSE(group.device(0).lost()) << "the successful probe should revive the device";
-  EXPECT_EQ(group.exchange_stats(0).samples, kSamples);
-  EXPECT_EQ(group.exchange_stats(0).failovers, 2)
-      << "exactly the kill sample and the backoff-denied sample fail over";
-  EXPECT_EQ(group.monitor().counters(0).device_lost, 1);
-  EXPECT_EQ(group.monitor().counters(0).probes_admitted, 1);
+  const HealthMonitor& monitor = *server->health_monitor();
+  EXPECT_EQ(monitor.state(0), ShardHealth::kHealthy);
+  const serving::ServerStats stats = server->stats();
+  EXPECT_EQ(stats.completed, kRequests);
+  EXPECT_EQ(stats.failovers, 2)
+      << "exactly the kill request and the backoff-denied request fail over";
+  EXPECT_EQ(monitor.counters(0).device_lost, 1);
+  EXPECT_EQ(monitor.counters(0).probes_admitted, 1);
 
-  const std::vector<HealthTransition> log = group.monitor().transitions();
+  const std::vector<HealthTransition> log = monitor.transitions();
   ASSERT_EQ(log.size(), 3u);
   EXPECT_STREQ(log[0].cause, "device-lost");
   EXPECT_STREQ(log[1].cause, "probe-success");
   EXPECT_STREQ(log[2].cause, "recovered");
+  server->Stop();
 }
 
 // ------------------------------------------------------- concurrency
 
-// TSan target (tools/check.sh ha tier): four threads hammer their own
-// shards while one shard's device is permanently dead. Failover decisions,
-// health signals, and stats accounting race here; outputs must stay
-// bit-identical throughout.
+// TSan target (tools/check.sh ha tier): four client threads hammer their
+// own shards of a 4-shard, 4-worker server while one shard's device is
+// permanently dead. Failover decisions, health signals, and stats
+// accounting race here; outputs must stay bit-identical throughout.
+// Coalescing is off, so every request is one execution and one failover.
 TEST(HaConcurrency, ConcurrentFailoverStaysBitIdentical) {
   const graph::Graph g = HaGraph();
-  const IdArray frontier = Seeds({3, 33, 133, 233});
-  const std::vector<Value> reference = ReferenceSample("GraphSAGE", g, frontier, 21);
-  const shard::ShardGroup group = MakeGroup(g, 4, /*num_replicas=*/2);
+  const graph::Partition partition = graph::Partitioner::EdgeCut(g, 4);
+  std::vector<IdArray> frontiers;
+  std::vector<std::vector<Value>> references;
+  for (int s = 0; s < 4; ++s) {
+    frontiers.push_back(OwnedSeeds(partition, s, 4));
+    references.push_back(ReferenceSample("GraphSAGE", g, frontiers.back(), 21));
+  }
+  serving::ServerOptions options = testing::ShardedOptions(4, /*num_replicas=*/2);
+  options.num_workers = 4;
+  options.enable_coalescing = false;
+  auto server = testing::StartServer(options, serving::MakeEndpoint("GraphSAGE", "small", g));
   fault::FaultScope scope(fault::FaultPlan::Parse("shard2:shard.lost:after=0", 99));
 
-  constexpr int kSamplesPerShard = 6;
-  std::vector<std::future<bool>> workers;
+  constexpr int kRequestsPerShard = 6;
+  std::vector<std::future<bool>> clients;
   for (int s = 0; s < 4; ++s) {
-    workers.push_back(std::async(std::launch::async, [&, s] {
+    clients.push_back(std::async(std::launch::async, [&, s] {
       bool identical = true;
-      for (int i = 0; i < kSamplesPerShard; ++i) {
-        const std::vector<Value> out = group.Sample(s, frontier, 21);
-        identical = identical && out.size() == reference.size();
-        for (size_t k = 0; k < out.size() && identical; ++k) {
-          identical = identical && BitIdentical(out[k], reference[k]);
+      for (int i = 0; i < kRequestsPerShard; ++i) {
+        const serving::SampleResponse response =
+            server->Submit(DefaultRequest("GraphSAGE", frontiers[s], 21)).get();
+        const std::vector<Value>& reference = references[s];
+        identical = identical && response.status == serving::Status::kOk &&
+                    response.outputs.size() == reference.size();
+        for (size_t k = 0; k < reference.size() && identical; ++k) {
+          identical = BitIdentical(response.outputs[k], reference[k]);
         }
       }
       return identical;
     }));
   }
-  for (auto& worker : workers) {
-    EXPECT_TRUE(worker.get());
+  for (auto& client : clients) {
+    EXPECT_TRUE(client.get());
   }
-  // The permanent kill means every shard-2 sample landed on its replica.
-  EXPECT_EQ(group.monitor().state(2), ShardHealth::kDead);
-  EXPECT_EQ(group.exchange_stats(2).failovers, kSamplesPerShard);
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_EQ(group.exchange_stats(s).samples, kSamplesPerShard);
-  }
+  // The permanent kill means every shard-2 request landed on its replica.
+  EXPECT_EQ(server->health_monitor()->state(2), ShardHealth::kDead);
+  const serving::ServerStats stats = server->stats();
+  EXPECT_EQ(stats.failovers, kRequestsPerShard);
+  EXPECT_EQ(stats.executions, 4 * kRequestsPerShard);
+  EXPECT_EQ(stats.per_shard_completed.at(2), 0);
+  EXPECT_EQ(stats.failed, 0);
+  server->Stop();
 }
 
 // ---------------------------------------------------- degraded serving
@@ -390,7 +402,8 @@ serving::SampleRequest MakeRequest(const IdArray& seeds, uint64_t seed,
 // r=1: killing the home shard of a request leaves nowhere to fail over,
 // so the server answers a typed partial — Status::kDegraded with the
 // coverage fraction of seeds whose home shard still lives — never an
-// error, never a crash.
+// error, never a crash. Requests homed on the surviving shard are served
+// in full, bit-identically to a single device.
 TEST(HaServing, DegradedPartialResponsesCarryCoverageFractions) {
   const graph::Graph g = HaGraph();
   serving::ServerOptions options;
@@ -422,8 +435,17 @@ TEST(HaServing, DegradedPartialResponsesCarryCoverageFractions) {
   EXPECT_DOUBLE_EQ(partial.coverage, 0.25);
   EXPECT_FALSE(partial.outputs.empty());
 
+  // All four seeds home on the live shard: a full kOk answer.
+  const IdArray live = Seeds({other[0], other[1], other[2], other[3]});
+  serving::SampleResponse full = server.Submit(DefaultRequest("GraphSAGE", live, 11)).get();
+  ASSERT_EQ(full.status, serving::Status::kOk) << full.error;
+  EXPECT_FALSE(full.degraded);
+  EXPECT_DOUBLE_EQ(full.coverage, 1.0);
+  ExpectBitIdentical(full.outputs, ReferenceSample("GraphSAGE", g, live, 11), "surviving shard");
+
   const serving::ServerStats stats = server.stats();
   EXPECT_EQ(stats.partial, 2);
+  EXPECT_EQ(stats.completed, 3);
   EXPECT_EQ(stats.failed, 0);
   ASSERT_NE(server.health_monitor(), nullptr);
   EXPECT_FALSE(server.health_monitor()->Alive(1));

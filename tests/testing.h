@@ -19,6 +19,8 @@
 #include "core/plan.h"
 #include "graph/generator.h"
 #include "graph/graph.h"
+#include "graph/partition.h"
+#include "serving/server.h"
 #include "sparse/matrix.h"
 #include "tensor/tensor.h"
 
@@ -84,6 +86,47 @@ inline std::vector<core::Value> ReferenceSample(const std::string& algorithm,
   core::SamplerSession session(std::move(plan), g, std::move(ap.tensors));
   session.Warmup(tensor::IdArray::FromVector({0, 1, 2, 3}));
   return session.SampleSeeded(frontier, seed);
+}
+
+// The first `count` nodes `partition` homes on `shard`, ascending. A request
+// for them routes to that shard (Partition::HomeShard).
+inline tensor::IdArray OwnedSeeds(const graph::Partition& partition, int shard, size_t count) {
+  std::vector<int32_t> ids;
+  for (int32_t v = 0; v < partition.graph().num_nodes() && ids.size() < count; ++v) {
+    if (partition.OwnerOf(v) == shard) {
+      ids.push_back(v);
+    }
+  }
+  return tensor::IdArray::FromVector(ids);
+}
+
+// One worker, so requests execute one at a time in submission order.
+inline serving::ServerOptions ShardedOptions(int num_shards, int num_replicas = 1) {
+  serving::ServerOptions options;
+  options.num_workers = 1;
+  options.num_shards = num_shards;
+  options.num_replicas = num_replicas;
+  return options;
+}
+
+inline std::unique_ptr<serving::Server> StartServer(const serving::ServerOptions& options,
+                                                    serving::Endpoint endpoint) {
+  auto server = std::make_unique<serving::Server>(options);
+  server->RegisterEndpoint(std::move(endpoint));
+  server->Start();
+  return server;
+}
+
+// A request on dataset "small" at the algorithm's default fanouts, so its
+// response is bit-identical to ReferenceSample of the same seeds and seed.
+inline serving::SampleRequest DefaultRequest(const std::string& algorithm,
+                                             const tensor::IdArray& seeds, uint64_t seed) {
+  serving::SampleRequest request;
+  request.algorithm = algorithm;
+  request.dataset = "small";
+  request.seeds = seeds;
+  request.seed = seed;
+  return request;
 }
 
 // Chi-square upper-tail test helper: returns the statistic for observed

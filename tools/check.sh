@@ -31,9 +31,10 @@
 #   oracle     optimized-vs-reference checks for every algorithm plus the
 #              primitive distribution tests, then a 200-draw pass fuzz.
 #   shard      partitioner goldens, the sharded-vs-single bit-identity
-#              oracle, sharded serving; ShardGroup's four threads on four
-#              shard devices under TSan; fuzz differencing 2-shard sampling
-#              against single-device.
+#              oracle through the sharded server, exchange accounting, the
+#              shard-sweep smoke; four clients on a 4-shard server under
+#              TSan; fuzz differencing 2-shard serving against
+#              single-device.
 #   feature    hot-set cache semantics and the gather bit-identity oracle
 #              across algorithms, shards and coalesced serving; concurrent
 #              tenants sharing one cache under TSan; fuzz differencing cached
@@ -41,7 +42,8 @@
 #   ha         failover bit-identity, degraded coverage, health
 #              state-machine goldens, recovery re-admission; concurrent
 #              failover under TSan; fuzz with one drawn shard permanently
-#              dead and 2 replicas, still bit-identical to a single device.
+#              dead and 2 replicas, still bit-identical to a single device
+#              and failing over once per batch homed on the dead shard.
 #   dynamic    versioned snapshots, plan judgment + background replanning,
 #              the snapshot-equivalence oracle, the live-server mutation
 #              soak; the ingest thread racing serving workers and the
@@ -73,7 +75,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 TIERS=(
   "--fast|fast|all|-|-|-"
   "oracle|oracle|test_oracle fuzz_passes|-|-|--seeds 200"
-  "shard|shard|test_partition test_shard fuzz_passes|test_shard|-|--seeds 100 --shards 2"
+  "shard|shard|test_partition test_shard fuzz_passes serving_throughput|test_shard|-|--seeds 100 --shards 2"
   "feature|feature|test_feature fuzz_passes|test_feature|-|--seeds 100 --features"
   "ha|ha|test_ha fuzz_passes|test_ha|-|--seeds 60 --shards 2 --kill-shard"
   "dynamic|dynamic|test_dyn fuzz_passes gsampler_cli|test_dyn|-|--seeds 100 --mutate"

@@ -10,7 +10,7 @@
 //
 // Each dimension (kDimensions, in draw order) adds a differential with the
 // same contract — the tier changes where work runs, never what is sampled:
-//   --shards N    N-way ShardGroup vs a single-device session
+//   --shards N    an N-way sharded serving::Server vs a single-device session
 //   --features    hot-set-cache feature gathers vs an eager lookup
 //   --kill-shard  the shard differential with one shard dead and 2 replicas
 //                 (needs --shards N with N >= 2)
@@ -45,6 +45,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,7 +66,7 @@
 #include "graph/store.h"
 #include "jit/jit.h"
 #include "oracle/oracle.h"
-#include "shard/shard.h"
+#include "serving/server.h"
 #include "tensor/tensor.h"
 
 namespace {
@@ -227,14 +228,15 @@ struct Verdict {
 };
 
 // Samples num_batches drawn frontiers (batch b under seed c.seed + b *
-// stride) through `reference` and through `got(b, frontier, seed)`, and
-// requires bit-identical outputs.
-template <typename Got>
+// stride, its frontier passed through `pin(b, frontier)`) through
+// `reference` and through `got(b, frontier, seed)`, and requires
+// bit-identical outputs.
+template <typename Pin, typename Got>
 Verdict CompareBatches(const FuzzConfig& c, uint64_t salt, uint64_t stride,
-                       SamplerSession& reference, Got got, std::string ok) {
+                       SamplerSession& reference, Pin pin, Got got, std::string ok) {
   Rng rng = Rng(c.seed ^ salt);
   for (int b = 0; b < c.num_batches; ++b) {
-    const IdArray frontier = DrawFrontier(c, rng);
+    const IdArray frontier = pin(b, DrawFrontier(c, rng));
     const uint64_t seed = c.seed + static_cast<uint64_t>(b) * stride;
     const std::vector<Value> want = reference.SampleSeeded(frontier, seed);
     const std::vector<Value> have = got(b, frontier, seed);
@@ -267,18 +269,22 @@ gs::oracle::OracleReport RunConfig(const FuzzConfig& c) {
   return gs::oracle::VerifyConfig(c.algo, fx.g, ToSamplerOptions(c), opts);
 }
 
-// Sharded-vs-single differential (--shards N): every batch sampled through
-// an N-way ShardGroup must be bit-identical to a single-device session over
-// the same plan, frontier, and seed; batch b runs on shard b mod N so every
-// shard gets checked. Model-updating algorithms are skipped (SampleSeeded is
-// pure, but their contract is defined over the stateful epoch path the group
-// does not run), as is HetGNN (its extra relation bindings have no
-// ShardGroup hook).
+// Sharded-vs-single differential (--shards N): every batch served by an
+// N-way sharded serving::Server with one worker (so batches execute one at
+// a time, in order) must be bit-identical to a single-device session over
+// the same plan options, frontier, and seed. Batch b is pinned to shard
+// b mod N — each drawn id maps onto a node that shard homes, so the request
+// routes there — and every shard gets checked. Model-updating algorithms
+// are skipped (SampleSeeded is pure, but their contract is defined over the
+// stateful epoch path serving does not run), as is HetGNN (its extra
+// relation bindings have no endpoint hook).
 //
 // Under --kill-shard one shard is permanently lost from the first placement
-// probe (a seeded shard.lost FaultPlan with after=0) and the group runs 2
+// probe (a seeded shard.lost FaultPlan with after=0) and the server runs 2
 // replicas: failover changes which device executes, never what is sampled.
-// The reference session probes with no shard context, so the shard-qualified
+// Every response must be kOk (anything else throws, which is a divergence)
+// and every batch pinned to the dead shard must fail over exactly once. The
+// reference session probes with no shard context, so the shard-qualified
 // plan cannot touch it.
 Verdict ShardCheck(const FuzzConfig& c, Fixture& fx) {
   gs::algorithms::AlgorithmProgram ref = gs::algorithms::MakeAlgorithm(c.algo, fx.g);
@@ -292,25 +298,64 @@ Verdict ShardCheck(const FuzzConfig& c, Fixture& fx) {
       std::move(ref.tensors));
   session.Warmup(IdArray::FromVector({0, 1, 2, 3}));
 
-  gs::algorithms::AlgorithmProgram ap = gs::algorithms::MakeAlgorithm(c.algo, fx.g);
-  gs::shard::ShardGroupOptions shard_opts;
-  shard_opts.num_shards = c.shards;
-  shard_opts.partition = c.cut == "vertex" ? gs::graph::PartitionKind::kVertexCut
-                                           : gs::graph::PartitionKind::kEdgeCut;
-  shard_opts.profile = fx.device.profile();
-  shard_opts.sampler = opts;
-  shard_opts.num_replicas = std::min(std::max(c.replicas, 1), c.shards);
-  const gs::shard::ShardGroup group(fx.g, std::move(ap.program), std::move(ap.tensors),
-                                    shard_opts);
+  gs::serving::ServerOptions server_opts;
+  server_opts.num_workers = 1;
+  server_opts.num_shards = c.shards;
+  server_opts.partition_kind = c.cut == "vertex" ? gs::graph::PartitionKind::kVertexCut
+                                                 : gs::graph::PartitionKind::kEdgeCut;
+  server_opts.num_replicas = std::min(std::max(c.replicas, 1), c.shards);
+  gs::serving::Server server(server_opts);
+  server.RegisterEndpoint(gs::serving::MakeEndpoint(c.algo, "fuzz", fx.g, opts));
+  server.Start();
+  // The server partitions the same graph the same way, so these are the
+  // nodes each shard homes.
+  const gs::graph::Partition partition = gs::graph::Partitioner::Build(
+      fx.g, server_opts.partition_kind, c.shards, server_opts.num_replicas);
+  std::vector<std::vector<int32_t>> homed(static_cast<size_t>(c.shards));
+  for (int32_t v = 0; v < fx.g.num_nodes(); ++v) {
+    homed[static_cast<size_t>(partition.OwnerOf(v))].push_back(v);
+  }
+  const bool kill = c.kill >= 0 && c.kill < c.shards;
   std::unique_ptr<gs::fault::FaultScope> kill_scope;
-  if (c.kill >= 0 && c.kill < c.shards) {
+  if (kill) {
     kill_scope = std::make_unique<gs::fault::FaultScope>(gs::fault::FaultPlan::Parse(
         "shard" + std::to_string(c.kill) + ":shard.lost:after=0", c.seed));
   }
-  return CompareBatches(
+  int64_t killed_batches = 0;
+  const Verdict verdict = CompareBatches(
       c, 0x5A4D5A4DULL, 1315423911ULL, session,
-      [&](int b, const IdArray& f, uint64_t seed) { return group.Sample(b % c.shards, f, seed); },
+      [&](int b, const IdArray& drawn) {
+        const std::vector<int32_t>& pool = homed[static_cast<size_t>(b % c.shards)];
+        std::vector<int32_t> ids = drawn.ToVector();
+        for (int32_t& id : ids) {
+          id = pool.empty() ? id : pool[static_cast<size_t>(id) % pool.size()];
+        }
+        const IdArray pinned = IdArray::FromVector(ids);
+        killed_batches += partition.HomeShard(pinned.data(), pinned.size()) == c.kill ? 1 : 0;
+        return pinned;
+      },
+      [&](int b, const IdArray& f, uint64_t seed) {
+        gs::serving::SampleRequest request;
+        request.algorithm = c.algo;
+        request.dataset = "fuzz";
+        request.seeds = f;
+        request.seed = seed;
+        gs::serving::SampleResponse response = server.Submit(std::move(request)).get();
+        if (response.status != gs::serving::Status::kOk) {
+          throw std::runtime_error("batch " + std::to_string(b) + " answered " +
+                                   gs::serving::StatusName(response.status) + ": " +
+                                   response.error);
+        }
+        return std::move(response.outputs);
+      },
       std::to_string(c.shards) + "-shard " + c.cut + "-cut bit-identical");
+  const int64_t failovers = server.stats().failovers;
+  if (verdict.kind == Verdict::kOk && kill && failovers != killed_batches) {
+    return {Verdict::kDiverged, c.algo + ": " + std::to_string(failovers) + " failovers for " +
+                                    std::to_string(killed_batches) + " batches on dead shard " +
+                                    std::to_string(c.kill)};
+  }
+  return verdict;
 }
 
 // Feature-gather determinism differential (--features): two fresh hot-set
@@ -433,7 +478,7 @@ Verdict JitCheck(const FuzzConfig& c, Fixture& fx) {
   }
   jitted.SetJitTable(table);
   return CompareBatches(
-      c, 0x317317ULL, 2654435761ULL, interp,
+      c, 0x317317ULL, 2654435761ULL, interp, [](int, IdArray f) { return f; },
       [&](int, const IdArray& f, uint64_t seed) { return jitted.SampleSeeded(f, seed); },
       "native kernels bit-identical");
 }
