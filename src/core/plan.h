@@ -36,9 +36,10 @@ namespace gs::core {
 // (gs::dyn). Layout calibration measures format/compaction costs against the
 // live degree distribution, so its decisions stay near-optimal only while
 // that distribution holds. Calibrate() binds the observed distribution here;
-// as mutation epochs land, dyn::PlanTable re-checks the predicate and a plan
-// that drifted past the bounds is recompiled in the background while the
-// stale-but-valid artifact keeps serving. Unbound validity (layout selection
+// as mutation epochs land, serving re-checks the predicate of the plan
+// resident in its PlanCache, and a plan that drifted past the bounds is
+// recompiled in the background while the stale-but-valid artifact keeps
+// serving. Unbound validity (layout selection
 // disabled, or a legacy artifact without the trailer) is always valid.
 struct PlanValidity {
   bool bound = false;

@@ -8,7 +8,7 @@
 // key, snapshot); re-enqueueing a key that is already queued just advances
 // its snapshot to the newest epoch (compiling against a superseded epoch
 // would be wasted work). The owner supplies the CompileFn — serving's closes
-// over its endpoint registry, plan table, and session cache.
+// over its endpoint registry and plan cache.
 //
 // Stop() drains nothing (shutdown is immediate after the in-flight job);
 // Drain() blocks until the queue is empty and the worker is idle — the

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -126,63 +125,57 @@ PlanCache::~PlanCache() {
   }
 }
 
+std::shared_ptr<core::SamplerSession> PlanCache::Find(
+    const PlanKey& key, std::shared_ptr<core::CompiledPlan>* resident) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(key.CompileKey());
+  if (it == entries_.end()) {
+    return nullptr;
+  }
+  if (it->second.canonical != key.Canonical()) {
+    if (resident != nullptr) {
+      *resident = it->second.plan;
+    }
+    return nullptr;
+  }
+  it->second.last_used = ++tick_;
+  ++stats_.hits;
+  return it->second.session;
+}
+
 std::shared_ptr<core::SamplerSession> PlanCache::GetOrBuild(const PlanKey& key,
                                                             const Factory& factory, bool* hit,
                                                             int64_t* compile_ns) {
-  const std::string canonical = key.Canonical();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(canonical);
-    if (it != entries_.end()) {
-      it->second.last_used = ++tick_;
-      ++stats_.hits;
-      if (hit != nullptr) {
-        *hit = true;
-      }
-      if (compile_ns != nullptr) {
-        *compile_ns = 0;
-      }
-      return it->second.session;
-    }
-  }
-
-  // Build outside the table mutex (lookups stay fast) but under the build
-  // mutex (construction touches shared lazily-cached graph structures).
-  std::lock_guard<std::mutex> build_lock(build_mutex_);
-  {
+  std::shared_ptr<core::SamplerSession> session = Find(key, nullptr);
+  bool built = false;
+  int64_t elapsed = 0;
+  if (session == nullptr) {
+    // Build outside the table mutex (lookups stay fast) but under the build
+    // mutex (construction touches shared lazily-cached graph structures).
+    std::lock_guard<std::mutex> build_lock(build_mutex_);
+    std::shared_ptr<core::CompiledPlan> resident;
     // Another thread may have built this plan while we waited.
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(canonical);
-    if (it != entries_.end()) {
-      it->second.last_used = ++tick_;
-      ++stats_.hits;
-      if (hit != nullptr) {
-        *hit = true;
+    session = Find(key, &resident);
+    if (session == nullptr) {
+      Timer timer;
+      session = factory(std::move(resident));
+      const std::string canonical = key.Canonical();
+      GS_CHECK(session != nullptr) << "plan factory returned null for " << canonical;
+      GS_CHECK(session->warmed_up()) << "plan factory must Warmup() the session: " << canonical;
+      elapsed = timer.ElapsedNanos();
+      built = true;
+      Dropped dropped;
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++stats_.misses;
+        PublishLocked(key, session, /*adopt_plan=*/false, dropped);
       }
-      if (compile_ns != nullptr) {
-        *compile_ns = 0;
-      }
-      return it->second.session;
+      GS_LOG(Debug) << "plan cache: built " << canonical << " in " << elapsed / 1000000
+                    << " ms";
     }
   }
-
-  Timer timer;
-  std::shared_ptr<core::SamplerSession> session = factory();
-  GS_CHECK(session != nullptr) << "plan factory returned null for " << canonical;
-  GS_CHECK(session->warmed_up()) << "plan factory must Warmup() the session: " << canonical;
-  const int64_t elapsed = timer.ElapsedNanos();
-
-  Entry entry;
-  entry.session = session;
-  entry.resident_bytes = session->ResidentBytes();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.misses;
-    InsertLocked(canonical, std::move(entry));
-  }
-  GS_LOG(Debug) << "plan cache: built " << canonical << " in " << elapsed / 1000000 << " ms";
   if (hit != nullptr) {
-    *hit = false;
+    *hit = !built;
   }
   if (compile_ns != nullptr) {
     *compile_ns = elapsed;
@@ -193,33 +186,42 @@ std::shared_ptr<core::SamplerSession> PlanCache::GetOrBuild(const PlanKey& key,
 void PlanCache::Insert(const PlanKey& key, std::shared_ptr<core::SamplerSession> session) {
   GS_CHECK(session != nullptr);
   GS_CHECK(session->warmed_up()) << "Insert requires a warmed-up session";
-  Entry entry;
-  entry.resident_bytes = session->ResidentBytes();
-  entry.session = std::move(session);
-  const std::string canonical = key.Canonical();
+  Dropped dropped;
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(canonical);
-  if (it != entries_.end()) {
-    // Replace: retire the old entry's accounting first.
-    stats_.resident_bytes -= it->second.resident_bytes;
-    stats_.entries -= 1;
-    if (allocator_ != nullptr) {
-      allocator_->AdjustReserved(-it->second.resident_bytes);
-    }
-    entries_.erase(it);
-  }
-  InsertLocked(canonical, std::move(entry));
+  PublishLocked(key, std::move(session), /*adopt_plan=*/true, dropped);
 }
 
-void PlanCache::InsertLocked(const std::string& canonical, Entry entry) {
-  entry.last_used = ++tick_;
-  stats_.resident_bytes += entry.resident_bytes;
-  stats_.entries += 1;
-  if (allocator_ != nullptr) {
-    allocator_->AdjustReserved(entry.resident_bytes);
+void PlanCache::PublishLocked(const PlanKey& key, std::shared_ptr<core::SamplerSession> session,
+                              bool adopt_plan, Dropped& dropped) {
+  const std::string compile = key.CompileKey();
+  auto it = entries_.find(compile);
+  if (it != entries_.end() && key.graph_epoch < it->second.epoch) {
+    if (adopt_plan) {
+      it->second.plan = session->plan_ptr();
+    }
+    dropped.push_back(std::move(session));
+    return;
   }
-  entries_.emplace(canonical, std::move(entry));
-  EvictOverBudgetLocked(canonical);
+  if (it == entries_.end()) {
+    it = entries_.emplace(compile, Entry{}).first;
+    stats_.entries += 1;
+  }
+  Entry& entry = it->second;
+  const int64_t bytes = session->ResidentBytes();
+  stats_.resident_bytes += bytes - entry.resident_bytes;
+  if (allocator_ != nullptr) {
+    allocator_->AdjustReserved(bytes - entry.resident_bytes);
+  }
+  if (entry.session != nullptr) {
+    dropped.push_back(std::move(entry.session));
+  }
+  entry.canonical = key.Canonical();
+  entry.epoch = key.graph_epoch;
+  entry.plan = session->plan_ptr();
+  entry.session = std::move(session);
+  entry.resident_bytes = bytes;
+  entry.last_used = ++tick_;
+  EvictOverBudgetLocked(compile, dropped);
 }
 
 int64_t PlanCache::SaveAll(const std::string& dir) {
@@ -229,8 +231,8 @@ int64_t PlanCache::SaveAll(const std::string& dir) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     snapshot.reserve(entries_.size());
-    for (const auto& [canonical, entry] : entries_) {
-      snapshot.emplace_back(canonical, entry.session->plan_ptr());
+    for (const auto& [compile, entry] : entries_) {
+      snapshot.emplace_back(entry.canonical, entry.session->plan_ptr());
     }
   }
   std::filesystem::create_directories(dir);
@@ -284,14 +286,14 @@ int64_t PlanCache::LoadFrom(const std::string& dir, const Activator& activate) {
     }
     const std::string digest = line.substr(0, space);
     const std::string canonical = line.substr(space + 1);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (entries_.find(canonical) != entries_.end()) {
-        continue;  // already resident
-      }
-    }
     try {
       const PlanKey key = PlanKey::Parse(canonical);
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (entries_.find(key.CompileKey()) != entries_.end()) {
+          continue;  // already resident
+        }
+      }
       std::shared_ptr<core::CompiledPlan> plan =
           core::LoadPlanFile(dir + "/" + digest + ".plan");
       std::shared_ptr<core::SamplerSession> session = activate(key, std::move(plan));
@@ -299,11 +301,9 @@ int64_t PlanCache::LoadFrom(const std::string& dir, const Activator& activate) {
         continue;  // activator declined (unknown endpoint / wrong device)
       }
       GS_CHECK(session->warmed_up()) << "activator must Warmup() the session: " << canonical;
-      Entry entry;
-      entry.resident_bytes = session->ResidentBytes();
-      entry.session = std::move(session);
+      Dropped dropped;
       std::lock_guard<std::mutex> lock(mutex_);
-      InsertLocked(canonical, std::move(entry));
+      PublishLocked(key, std::move(session), /*adopt_plan=*/false, dropped);
       ++stats_.plans_loaded;
       ++loaded;
     } catch (const std::exception& e) {
@@ -318,30 +318,27 @@ int64_t PlanCache::LoadFrom(const std::string& dir, const Activator& activate) {
   return loaded;
 }
 
-void PlanCache::EvictOverBudgetLocked(const std::string& keep_key) {
+void PlanCache::EvictOverBudgetLocked(const std::string& keep_key, Dropped& dropped) {
   while (stats_.resident_bytes > budget_bytes_ && entries_.size() > 1) {
-    if (EvictOneLocked(keep_key) < 0) {
+    if (EvictOneLocked(keep_key, dropped) < 0) {
       break;
     }
   }
 }
 
-int64_t PlanCache::EvictOneLocked(const std::string& keep_key) {
+int64_t PlanCache::EvictOneLocked(const std::string& keep_key, Dropped& dropped) {
   auto victim = entries_.end();
-  uint64_t oldest = std::numeric_limits<uint64_t>::max();
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (!keep_key.empty() && it->first == keep_key) {
-      continue;  // never evict the plan the caller is about to use
-    }
-    if (it->second.last_used < oldest) {
-      oldest = it->second.last_used;
+    // Never evict the plan the caller is about to use.
+    if (it->first != keep_key &&
+        (victim == entries_.end() || it->second.last_used < victim->second.last_used)) {
       victim = it;
     }
   }
   if (victim == entries_.end()) {
     return -1;
   }
-  GS_LOG(Debug) << "plan cache: evicting " << victim->first << " ("
+  GS_LOG(Debug) << "plan cache: evicting " << victim->second.canonical << " ("
                 << victim->second.resident_bytes << " bytes)";
   const int64_t released = victim->second.resident_bytes;
   stats_.resident_bytes -= released;
@@ -352,37 +349,23 @@ int64_t PlanCache::EvictOneLocked(const std::string& keep_key) {
   }
   // In-flight executions holding the shared_ptr keep the session alive; the
   // memory returns to the allocator pool when the last user drops it.
+  dropped.push_back(std::move(victim->second.session));
   entries_.erase(victim);
   return released;
 }
 
 int64_t PlanCache::ReleaseMemory(int64_t bytes_needed) {
-  // Dropped shared_ptrs (and their freed tensors) must not run under mutex_
-  // out of caution? They may: session destruction calls allocator Free, and
-  // the global lock order is handlers_mutex_ -> plan-cache mutex_ ->
-  // allocator mutex_, so holding mutex_ across the erase is safe. Still,
-  // collect the victims' sessions and release them after unlocking so the
-  // (potentially expensive) teardown does not serialize cache lookups.
-  std::vector<std::shared_ptr<core::SamplerSession>> dropped;
+  // Session teardown frees device memory, which the global lock order
+  // (handlers_mutex_ -> plan-cache mutex_ -> allocator mutex_) would allow
+  // under mutex_; the victims are still released after unlocking so their
+  // teardown does not serialize cache lookups.
+  Dropped dropped;
   int64_t released = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.pressure_releases;
-    while (released < bytes_needed && !entries_.empty()) {
-      // Peek the victim so its session can be kept alive past the erase.
-      auto victim = entries_.end();
-      uint64_t oldest = std::numeric_limits<uint64_t>::max();
-      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->second.last_used < oldest) {
-          oldest = it->second.last_used;
-          victim = it;
-        }
-      }
-      if (victim == entries_.end()) {
-        break;
-      }
-      dropped.push_back(victim->second.session);
-      const int64_t freed = EvictOneLocked("");
+    while (released < bytes_needed) {
+      const int64_t freed = EvictOneLocked("", dropped);
       if (freed < 0) {
         break;
       }

@@ -5,9 +5,17 @@
 // batch-invariant values pre-computed, layouts calibrated, and Warmup()
 // executed so the session is safe for concurrent const sampling. Building
 // one is the expensive part of serving a cold request (trace + pass
-// pipeline + calibration executions), so entries are cached keyed by
-// everything that affects the compiled artifact: algorithm, dataset, device
-// profile, pass configuration, and effective fanouts.
+// pipeline + calibration executions), so entries are cached, one per
+// compile key: everything that affects the compiled artifact (algorithm,
+// dataset, device profile, pass configuration, effective fanouts, shard).
+//
+// For dynamic graphs (gs::dyn) the cache is the one store of compiled plans
+// across mutation epochs: an entry holds the newest epoch's warmed session
+// and the newest compiled plan. A request at another epoch misses, and the factory
+// receives that resident plan: the server rebuilds a session over it while
+// its validity predicate holds (no passes, no calibration), and the new
+// session replaces the entry. So the cache pins at most one graph snapshot
+// per compile key, never one per epoch served.
 //
 // Because the plan half is serializable, the cache can persist its plans to
 // a directory (SaveAll) and warm-start from one (LoadFrom): loaded plans
@@ -53,8 +61,8 @@ struct PlanKey {
   // Dynamic graphs (gs::dyn): the snapshot the request resolved at
   // admission. Only endpoints backed by a graph::GraphStore set `dynamic`,
   // which appends a `|g<epoch>:<digest>` canonical component — every epoch
-  // is a distinct session key (coalescing never crosses epochs), while
-  // static endpoints' canonical forms, and every previously persisted plan
+  // is a distinct session (coalescing never crosses epochs), while static
+  // endpoints' canonical forms, and every previously persisted plan
   // artifact, are byte-for-byte unchanged.
   bool dynamic = false;
   uint64_t graph_epoch = 0;
@@ -62,7 +70,7 @@ struct PlanKey {
 
   std::string Canonical() const;
   // The canonical form WITHOUT the graph-version component: the epoch-
-  // independent compile identity (dyn::PlanTable's key). Equal to
+  // independent compile identity (the PlanCache's entry key). Equal to
   // Canonical() for static keys.
   std::string CompileKey() const;
   // Inverse of Canonical() (persisted plan-index lines). Throws gs::Error on
@@ -83,7 +91,7 @@ struct PlanCacheStats {
   int64_t misses = 0;
   int64_t evictions = 0;
   int64_t resident_bytes = 0;
-  int64_t entries = 0;
+  int64_t entries = 0;  // compile keys with a resident session
   // Times the allocator's OOM ladder asked this cache to shrink.
   int64_t pressure_releases = 0;
   // Persisted-plan traffic (SaveAll / LoadFrom). Loads count as neither hits
@@ -102,23 +110,31 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  using Factory = std::function<std::shared_ptr<core::SamplerSession>()>;
+  // Builds the warmed session for a missed key. `resident` is the entry's
+  // compiled plan — the newest one for the key's compile identity, possibly
+  // calibrated against another epoch — or null on a cold miss.
+  using Factory = std::function<std::shared_ptr<core::SamplerSession>(
+      std::shared_ptr<core::CompiledPlan> resident)>;
 
-  // Returns the session for `key`, building it with `factory` on a miss.
-  // Builds are serialized under one mutex: plan construction and warmup
-  // materialize lazily cached structures on *shared* objects (the base
-  // graph's format caches), which concurrent builds would race on. Lookups
-  // of already-built plans only briefly take the table mutex.
+  // Returns the session for `key`: the entry's when it was built for the
+  // key's graph epoch (a hit), else one `factory` builds. A built session
+  // replaces the entry, unless the entry already serves a newer epoch (a
+  // request pinned to an older snapshot): that session is returned
+  // uncached. Builds are serialized under one mutex: plan construction and
+  // warmup materialize lazily cached structures on *shared* objects (the
+  // base graph's format caches), which concurrent builds would race on.
+  // Lookups of already-built plans only briefly take the table mutex.
   // `compile_ns` (optional) receives the build wall time (0 on a hit);
   // `hit` (optional) receives whether the plan was already resident.
   std::shared_ptr<core::SamplerSession> GetOrBuild(const PlanKey& key, const Factory& factory,
                                                    bool* hit = nullptr,
                                                    int64_t* compile_ns = nullptr);
 
-  // Inserts (or replaces) a ready session for `key`. Used by the background
-  // replanner (gs::dyn) to publish a freshly recompiled session so the next
-  // request at that epoch hits instead of rebuilding; counts as neither hit
-  // nor miss.
+  // Publishes a ready session for `key` (the background replanner's hook);
+  // counts as neither hit nor miss. It replaces the entry as a build does,
+  // except that an entry already serving a newer epoch keeps its session
+  // and adopts only this session's plan — a recompile that lands after its
+  // epoch moved on still becomes the plan the next epoch is judged against.
   void Insert(const PlanKey& key, std::shared_ptr<core::SamplerSession> session);
 
   // Persists every resident entry's CompiledPlan into `dir` (created if
@@ -128,10 +144,11 @@ class PlanCache {
   int64_t SaveAll(const std::string& dir);
 
   // Warm-starts from a directory written by SaveAll. For every index entry
-  // whose key is not already resident, loads the plan artifact and calls
-  // `activate` to turn it into a warmed-up session (re-binding tensors and
-  // running Warmup); `activate` may return null to skip a plan this server
-  // cannot serve (unknown endpoint, different device, stale pass config).
+  // whose compile key is not already resident, loads the plan artifact and
+  // calls `activate` to turn it into a warmed-up session (re-binding tensors
+  // and running Warmup); `activate` may return null to skip a plan this
+  // server cannot serve (unknown endpoint, different device, stale pass
+  // config).
   // Unreadable or corrupt artifacts are skipped with a warning. Returns the
   // number of sessions activated.
   using Activator = std::function<std::shared_ptr<core::SamplerSession>(
@@ -148,23 +165,38 @@ class PlanCache {
 
  private:
   struct Entry {
+    std::string canonical;  // the session's PlanKey::Canonical()
+    uint64_t epoch = 0;     // the session's graph epoch
     std::shared_ptr<core::SamplerSession> session;
+    std::shared_ptr<core::CompiledPlan> plan;  // the newest compiled plan
     int64_t resident_bytes = 0;
     uint64_t last_used = 0;  // LRU tick
   };
+  // Sessions taken out of the table under mutex_. Callers release them
+  // after unlocking, so a teardown (which may free the last reference to a
+  // graph snapshot) never serializes lookups.
+  using Dropped = std::vector<std::shared_ptr<core::SamplerSession>>;
 
-  void InsertLocked(const std::string& canonical, Entry entry);
-  void EvictOverBudgetLocked(const std::string& keep_key);
-  // Evicts the LRU entry (skipping `keep_key` when non-empty); returns its
-  // resident bytes, or -1 when nothing evictable remains.
-  int64_t EvictOneLocked(const std::string& keep_key);
+  // The entry's session when it was built for `key`'s epoch (counted as a
+  // hit); otherwise null, with `resident` (optional) set to the entry's plan.
+  std::shared_ptr<core::SamplerSession> Find(const PlanKey& key,
+                                             std::shared_ptr<core::CompiledPlan>* resident);
+  // Makes `session`, built for `key`, its compile key's entry. An entry that
+  // serves a newer epoch keeps its session; with `adopt_plan` it still takes
+  // the session's plan.
+  void PublishLocked(const PlanKey& key, std::shared_ptr<core::SamplerSession> session,
+                     bool adopt_plan, Dropped& dropped);
+  void EvictOverBudgetLocked(const std::string& keep_key, Dropped& dropped);
+  // Evicts the LRU entry other than `keep_key`; returns its resident bytes,
+  // or -1 when nothing evictable remains.
+  int64_t EvictOneLocked(const std::string& keep_key, Dropped& dropped);
 
   const int64_t budget_bytes_;
   device::CachingAllocator* allocator_;
   int64_t pressure_handler_id_ = 0;  // 0 = not registered
   mutable std::mutex mutex_;        // guards table + stats
   std::mutex build_mutex_;          // serializes plan construction
-  std::map<std::string, Entry> entries_;
+  std::map<std::string, Entry> entries_;  // compile key -> entry
   PlanCacheStats stats_;
   uint64_t tick_ = 0;
 };

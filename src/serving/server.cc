@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 #include <iterator>
-#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -180,7 +179,6 @@ Server::Server(ServerOptions options) : options_(options) {
   GS_CHECK_GE(options_.num_replicas, 1);
   GS_CHECK_LE(options_.num_replicas, options_.num_shards)
       << "more replicas than shard devices";
-  shard_latency_.resize(static_cast<size_t>(std::max(1, options_.num_shards)));
 }
 
 Server::~Server() { Stop(); }
@@ -653,43 +651,50 @@ std::shared_ptr<core::SamplerSession> Server::OpenSession(
   return session;
 }
 
+// Runs `fn` with shard `device`'s device and fault scope installed (as is
+// when unsharded).
+template <typename Fn>
+auto Server::OnDevice(int device, Fn&& fn) -> decltype(fn()) {
+  if (shard_devices_.empty()) {
+    return fn();
+  }
+  device::ThreadDeviceGuard device_guard(*shard_devices_[static_cast<size_t>(device)]);
+  fault::ShardScope fault_scope(device);
+  return fn();
+}
+
 std::shared_ptr<core::SamplerSession> Server::BuildPlan(
     const Endpoint& endpoint, const PlanKey& key,
-    const std::shared_ptr<const graph::Snapshot>& snapshot) {
-  if (snapshot == nullptr) {
-    return OpenSession(endpoint, key.fanouts, nullptr);
+    const std::shared_ptr<const graph::Snapshot>& snapshot,
+    std::shared_ptr<core::CompiledPlan> resident) {
+  if (resident == nullptr) {
+    // Cold start: the full compile runs here on the serving path.
+    if (snapshot != nullptr) {
+      Count(&ServerStats::recompiles_inline);
+    }
+    return OpenSession(endpoint, key.fanouts, snapshot);
   }
-
-  // Dynamic endpoint: consult the epoch-independent compile table before
-  // paying for passes + calibration.
-  const std::string compile_key = key.CompileKey();
-  dyn::PlanTable::Entry entry;
+  // Dynamic endpoint at a new epoch: judge the resident plan against the
+  // snapshot's degree distribution before paying for passes + calibration.
   std::string why;
-  const dyn::PlanJudgment judgment = plan_table_.Judge(compile_key, *snapshot, &entry, &why);
-  if (judgment == dyn::PlanJudgment::kMiss ||
-      (judgment == dyn::PlanJudgment::kDrifted && replanner_ == nullptr)) {
-    // Cold start, or drift with background recompilation disabled: the full
-    // compile runs here on the serving path.
-    std::shared_ptr<core::SamplerSession> session = OpenSession(endpoint, key.fanouts, snapshot);
-    plan_table_.Publish(compile_key, session->plan_ptr(), *snapshot);
+  if (resident->validity().CheckAgainst(snapshot->degree_stats(), &why)) {
+    Count(&ServerStats::plan_reuses);
+  } else if (replanner_ == nullptr) {
+    // Drift with background recompilation disabled: compile inline.
     Count(&ServerStats::recompiles_inline);
-    return session;
-  }
-
-  // Cheap path: rebuild a session over the resident frozen plan. A drifted
-  // plan still serves correct results (layout decisions affect cost, never
-  // values) while the replanner recompiles off the serving path.
-  std::shared_ptr<core::SamplerSession> session =
-      OpenSession(endpoint, key.fanouts, snapshot, entry.plan);
-  if (judgment == dyn::PlanJudgment::kDrifted) {
+    return OpenSession(endpoint, key.fanouts, snapshot);
+  } else {
+    // A drifted plan still serves correct results (layout decisions affect
+    // cost, never values) while the replanner recompiles off the serving
+    // path.
+    const std::string compile_key = key.CompileKey();
     GS_LOG(Info) << "serving: plan " << compile_key << " drifted past validity (" << why
                  << "); serving stale, recompiling in the background";
     replanner_->Enqueue(compile_key, snapshot);
     Count(&ServerStats::stale_plans_served);
-  } else {
-    Count(&ServerStats::plan_reuses);
   }
-  return session;
+  // Cheap path: rebuild a session over the resident frozen plan.
+  return OpenSession(endpoint, key.fanouts, snapshot, std::move(resident));
 }
 
 void Server::CompileForSnapshot(const std::string& compile_key,
@@ -699,18 +704,13 @@ void Server::CompileForSnapshot(const std::string& compile_key,
   if (endpoint == nullptr || endpoint->store == nullptr) {
     return;  // endpoint vanished (shutdown race); nothing to publish
   }
-  std::optional<device::ThreadDeviceGuard> shard_guard;
-  if (options_.num_shards > 1 && key.shard < static_cast<int>(shard_devices_.size())) {
-    shard_guard.emplace(*shard_devices_[static_cast<size_t>(key.shard)]);
-  }
-  std::shared_ptr<core::SamplerSession> session = OpenSession(*endpoint, key.fanouts, snapshot);
-  plan_table_.Publish(compile_key, session->plan_ptr(), *snapshot);
-  // Publish the warmed session at its epoch so the next request there hits
-  // the cache instead of rebuilding.
+  // Published at its epoch: the next request there hits, and later epochs
+  // are judged against the fresh plan.
   key.dynamic = true;
   key.graph_epoch = snapshot->epoch();
   key.graph_digest = snapshot->digest();
-  plan_cache_->Insert(key, std::move(session));
+  plan_cache_->Insert(
+      key, OnDevice(key.shard, [&] { return OpenSession(*endpoint, key.fanouts, snapshot); }));
   Count(&ServerStats::recompiles_background);
 }
 
@@ -796,26 +796,21 @@ std::shared_ptr<core::SamplerSession> Server::ActivatePlan(
   if (key.dynamic != (endpoint->store != nullptr)) {
     return nullptr;  // endpoint changed between static and dynamic
   }
-  std::optional<device::ThreadDeviceGuard> shard_guard;
-  if (options_.num_shards > 1) {
-    shard_guard.emplace(*shard_devices_[static_cast<size_t>(key.shard)]);
+  std::shared_ptr<const graph::Snapshot> snapshot;
+  if (key.dynamic) {
+    // A persisted dynamic plan is only servable when the store's current
+    // epoch has the exact digest it was calibrated against; otherwise the
+    // first request compiles and later epochs re-plan from there.
+    snapshot = endpoint->store->Current();
+    if (key.graph_digest != snapshot->digest()) {
+      return nullptr;
+    }
   }
-  if (!key.dynamic) {
-    // The persisted plan (program + annotations + calibration) is used
-    // as-is, so no passes and no calibration run here.
-    return OpenSession(*endpoint, key.fanouts, nullptr, std::move(plan));
-  }
-  // A persisted dynamic plan is only servable when the store's current
-  // epoch has the exact digest it was calibrated against; anything else
-  // must recompile through the plan table's validity machinery.
-  const std::shared_ptr<const graph::Snapshot> snapshot = endpoint->store->Current();
-  if (key.graph_digest != snapshot->digest()) {
-    return nullptr;
-  }
-  std::shared_ptr<core::SamplerSession> session =
-      OpenSession(*endpoint, key.fanouts, snapshot, std::move(plan));
-  plan_table_.Publish(key.CompileKey(), session->plan_ptr(), *snapshot);
-  return session;
+  // The persisted plan (program + annotations + calibration) is used as-is,
+  // so no passes and no calibration run here.
+  return OnDevice(key.shard, [&] {
+    return OpenSession(*endpoint, key.fanouts, snapshot, std::move(plan));
+  });
 }
 
 feature::HotSetCache* Server::TenantFeatureCache(int shard, const std::string& tenant,
@@ -934,30 +929,20 @@ void Server::Place(Execution& exec, Group& group) {
   }
 }
 
-// Runs `fn` with the executing device and its fault scope installed (as is
-// when unsharded).
-template <typename Fn>
-void Server::OnDevice(const Execution& exec, Fn&& fn) {
-  if (exec.partition == nullptr) {
-    fn();
-    return;
-  }
-  device::ThreadDeviceGuard device_guard(*shard_devices_[static_cast<size_t>(exec.device)]);
-  fault::ShardScope fault_scope(exec.device);
-  fn();
-}
-
 // One try of Attempt on the placed device: resolves the plan through the
 // PlanCache and runs ExecuteGroup. Throws on failure.
 void Server::RunOnce(Execution& exec, const std::shared_ptr<const graph::Snapshot>& snapshot,
                      const std::vector<tensor::IdArray>& frontiers,
                      const std::vector<uint64_t>& seeds) {
-  OnDevice(exec, [&] {
+  OnDevice(exec.device, [&] {
     bool hit = false;
     int64_t build_ns = 0;
     std::shared_ptr<core::SamplerSession> session = plan_cache_->GetOrBuild(
-        exec.key, [&] { return BuildPlan(*exec.endpoint, exec.key, snapshot); }, &hit,
-        &build_ns);
+        exec.key,
+        [&](std::shared_ptr<core::CompiledPlan> resident) {
+          return BuildPlan(*exec.endpoint, exec.key, snapshot, std::move(resident));
+        },
+        &hit, &build_ns);
     exec.cache_hit = hit;
     exec.compile_ns += build_ns;
     if (exec.partition == nullptr) {
@@ -1111,7 +1096,7 @@ void Server::GatherFeatures(Execution& exec, const Group& group,
   // shard. Coalesced members gather from their own scattered outputs, so the
   // rows are identical to being served alone.
   feature::GatherStats gather;
-  OnDevice(exec, [&] {
+  OnDevice(exec.device, [&] {
     for (size_t i = 0; i < group.size(); ++i) {
       SampleResponse& response = responses[i];
       if (response.status != Status::kOk) {
@@ -1204,7 +1189,7 @@ void Server::Record(const Execution& exec, const Group& group,
       // the per-shard breakdown instead of crediting the dead shard.
       ++stats_.per_shard_completed[exec.device];
     }
-    shard_latency_[static_cast<size_t>(exec.device)].Record(response.stages.total_ns);
+    latency_.Record(response.stages.total_ns);
   }
 }
 
@@ -1233,16 +1218,10 @@ ServerStats Server::stats() const {
     snapshot.jit_hits = jit_stats.hits;
     snapshot.jit_demotions = jit_stats.demotions;
   }
-  // Per-shard histograms merge exactly (aligned log-scale buckets) into the
-  // server-level percentile report; unsharded servers have a single shard.
-  LatencyHistogram merged;
-  for (const LatencyHistogram& shard_histogram : shard_latency_) {
-    merged.Merge(shard_histogram);
-  }
-  snapshot.latency_p50_ns = merged.Percentile(50);
-  snapshot.latency_p95_ns = merged.Percentile(95);
-  snapshot.latency_p99_ns = merged.Percentile(99);
-  snapshot.latency_max_ns = merged.max_ns();
+  snapshot.latency_p50_ns = latency_.Percentile(50);
+  snapshot.latency_p95_ns = latency_.Percentile(95);
+  snapshot.latency_p99_ns = latency_.Percentile(99);
+  snapshot.latency_max_ns = latency_.max_ns();
   return snapshot;
 }
 

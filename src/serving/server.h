@@ -17,12 +17,13 @@
 //      chain in sharded mode, or — when no replica lives — the lowest-
 //      numbered live device with each member cut to its covered seeds
 //      (degraded mode). Attempt resolves the compiled plan through the
-//      PlanCache (LRU under a byte budget) and runs the group — up to
-//      coalesce_max queued requests with the same plan key, and at most
-//      2^31 / num_nodes so its labels fit int32 — as ONE labeled
-//      super-batch (serving/coalescer.h) under the recovery ladder
-//      (transient backoff, one shed-fanout retry). Per-segment RNG streams
-//      make each member's results bit-identical to being served alone.
+//      PlanCache (one session per compile key, LRU under a byte budget)
+//      and runs the group — up to coalesce_max queued requests with the
+//      same plan key, and at most 2^31 / num_nodes so its labels fit
+//      int32 — as ONE labeled super-batch (serving/coalescer.h) under
+//      the recovery ladder (transient backoff, one shed-fanout retry).
+//      Per-segment RNG streams make each member's results bit-identical
+//      to being served alone.
 //   4. Scatter splits group outputs per request (kDegraded plus coverage in
 //      degraded mode); GatherFeatures attaches feature rows to kOk
 //      responses; Record updates the stats once per group; promises are
@@ -43,7 +44,15 @@
 // its own session on its own device and coalescing never crosses shards. A
 // FrontierExchange observer prices each hop's remote adjacency as a
 // coalesced all-to-all at the profile's interconnect rate, surfacing as
-// exchange_* counters and per-shard completions/latency in ServerStats.
+// exchange_* counters and per-shard completions in ServerStats.
+//
+// Dynamic endpoints (gs::dyn, Endpoint::store): a request pins the store's
+// snapshot at admission, and its plan key carries the epoch. The PlanCache
+// keeps one entry per compile key: the newest epoch's session and the
+// newest compiled plan. A new epoch rebuilds a session over that plan while
+// its validity predicate holds; a drifted plan keeps serving while the
+// background dyn::Replanner recompiles it. Only the newest epoch's session
+// is cached, so served epochs do not pin their snapshots.
 
 #ifndef GSAMPLER_SERVING_SERVER_H_
 #define GSAMPLER_SERVING_SERVER_H_
@@ -63,7 +72,6 @@
 #include "algorithms/algorithms.h"
 #include "core/engine.h"
 #include "device/device.h"
-#include "dyn/plan_table.h"
 #include "dyn/replanner.h"
 #include "feature/hot_set_cache.h"
 #include "feature/store.h"
@@ -115,7 +123,7 @@ Endpoint MakeEndpoint(const std::string& algorithm, const std::string& dataset,
 // The dynamic twin of MakeEndpoint: serves `store`'s evolving graph. Same
 // algorithm registry, but programs are traced per epoch against the pinned
 // snapshot and compiled plans are reused across epochs while their validity
-// predicate holds (see dyn::PlanTable).
+// predicate holds (the PlanCache's resident plan; see Server::BuildPlan).
 Endpoint MakeDynamicEndpoint(const std::string& algorithm, const std::string& dataset,
                              graph::GraphStore& store, core::SamplerOptions options = {});
 
@@ -220,9 +228,8 @@ class Server {
   // Exposed for tests and for operators polling failover state.
   const ha::HealthMonitor* health_monitor() const { return monitor_.get(); }
 
-  // Dynamic graphs: the epoch-independent compile table and a test hook
+  // Dynamic graphs: the background replanner's counters and a test hook
   // that blocks until every queued background recompile has run.
-  dyn::PlanTableStats plan_table_stats() const { return plan_table_.stats(); }
   dyn::ReplannerStats replanner_stats() const;
   void DrainRecompiles();
 
@@ -293,21 +300,24 @@ class Server {
   void Attempt(Execution& exec, Group& group);
   void RunOnce(Execution& exec, const std::shared_ptr<const graph::Snapshot>& snapshot,
                const std::vector<tensor::IdArray>& frontiers, const std::vector<uint64_t>& seeds);
+  // Runs `fn` on shard `device`'s device (as is when unsharded).
   template <typename Fn>
-  void OnDevice(const Execution& exec, Fn&& fn);
+  auto OnDevice(int device, Fn&& fn) -> decltype(fn());
   std::vector<SampleResponse> Scatter(Execution& exec, Group& group);
   void GatherFeatures(Execution& exec, const Group& group,
                       std::vector<SampleResponse>& responses);
   void Record(const Execution& exec, const Group& group, std::vector<SampleResponse>& responses);
   // Adds `n` to one server counter under stats_mutex_.
   void Count(int64_t ServerStats::*field, int64_t n = 1);
-  // Plan-cache miss path. For dynamic endpoints (`snapshot` non-null) the
-  // compile table is consulted first: a still-valid frozen plan gets a cheap
-  // session rebuild (no passes, no calibration); a drifted one serves stale
-  // and schedules a background recompile.
+  // Plan-cache miss path (the PlanCache factory). With no `resident` plan
+  // it compiles; a dynamic endpoint's resident plan is judged against
+  // `snapshot`: a still-valid one gets a cheap session rebuild (no passes,
+  // no calibration), a drifted one serves stale and schedules a background
+  // recompile (or compiles inline when background_recompile is off).
   std::shared_ptr<core::SamplerSession> BuildPlan(
       const Endpoint& endpoint, const PlanKey& key,
-      const std::shared_ptr<const graph::Snapshot>& snapshot);
+      const std::shared_ptr<const graph::Snapshot>& snapshot,
+      std::shared_ptr<core::CompiledPlan> resident);
   // The one place sessions are built: traces the endpoint's program against
   // `snapshot`'s graph (the static graph when null), adopts `plan` or
   // compiles a fresh one when null, warms up, then attaches the JIT table.
@@ -316,8 +326,8 @@ class Server {
       const std::shared_ptr<const graph::Snapshot>& snapshot,
       std::shared_ptr<core::CompiledPlan> plan = nullptr);
   // Replanner job body: full compile of `compile_key` against `snapshot`,
-  // publishing into the plan table and the session cache so the next
-  // request at that epoch hits. Runs on the replanner thread.
+  // published into the plan cache so the next request at that epoch hits
+  // and later epochs are judged against it. Runs on the replanner thread.
   void CompileForSnapshot(const std::string& compile_key,
                           const std::shared_ptr<const graph::Snapshot>& snapshot);
   // Mutation listener (runs on the ingest thread, never a serving worker):
@@ -357,9 +367,8 @@ class Server {
   std::map<std::string, std::shared_ptr<const feature::FeatureStore>> feature_stores_;
   mutable std::mutex feature_mutex_;
   std::map<std::string, std::unique_ptr<feature::HotSetCache>> feature_caches_;
-  // Dynamic graphs: the epoch-independent compile table, the background
-  // recompilation worker, and the store listeners to unregister at Stop().
-  dyn::PlanTable plan_table_;
+  // Dynamic graphs: the background recompilation worker and the store
+  // listeners to unregister at Stop().
   std::unique_ptr<dyn::Replanner> replanner_;
   std::vector<std::pair<graph::GraphStore*, int64_t>> store_listeners_;
   // JIT region compiler (ServerOptions::jit); artifacts live in plan_dir.
@@ -381,9 +390,7 @@ class Server {
 
   mutable std::mutex stats_mutex_;
   ServerStats stats_;
-  // One histogram per shard (a single entry when unsharded); stats() merges
-  // them into the server-level percentiles.
-  std::vector<LatencyHistogram> shard_latency_;
+  LatencyHistogram latency_;  // per-request total latency, under stats_mutex_
 };
 
 }  // namespace gs::serving

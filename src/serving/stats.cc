@@ -51,22 +51,6 @@ void LatencyHistogram::Record(int64_t ns) {
   max_ns_ = std::max(max_ns_, ns);
 }
 
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  if (other.count_ == 0) {
-    // A dead or just-recovered shard merges as a no-op. Folding its
-    // (all-zero) state in unconditionally is almost right, but max_ns_
-    // would still take the larger of the two maxima even when the other
-    // histogram never recorded — a stale max from before a Reset-style
-    // swap would then skew the capped percentiles.
-    return;
-  }
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  count_ += other.count_;
-  max_ns_ = std::max(max_ns_, other.max_ns_);
-}
-
 int64_t LatencyHistogram::Percentile(double p) const {
   if (count_ == 0) {
     return 0;

@@ -20,11 +20,6 @@ class LatencyHistogram {
   void Record(int64_t ns);
   // p in [0, 100]. Returns 0 when empty.
   int64_t Percentile(double p) const;
-  // Folds `other` into this histogram (buckets and count add, max takes the
-  // larger). Sharded serving keeps one histogram per shard and merges them
-  // into the server-level p50/p95/p99 report; merging is exact because the
-  // buckets are aligned log-scale ranges.
-  void Merge(const LatencyHistogram& other);
   int64_t count() const { return count_; }
   int64_t max_ns() const { return max_ns_; }
 

@@ -46,7 +46,7 @@ void FrontierExchange::OnHop(const sparse::Matrix& graph, const tensor::IdArray&
     // concurrently, so the charge is the byte total at the interconnect
     // rate (plus the launch overhead any kernel pays).
     device::Stream& stream = device::Current().stream();
-    const int64_t before = stream.now_ns();
+    const int64_t before = stream.counters().model_ns;
     {
       device::KernelScope kernel(stream);
       kernel.Finish({.parallel_items = record.remote_nodes,
@@ -66,7 +66,7 @@ void FrontierExchange::OnHop(const sparse::Matrix& graph, const tensor::IdArray&
         monitor_->ReportExchangeTimeout(shard_);
       }
       if (hedges_ >= max_hedges_) {
-        record.exchange_ns = stream.now_ns() - before;
+        record.exchange_ns = stream.counters().model_ns - before;
         hops_.push_back(record);
         throw fault::ExchangeTimeoutError("cross-shard exchange timed out on shard " +
                                           std::to_string(shard_) +
@@ -97,7 +97,7 @@ void FrontierExchange::OnHop(const sparse::Matrix& graph, const tensor::IdArray&
         monitor_->ReportSlowShard(shard_);
       }
     }
-    record.exchange_ns = stream.now_ns() - before;
+    record.exchange_ns = stream.counters().model_ns - before;
   }
   hops_.push_back(record);
 }

@@ -40,7 +40,7 @@ struct HopRecord {
   int64_t frontier_nodes = 0;  // deduplicated frontier size
   int64_t remote_nodes = 0;    // frontier nodes with remote adjacency
   int64_t bytes = 0;           // adjacency bytes pulled over the interconnect
-  int64_t exchange_ns = 0;     // virtual time charged for the all-to-all
+  int64_t exchange_ns = 0;     // model time (StreamCounters::model_ns) of the all-to-all
   int64_t hedges = 0;          // hedged re-issues of this hop's exchange
 };
 

@@ -2,7 +2,8 @@
 # Smoke test for bench/serving_throughput's shard sweep (ctest
 # `serving_throughput_shards`): a short 2-shard sweep must charge no
 # exchange on one shard, some on two, and none at hop 0, whose seeds all
-# live on the request's home shard.
+# live on the request's home shard. Every column is on the model clock, so
+# a second run must print the identical table.
 #
 # Usage: tests/shard_sweep_smoke.sh path/to/serving_throughput
 
@@ -10,6 +11,12 @@ set -euo pipefail
 bench=$1
 
 out=$("$bench" --shards=2 --requests=20 --scale=0.05)
+again=$("$bench" --shards=2 --requests=20 --scale=0.05)
+if [[ $out != "$again" ]]; then
+  echo "shard sweep is not reproducible; two runs printed:" >&2
+  diff <(printf '%s\n' "$out") <(printf '%s\n' "$again") >&2 || true
+  exit 1
+fi
 python3 -c '
 import sys
 exchange, remote, table = {}, {}, None

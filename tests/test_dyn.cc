@@ -1,6 +1,6 @@
 // Dynamic-graph tier (gs::dyn + graph::GraphStore): versioned snapshots
 // under online mutations, COW segment accounting, seal compaction,
-// epoch-aware plan judgment and background recompilation, incremental
+// epoch-aware plan reuse and background recompilation, incremental
 // re-partitioning, and the end-to-end guarantees the ISSUE pins — oracle
 // bit-identity for every algorithm after a mutation stream (single-device,
 // sharded, and replicated) and a live-server mutation soak with zero failed
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,12 +23,12 @@
 #include "core/plan.h"
 #include "device/device.h"
 #include "dyn/mutation_gen.h"
-#include "dyn/plan_table.h"
 #include "dyn/replanner.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "graph/store.h"
 #include "oracle/oracle.h"
+#include "serving/plan_cache.h"
 #include "serving/server.h"
 #include "tests/testing.h"
 
@@ -264,51 +265,91 @@ TEST(PlanValidityTest, CheckAgainstBounds) {
   EXPECT_NE(why.find("hub"), std::string::npos);
 }
 
-// ------------------------------------------------------------- plan table
+// ------------------------------------------------------ plan across epochs
 
-TEST(PlanTableTest, JudgeMissValidDriftedLifecycle) {
+// The serving PlanCache keeps one entry per compile key across epochs. A
+// miss hands the factory the resident plan (none on a cold miss), which
+// serving judges against the new snapshot; a recompile that lands for an
+// older epoch than the entry's still becomes the resident plan.
+TEST(PlanCache, ResidentPlanMissValidDriftedLifecycle) {
   GraphStore store(testing::SmallRmat());
+  serving::PlanCache cache(int64_t{64} * 1024 * 1024, nullptr);
+  const auto key_at = [](const std::shared_ptr<const Snapshot>& snapshot) {
+    serving::PlanKey key{"GraphSAGE", "rmat", "dev", "cfg", {}};
+    key.dynamic = true;
+    key.graph_epoch = snapshot->epoch();
+    key.graph_digest = snapshot->digest();
+    return key;
+  };
+  // A session over `snapshot` that adopts `plan`, or compiles a real plan
+  // when it is null: Warmup runs layout selection, which binds the validity
+  // predicate to the snapshot's degree distribution and freezes.
+  const auto open = [](const std::shared_ptr<const Snapshot>& snapshot,
+                       std::shared_ptr<core::CompiledPlan> plan) {
+    algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm("GraphSAGE", snapshot->graph());
+    if (plan == nullptr) {
+      plan = std::make_shared<core::CompiledPlan>(std::move(ap.program), core::SamplerOptions{},
+                                                  "GraphSAGE");
+    }
+    auto session =
+        std::make_shared<core::SamplerSession>(std::move(plan), snapshot, std::move(ap.tensors));
+    session->Warmup(Seeds({0, 1, 2, 3}));
+    return session;
+  };
+
   const std::shared_ptr<const Snapshot> snap0 = store.Current();
-
-  // A real calibrated plan: Warmup runs layout selection, which binds the
-  // validity predicate to epoch 0's degree distribution and freezes.
-  algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm("GraphSAGE", snap0->graph());
-  auto plan = std::make_shared<core::CompiledPlan>(std::move(ap.program),
-                                                   core::SamplerOptions{}, "GraphSAGE");
-  core::SamplerSession session(plan, snap0, std::move(ap.tensors));
-  session.Warmup(Seeds({0, 1, 2, 3}));
-  ASSERT_TRUE(plan->validity().bound);
-
-  dyn::PlanTable table;
-  EXPECT_EQ(table.Judge("k", *snap0), dyn::PlanJudgment::kMiss);
-  table.Publish("k", plan, *snap0);
-  EXPECT_EQ(table.Judge("k", *snap0), dyn::PlanJudgment::kValid);  // same epoch
+  const auto session0 = cache.GetOrBuild(key_at(snap0), [&](auto resident) {
+    EXPECT_EQ(resident, nullptr) << "a cold miss has no resident plan";
+    return open(snap0, nullptr);
+  });
+  const std::shared_ptr<core::CompiledPlan> plan0 = session0->plan_ptr();
+  ASSERT_TRUE(plan0->validity().bound);
 
   // A small epoch stays within the drift bounds.
   MutationBatch small;
   small.add_edges.push_back({7, 200, 1.0f});
   small.add_edges.push_back({8, 201, 1.0f});
   const auto snap1 = store.Apply(small);
-  EXPECT_EQ(table.Judge("k", *snap1), dyn::PlanJudgment::kValid);
+  cache.GetOrBuild(key_at(snap1), [&](std::shared_ptr<core::CompiledPlan> resident) {
+    EXPECT_EQ(resident, plan0);
+    EXPECT_TRUE(resident->validity().CheckAgainst(snap1->degree_stats()));
+    return open(snap1, resident);
+  });
 
-  // A massive epoch (mean in-degree +>25%) drifts the predicate.
+  // A massive epoch (mean in-degree +>25%) drifts the predicate; the stale
+  // plan is still the one handed over, and still serves.
   const auto snap2 = store.Apply(DriftBatch(/*first_dst=*/250, /*cols=*/50, /*per_col=*/50));
-  dyn::PlanTable::Entry entry;
-  std::string why;
-  EXPECT_EQ(table.Judge("k", *snap2, &entry, &why), dyn::PlanJudgment::kDrifted);
-  EXPECT_EQ(entry.plan.get(), plan.get());  // the stale plan still serves
-  EXPECT_FALSE(why.empty());
+  cache.GetOrBuild(key_at(snap2), [&](std::shared_ptr<core::CompiledPlan> resident) {
+    EXPECT_EQ(resident, plan0);
+    std::string why;
+    EXPECT_FALSE(resident->validity().CheckAgainst(snap2->degree_stats(), &why));
+    EXPECT_FALSE(why.empty());
+    return open(snap2, resident);
+  });
 
-  // Republishing against the drifted epoch revalidates it.
-  table.Publish("k", plan, *snap2);
-  EXPECT_EQ(table.Judge("k", *snap2), dyn::PlanJudgment::kValid);
+  // A recompile against epoch 1 lands after the entry moved to epoch 2: the
+  // entry keeps its epoch-2 session and adopts the fresh plan.
+  const std::shared_ptr<core::SamplerSession> recompiled = open(snap1, nullptr);
+  cache.Insert(key_at(snap1), recompiled);
+  bool hit = false;
+  cache.GetOrBuild(key_at(snap2), [&](auto) -> std::shared_ptr<core::SamplerSession> {
+    ADD_FAILURE() << "epoch 2's session must stay resident";
+    return nullptr;
+  }, &hit);
+  EXPECT_TRUE(hit);
+  MutationBatch next;
+  next.add_edges.push_back({9, 202, 1.0f});
+  const auto snap3 = store.Apply(next);
+  cache.GetOrBuild(key_at(snap3), [&](std::shared_ptr<core::CompiledPlan> resident) {
+    EXPECT_EQ(resident, recompiled->plan_ptr());
+    EXPECT_NE(resident, plan0);
+    return open(snap3, resident);
+  });
 
-  const dyn::PlanTableStats stats = table.stats();
+  const serving::PlanCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 1);
-  EXPECT_EQ(stats.judged_miss, 1);
-  EXPECT_EQ(stats.judged_valid, 3);
-  EXPECT_EQ(stats.judged_drifted, 1);
-  EXPECT_EQ(stats.publishes, 2);
+  EXPECT_EQ(stats.misses, 4);
+  EXPECT_EQ(stats.hits, 1);
 }
 
 // -------------------------------------------------------------- replanner
@@ -579,6 +620,90 @@ TEST(DynServing, MutationSoakZeroFailuresAndRecompilesOffServingPath) {
   EXPECT_EQ(stats.recompiles_inline, 1);
   EXPECT_EQ(stats.plan_reuses + stats.stale_plans_served, kEpochs);
   EXPECT_EQ(server.replanner_stats().failures, 0);
+}
+
+// Regression: every session pins its epoch's snapshot, and a session that
+// pre-computes nothing (GraphSAGE) costs 0 budget bytes, so the byte budget
+// never evicts it. Only replacing an epoch's session with the next epoch's
+// frees the older graph; a session cached per epoch would keep every
+// served epoch alive for the server's life.
+TEST(DynServing, ServedEpochsReleaseTheirSnapshots) {
+  GraphStore store(testing::SmallRmat(400, 4000, 11));
+  serving::ServerOptions options;
+  options.num_workers = 1;
+  serving::Server server(options);
+  server.RegisterEndpoint(serving::MakeDynamicEndpoint("GraphSAGE", "rmat", store));
+  server.Start();
+
+  dyn::MutationGen gen(GenOptions(store.num_nodes(), 0x1EA4));
+  std::weak_ptr<const Snapshot> epoch1;
+  for (int epoch = 0; epoch <= 3; ++epoch) {
+    if (epoch > 0) {
+      store.Apply(gen.Next());
+    }
+    if (epoch == 1) {
+      epoch1 = store.Current();
+    }
+    serving::SampleRequest req;
+    req.algorithm = "GraphSAGE";
+    req.dataset = "rmat";
+    req.seeds = Seeds({1, 2, 3, 4});
+    req.seed = static_cast<uint64_t>(epoch);
+    req.fanouts = {4, 3};
+    const serving::SampleResponse response = server.Submit(req).get();
+    ASSERT_EQ(response.status, serving::Status::kOk) << response.error;
+  }
+  server.DrainRecompiles();
+  EXPECT_TRUE(epoch1.expired()) << "epoch 1's snapshot outlived its session";
+  EXPECT_EQ(server.stats().failed, 0);
+  server.Stop();
+}
+
+// Cache entries replaced under in-flight groups: requests for six epochs
+// are queued behind the cold compile, newest epoch most urgent, so the
+// newest epoch's miss replaces the entry while groups pinned to older
+// epochs are still to run; their misses build uncached sessions. Every
+// request succeeds, and once the workers are joined no older epoch's
+// snapshot is still held. tools/check.sh runs this under TSan and ASan.
+TEST(DynServing, EntriesReplacedUnderInFlightGroupsReleaseOldEpochs) {
+  GraphStore store(testing::SmallRmat(400, 4000, 11));
+  serving::ServerOptions options;
+  options.num_workers = 2;
+  options.enable_coalescing = false;
+  serving::Server server(options);
+  server.RegisterEndpoint(serving::MakeDynamicEndpoint("GraphSAGE", "rmat", store));
+  server.Start();
+
+  dyn::MutationGen gen(GenOptions(store.num_nodes(), 0xC0C0));
+  const int kEpochs = 6;
+  std::vector<std::weak_ptr<const Snapshot>> served;
+  std::vector<std::future<serving::SampleResponse>> responses;
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
+    if (epoch > 0) {
+      store.Apply(gen.Next());
+    }
+    served.push_back(store.Current());
+    for (int r = 0; r < 4; ++r) {
+      serving::SampleRequest req;
+      req.algorithm = "GraphSAGE";
+      req.dataset = "rmat";
+      req.seeds = Seeds({1, 2, 3, static_cast<int32_t>(10 + r)});
+      req.seed = static_cast<uint64_t>(epoch * 100 + r);
+      req.fanouts = {4, 3};
+      req.priority = epoch;
+      responses.push_back(server.Submit(req));
+    }
+  }
+  for (auto& response : responses) {
+    const serving::SampleResponse done = response.get();
+    ASSERT_EQ(done.status, serving::Status::kOk) << done.error;
+  }
+  server.DrainRecompiles();
+  server.Stop();  // joins the workers, which release their groups' pins
+  for (int epoch = 0; epoch + 1 < kEpochs; ++epoch) {
+    EXPECT_TRUE(served[static_cast<size_t>(epoch)].expired()) << "epoch " << epoch;
+  }
+  EXPECT_EQ(server.stats().completed, kEpochs * 4);
 }
 
 // Forced drift through the live server: a mutation epoch violent enough to

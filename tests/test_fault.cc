@@ -443,7 +443,7 @@ TEST(PlanCachePressure, OomLadderEvictsResidentPlans) {
   graph::Graph g = testing::SmallRmat(2000, 20000, 17);
   serving::PlanCache cache(int64_t{16} * 1024 * 1024, &dev.allocator());
   serving::PlanKey key{"FastGCN", "rmat", "sim", "w32", {}};
-  cache.GetOrBuild(key, [&] { return BuildResidentPlan(g, 32); });
+  cache.GetOrBuild(key, [&](auto) { return BuildResidentPlan(g, 32); });
   const int64_t resident = cache.stats().resident_bytes;
   ASSERT_GT(resident, 1024) << "FastGCN plans must pin precomputed tensors";
   EXPECT_EQ(dev.allocator().stats().bytes_reserved, resident);
@@ -485,7 +485,7 @@ TEST(CrossCachePressure, OomLadderWalksPlanAndFeatureCachesDeterministically) {
 
     serving::PlanCache plans(int64_t{16} * 1024 * 1024, &dev.allocator());
     plans.GetOrBuild(serving::PlanKey{"FastGCN", "rmat", "sim", "w32", {}},
-                     [&] { return BuildResidentPlan(g, 32); });
+                     [&](auto) { return BuildResidentPlan(g, 32); });
     const int64_t plan_resident = plans.stats().resident_bytes;
     EXPECT_GT(plan_resident, 1024);
 
@@ -547,8 +547,8 @@ TEST(PlanCacheBudget, EvictsLruUnderByteBudget) {
   const int64_t reserved_before = dev.allocator().stats().bytes_reserved;
   serving::PlanKey a{"FastGCN", "rmat", "sim", "w32", {}};
   serving::PlanKey b{"FastGCN", "rmat", "sim", "w48", {}};
-  cache.GetOrBuild(a, [&] { return BuildResidentPlan(g, 32); });
-  cache.GetOrBuild(b, [&] { return BuildResidentPlan(g, 48); });
+  cache.GetOrBuild(a, [&](auto) { return BuildResidentPlan(g, 32); });
+  cache.GetOrBuild(b, [&](auto) { return BuildResidentPlan(g, 48); });
 
   const serving::PlanCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 1);
@@ -558,7 +558,7 @@ TEST(PlanCacheBudget, EvictsLruUnderByteBudget) {
 
   // The survivor is the most recently used plan (b).
   bool hit = false;
-  cache.GetOrBuild(b, [&]() -> std::shared_ptr<core::SamplerSession> {
+  cache.GetOrBuild(b, [&](auto) -> std::shared_ptr<core::SamplerSession> {
     ADD_FAILURE() << "b must still be resident";
     return BuildResidentPlan(g, 48);
   }, &hit);

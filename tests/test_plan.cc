@@ -433,8 +433,9 @@ TEST(PlanCachePersistence, SaveAllLoadFromRoundTrip) {
   {
     serving::PlanCache cache(int64_t{64} * 1024 * 1024, nullptr);
     auto s1 = cache.GetOrBuild({"FastGCN", "rmat", "dev", cfg, {32, 32}},
-                               [&] { return build("FastGCN"); });
-    cache.GetOrBuild({"LADIES", "rmat", "dev", cfg, {64}}, [&] { return build("LADIES"); });
+                               [&](auto) { return build("FastGCN"); });
+    cache.GetOrBuild({"LADIES", "rmat", "dev", cfg, {64}},
+                     [&](auto) { return build("LADIES"); });
     fastgcn_digest = s1->plan().Digest();
     EXPECT_EQ(cache.SaveAll(dir), 2);
     EXPECT_EQ(cache.stats().plans_saved, 2);
@@ -465,7 +466,7 @@ TEST(PlanCachePersistence, SaveAllLoadFromRoundTrip) {
   // restored FastGCN plan is the very artifact that was saved.
   bool hit = false;
   auto s = warm.GetOrBuild({"FastGCN", "rmat", "dev", cfg, {32, 32}},
-                           [&]() -> std::shared_ptr<SamplerSession> {
+                           [&](auto) -> std::shared_ptr<SamplerSession> {
                              ADD_FAILURE() << "factory must not run on a warm start";
                              return nullptr;
                            },
@@ -486,7 +487,7 @@ TEST(PlanCachePersistence, CorruptArtifactsAreSkippedNotFatal) {
     o.super_batch = 1;
     auto plan = CompileAlgorithm("GraphSAGE", g, o, &tensors);
     cache.GetOrBuild({"GraphSAGE", "rmat", "dev", cfg, {}},
-                     [&] { return MakeSession(plan, g, tensors); });
+                     [&](auto) { return MakeSession(plan, g, tensors); });
     ASSERT_EQ(cache.SaveAll(dir), 1);
   }
   // Truncate the artifact; the index still points at it.

@@ -47,12 +47,16 @@ tensor::IdArray Seeds(std::vector<int32_t> ids) {
   return tensor::IdArray::FromVector(ids);
 }
 
-std::shared_ptr<core::SamplerSession> BuildSagePlan(const graph::Graph& g,
-                                                    std::vector<int64_t> fanouts) {
+// Compiles a fresh plan, or adopts `plan` (a cache's resident plan) when set.
+std::shared_ptr<core::SamplerSession> BuildSagePlan(
+    const graph::Graph& g, std::vector<int64_t> fanouts,
+    std::shared_ptr<core::CompiledPlan> plan = nullptr) {
   algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {.fanouts = fanouts});
-  core::SamplerOptions options;
-  options.super_batch = 1;
-  auto plan = std::make_shared<core::CompiledPlan>(std::move(ap.program), options);
+  if (plan == nullptr) {
+    core::SamplerOptions options;
+    options.super_batch = 1;
+    plan = std::make_shared<core::CompiledPlan>(std::move(ap.program), options);
+  }
   auto session = std::make_shared<core::SamplerSession>(std::move(plan), g,
                                                         std::move(ap.tensors));
   session->Warmup(Seeds({0, 1, 2, 3}));
@@ -212,9 +216,9 @@ TEST(Coalescer, GroupsWhoseLabelsOverflowInt32AreRejected) {
 // --------------------------------------------------------- plan cache
 
 // Regression for dynamic graph keying (gs::dyn): the snapshot epoch/digest
-// is part of the canonical form (so mutation epochs never collide in the
-// cache and coalescing never crosses epochs), the compile key strips it (so
-// the plan table is epoch-independent), static keys are byte-for-byte
+// is part of the canonical form (so a session is never served at another
+// epoch and coalescing never crosses epochs), the compile key strips it (so
+// the cache's entries are epoch-independent), static keys are byte-for-byte
 // unchanged, and Parse round-trips every variant — including composed
 // shard + graph suffixes.
 TEST(PlanKeyTest, GraphVersionCanonicalFormAndParseRoundTrip) {
@@ -255,8 +259,9 @@ TEST(PlanKeyTest, GraphVersionCanonicalFormAndParseRoundTrip) {
   EXPECT_EQ(parsed_sharded.Canonical(), sharded.Canonical());
 }
 
-// Two epochs of the same endpoint are distinct cache entries; the same
-// epoch is a hit.
+// One entry per compile key: a new epoch's session replaces the old
+// epoch's, and a request pinned to an older epoch builds over the resident
+// plan without being cached.
 TEST(PlanCache, GraphEpochsAreDistinctCacheKeys) {
   graph::Graph g = ServingGraph();
   PlanCache cache(int64_t{64} * 1024 * 1024, nullptr);
@@ -268,18 +273,35 @@ TEST(PlanCache, GraphEpochsAreDistinctCacheKeys) {
   e8.graph_epoch = 8;
   e8.graph_digest = 0xDEF;
 
-  cache.GetOrBuild(e7, [&] { return BuildSagePlan(g, {4, 4}); });
+  auto s7 = cache.GetOrBuild(e7, [&](std::shared_ptr<core::CompiledPlan> resident) {
+    EXPECT_EQ(resident, nullptr) << "a cold miss has no resident plan";
+    return BuildSagePlan(g, {4, 4});
+  });
   bool hit = true;
-  cache.GetOrBuild(e8, [&] { return BuildSagePlan(g, {4, 4}); }, &hit);
+  auto s8 = cache.GetOrBuild(e8, [&](std::shared_ptr<core::CompiledPlan> resident) {
+    EXPECT_EQ(resident, s7->plan_ptr());
+    return BuildSagePlan(g, {4, 4}, resident);
+  }, &hit);
   EXPECT_FALSE(hit) << "a new epoch must not hit the old epoch's session";
-  cache.GetOrBuild(e7, [&]() -> std::shared_ptr<core::SamplerSession> {
-    ADD_FAILURE() << "same epoch must hit";
+  EXPECT_EQ(cache.stats().entries, 1) << "epoch 8 must replace epoch 7";
+
+  // A later epoch-7 request misses and builds over the resident plan; its
+  // session is not cached, so epoch 8 stays resident.
+  auto late = cache.GetOrBuild(e7, [&](std::shared_ptr<core::CompiledPlan> resident) {
+    EXPECT_EQ(resident, s8->plan_ptr());
+    return BuildSagePlan(g, {4, 4}, resident);
+  }, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(late->plan_ptr(), s8->plan_ptr());
+  auto again = cache.GetOrBuild(e8, [&](auto) -> std::shared_ptr<core::SamplerSession> {
+    ADD_FAILURE() << "epoch 8 must stay resident";
     return nullptr;
   }, &hit);
   EXPECT_TRUE(hit);
+  EXPECT_EQ(again, s8);
   const PlanCacheStats s = cache.stats();
-  EXPECT_EQ(s.entries, 2);
-  EXPECT_EQ(s.misses, 2);
+  EXPECT_EQ(s.entries, 1);
+  EXPECT_EQ(s.misses, 3);
   EXPECT_EQ(s.hits, 1);
 }
 
@@ -301,7 +323,7 @@ TEST(PlanCache, InsertPublishesAndReplacesWithoutHitOrMiss) {
   EXPECT_EQ(s.misses, 0);
 
   bool hit = false;
-  cache.GetOrBuild(key, [&]() -> std::shared_ptr<core::SamplerSession> {
+  cache.GetOrBuild(key, [&](auto) -> std::shared_ptr<core::SamplerSession> {
     ADD_FAILURE() << "published session must be resident";
     return nullptr;
   }, &hit);
@@ -315,14 +337,15 @@ TEST(PlanCache, HitIsMuchCheaperThanCompile) {
 
   bool hit = true;
   int64_t compile_ns = 0;
-  auto plan = cache.GetOrBuild(key, [&] { return BuildFastGcnPlan(g, 32); }, &hit, &compile_ns);
+  auto plan =
+      cache.GetOrBuild(key, [&](auto) { return BuildFastGcnPlan(g, 32); }, &hit, &compile_ns);
   EXPECT_FALSE(hit);
   EXPECT_GT(compile_ns, 0);
 
   bool hit2 = false;
   int64_t compile2 = -1;
   Timer lookup;
-  auto plan2 = cache.GetOrBuild(key, [&]() -> std::shared_ptr<core::SamplerSession> {
+  auto plan2 = cache.GetOrBuild(key, [&](auto) -> std::shared_ptr<core::SamplerSession> {
     ADD_FAILURE() << "factory must not run on a hit";
     return nullptr;
   }, &hit2, &compile2);
@@ -349,15 +372,15 @@ TEST(PlanCache, EvictsLeastRecentlyUsedUnderBudget) {
   PlanKey a{"FastGCN", "rmat", "dev", "cfg", {16, 16}};
   PlanKey b{"FastGCN", "rmat", "dev", "cfg", {24, 24}};
 
-  auto plan_a = cache.GetOrBuild(a, [&] { return BuildFastGcnPlan(g, 16); });
-  auto plan_b = cache.GetOrBuild(b, [&] { return BuildFastGcnPlan(g, 24); });
+  auto plan_a = cache.GetOrBuild(a, [&](auto) { return BuildFastGcnPlan(g, 16); });
+  auto plan_b = cache.GetOrBuild(b, [&](auto) { return BuildFastGcnPlan(g, 24); });
   PlanCacheStats s = cache.stats();
   EXPECT_EQ(s.entries, 1);
   EXPECT_EQ(s.evictions, 1);
 
   // plan_a was evicted: asking again rebuilds.
   bool hit = true;
-  cache.GetOrBuild(a, [&] { return BuildFastGcnPlan(g, 16); }, &hit);
+  cache.GetOrBuild(a, [&](auto) { return BuildFastGcnPlan(g, 16); }, &hit);
   EXPECT_FALSE(hit);
   // The evicted-but-held shared_ptr stays usable.
   EXPECT_NO_THROW(plan_b->SampleSeeded(Seeds({1, 2}), 5));
@@ -370,7 +393,7 @@ TEST(PlanCache, MirrorsResidentBytesIntoAllocatorReserved) {
   {
     PlanCache cache(int64_t{64} * 1024 * 1024, &allocator);
     PlanKey key{"FastGCN", "rmat", "dev", "cfg", {32, 32}};
-    cache.GetOrBuild(key, [&] { return BuildFastGcnPlan(g, 32); });
+    cache.GetOrBuild(key, [&](auto) { return BuildFastGcnPlan(g, 32); });
     const int64_t reserved = allocator.stats().bytes_reserved - reserved_before;
     EXPECT_EQ(reserved, cache.stats().resident_bytes);
     EXPECT_GT(reserved, 0);
@@ -806,77 +829,11 @@ TEST(LatencyHistogramTest, InterpolatesWithinBucket) {
   EXPECT_EQ(h.Percentile(100), 1023);
 }
 
-TEST(LatencyHistogramTest, MergeIsExactAndOrderIndependent) {
-  // Merging per-shard histograms must equal recording everything into one
-  // histogram — the property the sharded server's stats() relies on.
-  LatencyHistogram a;
-  LatencyHistogram b;
-  LatencyHistogram combined;
-  for (int64_t v : {100, 250, 900, 5000}) {
-    a.Record(v);
-    combined.Record(v);
-  }
-  for (int64_t v : {80, 1600, 1700, 2000000}) {
-    b.Record(v);
-    combined.Record(v);
-  }
-  LatencyHistogram merged_ab = a;
-  merged_ab.Merge(b);
-  LatencyHistogram merged_ba = b;
-  merged_ba.Merge(a);
-  for (const LatencyHistogram& merged : {merged_ab, merged_ba}) {
-    EXPECT_EQ(merged.count(), combined.count());
-    EXPECT_EQ(merged.max_ns(), combined.max_ns());
-    for (const double p : {0.0, 50.0, 95.0, 99.0, 100.0}) {
-      EXPECT_EQ(merged.Percentile(p), combined.Percentile(p)) << "p" << p;
-    }
-  }
-  // Merging an empty histogram is the identity.
-  LatencyHistogram empty;
-  LatencyHistogram copy = a;
-  copy.Merge(empty);
-  EXPECT_EQ(copy.count(), a.count());
-  EXPECT_EQ(copy.Percentile(50), a.Percentile(50));
-}
-
-// Regression: merging a histogram that never recorded must be a strict
-// no-op — including max_ns — and an empty histogram must absorb a non-empty
-// one exactly. Sharded servers carry one histogram per shard, and a shard
-// with zero completed requests (dead, or simply never routed to) merges
-// into the server-level percentiles on every stats() call.
-TEST(LatencyHistogramTest, MergeWithZeroCountShardsIsExact) {
-  LatencyHistogram recorded;
-  for (int64_t v : {300, 4000, 65000}) {
-    recorded.Record(v);
-  }
-  LatencyHistogram idle;  // a shard that completed nothing
-  LatencyHistogram merged = recorded;
-  merged.Merge(idle);
-  EXPECT_EQ(merged.count(), recorded.count());
-  EXPECT_EQ(merged.max_ns(), recorded.max_ns());
-  EXPECT_EQ(merged.Percentile(99), recorded.Percentile(99));
-
-  // Empty absorbing non-empty (merge order must not matter).
-  LatencyHistogram reversed;
-  reversed.Merge(recorded);
-  EXPECT_EQ(reversed.count(), recorded.count());
-  EXPECT_EQ(reversed.max_ns(), recorded.max_ns());
-  for (const double p : {0.0, 50.0, 95.0, 100.0}) {
-    EXPECT_EQ(reversed.Percentile(p), recorded.Percentile(p)) << "p" << p;
-  }
-
-  // Two idle shards merge to an empty report, not garbage percentiles.
-  LatencyHistogram both_idle;
-  both_idle.Merge(idle);
-  EXPECT_EQ(both_idle.count(), 0);
-  EXPECT_EQ(both_idle.Percentile(50), 0);
-}
-
 // Regression: a sharded server must report every shard in
 // per_shard_completed — including shards that completed zero requests —
-// and its merged latency percentiles must ignore the idle shards' empty
-// histograms. Locality routing concentrates load, so idle shards are the
-// common case, not a corner.
+// and its latency percentiles must reflect the completions alone.
+// Locality routing concentrates load, so idle shards are the common case,
+// not a corner.
 TEST(ServerStatsTest, ZeroCompletionShardsReportCleanly) {
   graph::Graph g = ServingGraph();
   ServerOptions options;
@@ -907,8 +864,8 @@ TEST(ServerStatsTest, ZeroCompletionShardsReportCleanly) {
     total += completed;
   }
   EXPECT_EQ(total, 1);
-  // The merged percentile report reflects the one completion; the three
-  // idle shards' empty histograms must not zero out max or skew p99.
+  // The percentile report reflects the one completion; the three idle
+  // shards must not zero out max or skew p99.
   EXPECT_GT(stats.latency_p50_ns, 0);
   EXPECT_GT(stats.latency_max_ns, 0);
   EXPECT_LE(stats.latency_p99_ns, stats.latency_max_ns);

@@ -341,7 +341,7 @@ TEST(ShardServing, ShardedServerCompletesAndReportsExchange) {
   EXPECT_EQ(stats.per_shard_completed.at(1), 1);
   EXPECT_GT(stats.exchange_bytes, 0);
   EXPECT_GT(stats.exchange_hops, 0);
-  EXPECT_GT(stats.latency_p95_ns, 0);  // merged across per-shard histograms
+  EXPECT_GT(stats.latency_p95_ns, 0);  // one histogram over both shards
   server.Stop();
 }
 

@@ -44,11 +44,14 @@
 #              failover under TSan; fuzz with one drawn shard permanently
 #              dead and 2 replicas, still bit-identical to a single device
 #              and failing over once per batch homed on the dead shard.
-#   dynamic    versioned snapshots, plan judgment + background replanning,
-#              the snapshot-equivalence oracle, the live-server mutation
-#              soak; the ingest thread racing serving workers and the
-#              replanner under TSan; fuzz requiring every maintained epoch to
-#              sample bit-identically to a from-scratch reload.
+#   dynamic    versioned snapshots, the plan cache's resident plan across
+#              epochs + background replanning, the snapshot-equivalence
+#              oracle, the live-server mutation soak; the ingest thread
+#              racing serving workers and the replanner under TSan; the
+#              suite under ASan+UBSan, where a cache entry replaced while
+#              in-flight groups still hold its session is a use-after-free;
+#              fuzz requiring every maintained epoch to sample
+#              bit-identically to a from-scratch reload.
 #   jit        region extraction, kernel-cache reuse + corruption recovery,
 #              compile-fault demotion, the JIT-vs-interpreter oracle (fused
 #              goldens included); serving workers racing the per-plan
@@ -78,7 +81,7 @@ TIERS=(
   "shard|shard|test_partition test_shard fuzz_passes serving_throughput|test_shard|-|--seeds 100 --shards 2"
   "feature|feature|test_feature fuzz_passes|test_feature|-|--seeds 100 --features"
   "ha|ha|test_ha fuzz_passes|test_ha|-|--seeds 60 --shards 2 --kill-shard"
-  "dynamic|dynamic|test_dyn fuzz_passes gsampler_cli|test_dyn|-|--seeds 100 --mutate"
+  "dynamic|dynamic|test_dyn fuzz_passes gsampler_cli|test_dyn|test_dyn|--seeds 100 --mutate"
   "jit|jit|test_jit test_fused fuzz_passes|test_jit|-|--seeds 60 --jit"
   "asan|-|-|-|test_sparse_kernels test_sparse_sampling test_sparse_batch test_executor test_engine test_serving test_fault_soak|-"
   "default|-|fuzz_passes|-|-|--seeds 40 --shards 2 --kill-shard --features --mutate --jit"
