@@ -218,7 +218,7 @@ void BM_JitSliceSample(benchmark::State& state) {
   Rng rng(1);
   for (auto _ : state) {
     sparse::Matrix out;
-    if (!kernel.table->SliceSample(kernel.node_id, g.adj(), frontier, rng, &out)) {
+    if (!kernel.table->SliceSample(kernel.node_id, g.adj(), frontier, rng, &out, nullptr)) {
       state.SkipWithError("jit declined slice-sample");
       return;
     }

@@ -278,6 +278,9 @@ class BatchProducer {
   // Total mini-batches this epoch.
   int64_t num_batches() const { return static_cast<int64_t>(batches_.size()); }
 
+  // Mini-batches sampled together per super-batch group this epoch.
+  int group_size() const { return group_size_; }
+
   // Samples (or pops a buffered) next batch into `out`; false when the epoch
   // is exhausted.
   bool Next(EpochBatch* out);

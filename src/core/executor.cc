@@ -268,12 +268,16 @@ std::vector<Value> Executor::Run(const Bindings& bindings, std::span<Rng> rngs) 
   device::Stream& stream = device::Current().stream();
   stream.TakeStuckKernels();
   std::vector<Value> values(static_cast<size_t>(program_->size()));
+  // Node sets that marked samples computed in their own kernel, by sample
+  // id (Select-Finalize fusion). Kept apart from the sample's value so that
+  // layout rebuilds cannot drop them; freed with it.
+  std::vector<tensor::IdArray> node_sets(values.size());
   for (const Node& n : program_->nodes()) {
     auto pre = precomputed_.find(n.id);
     if (pre != precomputed_.end()) {
       values[static_cast<size_t>(n.id)] = pre->second;
     } else {
-      values[static_cast<size_t>(n.id)] = Evaluate(n, values, bindings, rngs);
+      values[static_cast<size_t>(n.id)] = Evaluate(n, values, node_sets, bindings, rngs);
       if (t_hop_observer != nullptr) {
         // Fires before the free loop below so hop inputs are still alive.
         NotifyHop(t_hop_observer, n, values);
@@ -290,6 +294,7 @@ std::vector<Value> Executor::Run(const Bindings& bindings, std::span<Rng> rngs) 
     for (int in : n.inputs) {
       if (last_use_[static_cast<size_t>(in)] == n.id) {
         values[static_cast<size_t>(in)] = Value{};
+        node_sets[static_cast<size_t>(in)] = tensor::IdArray{};
       }
     }
   }
@@ -305,19 +310,21 @@ std::map<int, Value> Executor::RunInvariant(const Bindings& bindings) const {
   GS_CHECK(bindings.graph != nullptr);
   Rng rng(uint64_t{0});  // invariant nodes are deterministic; rng is never consumed
   std::vector<Value> values(static_cast<size_t>(program_->size()));
+  std::vector<tensor::IdArray> node_sets(values.size());  // samples are never invariant
   std::map<int, Value> result;
   for (const Node& n : program_->nodes()) {
     if (!n.invariant) {
       continue;
     }
-    values[static_cast<size_t>(n.id)] = Evaluate(n, values, bindings, {&rng, 1});
+    values[static_cast<size_t>(n.id)] = Evaluate(n, values, node_sets, bindings, {&rng, 1});
     result[n.id] = values[static_cast<size_t>(n.id)];
   }
   return result;
 }
 
 Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
-                         const Bindings& bindings, std::span<Rng> rngs) const {
+                         std::vector<tensor::IdArray>& node_sets, const Bindings& bindings,
+                         std::span<Rng> rngs) const {
   auto matrix_in = [&](int slot) -> const sparse::Matrix& {
     const Value& v = values[static_cast<size_t>(node.inputs[static_cast<size_t>(slot)])];
     GS_CHECK(v.kind == ValueKind::kMatrix && v.matrix.defined())
@@ -364,6 +371,11 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
   // means plain node ids (one segment).
   const auto segments = static_cast<int64_t>(rngs.size());
   const int64_t label_nodes = options_.graph_num_nodes;
+
+  // Where a node-wise sample marked by Select-Finalize fusion writes its
+  // node set; null for an unmarked one.
+  tensor::IdArray* const node_set =
+      node.attrs.flag ? &node_sets[static_cast<size_t>(node.id)] : nullptr;
 
   switch (node.kind) {
     case OpKind::kGraphInput: {
@@ -456,15 +468,15 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
       return Value::OfTensor(tensor::SumAxis(tensor_in(0), node.attrs.axis));
 
     case OpKind::kIndividualSample:
-      return finish_structure(sparse::IndividualSample(matrix_in(0), node.attrs.k,
-                                                       sparse::ValueArray{}, rngs, label_nodes));
+      return finish_structure(sparse::IndividualSample(
+          matrix_in(0), node.attrs.k, sparse::ValueArray{}, rngs, label_nodes, node_set));
     case OpKind::kIndividualSampleP: {
       const sparse::Matrix& m = matrix_in(0);
       const sparse::Matrix& probs = matrix_in(1);
       GS_CHECK(m.SharesPatternWith(probs))
           << "individual_sample probs must share the matrix's sparsity pattern";
       return finish_structure(sparse::IndividualSample(
-          m, node.attrs.k, probs.ValuesFor(sparse::Format::kCsc), rngs, label_nodes));
+          m, node.attrs.k, probs.ValuesFor(sparse::Format::kCsc), rngs, label_nodes, node_set));
     }
     case OpKind::kCollectiveSample:
       return finish_structure(sparse::CollectiveSample(matrix_in(0), node.attrs.k,
@@ -473,8 +485,19 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
       return finish_structure(sparse::FusedSliceCollectiveSample(
           matrix_in(0), ids_in(1), node.attrs.k, tensor_in(2).array(), rngs));
 
-    case OpKind::kRowIds:
-      return Value::OfIds(sparse::RowIds(matrix_in(0)));
+    case OpKind::kRowIds: {
+      // Neither a marked sample's node set nor a rows-compact matrix's row
+      // id map (which already is its node set) costs a launch.
+      const tensor::IdArray& fused = node_sets[static_cast<size_t>(node.inputs[0])];
+      if (fused.defined()) {
+        return Value::OfIds(fused);
+      }
+      const sparse::Matrix& m = matrix_in(0);
+      if (m.rows_compact() && m.has_row_ids()) {
+        return Value::OfIds(m.row_ids());
+      }
+      return Value::OfIds(sparse::RowIds(m));
+    }
     case OpKind::kColIds:
       return Value::OfIds(sparse::ColIds(matrix_in(0)));
     case OpKind::kCompactRows:
@@ -533,12 +556,12 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
       if (fused_kernels_ != nullptr && rngs.size() == 1) {
         sparse::Matrix jit_out;
         if (fused_kernels_->SliceSample(node.id, matrix_in(0), ids_in(1), rngs.front(),
-                                        &jit_out)) {
+                                        &jit_out, node_set)) {
           return finish_structure(std::move(jit_out));
         }
       }
       return finish_structure(
-          sparse::FusedSliceSample(matrix_in(0), ids_in(1), node.attrs.k, rngs));
+          sparse::FusedSliceSample(matrix_in(0), ids_in(1), node.attrs.k, rngs, node_set));
     case OpKind::kFusedEdgeMap: {
       std::vector<tensor::Tensor> operands;
       for (size_t i = 1; i < node.inputs.size(); ++i) {

@@ -135,10 +135,12 @@ class FusedKernelTable {
 
   // kFusedSliceSample on a one-segment run: consumes draws from `rng` in
   // exactly the interpreter's order, so the sampled neighborhood is
-  // bit-identical to sparse::FusedSliceSample with that one stream.
+  // bit-identical to sparse::FusedSliceSample with that one stream. A
+  // non-null `node_set` receives the result's node set from the same
+  // launch, charged as sparse::FusedSliceSample charges it.
   virtual bool SliceSample(int node_id, const sparse::Matrix& m,
-                           const tensor::IdArray& cols, Rng& rng,
-                           sparse::Matrix* out) const = 0;
+                           const tensor::IdArray& cols, Rng& rng, sparse::Matrix* out,
+                           tensor::IdArray* node_set) const = 0;
 };
 
 class Executor {
@@ -179,7 +181,8 @@ class Executor {
   }
 
  private:
-  Value Evaluate(const Node& node, std::vector<Value>& values, const Bindings& bindings,
+  Value Evaluate(const Node& node, std::vector<Value>& values,
+                 std::vector<tensor::IdArray>& node_sets, const Bindings& bindings,
                  std::span<Rng> rngs) const;
 
   const Program* program_;

@@ -58,6 +58,9 @@ enum class OpKind {
   kTensorSum,          // (tensor) -> tensor          attrs.axis
 
   // --- Select ---
+  // attrs.flag on the three node-wise samples (kFusedSliceSample included)
+  // marks one whose kernel also computes its node set for a row_ids
+  // (Select-Finalize fusion, core/passes.h).
   kIndividualSample,   // (matrix) -> matrix          attrs.k (uniform)
   kIndividualSampleP,  // (matrix, probs_matrix) -> matrix  attrs.k
   kCollectiveSample,   // (matrix, probs_tensor) -> matrix  attrs.k
@@ -110,7 +113,7 @@ struct Attrs {
   BinaryOp bop = BinaryOp::kMul;        // elementwise operator
   float scalar = 0.0f;                  // scalar operand
   float p = 1.0f, q = 1.0f;             // node2vec parameters
-  bool flag = false;                    // op-specific boolean (e.g. SDDMM mul)
+  bool flag = false;                    // op-specific boolean (SDDMM mul, node set)
   sparse::Format format = sparse::Format::kCsc;  // layout annotation target
   std::string name;                     // input binding name
   std::vector<sparse::EdgeMapStage> stages;      // fused edge-map pipeline

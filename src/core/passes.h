@@ -12,7 +12,10 @@
 //                              writing the step-major path; each step's
 //                              value is a kernel-free row projection
 //   8. EliminateCommonSubexpressions, DeadCodeElimination
-//   9. SelectDataLayout      — measured, cost-aware format + compaction
+//   9. FuseSelectFinalize    — a node-wise sample whose rows a row_ids reads
+//                              returns its node set from its own kernel;
+//                              that row_ids launches nothing
+//  10. SelectDataLayout      — measured, cost-aware format + compaction
 //
 // Super-batch (Section 4.4) is an execution mode, not a pass: the engine
 // labels/concatenates/splits mini-batches (see core/engine.h) and the same
@@ -69,6 +72,15 @@ int FuseEdgeMapReduce(Program& program);
 // unfused chain, so outputs are bit-identical. Returns number of fused
 // walks.
 int FuseWalks(Program& program);
+
+// Select-Finalize fusion: marks (attrs.flag) every node-wise sample —
+// individual_sample, individual_sample_p, fused_slice_sample — whose rows a
+// row_ids reads. A marked sample's kernel computes its node set, the ids
+// RowIds would return, in its own launch and charges the sum of both
+// kernels' work items and bytes; the executor hands that set to the row_ids
+// without a launch. Outputs are bit-identical to the unmarked program.
+// Returns the number of samples marked.
+int FuseSelectFinalize(Program& program);
 
 // Classic cleanups. CSE never merges sampling/walk ops (they consume
 // randomness). Both return the number of nodes eliminated.

@@ -427,6 +427,24 @@ int FuseWalks(Program& p) {
   return fused;
 }
 
+int FuseSelectFinalize(Program& p) {
+  int marks = 0;
+  for (const Node& n : p.nodes()) {
+    if (n.kind != OpKind::kRowIds) {
+      continue;
+    }
+    Node& sample = p.node(n.inputs[0]);
+    const bool node_wise = sample.kind == OpKind::kIndividualSample ||
+                           sample.kind == OpKind::kIndividualSampleP ||
+                           sample.kind == OpKind::kFusedSliceSample;
+    if (node_wise && !sample.attrs.flag) {
+      sample.attrs.flag = true;
+      ++marks;
+    }
+  }
+  return marks;
+}
+
 int EliminateCommonSubexpressions(Program& p) {
   auto key_of = [](const Node& n) {
     std::ostringstream key;

@@ -225,6 +225,10 @@ PassManager StandardPassPipeline(const SamplerOptions& options) {
   }
   pipeline.Register("cse", EliminateCommonSubexpressions);
   pipeline.Register("dce", DeadCodeElimination);
+  if (options.enable_fusion) {
+    // After DCE, so that only a row_ids that runs marks its sample.
+    pipeline.Register("fuse-select-finalize", FuseSelectFinalize);
+  }
   pipeline.Register("mark-invariant", [](Program& p) {
     MarkInvariant(p);
     return 0;

@@ -251,7 +251,7 @@ class JitKernelTable : public core::FusedKernelTable {
   }
 
   bool SliceSample(int node_id, const Matrix& m, const tensor::IdArray& cols, Rng& rng,
-                   Matrix* out) const override {
+                   Matrix* out, IdArray* node_set) const override {
     const CompiledRegion* compiled = Find(node_id, core::OpKind::kFusedSliceSample);
     if (compiled == nullptr) {
       return false;
@@ -308,9 +308,13 @@ class JitKernelTable : public core::FusedKernelTable {
     result.SetRowIds(m.row_ids());
     result.SetRowsCompact(false);
     result.SetColIds(cols.Clone());
-    kernel.Finish({.parallel_items = std::max<int64_t>(nnz, 1),
-                   .hbm_bytes = nnz * int64_t{8},
-                   .pcie_bytes = pcie});
+    device::KernelStats charge{.parallel_items = std::max<int64_t>(nnz, 1),
+                               .hbm_bytes = nnz * int64_t{8},
+                               .pcie_bytes = pcie};
+    if (node_set != nullptr) {
+      *node_set = sparse::RowIdsInKernel(result, &charge);
+    }
+    kernel.Finish(charge);
     *out = std::move(result);
     GlobalCounters().hits.fetch_add(1, std::memory_order_relaxed);
     return true;

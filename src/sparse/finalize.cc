@@ -69,6 +69,18 @@ std::vector<int32_t> NonEmptyRows(const Matrix& m) {
 
 }  // namespace
 
+IdArray RowIdsInKernel(const Matrix& m, device::KernelStats* charge) {
+  GS_INTERNAL(!m.rows_compact());
+  std::vector<int32_t> locals = NonEmptyRows(m);
+  IdArray out = IdArray::Empty(static_cast<int64_t>(locals.size()));
+  for (size_t i = 0; i < locals.size(); ++i) {
+    out[static_cast<int64_t>(i)] = m.GlobalRowId(locals[i]);
+  }
+  charge->parallel_items += m.nnz();
+  charge->hbm_bytes += m.nnz() * int64_t{4} + m.num_rows() + out.bytes();
+  return out;
+}
+
 IdArray RowIds(const Matrix& m) {
   device::KernelScope kernel(CurrentStream());
   if (m.rows_compact()) {
@@ -82,13 +94,9 @@ IdArray RowIds(const Matrix& m) {
     kernel.Finish({.parallel_items = m.num_rows(), .hbm_bytes = out.bytes()});
     return out;
   }
-  std::vector<int32_t> locals = NonEmptyRows(m);
-  IdArray out = IdArray::Empty(static_cast<int64_t>(locals.size()));
-  for (size_t i = 0; i < locals.size(); ++i) {
-    out[static_cast<int64_t>(i)] = m.GlobalRowId(locals[i]);
-  }
-  kernel.Finish({.parallel_items = m.nnz(),
-                 .hbm_bytes = m.nnz() * int64_t{4} + m.num_rows() + out.bytes()});
+  device::KernelStats charge{.parallel_items = 0};
+  IdArray out = RowIdsInKernel(m, &charge);
+  kernel.Finish(charge);
   return out;
 }
 

@@ -15,6 +15,7 @@
 
 #include "common/binary_op.h"
 #include "common/rng.h"
+#include "device/stream.h"
 #include "sparse/matrix.h"
 #include "tensor/tensor.h"
 
@@ -79,13 +80,19 @@ Matrix Sddmm(const Matrix& m, const tensor::Tensor& u, const tensor::Tensor& v,
 // (labeled) id / num_nodes; num_nodes = 0 puts everything in segment 0, as
 // in the walk kernels.
 
+// The node-wise kernels also return their result's node set, RowIds(result),
+// when `node_set` is non-null (Select-Finalize fusion, core/passes.h): it is
+// computed in the same launch, and the kernel charges the sum of both
+// kernels' work items and bytes, so only the saved launch changes the cost.
+
 // Node-wise selection: for every column, samples up to k of its edges
 // without replacement, uniformly or proportional to `probs` (edge weights
 // aligned with m's CSC order; pass an undefined array for uniform). Each
 // column emits its picks in ascending slot order. Requires / materializes
 // CSC. Result: CSC, same column set, original row dimension.
 Matrix IndividualSample(const Matrix& m, int64_t k, const ValueArray& probs,
-                        std::span<Rng> rngs, int64_t num_nodes = 0);
+                        std::span<Rng> rngs, int64_t num_nodes = 0,
+                        IdArray* node_set = nullptr);
 
 // Layer-wise selection: each segment samples up to k distinct row nodes
 // proportional to row_probs (length num_rows, or per node and folded through
@@ -101,7 +108,8 @@ Matrix CollectiveSample(const Matrix& m, int64_t k, const ValueArray& row_probs,
 // in-neighbors for each of `cols` directly from the base matrix without
 // materializing the sliced subgraph (Figure 5a); each column emits its picks
 // in ascending slot order. Requires CSC on m.
-Matrix FusedSliceSample(const Matrix& m, const IdArray& cols, int64_t k, std::span<Rng> rngs);
+Matrix FusedSliceSample(const Matrix& m, const IdArray& cols, int64_t k, std::span<Rng> rngs,
+                        IdArray* node_set = nullptr);
 
 // Fused Extract-Select for layer-wise sampling: the two kernels read the
 // frontier's columns of m in place, so m[:, cols] is never materialized.
@@ -118,8 +126,15 @@ ValueArray FusedSliceReduce(const Matrix& m, const IdArray& cols, int64_t num_se
 // --------------------------------------------------------------- Finalize
 
 // Original-graph ids of rows that carry at least one edge (the sampled
-// neighbors). For rows-compact matrices this is just row_ids.
+// neighbors), ascending by local row. For rows-compact matrices this is
+// just row_ids.
 IdArray RowIds(const Matrix& m);
+
+// RowIds(m) for an m that is not rows-compact, computed inside the caller's
+// open kernel instead of a launch of its own: adds RowIds' work items and
+// HBM bytes to `charge`. The sampling kernels (and the JIT's native
+// slice-sample) call it on their freshly built result.
+IdArray RowIdsInKernel(const Matrix& m, device::KernelStats* charge);
 
 // Original-graph ids of all columns.
 IdArray ColIds(const Matrix& m);

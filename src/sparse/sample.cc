@@ -14,7 +14,7 @@ namespace gs::sparse {
 using internal::CurrentStream;
 
 Matrix IndividualSample(const Matrix& m, int64_t k, const ValueArray& probs,
-                        std::span<Rng> rngs, int64_t num_nodes) {
+                        std::span<Rng> rngs, int64_t num_nodes, IdArray* node_set) {
   GS_CHECK_GT(k, 0) << "fanout must be positive";
   if (probs.defined()) {
     GS_CHECK_EQ(probs.size(), m.nnz()) << "probs must align with the matrix's CSC edge order";
@@ -76,13 +76,18 @@ Matrix IndividualSample(const Matrix& m, int64_t k, const ValueArray& probs,
   Matrix result = Matrix::FromCsc(m.num_rows(), t, std::move(out));
   internal::InheritRowSpace(m.row_ids(), result);
   result.SetColIds(m.col_ids());
-  kernel.Finish({.parallel_items = std::max<int64_t>(m.nnz(), 1),
-                 .hbm_bytes = m.nnz() * int64_t{4} + out_nnz * int64_t{8},
-                 .pcie_bytes = pcie});
+  device::KernelStats charge{.parallel_items = std::max<int64_t>(m.nnz(), 1),
+                             .hbm_bytes = m.nnz() * int64_t{4} + out_nnz * int64_t{8},
+                             .pcie_bytes = pcie};
+  if (node_set != nullptr) {
+    *node_set = RowIdsInKernel(result, &charge);
+  }
+  kernel.Finish(charge);
   return result;
 }
 
-Matrix FusedSliceSample(const Matrix& m, const IdArray& cols, int64_t k, std::span<Rng> rngs) {
+Matrix FusedSliceSample(const Matrix& m, const IdArray& cols, int64_t k, std::span<Rng> rngs,
+                        IdArray* node_set) {
   GS_CHECK_GT(k, 0);
   const Compressed& csc = m.Csc();
   const bool weighted = csc.values.defined();
@@ -129,9 +134,13 @@ Matrix FusedSliceSample(const Matrix& m, const IdArray& cols, int64_t k, std::sp
   Matrix result = Matrix::FromCsc(frontier.num_rows(), t, std::move(out));
   internal::InheritRowSpace(frontier.row_ids(), result);
   result.SetColIds(cols.Clone());
-  kernel.Finish({.parallel_items = std::max<int64_t>(out_nnz, 1),
-                 .hbm_bytes = out_nnz * int64_t{8},
-                 .pcie_bytes = pcie});
+  device::KernelStats charge{.parallel_items = std::max<int64_t>(out_nnz, 1),
+                             .hbm_bytes = out_nnz * int64_t{8},
+                             .pcie_bytes = pcie};
+  if (node_set != nullptr) {
+    *node_set = RowIdsInKernel(result, &charge);
+  }
+  kernel.Finish(charge);
   return result;
 }
 

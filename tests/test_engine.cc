@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <set>
 
 #include "algorithms/algorithms.h"
@@ -241,10 +242,29 @@ TEST(Engine, WalksFromOtherStartsRunUngrouped) {
   EXPECT_GT(dead, 0) << "the walks should hit dead ends";
 }
 
+// The plain run's kernels and model clock per algorithm: one 64-seed
+// Sample on SmallRmat(400, 4000, 11) under V100Sim. A change that adds a
+// launch to any algorithm fails here; one that removes a launch updates its
+// row.
+struct PlainRunCost {
+  int64_t kernels;
+  int64_t model_ns;
+};
+const std::map<std::string, PlainRunCost>& PlainRunGoldens() {
+  static const std::map<std::string, PlainRunCost> goldens = {
+      {"DeepWalk", {1, 7280}},    {"GraphSAINT", {5, 31319}}, {"PinSAGE", {12, 72634}},
+      {"HetGNN", {42, 252803}},   {"GraphSAGE", {2, 13113}},  {"VR-GCN", {2, 12129}},
+      {"SEAL", {10, 64566}},      {"ShaDow", {6, 38454}},     {"Node2Vec", {2, 13280}},
+      {"GCN-BS", {4, 26306}},     {"Thanos", {4, 26306}},     {"PASS", {24, 177505}},
+      {"FastGCN", {6, 39126}},    {"AS-GCN", {10, 65140}},    {"LADIES", {10, 65140}},
+  };
+  return goldens;
+}
+
 // On V100Sim a seeded request, a one-member labeled run, launches exactly
-// the kernels Sample launches for the same frontier, for every algorithm; a
-// 3-member GraphSAGE {10,5} group launches those plus one scatter kernel per
-// matrix output.
+// the kernels Sample launches for the same frontier, for every algorithm,
+// and Sample costs what PlainRunGoldens says; a 3-member GraphSAGE {10,5}
+// group launches those plus one scatter kernel per matrix output.
 TEST(Engine, LabeledRunsLaunchThePlainRunsKernels) {
   device::Device v100(device::V100Sim());
   device::DeviceGuard guard(v100);
@@ -261,7 +281,11 @@ TEST(Engine, LabeledRunsLaunchThePlainRunsKernels) {
     sampler.BindGraph("rel0", &g.adj());  // HetGNN's relations; unused elsewhere
     sampler.BindGraph("rel1", &g.adj());
     sampler.Warmup(frontier);
+    const int64_t model_before = v100.stream().counters().model_ns;
     const int64_t plain = launches([&] { sampler.Sample(frontier); });
+    const int64_t model_ns = v100.stream().counters().model_ns - model_before;
+    EXPECT_EQ(plain, PlainRunGoldens().at(name).kernels) << name;
+    EXPECT_EQ(model_ns, PlainRunGoldens().at(name).model_ns) << name;
     EXPECT_EQ(launches([&] { sampler.SampleSeeded(frontier, 7); }), plain) << name;
     EXPECT_EQ(launches([&] { sampler.SampleSeeded(frontier, 8); }), plain) << name;
   }

@@ -311,7 +311,7 @@ TEST(FusedGoldens, SliceSampleFixedDraws) {
   ASSERT_NE(table, nullptr);
   Rng jit_rng(123);
   Matrix jitted;
-  ASSERT_TRUE(table->SliceSample(node_id, g.adj(), cols, jit_rng, &jitted));
+  ASSERT_TRUE(table->SliceSample(node_id, g.adj(), cols, jit_rng, &jitted, nullptr));
 
   for (const Matrix* m : {&interp, &jitted}) {
     const auto edges = gs::testing::EdgeSet(*m);

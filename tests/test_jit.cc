@@ -21,6 +21,7 @@
 #include "core/executor.h"
 #include "core/ir.h"
 #include "core/plan.h"
+#include "device/device.h"
 #include "fault/fault.h"
 #include "graph/graph.h"
 #include "graph/store.h"
@@ -403,6 +404,39 @@ TEST(JitOracle, OneMemberRequestsRunTheNativeSliceSample) {
     ExpectBitIdentical(grouped[b], jitted->SampleSeeded(group[b], seeds[b]),
                        "member " + std::to_string(b));
   }
+}
+
+// The native slice-sample returns a marked sample's node set from its own
+// launch and charges what the interpreter charges, so a GraphSAGE request
+// costs the same kernels, bytes and model clock either way: one launch per
+// layer, its row_ids included.
+TEST(JitOracle, NativeSliceSampleChargesTheInterpretersCosts) {
+  device::Device v100(device::V100Sim());
+  device::DeviceGuard guard(v100);
+  graph::Graph g = JitGraph();
+  JitEngine engine(EngineOptions(ScratchDir("costs")));
+  std::map<std::string, tensor::Tensor> tensors;
+  auto plan = Compile("GraphSAGE", g, Optimized(), &tensors);
+  std::shared_ptr<const core::FusedKernelTable> table = engine.TableFor(*plan);
+  ASSERT_NE(table, nullptr);
+  auto interp = MakeSession(plan, g, tensors, nullptr);
+  auto jitted = MakeSession(plan, g, tensors, table);
+  auto cost = [&v100](const SamplerSession& session, std::vector<Value>* out) {
+    const device::StreamCounters before = v100.stream().counters();
+    *out = session.SampleSeeded(Seeds({5, 17, 2, 42, 8}), 9);
+    const device::StreamCounters after = v100.stream().counters();
+    return std::vector<int64_t>{after.kernels_launched - before.kernels_launched,
+                                after.hbm_bytes - before.hbm_bytes,
+                                after.model_ns - before.model_ns};
+  };
+  std::vector<Value> want;
+  std::vector<Value> got;
+  const std::vector<int64_t> interp_cost = cost(*interp, &want);
+  const int64_t hits = jit::GlobalJitStats().hits;
+  EXPECT_EQ(cost(*jitted, &got), interp_cost);
+  EXPECT_EQ(jit::GlobalJitStats().hits - hits, 2);
+  EXPECT_EQ(interp_cost[0], 2);
+  ExpectBitIdentical(want, got, "native node sets");
 }
 
 // ------------------------------------------------------- demotion ladder

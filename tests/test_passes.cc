@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "algorithms/algorithms.h"
 #include "core/engine.h"
 #include "core/passes.h"
@@ -410,6 +413,71 @@ TEST(FuseWalks, WalkFusionSamplesIdentically) {
   }
 }
 
+bool IsNodeWiseSample(OpKind kind) {
+  return kind == OpKind::kIndividualSample || kind == OpKind::kIndividualSampleP ||
+         kind == OpKind::kFusedSliceSample;
+}
+
+// Node-wise samples whose rows a row_ids reads.
+std::set<int> SamplesReadByRowIds(const Program& p) {
+  std::set<int> read;
+  for (const Node& n : p.nodes()) {
+    if (n.kind == OpKind::kRowIds && IsNodeWiseSample(p.node(n.inputs[0]).kind)) {
+      read.insert(n.inputs[0]);
+    }
+  }
+  return read;
+}
+
+// Samples of either kind whose attrs.flag is set.
+std::set<int> MarkedSamples(const Program& p) {
+  std::set<int> marked;
+  for (const Node& n : p.nodes()) {
+    const bool layer_wise = n.kind == OpKind::kCollectiveSample ||
+                            n.kind == OpKind::kFusedSliceCollectiveSample;
+    if ((IsNodeWiseSample(n.kind) || layer_wise) && n.attrs.flag) {
+      marked.insert(n.id);
+    }
+  }
+  return marked;
+}
+
+TEST(FuseSelectFinalize, MarksExactlyTheNodeWiseSamplesARowIdsReads) {
+  for (const std::string& algorithm : algorithms::AllAlgorithmNames()) {
+    const Program p = CompileAlgorithm(algorithm);
+    EXPECT_EQ(MarkedSamples(p), SamplesReadByRowIds(p)) << algorithm;
+  }
+  // GraphSAGE's two layers, one fused slice-sample each; GCN-BS's biased
+  // samples stay individual_sample_p; layer-wise samples are never marked.
+  EXPECT_EQ(MarkedSamples(CompileAlgorithm("GraphSAGE")).size(), 2u);
+  const Program gcn_bs = CompileAlgorithm("GCN-BS");
+  EXPECT_EQ(MarkedSamples(gcn_bs).size(),
+            static_cast<size_t>(CountKind(gcn_bs, OpKind::kIndividualSampleP)));
+  EXPECT_GT(CountKind(gcn_bs, OpKind::kIndividualSampleP), 0);
+  EXPECT_TRUE(MarkedSamples(CompileAlgorithm("LADIES")).empty());
+}
+
+TEST(FuseSelectFinalize, FusionOffLeavesEverySampleUnmarked) {
+  SamplerOptions off;
+  off.enable_fusion = false;
+  const std::vector<std::string> names = core::StandardPassPipeline(off).names();
+  EXPECT_EQ(std::count(names.begin(), names.end(), "fuse-select-finalize"), 0);
+  for (const std::string& algorithm : algorithms::AllAlgorithmNames()) {
+    EXPECT_TRUE(MarkedSamples(CompileAlgorithm(algorithm, off)).empty()) << algorithm;
+  }
+}
+
+TEST(FuseSelectFinalize, ADeadRowIdsMarksNothing) {
+  // The pass runs after DCE, so a row() that no output reaches marks nothing.
+  Builder b;
+  MVal sample = b.Graph().Cols(b.Frontier()).IndividualSample(3);
+  (void)sample.Row();
+  b.Output(sample);
+  const Program p = Optimize(std::move(b).Build(), {});
+  EXPECT_EQ(CountKind(p, OpKind::kRowIds), 0);
+  EXPECT_TRUE(MarkedSamples(p).empty());
+}
+
 TEST(FuseEdgeMapReduce, AbsorbsMapIntoReduce) {
   Program p = TraceLadiesLayer();
   const int fused = FuseEdgeMapReduce(p);
@@ -520,6 +588,9 @@ TEST_P(OptEquivalence, AllConfigurationsSampleIdentically) {
   };
 
   std::vector<std::vector<std::map<std::pair<int32_t, int32_t>, float>>> results;
+  // The id outputs (frontiers, walk steps), which fusion computes in the
+  // sample kernels and the unfused program in RowIds, compare exactly.
+  std::vector<std::vector<std::vector<int32_t>>> ids;
   for (const OptConfig& c : configs) {
     algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(algo, g);
     SamplerOptions opts;
@@ -530,12 +601,20 @@ TEST_P(OptEquivalence, AllConfigurationsSampleIdentically) {
     CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
     std::vector<Value> out = sampler.Sample(frontier);
     std::vector<std::map<std::pair<int32_t, int32_t>, float>> edge_sets;
+    std::vector<std::vector<int32_t>> id_outputs;
     for (const Value& v : out) {
       if (v.kind == ValueKind::kMatrix) {
         edge_sets.push_back(gs::testing::EdgeSet(v.matrix));
+      } else if (v.kind == ValueKind::kIds) {
+        id_outputs.emplace_back(v.ids.data(), v.ids.data() + v.ids.size());
       }
     }
     results.push_back(std::move(edge_sets));
+    ids.push_back(std::move(id_outputs));
+  }
+  ASSERT_FALSE(ids[0].empty()) << algo << " returns no ids to compare";
+  for (size_t i = 1; i < ids.size(); ++i) {
+    EXPECT_EQ(ids[i], ids[0]) << "config " << i;
   }
   for (size_t i = 1; i < results.size(); ++i) {
     ASSERT_EQ(results[i].size(), results[0].size());

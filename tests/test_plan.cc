@@ -23,6 +23,7 @@
 #include "core/engine.h"
 #include "core/pass_manager.h"
 #include "core/plan.h"
+#include "core/trace.h"
 #include "device/device.h"
 #include "graph/graph.h"
 #include "serving/plan_cache.h"
@@ -340,6 +341,75 @@ TEST(UntrustedPlan, WalkAtTheStepCapLoadsAndRuns) {
       EXPECT_EQ(v.ids.size(), frontier.size());
     }
   }
+}
+
+// The kernels one seeded request launches on the current device, and its
+// outputs.
+int64_t SeededLaunches(const SamplerSession& session, const IdArray& frontier, uint64_t seed,
+                       std::vector<Value>* out) {
+  device::Stream& stream = device::Current().stream();
+  const int64_t before = stream.counters().kernels_launched;
+  *out = session.SampleSeeded(frontier, seed);
+  return stream.counters().kernels_launched - before;
+}
+
+// Select-Finalize marks are plan text like any other attribute. A plan whose
+// marks were cleared (as in a plan saved before the pass existed) samples
+// bit-identically to the marked plan, with one more launch per cleared mark:
+// that row_ids runs its own kernel again.
+TEST(UntrustedPlan, ClearedSelectFinalizeMarksSampleIdentically) {
+  device::Device v100(device::V100Sim());
+  device::DeviceGuard guard(v100);
+  graph::Graph g = PlanGraph();
+  algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {.fanouts = {5, 3}});
+  auto plan = std::make_shared<CompiledPlan>(std::move(ap.program), SamplerOptions{}, "GraphSAGE");
+  MakeSession(plan, g);  // calibrates the plan before it is saved
+  const std::string text = plan->Serialize();
+  std::string cleared = text;
+  int marks = 0;
+  for (const core::Node& n : plan->program().nodes()) {
+    if (n.kind == core::OpKind::kFusedSliceSample) {
+      EXPECT_TRUE(n.attrs.flag) << "a row_ids reads sample " << n.id;
+      cleared = EditNode(cleared, n.id, " flag=1 ", " flag=0 ");
+      ++marks;
+    }
+  }
+  ASSERT_EQ(marks, 2);
+  auto marked_session = MakeSession(CompiledPlan::Deserialize(text), g);
+  auto cleared_session = MakeSession(CompiledPlan::Deserialize(cleared), g);
+  for (const auto& [frontier, seed] :
+       std::vector<std::pair<IdArray, uint64_t>>{{Seeds({0, 1, 2, 3}), 7}, {Seeds({9, 4}), 8}}) {
+    std::vector<Value> want;
+    std::vector<Value> got;
+    const int64_t marked_kernels = SeededLaunches(*marked_session, frontier, seed, &want);
+    EXPECT_EQ(SeededLaunches(*cleared_session, frontier, seed, &got), marked_kernels + marks);
+    ExpectBitIdentical(want, got, "cleared marks, seed " + std::to_string(seed));
+  }
+}
+
+// A mark on a sample whose rows no row_ids reads only makes its kernel
+// compute a node set nobody takes: same samples, same launches.
+TEST(UntrustedPlan, MarkOnAnUnreadSampleLeavesSamplesUnchanged) {
+  device::Device v100(device::V100Sim());
+  device::DeviceGuard guard(v100);
+  graph::Graph g = PlanGraph();
+  core::Builder b;
+  b.Output(b.Graph().Cols(b.Frontier()).IndividualSample(4));
+  auto plan = std::make_shared<CompiledPlan>(std::move(b).Build(), SamplerOptions{}, "unread");
+  MakeSession(plan, g);
+  const core::Node& sample = plan->program().node(plan->program().outputs().front());
+  ASSERT_EQ(sample.kind, core::OpKind::kFusedSliceSample);
+  ASSERT_FALSE(sample.attrs.flag) << "no row_ids reads the sample";
+  const std::string text = plan->Serialize();
+  auto unmarked_session = MakeSession(CompiledPlan::Deserialize(text), g);
+  auto marked_session =
+      MakeSession(CompiledPlan::Deserialize(EditNode(text, sample.id, " flag=0 ", " flag=1 ")), g);
+  std::vector<Value> want;
+  std::vector<Value> got;
+  const IdArray frontier = Seeds({3, 1, 4, 1, 5});
+  EXPECT_EQ(SeededLaunches(*marked_session, frontier, 11, &got),
+            SeededLaunches(*unmarked_session, frontier, 11, &want));
+  ExpectBitIdentical(want, got, "mark on an unread sample");
 }
 
 // ------------------------------------------------- session binding contract

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <set>
 #include <string>
@@ -182,6 +183,89 @@ TEST(FusedSliceSample, EquivalentToSliceThenSample) {
   Matrix sub = SliceColumns(g.adj(), cols);
   Matrix unfused = IndividualSample(sub, 3, ValueArray{}, {&rng_unfused, 1});
   EXPECT_EQ(EdgeSet(fused), EdgeSet(unfused));
+}
+
+// Select-Finalize fusion: a node-wise sample asked for its node set returns
+// RowIds of its result from the same launch, and charges both kernels' work
+// items and bytes, so the model clock differs from sample-then-RowIds by
+// exactly the saved launch (whole-nanosecond test profile). Covers a row
+// space read through a row id map, biased draws, and labeled segments.
+TEST(SelectFinalize, NodeSetIsRowIdsFromTheSampleLaunch) {
+  device::DeviceProfile profile = device::V100Sim();
+  profile.model_compute_ns_per_item = 1.0;
+  profile.hbm_penalty_ns_per_byte = 1.0;
+  device::Device dev(profile);
+  device::DeviceGuard guard(dev);
+  const graph::Graph g = gs::testing::SmallRmat();
+  const IdArray cols = IdArray::FromVector({2, 4, 8, 16, 32, 64});
+  const Matrix sub = CompactRows(SliceColumns(g.adj(), cols));
+  ASSERT_TRUE(sub.has_row_ids());
+  ValueArray probs = ValueArray::Empty(sub.nnz());
+  for (int64_t e = 0; e < sub.nnz(); ++e) {
+    probs[e] = static_cast<float>(e % 5 + 1);
+  }
+  std::vector<int32_t> labeled;
+  for (int32_t b = 0; b < 2; ++b) {
+    for (const int32_t v : {2, 4, 8, 9}) {
+      labeled.push_back(static_cast<int32_t>(b * g.num_nodes()) + v);
+    }
+  }
+  const IdArray labeled_cols = IdArray::FromVector(labeled);
+
+  struct Case {
+    std::string name;
+    size_t segments;
+    std::function<Matrix(std::span<Rng>, IdArray*)> sample;
+  };
+  const std::vector<Case> cases = {
+      {"individual_sample", 1,
+       [&](std::span<Rng> rngs, IdArray* set) {
+         return IndividualSample(sub, 3, ValueArray{}, rngs, 0, set);
+       }},
+      {"individual_sample_p", 1,
+       [&](std::span<Rng> rngs, IdArray* set) {
+         return IndividualSample(sub, 3, probs, rngs, 0, set);
+       }},
+      {"fused_slice_sample", 1,
+       [&](std::span<Rng> rngs, IdArray* set) {
+         return FusedSliceSample(g.adj(), cols, 3, rngs, set);
+       }},
+      {"labeled fused_slice_sample", 2,
+       [&](std::span<Rng> rngs, IdArray* set) {
+         return FusedSliceSample(g.adj(), labeled_cols, 3, rngs, set);
+       }},
+  };
+  for (const Case& c : cases) {
+    auto run = [&](bool fused, std::vector<core::Value>* out) {
+      std::vector<Rng> rngs;
+      for (size_t b = 0; b < c.segments; ++b) {
+        rngs.emplace_back(700 + b);
+      }
+      const device::StreamCounters before = dev.stream().counters();
+      IdArray node_set;
+      const Matrix m = c.sample(rngs, fused ? &node_set : nullptr);
+      if (!fused) {
+        node_set = RowIds(m);
+      }
+      const device::StreamCounters after = dev.stream().counters();
+      *out = {core::Value::OfMatrix(m), core::Value::OfIds(node_set)};
+      device::StreamCounters cost;
+      cost.kernels_launched = after.kernels_launched - before.kernels_launched;
+      cost.hbm_bytes = after.hbm_bytes - before.hbm_bytes;
+      cost.model_ns = after.model_ns - before.model_ns;
+      return cost;
+    };
+    std::vector<core::Value> fused_out;
+    std::vector<core::Value> unfused_out;
+    const device::StreamCounters fused = run(true, &fused_out);
+    const device::StreamCounters unfused = run(false, &unfused_out);
+    gs::testing::ExpectBitIdentical(fused_out, unfused_out, c.name);
+    EXPECT_GT(fused_out[1].ids.size(), 0) << c.name;
+    EXPECT_EQ(fused.kernels_launched, 1) << c.name;
+    EXPECT_EQ(unfused.kernels_launched, 2) << c.name;
+    EXPECT_EQ(fused.hbm_bytes, unfused.hbm_bytes) << c.name;
+    EXPECT_EQ(unfused.model_ns - fused.model_ns, profile.launch_overhead_ns) << c.name;
+  }
 }
 
 TEST(UniformWalkStep, StepsToInNeighbors) {

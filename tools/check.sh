@@ -58,10 +58,12 @@
 #              compile under TSan; fuzz differencing native kernels against
 #              the interpreter. The fuzzer's minimizer drops jit first, so a
 #              repro that survives without it is a plain interpreter bug.
-#   asan       the sparse kernel, executor, engine and serving suites and
-#              the chaos soak under ASan+UBSan: labeled super-batch ids,
-#              merged kernels, the request scatter, where an out-of-range id
-#              is a memory error, and the retry ladder and watchdog
+#   asan       the sparse kernel, executor, engine, pass, plan and serving
+#              suites and the chaos soak under ASan+UBSan: labeled
+#              super-batch ids, merged kernels, the request scatter, where an
+#              out-of-range id is a memory error; node sets that a
+#              launch-free row_ids shares with its matrix and that outlive
+#              the sample's freed value; and the retry ladder and watchdog
 #              cancellation.
 #   chaos      the gs::fault suites (test_fault + the chaos soak) under
 #              TSan: the deterministic-injection racing workout.
@@ -83,7 +85,7 @@ TIERS=(
   "ha|ha|test_ha fuzz_passes|test_ha|-|--seeds 60 --shards 2 --kill-shard"
   "dynamic|dynamic|test_dyn fuzz_passes gsampler_cli|test_dyn|test_dyn|--seeds 100 --mutate"
   "jit|jit|test_jit test_fused fuzz_passes|test_jit|-|--seeds 60 --jit"
-  "asan|-|-|-|test_sparse_kernels test_sparse_sampling test_sparse_batch test_executor test_engine test_serving test_fault_soak|-"
+  "asan|-|-|-|test_sparse_kernels test_sparse_sampling test_sparse_batch test_executor test_engine test_passes test_plan test_serving test_fault_soak|-"
   "default|-|fuzz_passes|-|-|--seeds 40 --shards 2 --kill-shard --features --mutate --jit"
   "chaos|-|-|test_fault test_fault_soak|-|-"
 )

@@ -35,7 +35,11 @@
 //   --dump-ir          log the IR after each pass
 //   --list             list algorithms and datasets, then exit
 //   --json             emit a single-line JSON run summary on stdout instead
-//                      of the human-readable report; in serve mode the
+//                      of the human-readable report. In epoch mode its
+//                      counters (simulated_ms, model_ns, kernels, sm_pct,
+//                      pcie_mb) cover the epochs, so each is the sum of the
+//                      epoch lines, and super_batch is the group size the
+//                      epochs ran at. In serve mode the
 //                      client's outcome and latency keys sit at the top
 //                      level and every server counter under `server`
 //                      (ServerStats::ToJson)
@@ -83,6 +87,7 @@
 #include "common/error.h"
 #include "core/engine.h"
 #include "core/plan.h"
+#include "device/stream.h"
 #include "dyn/mutation_gen.h"
 #include "graph/datasets.h"
 #include "graph/io.h"
@@ -94,6 +99,18 @@
 #include "serving/server.h"
 
 namespace {
+
+// The counters one stream accrued between two of its snapshots.
+gs::device::StreamCounters Since(const gs::device::StreamCounters& before,
+                                 const gs::device::StreamCounters& after) {
+  gs::device::StreamCounters d;
+  d.kernels_launched = after.kernels_launched - before.kernels_launched;
+  d.virtual_ns = after.virtual_ns - before.virtual_ns;
+  d.model_ns = after.model_ns - before.model_ns;
+  d.pcie_bytes = after.pcie_bytes - before.pcie_bytes;
+  d.occupancy_ns = after.occupancy_ns - before.occupancy_ns;
+  return d;
+}
 
 struct Args {
   std::string algorithm = "GraphSAGE";
@@ -515,33 +532,36 @@ int main(int argc, char** argv) {
     }
 
     int64_t total_batches = 0;
+    int group_size = 1;
+    const device::StreamCounters run_start = dev.stream().counters();
     for (int epoch = 0; epoch < args.epochs; ++epoch) {
       const device::StreamCounters before = dev.stream().counters();
-      int64_t batches = 0;
+      // The first epoch also calibrates the plan and auto-tunes the group
+      // size, as SampleEpoch does.
+      core::BatchProducer epoch_producer(sampler, g.train_ids(), args.batch);
+      group_size = epoch_producer.group_size();
       if (pipe != nullptr) {
-        core::BatchProducer epoch_producer(sampler, g.train_ids(), args.batch);
         producer = &epoch_producer;
         pipe->Run(epoch_producer.num_batches());
         producer = nullptr;
-        batches = epoch_producer.num_batches();
       } else {
-        sampler.SampleEpoch(g.train_ids(), args.batch,
-                            [&](int64_t, std::vector<core::Value>&) { ++batches; });
+        core::EpochBatch batch;
+        while (epoch_producer.Next(&batch)) {
+        }
       }
+      const int64_t batches = epoch_producer.num_batches();
       total_batches += batches;
-      const device::StreamCounters counters = dev.stream().counters();
+      const device::StreamCounters delta = Since(before, dev.stream().counters());
       if (!args.json) {
-        std::printf("epoch %d: %.2f ms simulated, %lld mini-batches, %lld kernels, "
-                    "SM %.1f%%, PCIe %.1f MB\n",
-                    epoch + 1,
-                    static_cast<double>(counters.virtual_ns - before.virtual_ns) / 1e6,
-                    static_cast<long long>(batches),
-                    static_cast<long long>(counters.kernels_launched - before.kernels_launched),
-                    counters.SmUtilizationPercent(),
-                    static_cast<double>(counters.pcie_bytes) / 1e6);
+        std::printf("epoch %d: %.2f ms simulated, model %.2f ms, %lld mini-batches, "
+                    "%lld kernels, SM %.1f%%, PCIe %.1f MB\n",
+                    epoch + 1, static_cast<double>(delta.virtual_ns) / 1e6,
+                    static_cast<double>(delta.model_ns) / 1e6, static_cast<long long>(batches),
+                    static_cast<long long>(delta.kernels_launched), delta.SmUtilizationPercent(),
+                    static_cast<double>(delta.pcie_bytes) / 1e6);
       }
     }
-    const device::StreamCounters totals = dev.stream().counters();
+    const device::StreamCounters totals = Since(run_start, dev.stream().counters());
     char jit_tail[192] = "";
     if (args.jit) {
       const jit::JitStats js = jit::GlobalJitStats();
@@ -556,15 +576,14 @@ int main(int argc, char** argv) {
       std::printf(
           "{\"mode\":\"epoch\",\"algorithm\":\"%s\",\"dataset\":\"%s\","
           "\"nodes\":%lld,\"edges\":%lld,\"epochs\":%d,\"batches\":%lld,"
-          "\"simulated_ms\":%.2f,\"kernels\":%lld,\"sm_pct\":%.1f,"
+          "\"simulated_ms\":%.2f,\"model_ns\":%lld,\"kernels\":%lld,\"sm_pct\":%.1f,"
           "\"pcie_mb\":%.1f,\"super_batch\":%d%s}\n",
           args.algorithm.c_str(), args.dataset.c_str(),
           static_cast<long long>(g.num_nodes()), static_cast<long long>(g.num_edges()),
           args.epochs, static_cast<long long>(total_batches),
-          static_cast<double>(totals.virtual_ns) / 1e6,
+          static_cast<double>(totals.virtual_ns) / 1e6, static_cast<long long>(totals.model_ns),
           static_cast<long long>(totals.kernels_launched), totals.SmUtilizationPercent(),
-          static_cast<double>(totals.pcie_bytes) / 1e6, sampler.effective_super_batch(),
-          jit_tail);
+          static_cast<double>(totals.pcie_bytes) / 1e6, group_size, jit_tail);
     } else {
       if (pipe != nullptr) {
         std::printf("%s", pipe->metrics().ToString().c_str());
