@@ -25,7 +25,7 @@
 // carries the server's counters (ServerStats::ToJson) under "server".
 //
 // Usage: serving_throughput [--scale=0.05] [--requests=400] [--workers=4]
-//                           [--shards=4] [--vertex-cut] [--features] [--json]
+//                           [--shards=4] [--features] [--json]
 
 #include <algorithm>
 #include <cstdint>
@@ -53,7 +53,6 @@ struct Sweep {
   int64_t requests = 400;
   int workers = 4;
   int shards = 0;  // 0 = wall-clock sweep (default); N = shard capacity mode
-  bool vertex_cut = false;
   bool features = false;  // gather feature rows per response (gs::feature)
   bool json = false;      // machine-readable cell dump instead of the table
 };
@@ -104,10 +103,11 @@ struct ShardCell {
 // service time is that shard's model-clock advance, and capacity divides
 // the request count by the busiest shard's.
 ShardCell RunShardCell(const gs::graph::Graph& graph, int shards, const Sweep& sweep) {
-  const gs::graph::Partition partition = gs::graph::Partitioner::Build(
-      graph,
-      sweep.vertex_cut ? gs::graph::PartitionKind::kVertexCut : gs::graph::PartitionKind::kEdgeCut,
-      shards);
+  const gs::graph::Partition partition = gs::graph::Partitioner::EdgeCut(graph, shards);
+  std::vector<std::vector<int32_t>> owned(static_cast<size_t>(shards));  // ascending ids
+  for (int32_t v = 0; v < graph.num_nodes(); ++v) {
+    owned[static_cast<size_t>(partition.OwnerOf(v))].push_back(v);
+  }
   gs::algorithms::AlgorithmProgram algorithm =
       gs::algorithms::GraphSage(graph, {.fanouts = {10, 5}});
   auto plan = std::make_shared<gs::core::CompiledPlan>(std::move(algorithm.program),
@@ -140,12 +140,12 @@ ShardCell RunShardCell(const gs::graph::Graph& graph, int shards, const Sweep& s
   latencies.reserve(static_cast<size_t>(sweep.requests));
   // Tenant batches have locality: tenants are spread evenly over the shards
   // and each request draws its seeds from a contiguous window of its
-  // tenant's shard-local nodes, so the plurality vote routes it home
+  // tenant's shard's owned nodes, so the plurality vote routes it home
   // (uniform batches would all vote for whichever shard owns the most
   // nodes, starving the rest).
   uint64_t rng = 0x9e3779b97f4a7c15ULL;
   for (int64_t r = 0; r < sweep.requests; ++r) {
-    const std::vector<int32_t>& local = partition.LocalNodes(static_cast<int>(r % shards));
+    const std::vector<int32_t>& local = owned[static_cast<size_t>(r % shards)];
     const int64_t pool = static_cast<int64_t>(local.size());
     const int64_t window = std::min<int64_t>(pool, 128);
     rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -195,9 +195,9 @@ ShardCell RunShardCell(const gs::graph::Graph& graph, int shards, const Sweep& s
 }
 
 int RunShardSweep(const gs::graph::Graph& graph, const Sweep& sweep) {
-  std::printf("shard capacity (model clock): PD-sim nodes=%lld, %lld requests, %s partition\n\n",
-              static_cast<long long>(graph.num_nodes()), static_cast<long long>(sweep.requests),
-              sweep.vertex_cut ? "vertex-cut" : "edge-cut");
+  std::printf(
+      "shard capacity (model clock): PD-sim nodes=%lld, %lld requests, edge-cut partition\n\n",
+      static_cast<long long>(graph.num_nodes()), static_cast<long long>(sweep.requests));
   std::printf("%7s | %14s %8s | %9s %9s | %12s %10s\n", "shards", "capacity(r/s)", "speedup",
               "p50(us)", "p95(us)", "exch(bytes)", "exch(us)");
 
@@ -254,8 +254,6 @@ int main(int argc, char** argv) {
       sweep.workers = std::atoi(argv[i] + 10);
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
       sweep.shards = std::atoi(argv[i] + 9);
-    } else if (std::strcmp(argv[i], "--vertex-cut") == 0) {
-      sweep.vertex_cut = true;
     } else if (std::strcmp(argv[i], "--features") == 0) {
       sweep.features = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {

@@ -67,6 +67,19 @@ sparse::Format GreedyPreferredFormat(const Node& node) {
   }
 }
 
+// The node set a `row_ids` returns without a launch: a marked sample's
+// (`fused`), or a rows-compact matrix's row id map, which already is its
+// node set. Undefined when RowIds' kernel has to run.
+tensor::IdArray LaunchFreeRowIds(const tensor::IdArray& fused, const sparse::Matrix& m) {
+  if (fused.defined()) {
+    return fused;
+  }
+  if (m.rows_compact() && m.has_row_ids()) {
+    return m.row_ids();
+  }
+  return {};
+}
+
 void EnsureFormat(const sparse::Matrix& m, sparse::Format format) {
   switch (format) {
     case sparse::Format::kCsc:
@@ -345,10 +358,14 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
   };
 
   // Greedy layout: convert the primary matrix input to the op's favorite
-  // format up front, conversion cost be damned (the DGL-like policy).
+  // format up front, conversion cost be damned (the DGL-like policy). A
+  // `row_ids` that launches nothing reads no format, so it converts nothing.
   if (options_.layout == LayoutMode::kGreedy && !node.inputs.empty()) {
     const Value& first = values[static_cast<size_t>(node.inputs[0])];
-    if (first.kind == ValueKind::kMatrix && first.matrix.defined()) {
+    if (first.kind == ValueKind::kMatrix && first.matrix.defined() &&
+        !(node.kind == OpKind::kRowIds &&
+          LaunchFreeRowIds(node_sets[static_cast<size_t>(node.inputs[0])], first.matrix)
+              .defined())) {
       EnsureFormat(first.matrix, GreedyPreferredFormat(node));
     }
   }
@@ -486,17 +503,9 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
           matrix_in(0), ids_in(1), node.attrs.k, tensor_in(2).array(), rngs));
 
     case OpKind::kRowIds: {
-      // Neither a marked sample's node set nor a rows-compact matrix's row
-      // id map (which already is its node set) costs a launch.
-      const tensor::IdArray& fused = node_sets[static_cast<size_t>(node.inputs[0])];
-      if (fused.defined()) {
-        return Value::OfIds(fused);
-      }
       const sparse::Matrix& m = matrix_in(0);
-      if (m.rows_compact() && m.has_row_ids()) {
-        return Value::OfIds(m.row_ids());
-      }
-      return Value::OfIds(sparse::RowIds(m));
+      tensor::IdArray ids = LaunchFreeRowIds(node_sets[static_cast<size_t>(node.inputs[0])], m);
+      return Value::OfIds(ids.defined() ? std::move(ids) : sparse::RowIds(m));
     }
     case OpKind::kColIds:
       return Value::OfIds(sparse::ColIds(matrix_in(0)));

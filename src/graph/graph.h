@@ -28,20 +28,21 @@ class Graph {
   // `edges`) become edge values, and when the same (src, dst) pair appears
   // more than once the FIRST occurrence in the input order wins — the sort
   // that groups duplicates tie-breaks on the original input index, so the
-  // rule is deterministic regardless of the sort implementation. This rule
-  // is load-bearing for gs::graph::GraphStore: delta compaction and
-  // Snapshot materialization replay the identical resolution so that a
-  // from-scratch FromEdges load of GraphStore::EffectiveEdges is
-  // bit-identical to the incrementally maintained snapshot (pinned by
-  // tests/test_graph.cc and the gs::oracle snapshot-equivalence check).
+  // rule is deterministic regardless of the sort implementation.
+  // gs::graph::GraphStore's snapshots keep these postconditions (Apply
+  // upserts into sorted columns), and GraphStore::EffectiveEdges lists each
+  // live pair once, so a from-scratch FromEdges load of it is bit-identical
+  // to the store's snapshot (pinned by tests/test_graph.cc, test_dyn and
+  // the gs::oracle snapshot-equivalence check).
   static Graph FromEdges(std::string name, int64_t num_nodes,
                          std::vector<std::pair<int32_t, int32_t>> edges,
                          const std::vector<float>* weights = nullptr, bool uva = false);
 
   // Builds a graph directly from materialized CSC arrays (column v holds the
-  // sorted in-neighbors of v). Used by gs::graph::GraphStore to materialize
-  // mutation snapshots without a re-sort; the caller guarantees sorted,
-  // deduplicated, self-loop-free columns (the FromEdges postconditions).
+  // sorted in-neighbors of v). Used by gs::graph::GraphStore for each
+  // epoch's CSC, which Apply builds from the previous one without a
+  // re-sort; the caller guarantees sorted, deduplicated, self-loop-free
+  // columns (the FromEdges postconditions).
   static Graph FromCsc(std::string name, int64_t num_nodes, sparse::Compressed csc,
                        bool uva = false);
 

@@ -1,16 +1,9 @@
 #include "graph/partition.h"
 
-#include <algorithm>
-#include <sstream>
-
 #include "common/error.h"
 
 namespace gs::graph {
 namespace {
-
-// Columns whose in-degree exceeds this multiple of the average are split
-// across shards in the vertex-cut (power-law hubs).
-constexpr double kVertexCutDegreeMultiple = 4.0;
 
 // Contiguous node ranges balanced by per-node work (in-degree + 1, so
 // zero-degree nodes still count toward the balance). Deterministic: shard s
@@ -44,44 +37,10 @@ std::vector<int32_t> ContiguousOwners(const std::vector<int64_t>& work, int num_
 
 }  // namespace
 
-const char* PartitionKindName(PartitionKind kind) {
-  switch (kind) {
-    case PartitionKind::kEdgeCut:
-      return "edge-cut";
-    case PartitionKind::kVertexCut:
-      return "vertex-cut";
-  }
-  return "unknown";
-}
-
 int Partition::OwnerOf(int32_t global) const {
   GS_CHECK(global >= 0 && global < static_cast<int64_t>(owner_.size()))
       << "node id " << global << " out of range " << owner_.size();
   return owner_[static_cast<size_t>(global)];
-}
-
-const sparse::Matrix& Partition::Segment(int shard) const {
-  GS_CHECK(shard >= 0 && shard < num_shards_) << "shard " << shard << " out of range";
-  return segments_[static_cast<size_t>(shard)];
-}
-
-const std::vector<int32_t>& Partition::LocalNodes(int shard) const {
-  GS_CHECK(shard >= 0 && shard < num_shards_) << "shard " << shard << " out of range";
-  return locals_[static_cast<size_t>(shard)];
-}
-
-int32_t Partition::ToLocal(int shard, int32_t global) const {
-  GS_CHECK(shard >= 0 && shard < num_shards_) << "shard " << shard << " out of range";
-  const auto& map = to_local_[static_cast<size_t>(shard)];
-  auto it = map.find(global);
-  return it != map.end() ? it->second : -1;
-}
-
-int32_t Partition::ToGlobal(int shard, int32_t local) const {
-  const std::vector<int32_t>& ids = LocalNodes(shard);
-  GS_CHECK(local >= 0 && local < static_cast<int64_t>(ids.size()))
-      << "local id " << local << " out of range " << ids.size();
-  return ids[static_cast<size_t>(local)];
 }
 
 int Partition::HomeShard(const int32_t* ids, int64_t count) const {
@@ -104,9 +63,10 @@ int Partition::HomeShard(const int32_t* ids, int64_t count) const {
 }
 
 int64_t Partition::AdjBytes(int32_t global) const {
-  GS_CHECK(global >= 0 && global < static_cast<int64_t>(degree_.size()))
-      << "node id " << global << " out of range " << degree_.size();
-  return degree_[static_cast<size_t>(global)] * bytes_per_edge_;
+  const sparse::OffsetArray& indptr = graph_.adj().Csc().indptr;
+  GS_CHECK(global >= 0 && global + 1 < indptr.size())
+      << "node id " << global << " out of range " << owner_.size();
+  return (indptr[global + 1] - indptr[global]) * bytes_per_edge_;
 }
 
 int Partition::ReplicaDevice(int shard, int r) const {
@@ -123,42 +83,22 @@ bool Partition::Hosts(int device, int shard) const {
   return (device - shard + num_shards_) % num_shards_ < num_replicas_;
 }
 
-int64_t Partition::SegmentBytes(int shard) const {
-  return Segment(shard).nnz() * bytes_per_edge_;
-}
-
 int64_t Partition::RemoteBytesBound(int shard) const {
   GS_CHECK(shard >= 0 && shard < num_shards_) << "shard " << shard << " out of range";
   int64_t bytes = 0;
   for (size_t v = 0; v < owner_.size(); ++v) {
     if (owner_[v] != shard) {
-      bytes += degree_[v] * bytes_per_edge_;
+      bytes += AdjBytes(static_cast<int32_t>(v));
     }
   }
   return bytes;
-}
-
-std::string Partition::DebugString() const {
-  std::ostringstream out;
-  out << "Partition(" << PartitionKindName(kind_) << ", graph=" << graph_.name()
-      << ", shards=" << num_shards_ << ", replicas=" << num_replicas_;
-  for (int s = 0; s < num_shards_; ++s) {
-    const sparse::Matrix& m = segments_[static_cast<size_t>(s)];
-    out << ", s" << s << "=[cols=" << m.num_cols() << " nnz=" << m.nnz() << "]";
-  }
-  out << ")";
-  return out.str();
 }
 
 Partition Partitioner::EdgeCut(const Graph& graph, int num_shards) {
   return Build(graph, PartitionKind::kEdgeCut, num_shards);
 }
 
-Partition Partitioner::VertexCut(const Graph& graph, int num_shards) {
-  return Build(graph, PartitionKind::kVertexCut, num_shards);
-}
-
-Partition Partitioner::Build(const Graph& graph, PartitionKind kind, int num_shards,
+Partition Partitioner::Build(const Graph& graph, PartitionKind /*kind*/, int num_shards,
                              int num_replicas) {
   const int64_t n = graph.num_nodes();
   GS_CHECK_GE(num_shards, 1) << "partition needs at least one shard";
@@ -168,161 +108,25 @@ Partition Partitioner::Build(const Graph& graph, PartitionKind kind, int num_sha
       << "more replicas than devices (" << num_replicas << " > " << num_shards << ")";
 
   const sparse::Compressed& csc = graph.adj().Csc();
-  const bool weighted = csc.values.defined();
-
   Partition p;
   p.graph_ = graph;
-  p.kind_ = kind;
   p.num_shards_ = num_shards;
   p.num_replicas_ = num_replicas;
-  p.bytes_per_edge_ =
-      static_cast<int64_t>(sizeof(int32_t)) + (weighted ? static_cast<int64_t>(sizeof(float)) : 0);
-
-  p.degree_.resize(static_cast<size_t>(n));
+  p.bytes_per_edge_ = static_cast<int64_t>(sizeof(int32_t)) +
+                      (csc.values.defined() ? static_cast<int64_t>(sizeof(float)) : 0);
   std::vector<int64_t> work(static_cast<size_t>(n));
   for (int64_t c = 0; c < n; ++c) {
-    p.degree_[static_cast<size_t>(c)] = csc.indptr[c + 1] - csc.indptr[c];
-    work[static_cast<size_t>(c)] = p.degree_[static_cast<size_t>(c)] + 1;
+    work[static_cast<size_t>(c)] = csc.indptr[c + 1] - csc.indptr[c] + 1;
   }
   p.owner_ = ContiguousOwners(work, num_shards);
-
-  // Hub threshold for the vertex-cut: columns above it spill contiguous
-  // edge chunks round-robin across shards, starting at the home shard.
-  const double avg_degree =
-      n > 0 ? static_cast<double>(graph.num_edges()) / static_cast<double>(n) : 0.0;
-  const int64_t hub_threshold =
-      std::max<int64_t>(8, static_cast<int64_t>(kVertexCutDegreeMultiple * avg_degree));
-
-  // One builder per shard; columns are visited in ascending global order so
-  // every segment's col_ids come out sorted.
-  struct Builder {
-    std::vector<int64_t> indptr{0};
-    std::vector<int32_t> indices;
-    std::vector<float> values;
-    std::vector<int32_t> cols;
-  };
-  std::vector<Builder> builders(static_cast<size_t>(num_shards));
-  std::vector<std::vector<std::pair<int32_t, float>>> per_shard(
-      static_cast<size_t>(num_shards));
-
-  for (int64_t c = 0; c < n; ++c) {
-    const int32_t home = p.owner_[static_cast<size_t>(c)];
-    const int64_t deg = p.degree_[static_cast<size_t>(c)];
-    for (auto& edges : per_shard) {
-      edges.clear();
-    }
-    const bool split =
-        kind == PartitionKind::kVertexCut && num_shards > 1 && deg > hub_threshold;
-    // Chunk size for split columns: ceil(deg / num_shards), so a hub's
-    // adjacency spreads over every shard.
-    const int64_t chunk = split ? (deg + num_shards - 1) / num_shards : deg;
-    for (int64_t j = 0; j < deg; ++j) {
-      const int owner =
-          split ? static_cast<int>((home + j / chunk) % num_shards) : home;
-      const int64_t e = csc.indptr[c] + j;
-      per_shard[static_cast<size_t>(owner)].emplace_back(
-          csc.indices[e], weighted ? csc.values[e] : 0.0f);
-    }
-    for (int s = 0; s < num_shards; ++s) {
-      auto& edges = per_shard[static_cast<size_t>(s)];
-      if (edges.empty() && s != home) {
-        continue;  // only the master materializes an empty column
-      }
-      Builder& b = builders[static_cast<size_t>(s)];
-      b.cols.push_back(static_cast<int32_t>(c));
-      for (const auto& [row, value] : edges) {
-        b.indices.push_back(row);
-        if (weighted) {
-          b.values.push_back(value);
-        }
-      }
-      b.indptr.push_back(static_cast<int64_t>(b.indices.size()));
-    }
-  }
-
-  p.segments_.reserve(static_cast<size_t>(num_shards));
-  p.locals_.reserve(static_cast<size_t>(num_shards));
-  p.to_local_.resize(static_cast<size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    Builder& b = builders[static_cast<size_t>(s)];
-    sparse::Compressed seg;
-    seg.indptr = sparse::OffsetArray::FromVector(b.indptr);
-    seg.indices = sparse::IdArray::FromVector(b.indices);
-    if (weighted) {
-      seg.values = sparse::ValueArray::FromVector(b.values);
-    }
-    sparse::Matrix m = sparse::Matrix::FromCsc(
-        n, static_cast<int64_t>(b.cols.size()), std::move(seg));
-    m.SetColIds(sparse::IdArray::FromVector(b.cols));
-    p.segments_.push_back(std::move(m));
-    auto& map = p.to_local_[static_cast<size_t>(s)];
-    map.reserve(b.cols.size());
-    for (size_t i = 0; i < b.cols.size(); ++i) {
-      map.emplace(b.cols[i], static_cast<int32_t>(i));
-    }
-    p.locals_.push_back(std::move(b.cols));
-  }
   return p;
 }
 
-Partition Partitioner::Rebuild(const Partition& base, const Graph& graph,
-                               const std::vector<int32_t>& touched_cols) {
+Partition Partitioner::Rebuild(const Partition& base, const Graph& graph) {
   GS_CHECK_EQ(graph.num_nodes(), static_cast<int64_t>(base.owner_.size()))
       << "Rebuild requires an unchanged node count";
-  if (base.kind_ == PartitionKind::kVertexCut) {
-    Partition p = Build(graph, base.kind_, base.num_shards_, base.num_replicas_);
-    p.segments_rebuilt_ = base.num_shards_;
-    return p;
-  }
-
-  const sparse::Compressed& csc = graph.adj().Csc();
-  const bool weighted = csc.values.defined();
-
-  Partition p = base;  // shares every segment until rebuilt below
+  Partition p = base;
   p.graph_ = graph;
-  p.segments_rebuilt_ = 0;
-  p.segments_reused_ = 0;
-
-  std::vector<bool> dirty(static_cast<size_t>(base.num_shards_), false);
-  for (int32_t c : touched_cols) {
-    dirty[static_cast<size_t>(base.OwnerOf(c))] = true;
-    p.degree_[static_cast<size_t>(c)] = csc.indptr[c + 1] - csc.indptr[c];
-  }
-
-  for (int s = 0; s < base.num_shards_; ++s) {
-    if (!dirty[static_cast<size_t>(s)]) {
-      ++p.segments_reused_;
-      continue;
-    }
-    // Edge-cut: the shard's columns are exactly its owned nodes, unchanged
-    // by the mutation (ownership is pinned), so locals_/to_local_ carry
-    // over and only the CSC payload is re-sliced from the new graph.
-    const std::vector<int32_t>& cols = base.locals_[static_cast<size_t>(s)];
-    std::vector<int64_t> indptr{0};
-    std::vector<int32_t> indices;
-    std::vector<float> values;
-    indptr.reserve(cols.size() + 1);
-    for (int32_t c : cols) {
-      for (int64_t e = csc.indptr[c]; e < csc.indptr[c + 1]; ++e) {
-        indices.push_back(csc.indices[e]);
-        if (weighted) {
-          values.push_back(csc.values[e]);
-        }
-      }
-      indptr.push_back(static_cast<int64_t>(indices.size()));
-    }
-    sparse::Compressed seg;
-    seg.indptr = sparse::OffsetArray::FromVector(indptr);
-    seg.indices = sparse::IdArray::FromVector(indices);
-    if (weighted) {
-      seg.values = sparse::ValueArray::FromVector(values);
-    }
-    sparse::Matrix m = sparse::Matrix::FromCsc(
-        graph.num_nodes(), static_cast<int64_t>(cols.size()), std::move(seg));
-    m.SetColIds(sparse::IdArray::FromVector(cols));
-    p.segments_[static_cast<size_t>(s)] = std::move(m);
-    ++p.segments_rebuilt_;
-  }
   return p;
 }
 

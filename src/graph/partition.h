@@ -1,74 +1,44 @@
 // Graph partitioning for multi-device sharded sampling (gs::shard).
 //
-// A Partition splits a graph's adjacency across N shards so that every edge
-// is owned by exactly one shard, and carries the global<->local node-id maps
-// the shard runtime needs:
+// A Partition gives every node a home shard and places each shard's
+// replicas on devices. It keeps no copy of the graph's edges: sharded
+// sessions bind the full graph, so a partition decides only where work
+// runs and what it costs.
 //
-//  - Edge-cut: nodes are split into contiguous ranges balanced by in-degree;
-//    an edge (r, c) is owned by the shard that owns its destination column
-//    c, so each node's full in-adjacency is local to its home shard and
+//  - Edge-cut: nodes are split into contiguous ranges balanced by
+//    in-degree; a node's whole in-adjacency belongs to its home shard, so
 //    cut edges are those whose *source* is remote.
-//  - Vertex-cut: low-degree columns keep their whole adjacency on the home
-//    shard (as in the edge-cut), but a high-degree column's edge list is
-//    split into contiguous chunks spread round-robin across shards starting
-//    at the home shard — the classic power-law mitigation (PowerGraph);
-//    the home shard remains the node's "master".
+//  - Routing (HomeShard) votes by owner, the exchange cost model prices a
+//    remote node by its in-degree in the partition's graph (AdjBytes), and
+//    replica placement and degraded coverage follow the owners.
 //
-// Each shard's owned edges form a local CSC segment (a sparse::Matrix whose
-// col_ids map local columns back to global node ids; CSR segments are
-// available through the Matrix's cached conversion). Partitions are
-// deterministic functions of the graph and shard count — two processes
-// partitioning the same graph agree on every ownership decision — and are
-// immutable after construction, so concurrent shard workers may consult
-// them without locks.
+// Partitions are deterministic functions of the graph and shard count — two
+// processes partitioning the same graph agree on every ownership decision —
+// and are immutable after construction, so concurrent shard workers may
+// consult them without locks.
 
 #ifndef GSAMPLER_GRAPH_PARTITION_H_
 #define GSAMPLER_GRAPH_PARTITION_H_
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
-#include "sparse/matrix.h"
 
 namespace gs::graph {
 
 enum class PartitionKind {
   kEdgeCut,
-  kVertexCut,
 };
 
-const char* PartitionKindName(PartitionKind kind);
-
-// An immutable N-way split of one graph's edges. Built by Partitioner.
+// An immutable N-way ownership split of one graph. Built by Partitioner.
 class Partition {
  public:
   int num_shards() const { return num_shards_; }
-  PartitionKind kind() const { return kind_; }
   const Graph& graph() const { return graph_; }
 
-  // Home shard of a global node id (owner of the node's column in the
-  // edge-cut; master replica in the vertex-cut). O(1).
+  // Home shard of a global node id (the owner of the node's column). O(1).
   int OwnerOf(int32_t global) const;
-
-  // The shard's owned edges as a local CSC matrix: columns are the shard's
-  // local node space (col_ids() maps back to global ids, ascending), rows
-  // span the full graph. CSR is available via the Matrix's conversion.
-  const sparse::Matrix& Segment(int shard) const;
-
-  // Global node ids materialized in `shard`'s column space, ascending (the
-  // segment's col_ids). For an edge-cut these are exactly the owned nodes;
-  // a vertex-cut segment additionally carries remote masters' spilled
-  // chunks.
-  const std::vector<int32_t>& LocalNodes(int shard) const;
-
-  // Global id -> local column index in `shard`'s segment; -1 when the node
-  // has no columns on that shard.
-  int32_t ToLocal(int shard, int32_t global) const;
-  // Local column index -> global id (inverse of ToLocal where defined).
-  int32_t ToGlobal(int shard, int32_t local) const;
 
   // Plurality home shard of a frontier (ties break toward the lower shard
   // id); the locality-aware routing hint used by serving. Labeled
@@ -77,8 +47,8 @@ class Partition {
   int HomeShard(const int32_t* ids, int64_t count) const;
 
   // Bytes a remote shard must ship to materialize `global`'s in-adjacency:
-  // in-degree x (index + optional weight) bytes. The FrontierExchange cost
-  // model charges these over the interconnect.
+  // in-degree in graph() x (index + optional weight) bytes. The
+  // FrontierExchange cost model charges these over the interconnect.
   int64_t AdjBytes(int32_t global) const;
 
   // Sum of AdjBytes over all nodes NOT owned by `shard` — an upper bound on
@@ -87,73 +57,46 @@ class Partition {
 
   // --- Replica placement (gs::ha) -------------------------------------
   //
-  // With r > 1 replicas, shard s's CSC segment is additionally mirrored
-  // onto r-1 other devices by chained declustering: replica k of shard s
-  // lives on device (s + k) % num_shards. The placement is a pure function
-  // of (shard, replica, num_shards), so every process — and every failover
-  // decision — agrees on it without coordination, and a single dead device
-  // takes out exactly one replica of each of r shards instead of all
-  // replicas of one.
+  // With r > 1 replicas, shard s's work can additionally run on r-1 other
+  // devices by chained declustering: replica k of shard s lives on device
+  // (s + k) % num_shards. The placement is a pure function of (shard,
+  // replica, num_shards), so every process — and every failover decision —
+  // agrees on it without coordination, and a single dead device takes out
+  // exactly one replica of each of r shards instead of all replicas of one.
   int num_replicas() const { return num_replicas_; }
 
   // Device hosting replica `r` (0 = primary) of `shard`.
   int ReplicaDevice(int shard, int r) const;
 
-  // Whether `device` hosts a replica of `shard`'s segment.
+  // Whether `device` hosts a replica of `shard`.
   bool Hosts(int device, int shard) const;
-
-  // Bytes of `shard`'s CSC segment (index + optional weight per edge) — the
-  // per-replica mirror cost the HA layer charges for placement.
-  int64_t SegmentBytes(int shard) const;
-
-  // Incremental-rebuild accounting (gs::dyn): how many shard segments the
-  // last Partitioner::Rebuild over this partition actually rebuilt vs
-  // reused by reference. Both zero for a from-scratch Build.
-  int segments_rebuilt() const { return segments_rebuilt_; }
-  int segments_reused() const { return segments_reused_; }
-
-  std::string DebugString() const;
 
  private:
   friend class Partitioner;
 
   Graph graph_;
-  PartitionKind kind_ = PartitionKind::kEdgeCut;
   int num_shards_ = 1;
   int num_replicas_ = 1;
   int64_t bytes_per_edge_ = 4;
-  std::vector<int32_t> owner_;                 // node -> home shard
-  std::vector<int64_t> degree_;                // node -> in-degree
-  std::vector<sparse::Matrix> segments_;       // shard -> local CSC
-  std::vector<std::vector<int32_t>> locals_;   // shard -> sorted global ids
-  std::vector<std::unordered_map<int32_t, int32_t>> to_local_;
-  int segments_rebuilt_ = 0;  // last Rebuild only
-  int segments_reused_ = 0;
+  std::vector<int32_t> owner_;  // node -> home shard
 };
 
-// Factory for deterministic partitions. Edge-cut balances contiguous node
-// ranges by in-degree; vertex-cut additionally splits columns whose degree
-// exceeds 4x the average into per-shard chunks. `num_replicas` (1..shards)
-// mirrors each shard's segment onto that many devices by chained
-// declustering (see Partition::ReplicaDevice).
+// Factory for deterministic partitions: contiguous node ranges balanced by
+// in-degree. `num_replicas` (1..shards) places each shard on that many
+// devices by chained declustering (see Partition::ReplicaDevice). Build's
+// `kind` can only name the edge-cut; callers that pass it keep compiling.
 class Partitioner {
  public:
   static Partition EdgeCut(const Graph& graph, int num_shards);
-  static Partition VertexCut(const Graph& graph, int num_shards);
   static Partition Build(const Graph& graph, PartitionKind kind, int num_shards,
                          int num_replicas = 1);
 
-  // Incremental re-partition after a mutation epoch (gs::dyn). Node
-  // ownership (and therefore routing and the global<->local maps) is kept
-  // from `base` — ownership churn would invalidate every shard's locality
-  // at once — and only the shards owning a column in `touched_cols` get
-  // their CSC segment rebuilt from `graph`; every other segment is reused
-  // by reference (sparse::Matrix copies share storage). Edge-cut only: a
-  // vertex-cut's hub spill depends on global degree, so it falls back to a
-  // full Build with base's shard/replica counts (counted as all-rebuilt).
-  // `graph` must have base's node count.
-  static Partition Rebuild(const Partition& base, const Graph& graph,
-                           const std::vector<int32_t>& touched_cols);
+  // Re-partition after a mutation epoch (gs::dyn): keeps `base`'s owners
+  // and replica placement — ownership churn would invalidate every shard's
+  // locality at once, and in-flight requests keep resolving the same home
+  // shards — and takes `graph`, whose degrees AdjBytes then reads. Copies
+  // no edge. `graph` must have base's node count.
+  static Partition Rebuild(const Partition& base, const Graph& graph);
 };
 
 }  // namespace gs::graph

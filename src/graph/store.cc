@@ -120,46 +120,18 @@ uint64_t Snapshot::DigestOf(const Graph& graph) {
   return h;
 }
 
-GraphStore::GraphStore(Graph base, GraphStoreOptions options) : options_(options) {
-  GS_CHECK_GT(options_.segment_cols, 0);
-  name_ = base.name();
-  num_nodes_ = base.num_nodes();
-  uva_ = base.uva();
-  const sparse::Compressed& csc = base.adj().Csc();
-  weighted_ = csc.values.defined();
-
-  // Slice the base CSC into immutable column segments.
-  const int64_t num_segments = (num_nodes_ + options_.segment_cols - 1) / options_.segment_cols;
-  segments_.reserve(static_cast<size_t>(num_segments));
-  for (int64_t s = 0; s < num_segments; ++s) {
-    auto seg = std::make_shared<ColumnSegment>();
-    seg->begin_col = s * options_.segment_cols;
-    seg->end_col = std::min(num_nodes_, seg->begin_col + options_.segment_cols);
-    const int64_t base_off = csc.indptr[seg->begin_col];
-    seg->offsets.reserve(static_cast<size_t>(seg->end_col - seg->begin_col) + 1);
-    for (int64_t c = seg->begin_col; c <= seg->end_col; ++c) {
-      seg->offsets.push_back(csc.indptr[c] - base_off);
-    }
-    const int64_t nnz = seg->offsets.back();
-    seg->indices.resize(static_cast<size_t>(nnz));
-    for (int64_t i = 0; i < nnz; ++i) {
-      seg->indices[static_cast<size_t>(i)] = csc.indices[base_off + i];
-    }
-    if (weighted_) {
-      seg->weights.resize(static_cast<size_t>(nnz));
-      for (int64_t i = 0; i < nnz; ++i) {
-        seg->weights[static_cast<size_t>(i)] = csc.values[base_off + i];
-      }
-    }
-    segments_.push_back(std::move(seg));
-  }
-
+std::shared_ptr<const Snapshot> GraphStore::Stamp(uint64_t epoch, Graph graph) {
   auto snap = std::shared_ptr<Snapshot>(new Snapshot());
-  snap->epoch_ = 0;
-  snap->digest_ = Snapshot::DigestOf(base);
-  snap->graph_ = std::move(base);
-  snap->degree_stats_ = DegreeStats::FromMatrix(snap->graph_.adj(), options_.hub_top_k);
-  current_ = snap;
+  snap->epoch_ = epoch;
+  snap->digest_ = Snapshot::DigestOf(graph);
+  snap->degree_stats_ = DegreeStats::FromMatrix(graph.adj());
+  snap->graph_ = std::move(graph);
+  return snap;
+}
+
+GraphStore::GraphStore(Graph base)
+    : num_nodes_(base.num_nodes()), weighted_(base.adj().Csc().values.defined()) {
+  current_ = Stamp(0, std::move(base));
 }
 
 std::shared_ptr<const Snapshot> GraphStore::Current() const {
@@ -167,98 +139,156 @@ std::shared_ptr<const Snapshot> GraphStore::Current() const {
   return current_;
 }
 
-GraphStore::ColumnOverlay GraphStore::EffectiveColumnLocked(int64_t col) const {
-  auto it = overlay_.find(col);
-  if (it != overlay_.end()) {
-    return it->second;
-  }
-  const ColumnSegment& seg = *segments_[static_cast<size_t>(SegmentOf(col))];
-  const int64_t local = col - seg.begin_col;
-  const int64_t begin = seg.offsets[static_cast<size_t>(local)];
-  const int64_t end = seg.offsets[static_cast<size_t>(local) + 1];
-  ColumnOverlay column;
-  column.reserve(static_cast<size_t>(end - begin));
-  for (int64_t i = begin; i < end; ++i) {
-    column.emplace_back(seg.indices[static_cast<size_t>(i)],
-                        seg.weights.empty() ? 0.0f : seg.weights[static_cast<size_t>(i)]);
-  }
-  return column;
-}
-
 std::shared_ptr<const Snapshot> GraphStore::Apply(const MutationBatch& batch) {
-  std::unique_lock<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> writer(apply_mutex_);
+  // Only the holder of apply_mutex_ replaces current_ and stats_, so it
+  // reads them without mutex_.
+  const Graph& graph = current_->graph();
+  const auto in_range = [this](int32_t v) { return v >= 0 && v < num_nodes_; };
 
-  // Removes first, then adds (upserts) in batch order — so a pair that is
-  // both removed and re-added within one batch ends up present with the
-  // add's weight, and the last add for a pair wins.
+  // 1. Validate the whole batch before anything changes.
   for (const auto& [src, dst] : batch.remove_edges) {
-    GS_CHECK(src >= 0 && src < num_nodes_ && dst >= 0 && dst < num_nodes_)
-        << "remove (" << src << "," << dst << ") out of range";
+    GS_CHECK(in_range(src) && in_range(dst)) << "remove (" << src << "," << dst << ") out of range";
+  }
+  for (const EdgeAdd& e : batch.add_edges) {
+    GS_CHECK(in_range(e.src) && in_range(e.dst))
+        << "add (" << e.src << "," << e.dst << ") out of range";
+  }
+  if (!batch.update_features.empty()) {
+    GS_CHECK(graph.features().defined()) << "feature update on a graph without features";
+    for (const FeatureUpdate& u : batch.update_features) {
+      GS_CHECK(in_range(u.node)) << "feature update node out of range";
+      GS_CHECK_EQ(static_cast<int64_t>(u.row.size()), graph.features().cols());
+    }
+  }
+  GraphStoreStats stats = stats_;
+
+  // 2. Edit copies of the touched columns: removes first, then adds
+  // (upserts) in batch order, so a pair that is both removed and re-added
+  // ends up present with the add's weight, and the last add for a pair wins.
+  const sparse::Compressed& csc = graph.adj().Csc();
+  using Column = std::vector<std::pair<int32_t, float>>;  // sorted (src, weight)
+  std::map<int32_t, Column> edited;
+  const auto column = [&](int32_t dst) -> Column& {
+    auto [it, fresh] = edited.try_emplace(dst);
+    if (fresh) {
+      for (int64_t e = csc.indptr[dst]; e < csc.indptr[dst + 1]; ++e) {
+        it->second.emplace_back(csc.indices[e], weighted_ ? csc.values[e] : 0.0f);
+      }
+    }
+    return it->second;
+  };
+  const auto find = [](Column& edges, int32_t src) {
+    return std::lower_bound(edges.begin(), edges.end(), src,
+                            [](const auto& p, int32_t s) { return p.first < s; });
+  };
+  for (const auto& [src, dst] : batch.remove_edges) {
     if (src == dst) {
       continue;
     }
-    ColumnOverlay column = EffectiveColumnLocked(dst);
-    auto it = std::lower_bound(column.begin(), column.end(), src,
-                               [](const auto& e, int32_t s) { return e.first < s; });
-    if (it != column.end() && it->first == src) {
-      column.erase(it);
-      ++stats_.edges_removed;
+    Column& edges = column(dst);
+    auto it = find(edges, src);
+    if (it != edges.end() && it->first == src) {
+      edges.erase(it);
+      ++stats.edges_removed;
     }
-    overlay_[dst] = std::move(column);
   }
   for (const EdgeAdd& e : batch.add_edges) {
-    GS_CHECK(e.src >= 0 && e.src < num_nodes_ && e.dst >= 0 && e.dst < num_nodes_)
-        << "add (" << e.src << "," << e.dst << ") out of range";
     if (e.src == e.dst) {
       continue;  // self-loops dropped, matching Graph::FromEdges
     }
-    ColumnOverlay column = EffectiveColumnLocked(e.dst);
-    auto it = std::lower_bound(column.begin(), column.end(), e.src,
-                               [](const auto& p, int32_t s) { return p.first < s; });
-    if (it != column.end() && it->first == e.src) {
+    Column& edges = column(e.dst);
+    auto it = find(edges, e.src);
+    if (it != edges.end() && it->first == e.src) {
       it->second = e.weight;
-      ++stats_.edges_updated;
+      ++stats.edges_updated;
     } else {
-      column.insert(it, {e.src, e.weight});
-      ++stats_.edges_added;
+      edges.insert(it, {e.src, e.weight});
+      ++stats.edges_added;
     }
-    overlay_[e.dst] = std::move(column);
   }
 
+  // 3. The next CSC, in the memory space the graph lives in: each run of
+  // untouched columns is copied whole, its offsets shifted by the edits
+  // before it, and each touched column is written from its edited copy.
+  const int64_t* indptr = csc.indptr.data();
+  int64_t nnz = indptr[num_nodes_];
+  for (const auto& [col, edges] : edited) {
+    nnz += static_cast<int64_t>(edges.size()) - (indptr[col + 1] - indptr[col]);
+  }
+  const device::MemorySpace space =
+      graph.uva() ? device::MemorySpace::kHost : device::MemorySpace::kDevice;
+  sparse::Compressed next;
+  next.indptr = sparse::OffsetArray::Empty(num_nodes_ + 1, space);
+  next.indices = sparse::IdArray::Empty(nnz, space);
+  if (weighted_) {
+    next.values = sparse::ValueArray::Empty(nnz, space);
+  }
+  int64_t* next_indptr = next.indptr.data();
+  next_indptr[0] = 0;
+  int64_t shift = 0;  // next offset minus current offset past the last edit
+  const auto copy_run = [&](int64_t begin, int64_t end) {  // columns [begin, end)
+    const int64_t from = indptr[begin];
+    const int64_t to = indptr[end];
+    std::copy(csc.indices.data() + from, csc.indices.data() + to,
+              next.indices.data() + from + shift);
+    if (weighted_) {
+      std::copy(csc.values.data() + from, csc.values.data() + to,
+                next.values.data() + from + shift);
+    }
+    for (int64_t c = begin; c < end; ++c) {
+      next_indptr[c + 1] = indptr[c + 1] + shift;
+    }
+  };
+  int64_t run = 0;  // first column of the current untouched run
+  for (const auto& [col, edges] : edited) {
+    copy_run(run, col);
+    int64_t at = indptr[col] + shift;
+    for (const auto& [src, w] : edges) {
+      next.indices[at] = src;
+      if (weighted_) {
+        next.values[at] = w;
+      }
+      ++at;
+    }
+    shift = at - indptr[col + 1];
+    next_indptr[col + 1] = at;
+    run = col + 1;
+  }
+  copy_run(run, num_nodes_);
+  GS_INTERNAL(next_indptr[num_nodes_] == nnz);
+
+  Graph next_graph = Graph::FromCsc(graph.name(), num_nodes_, std::move(next), graph.uva());
   // Feature rows copy-on-write: the new epoch gets its own tensor only when
   // this batch touches features; otherwise storage stays shared.
-  Graph attrs = current_->graph();
   if (!batch.update_features.empty()) {
-    GS_CHECK(attrs.features().defined()) << "feature update on a graph without features";
-    tensor::Tensor features = attrs.features().Clone();
-    const int64_t dim = features.cols();
+    tensor::Tensor features = graph.features().Clone();
     for (const FeatureUpdate& u : batch.update_features) {
-      GS_CHECK(u.node >= 0 && u.node < num_nodes_) << "feature update node out of range";
-      GS_CHECK_EQ(static_cast<int64_t>(u.row.size()), dim);
-      for (int64_t c = 0; c < dim; ++c) {
+      for (int64_t c = 0; c < features.cols(); ++c) {
         features.at(u.node, c) = u.row[static_cast<size_t>(c)];
       }
-      ++stats_.features_updated;
+      ++stats.features_updated;
     }
-    attrs.SetFeatures(std::move(features));
+    next_graph.SetFeatures(std::move(features));
+  } else if (graph.features().defined()) {
+    next_graph.SetFeatures(graph.features());
   }
-
-  delta_log_.push_back(batch);
-  ++stats_.batches_applied;
-  stats_.delta_entries = static_cast<int64_t>(delta_log_.size());
-
-  std::shared_ptr<const Snapshot> snap = MaterializeLocked(current_->epoch() + 1, attrs);
-  current_ = snap;
-  stats_.epoch = snap->epoch();
-
-  if (options_.seal_threshold > 0 &&
-      static_cast<int64_t>(delta_log_.size()) >= options_.seal_threshold) {
-    SealLocked();
+  if (graph.labels().defined()) {
+    next_graph.SetLabels(graph.labels(), graph.num_classes());
   }
+  if (graph.train_ids().defined()) {
+    next_graph.SetTrainIds(graph.train_ids());
+  }
+  std::shared_ptr<const Snapshot> snap = Stamp(current_->epoch() + 1, std::move(next_graph));
+  ++stats.batches_applied;
+  stats.epoch = snap->epoch();
 
-  // Fire listeners after releasing mutex_ so a listener may call back into
-  // Current()/EffectiveEdges()/stats() without deadlocking.
-  lock.unlock();
+  // 4. Publish: readers wait only for this swap.
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    current_ = snap;
+    stats_ = stats;
+  }
   std::vector<Listener> fire;
   {
     std::lock_guard<std::mutex> llock(listener_mutex_);
@@ -274,134 +304,20 @@ std::shared_ptr<const Snapshot> GraphStore::Apply(const MutationBatch& batch) {
   return snap;
 }
 
-std::shared_ptr<const Snapshot> GraphStore::MaterializeLocked(uint64_t epoch, Graph attrs) {
-  const device::MemorySpace space =
-      uva_ ? device::MemorySpace::kHost : device::MemorySpace::kDevice;
-
-  sparse::Compressed csc;
-  csc.indptr = sparse::OffsetArray::Empty(num_nodes_ + 1, space);
-  csc.indptr[0] = 0;
-  int64_t nnz = 0;
-  for (int64_t col = 0; col < num_nodes_; ++col) {
-    auto it = overlay_.find(col);
-    if (it != overlay_.end()) {
-      nnz += static_cast<int64_t>(it->second.size());
-    } else {
-      const ColumnSegment& seg = *segments_[static_cast<size_t>(SegmentOf(col))];
-      const int64_t local = col - seg.begin_col;
-      nnz += seg.offsets[static_cast<size_t>(local) + 1] - seg.offsets[static_cast<size_t>(local)];
-    }
-    csc.indptr[col + 1] = nnz;
-  }
-  csc.indices = sparse::IdArray::Empty(nnz, space);
-  if (weighted_) {
-    csc.values = sparse::ValueArray::Empty(nnz, space);
-  }
-  int64_t cursor = 0;
-  for (int64_t col = 0; col < num_nodes_; ++col) {
-    auto it = overlay_.find(col);
-    if (it != overlay_.end()) {
-      for (const auto& [src, w] : it->second) {
-        csc.indices[cursor] = src;
-        if (weighted_) {
-          csc.values[cursor] = w;
-        }
-        ++cursor;
-      }
-    } else {
-      const ColumnSegment& seg = *segments_[static_cast<size_t>(SegmentOf(col))];
-      const int64_t local = col - seg.begin_col;
-      const int64_t begin = seg.offsets[static_cast<size_t>(local)];
-      const int64_t end = seg.offsets[static_cast<size_t>(local) + 1];
-      for (int64_t i = begin; i < end; ++i) {
-        csc.indices[cursor] = seg.indices[static_cast<size_t>(i)];
-        if (weighted_) {
-          csc.values[cursor] = seg.weights[static_cast<size_t>(i)];
-        }
-        ++cursor;
-      }
-    }
-  }
-  GS_INTERNAL(cursor == nnz);
-
-  Graph g = Graph::FromCsc(name_, num_nodes_, std::move(csc), uva_);
-  if (attrs.features().defined()) {
-    g.SetFeatures(attrs.features());
-  }
-  if (attrs.labels().defined()) {
-    g.SetLabels(attrs.labels(), attrs.num_classes());
-  }
-  if (attrs.train_ids().defined()) {
-    g.SetTrainIds(attrs.train_ids());
-  }
-
-  auto snap = std::shared_ptr<Snapshot>(new Snapshot());
-  snap->epoch_ = epoch;
-  snap->digest_ = Snapshot::DigestOf(g);
-  snap->graph_ = std::move(g);
-  snap->degree_stats_ = DegreeStats::FromMatrix(snap->graph_.adj(), options_.hub_top_k);
-  return snap;
-}
-
-void GraphStore::Seal() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  SealLocked();
-}
-
-void GraphStore::SealLocked() {
-  if (overlay_.empty() && delta_log_.empty()) {
-    return;
-  }
-  // Rebuild exactly the segments holding overlaid columns; every other
-  // segment is reused by reference (the COW guarantee).
-  std::vector<bool> touched(segments_.size(), false);
-  for (const auto& [col, column] : overlay_) {
-    (void)column;
-    touched[static_cast<size_t>(SegmentOf(col))] = true;
-  }
-  for (size_t s = 0; s < segments_.size(); ++s) {
-    if (!touched[s]) {
-      ++stats_.segments_reused;
-      continue;
-    }
-    const ColumnSegment& old = *segments_[s];
-    auto fresh = std::make_shared<ColumnSegment>();
-    fresh->begin_col = old.begin_col;
-    fresh->end_col = old.end_col;
-    fresh->offsets.reserve(static_cast<size_t>(old.end_col - old.begin_col) + 1);
-    fresh->offsets.push_back(0);
-    for (int64_t col = old.begin_col; col < old.end_col; ++col) {
-      const ColumnOverlay column = EffectiveColumnLocked(col);
-      for (const auto& [src, w] : column) {
-        fresh->indices.push_back(src);
-        if (weighted_) {
-          fresh->weights.push_back(w);
-        }
-      }
-      fresh->offsets.push_back(static_cast<int64_t>(fresh->indices.size()));
-    }
-    segments_[s] = std::move(fresh);
-    ++stats_.segments_rebuilt;
-  }
-  overlay_.clear();
-  delta_log_.clear();
-  stats_.delta_entries = 0;
-  ++stats_.seals;
-}
-
 std::vector<std::pair<int32_t, int32_t>> GraphStore::EffectiveEdges(
     std::vector<float>* weights) const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  const std::shared_ptr<const Snapshot> snap = Current();
+  const sparse::Compressed& csc = snap->graph().adj().Csc();
   std::vector<std::pair<int32_t, int32_t>> edges;
+  edges.reserve(static_cast<size_t>(csc.indices.size()));
   if (weights != nullptr) {
     weights->clear();
   }
   for (int64_t col = 0; col < num_nodes_; ++col) {
-    const ColumnOverlay column = EffectiveColumnLocked(col);
-    for (const auto& [src, w] : column) {
-      edges.emplace_back(src, static_cast<int32_t>(col));
+    for (int64_t e = csc.indptr[col]; e < csc.indptr[col + 1]; ++e) {
+      edges.emplace_back(csc.indices[e], static_cast<int32_t>(col));
       if (weights != nullptr) {
-        weights->push_back(w);
+        weights->push_back(weighted_ ? csc.values[e] : 0.0f);
       }
     }
   }

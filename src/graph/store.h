@@ -3,31 +3,28 @@
 // A server for millions of users cannot restart to pick up new edges
 // (ROADMAP item 4), yet every sampling layer here wants an immutable graph:
 // compiled plans embed layout/calibration decisions, sessions run lock-free
-// over frozen adjacency, shards partition a fixed edge set. GraphStore
+// over frozen adjacency, shards route by a fixed ownership. GraphStore
 // reconciles the two with the classic snapshot design (AliGraph-style):
 //
-//   - The base adjacency is held as copy-on-write COLUMN SEGMENTS — fixed
-//     column ranges of the CSC, each an immutable shared_ptr. A mutation
-//     touching column v only ever replaces v's segment; every other segment
-//     is structurally shared across epochs (GraphStoreStats counts
-//     segments_reused vs segments_rebuilt).
-//   - Mutations arrive as MutationBatch and land in an append-only DELTA
-//     LOG plus an in-memory per-column overlay. Apply() materializes a new
-//     immutable Snapshot — epoch-numbered and digest-stamped — on the
-//     calling (ingest) thread, so readers never see a half-applied batch
-//     and serving never stalls: in-flight work keeps pinning old snapshots
-//     via shared_ptr until completion.
-//   - Seal() compacts the delta run into fresh COW segments (again off the
-//     serving path) and clears the log; compaction replays the exact
-//     FromEdges duplicate-resolution rule, so a sealed store is
-//     bit-identical to an unsealed one.
+//   - Each epoch is one immutable Snapshot whose CSC is the only adjacency
+//     the store keeps. Apply() validates the whole batch, edits copies of
+//     the touched columns, copies every run of untouched columns whole into
+//     the next CSC, and stamps the next epoch with its digest and degree
+//     stats, all on the calling (ingest) thread.
+//   - Readers never wait for a mutation: a writer mutex serializes Apply,
+//     and Current() locks only to copy the snapshot pointer, which Apply
+//     swaps once the next epoch is complete. In-flight work keeps pinning
+//     old snapshots via shared_ptr until completion.
 //
 // Mutation semantics (the contract the oracle pins):
-//   - add_edges are UPSERTS: a (src, dst) that already exists has its
-//     weight replaced; a new pair is inserted in sorted position.
+//   - A batch is validated before anything changes: one out-of-range edge or
+//     feature row rejects the whole batch, which then publishes nothing.
+//   - remove_edges run first, in batch order: they delete the pair when
+//     present (no-op otherwise).
+//   - add_edges then run as UPSERTS: a (src, dst) that already exists has
+//     its weight replaced; a new pair is inserted in sorted position.
 //     Self-loops are dropped, matching Graph::FromEdges. Within one batch,
 //     the LAST add for a pair wins (it is the newest write).
-//   - remove_edges delete the pair when present (no-op otherwise).
 //   - update_features overwrite whole feature rows (the feature tensor is
 //     copied-on-first-write per epoch; untouched epochs share storage).
 //
@@ -44,7 +41,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -124,17 +120,6 @@ class Snapshot {
   DegreeStats degree_stats_;
 };
 
-struct GraphStoreOptions {
-  // Columns per COW segment. Smaller segments = finer-grained sharing
-  // across epochs, more per-epoch bookkeeping.
-  int64_t segment_cols = 1024;
-  // Hub-set size tracked in every snapshot's DegreeStats.
-  int64_t hub_top_k = 32;
-  // Auto-seal when the delta log reaches this many entries (0 = manual
-  // Seal() only). Sealing runs on the ingest thread inside Apply.
-  int64_t seal_threshold = 0;
-};
-
 struct GraphStoreStats {
   uint64_t epoch = 0;
   int64_t batches_applied = 0;
@@ -142,42 +127,37 @@ struct GraphStoreStats {
   int64_t edges_updated = 0;  // existing pairs whose weight was replaced
   int64_t edges_removed = 0;  // pairs deleted
   int64_t features_updated = 0;
-  // COW accounting, cumulative over every materialization.
-  int64_t segments_rebuilt = 0;
-  int64_t segments_reused = 0;
-  int64_t delta_entries = 0;  // current (un-sealed) log length, in batches
-  int64_t seals = 0;
 };
 
 class GraphStore {
  public:
   // Takes over `base` as epoch 0. The base graph's features/labels/train
   // ids are shared by every snapshot until a FeatureUpdate copies-on-write.
-  explicit GraphStore(Graph base, GraphStoreOptions options = {});
+  explicit GraphStore(Graph base);
 
-  // The latest snapshot. Thread-safe; never null.
+  // The latest snapshot. Thread-safe and never null; it does not wait for
+  // an Apply in progress.
   std::shared_ptr<const Snapshot> Current() const;
 
   // Applies one batch, producing (and returning) the next epoch's snapshot.
   // Runs entirely on the calling thread — existing snapshots are untouched
-  // and concurrently readable throughout. Serialized internally; listeners
-  // fire after the new snapshot is published.
+  // and concurrently readable throughout. Throws gs::Error, and publishes
+  // nothing, when any entry of the batch is invalid. Serialized internally;
+  // listeners fire after the new snapshot is published.
   std::shared_ptr<const Snapshot> Apply(const MutationBatch& batch);
 
-  // Compacts the delta log into fresh COW segments and clears it. Pure
-  // maintenance: the current snapshot (and its digest) are unchanged.
-  void Seal();
-
-  // One occurrence per live edge with its current weight, in an order that
-  // makes Graph::FromEdges(EffectiveEdges(&w), &w) bit-identical to
-  // Current()->graph(). `weights` is filled only for weighted stores
-  // (pass nullptr for unweighted ones).
+  // One occurrence per live edge of the current snapshot with its weight,
+  // in an order that makes Graph::FromEdges(EffectiveEdges(&w), &w)
+  // bit-identical to Current()->graph(). `weights` is filled only for
+  // weighted stores (pass nullptr for unweighted ones).
   std::vector<std::pair<int32_t, int32_t>> EffectiveEdges(
       std::vector<float>* weights = nullptr) const;
 
   // Mutation listeners, fired on the ingest thread after each Apply with
   // the new snapshot and the batch that produced it (serving uses this for
-  // cache invalidation and plan revalidation). Remove with the returned id.
+  // cache invalidation and re-partitioning). They run in epoch order under
+  // Apply's writer lock, so a listener must not call Apply. Remove with the
+  // returned id.
   using Listener =
       std::function<void(const std::shared_ptr<const Snapshot>&, const MutationBatch&)>;
   int64_t AddListener(Listener listener);
@@ -188,36 +168,14 @@ class GraphStore {
   GraphStoreStats stats() const;
 
  private:
-  // Immutable CSC slice covering columns [begin_col, end_col).
-  struct ColumnSegment {
-    int64_t begin_col = 0;
-    int64_t end_col = 0;
-    std::vector<int64_t> offsets;  // local, size end_col - begin_col + 1
-    std::vector<int32_t> indices;
-    std::vector<float> weights;  // empty when unweighted
-  };
-  // Effective adjacency of one overlaid column: sorted (src, weight) pairs.
-  using ColumnOverlay = std::vector<std::pair<int32_t, float>>;
+  // Wraps `graph` as the snapshot of `epoch`, with its digest and stats.
+  static std::shared_ptr<const Snapshot> Stamp(uint64_t epoch, Graph graph);
 
-  int64_t SegmentOf(int64_t col) const { return col / options_.segment_cols; }
-  // Effective (src, weight) list for `col` (overlay if present, else the
-  // sealed segment's slice). Requires mutex_ held.
-  ColumnOverlay EffectiveColumnLocked(int64_t col) const;
-  // Builds the full CSC from segments + overlay and stamps a Snapshot.
-  // Requires mutex_ held.
-  std::shared_ptr<const Snapshot> MaterializeLocked(uint64_t epoch, Graph features_from);
-  void SealLocked();
-
-  GraphStoreOptions options_;
-  std::string name_;
   int64_t num_nodes_ = 0;
   bool weighted_ = false;
-  bool uva_ = false;
 
-  mutable std::mutex mutex_;
-  std::vector<std::shared_ptr<const ColumnSegment>> segments_;
-  std::map<int64_t, ColumnOverlay> overlay_;  // column -> effective adjacency
-  std::vector<MutationBatch> delta_log_;
+  std::mutex apply_mutex_;  // serializes Apply; only its holder replaces current_
+  mutable std::mutex mutex_;  // held only to copy or swap current_ and stats_
   std::shared_ptr<const Snapshot> current_;
   GraphStoreStats stats_;
 

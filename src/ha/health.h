@@ -1,10 +1,11 @@
 // High-availability layer: per-shard health tracking for failover.
 //
-// Sharded serving places every unit of work on a device hosting the target
-// shard's segment. The HealthMonitor is the shared brain of that placement:
-// signal sinks fed by the fault sites (shard.lost, exchange.timeout,
-// shard.slow), failed attempts (transient faults and watchdog-cancelled
-// kernels), and ordinary successes drive a per-shard state machine
+// Sharded serving places every unit of work on a device hosting a replica
+// of the target shard (graph::Partition::ReplicaDevice). The HealthMonitor
+// is the shared brain of that placement: signal sinks fed by the fault
+// sites (shard.lost, exchange.timeout, shard.slow), failed attempts
+// (transient faults and watchdog-cancelled kernels), and ordinary successes
+// drive a per-shard state machine
 //
 //           transient signals              >= dead_threshold signals
 //   healthy ----------------> suspect -----------------------------> dead

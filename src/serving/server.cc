@@ -14,7 +14,6 @@
 #include "common/timer.h"
 #include "device/device.h"
 #include "jit/jit.h"
-#include "serving/coalescer.h"
 #include "shard/shard.h"
 
 namespace gs::serving {
@@ -206,12 +205,12 @@ void Server::Start() {
   // Per dataset, once. Sharded mode partitions it and gives each shard its
   // own simulated device: per-shard sessions allocate there and locality
   // routing (Submit) resolves against these partitions. num_replicas > 1
-  // additionally mirrors each shard's segment (chained declustering) so
-  // execution can fail over past dead devices. Dynamic endpoints partition
-  // the store's current snapshot; later epochs re-partition incrementally
-  // through the mutation listener (OnMutation). Feature serving keeps one
-  // store per dataset that actually has features; endpoints over
-  // feature-less datasets keep serving bare frontiers.
+  // additionally places each shard on more devices (chained declustering)
+  // so execution can fail over past dead devices. Dynamic endpoints
+  // partition the store's current snapshot; later epochs keep its owners
+  // and take their own graph through the mutation listener (OnMutation).
+  // Feature serving keeps one store per dataset that actually has features;
+  // endpoints over feature-less datasets keep serving bare frontiers.
   for (const auto& [key, endpoint] : endpoints_) {
     const graph::Graph& graph =
         endpoint.store != nullptr ? endpoint.store->Current()->graph() : *endpoint.graph;
@@ -243,10 +242,10 @@ void Server::Start() {
     }
   }
   // Dynamic endpoints: subscribe to each distinct store's mutation stream
-  // (incremental re-partition, feature refresh/invalidation, epoch
-  // accounting) and start the background replanner. Listeners run on the
-  // ingest thread — materialization, re-partitioning, and invalidation
-  // never touch the serving path.
+  // (re-partition, feature refresh/invalidation, epoch accounting) and
+  // start the background replanner. Listeners run on the ingest thread —
+  // materialization, re-partitioning, and invalidation never touch the
+  // serving path.
   bool any_dynamic = false;
   for (const auto& [key, endpoint] : endpoints_) {
     if (endpoint.store == nullptr) {
@@ -718,21 +717,27 @@ void Server::OnMutation(const std::string& dataset,
                         const std::shared_ptr<const graph::Snapshot>& snapshot,
                         const graph::MutationBatch& batch) {
   Count(&ServerStats::graph_epochs);
-  // Incremental re-partition with pinned ownership: only shards owning a
-  // touched column get their CSC segment re-sliced; routing (and every
-  // global<->local map) stays stable, so in-flight requests keep resolving
-  // the same home shards.
+  // Re-partition with pinned ownership: the next partition keeps every
+  // owner and replica and takes the epoch's graph, whose degrees price the
+  // exchange. Routing stays stable, so in-flight requests keep resolving
+  // the same home shards. Shards owning a touched column count as rebuilt,
+  // the others as reused.
   if (options_.num_shards > 1) {
     const std::shared_ptr<const graph::Partition> base = PartitionFor(dataset);
     if (base != nullptr) {
       auto next = std::make_shared<const graph::Partition>(
-          graph::Partitioner::Rebuild(*base, snapshot->graph(), batch.TouchedColumns()));
+          graph::Partitioner::Rebuild(*base, snapshot->graph()));
       {
         std::lock_guard<std::mutex> lock(partition_mutex_);
         partitions_[dataset] = next;
       }
-      Count(&ServerStats::partition_segments_rebuilt, next->segments_rebuilt());
-      Count(&ServerStats::partition_segments_reused, next->segments_reused());
+      std::vector<bool> touched(static_cast<size_t>(options_.num_shards), false);
+      for (const int32_t col : batch.TouchedColumns()) {
+        touched[static_cast<size_t>(base->OwnerOf(col))] = true;
+      }
+      const int64_t rebuilt = std::count(touched.begin(), touched.end(), true);
+      Count(&ServerStats::partition_segments_rebuilt, rebuilt);
+      Count(&ServerStats::partition_segments_reused, options_.num_shards - rebuilt);
     }
   }
   // Feature tier: swap the store to the epoch's (copied-on-write) tensor
@@ -746,12 +751,11 @@ void Server::OnMutation(const std::string& dataset,
       auto it = feature_stores_.find(dataset);
       if (it != feature_stores_.end()) {
         it->second = std::make_shared<const feature::FeatureStore>(snapshot->graph().features());
-        const std::string suffix = "|" + dataset;
-        for (auto& [cache_key, cache] : feature_caches_) {
-          if (cache_key.size() >= suffix.size() &&
-              cache_key.compare(cache_key.size() - suffix.size(), suffix.size(), suffix) == 0) {
+        for (auto& [shard, partitions] : feature_caches_[dataset]) {
+          (void)shard;
+          for (const FeaturePartition& partition : partitions) {
             for (const graph::FeatureUpdate& update : batch.update_features) {
-              cache->Invalidate(static_cast<uint64_t>(update.node));
+              partition.cache->Invalidate(static_cast<uint64_t>(update.node));
               ++invalidated;
             }
           }
@@ -813,31 +817,41 @@ std::shared_ptr<core::SamplerSession> Server::ActivatePlan(
   });
 }
 
-feature::HotSetCache* Server::TenantFeatureCache(int shard, const std::string& tenant,
-                                                 const std::string& dataset,
-                                                 int64_t row_bytes) {
-  const std::string key = std::to_string(shard) + "|" + tenant + "|" + dataset;
+std::shared_ptr<feature::HotSetCache> Server::TenantFeatureCache(int shard,
+                                                                 const std::string& tenant,
+                                                                 const std::string& dataset,
+                                                                 int64_t row_bytes) {
   std::lock_guard<std::mutex> lock(feature_mutex_);
-  auto it = feature_caches_.find(key);
-  if (it != feature_caches_.end()) {
-    return it->second.get();
+  std::vector<FeaturePartition>& partitions = feature_caches_[dataset][shard];
+  const uint64_t use = ++feature_uses_;
+  for (FeaturePartition& partition : partitions) {
+    if (partition.tenant == tenant) {
+      partition.last_used = use;
+      return partition.cache;
+    }
   }
   // Per-tenant partitioning: each tenant gets an equal slice of the shard's
   // feature-cache byte budget, sized in whole feature rows. The partition
   // allocates real backing pages from the current (shard) device and joins
-  // its allocator's OOM ladder.
-  const int64_t share = options_.feature_cache_budget_bytes /
-                        std::max(1, options_.feature_cache_partitions);
+  // its allocator's OOM ladder. A full set gives up its least recently used
+  // partition first, so the new one fits inside the budget.
+  const int max_partitions = std::max(1, options_.feature_cache_partitions);
+  if (static_cast<int>(partitions.size()) >= max_partitions) {
+    partitions.erase(std::min_element(partitions.begin(), partitions.end(),
+                                      [](const FeaturePartition& a, const FeaturePartition& b) {
+                                        return a.last_used < b.last_used;
+                                      }));
+  }
+  const int64_t share = options_.feature_cache_budget_bytes / max_partitions;
   const int64_t capacity = std::max<int64_t>(64, share / std::max<int64_t>(row_bytes, 1));
-  auto cache = std::make_unique<feature::HotSetCache>(feature::HotSetCacheOptions{
+  auto cache = std::make_shared<feature::HotSetCache>(feature::HotSetCacheOptions{
       .capacity = capacity,
       .admission = options_.feature_admission,
       .entry_bytes = row_bytes,
       .register_pressure_handler = true,
   });
-  feature::HotSetCache* raw = cache.get();
-  feature_caches_[key] = std::move(cache);
-  return raw;
+  partitions.push_back({tenant, use, cache});
+  return cache;
 }
 
 int64_t Server::SavePlans(const std::string& dir) {
@@ -877,7 +891,7 @@ void Server::ExecuteAndScatter(Group group) {
   }
   GS_LOG(Debug) << "serving: executed group of " << group.size() << " ("
                 << (exec.cache_hit ? "plan hit" : "plan miss") << ", "
-                << exec.result.execute_ns / 1000 << " us)"
+                << exec.execute_ns / 1000 << " us)"
                 << (exec.error.empty() ? "" : " FAILED");
 
   std::vector<SampleResponse> responses = Scatter(exec, group);
@@ -930,7 +944,7 @@ void Server::Place(Execution& exec, Group& group) {
 }
 
 // One try of Attempt on the placed device: resolves the plan through the
-// PlanCache and runs ExecuteGroup. Throws on failure.
+// PlanCache and runs the members as one labeled group. Throws on failure.
 void Server::RunOnce(Execution& exec, const std::shared_ptr<const graph::Snapshot>& snapshot,
                      const std::vector<tensor::IdArray>& frontiers,
                      const std::vector<uint64_t>& seeds) {
@@ -945,14 +959,22 @@ void Server::RunOnce(Execution& exec, const std::shared_ptr<const graph::Snapsho
         &hit, &build_ns);
     exec.cache_hit = hit;
     exec.compile_ns += build_ns;
+    const auto run = [&] {
+      exec.outputs.assign(frontiers.size(), {});
+      Timer timer;
+      session->SampleGrouped(frontiers, seeds, [&exec](int64_t b, std::vector<core::Value>& out) {
+        exec.outputs[static_cast<size_t>(b)] = std::move(out);
+      });
+      exec.execute_ns = timer.ElapsedNanos();
+    };
     if (exec.partition == nullptr) {
-      exec.result = ExecuteGroup(*session, frontiers, seeds);
+      run();
       return;
     }
     shard::FrontierExchange exchange(*exec.partition, exec.device, monitor_.get(),
                                      kMaxHedgedExchanges);
     core::HopObserverGuard observer(exchange);
-    exec.result = ExecuteGroup(*session, frontiers, seeds);
+    run();
     for (const shard::HopRecord& h : exchange.hops()) {
       exec.counters.exchange_hops += h.remote_nodes > 0 ? 1 : 0;
       exec.counters.exchange_remote_nodes += h.remote_nodes;
@@ -976,7 +998,8 @@ void Server::Attempt(Execution& exec, Group& group) {
   int transient_left = std::max(0, options_.max_transient_retries);
   std::chrono::nanoseconds backoff = kRetryBackoff;
   while (true) {
-    exec.result = GroupResult{};
+    exec.outputs.clear();
+    exec.execute_ns = 0;
     exec.error.clear();
     exec.code = fault::ErrorCode::kOk;
     if (exec.partition != nullptr && !exec.degraded) {
@@ -1043,7 +1066,7 @@ std::vector<SampleResponse> Server::Scatter(Execution& exec, Group& group) {
   // Shed-fanout results are degraded regardless of admission-time state.
   const bool degraded = exec.degraded || (exec.shed && exec.error.empty());
   std::vector<SampleResponse> responses(group.size());
-  size_t next = 0;  // exec.result.outputs index of the next executing member
+  size_t next = 0;  // exec.outputs index of the next executing member
   for (size_t i = 0; i < group.size(); ++i) {
     const Pending& pending = *group[i];
     SampleResponse& response = responses[i];
@@ -1054,7 +1077,7 @@ std::vector<SampleResponse> Server::Scatter(Execution& exec, Group& group) {
     response.stages.queue_wait_ns = ElapsedNs(pending.submitted, pending.dequeued);
     response.stages.compile_ns = exec.compile_ns;
     response.stages.plan_cache_hit = exec.cache_hit;
-    response.stages.execute_ns = exec.result.execute_ns;
+    response.stages.execute_ns = exec.execute_ns;
     if (pending.frontier.empty()) {
       // Nothing coverable: an honest empty partial (coverage says why),
       // never a request error.
@@ -1065,7 +1088,7 @@ std::vector<SampleResponse> Server::Scatter(Execution& exec, Group& group) {
       response.code = exec.code;
     } else {
       response.status = exec.degraded ? Status::kDegraded : Status::kOk;
-      response.outputs = std::move(exec.result.outputs[next++]);
+      response.outputs = std::move(exec.outputs[next++]);
     }
   }
   exec.scatter_ns = timer.ElapsedNanos();
@@ -1103,11 +1126,11 @@ void Server::GatherFeatures(Execution& exec, const Group& group,
         continue;
       }
       try {
-        feature::HotSetCache* cache = TenantFeatureCache(
+        const std::shared_ptr<feature::HotSetCache> cache = TenantFeatureCache(
             exec.device, group[i]->request.tenant, exec.endpoint->dataset, store->row_bytes());
         Timer feature_timer;
         const tensor::IdArray ids = FeatureFrontier(response.outputs, group[i]->request.seeds);
-        response.features = store->Gather(ids, cache, &gather);
+        response.features = store->Gather(ids, cache.get(), &gather);
         response.feature_ids = ids;
         response.stages.feature_ns = feature_timer.ElapsedNanos();
         exec.counters.feature_gather_ns += response.stages.feature_ns;
@@ -1139,7 +1162,7 @@ void Server::Record(const Execution& exec, const Group& group,
   // Service-time EMA feeding deadline admission (amortized per request).
   if (exec.runs > 0 && exec.error.empty()) {
     const int64_t per_request =
-        (exec.compile_ns + exec.result.execute_ns) / static_cast<int64_t>(group.size());
+        (exec.compile_ns + exec.execute_ns) / static_cast<int64_t>(group.size());
     const int64_t previous = ema_service_ns_.load(std::memory_order_relaxed);
     const int64_t next = previous == 0 ? per_request : (7 * previous + per_request) / 8;
     ema_service_ns_.store(next, std::memory_order_relaxed);

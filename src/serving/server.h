@@ -20,10 +20,10 @@
 //      PlanCache (one session per compile key, LRU under a byte budget)
 //      and runs the group — up to coalesce_max queued requests with the
 //      same plan key, and at most 2^31 / num_nodes so its labels fit
-//      int32 — as ONE labeled super-batch (serving/coalescer.h) under
-//      the recovery ladder (transient backoff, one shed-fanout retry).
-//      Per-segment RNG streams make each member's results bit-identical
-//      to being served alone.
+//      int32 — as ONE labeled super-batch (SamplerSession::SampleGrouped:
+//      request b's node v becomes b*N + v) under the recovery ladder
+//      (transient backoff, one shed-fanout retry). Per-segment RNG streams
+//      make each member's results bit-identical to being served alone.
 //   4. Scatter splits group outputs per request (kDegraded plus coverage in
 //      degraded mode); GatherFeatures attaches feature rows to kOk
 //      responses; Record updates the stats once per group; promises are
@@ -81,7 +81,6 @@
 #include "ha/health.h"
 #include "pipeline/queue.h"
 #include "pipeline/worker_pool.h"
-#include "serving/coalescer.h"
 #include "serving/plan_cache.h"
 #include "serving/request.h"
 #include "serving/stats.h"
@@ -178,7 +177,8 @@ struct ServerOptions {
   // into `feature_cache_partitions` per-tenant shares (multi-tenant
   // isolation: one tenant's scan cannot evict another's hot set). Each
   // partition is byte-accounted through the shard allocator's
-  // reserved-bytes and joins its OOM ladder.
+  // reserved-bytes and joins its OOM ladder. A tenant beyond the partition
+  // count takes over the least recently used tenant's partition.
   int64_t feature_cache_budget_bytes = int64_t{64} * 1024 * 1024;
   int feature_cache_partitions = 4;
   feature::Admission feature_admission = feature::Admission::kFrequencyEma;
@@ -271,8 +271,10 @@ class Server {
     int device = 0;         // executing device (== key.shard unsharded)
     bool degraded = false;  // no live replica of the home shard
     bool shed = false;      // the shed-fanout retry ran
-    // Outcome of the last attempt.
-    GroupResult result;
+    // Outcome of the last attempt: outputs[i] belongs to the i-th member
+    // that executed, and execute_ns is the wall time of the shared run.
+    std::vector<std::vector<core::Value>> outputs;
+    int64_t execute_ns = 0;
     int64_t runs = 0;  // members that executed
     bool cache_hit = false;
     int64_t compile_ns = 0;  // summed over attempts
@@ -331,8 +333,8 @@ class Server {
   void CompileForSnapshot(const std::string& compile_key,
                           const std::shared_ptr<const graph::Snapshot>& snapshot);
   // Mutation listener (runs on the ingest thread, never a serving worker):
-  // incremental re-partition, feature-store refresh + cache invalidation,
-  // and epoch accounting.
+  // re-partition, feature-store refresh + cache invalidation, and epoch
+  // accounting.
   void OnMutation(const std::string& dataset,
                   const std::shared_ptr<const graph::Snapshot>& snapshot,
                   const graph::MutationBatch& batch);
@@ -346,9 +348,15 @@ class Server {
   // The feature-cache partition for (shard, tenant, dataset), created
   // lazily on the worker thread (with the shard's device active, so the
   // cache's backing pages land on — and are byte-accounted against — that
-  // shard's allocator). `row_bytes` sizes the entries.
-  feature::HotSetCache* TenantFeatureCache(int shard, const std::string& tenant,
-                                           const std::string& dataset, int64_t row_bytes);
+  // shard's allocator). A shard keeps at most `feature_cache_partitions`
+  // partitions per dataset, so tenants named by requests cannot reserve
+  // more than the budget: a tenant beyond them takes over the least
+  // recently used partition, which starts empty. The returned pointer keeps
+  // a taken-over partition alive for a gather in flight. `row_bytes` sizes
+  // the entries.
+  std::shared_ptr<feature::HotSetCache> TenantFeatureCache(int shard, const std::string& tenant,
+                                                           const std::string& dataset,
+                                                           int64_t row_bytes);
 
   ServerOptions options_;
   std::map<std::string, Endpoint> endpoints_;  // "algorithm|dataset" -> endpoint
@@ -359,14 +367,21 @@ class Server {
   std::map<std::string, std::shared_ptr<const graph::Partition>> partitions_;
   std::vector<std::unique_ptr<device::Device>> shard_devices_;
   std::unique_ptr<ha::HealthMonitor> monitor_;
-  // Feature serving: one store per dataset with features, plus per-
-  // (shard, tenant, dataset) cache partitions. Declared after
-  // shard_devices_ so the caches (whose backing pages live on those
-  // devices) are destroyed first. Stores are swapped (under feature_mutex_)
-  // when a mutation epoch copies the feature tensor on write.
+  // Feature serving: one store per dataset with features, plus per-tenant
+  // cache partitions per (dataset, shard). Declared after shard_devices_ so
+  // the caches (whose backing pages live on those devices) are destroyed
+  // first. Stores are swapped (under feature_mutex_) when a mutation epoch
+  // copies the feature tensor on write.
+  struct FeaturePartition {
+    std::string tenant;
+    uint64_t last_used = 0;  // feature_uses_ at the tenant's latest gather
+    std::shared_ptr<feature::HotSetCache> cache;
+  };
   std::map<std::string, std::shared_ptr<const feature::FeatureStore>> feature_stores_;
   mutable std::mutex feature_mutex_;
-  std::map<std::string, std::unique_ptr<feature::HotSetCache>> feature_caches_;
+  // dataset -> shard -> at most feature_cache_partitions partitions.
+  std::map<std::string, std::map<int, std::vector<FeaturePartition>>> feature_caches_;
+  uint64_t feature_uses_ = 0;  // partition lookups so far, under feature_mutex_
   // Dynamic graphs: the background recompilation worker and the store
   // listeners to unregister at Stop().
   std::unique_ptr<dyn::Replanner> replanner_;

@@ -103,8 +103,8 @@ class LatencyHistogram {
   X(recompiles_inline)          /* full compiles on the serving path */                 \
   X(recompiles_background)      /* replanner compiles (off the serving path) */         \
   X(feature_invalidations)      /* cache rows invalidated by feature updates */         \
-  X(partition_segments_rebuilt) /* incremental re-partition: segments re-sliced */      \
-  X(partition_segments_reused)  /* ... vs reused by reference */                        \
+  X(partition_segments_rebuilt) /* per epoch, shards owning a mutated column */         \
+  X(partition_segments_reused)  /* ... and shards owning none */                        \
                                                                                         \
   /* End-to-end wall latency of completed requests (submit -> response). */             \
   X(latency_p50_ns)                                                                     \

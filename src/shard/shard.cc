@@ -33,8 +33,8 @@ void FrontierExchange::OnHop(const sparse::Matrix& graph, const tensor::IdArray&
   record.frontier_nodes = static_cast<int64_t>(ids.size());
 
   for (const int32_t v : ids) {
-    // Remote means "no replica of the owner's segment lives on the
-    // executing device"; with one replica this reduces to OwnerOf != shard.
+    // Remote means "no replica of the owner lives on the executing
+    // device"; with one replica this reduces to OwnerOf != shard.
     if (!partition_->Hosts(shard_, partition_->OwnerOf(v))) {
       record.remote_nodes += 1;
       record.bytes += partition_->AdjBytes(v);

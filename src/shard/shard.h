@@ -11,8 +11,9 @@
 //
 // Cost-model tap, not a data-path fork: after the (simulated) exchange a
 // shard holds exactly the adjacency the full matrix would give, so every
-// shard session binds the full graph and the exchange only advances the
-// shard's virtual clock and counters. Sharded sampling is therefore
+// shard session binds the full graph, the partition keeps owners and
+// replica placement but no per-shard copy of the edges, and the exchange
+// only advances the shard's virtual clock and counters. Sharded sampling is therefore
 // bit-identical to single-device SampleSeeded with the same plan and seed —
 // the property the shard oracle tests check — while capacity (requests per
 // simulated second) scales with the shard count because each shard's work

@@ -12,11 +12,11 @@ fuzz=$1
 
 line='algo=GraphSAGE nodes=200 edges=2000 gseed=1 weighted=1 batches=4 batch_size=8'
 line+=' fusion=1 preproc=1 layout=1 greedy=1 super_batch=1 seed=1 profile=v100 pass_limit=-1'
-line+=' shards=2 cut=edge features=1 admission=frequency-ema replicas=2 kill=1 mutate=1'
+line+=' shards=2 features=1 admission=frequency-ema replicas=2 kill=1 mutate=1'
 line+=' mutations=2 mseed=1 jit=1'
 out=$("$fuzz" --repro "$line")
 for want in 'oracle[GraphSAGE]: ok' \
-  'shard differential: 2-shard edge-cut bit-identical' \
+  'shard differential: 2-shard bit-identical' \
   'feature differential: frequency-ema bit-identical and deterministic' \
   'mutate differential: 2 batches snapshot-equivalent' \
   'jit differential: native kernels bit-identical'; do
@@ -39,5 +39,6 @@ expect_usage_error --seeds -3
 expect_usage_error --kill-shard
 expect_usage_error --shards 1 --kill-shard
 expect_usage_error --repro 'algo=GraphSAGE shard=2'
+expect_usage_error --repro "$line cut=edge"  # the retired partition-kind key
 
 echo "fuzz_passes smoke: ok"

@@ -1,13 +1,15 @@
 // Dynamic-graph tier (gs::dyn + graph::GraphStore): versioned snapshots
-// under online mutations, COW segment accounting, seal compaction,
-// epoch-aware plan reuse and background recompilation, incremental
-// re-partitioning, and the end-to-end guarantees the ISSUE pins — oracle
-// bit-identity for every algorithm after a mutation stream (single-device,
-// sharded, and replicated) and a live-server mutation soak with zero failed
-// requests and every recompile off the serving path.
+// under online mutations, whole-batch validation, readers that never see a
+// half-built epoch, pinned mutation-stream digests, epoch-aware plan reuse
+// and background recompilation, re-partitioning with pinned ownership, and
+// the end-to-end guarantees — oracle bit-identity for every algorithm after
+// a mutation stream (single-device, sharded, and replicated) and a
+// live-server mutation soak with zero failed requests and every recompile
+// off the serving path.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -15,10 +17,12 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "algorithms/algorithms.h"
+#include "common/error.h"
 #include "core/engine.h"
 #include "core/plan.h"
 #include "device/device.h"
@@ -37,7 +41,6 @@ namespace {
 
 using graph::EdgeAdd;
 using graph::GraphStore;
-using graph::GraphStoreOptions;
 using graph::MutationBatch;
 using graph::Snapshot;
 
@@ -130,50 +133,6 @@ TEST(GraphStoreTest, EffectiveEdgesMatchFromEdgesBitIdentically) {
             testing::EdgeSet(store.Current()->graph().adj()));
 }
 
-TEST(GraphStoreTest, CowSegmentsRebuildOnlyTouchedColumns) {
-  GraphStoreOptions options;
-  options.segment_cols = 2;  // toy graph: 7 nodes -> 4 segments
-  GraphStore store(testing::ToyGraph(), options);
-
-  MutationBatch batch;
-  batch.add_edges.push_back({3, 0, 0.5f});  // touches column 0 only
-  store.Apply(batch);
-  store.Seal();  // compaction rebuilds exactly the overlaid segments
-
-  const graph::GraphStoreStats stats = store.stats();
-  EXPECT_EQ(stats.segments_rebuilt, 1);
-  EXPECT_EQ(stats.segments_reused, 3);
-}
-
-TEST(GraphStoreTest, SealCompactsWithoutChangingTheSnapshot) {
-  graph::Graph base = testing::SmallRmat();
-  const int64_t nodes = base.num_nodes();
-  GraphStore store(std::move(base));
-  dyn::MutationGen gen(GenOptions(nodes, 0xC0DE));
-  store.Apply(gen.Next());
-  store.Apply(gen.Next());
-
-  const uint64_t digest = store.Current()->digest();
-  const uint64_t epoch = store.Current()->epoch();
-  const auto before = testing::EdgeSet(store.Current()->graph().adj());
-  EXPECT_GT(store.stats().delta_entries, 0);
-
-  store.Seal();
-
-  EXPECT_EQ(store.Current()->digest(), digest);
-  EXPECT_EQ(store.Current()->epoch(), epoch);
-  EXPECT_EQ(testing::EdgeSet(store.Current()->graph().adj()), before);
-  EXPECT_EQ(store.stats().seals, 1);
-  EXPECT_EQ(store.stats().delta_entries, 0);
-
-  // Mutations after compaction still match a from-scratch reload.
-  store.Apply(gen.Next());
-  std::vector<float> weights;
-  const auto edges = store.EffectiveEdges(&weights);
-  const graph::Graph reload = graph::Graph::FromEdges("reload", nodes, edges, &weights);
-  EXPECT_EQ(Snapshot::DigestOf(reload), store.Current()->digest());
-}
-
 TEST(GraphStoreTest, SnapshotsPinTheirEpochs) {
   GraphStore store(testing::ToyGraph());
   const std::shared_ptr<const Snapshot> snap0 = store.Current();
@@ -217,6 +176,105 @@ TEST(GraphStoreTest, FeatureRowsCopyOnWrite) {
   EXPECT_FLOAT_EQ(at(snap0->graph(), 5, 0), old_value);
   EXPECT_FLOAT_EQ(at(snap1->graph(), 6, 0), at(snap0->graph(), 6, 0));
   EXPECT_EQ(store.stats().features_updated, 1);
+}
+
+// A batch that fails validation publishes nothing: no epoch, no edit, no
+// counter, and the next batch does not pick up any part of it.
+TEST(GraphStoreTest, RejectedBatchLeavesTheStoreUnchanged) {
+  graph::Graph g = graph::Graph::FromEdges("four", 4, {{0, 1}, {2, 1}, {3, 2}});
+  g.SetFeatures(tensor::Tensor::Full({4, 2}, 1.0f));
+  GraphStore store(std::move(g));
+  const std::shared_ptr<const Snapshot> before = store.Current();
+  const auto edges = testing::EdgeSet(before->graph().adj());
+  ASSERT_EQ(edges.size(), 3u);
+
+  MutationBatch bad_edge;  // a valid remove, then an out-of-range add
+  bad_edge.remove_edges.push_back({0, 1});
+  bad_edge.add_edges.push_back({0, 99, 1.0f});
+  MutationBatch bad_row;  // a valid add, then an out-of-range feature row
+  bad_row.add_edges.push_back({3, 0, 1.0f});
+  bad_row.update_features.push_back({99, {2.0f, 2.0f}});
+
+  for (const MutationBatch& batch : {bad_edge, bad_row}) {
+    EXPECT_THROW(store.Apply(batch), Error);
+    EXPECT_EQ(store.Current().get(), before.get());
+    const graph::GraphStoreStats stats = store.stats();
+    EXPECT_EQ(stats.epoch, 0u);
+    EXPECT_EQ(stats.batches_applied, 0);
+    EXPECT_EQ(stats.edges_added, 0);
+    EXPECT_EQ(stats.edges_updated, 0);
+    EXPECT_EQ(stats.edges_removed, 0);
+    EXPECT_EQ(stats.features_updated, 0);
+  }
+
+  // The next batch publishes the untouched graph.
+  const std::shared_ptr<const Snapshot> next = store.Apply(MutationBatch{});
+  EXPECT_EQ(next->epoch(), 1u);
+  EXPECT_EQ(next->digest(), before->digest());
+  EXPECT_EQ(testing::EdgeSet(next->graph().adj()), edges);
+  EXPECT_EQ(store.stats().edges_removed, 0);
+  EXPECT_EQ(store.stats().edges_added, 0);
+}
+
+// Readers never see a half-built epoch: every snapshot Current() hands out
+// hashes to its own digest, and a reader's epochs never go backwards.
+TEST(GraphStoreTest, ConcurrentReadersSeeWholeEpochs) {
+  graph::Graph base = testing::SmallRmat();
+  const int64_t nodes = base.num_nodes();
+  GraphStore store(std::move(base));
+  constexpr uint64_t kEpochs = 20;
+  std::atomic<int64_t> checked{0};
+  // Each reader checks every epoch it sees and stops at the last one.
+  const auto read = [&] {
+    uint64_t last = 0;
+    bool first = true;
+    while (last < kEpochs) {
+      const std::shared_ptr<const Snapshot> snap = store.Current();
+      ASSERT_GE(snap->epoch(), last);
+      if (first || snap->epoch() != last) {
+        ASSERT_EQ(snap->digest(), Snapshot::DigestOf(snap->graph())) << "epoch " << snap->epoch();
+        checked.fetch_add(1);
+        first = false;
+      }
+      last = snap->epoch();
+    }
+  };
+  std::thread reader_a(read);
+  std::thread reader_b(read);
+  dyn::MutationGen gen(GenOptions(nodes, 0x4EAD));
+  for (uint64_t i = 0; i < kEpochs; ++i) {
+    store.Apply(gen.Next());
+  }
+  reader_a.join();
+  reader_b.join();
+  EXPECT_EQ(store.Current()->epoch(), kEpochs);
+  EXPECT_GE(checked.load(), 2);
+}
+
+// Golden digests of a fixed weighted mutation stream with feature updates.
+// A change to Apply's rules (removes before adds, upserts, last add wins,
+// self-loops dropped) moves them, and with them every dynamic plan key.
+TEST(GraphStoreTest, MutationStreamDigestsArePinned) {
+  graph::Graph base = testing::SmallRmat();
+  const int64_t nodes = base.num_nodes();
+  const int64_t dim = base.features().cols();
+  GraphStore store(std::move(base));
+  dyn::MutationGenOptions options = GenOptions(nodes, 0xD16E);
+  options.feature_updates_per_batch = 3;
+  options.feature_dim = dim;
+  dyn::MutationGen gen(options);
+  const std::vector<uint64_t> golden = {
+      0x861c30aa4944bfbbull, 0x395f88522dc5d900ull, 0x62a4c866687400fcull,
+      0xb0f2f2a3fb2456c3ull, 0xa96b7a0790700cd2ull, 0xe779f5c08366ffbcull,
+      0x923cb2e1b402bd34ull, 0xc4d4c9a479aa6e4eull, 0x5f9e37c22ce3a1d9ull,
+  };
+  std::vector<uint64_t> digests = {store.Current()->digest()};
+  for (int i = 0; i < 8; ++i) {
+    digests.push_back(store.Apply(gen.Next())->digest());
+  }
+  for (size_t e = 0; e < digests.size(); ++e) {
+    EXPECT_EQ(digests[e], golden[e]) << "epoch " << e << " digest 0x" << std::hex << digests[e];
+  }
 }
 
 // ------------------------------------------------- degree stats / validity
@@ -461,34 +519,41 @@ TEST(PartitionTest, RebuildKeepsOwnershipAndRebuildsOnlyDirtyShards) {
       graph::Partitioner::Build(base, graph::PartitionKind::kEdgeCut, 4);
 
   GraphStore store(std::move(base));
+  auto server = testing::StartServer(testing::ShardedOptions(4),
+                                     serving::MakeDynamicEndpoint("GraphSAGE", "small", store));
   dyn::MutationGen gen(GenOptions(store.num_nodes(), 0xABCD));
   const MutationBatch batch = gen.Next();
   const auto snap = store.Apply(batch);
   const std::vector<int32_t> touched = batch.TouchedColumns();
   ASSERT_FALSE(touched.empty());
 
-  const graph::Partition after =
-      graph::Partitioner::Rebuild(before, snap->graph(), touched);
+  const graph::Partition after = graph::Partitioner::Rebuild(before, snap->graph());
 
-  // Ownership (and therefore routing) is pinned across the rebuild.
+  // Ownership (and therefore routing) is pinned across the rebuild, and
+  // the exchange prices each node by its degree in the new epoch.
+  const sparse::Compressed& csc = snap->graph().adj().Csc();
   for (int32_t n = 0; n < static_cast<int32_t>(store.num_nodes()); ++n) {
     ASSERT_EQ(after.OwnerOf(n), before.OwnerOf(n)) << "node " << n;
+    ASSERT_EQ(after.AdjBytes(n), (csc.indptr[n + 1] - csc.indptr[n]) * 8) << "node " << n;
   }
 
-  // Only the shards owning a touched column were re-sliced.
+  // The server's listener counts the shards owning a touched column as
+  // rebuilt and the others as reused.
   std::set<int> dirty;
   for (int32_t col : touched) {
     dirty.insert(before.OwnerOf(col));
   }
-  EXPECT_EQ(after.segments_rebuilt(), static_cast<int>(dirty.size()));
-  EXPECT_EQ(after.segments_rebuilt() + after.segments_reused(), 4);
+  const serving::ServerStats stats = server->stats();
+  EXPECT_EQ(stats.partition_segments_rebuilt, static_cast<int64_t>(dirty.size()));
+  EXPECT_EQ(stats.partition_segments_rebuilt + stats.partition_segments_reused, 4);
+  server->Stop();
 }
 
 // -------------------------------------------------- oracle: all algorithms
 
-// The acceptance bar: after N MutationBatches (with a mid-stream Seal), the
-// maintained snapshot samples bit-identically to a from-scratch FromEdges
-// load of the same effective edge set — for every registered algorithm.
+// The acceptance bar: after N MutationBatches, the maintained snapshot
+// samples bit-identically to a from-scratch FromEdges load of the same
+// effective edge set — for every registered algorithm.
 TEST(DynOracle, EveryAlgorithmBitIdenticalAfterMutationStream) {
   device::Device device(device::T4Sim());
   device::DeviceGuard guard(device);
@@ -503,9 +568,6 @@ TEST(DynOracle, EveryAlgorithmBitIdenticalAfterMutationStream) {
   dyn::MutationGen gen(gen_options);
   for (int i = 0; i < 3; ++i) {
     store.Apply(gen.Next());
-    if (i == 1) {
-      store.Seal();
-    }
   }
 
   oracle::OracleOptions options;

@@ -305,6 +305,27 @@ TEST(Engine, LabeledRunsLaunchThePlainRunsKernels) {
             plain + matrices);
 }
 
+// Regression: greedy layout (`--no-layout`, the layout ablation's DGL-like
+// bar) converted every `row_ids` input to COO, also when the `row_ids`
+// returned a marked sample's node set without a launch. A greedy GraphSAGE
+// `Sample` launched 4 kernels (2 samples, 2 COO conversions); it launches
+// the planned mode's 2.
+TEST(Engine, GreedyLayoutConvertsOnlyForRowIdsThatLaunch) {
+  device::Device v100(device::V100Sim());
+  device::DeviceGuard guard(v100);
+  graph::Graph g = gs::testing::SmallRmat(400, 4000, 11);
+  const IdArray frontier = Iota(64);
+  SamplerOptions options;
+  options.enable_layout_selection = false;
+  ASSERT_TRUE(options.greedy_when_layout_disabled);
+  algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {.fanouts = {10, 5}});
+  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), options);
+  sampler.Warmup(frontier);
+  const int64_t before = v100.stream().counters().kernels_launched;
+  sampler.Sample(frontier);
+  EXPECT_EQ(v100.stream().counters().kernels_launched - before, 2);
+}
+
 // FNV-1a over every id of every output, in order: pins an output stream to
 // the bit, -1 dead-end markers included.
 uint64_t IdsDigest(const std::vector<Value>& outputs) {

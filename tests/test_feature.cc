@@ -416,6 +416,46 @@ TEST(ServingFeatureGather, PartitionAllocationFailureFailsTheResponse) {
   EXPECT_EQ(stats.received, stats.completed + stats.failed);
 }
 
+// Regression: tenant names come from requests, and every new tenant used to
+// get its own cache partition, so 12 tenants reserved 3x the budget. A
+// shard keeps at most `feature_cache_partitions` partitions per dataset; a
+// tenant beyond them takes over the least recently used one.
+TEST(ServingFeatureGather, TenantsBeyondThePartitionCountStayInsideTheBudget) {
+  const graph::Graph g = FeatureGraph();
+  device::Device v100(device::V100Sim());
+  device::DeviceGuard guard(v100);
+  constexpr int64_t kBudget = int64_t{4} << 20;
+  serving::ServerOptions options;
+  options.num_workers = 1;
+  options.serve_features = true;
+  options.feature_cache_partitions = 4;
+  options.feature_cache_budget_bytes = kBudget;
+  serving::Server server(options);
+  server.RegisterEndpoint(serving::MakeEndpoint("GraphSAGE", "small", g));
+  const int64_t baseline = v100.allocator().stats().bytes_reserved;
+  server.Start();
+
+  for (int t = 0; t < 12; ++t) {
+    serving::SampleRequest request;
+    request.algorithm = "GraphSAGE";
+    request.dataset = "small";
+    request.seeds = Seeds({static_cast<int32_t>(t), static_cast<int32_t>(t + 50),
+                           static_cast<int32_t>(t + 100)});
+    request.seed = static_cast<uint64_t>(t);
+    request.tenant = "tenant" + std::to_string(t);
+    const serving::SampleResponse response = server.Submit(std::move(request)).get();
+    const std::string where = "tenant " + std::to_string(t);
+    ASSERT_EQ(response.status, serving::Status::kOk) << where << ": " << response.error;
+    ExpectRowsMatchEager(g.features(), response.feature_ids, response.features, where);
+    const int64_t feature_reserved = v100.allocator().stats().bytes_reserved - baseline -
+                                     server.stats().plan_resident_bytes;
+    EXPECT_GT(feature_reserved, 0) << where;
+    EXPECT_LE(feature_reserved, kBudget) << where;
+  }
+  server.Stop();
+  EXPECT_EQ(server.stats().feature_requests, 12);
+}
+
 // ------------------------------------------------- overlap pipeline
 
 // The overlapped (depth 2) pipeline must produce byte-identical gathers and

@@ -59,7 +59,6 @@ TEST(ReplicaPlacement, ChainedDeclusteringIsDeterministic) {
   for (int s = 0; s < 4; ++s) {
     EXPECT_EQ(p.ReplicaDevice(s, 0), s) << "primary must live on the home device";
     EXPECT_EQ(p.ReplicaDevice(s, 1), (s + 1) % 4);
-    EXPECT_GT(p.SegmentBytes(s), 0);
   }
   for (int d = 0; d < 4; ++d) {
     int hosted = 0;
@@ -211,9 +210,9 @@ TEST(CoverageTest, FractionCountsLiveHomeShards) {
       graph::Partitioner::Build(g, graph::PartitionKind::kEdgeCut, 2, 1);
   HealthMonitor monitor(2);
   const int32_t n = static_cast<int32_t>(g.num_nodes());
-  const int32_t a0 = p.LocalNodes(0)[0];
-  const int32_t a1 = p.LocalNodes(0)[1];
-  const int32_t b0 = p.LocalNodes(1)[0];
+  const int32_t a0 = OwnedSeeds(p, 0, 2)[0];
+  const int32_t a1 = OwnedSeeds(p, 0, 2)[1];
+  const int32_t b0 = OwnedSeeds(p, 1, 1)[0];
   // Mixed frontier: three shard-0 seeds (one a folded super-batch label),
   // one shard-1 seed, one walk dead-end marker.
   const std::vector<int32_t> ids = {a0, a1, b0, -1, static_cast<int32_t>(a0 + n)};
@@ -239,7 +238,7 @@ TEST(CoverageTest, ReplicasKeepShardsCovered) {
   const graph::Partition p =
       graph::Partitioner::Build(g, graph::PartitionKind::kEdgeCut, 2, 2);
   HealthMonitor monitor(2);
-  const std::vector<int32_t> ids = {p.LocalNodes(1)[0], p.LocalNodes(1)[1]};
+  const std::vector<int32_t> ids = OwnedSeeds(p, 1, 2).ToVector();
 
   // Shard 1's replica chain is devices {1, 0}: losing device 1 alone
   // leaves the replica on device 0 serving it.
@@ -415,8 +414,8 @@ TEST(HaServing, DegradedPartialResponsesCarryCoverageFractions) {
   server.Start();
 
   const graph::Partition partition = graph::Partitioner::EdgeCut(g, 2);
-  const std::vector<int32_t>& mine = partition.LocalNodes(1);
-  const std::vector<int32_t>& other = partition.LocalNodes(0);
+  const std::vector<int32_t> mine = OwnedSeeds(partition, 1, g.num_nodes()).ToVector();
+  const std::vector<int32_t> other = OwnedSeeds(partition, 0, g.num_nodes()).ToVector();
   fault::FaultScope scope(fault::FaultPlan::Parse("shard1:shard.lost:after=0", 5));
 
   // All four seeds home on the dead shard: an honest empty partial.
@@ -460,8 +459,8 @@ TEST(HaServing, DegradedPartialResponsesCarryCoverageFractions) {
 TEST(HaServing, DegradedServingRetriesTransientsAndCountsExchange) {
   const graph::Graph g = HaGraph();
   const graph::Partition partition = graph::Partitioner::EdgeCut(g, 2);
-  const std::vector<int32_t>& mine = partition.LocalNodes(1);
-  const std::vector<int32_t>& other = partition.LocalNodes(0);
+  const std::vector<int32_t> mine = OwnedSeeds(partition, 1, g.num_nodes()).ToVector();
+  const std::vector<int32_t> other = OwnedSeeds(partition, 0, g.num_nodes()).ToVector();
   const IdArray seeds = Seeds({mine[0], mine[1], mine[2], other[0]});
 
   // Members destroy in reverse order: the response before the server whose
@@ -516,8 +515,8 @@ TEST(HaServing, DegradedServingRetriesTransientsAndCountsExchange) {
 TEST(HaServing, DegradedOutputsMatchServingTheCoveredSubset) {
   const graph::Graph g = HaGraph();
   const graph::Partition partition = graph::Partitioner::EdgeCut(g, 2);
-  const std::vector<int32_t>& mine = partition.LocalNodes(1);
-  const std::vector<int32_t>& other = partition.LocalNodes(0);
+  const std::vector<int32_t> mine = OwnedSeeds(partition, 1, g.num_nodes()).ToVector();
+  const std::vector<int32_t> other = OwnedSeeds(partition, 0, g.num_nodes()).ToVector();
   // Each request homes on shard 1 (strict plurality); coverage 1/3, 2/5,
   // 1/4 and 0.
   const std::vector<std::vector<int32_t>> requests = {
@@ -601,7 +600,7 @@ TEST(HaServing, DegradedOutputsMatchServingTheCoveredSubset) {
 TEST(HaServing, ReplicatedServerFailsOverBitIdentically) {
   const graph::Graph g = HaGraph();
   const graph::Partition partition = graph::Partitioner::EdgeCut(g, 2);
-  const std::vector<int32_t>& mine = partition.LocalNodes(1);
+  const std::vector<int32_t> mine = OwnedSeeds(partition, 1, g.num_nodes()).ToVector();
   const IdArray seeds = Seeds({mine[0], mine[1], mine[2], mine[3]});
 
   auto serve_once = [&](bool kill) {

@@ -27,7 +27,6 @@
 #include "graph/generator.h"
 #include "graph/graph.h"
 #include "graph/store.h"
-#include "serving/coalescer.h"
 #include "serving/loadgen.h"
 #include "serving/plan_cache.h"
 #include "serving/request.h"
@@ -80,6 +79,18 @@ std::shared_ptr<core::SamplerSession> BuildFastGcnPlan(const graph::Graph& g,
 
 // ------------------------------------------------------- bit-identity
 
+// Runs `frontiers` as one labeled group, as the server does, and collects
+// each member's outputs.
+std::vector<std::vector<core::Value>> Grouped(const core::SamplerSession& session,
+                                              const std::vector<tensor::IdArray>& frontiers,
+                                              const std::vector<uint64_t>& seeds) {
+  std::vector<std::vector<core::Value>> outputs(frontiers.size());
+  session.SampleGrouped(frontiers, seeds, [&outputs](int64_t b, std::vector<core::Value>& out) {
+    outputs[static_cast<size_t>(b)] = std::move(out);
+  });
+  return outputs;
+}
+
 // The core coalescing guarantee: every member of a grouped execution gets
 // results bit-identical to being served alone with the same (seeds, seed).
 TEST(Coalescer, GroupedMatchesSoloBitIdentical) {
@@ -95,10 +106,10 @@ TEST(Coalescer, GroupedMatchesSoloBitIdentical) {
   for (size_t i = 0; i < frontiers.size(); ++i) {
     solo.push_back(plan->SampleSeeded(frontiers[i], seeds[i]));
   }
-  GroupResult grouped = ExecuteGroup(*plan, frontiers, seeds);
-  ASSERT_EQ(grouped.outputs.size(), frontiers.size());
+  const std::vector<std::vector<core::Value>> grouped = Grouped(*plan, frontiers, seeds);
+  ASSERT_EQ(grouped.size(), frontiers.size());
   for (size_t i = 0; i < frontiers.size(); ++i) {
-    testing::ExpectBitIdentical(grouped.outputs[i], solo[i], "member " + std::to_string(i));
+    testing::ExpectBitIdentical(grouped[i], solo[i], "member " + std::to_string(i));
   }
 }
 
@@ -112,10 +123,10 @@ TEST(Coalescer, MemberResultsIndependentOfGroupComposition) {
   const uint64_t seed = 12345;
   std::vector<core::Value> solo = plan->SampleSeeded(target, seed);
 
-  GroupResult first = ExecuteGroup(*plan, {target, Seeds({1, 2})}, {seed, 1});
-  GroupResult last = ExecuteGroup(*plan, {Seeds({7}), Seeds({8, 9}), target}, {2, 3, seed});
-  testing::ExpectBitIdentical(first.outputs[0], solo, "first of two");
-  testing::ExpectBitIdentical(last.outputs[2], solo, "last of three");
+  const auto first = Grouped(*plan, {target, Seeds({1, 2})}, {seed, 1});
+  const auto last = Grouped(*plan, {Seeds({7}), Seeds({8, 9}), target}, {2, 3, seed});
+  testing::ExpectBitIdentical(first[0], solo, "first of two");
+  testing::ExpectBitIdentical(last[2], solo, "last of three");
 }
 
 // Walk plans coalesce like every other plan: a multi-member DeepWalk group
@@ -140,17 +151,17 @@ TEST(Coalescer, WalkPlansCoalesceBitIdentically) {
 
   device::Stream& stream = device::Current().stream();
   const int64_t before = stream.counters().kernels_launched;
-  GroupResult group = ExecuteGroup(*plan, frontiers, seeds);
+  const std::vector<std::vector<core::Value>> group = Grouped(plan->session(), frontiers, seeds);
   EXPECT_EQ(stream.counters().kernels_launched - before, 1);
 
   int64_t dead = 0;
   for (size_t i = 0; i < frontiers.size(); ++i) {
     const std::vector<core::Value> solo = plan->SampleSeeded(frontiers[i], seeds[i]);
-    ASSERT_EQ(group.outputs[i].size(), solo.size());
+    ASSERT_EQ(group[i].size(), solo.size());
     for (size_t step = 0; step < solo.size(); ++step) {
-      EXPECT_TRUE(core::BitIdentical(group.outputs[i][step], solo[step]))
+      EXPECT_TRUE(core::BitIdentical(group[i][step], solo[step]))
           << "member " << i << " step " << step;
-      const tensor::IdArray& ids = group.outputs[i][step].ids;
+      const tensor::IdArray& ids = group[i][step].ids;
       dead += std::count(ids.data(), ids.data() + ids.size(), -1);
     }
   }

@@ -83,24 +83,6 @@ TEST(ShardOracle, ShardedSamplingIsBitIdenticalToSingleDevice) {
   }
 }
 
-TEST(ShardOracle, VertexCutPartitionPreservesBitIdentity) {
-  const graph::Graph g = ShardGraph();
-  const graph::Partition partition = graph::Partitioner::VertexCut(g, 3);
-  serving::ServerOptions options = testing::ShardedOptions(3);
-  options.partition_kind = graph::PartitionKind::kVertexCut;
-  auto server = testing::StartServer(options, serving::MakeEndpoint("GraphSAGE", "small", g));
-  for (int s = 0; s < 3; ++s) {
-    const IdArray frontier = OwnedSeeds(partition, s, 4);
-    const serving::SampleResponse response =
-        server->Submit(DefaultRequest("GraphSAGE", frontier, 5)).get();
-    ASSERT_EQ(response.status, serving::Status::kOk) << response.error;
-    ExpectBitIdentical(response.outputs, ReferenceSample("GraphSAGE", g, frontier, 5),
-                       "vertex-cut shard " + std::to_string(s));
-    EXPECT_EQ(server->stats().per_shard_completed.at(s), 1) << "shard " << s;
-  }
-  server->Stop();
-}
-
 // --------------------------------------------------- exchange accounting
 
 // One shard as sharded execution runs it: a device of its own and a session
@@ -318,11 +300,10 @@ TEST(ShardServing, ShardedServerCompletesAndReportsExchange) {
   const graph::Partition partition = graph::Partitioner::EdgeCut(g, 2);
   std::vector<std::future<serving::SampleResponse>> futures;
   for (int s = 0; s < 2; ++s) {
-    const std::vector<int32_t>& local = partition.LocalNodes(s);
     serving::SampleRequest request;
     request.algorithm = "GraphSAGE";
     request.dataset = "small";
-    request.seeds = Seeds({local[0], local[1], local[2], local[3]});
+    request.seeds = OwnedSeeds(partition, s, 4);
     request.seed = 7;
     request.fanouts = {4, 4};
     request.tenant = "tenant" + std::to_string(s);

@@ -30,10 +30,11 @@
 #              build/plans/ so a --load-plan run can pick them up.
 #   oracle     optimized-vs-reference checks for every algorithm plus the
 #              primitive distribution tests, then a 200-draw pass fuzz.
-#   shard      partitioner goldens, the sharded-vs-single bit-identity
-#              oracle through the sharded server, exchange accounting, the
-#              shard-sweep smoke; four clients on a 4-shard server under
-#              TSan; fuzz differencing 2-shard serving against
+#   shard      edge-cut owner goldens and byte accounting, the
+#              sharded-vs-single bit-identity oracle through the sharded
+#              server, exchange accounting, the shard-sweep smoke (seed
+#              pools from OwnerOf); four clients on a 4-shard server under
+#              TSan; fuzz differencing 2-shard edge-cut serving against
 #              single-device.
 #   feature    hot-set cache semantics and the gather bit-identity oracle
 #              across algorithms, shards and coalesced serving; concurrent

@@ -102,7 +102,6 @@ struct FuzzConfig {
   std::string profile = "v100";
   int pass_limit = -1;
   int shards = 1;             // >1 adds the sharded-vs-single differential
-  std::string cut = "edge";   // partition kind when shards > 1
   bool features = false;      // adds the feature-gather differential
   std::string admission = "frequency-ema";  // cache policy when features
   int replicas = 1;           // replication factor when shards > 1
@@ -134,7 +133,6 @@ struct FuzzConfig {
     f("profile", c.profile);
     f("pass_limit", c.pass_limit);
     f("shards", c.shards);
-    f("cut", c.cut);
     f("features", c.features);
     f("admission", c.admission);
     f("replicas", c.replicas);
@@ -301,16 +299,13 @@ Verdict ShardCheck(const FuzzConfig& c, Fixture& fx) {
   gs::serving::ServerOptions server_opts;
   server_opts.num_workers = 1;
   server_opts.num_shards = c.shards;
-  server_opts.partition_kind = c.cut == "vertex" ? gs::graph::PartitionKind::kVertexCut
-                                                 : gs::graph::PartitionKind::kEdgeCut;
   server_opts.num_replicas = std::min(std::max(c.replicas, 1), c.shards);
   gs::serving::Server server(server_opts);
   server.RegisterEndpoint(gs::serving::MakeEndpoint(c.algo, "fuzz", fx.g, opts));
   server.Start();
   // The server partitions the same graph the same way, so these are the
   // nodes each shard homes.
-  const gs::graph::Partition partition = gs::graph::Partitioner::Build(
-      fx.g, server_opts.partition_kind, c.shards, server_opts.num_replicas);
+  const gs::graph::Partition partition = gs::graph::Partitioner::EdgeCut(fx.g, c.shards);
   std::vector<std::vector<int32_t>> homed(static_cast<size_t>(c.shards));
   for (int32_t v = 0; v < fx.g.num_nodes(); ++v) {
     homed[static_cast<size_t>(partition.OwnerOf(v))].push_back(v);
@@ -348,7 +343,7 @@ Verdict ShardCheck(const FuzzConfig& c, Fixture& fx) {
         }
         return std::move(response.outputs);
       },
-      std::to_string(c.shards) + "-shard " + c.cut + "-cut bit-identical");
+      std::to_string(c.shards) + "-shard bit-identical");
   const int64_t failovers = server.stats().failovers;
   if (verdict.kind == Verdict::kOk && kill && failovers != killed_batches) {
     return {Verdict::kDiverged, c.algo + ": " + std::to_string(failovers) + " failovers for " +
@@ -402,16 +397,13 @@ Verdict FeatureCheck(const FuzzConfig& c, Fixture& fx) {
 }
 
 // Snapshot-equivalence differential (--mutate): apply a seeded mutation
-// stream to a GraphStore over the drawn base graph (Seal mid-stream so
-// compaction is exercised too), then require the oracle's
-// VerifySnapshotEquivalence to hold — the incremental snapshot must be
-// digest-identical and sample bit-identically to a from-scratch FromEdges
-// load of the same effective edge set.
+// stream to a GraphStore over the drawn base graph, then require the
+// oracle's VerifySnapshotEquivalence to hold — the incremental snapshot
+// must be digest-identical and sample bit-identically to a from-scratch
+// FromEdges load of the same effective edge set.
 Verdict MutateCheck(const FuzzConfig& c, Fixture& fx) {
   const int64_t feature_dim = fx.g.features().defined() ? fx.g.features().cols() : 0;
-  gs::graph::GraphStoreOptions store_opts;
-  store_opts.segment_cols = 64;  // small segments so COW sharing is exercised
-  gs::graph::GraphStore store(std::move(fx.g), store_opts);
+  gs::graph::GraphStore store(std::move(fx.g));
 
   gs::dyn::MutationGenOptions gen_opts;
   gen_opts.seed = c.mseed;
@@ -425,9 +417,6 @@ Verdict MutateCheck(const FuzzConfig& c, Fixture& fx) {
   gs::dyn::MutationGen gen(gen_opts);
   for (int m = 0; m < c.mutations; ++m) {
     store.Apply(gen.Next());
-    if (m == c.mutations / 2) {
-      store.Seal();  // mid-stream compaction must not change the epoch
-    }
   }
 
   gs::oracle::OracleOptions opts;
@@ -495,8 +484,8 @@ struct Dimension {
   Verdict (*check)(const FuzzConfig& c, Fixture& fx);  // null: it changes another check
 };
 
-// Every dimension, in draw order. The draws are a contract: cut and
-// admission are drawn on every draw, kill/replicas only under --kill-shard,
+// Every dimension, in draw order. The draws are a contract: shards and
+// admission draw on every draw, kill/replicas only under --kill-shard,
 // mutations/mseed only under --mutate, and jit draws nothing, so every
 // fixed-seed run keeps fuzzing the configs it always fuzzed. A new dimension
 // goes last and draws only under its own flag.
@@ -504,7 +493,9 @@ const std::array<Dimension, 5> kDimensions = {{
     {"shards", true, "shard",
      [](FuzzConfig& c, Rng& rng, int shards) {
        c.shards = shards;
-       c.cut = rng.UniformInt(2) == 1 ? "vertex" : "edge";
+       // Once the partition kind; the only kind left is the edge-cut, but
+       // the draw stays so later dimensions draw what they always drew.
+       (void)rng.UniformInt(2);
      },
      [](FuzzConfig& c) {
        c.shards = 1;
@@ -637,9 +628,6 @@ std::vector<FuzzConfig> FlagTrials(const FuzzConfig& c) {
   std::vector<FuzzConfig> trials;
   if (c.super_batch != 1) {
     trials.emplace_back(c).super_batch = 1;
-  }
-  if (c.shards > 1 && c.cut != "edge") {
-    trials.emplace_back(c).cut = "edge";
   }
   for (bool FuzzConfig::* knob : {&FuzzConfig::fusion, &FuzzConfig::preproc,
                                   &FuzzConfig::layout, &FuzzConfig::greedy,
