@@ -32,7 +32,7 @@ Sweep RunWithCache(double cache_fraction) {
   algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {});
   core::SamplerOptions options;
   options.super_batch = 1;
-  core::CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), options);
+  core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), options);
 
   tensor::IdArray slice = tensor::IdArray::Empty(std::min<int64_t>(g.train_ids().size(),
                                                                    16 * 256));

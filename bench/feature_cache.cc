@@ -82,8 +82,8 @@ Cell RunCell(const Sweep& sweep, double budget_fraction, feature::Admission admi
   algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {.fanouts = {25, 10}});
   core::SamplerOptions options;
   options.super_batch = 1;
-  core::CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors),
-                                std::move(options));
+  core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors),
+                               std::move(options));
 
   const int64_t pool = g.train_ids().size();
   {

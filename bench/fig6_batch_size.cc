@@ -21,7 +21,7 @@ double EpochMs(BenchContext& ctx, const std::string& algo, int64_t batch_size) {
   algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(algo, g);
   core::SamplerOptions opts = cfg.gs_options;
   opts.super_batch = 1;  // isolate the plain batch-size effect
-  core::CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
 
   const tensor::IdArray& frontiers = g.train_ids();
   const int64_t total_batches = (frontiers.size() + batch_size - 1) / batch_size;

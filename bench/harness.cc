@@ -82,7 +82,7 @@ CellResult BenchContext::RunGsampler(const std::string& dataset, const std::stri
   if (ap.updates_model) {
     opts.super_batch = 1;  // per-batch model updates preclude super-batching
   }
-  core::CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
   if (algorithm == "HetGNN") {
     sampler.BindGraph("rel0", &g.adj());
     sampler.BindGraph("rel1", &g.adj());

@@ -25,7 +25,7 @@ Resources MeasureGsampler(BenchContext& ctx, const std::string& algo) {
   if (ap.updates_model) {
     opts.super_batch = 1;
   }
-  core::CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
 
   tensor::IdArray slice = tensor::IdArray::Empty(
       std::min<int64_t>(g.train_ids().size(), 16 * ctx.config().batch_size));

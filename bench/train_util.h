@@ -47,8 +47,8 @@ inline gnn::SampleFn MakeGsamplerFn(const graph::Graph& g, const std::string& ki
   } else {
     ap = algorithms::FastGcn(g, {.num_layers = 2, .layer_width = 512});
   }
-  auto sampler = std::make_shared<core::CompiledSampler>(std::move(ap.program), g,
-                                                         std::move(ap.tensors), options);
+  auto sampler = std::make_shared<core::SamplerSession>(std::move(ap.program), g,
+                                                        std::move(ap.tensors), options);
   return [sampler](const tensor::IdArray& seeds, Rng&) {
     return gnn::FromSamplerOutputs(sampler->Sample(seeds), seeds);
   };

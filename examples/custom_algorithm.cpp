@@ -29,7 +29,7 @@ int main() {
     core::TVal h = sub.Pow(2.0f).Sum(0);  // h = (A ** 2).sum(axis=...)
     core::TVal bias = h / h.Sum(0);       // return h / h.sum()
     b.Output(bias);
-    core::CompiledSampler sampler(std::move(b).Build(), g, {}, {});
+    core::SamplerSession sampler(std::move(b).Build(), g, {}, {});
     std::vector<int32_t> seeds = {0, 1, 2, 3};
     std::vector<core::Value> out = sampler.Sample(tensor::IdArray::FromVector(seeds));
     double total = 0;
@@ -64,7 +64,7 @@ int main() {
 
     core::SamplerOptions options;
     options.super_batch = 0;
-    core::CompiledSampler sampler(std::move(b).Build(), g, {}, options);
+    core::SamplerSession sampler(std::move(b).Build(), g, {}, options);
     std::printf("\ncompiled degree-tempered sampler:\n%s\n",
                 sampler.DebugString().c_str());
 

@@ -62,8 +62,8 @@ int main() {
       bipartite.user_to_item,
       {.num_walks = 8, .walk_length = 4, .restart_prob = 0.4f, .k = 8});
   core::SamplerOptions options;
-  core::CompiledSampler sampler(std::move(ap.program), bipartite.user_to_item,
-                                std::move(ap.tensors), options);
+  core::SamplerSession sampler(std::move(ap.program), bipartite.user_to_item,
+                               std::move(ap.tensors), options);
   sampler.BindGraph("rel0", &bipartite.user_to_item.adj());
   sampler.BindGraph("rel1", &bipartite.item_to_user.adj());
 
@@ -86,8 +86,8 @@ int main() {
   // The same machinery drives PinSAGE over a single relation.
   algorithms::AlgorithmProgram pinsage = algorithms::PinSage(
       bipartite.item_to_user, {.num_walks = 10, .walk_length = 2, .k = 10});
-  core::CompiledSampler item_sampler(std::move(pinsage.program), bipartite.item_to_user,
-                                     std::move(pinsage.tensors), options);
+  core::SamplerSession item_sampler(std::move(pinsage.program), bipartite.item_to_user,
+                                    std::move(pinsage.tensors), options);
   std::vector<int32_t> seed_items = {0, 1, 2, 3};
   std::vector<core::Value> items = item_sampler.Sample(tensor::IdArray::FromVector(seed_items));
   std::printf("PinSAGE item neighborhoods: %s\n", items[0].matrix.DebugString().c_str());

@@ -18,7 +18,7 @@ double EpochMs(const gs::graph::Graph& g, const gs::core::SamplerOptions& option
   using namespace gs;
   algorithms::AlgorithmProgram ap =
       algorithms::Ladies(g, {.num_layers = 2, .layer_width = 512});
-  core::CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), options);
+  core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), options);
   // Warmup triggers layout calibration and super-batch auto-tuning outside
   // the measured region.
   tensor::IdArray prefix = tensor::IdArray::Empty(std::min<int64_t>(g.train_ids().size(),
@@ -50,8 +50,8 @@ int main() {
   core::SamplerOptions options;
   algorithms::AlgorithmProgram compiled_copy =
       algorithms::Ladies(g, {.num_layers = 2, .layer_width = 512});
-  core::CompiledSampler sampler(std::move(compiled_copy.program), g,
-                                std::move(compiled_copy.tensors), options);
+  core::SamplerSession sampler(std::move(compiled_copy.program), g,
+                               std::move(compiled_copy.tensors), options);
   std::printf("=== optimized LADIES program ===\n%s\n", sampler.DebugString().c_str());
   std::printf("pass report: %s\n\n", sampler.report().ToString().c_str());
 

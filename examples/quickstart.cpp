@@ -37,7 +37,7 @@ int main() {
   //    calibrates data layouts, and auto-tunes the super-batch size.
   core::SamplerOptions options;
   options.super_batch = 0;  // auto
-  core::CompiledSampler sampler(std::move(b).Build(), g, {}, options);
+  core::SamplerSession sampler(std::move(b).Build(), g, {}, options);
 
   // 4. Sample one mini-batch and inspect the result.
   std::vector<int32_t> seeds;

@@ -41,7 +41,7 @@ int main() {
     algorithms::AlgorithmProgram ap =
         algorithms::GraphSage(g, {.fanouts = {10, 10}, .include_seeds = true});
     core::SamplerOptions options;
-    core::CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), options);
+    core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), options);
 
     gnn::TrainerConfig config;
     config.model = gnn::ModelKind::kSage;

@@ -76,6 +76,12 @@ SamplerSession::SamplerSession(std::shared_ptr<CompiledPlan> plan, const graph::
   Precompute();
 }
 
+SamplerSession::SamplerSession(Program program, const graph::Graph& graph,
+                               std::map<std::string, tensor::Tensor> tensors,
+                               SamplerOptions options)
+    : SamplerSession(std::make_shared<CompiledPlan>(std::move(program), std::move(options)),
+                     graph, std::move(tensors)) {}
+
 SamplerSession::SamplerSession(std::shared_ptr<CompiledPlan> plan,
                                std::shared_ptr<const graph::Snapshot> snapshot,
                                std::map<std::string, tensor::Tensor> tensors)

@@ -7,10 +7,7 @@
 //  - SamplerSession (this header): the lightweight mutable execution state
 //    bound to one plan — the RNG, the batch counter, tensor/graph bindings
 //    and the per-session pre-computed invariant values. Many sessions can
-//    share one frozen plan.
-//
-// CompiledSampler remains as a thin facade that owns one plan plus one
-// session, keeping the original single-object API source-compatible.
+//    share one frozen plan, and a session can compile its own.
 
 #ifndef GSAMPLER_CORE_ENGINE_H_
 #define GSAMPLER_CORE_ENGINE_H_
@@ -40,6 +37,11 @@ class SamplerSession {
  public:
   SamplerSession(std::shared_ptr<CompiledPlan> plan, const graph::Graph& graph,
                  std::map<std::string, tensor::Tensor> tensors = {});
+
+  // Compiles `program` into a plan of its own (the pass pipeline runs here;
+  // calibration waits for the first batch) and opens the session over it.
+  SamplerSession(Program program, const graph::Graph& graph,
+                 std::map<std::string, tensor::Tensor> tensors, SamplerOptions options);
 
   // Snapshot-pinning constructor (gs::dyn): the session holds the snapshot's
   // shared_ptr for its whole lifetime, so the epoch's adjacency and features
@@ -183,64 +185,6 @@ class SamplerSession {
 // UVA/feature paths serving will), otherwise the first node ids.
 tensor::IdArray WarmupFrontier(const graph::Graph& graph);
 
-// Thin facade preserving the pre-split API: compiles a plan and opens one
-// session over it in a single object. New code that shares or serializes
-// plans should use CompiledPlan + SamplerSession directly.
-class CompiledSampler {
- public:
-  CompiledSampler(Program program, const graph::Graph& graph,
-                  std::map<std::string, tensor::Tensor> tensors, SamplerOptions options)
-      : plan_(std::make_shared<CompiledPlan>(std::move(program), options)),
-        session_(std::make_shared<SamplerSession>(plan_, graph, std::move(tensors))) {}
-
-  // Opens a session over an existing (possibly deserialized) plan.
-  CompiledSampler(std::shared_ptr<CompiledPlan> plan, const graph::Graph& graph,
-                  std::map<std::string, tensor::Tensor> tensors = {})
-      : plan_(std::move(plan)),
-        session_(std::make_shared<SamplerSession>(plan_, graph, std::move(tensors))) {}
-
-  using BatchCallback = SamplerSession::BatchCallback;
-
-  std::vector<Value> Sample(const tensor::IdArray& frontier) {
-    return session_->Sample(frontier);
-  }
-  void SampleEpoch(const tensor::IdArray& frontiers, int64_t batch_size,
-                   const BatchCallback& callback = nullptr) {
-    session_->SampleEpoch(frontiers, batch_size, callback);
-  }
-  void BindTensor(const std::string& name, tensor::Tensor value) {
-    session_->BindTensor(name, std::move(value));
-  }
-  void BindGraph(const std::string& name, const sparse::Matrix* matrix) {
-    session_->BindGraph(name, matrix);
-  }
-  bool Coalescable() const { return session_->Coalescable(); }
-  void Warmup(const tensor::IdArray& frontier) { session_->Warmup(frontier); }
-  std::vector<Value> SampleSeeded(const tensor::IdArray& frontier, uint64_t seed) const {
-    return session_->SampleSeeded(frontier, seed);
-  }
-  void SampleGrouped(const std::vector<tensor::IdArray>& group,
-                     const std::vector<uint64_t>& seeds, const BatchCallback& callback) const {
-    session_->SampleGrouped(group, seeds, callback);
-  }
-  int64_t ResidentBytes() const { return session_->ResidentBytes(); }
-  bool warmed_up() const { return session_->warmed_up(); }
-  const Program& program() const { return session_->program(); }
-  OptimizationReport report() const { return session_->report(); }
-  int effective_super_batch() const { return session_->effective_super_batch(); }
-  std::string DebugString() const { return session_->DebugString(); }
-
-  const CompiledPlan& plan() const { return *plan_; }
-  std::shared_ptr<CompiledPlan> plan_ptr() const { return plan_; }
-  SamplerSession& session() { return *session_; }
-  const SamplerSession& session() const { return *session_; }
-  std::shared_ptr<SamplerSession> session_ptr() const { return session_; }
-
- private:
-  std::shared_ptr<CompiledPlan> plan_;
-  std::shared_ptr<SamplerSession> session_;
-};
-
 // One sampled mini-batch as produced by BatchProducer.
 struct EpochBatch {
   int64_t index = 0;
@@ -272,8 +216,6 @@ class BatchProducer {
   };
 
   BatchProducer(SamplerSession& session, const tensor::IdArray& frontiers, int64_t batch_size);
-  BatchProducer(CompiledSampler& sampler, const tensor::IdArray& frontiers, int64_t batch_size)
-      : BatchProducer(sampler.session(), frontiers, batch_size) {}
 
   // Total mini-batches this epoch.
   int64_t num_batches() const { return static_cast<int64_t>(batches_.size()); }

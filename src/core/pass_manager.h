@@ -1,12 +1,11 @@
 // PassManager: the optimization pipeline as registered, named, instrumented
 // passes.
 //
-// The pass sequence used to be hardcoded in the CompiledSampler constructor;
-// extracting it gives every pass a name, per-pass instrumentation (rewrite
-// counts, node deltas, wall time, virtual device time), an enforced
-// Program::Verify() at every pass boundary (always in debug builds, behind
-// an option or the GS_VERIFY_PASSES environment variable in release), and
-// an optional after-each-pass IR dump for debugging rewrites.
+// Every pass has a name and per-pass instrumentation (rewrite counts, node
+// deltas, wall time, virtual device time); Program::Verify() runs at every
+// pass boundary (always in debug builds, behind an option or the
+// GS_VERIFY_PASSES environment variable in release), and an optional
+// after-each-pass IR dump helps debug rewrites.
 
 #ifndef GSAMPLER_CORE_PASS_MANAGER_H_
 #define GSAMPLER_CORE_PASS_MANAGER_H_

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -19,7 +20,7 @@ namespace gs::oracle {
 namespace {
 
 using core::CompiledPlan;
-using core::CompiledSampler;
+using core::SamplerSession;
 using core::SamplerOptions;
 using core::Value;
 using core::ValueKind;
@@ -160,13 +161,14 @@ tensor::IdArray MakeFrontiers(const graph::Graph& g, int64_t count, Rng& rng) {
   return tensor::IdArray::FromVector(out);
 }
 
-CompiledSampler MakeSampler(const std::string& algorithm, const graph::Graph& g,
-                            const SamplerOptions& options) {
+std::unique_ptr<SamplerSession> MakeSampler(const std::string& algorithm, const graph::Graph& g,
+                                            const SamplerOptions& options) {
   algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(algorithm, g);
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), options);
+  auto sampler = std::make_unique<SamplerSession>(std::move(ap.program), g,
+                                                  std::move(ap.tensors), options);
   if (algorithm == "HetGNN") {
-    sampler.BindGraph("rel0", &g.adj());
-    sampler.BindGraph("rel1", &g.adj());
+    sampler->BindGraph("rel0", &g.adj());
+    sampler->BindGraph("rel1", &g.adj());
   }
   return sampler;
 }
@@ -174,9 +176,9 @@ CompiledSampler MakeSampler(const std::string& algorithm, const graph::Graph& g,
 std::vector<BatchFingerprint> RunEpoch(const std::string& algorithm, const graph::Graph& g,
                                        const SamplerOptions& options,
                                        const tensor::IdArray& frontiers, int64_t batch_size) {
-  CompiledSampler sampler = MakeSampler(algorithm, g, options);
+  std::unique_ptr<SamplerSession> sampler = MakeSampler(algorithm, g, options);
   std::vector<BatchFingerprint> fingerprints;
-  sampler.SampleEpoch(frontiers, batch_size, [&](int64_t, std::vector<Value>& outputs) {
+  sampler->SampleEpoch(frontiers, batch_size, [&](int64_t, std::vector<Value>& outputs) {
     fingerprints.push_back(Fingerprint(outputs));
   });
   return fingerprints;
@@ -219,8 +221,8 @@ std::vector<int64_t> AccumulateEngineInclusions(const std::string& algorithm,
                                                 const tensor::IdArray& frontiers,
                                                 int64_t batch_size) {
   std::vector<int64_t> counts(static_cast<size_t>(g.num_nodes()), 0);
-  CompiledSampler sampler = MakeSampler(algorithm, g, options);
-  sampler.SampleEpoch(frontiers, batch_size, [&](int64_t, std::vector<Value>& outputs) {
+  std::unique_ptr<SamplerSession> sampler = MakeSampler(algorithm, g, options);
+  sampler->SampleEpoch(frontiers, batch_size, [&](int64_t, std::vector<Value>& outputs) {
     std::set<int32_t> nodes;
     for (const Value& v : outputs) {
       CollectValueNodes(v, nodes);

@@ -91,9 +91,8 @@ OracleReport VerifyConfig(const std::string& algorithm, const graph::Graph& g,
 // bit-identical to a from-scratch Graph::FromEdges load of the same
 // effective edge set — digest equality plus bit-exact sampled fingerprints
 // under mirrored RNG streams. This is the property that makes incremental
-// mutation maintenance trustworthy: however many MutationBatches (and
-// Seals) produced the epoch, sampling it is indistinguishable from sampling
-// a clean reload.
+// mutation maintenance trustworthy: however many MutationBatches produced
+// the epoch, sampling it is indistinguishable from sampling a clean reload.
 OracleReport VerifySnapshotEquivalence(const std::string& algorithm,
                                        const graph::GraphStore& store,
                                        const core::SamplerOptions& optimized,

@@ -27,14 +27,14 @@ namespace gs::pipeline {
 // Snapshot of a queue's lifetime statistics.
 struct QueueStats {
   int64_t capacity = 0;
-  int64_t push_attempts = 0;      // every Push/TryPush call
+  int64_t push_attempts = 0;      // every Push call
   int64_t pushes = 0;             // attempts that enqueued an item
   int64_t pops = 0;
   int64_t push_blocked = 0;       // pushes that had to wait for a free slot
-  // Attempts that dropped their item: TryPush refusals (full or closed) and
-  // Push calls that found the queue closed — including producers that were
-  // blocked on a full queue when Close()/Cancel() arrived. Every attempt is
-  // accounted: push_attempts == pushes + push_rejected.
+  // Attempts that dropped their item: Push calls that found the queue
+  // closed, including producers that were blocked on a full queue when
+  // Close()/Cancel() arrived. Every attempt is accounted:
+  // push_attempts == pushes + push_rejected.
   int64_t push_rejected = 0;
   int64_t pop_blocked = 0;        // pops that had to wait for an item
   int64_t push_blocked_wall_ns = 0;
@@ -83,24 +83,6 @@ class BoundedQueue {
     return true;
   }
 
-  // Non-blocking push: returns false immediately — dropping the item —
-  // when the queue is full, closed, or cancelled. This is the admission-
-  // control entry point: a full queue is an overload signal, not a reason
-  // to stall the caller.
-  bool TryPush(T item) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.push_attempts;
-    if (closed_ || static_cast<int64_t>(items_.size()) >= capacity_) {
-      ++stats_.push_rejected;
-      return false;
-    }
-    items_.push_back(std::move(item));
-    ++stats_.pushes;
-    ++stats_.occupancy_hist[items_.size()];
-    not_empty_.notify_one();
-    return true;
-  }
-
   // Blocks while empty. Returns nullopt once the queue is closed and
   // drained, or immediately after Cancel().
   std::optional<T> Pop() {
@@ -111,23 +93,6 @@ class BoundedQueue {
       not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
       stats_.pop_blocked_wall_ns += blocked.ElapsedNanos();
     }
-    if (items_.empty()) {
-      return std::nullopt;
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    ++stats_.pops;
-    if (items_.empty()) {
-      ++stats_.occupancy_hist[0];
-    }
-    not_full_.notify_one();
-    return item;
-  }
-
-  // Non-blocking pop: returns nullopt immediately when the queue is empty
-  // (whether or not it is closed).
-  std::optional<T> TryPop() {
-    std::lock_guard<std::mutex> lock(mutex_);
     if (items_.empty()) {
       return std::nullopt;
     }

@@ -6,7 +6,7 @@
 // recorded on — and advance the virtual timeline of — that stream. The
 // pipeline executor spawns one worker per stage per Run; the serving
 // subsystem (gs::serving::Server) keeps a long-lived pool whose workers
-// loop over an admission queue.
+// loop over its tenant queues.
 //
 // Streams persist across Start/Join cycles so callers can diff counters
 // around a run (the executor) or accumulate them forever (the server).

@@ -13,6 +13,7 @@
 #include "common/logging.h"
 #include "common/timer.h"
 #include "device/device.h"
+#include "feature/store.h"
 #include "jit/jit.h"
 #include "shard/shard.h"
 
@@ -34,12 +35,33 @@ int64_t ElapsedNs(std::chrono::steady_clock::time_point from,
 constexpr std::chrono::nanoseconds kRetryBackoff{50'000};
 constexpr int kMaxHedgedExchanges = 2;
 
-// Counts one failed response under its error code. Caller holds the stats
-// mutex.
-void CountFailure(ServerStats& stats, fault::ErrorCode code, const std::string& tenant) {
+// Counts one response under its status (and a failure under its error
+// code): the one tally of every answer the server gives. Caller holds the
+// stats mutex.
+void CountOutcome(ServerStats& stats, const SampleResponse& response, const std::string& tenant) {
+  switch (response.status) {
+    case Status::kRejected:
+      ++stats.rejected;
+      return;
+    case Status::kDeadlineExceeded:
+      ++stats.deadline_exceeded;
+      return;
+    case Status::kOk:
+    case Status::kDegraded:
+      ++stats.completed;
+      ++stats.per_tenant_completed[tenant];
+      if (response.status == Status::kDegraded) {
+        ++stats.partial;
+      } else if (response.degraded) {
+        ++stats.degraded;
+      }
+      return;
+    case Status::kFailed:
+      break;
+  }
   ++stats.failed;
   ++stats.per_tenant_failed[tenant];
-  switch (code) {
+  switch (response.code) {
     case fault::ErrorCode::kTransient:
       ++stats.failed_transient;
       break;
@@ -199,7 +221,6 @@ const Endpoint* Server::FindEndpoint(const std::string& algorithm,
 void Server::Start() {
   GS_CHECK(!running_) << "server already running";
   GS_CHECK(!endpoints_.empty()) << "no endpoints registered";
-  tokens_ = std::make_unique<pipeline::BoundedQueue<uint64_t>>(options_.queue_capacity);
   plan_cache_ = std::make_unique<PlanCache>(options_.plan_cache_budget_bytes,
                                             &device::Current().allocator());
   // Per dataset, once. Sharded mode partitions it and gives each shard its
@@ -209,22 +230,14 @@ void Server::Start() {
   // so execution can fail over past dead devices. Dynamic endpoints
   // partition the store's current snapshot; later epochs keep its owners
   // and take their own graph through the mutation listener (OnMutation).
-  // Feature serving keeps one store per dataset that actually has features;
-  // endpoints over feature-less datasets keep serving bare frontiers.
   for (const auto& [key, endpoint] : endpoints_) {
-    const graph::Graph& graph =
-        endpoint.store != nullptr ? endpoint.store->Current()->graph() : *endpoint.graph;
     if (options_.num_shards > 1 && partitions_.find(endpoint.dataset) == partitions_.end()) {
+      const graph::Graph& graph =
+          endpoint.store != nullptr ? endpoint.store->Current()->graph() : *endpoint.graph;
       std::lock_guard<std::mutex> lock(partition_mutex_);
       partitions_[endpoint.dataset] =
           std::make_shared<const graph::Partition>(graph::Partitioner::Build(
               graph, options_.partition_kind, options_.num_shards, options_.num_replicas));
-    }
-    if (options_.serve_features && graph.features().defined() &&
-        feature_stores_.find(endpoint.dataset) == feature_stores_.end()) {
-      std::lock_guard<std::mutex> lock(feature_mutex_);
-      feature_stores_[endpoint.dataset] =
-          std::make_shared<const feature::FeatureStore>(graph.features());
     }
   }
   if (options_.num_shards > 1) {
@@ -242,7 +255,7 @@ void Server::Start() {
     }
   }
   // Dynamic endpoints: subscribe to each distinct store's mutation stream
-  // (re-partition, feature refresh/invalidation, epoch accounting) and
+  // (re-partition, feature-cache invalidation, epoch accounting) and
   // start the background replanner. Listeners run on the ingest thread —
   // materialization, re-partitioning, and invalidation never touch the
   // serving path.
@@ -299,19 +312,28 @@ void Server::Start() {
       GS_LOG(Warning) << "serving: plan warm-start failed, continuing cold: " << e.what();
     }
   }
-  running_ = true;
+  {
+    std::lock_guard<std::mutex> lock(sched_mutex_);
+    running_ = true;
+  }
   pool_->Start([this](int worker) { WorkerLoop(worker); });
   GS_LOG(Info) << "serving: started " << options_.num_workers << " workers, queue capacity "
                << options_.queue_capacity << ", coalesce_max " << options_.coalesce_max;
 }
 
 void Server::Stop() {
-  if (!running_.exchange(false)) {
-    return;
+  {
+    // From here Submit admits nothing, and the workers drain every waiting
+    // request before they return.
+    std::lock_guard<std::mutex> lock(sched_mutex_);
+    if (!running_.exchange(false)) {
+      return;
+    }
   }
-  // Quiesce the dynamic-graph machinery first: unsubscribe from mutation
-  // streams (no callback may outlive the server) and stop the replanner
-  // after at most its in-flight compile.
+  work_ready_.notify_all();
+  // Quiesce the dynamic-graph machinery: unsubscribe from mutation streams
+  // (no callback may outlive the server) and stop the replanner after at
+  // most its in-flight compile.
   for (const auto& [store, id] : store_listeners_) {
     store->RemoveListener(id);
   }
@@ -319,9 +341,6 @@ void Server::Stop() {
   if (replanner_ != nullptr) {
     replanner_->Stop();
   }
-  // Close() lets workers drain every queued admission token (each matching
-  // an already-admitted request) before their Pop() returns nullopt.
-  tokens_->Close();
   pool_->Join();
   if (!options_.plan_dir.empty() && plan_cache_ != nullptr) {
     // Best effort: a failed save must not turn shutdown into a crash.
@@ -331,22 +350,6 @@ void Server::Stop() {
       GS_LOG(Warning) << "serving: failed to persist plans to " << options_.plan_dir << ": "
                       << e.what();
     }
-  }
-  // The token invariant (tokens remaining >= requests remaining) means the
-  // queues are empty here; fail anything left over defensively.
-  std::vector<std::unique_ptr<Pending>> leftovers;
-  {
-    std::lock_guard<std::mutex> lock(sched_mutex_);
-    for (auto& [tenant, queue] : tenant_queues_) {
-      for (auto& pending : queue) {
-        leftovers.push_back(std::move(pending));
-      }
-      queue.clear();
-    }
-  }
-  for (auto& pending : leftovers) {
-    queued_.fetch_sub(1, std::memory_order_relaxed);
-    Finish(*pending, Status::kFailed, fault::ErrorCode::kInternal, "server stopped");
   }
   GS_LOG(Info) << "serving: stopped";
 }
@@ -365,15 +368,11 @@ void Server::Finish(Pending& pending, Status status, fault::ErrorCode code,
     response.stages.queue_wait_ns = ElapsedNs(pending.submitted, Clock::now());
     response.stages.total_ns = response.stages.queue_wait_ns;
   }
-  pending.promise.set_value(std::move(response));
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  if (status == Status::kRejected) {
-    ++stats_.rejected;
-  } else if (status == Status::kDeadlineExceeded) {
-    ++stats_.deadline_exceeded;
-  } else {
-    CountFailure(stats_, code, pending.request.tenant);
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    CountOutcome(stats_, response, pending.request.tenant);
   }
+  pending.promise.set_value(std::move(response));
 }
 
 std::future<SampleResponse> Server::Submit(SampleRequest request) {
@@ -477,16 +476,15 @@ std::future<SampleResponse> Server::Submit(SampleRequest request) {
   }
   pending->canonical = pending->key.Canonical();
 
-  // Register under the scheduler mutex so a worker that pops this request's
-  // token is guaranteed to find it already queued; a TryPush refusal (queue
-  // full, or closed by Stop) is the overload signal.
-  const std::string tenant = req.tenant;
+  // A full queue is the overload signal; so is a server that Stop() shut
+  // after the check above, which admits nothing more.
   {
     std::lock_guard<std::mutex> lock(sched_mutex_);
-    if (tokens_->TryPush(pending->id)) {
+    if (running_ && queued_.load(std::memory_order_relaxed) < options_.queue_capacity) {
       queued_.fetch_add(1, std::memory_order_relaxed);
-      tenant_queues_[tenant].push_back(std::move(pending));
+      tenant_queues_[req.tenant].push_back(std::move(pending));
       Count(&ServerStats::admitted);
+      work_ready_.notify_one();
       return future;
     }
   }
@@ -498,11 +496,13 @@ void Server::WorkerLoop(int worker) {
   // Nothing a request does may kill a worker: ExecuteAndScatter already
   // classifies and absorbs execution failures per request, so anything that
   // reaches this boundary is a server-side bug — log it, count it, and keep
-  // serving. (A dead worker would strand queued admission tokens and turn
-  // every later request into a "server stopped" failure at Stop().)
-  while (tokens_->Pop().has_value()) {
+  // serving. (A dead worker would leave the queues to the others, or with
+  // one worker hang Stop() on requests nobody serves.)
+  while (true) {
     try {
-      ServeOne();
+      if (!ServeOne()) {
+        return;
+      }
     } catch (const std::exception& e) {
       GS_LOG(Warning) << "serving: worker " << worker
                       << " caught exception at the loop boundary: " << e.what();
@@ -519,7 +519,12 @@ bool Server::ServeOne() {
   Group expired;
   Group group;
   {
-    std::lock_guard<std::mutex> lock(sched_mutex_);
+    std::unique_lock<std::mutex> lock(sched_mutex_);
+    work_ready_.wait(lock,
+                     [this] { return queued_.load(std::memory_order_relaxed) > 0 || !running_; });
+    if (queued_.load(std::memory_order_relaxed) == 0) {
+      return false;  // stopped, and every admitted request is answered or in flight
+    }
     const Clock::time_point now = Clock::now();
 
     // Requests that expired while queued complete without executing.
@@ -576,11 +581,9 @@ bool Server::ServeOne() {
       queue.erase(leader);
 
       // Coalesce: gather queued requests (any tenant, arrival order) whose
-      // plan key matches the leader's, consuming one admission token per
-      // extra so tokens keep pace with queued requests. A TryPop miss just
-      // leaves a surplus token that some worker later pops as a no-op.
-      // Members share the leader's graph, and the group stops growing before
-      // its labels b * N + v would overflow int32.
+      // plan key matches the leader's. Members share the leader's graph, and
+      // the group stops growing before its labels b * N + v would overflow
+      // int32.
       if (options_.enable_coalescing) {
         const std::string& canonical = group.front()->canonical;
         const size_t max_members = static_cast<size_t>(std::min<int64_t>(
@@ -591,7 +594,6 @@ bool Server::ServeOne() {
           }
           for (auto it = queue2.begin(); it != queue2.end() && group.size() < max_members;) {
             if ((*it)->canonical == canonical) {
-              tokens_->TryPop();
               queued_.fetch_sub(1, std::memory_order_relaxed);
               tenant_served_[tenant] += 1;
               group.push_back(std::move(*it));
@@ -609,10 +611,9 @@ bool Server::ServeOne() {
     Finish(*pending, Status::kDeadlineExceeded, fault::ErrorCode::kOk,
            "deadline expired while queued");
   }
-  if (group.empty()) {
-    return false;  // spurious token (its request was coalesced or expired)
+  if (!group.empty()) {
+    ExecuteAndScatter(std::move(group));
   }
-  ExecuteAndScatter(std::move(group));
   return true;
 }
 
@@ -740,18 +741,17 @@ void Server::OnMutation(const std::string& dataset,
       Count(&ServerStats::partition_segments_reused, options_.num_shards - rebuilt);
     }
   }
-  // Feature tier: swap the store to the epoch's (copied-on-write) tensor
-  // and invalidate exactly the mutated rows in every cache partition of
-  // this dataset — un-touched rows are identical across epochs, so their
-  // cached copies stay valid.
+  // Feature tier: invalidate exactly the mutated rows in every cache
+  // partition of this dataset. Requests gather from their own epoch's
+  // tensor, so the cache decides only what a gather costs; untouched rows
+  // are identical across epochs and keep their cached copies.
   if (!batch.update_features.empty()) {
     int64_t invalidated = 0;
     {
       std::lock_guard<std::mutex> lock(feature_mutex_);
-      auto it = feature_stores_.find(dataset);
-      if (it != feature_stores_.end()) {
-        it->second = std::make_shared<const feature::FeatureStore>(snapshot->graph().features());
-        for (auto& [shard, partitions] : feature_caches_[dataset]) {
+      auto it = feature_caches_.find(dataset);
+      if (it != feature_caches_.end()) {
+        for (const auto& [shard, partitions] : it->second) {
           (void)shard;
           for (const FeaturePartition& partition : partitions) {
             for (const graph::FeatureUpdate& update : batch.update_features) {
@@ -1101,19 +1101,14 @@ void Server::GatherFeatures(Execution& exec, const Group& group,
   if (!options_.serve_features || exec.degraded || !exec.error.empty()) {
     return;  // no kOk response to gather for
   }
-  // Pin the store: a feature mutation swaps feature_stores_[dataset] under
-  // feature_mutex_, and this group must gather from one consistent tensor.
-  std::shared_ptr<const feature::FeatureStore> store;
-  {
-    std::lock_guard<std::mutex> lock(feature_mutex_);
-    auto store_it = feature_stores_.find(exec.endpoint->dataset);
-    if (store_it != feature_stores_.end()) {
-      store = store_it->second;
-    }
+  // The group's own graph: a dynamic group's pinned snapshot, so its rows
+  // come from the epoch it sampled, whatever epochs were applied since.
+  const std::shared_ptr<const graph::Snapshot>& snapshot = group.front()->snapshot;
+  const graph::Graph& graph = snapshot != nullptr ? snapshot->graph() : *exec.endpoint->graph;
+  if (!graph.features().defined()) {
+    return;  // a feature-less dataset serves bare frontiers
   }
-  if (store == nullptr) {
-    return;
-  }
+  const feature::FeatureStore store(graph.features());
   // Each response gathers through its tenant's cache partition on the
   // executing device, so backing pages and gather kernels land on that
   // shard. Coalesced members gather from their own scattered outputs, so the
@@ -1127,10 +1122,10 @@ void Server::GatherFeatures(Execution& exec, const Group& group,
       }
       try {
         const std::shared_ptr<feature::HotSetCache> cache = TenantFeatureCache(
-            exec.device, group[i]->request.tenant, exec.endpoint->dataset, store->row_bytes());
+            exec.device, group[i]->request.tenant, exec.endpoint->dataset, store.row_bytes());
         Timer feature_timer;
         const tensor::IdArray ids = FeatureFrontier(response.outputs, group[i]->request.seeds);
-        response.features = store->Gather(ids, cache.get(), &gather);
+        response.features = store.Gather(ids, cache.get(), &gather);
         response.feature_ids = ids;
         response.stages.feature_ns = feature_timer.ElapsedNanos();
         exec.counters.feature_gather_ns += response.stages.feature_ns;
@@ -1192,20 +1187,9 @@ void Server::Record(const Execution& exec, const Group& group,
   stats_.Add(exec.counters);
   for (size_t i = 0; i < group.size(); ++i) {
     const SampleResponse& response = responses[i];
-    const std::string& tenant = group[i]->request.tenant;
-    if (response.status != Status::kOk && response.status != Status::kDegraded) {
-      CountFailure(stats_, response.code, tenant);
-      continue;
-    }
-    ++stats_.completed;
-    ++stats_.per_tenant_completed[tenant];
-    if (response.status == Status::kDegraded) {
-      ++stats_.partial;
-    } else if (response.degraded) {
-      ++stats_.degraded;
-    }
-    if (group[i]->frontier.empty()) {
-      continue;  // answered without executing
+    CountOutcome(stats_, response, group[i]->request.tenant);
+    if (response.status == Status::kFailed || group[i]->frontier.empty()) {
+      continue;  // failed, or answered without executing
     }
     if (options_.num_shards > 1) {
       // Attribute to the device that did the work, so failover shows up in

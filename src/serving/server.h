@@ -25,16 +25,18 @@
 //      (transient backoff, one shed-fanout retry). Per-segment RNG streams
 //      make each member's results bit-identical to being served alone.
 //   4. Scatter splits group outputs per request (kDegraded plus coverage in
-//      degraded mode); GatherFeatures attaches feature rows to kOk
-//      responses; Record updates the stats once per group; promises are
-//      fulfilled with a per-stage wall-latency breakdown in every response.
+//      degraded mode); GatherFeatures attaches feature rows, read from the
+//      group's own graph, to kOk responses; Record updates the stats once
+//      per group; promises are fulfilled with a per-stage wall-latency
+//      breakdown in every response.
 //
-// Built on pipeline::WorkerPool (one device stream per worker) and
-// pipeline::BoundedQueue (admission tokens with TryPush rejection). The
-// token queue is a capacity limiter and wakeup channel: every registered
-// request pushes one token, workers block popping tokens, and the scheduler
-// tolerates token/request imbalance from coalescing (a popped token that
-// finds no queued request is a no-op).
+// Built on pipeline::WorkerPool (one device stream per worker). The tenant
+// queues are the only place admitted requests wait: Submit adds a request
+// while fewer than queue_capacity wait (a full queue rejects with a
+// retry-after hint), and workers sleep on one condition variable until a
+// request waits or Stop() runs. Both sides decide under sched_mutex_:
+// Submit admits only while the server runs, and a worker returns only once
+// it is stopped and nothing waits, so Stop() answers every admitted request.
 //
 // Sharded mode (ServerOptions::num_shards > 1, gs::shard): Start()
 // partitions every registered dataset and creates one simulated device per
@@ -47,7 +49,8 @@
 // exchange_* counters and per-shard completions in ServerStats.
 //
 // Dynamic endpoints (gs::dyn, Endpoint::store): a request pins the store's
-// snapshot at admission, and its plan key carries the epoch. The PlanCache
+// snapshot at admission, and its plan key carries the epoch; its sample and
+// its feature rows both come from that snapshot. The PlanCache
 // keeps one entry per compile key: the newest epoch's session and the
 // newest compiled plan. A new epoch rebuilds a session over that plan while
 // its validity predicate holds; a drifted plan keeps serving while the
@@ -59,6 +62,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -74,12 +78,10 @@
 #include "device/device.h"
 #include "dyn/replanner.h"
 #include "feature/hot_set_cache.h"
-#include "feature/store.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "graph/store.h"
 #include "ha/health.h"
-#include "pipeline/queue.h"
 #include "pipeline/worker_pool.h"
 #include "serving/plan_cache.h"
 #include "serving/request.h"
@@ -128,7 +130,8 @@ Endpoint MakeDynamicEndpoint(const std::string& algorithm, const std::string& da
 
 struct ServerOptions {
   int num_workers = 2;
-  // Admission queue capacity; TryPush failure = reject with retry-after.
+  // Admitted requests that may wait at once; a request beyond them is
+  // rejected with retry-after.
   int queue_capacity = 64;
   // Maximum requests merged into one labeled execution (a group also stops
   // at 2^31 / num_nodes members, where its labels would overflow int32).
@@ -287,13 +290,13 @@ class Server {
   };
 
   const Endpoint* FindEndpoint(const std::string& algorithm, const std::string& dataset) const;
-  // Fulfills a request that never executes (refused at admission, expired
-  // while queued, or left over at Stop) and counts it. Caller must not hold
-  // sched_mutex_.
+  // Fulfills a request that never executes (refused at admission or expired
+  // while queued) and counts it. Caller must not hold sched_mutex_.
   void Finish(Pending& pending, Status status, fault::ErrorCode code, const std::string& error);
   void WorkerLoop(int worker);
-  // Handles one admission token: picks a group and serves it. Returns false
-  // when the token found no queued request (tolerated imbalance).
+  // Waits until a request waits or the server stops, then picks a group
+  // and serves it. Returns false once the server is stopped and no request
+  // waits.
   bool ServeOne();
   // The one serving execution path (normal, failed-over, coalesced, walk
   // and degraded groups), run as the steps below; see server.cc.
@@ -333,8 +336,7 @@ class Server {
   void CompileForSnapshot(const std::string& compile_key,
                           const std::shared_ptr<const graph::Snapshot>& snapshot);
   // Mutation listener (runs on the ingest thread, never a serving worker):
-  // re-partition, feature-store refresh + cache invalidation, and epoch
-  // accounting.
+  // re-partition, feature-cache invalidation, and epoch accounting.
   void OnMutation(const std::string& dataset,
                   const std::shared_ptr<const graph::Snapshot>& snapshot,
                   const graph::MutationBatch& batch);
@@ -367,17 +369,15 @@ class Server {
   std::map<std::string, std::shared_ptr<const graph::Partition>> partitions_;
   std::vector<std::unique_ptr<device::Device>> shard_devices_;
   std::unique_ptr<ha::HealthMonitor> monitor_;
-  // Feature serving: one store per dataset with features, plus per-tenant
-  // cache partitions per (dataset, shard). Declared after shard_devices_ so
-  // the caches (whose backing pages live on those devices) are destroyed
-  // first. Stores are swapped (under feature_mutex_) when a mutation epoch
-  // copies the feature tensor on write.
+  // Feature serving: per-tenant cache partitions per (dataset, shard); the
+  // rows themselves come from each group's graph. Declared after
+  // shard_devices_ so the caches (whose backing pages live on those
+  // devices) are destroyed first.
   struct FeaturePartition {
     std::string tenant;
     uint64_t last_used = 0;  // feature_uses_ at the tenant's latest gather
     std::shared_ptr<feature::HotSetCache> cache;
   };
-  std::map<std::string, std::shared_ptr<const feature::FeatureStore>> feature_stores_;
   mutable std::mutex feature_mutex_;
   // dataset -> shard -> at most feature_cache_partitions partitions.
   std::map<std::string, std::map<int, std::vector<FeaturePartition>>> feature_caches_;
@@ -391,15 +391,18 @@ class Server {
   // are destroyed first.
   std::unique_ptr<jit::JitEngine> jit_;
   std::unique_ptr<PlanCache> plan_cache_;
-  std::unique_ptr<pipeline::BoundedQueue<uint64_t>> tokens_;
   std::unique_ptr<pipeline::WorkerPool> pool_;
-  std::atomic<bool> running_{false};
 
   std::atomic<uint64_t> next_id_{1};
-  std::atomic<int64_t> queued_{0};           // admitted, not yet dequeued
   std::atomic<int64_t> ema_service_ns_{0};   // per-request EMA (wall)
 
-  mutable std::mutex sched_mutex_;  // tenant queues + served counts
+  // Admission and scheduling. running_ and queued_ change only under
+  // sched_mutex_, whose work_ready_ predicate reads them; Submit also reads
+  // them without it, for its fast refusal, shedding and deadline admission.
+  mutable std::mutex sched_mutex_;
+  std::condition_variable work_ready_;  // a request waits, or Stop() ran
+  std::atomic<bool> running_{false};
+  std::atomic<int64_t> queued_{0};  // admitted, not yet dequeued
   std::map<std::string, std::deque<std::unique_ptr<Pending>>> tenant_queues_;
   std::map<std::string, int64_t> tenant_served_;
 

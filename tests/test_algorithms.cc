@@ -14,7 +14,7 @@
 namespace gs::algorithms {
 namespace {
 
-using core::CompiledSampler;
+using core::SamplerSession;
 using core::SamplerOptions;
 using core::Value;
 using core::ValueKind;
@@ -31,7 +31,7 @@ IdArray Iota(int n) {
 TEST(GraphSageAlgo, FanoutsPerLayer) {
   graph::Graph g = gs::testing::SmallRmat();
   AlgorithmProgram ap = GraphSage(g, {.fanouts = {4, 2}});
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), {});
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), {});
   std::vector<Value> out = sampler.Sample(Iota(16));
   ASSERT_EQ(out.size(), 3u);
   const sparse::Compressed& l1 = out[0].matrix.Csc();
@@ -54,7 +54,7 @@ TEST(GraphSageAlgo, FanoutsPerLayer) {
 TEST(GraphSageAlgo, IncludeSeedsKeepsSeedsInFrontier) {
   graph::Graph g = gs::testing::SmallRmat();
   AlgorithmProgram ap = GraphSage(g, {.fanouts = {3}, .include_seeds = true});
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), {});
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), {});
   std::vector<Value> out = sampler.Sample(Iota(8));
   const IdArray& next = out.back().ids;
   std::set<int32_t> next_set(next.data(), next.data() + next.size());
@@ -66,7 +66,7 @@ TEST(GraphSageAlgo, IncludeSeedsKeepsSeedsInFrontier) {
 TEST(VrGcnAlgo, TinyFanouts) {
   graph::Graph g = gs::testing::SmallRmat();
   AlgorithmProgram ap = VrGcn(g);
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), {});
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), {});
   std::vector<Value> out = sampler.Sample(Iota(8));
   const sparse::Compressed& l1 = out[0].matrix.Csc();
   for (int64_t c = 0; c < out[0].matrix.num_cols(); ++c) {
@@ -77,7 +77,7 @@ TEST(VrGcnAlgo, TinyFanouts) {
 TEST(DeepWalkAlgo, TracesFollowEdges) {
   graph::Graph g = gs::testing::SmallRmat();
   AlgorithmProgram ap = DeepWalk(g, {.walk_length = 6});
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), {});
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), {});
   std::vector<Value> out = sampler.Sample(Iota(10));
   ASSERT_EQ(out.size(), 6u);
   const auto edges = gs::testing::EdgeSet(g.adj());
@@ -101,7 +101,7 @@ TEST(Node2VecAlgo, LowPReturnsOften) {
     AlgorithmProgram ap = Node2Vec(g, {.walk_length = 20, .p = p, .q = 1.0f});
     SamplerOptions opts;
     opts.seed = 5;
-    CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+    SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
     std::vector<Value> out = sampler.Sample(Iota(64));
     int64_t returns = 0;
     for (int64_t i = 0; i < 64; ++i) {
@@ -122,7 +122,7 @@ TEST(Node2VecAlgo, LowPReturnsOften) {
 TEST(LadiesAlgo, WeightsNormalizedPerFrontier) {
   graph::Graph g = gs::testing::SmallRmat();
   AlgorithmProgram ap = Ladies(g, {.num_layers = 1, .layer_width = 32});
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), {});
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), {});
   std::vector<Value> out = sampler.Sample(Iota(16));
   const sparse::Matrix& w2 = out[0].matrix;
   sparse::ValueArray col_sums = sparse::SumAxis(w2, 1);
@@ -138,7 +138,7 @@ TEST(FastGcnAlgo, PrefersHighDegreeNodes) {
   graph::Graph g = gs::testing::SmallRmat(400, 8000, 17, true);
   sparse::ValueArray degree = sparse::SumAxis(g.adj(), 0);
   AlgorithmProgram ap = FastGcn(g, {.num_layers = 1, .layer_width = 40});
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), {});
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), {});
   // Average weighted degree of selected nodes must exceed the global mean.
   double selected_sum = 0;
   int64_t selected_n = 0;
@@ -160,7 +160,7 @@ TEST(FastGcnAlgo, PrefersHighDegreeNodes) {
 TEST(SealAlgo, InducedSubgraphOverSampledNodes) {
   graph::Graph g = gs::testing::SmallRmat();
   AlgorithmProgram ap = Seal(g, {.depth = 2, .fanout = 4});
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), {});
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), {});
   std::vector<Value> out = sampler.Sample(Iota(6));
   const sparse::Matrix& induced = out[0].matrix;
   const IdArray& nodes = out[1].ids;
@@ -178,7 +178,7 @@ TEST(SealAlgo, InducedSubgraphOverSampledNodes) {
 TEST(ShadowAlgo, InducedSubgraphComplete) {
   graph::Graph g = gs::testing::SmallRmat();
   AlgorithmProgram ap = Shadow(g, {.depth = 2, .fanout = 3});
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), {});
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), {});
   std::vector<Value> out = sampler.Sample(Iota(4));
   const IdArray& nodes = out[1].ids;
   std::set<int32_t> node_set(nodes.data(), nodes.data() + nodes.size());
@@ -195,7 +195,7 @@ TEST(ShadowAlgo, InducedSubgraphComplete) {
 TEST(SaintAlgo, VisitedNodesIncludeRoots) {
   graph::Graph g = gs::testing::SmallRmat();
   AlgorithmProgram ap = GraphSaint(g, {.walk_length = 3});
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), {});
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), {});
   std::vector<Value> out = sampler.Sample(Iota(5));
   const IdArray& nodes = out[1].ids;
   std::set<int32_t> node_set(nodes.data(), nodes.data() + nodes.size());
@@ -207,7 +207,7 @@ TEST(SaintAlgo, VisitedNodesIncludeRoots) {
 TEST(PinSageAlgo, TopKBoundsAndCounts) {
   graph::Graph g = gs::testing::SmallRmat();
   AlgorithmProgram ap = PinSage(g, {.num_walks = 6, .walk_length = 2, .k = 5});
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), {});
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), {});
   std::vector<Value> out = sampler.Sample(Iota(8));
   const sparse::Matrix& neighbors = out[0].matrix;
   const sparse::Compressed& csc = neighbors.Csc();
@@ -224,7 +224,7 @@ TEST(HetGnnAlgo, RequiresBothRelations) {
   graph::Graph g = gs::testing::SmallRmat();
   AlgorithmProgram ap = HetGnn(g, {});
   SamplerOptions opts;
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
   sampler.BindGraph("rel0", &g.adj());
   EXPECT_THROW(sampler.Sample(Iota(4)), Error);  // rel1 missing
   sampler.BindGraph("rel1", &g.adj());
@@ -235,7 +235,7 @@ TEST(HetGnnAlgo, RequiresBothRelations) {
 TEST(PassAlgo, AttentionBiasesAreValidProbs) {
   graph::Graph g = gs::testing::SmallRmat();
   AlgorithmProgram ap = Pass(g, {.fanouts = {3}, .hidden = 8});
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), {});
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), {});
   std::vector<Value> out = sampler.Sample(Iota(8));
   const sparse::Compressed& csc = out[0].matrix.Csc();
   for (int64_t c = 0; c < out[0].matrix.num_cols(); ++c) {
@@ -247,7 +247,7 @@ TEST(BanditAlgos, UpdateShiftsSamplingMass) {
   graph::Graph g = gs::testing::SmallRmat(150, 3000, 23, false);
   AlgorithmProgram ap = GcnBs(g, {.fanouts = {2}});
   tensor::Tensor weights = ap.tensors.at("bandit_w");
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), {});
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), {});
 
   // Reward every sampled edge repeatedly; re-sampling must then concentrate
   // on previously rewarded edges.
@@ -275,7 +275,7 @@ TEST(BanditAlgos, UpdateShiftsSamplingMass) {
 TEST(AsgcnAlgo, LayerWidthBound) {
   graph::Graph g = gs::testing::SmallRmat();
   AlgorithmProgram ap = Asgcn(g, {.num_layers = 2, .layer_width = 24});
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), {});
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), {});
   std::vector<Value> out = sampler.Sample(Iota(16));
   EXPECT_LE(out[0].matrix.num_rows(), 24);
   EXPECT_LE(out[1].matrix.num_rows(), 24);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <future>
@@ -766,6 +767,58 @@ TEST(DynServing, EntriesReplacedUnderInFlightGroupsReleaseOldEpochs) {
     EXPECT_TRUE(served[static_cast<size_t>(epoch)].expired()) << "epoch " << epoch;
   }
   EXPECT_EQ(server.stats().completed, kEpochs * 4);
+}
+
+// A request gathers its feature rows from the epoch it pinned at admission,
+// not from whatever epoch the server has seen last. This test's listener is
+// registered before Start(), so it fires first (listeners fire in
+// registration order): the request it serves pins the new epoch before the
+// server's own listener has run.
+TEST(DynServing, FeatureRowsComeFromTheRequestsEpoch) {
+  graph::Graph g = testing::SmallRmat(400, 4000, 11);
+  const int64_t nodes = g.num_nodes();
+  const int64_t dim = g.features().cols();
+  GraphStore store(std::move(g));
+
+  serving::ServerOptions options;
+  options.num_workers = 1;
+  options.serve_features = true;
+  serving::Server server(options);
+  server.RegisterEndpoint(serving::MakeDynamicEndpoint("GraphSAGE", "rmat", store));
+
+  serving::SampleResponse response;
+  uint64_t pinned_epoch = 0;
+  const int64_t listener =
+      store.AddListener([&](const std::shared_ptr<const Snapshot>& snapshot, const MutationBatch&) {
+        pinned_epoch = snapshot->epoch();
+        serving::SampleRequest req;
+        req.algorithm = "GraphSAGE";
+        req.dataset = "rmat";
+        req.seeds = Seeds({1, 2, 3, 4});
+        req.seed = 7;
+        req.fanouts = {4, 3};
+        response = server.Submit(req).get();
+      });
+  server.Start();
+
+  MutationBatch batch;
+  for (int32_t v = 0; v < nodes; ++v) {
+    batch.update_features.push_back({v, std::vector<float>(static_cast<size_t>(dim), 7.0f)});
+  }
+  store.Apply(batch);
+  store.RemoveListener(listener);
+  server.Stop();
+
+  EXPECT_EQ(pinned_epoch, 1u);
+  ASSERT_EQ(response.status, serving::Status::kOk) << response.error;
+  ASSERT_TRUE(response.features.defined());
+  ASSERT_GT(response.features.numel(), 0);
+  const float* values = response.features.data();
+  const int64_t stale =
+      std::count_if(values, values + response.features.numel(), [](float v) { return v != 7.0f; });
+  EXPECT_EQ(stale, 0) << "of " << response.features.numel()
+                      << " feature values, these came from an epoch other than the request's";
+  EXPECT_EQ(server.stats().feature_requests, 1);
 }
 
 // Forced drift through the live server: a mutation epoch violent enough to

@@ -1,4 +1,4 @@
-// Tests for the CompiledSampler engine: compiling and running all 15
+// Tests for the SamplerSession engine: compiling and running all 15
 // algorithms, pre-computation, super-batch execution, memory budgeting, and
 // tensor re-binding.
 
@@ -35,7 +35,7 @@ TEST_P(AllAlgorithms, CompilesAndSamples) {
   graph::Graph g = gs::testing::SmallRmat(250, 2500, 33, true);
   algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(name, g);
   SamplerOptions opts;
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
   if (name == "HetGNN") {
     sampler.BindGraph("rel0", &g.adj());
     sampler.BindGraph("rel1", &g.adj());
@@ -68,7 +68,7 @@ TEST(Engine, PrecomputesInvariantNodes) {
   graph::Graph g = gs::testing::SmallRmat();
   algorithms::AlgorithmProgram ap = algorithms::Ladies(g, {.num_layers = 2, .layer_width = 16});
   SamplerOptions opts;
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
   // The hoisted A**2 must be marked invariant in the compiled program.
   int invariant_compute = 0;
   for (const Node& n : sampler.program().nodes()) {
@@ -84,7 +84,7 @@ TEST(Engine, OptimizationReportCountsPasses) {
   graph::Graph g = gs::testing::SmallRmat();
   algorithms::AlgorithmProgram ap = algorithms::Ladies(g, {.num_layers = 2, .layer_width = 16});
   SamplerOptions opts;
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
   OptimizationReport before = sampler.report();
   EXPECT_GE(before.hoisted_ops, 2);             // A**2 hoisted in both layers
   EXPECT_GE(before.edge_map_reduce_fusions, 2); // normalization chains fused
@@ -98,7 +98,7 @@ TEST(Engine, OptimizationReportCountsPasses) {
   SamplerOptions off;
   off.enable_fusion = false;
   off.enable_preprocessing = false;
-  CompiledSampler plain(std::move(sage.program), g, std::move(sage.tensors), off);
+  SamplerSession plain(std::move(sage.program), g, std::move(sage.tensors), off);
   OptimizationReport none = plain.report();
   EXPECT_EQ(none.extract_select_fusions, 0);
   EXPECT_EQ(none.hoisted_ops, 0);
@@ -110,7 +110,7 @@ TEST(Engine, SuperBatchSplitsMatchFrontiers) {
       algorithms::GraphSage(g, {.fanouts = {3, 2}, .include_seeds = false});
   SamplerOptions opts;
   opts.super_batch = 4;
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
 
   int batches = 0;
   sampler.SampleEpoch(Iota(64), 8, [&](int64_t index, std::vector<Value>& out) {
@@ -145,7 +145,7 @@ TEST(Engine, SuperBatchLayerWise) {
   algorithms::AlgorithmProgram ap = algorithms::Ladies(g, {.num_layers = 2, .layer_width = 12});
   SamplerOptions opts;
   opts.super_batch = 2;
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
   int batches = 0;
   sampler.SampleEpoch(Iota(32), 8, [&](int64_t, std::vector<Value>& out) {
     ++batches;
@@ -172,7 +172,7 @@ TEST(Engine, SuperBatchIsBitIdenticalToSolo) {
       algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(name, g);
       SamplerOptions opts;
       opts.super_batch = super_batch;
-      CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+      SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
       EXPECT_TRUE(sampler.Coalescable()) << name;
       sampler.BindGraph("rel0", &g.adj());  // HetGNN's relations; unused elsewhere
       sampler.BindGraph("rel1", &g.adj());
@@ -221,7 +221,7 @@ TEST(Engine, WalksFromOtherStartsRunUngrouped) {
     b.Output(cur);
     SamplerOptions opts;
     opts.super_batch = super_batch;
-    CompiledSampler sampler(std::move(b).Build(), g, {}, opts);
+    SamplerSession sampler(std::move(b).Build(), g, {}, opts);
     EXPECT_FALSE(sampler.Coalescable());
     std::vector<IdArray> walks;
     BatchProducer producer(sampler, Iota(64), 8);
@@ -277,7 +277,7 @@ TEST(Engine, LabeledRunsLaunchThePlainRunsKernels) {
   };
   for (const std::string& name : algorithms::AllAlgorithmNames()) {
     algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(name, g);
-    CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), SamplerOptions{});
+    SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), SamplerOptions{});
     sampler.BindGraph("rel0", &g.adj());  // HetGNN's relations; unused elsewhere
     sampler.BindGraph("rel1", &g.adj());
     sampler.Warmup(frontier);
@@ -291,7 +291,7 @@ TEST(Engine, LabeledRunsLaunchThePlainRunsKernels) {
   }
 
   algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {.fanouts = {10, 5}});
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), SamplerOptions{});
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), SamplerOptions{});
   sampler.Warmup(frontier);
   int64_t matrices = 0;
   const int64_t plain = launches([&] {
@@ -319,7 +319,7 @@ TEST(Engine, GreedyLayoutConvertsOnlyForRowIdsThatLaunch) {
   options.enable_layout_selection = false;
   ASSERT_TRUE(options.greedy_when_layout_disabled);
   algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {.fanouts = {10, 5}});
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), options);
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), options);
   sampler.Warmup(frontier);
   const int64_t before = v100.stream().counters().kernels_launched;
   sampler.Sample(frontier);
@@ -347,7 +347,7 @@ TEST(Engine, SeededWalkStreamsArePinned) {
       {"DeepWalk", 0x3bbd405a210f8c2full}, {"Node2Vec", 0xe5076fa5ffcfd716ull}};
   for (const auto& [name, digest] : goldens) {
     algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(name, g);
-    CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), SamplerOptions{});
+    SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), SamplerOptions{});
     sampler.Warmup(Iota(4));
     const std::vector<Value> out = sampler.SampleSeeded(Iota(64), 2026);
     int64_t dead = 0;
@@ -365,7 +365,7 @@ TEST(Engine, AutoSuperBatchRespectsMemoryBudget) {
   SamplerOptions opts;
   opts.super_batch = 0;                  // auto grid search
   opts.memory_budget_bytes = 64 * 1024;  // tiny budget -> small super-batch
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
   sampler.SampleEpoch(Iota(64), 8, nullptr);
   EXPECT_GE(sampler.effective_super_batch(), 1);
   EXPECT_LE(sampler.effective_super_batch(), 8);
@@ -377,7 +377,7 @@ TEST(Engine, BindTensorRefreshesBias) {
   graph::Graph g = gs::testing::SmallRmat(100, 1200, 99, false);
   algorithms::AlgorithmProgram ap = algorithms::GcnBs(g, {.fanouts = {1}});
   SamplerOptions opts;
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
 
   // Weight vector: ~0 everywhere except the first edge of each column.
   tensor::Tensor biased = tensor::Tensor::Full({g.num_edges()}, 1e-8f);
@@ -407,14 +407,14 @@ TEST(Engine, EpochWithoutSuperBatchEqualsPerBatchSampling) {
   opts.super_batch = 1;
 
   algorithms::AlgorithmProgram ap1 = algorithms::GraphSage(g, {.fanouts = {3}});
-  CompiledSampler epoch_sampler(std::move(ap1.program), g, std::move(ap1.tensors), opts);
+  SamplerSession epoch_sampler(std::move(ap1.program), g, std::move(ap1.tensors), opts);
   std::vector<std::map<std::pair<int32_t, int32_t>, float>> from_epoch;
   epoch_sampler.SampleEpoch(Iota(24), 8, [&](int64_t, std::vector<Value>& out) {
     from_epoch.push_back(gs::testing::EdgeSet(out[0].matrix));
   });
 
   algorithms::AlgorithmProgram ap2 = algorithms::GraphSage(g, {.fanouts = {3}});
-  CompiledSampler batch_sampler(std::move(ap2.program), g, std::move(ap2.tensors), opts);
+  SamplerSession batch_sampler(std::move(ap2.program), g, std::move(ap2.tensors), opts);
   for (int b = 0; b < 3; ++b) {
     std::vector<Value> out = batch_sampler.Sample(Iota(8, b * 8));
     EXPECT_EQ(gs::testing::EdgeSet(out[0].matrix), from_epoch[static_cast<size_t>(b)])
@@ -431,7 +431,7 @@ TEST(Engine, SuperBatchStatisticallyMatchesPerBatch) {
     SamplerOptions opts;
     opts.super_batch = super_batch;
     opts.seed = 99 + static_cast<uint64_t>(super_batch);
-    CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+    SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
     int64_t edges = 0;
     int64_t batches = 0;
     sampler.SampleEpoch(Iota(128), 16, [&](int64_t, std::vector<Value>& out) {
@@ -451,7 +451,7 @@ TEST(BatchProducer, EmptySeedSetYieldsNoBatches) {
   algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {.fanouts = {3}});
   SamplerOptions opts;
   opts.super_batch = 4;
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
   BatchProducer producer(sampler, IdArray::Empty(0), 8);
   EXPECT_EQ(producer.num_batches(), 0);
   EpochBatch batch;
@@ -471,12 +471,12 @@ TEST(BatchProducer, FinalPartialBatchMatchesSoloSampling) {
   SamplerOptions grouped_opts;
   grouped_opts.super_batch = 4;
   algorithms::AlgorithmProgram ap1 = algorithms::GraphSage(g, {.fanouts = {3, 2}});
-  CompiledSampler grouped(std::move(ap1.program), g, std::move(ap1.tensors), grouped_opts);
+  SamplerSession grouped(std::move(ap1.program), g, std::move(ap1.tensors), grouped_opts);
 
   SamplerOptions solo_opts;
   solo_opts.super_batch = 1;
   algorithms::AlgorithmProgram ap2 = algorithms::GraphSage(g, {.fanouts = {3, 2}});
-  CompiledSampler solo(std::move(ap2.program), g, std::move(ap2.tensors), solo_opts);
+  SamplerSession solo(std::move(ap2.program), g, std::move(ap2.tensors), solo_opts);
 
   const IdArray seeds = Iota(27);
   BatchProducer producer(grouped, seeds, 8);
@@ -519,7 +519,7 @@ TEST(BatchProducer, SeedSetSmallerThanBatchSize) {
   algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {.fanouts = {3}});
   SamplerOptions opts;
   opts.super_batch = 4;
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
   BatchProducer producer(sampler, Iota(3), 64);
   EXPECT_EQ(producer.num_batches(), 1);
   EpochBatch batch;
@@ -540,7 +540,7 @@ TEST(Engine, MissingTensorBindingThrows) {
   SamplerOptions opts;
   opts.enable_preprocessing = false;
   opts.enable_layout_selection = false;
-  CompiledSampler sampler(std::move(p), g, {}, opts);
+  SamplerSession sampler(std::move(p), g, {}, opts);
   EXPECT_THROW(sampler.Sample(Iota(4)), Error);
 }
 
@@ -548,7 +548,7 @@ TEST(Engine, EmptyFrontierProducesEmptySample) {
   graph::Graph g = gs::testing::SmallRmat();
   algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {.fanouts = {3}});
   SamplerOptions opts;
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
   std::vector<Value> out = sampler.Sample(IdArray::FromVector(std::vector<int32_t>{}));
   EXPECT_EQ(out[0].matrix.num_cols(), 0);
   EXPECT_EQ(out[0].matrix.nnz(), 0);
@@ -564,7 +564,7 @@ TEST(Engine, UvaGraphChargesPcie) {
   ASSERT_TRUE(g.uva());
   algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {.fanouts = {3, 2}});
   SamplerOptions opts;
-  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
   const int64_t before = device::Current().stream().counters().pcie_bytes;
   sampler.Sample(Iota(16));
   EXPECT_GT(device::Current().stream().counters().pcie_bytes, before);

@@ -376,7 +376,7 @@ TEST(KernelFault, ExecutorCancelsBatchOnStuckKernel) {
   algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {.fanouts = {4, 3}});
   core::SamplerOptions options;
   options.super_batch = 1;
-  core::CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), options);
+  core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), options);
   tensor::IdArray seeds = tensor::IdArray::FromVector({1, 2, 3, 4});
   (void)sampler.Sample(seeds);  // calibrate fault-free
 
@@ -602,8 +602,8 @@ TEST(BatchProducerCheckpoint, ResumeYieldsBitIdenticalRemainder) {
   algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {.fanouts = {4, 3}});
   core::SamplerOptions options;
   options.seed = 7;
-  core::CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors),
-                                options);
+  core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors),
+                               options);
 
   // Reference: one uninterrupted epoch. The Save() taken before any Next()
   // pins this epoch's RNG-stream base — the shared sampler's batch counter
@@ -668,7 +668,7 @@ TEST(TrainerCheckpoint, KilledEpochResumesBitIdentical) {
       algorithms::GraphSage(g, {.fanouts = {4, 3}, .include_seeds = true});
   core::SamplerOptions options;
   options.super_batch = 1;
-  core::CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), options);
+  core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), options);
   sampler.Warmup(tensor::IdArray::FromVector({0, 1, 2, 3}));
 
   // Stateless sampling function: results depend only on (seeds, rng).

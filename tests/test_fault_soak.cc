@@ -91,8 +91,8 @@ TEST(FaultSoak, ServerSurvivesSeededFaultScheduleBitIdentically) {
         algorithms::GraphSage(graph, algorithms::SageParams{.fanouts = fanouts});
     core::SamplerOptions options = plan_options;
     options.super_batch = 1;
-    auto plan = std::make_shared<core::CompiledSampler>(std::move(ap.program), graph,
-                                                        std::move(ap.tensors), options);
+    auto plan = std::make_shared<core::SamplerSession>(std::move(ap.program), graph,
+                                                       std::move(ap.tensors), options);
     plan->Warmup(tensor::IdArray::FromVector({0, 1, 2, 3}));
     return plan;
   };

@@ -223,8 +223,8 @@ TEST_P(AllAlgorithmsFeature, GatherMatchesEagerLookup) {
   graph::Graph g = FeatureGraph();
   ASSERT_TRUE(g.features().defined());
   algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(name, g);
-  core::CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors),
-                                core::SamplerOptions{});
+  core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors),
+                               core::SamplerOptions{});
   if (name == "HetGNN") {
     sampler.BindGraph("rel0", &g.adj());
     sampler.BindGraph("rel1", &g.adj());

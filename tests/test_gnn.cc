@@ -27,7 +27,7 @@ graph::Graph TrainingGraph() {
   return graph::MakePlantedPartitionGraph(p);
 }
 
-SampleFn SageSampler(core::CompiledSampler& sampler) {
+SampleFn SageSampler(core::SamplerSession& sampler) {
   return [&sampler](const tensor::IdArray& seeds, Rng&) {
     return FromSamplerOutputs(sampler.Sample(seeds), seeds);
   };
@@ -38,7 +38,7 @@ TEST(SageTraining, LearnsPlantedCommunities) {
   algorithms::AlgorithmProgram ap =
       algorithms::GraphSage(g, {.fanouts = {10, 5}, .include_seeds = true});
   core::SamplerOptions opts;
-  core::CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
 
   TrainerConfig config;
   config.model = ModelKind::kSage;
@@ -60,7 +60,7 @@ TEST(GcnTraining, LearnsFromLadiesSamples) {
   algorithms::AlgorithmProgram ap =
       algorithms::Ladies(g, {.num_layers = 2, .layer_width = 256});
   core::SamplerOptions opts;
-  core::CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
 
   TrainerConfig config;
   config.model = ModelKind::kGcn;
@@ -77,7 +77,7 @@ TEST(SageModel, LossDecreasesOnFixedBatch) {
   algorithms::AlgorithmProgram ap =
       algorithms::GraphSage(g, {.fanouts = {8, 4}, .include_seeds = true});
   core::SamplerOptions opts;
-  core::CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
   std::vector<int32_t> seed_vec;
   for (int i = 0; i < 64; ++i) {
     seed_vec.push_back(i);
@@ -103,7 +103,7 @@ TEST(GcnModel, LossDecreasesOnFixedBatch) {
   algorithms::AlgorithmProgram ap =
       algorithms::Ladies(g, {.num_layers = 2, .layer_width = 128});
   core::SamplerOptions opts;
-  core::CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
   std::vector<int32_t> seed_vec;
   for (int i = 0; i < 64; ++i) {
     seed_vec.push_back(i);
@@ -134,7 +134,7 @@ TEST(Trainer, SuperBatchedSamplerTrainsToo) {
       algorithms::GraphSage(g, {.fanouts = {6, 3}, .include_seeds = true});
   core::SamplerOptions opts;
   opts.super_batch = 4;
-  core::CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
   SageModel model(g.features().cols(), 16, g.num_classes(), 3);
   int64_t trained = 0;
   sampler.SampleEpoch(g.train_ids(), 128, [&](int64_t index, std::vector<core::Value>& out) {
@@ -154,7 +154,7 @@ TEST(MiniBatch, FromSamplerOutputsCollectsMatrices) {
   algorithms::AlgorithmProgram ap =
       algorithms::GraphSage(g, {.fanouts = {4, 4}, .include_seeds = true});
   core::SamplerOptions opts;
-  core::CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
   const tensor::IdArray seeds = tensor::IdArray::FromVector({0, 1, 2});
   MiniBatch batch = FromSamplerOutputs(sampler.Sample(seeds), seeds);
   EXPECT_EQ(batch.layers.size(), 2u);

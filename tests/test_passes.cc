@@ -199,7 +199,7 @@ TEST(FuseExtractSelect, LayerWiseFusionSamplesIdentically) {
         options.fuse_extract_select = fuse;
         options.super_batch = super_batch;
         algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(algorithm, g);
-        CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), options);
+        SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), options);
         std::vector<Value> outputs;
         sampler.SampleEpoch(frontiers, 3, [&](int64_t, std::vector<Value>& batch) {
           outputs.insert(outputs.end(), batch.begin(), batch.end());
@@ -400,7 +400,7 @@ TEST(FuseWalks, WalkFusionSamplesIdentically) {
         options.enable_fusion = fuse;
         options.super_batch = super_batch;
         algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(algorithm, g);
-        CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), options);
+        SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), options);
         std::vector<Value> outputs;
         sampler.SampleEpoch(frontiers, 3, [&](int64_t, std::vector<Value>& batch) {
           outputs.insert(outputs.end(), batch.begin(), batch.end());
@@ -598,7 +598,7 @@ TEST_P(OptEquivalence, AllConfigurationsSampleIdentically) {
     opts.enable_preprocessing = c.preprocess;
     opts.enable_layout_selection = c.layout;
     opts.seed = 0xABCD;
-    CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+    SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
     std::vector<Value> out = sampler.Sample(frontier);
     std::vector<std::map<std::pair<int32_t, int32_t>, float>> edge_sets;
     std::vector<std::vector<int32_t>> id_outputs;
@@ -651,7 +651,7 @@ TEST(OptEquivalenceIds, WalkTracesIdenticalAcrossConfigs) {
     opts.enable_preprocessing = optimized;
     opts.enable_layout_selection = optimized;
     opts.seed = 0x77;
-    CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+    SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
     std::vector<Value> out = sampler.Sample(frontier);
     std::vector<std::vector<int32_t>> traces;
     for (const Value& v : out) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -137,8 +138,8 @@ TEST(Coalescer, WalkPlansCoalesceBitIdentically) {
   constexpr int kSteps = 40;
   algorithms::AlgorithmProgram ap = algorithms::DeepWalk(g, {.walk_length = kSteps});
   core::SamplerOptions options;
-  auto plan = std::make_shared<core::CompiledSampler>(std::move(ap.program), g,
-                                                      std::move(ap.tensors), options);
+  auto plan = std::make_shared<core::SamplerSession>(std::move(ap.program), g,
+                                                     std::move(ap.tensors), options);
   plan->Warmup(Seeds({0, 1, 2, 3}));
   ASSERT_TRUE(plan->Coalescable());
 
@@ -151,7 +152,7 @@ TEST(Coalescer, WalkPlansCoalesceBitIdentically) {
 
   device::Stream& stream = device::Current().stream();
   const int64_t before = stream.counters().kernels_launched;
-  const std::vector<std::vector<core::Value>> group = Grouped(plan->session(), frontiers, seeds);
+  const std::vector<std::vector<core::Value>> group = Grouped(*plan, frontiers, seeds);
   EXPECT_EQ(stream.counters().kernels_launched - before, 1);
 
   int64_t dead = 0;
@@ -652,7 +653,7 @@ TEST(Server, CoalescesWalkRequests) {
   algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm("DeepWalk", g);
   core::SamplerOptions options;
   options.super_batch = 1;
-  core::CompiledSampler reference(std::move(ap.program), g, std::move(ap.tensors), options);
+  core::SamplerSession reference(std::move(ap.program), g, std::move(ap.tensors), options);
   reference.Warmup(Seeds({0, 1, 2, 3}));
 
   Server server(SmallServer(/*workers=*/1));
@@ -800,6 +801,59 @@ TEST(Server, StopFailsNothingAndRejectsLateSubmissions) {
   EXPECT_EQ(pending.get().status, Status::kOk);
   // Post-stop submissions fail immediately.
   EXPECT_EQ(server.Submit(req).get().status, Status::kFailed);
+}
+
+// Stop() racing four submitting clients: every request is answered by the
+// time Stop() returns (admitted ones by a worker, late ones at once), and
+// each is counted under exactly one outcome.
+TEST(Server, StopRacingSubmittersAnswersEveryRequest) {
+  graph::Graph g = ServingGraph();
+  ServerOptions options = SmallServer(/*workers=*/2);
+  options.queue_capacity = 8;
+  Server server(options);
+  server.RegisterEndpoint(MakeEndpoint("GraphSAGE", "rmat", g));
+  server.Start();
+
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 100;
+  std::atomic<int> submitted{0};
+  std::vector<std::vector<std::future<SampleResponse>>> futures(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kPerClient; ++i) {
+        SampleRequest req;
+        req.algorithm = "GraphSAGE";
+        req.dataset = "rmat";
+        req.seeds = Seeds({static_cast<int32_t>((c * kPerClient + i) % 400)});
+        req.seed = static_cast<uint64_t>(c * kPerClient + i);
+        req.fanouts = {4, 3};
+        futures[static_cast<size_t>(c)].push_back(server.Submit(std::move(req)));
+        submitted.fetch_add(1);
+      }
+    });
+  }
+  while (submitted.load() < kPerClient) {
+    std::this_thread::yield();
+  }
+  server.Stop();
+  for (std::thread& client : clients) {
+    client.join();
+  }
+
+  for (auto& client_futures : futures) {
+    for (std::future<SampleResponse>& future : client_futures) {
+      ASSERT_EQ(future.wait_for(std::chrono::seconds(0)), std::future_status::ready)
+          << "a request was still unanswered after Stop() returned";
+      future.get();
+    }
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.received, kClients * kPerClient);
+  EXPECT_EQ(stats.received,
+            stats.completed + stats.failed + stats.rejected + stats.deadline_exceeded);
+  EXPECT_EQ(stats.admitted, stats.completed);
+  EXPECT_EQ(stats.worker_exceptions, 0);
 }
 
 // ------------------------------------------------------------- stats

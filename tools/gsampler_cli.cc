@@ -489,7 +489,7 @@ int main(int argc, char** argv) {
       plan = std::make_shared<core::CompiledPlan>(std::move(ap.program), options,
                                                   args.algorithm);
     }
-    core::CompiledSampler sampler(plan, g, std::move(ap.tensors));
+    core::SamplerSession sampler(plan, g, std::move(ap.tensors));
     if (args.algorithm == "HetGNN") {
       sampler.BindGraph("rel0", &g.adj());
       sampler.BindGraph("rel1", &g.adj());
@@ -503,7 +503,7 @@ int main(int argc, char** argv) {
         warm.push_back(v);
       }
       sampler.Warmup(tensor::IdArray::FromVector(warm));
-      sampler.session().SetJitTable(CliJitEngine().TableFor(sampler.plan()));
+      sampler.SetJitTable(CliJitEngine().TableFor(sampler.plan()));
     }
 
     // Pipelined mode: a 2-stage prefetch pipeline per epoch — the sample
