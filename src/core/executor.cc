@@ -101,16 +101,26 @@ thread_local HopObserver* t_hop_observer = nullptr;
 // (only the full adjacency — and matrices sharing its column space —
 // qualifies; already-sliced subgraphs are local by construction). A fused
 // walk is one hop per step, in step order, like the chain it replaced.
+// Each hop carries the slots its kernel draws per frontier entry (0: the
+// whole list). A restart walker's coin is drawn inside the kernel, so its
+// one slot is an upper bound.
 void NotifyHop(HopObserver* observer, const Node& n, const std::vector<Value>& values) {
+  int64_t slots = 0;
   switch (n.kind) {
-    case OpKind::kSliceCols:
     case OpKind::kFusedSliceSample:
-    case OpKind::kFusedSliceCollectiveSample:
-    case OpKind::kFusedSliceReduce:
+      slots = n.attrs.k;
+      break;
     case OpKind::kWalkStep:
     case OpKind::kWalkRestartStep:
-    case OpKind::kNode2VecStep:
+      slots = 1;
+      break;
     case OpKind::kFusedWalk:
+      slots = n.attrs.step_kind == OpKind::kNode2VecStep ? 0 : 1;
+      break;
+    case OpKind::kSliceCols:
+    case OpKind::kFusedSliceCollectiveSample:
+    case OpKind::kFusedSliceReduce:
+    case OpKind::kNode2VecStep:
       break;
     default:
       return;
@@ -121,13 +131,13 @@ void NotifyHop(HopObserver* observer, const Node& n, const std::vector<Value>& v
       ids.kind != ValueKind::kIds || !ids.ids.defined()) {
     return;
   }
-  observer->OnHop(m.matrix, ids.ids);
+  observer->OnHop(m.matrix, ids.ids, slots);
   if (n.kind == OpKind::kFusedWalk) {
     // Step t + 1 starts from path row t. Empty rows are reported too, as
     // the unfused chain reports its empty frontiers; Verify caps the count.
     const tensor::IdArray& path = values[static_cast<size_t>(n.id)].ids;
     for (int64_t row = 0; row + 1 < n.attrs.k; ++row) {
-      observer->OnHop(m.matrix, sparse::WalkPathRow(path, n.attrs.k, row));
+      observer->OnHop(m.matrix, sparse::WalkPathRow(path, n.attrs.k, row), slots);
     }
   }
 }

@@ -65,20 +65,25 @@ enum class LayoutMode {
   kPlanned,
 };
 
-// Observer of frontier hops. The executor calls OnHop once per hop operator
-// (column slice, the fused kernels that read a slice in place, walk step;
-// a fused walk once per step, in step order) whose matrix operand spans the
-// full base graph, passing that matrix and the frontier ids being gathered
-// from it — exactly the points where a multi-device run would pull remote
-// adjacency. shard::FrontierExchange implements this to charge the
-// interconnect all-to-all; the observer is a pure cost-model tap and must
-// not influence execution (sampled output is identical with or without
-// one). Installed per thread so concurrent shard workers observe only their
-// own executions.
+// Observer of frontier hops. After each hop operator's kernel (column
+// slice, the fused kernels that read a slice in place, walk step; a fused
+// walk once per step, in step order) whose matrix operand spans the full
+// base graph, the executor calls OnHop with that matrix, the frontier ids
+// being gathered from it, and `slots`, the adjacency slots the kernel draws
+// per frontier entry: k for a fused slice-sample, 1 for a uniform or
+// restart walk step, and 0 for a hop that reads whole lists (column slice,
+// the layer-wise fused kernels, Node2Vec). These are exactly the points
+// where a multi-device run would pull remote adjacency.
+// shard::FrontierExchange implements this to charge the interconnect
+// all-to-all; the observer is a pure cost-model tap and must not influence
+// execution (sampled output is identical with or without one), launch a
+// kernel or build a format. Installed per thread so concurrent shard
+// workers observe only their own executions.
 class HopObserver {
  public:
   virtual ~HopObserver() = default;
-  virtual void OnHop(const sparse::Matrix& graph, const tensor::IdArray& frontier) = 0;
+  virtual void OnHop(const sparse::Matrix& graph, const tensor::IdArray& frontier,
+                     int64_t slots) = 0;
 };
 
 // Replaces the calling thread's hop observer (nullptr clears it); returns

@@ -62,13 +62,6 @@ int Partition::HomeShard(const int32_t* ids, int64_t count) const {
   return best;
 }
 
-int64_t Partition::AdjBytes(int32_t global) const {
-  const sparse::OffsetArray& indptr = graph_.adj().Csc().indptr;
-  GS_CHECK(global >= 0 && global + 1 < indptr.size())
-      << "node id " << global << " out of range " << owner_.size();
-  return (indptr[global + 1] - indptr[global]) * bytes_per_edge_;
-}
-
 int Partition::ReplicaDevice(int shard, int r) const {
   GS_CHECK(shard >= 0 && shard < num_shards_) << "shard " << shard << " out of range";
   GS_CHECK(r >= 0 && r < num_replicas_) << "replica " << r << " out of range";
@@ -81,17 +74,6 @@ bool Partition::Hosts(int device, int shard) const {
   GS_CHECK(shard >= 0 && shard < num_shards_) << "shard " << shard << " out of range";
   // device == (shard + r) % N for some r < num_replicas_.
   return (device - shard + num_shards_) % num_shards_ < num_replicas_;
-}
-
-int64_t Partition::RemoteBytesBound(int shard) const {
-  GS_CHECK(shard >= 0 && shard < num_shards_) << "shard " << shard << " out of range";
-  int64_t bytes = 0;
-  for (size_t v = 0; v < owner_.size(); ++v) {
-    if (owner_[v] != shard) {
-      bytes += AdjBytes(static_cast<int32_t>(v));
-    }
-  }
-  return bytes;
 }
 
 Partition Partitioner::EdgeCut(const Graph& graph, int num_shards) {
@@ -109,7 +91,6 @@ Partition Partitioner::Build(const Graph& graph, PartitionKind /*kind*/, int num
 
   const sparse::Compressed& csc = graph.adj().Csc();
   Partition p;
-  p.graph_ = graph;
   p.num_shards_ = num_shards;
   p.num_replicas_ = num_replicas;
   p.bytes_per_edge_ = static_cast<int64_t>(sizeof(int32_t)) +
@@ -119,14 +100,6 @@ Partition Partitioner::Build(const Graph& graph, PartitionKind /*kind*/, int num
     work[static_cast<size_t>(c)] = csc.indptr[c + 1] - csc.indptr[c] + 1;
   }
   p.owner_ = ContiguousOwners(work, num_shards);
-  return p;
-}
-
-Partition Partitioner::Rebuild(const Partition& base, const Graph& graph) {
-  GS_CHECK_EQ(graph.num_nodes(), static_cast<int64_t>(base.owner_.size()))
-      << "Rebuild requires an unchanged node count";
-  Partition p = base;
-  p.graph_ = graph;
   return p;
 }
 

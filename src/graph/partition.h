@@ -1,21 +1,23 @@
 // Graph partitioning for multi-device sharded sampling (gs::shard).
 //
 // A Partition gives every node a home shard and places each shard's
-// replicas on devices. It keeps no copy of the graph's edges: sharded
-// sessions bind the full graph, so a partition decides only where work
-// runs and what it costs.
+// replicas on devices. It keeps no copy of the graph: sharded sessions bind
+// the full graph, so a partition decides only where work runs and what it
+// costs.
 //
 //  - Edge-cut: nodes are split into contiguous ranges balanced by
 //    in-degree; a node's whole in-adjacency belongs to its home shard, so
 //    cut edges are those whose *source* is remote.
-//  - Routing (HomeShard) votes by owner, the exchange cost model prices a
-//    remote node by its in-degree in the partition's graph (AdjBytes), and
+//  - Routing (HomeShard) votes by owner, the exchange cost model charges
+//    what a remote owner ships (bytes_per_edge per adjacency slot), and
 //    replica placement and degraded coverage follow the owners.
 //
 // Partitions are deterministic functions of the graph and shard count — two
 // processes partitioning the same graph agree on every ownership decision —
 // and are immutable after construction, so concurrent shard workers may
-// consult them without locks.
+// consult them without locks. A dynamic graph keeps the partition of its
+// first epoch: ownership churn would invalidate every shard's locality at
+// once, and the exchange prices each hop on the epoch the hop read.
 
 #ifndef GSAMPLER_GRAPH_PARTITION_H_
 #define GSAMPLER_GRAPH_PARTITION_H_
@@ -35,7 +37,7 @@ enum class PartitionKind {
 class Partition {
  public:
   int num_shards() const { return num_shards_; }
-  const Graph& graph() const { return graph_; }
+  int64_t num_nodes() const { return static_cast<int64_t>(owner_.size()); }
 
   // Home shard of a global node id (the owner of the node's column). O(1).
   int OwnerOf(int32_t global) const;
@@ -46,14 +48,10 @@ class Partition {
   // skipped. An empty frontier routes to shard 0.
   int HomeShard(const int32_t* ids, int64_t count) const;
 
-  // Bytes a remote shard must ship to materialize `global`'s in-adjacency:
-  // in-degree in graph() x (index + optional weight) bytes. The
-  // FrontierExchange cost model charges these over the interconnect.
-  int64_t AdjBytes(int32_t global) const;
-
-  // Sum of AdjBytes over all nodes NOT owned by `shard` — an upper bound on
-  // what the shard could ever pull over the interconnect.
-  int64_t RemoteBytesBound(int shard) const;
+  // Bytes an owner ships per adjacency slot: the neighbor id, plus its
+  // weight when the graph is weighted. shard::FrontierExchange charges
+  // these over the interconnect.
+  int64_t bytes_per_edge() const { return bytes_per_edge_; }
 
   // --- Replica placement (gs::ha) -------------------------------------
   //
@@ -74,7 +72,6 @@ class Partition {
  private:
   friend class Partitioner;
 
-  Graph graph_;
   int num_shards_ = 1;
   int num_replicas_ = 1;
   int64_t bytes_per_edge_ = 4;
@@ -90,13 +87,6 @@ class Partitioner {
   static Partition EdgeCut(const Graph& graph, int num_shards);
   static Partition Build(const Graph& graph, PartitionKind kind, int num_shards,
                          int num_replicas = 1);
-
-  // Re-partition after a mutation epoch (gs::dyn): keeps `base`'s owners
-  // and replica placement — ownership churn would invalidate every shard's
-  // locality at once, and in-flight requests keep resolving the same home
-  // shards — and takes `graph`, whose degrees AdjBytes then reads. Copies
-  // no edge. `graph` must have base's node count.
-  static Partition Rebuild(const Partition& base, const Graph& graph);
 };
 
 }  // namespace gs::graph

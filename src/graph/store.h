@@ -155,9 +155,9 @@ class GraphStore {
 
   // Mutation listeners, fired on the ingest thread after each Apply with
   // the new snapshot and the batch that produced it (serving uses this for
-  // cache invalidation and re-partitioning). They run in epoch order under
-  // Apply's writer lock, so a listener must not call Apply. Remove with the
-  // returned id.
+  // cache invalidation and partition accounting). They run in epoch order
+  // under Apply's writer lock, so a listener must not call Apply. Remove
+  // with the returned id.
   using Listener =
       std::function<void(const std::shared_ptr<const Snapshot>&, const MutationBatch&)>;
   int64_t AddListener(Listener listener);

@@ -206,7 +206,7 @@ template <typename Fn>
 std::pair<int64_t, int64_t> WalkCovered(const graph::Partition& partition,
                                         const HealthMonitor& monitor, const int32_t* ids,
                                         int64_t count, Fn&& fn) {
-  const int64_t n = partition.graph().num_nodes();
+  const int64_t n = partition.num_nodes();
   const int num_shards = partition.num_shards();
   // Alive() takes the monitor lock per call; memoize per shard.
   std::vector<int8_t> covered_shard(static_cast<size_t>(num_shards), -1);

@@ -228,16 +228,15 @@ void Server::Start() {
   // routing (Submit) resolves against these partitions. num_replicas > 1
   // additionally places each shard on more devices (chained declustering)
   // so execution can fail over past dead devices. Dynamic endpoints
-  // partition the store's current snapshot; later epochs keep its owners
-  // and take their own graph through the mutation listener (OnMutation).
+  // partition the store's current snapshot and keep its owners for every
+  // later epoch; the exchange prices each hop on the epoch it read.
   for (const auto& [key, endpoint] : endpoints_) {
     if (options_.num_shards > 1 && partitions_.find(endpoint.dataset) == partitions_.end()) {
       const graph::Graph& graph =
           endpoint.store != nullptr ? endpoint.store->Current()->graph() : *endpoint.graph;
-      std::lock_guard<std::mutex> lock(partition_mutex_);
-      partitions_[endpoint.dataset] =
-          std::make_shared<const graph::Partition>(graph::Partitioner::Build(
-              graph, options_.partition_kind, options_.num_shards, options_.num_replicas));
+      partitions_.emplace(endpoint.dataset,
+                          graph::Partitioner::Build(graph, options_.partition_kind,
+                                                    options_.num_shards, options_.num_replicas));
     }
   }
   if (options_.num_shards > 1) {
@@ -255,10 +254,9 @@ void Server::Start() {
     }
   }
   // Dynamic endpoints: subscribe to each distinct store's mutation stream
-  // (re-partition, feature-cache invalidation, epoch accounting) and
-  // start the background replanner. Listeners run on the ingest thread —
-  // materialization, re-partitioning, and invalidation never touch the
-  // serving path.
+  // (feature-cache invalidation, epoch accounting) and start the background
+  // replanner. Listeners run on the ingest thread — materialization and
+  // invalidation never touch the serving path.
   bool any_dynamic = false;
   for (const auto& [key, endpoint] : endpoints_) {
     if (endpoint.store == nullptr) {
@@ -277,10 +275,8 @@ void Server::Start() {
     }
     const std::string dataset = endpoint.dataset;
     const int64_t id = endpoint.store->AddListener(
-        [this, dataset](const std::shared_ptr<const graph::Snapshot>& snapshot,
-                        const graph::MutationBatch& batch) {
-          OnMutation(dataset, snapshot, batch);
-        });
+        [this, dataset](const std::shared_ptr<const graph::Snapshot>& /*snapshot*/,
+                        const graph::MutationBatch& batch) { OnMutation(dataset, batch); });
     store_listeners_.emplace_back(endpoint.store, id);
   }
   if (any_dynamic && options_.background_recompile) {
@@ -469,7 +465,7 @@ std::future<SampleResponse> Server::Submit(SampleRequest request) {
     // Locality-aware routing: execute on the shard owning the plurality of
     // the seeds. The shard is part of the plan key, so each shard warms its
     // own session and coalescing stays shard-local.
-    const std::shared_ptr<const graph::Partition> partition = PartitionFor(req.dataset);
+    const graph::Partition* partition = PartitionFor(req.dataset);
     if (partition != nullptr) {
       pending->key.shard = partition->HomeShard(req.seeds.data(), req.seeds.size());
     }
@@ -714,62 +710,47 @@ void Server::CompileForSnapshot(const std::string& compile_key,
   Count(&ServerStats::recompiles_background);
 }
 
-void Server::OnMutation(const std::string& dataset,
-                        const std::shared_ptr<const graph::Snapshot>& snapshot,
-                        const graph::MutationBatch& batch) {
+void Server::OnMutation(const std::string& dataset, const graph::MutationBatch& batch) {
   Count(&ServerStats::graph_epochs);
-  // Re-partition with pinned ownership: the next partition keeps every
-  // owner and replica and takes the epoch's graph, whose degrees price the
-  // exchange. Routing stays stable, so in-flight requests keep resolving
-  // the same home shards. Shards owning a touched column count as rebuilt,
-  // the others as reused.
-  if (options_.num_shards > 1) {
-    const std::shared_ptr<const graph::Partition> base = PartitionFor(dataset);
-    if (base != nullptr) {
-      auto next = std::make_shared<const graph::Partition>(
-          graph::Partitioner::Rebuild(*base, snapshot->graph()));
-      {
-        std::lock_guard<std::mutex> lock(partition_mutex_);
-        partitions_[dataset] = next;
-      }
-      std::vector<bool> touched(static_cast<size_t>(options_.num_shards), false);
-      for (const int32_t col : batch.TouchedColumns()) {
-        touched[static_cast<size_t>(base->OwnerOf(col))] = true;
-      }
-      const int64_t rebuilt = std::count(touched.begin(), touched.end(), true);
-      Count(&ServerStats::partition_segments_rebuilt, rebuilt);
-      Count(&ServerStats::partition_segments_reused, options_.num_shards - rebuilt);
+  // Ownership is pinned across epochs, so routing stays stable and the
+  // partition never changes. Shards owning a touched column count as
+  // rebuilt, the others as reused.
+  if (const graph::Partition* partition = PartitionFor(dataset)) {
+    std::vector<bool> touched(static_cast<size_t>(options_.num_shards), false);
+    for (const int32_t col : batch.TouchedColumns()) {
+      touched[static_cast<size_t>(partition->OwnerOf(col))] = true;
     }
+    const int64_t rebuilt = std::count(touched.begin(), touched.end(), true);
+    Count(&ServerStats::partition_segments_rebuilt, rebuilt);
+    Count(&ServerStats::partition_segments_reused, options_.num_shards - rebuilt);
   }
   // Feature tier: invalidate exactly the mutated rows in every cache
   // partition of this dataset. Requests gather from their own epoch's
   // tensor, so the cache decides only what a gather costs; untouched rows
-  // are identical across epochs and keep their cached copies.
-  if (!batch.update_features.empty()) {
-    int64_t invalidated = 0;
-    {
-      std::lock_guard<std::mutex> lock(feature_mutex_);
-      auto it = feature_caches_.find(dataset);
-      if (it != feature_caches_.end()) {
-        for (const auto& [shard, partitions] : it->second) {
-          (void)shard;
-          for (const FeaturePartition& partition : partitions) {
-            for (const graph::FeatureUpdate& update : batch.update_features) {
-              partition.cache->Invalidate(static_cast<uint64_t>(update.node));
-              ++invalidated;
-            }
-          }
-        }
+  // are identical across epochs and keep their cached copies. The counter
+  // counts the batch's updates once, however many partitions exist yet.
+  if (batch.update_features.empty()) {
+    return;
+  }
+  Count(&ServerStats::feature_invalidations, static_cast<int64_t>(batch.update_features.size()));
+  std::lock_guard<std::mutex> lock(feature_mutex_);
+  auto it = feature_caches_.find(dataset);
+  if (it == feature_caches_.end()) {
+    return;
+  }
+  for (const auto& [shard, partitions] : it->second) {
+    (void)shard;
+    for (const FeaturePartition& partition : partitions) {
+      for (const graph::FeatureUpdate& update : batch.update_features) {
+        partition.cache->Invalidate(static_cast<uint64_t>(update.node));
       }
     }
-    Count(&ServerStats::feature_invalidations, invalidated);
   }
 }
 
-std::shared_ptr<const graph::Partition> Server::PartitionFor(const std::string& dataset) const {
-  std::lock_guard<std::mutex> lock(partition_mutex_);
+const graph::Partition* Server::PartitionFor(const std::string& dataset) const {
   auto it = partitions_.find(dataset);
-  return it != partitions_.end() ? it->second : nullptr;
+  return it != partitions_.end() ? &it->second : nullptr;
 }
 
 void Server::DrainRecompiles() {

@@ -44,9 +44,11 @@
 // (locality-aware routing — the shard owning the plurality of the seeds'
 // adjacency); the shard becomes part of the plan key, so every shard warms
 // its own session on its own device and coalescing never crosses shards. A
-// FrontierExchange observer prices each hop's remote adjacency as a
-// coalesced all-to-all at the profile's interconnect rate, surfacing as
-// exchange_* counters and per-shard completions in ServerStats.
+// FrontierExchange observer prices what each hop reads from remote owners
+// (the drawn slots, or whole lists when cheaper or when the hop reads them)
+// as a coalesced all-to-all at the profile's interconnect rate, on the
+// graph epoch the group pinned, surfacing as exchange_* counters and
+// per-shard completions in ServerStats.
 //
 // Dynamic endpoints (gs::dyn, Endpoint::store): a request pins the store's
 // snapshot at admission, and its plan key carries the epoch; its sample and
@@ -267,9 +269,7 @@ class Server {
   // One group's state, threaded through the steps of ExecuteAndScatter.
   struct Execution {
     const Endpoint* endpoint = nullptr;
-    // Pinned for the whole group (a mutation epoch may swap in a rebuilt
-    // partition mid-flight); null when unsharded.
-    std::shared_ptr<const graph::Partition> partition;
+    const graph::Partition* partition = nullptr;  // null when unsharded
     PlanKey key;  // the leader's; the shed-fanout retry halves its fanouts
     int device = 0;         // executing device (== key.shard unsharded)
     bool degraded = false;  // no live replica of the home shard
@@ -336,13 +336,10 @@ class Server {
   void CompileForSnapshot(const std::string& compile_key,
                           const std::shared_ptr<const graph::Snapshot>& snapshot);
   // Mutation listener (runs on the ingest thread, never a serving worker):
-  // re-partition, feature-cache invalidation, and epoch accounting.
-  void OnMutation(const std::string& dataset,
-                  const std::shared_ptr<const graph::Snapshot>& snapshot,
-                  const graph::MutationBatch& batch);
-  // The dataset's current partition (swapped by OnMutation); null when
-  // unsharded or unknown. Callers hold the returned shared_ptr across use.
-  std::shared_ptr<const graph::Partition> PartitionFor(const std::string& dataset) const;
+  // partition-segment and feature-cache invalidation accounting.
+  void OnMutation(const std::string& dataset, const graph::MutationBatch& batch);
+  // The dataset's partition; null when unsharded or unknown.
+  const graph::Partition* PartitionFor(const std::string& dataset) const;
   // PlanCache::LoadFrom activator: re-binds tensors and warms up a session
   // over a persisted plan; null when this server cannot serve the key.
   std::shared_ptr<core::SamplerSession> ActivatePlan(const PlanKey& key,
@@ -363,10 +360,9 @@ class Server {
   ServerOptions options_;
   std::map<std::string, Endpoint> endpoints_;  // "algorithm|dataset" -> endpoint
   // Sharded mode: dataset name -> partition, plus one device per shard.
-  // Immutable snapshots swapped under partition_mutex_ by OnMutation;
-  // readers copy the shared_ptr (PartitionFor) and use it lock-free.
-  mutable std::mutex partition_mutex_;
-  std::map<std::string, std::shared_ptr<const graph::Partition>> partitions_;
+  // Like endpoints_, written only while the server is stopped (by Start,
+  // before it sets running_), so readers take no lock.
+  std::map<std::string, graph::Partition> partitions_;
   std::vector<std::unique_ptr<device::Device>> shard_devices_;
   std::unique_ptr<ha::HealthMonitor> monitor_;
   // Feature serving: per-tenant cache partitions per (dataset, shard); the

@@ -102,7 +102,7 @@ class LatencyHistogram {
   X(stale_plans_served)         /* drifted plans that kept serving while recompiling */ \
   X(recompiles_inline)          /* full compiles on the serving path */                 \
   X(recompiles_background)      /* replanner compiles (off the serving path) */         \
-  X(feature_invalidations)      /* cache rows invalidated by feature updates */         \
+  X(feature_invalidations)      /* feature rows updated by mutation batches */          \
   X(partition_segments_rebuilt) /* per epoch, shards owning a mutated column */         \
   X(partition_segments_reused)  /* ... and shards owning none */                        \
                                                                                         \
@@ -116,7 +116,7 @@ class LatencyHistogram {
      accumulated over all executions. */                                                \
   X(exchange_hops)         /* frontier hops that pulled remote adjacency */             \
   X(exchange_remote_nodes) /* frontier nodes whose adjacency was remote */              \
-  X(exchange_bytes)        /* adjacency bytes moved over the interconnect */
+  X(exchange_bytes)        /* bytes remote owners shipped: picks or whole lists */
 
 struct ServerStats {
 #define GS_SERVER_STAT_FIELD(name) int64_t name = 0;

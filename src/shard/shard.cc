@@ -9,16 +9,45 @@
 #include "fault/status.h"
 
 namespace gs::shard {
+namespace {
 
-void FrontierExchange::OnHop(const sparse::Matrix& graph, const tensor::IdArray& frontier) {
-  (void)graph;  // the partition already knows every node's adjacency size
-  const int64_t n = partition_->graph().num_nodes();
+// The slot index the home shard sends for each drawn slot.
+constexpr int64_t kSlotIndexBytes = 4;
+
+// In-degree of each of `nodes` (sorted, distinct) in the hop's matrix, read
+// from a format it already holds: the CSC that every hop kernel reads, or
+// the COO or CSR that a column slice of a matrix without one scanned.
+std::vector<int64_t> InDegrees(const sparse::Matrix& m, const std::vector<int32_t>& nodes) {
+  std::vector<int64_t> degrees(nodes.size(), 0);
+  if (m.HasFormat(sparse::Format::kCsc)) {
+    const sparse::OffsetArray& indptr = m.Csc().indptr;
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      degrees[i] = indptr[nodes[i] + 1] - indptr[nodes[i]];
+    }
+    return degrees;
+  }
+  const sparse::IdArray& cols =
+      m.HasFormat(sparse::Format::kCoo) ? m.GetCoo().col : m.Csr().indices;
+  for (int64_t e = 0; e < cols.size(); ++e) {
+    const auto it = std::lower_bound(nodes.begin(), nodes.end(), cols[e]);
+    if (it != nodes.end() && *it == cols[e]) {
+      ++degrees[static_cast<size_t>(it - nodes.begin())];
+    }
+  }
+  return degrees;
+}
+
+}  // namespace
+
+void FrontierExchange::OnHop(const sparse::Matrix& graph, const tensor::IdArray& frontier,
+                             int64_t slots) {
+  const int64_t n = graph.num_cols();
   HopRecord record;
   record.hop = static_cast<int>(hops_.size());
 
-  // Deduplicate folded global ids: a node appearing twice in the frontier
-  // ships its adjacency once. Labeled super-batch ids (b*N + v) fold with
-  // modulo; negative ids are walk dead-end markers.
+  // Fold global ids: labeled super-batch ids (b*N + v) fold with modulo;
+  // negative ids are walk dead-end markers. Sorted, each run of equal ids
+  // is one distinct node and the frontier entries standing on it.
   std::vector<int32_t> ids;
   ids.reserve(static_cast<size_t>(frontier.size()));
   for (int64_t i = 0; i < frontier.size(); ++i) {
@@ -29,16 +58,33 @@ void FrontierExchange::OnHop(const sparse::Matrix& graph, const tensor::IdArray&
     ids.push_back(static_cast<int32_t>(v % n));
   }
   std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  record.frontier_nodes = static_cast<int64_t>(ids.size());
 
-  for (const int32_t v : ids) {
-    // Remote means "no replica of the owner lives on the executing
-    // device"; with one replica this reduces to OwnerOf != shard.
-    if (!partition_->Hosts(shard_, partition_->OwnerOf(v))) {
-      record.remote_nodes += 1;
-      record.bytes += partition_->AdjBytes(v);
+  // Remote means "no replica of the owner lives on the executing device";
+  // with one replica this reduces to OwnerOf != shard.
+  std::vector<int32_t> remote;
+  std::vector<int64_t> entries;  // frontier entries standing on remote[i]
+  for (size_t i = 0; i < ids.size();) {
+    size_t end = i + 1;
+    while (end < ids.size() && ids[end] == ids[i]) {
+      ++end;
     }
+    record.frontier_nodes += 1;
+    if (!partition_->Hosts(shard_, partition_->OwnerOf(ids[i]))) {
+      remote.push_back(ids[i]);
+      entries.push_back(static_cast<int64_t>(end - i));
+    }
+    i = end;
+  }
+  record.remote_nodes = static_cast<int64_t>(remote.size());
+
+  // The cheaper of the whole list and the entries' picks (shard.h).
+  const std::vector<int64_t> degrees = InDegrees(graph, remote);
+  const int64_t edge_bytes = partition_->bytes_per_edge();
+  for (size_t i = 0; i < remote.size(); ++i) {
+    const int64_t list = degrees[i] * edge_bytes;
+    record.bytes += slots > 0 ? std::min(list, entries[i] * std::min(degrees[i], slots) *
+                                                   (kSlotIndexBytes + edge_bytes))
+                              : list;
   }
 
   if (record.remote_nodes > 0) {

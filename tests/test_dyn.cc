@@ -35,6 +35,7 @@
 #include "oracle/oracle.h"
 #include "serving/plan_cache.h"
 #include "serving/server.h"
+#include "shard/shard.h"
 #include "tests/testing.h"
 
 namespace gs {
@@ -512,11 +513,14 @@ TEST(MutationGenTest, DeterministicStreamsAndEffectiveRemovals) {
   EXPECT_GT(store.stats().edges_removed, 0);
 }
 
-// --------------------------------------------------- incremental partition
+// ------------------------------------------------ partition accounting
 
-TEST(PartitionTest, RebuildKeepsOwnershipAndRebuildsOnlyDirtyShards) {
+// A mutation epoch keeps the partition: ownership, and so routing, is
+// pinned across epochs. The server's listener counts the shards owning a
+// touched column as rebuilt and the others as reused.
+TEST(PartitionTest, MutationEpochCountsOnlyDirtyShards) {
   graph::Graph base = testing::SmallRmat();
-  const graph::Partition before =
+  const graph::Partition partition =
       graph::Partitioner::Build(base, graph::PartitionKind::kEdgeCut, 4);
 
   GraphStore store(std::move(base));
@@ -524,25 +528,13 @@ TEST(PartitionTest, RebuildKeepsOwnershipAndRebuildsOnlyDirtyShards) {
                                      serving::MakeDynamicEndpoint("GraphSAGE", "small", store));
   dyn::MutationGen gen(GenOptions(store.num_nodes(), 0xABCD));
   const MutationBatch batch = gen.Next();
-  const auto snap = store.Apply(batch);
+  store.Apply(batch);
   const std::vector<int32_t> touched = batch.TouchedColumns();
   ASSERT_FALSE(touched.empty());
 
-  const graph::Partition after = graph::Partitioner::Rebuild(before, snap->graph());
-
-  // Ownership (and therefore routing) is pinned across the rebuild, and
-  // the exchange prices each node by its degree in the new epoch.
-  const sparse::Compressed& csc = snap->graph().adj().Csc();
-  for (int32_t n = 0; n < static_cast<int32_t>(store.num_nodes()); ++n) {
-    ASSERT_EQ(after.OwnerOf(n), before.OwnerOf(n)) << "node " << n;
-    ASSERT_EQ(after.AdjBytes(n), (csc.indptr[n + 1] - csc.indptr[n]) * 8) << "node " << n;
-  }
-
-  // The server's listener counts the shards owning a touched column as
-  // rebuilt and the others as reused.
   std::set<int> dirty;
   for (int32_t col : touched) {
-    dirty.insert(before.OwnerOf(col));
+    dirty.insert(partition.OwnerOf(col));
   }
   const serving::ServerStats stats = server->stats();
   EXPECT_EQ(stats.partition_segments_rebuilt, static_cast<int64_t>(dirty.size()));
@@ -819,6 +811,113 @@ TEST(DynServing, FeatureRowsComeFromTheRequestsEpoch) {
   EXPECT_EQ(stale, 0) << "of " << response.features.numel()
                       << " feature values, these came from an epoch other than the request's";
   EXPECT_EQ(server.stats().feature_requests, 1);
+}
+
+// A request's exchange is priced on the epoch it pinned, not on the graph
+// the server partitioned. As above, this test's listener fires before the
+// server's own, so the request it serves pins epoch 1 while the server has
+// seen only epoch 0. The batch gives node 0 and a remote seed `r` the same
+// number of new in-edges: every prefix of the in-degree balance and its
+// boundary move alike, so epoch 1 partitions to the same owners, while r's
+// degree (and its price) changes.
+TEST(DynServing, ExchangeIsPricedOnTheRequestsEpoch) {
+  graph::Graph g = testing::SmallRmat(400, 4000, 11);
+  const graph::Partition partition = graph::Partitioner::EdgeCut(g, 2);
+  const sparse::Compressed& csc = g.adj().Csc();
+  auto degree = [&csc](int32_t v) { return csc.indptr[v + 1] - csc.indptr[v]; };
+  int32_t r = static_cast<int32_t>(g.num_nodes()) - 1;
+  while (partition.OwnerOf(r) != 1 || degree(r) > 1) {
+    --r;
+    ASSERT_GT(r, 0) << "no remote node of in-degree <= 1";
+  }
+  const int64_t r_degree = degree(r);
+  std::vector<int32_t> seeds = testing::OwnedSeeds(partition, 0, 3).ToVector();
+  seeds.push_back(r);
+  ASSERT_EQ(partition.HomeShard(seeds.data(), static_cast<int64_t>(seeds.size())), 0);
+
+  MutationBatch batch;
+  for (const int32_t dst : {0, r}) {
+    const std::set<int32_t> existing(csc.indices.data() + csc.indptr[dst],
+                                     csc.indices.data() + csc.indptr[dst + 1]);
+    int32_t added = 0;
+    for (int32_t src = 1; added < 4; ++src) {
+      if (src != dst && existing.count(src) == 0) {
+        batch.add_edges.push_back({src, dst, 1.0f});
+        ++added;
+      }
+    }
+  }
+
+  GraphStore store(std::move(g));  // `csc` dangles once epoch 0 is released
+  serving::Server server(testing::ShardedOptions(2));
+  server.RegisterEndpoint(serving::MakeDynamicEndpoint("GraphSAGE", "small", store));
+  serving::SampleResponse response;
+  std::shared_ptr<const Snapshot> pinned;
+  const int64_t listener =
+      store.AddListener([&](const std::shared_ptr<const Snapshot>& snapshot, const MutationBatch&) {
+        pinned = snapshot;
+        response = server.Submit(testing::DefaultRequest("GraphSAGE", Seeds(seeds), 7)).get();
+      });
+  server.Start();
+  store.Apply(batch);
+  store.RemoveListener(listener);
+  server.Stop();
+
+  ASSERT_EQ(pinned->epoch(), 1u);
+  ASSERT_EQ(response.status, serving::Status::kOk) << response.error;
+  const graph::Graph& epoch = pinned->graph();
+  ASSERT_EQ(epoch.adj().Csc().indptr[r + 1] - epoch.adj().Csc().indptr[r], r_degree + 4);
+  const graph::Partition epoch_partition = graph::Partitioner::EdgeCut(epoch, 2);
+  for (int32_t v = 0; v < static_cast<int32_t>(epoch.num_nodes()); ++v) {
+    ASSERT_EQ(epoch_partition.OwnerOf(v), partition.OwnerOf(v)) << "node " << v;
+  }
+
+  // The same request under a FrontierExchange over the pinned epoch.
+  algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm("GraphSAGE", epoch);
+  core::SamplerSession session(
+      std::make_shared<core::CompiledPlan>(std::move(ap.program), core::SamplerOptions{}), epoch,
+      std::move(ap.tensors));
+  session.Warmup(Seeds({0, 1, 2, 3}));
+  shard::FrontierExchange exchange(epoch_partition, 0);
+  {
+    core::HopObserverGuard observer(exchange);
+    session.SampleSeeded(Seeds(seeds), 7);
+  }
+  int64_t expected = 0;
+  for (const shard::HopRecord& hop : exchange.hops()) {
+    expected += hop.bytes;
+  }
+  EXPECT_GT(expected, 0);
+  EXPECT_EQ(server.stats().exchange_bytes, expected);
+}
+
+// feature_invalidations counts the feature rows a batch updates, once:
+// cache partitions appear lazily, one per tenant served, and the count must
+// not depend on how many exist when the batch lands.
+TEST(DynServing, FeatureInvalidationsCountEachUpdateOnce) {
+  for (const int tenants : {0, 3}) {
+    graph::Graph g = testing::SmallRmat(400, 4000, 11);
+    const int64_t dim = g.features().cols();
+    GraphStore store(std::move(g));
+    serving::ServerOptions options;
+    options.num_workers = 1;
+    options.serve_features = true;
+    serving::Server server(options);
+    server.RegisterEndpoint(serving::MakeDynamicEndpoint("GraphSAGE", "small", store));
+    server.Start();
+    for (int t = 0; t < tenants; ++t) {
+      serving::SampleRequest request = testing::DefaultRequest("GraphSAGE", Seeds({1, 2, 3}), 7);
+      request.tenant = "tenant" + std::to_string(t);
+      ASSERT_EQ(server.Submit(request).get().status, serving::Status::kOk);
+    }
+    MutationBatch batch;
+    for (const int32_t v : {3, 5, 8, 13, 21}) {
+      batch.update_features.push_back({v, std::vector<float>(static_cast<size_t>(dim), 2.0f)});
+    }
+    store.Apply(batch);
+    EXPECT_EQ(server.stats().feature_invalidations, 5) << tenants << " tenants served first";
+    server.Stop();
+  }
 }
 
 // Forced drift through the live server: a mutation epoch violent enough to

@@ -42,9 +42,6 @@ TEST(Partition, GoldenEdgeCutToyGraph) {
   for (int32_t v = 0; v < toy.num_nodes(); ++v) {
     EXPECT_EQ(two.OwnerOf(v), expected_two[static_cast<size_t>(v)]) << "node " << v;
   }
-  // Shard 0's nodes hold 7 in-edges and shard 1's hold 5 (8 bytes each).
-  EXPECT_EQ(two.RemoteBytesBound(1), 7 * 8);
-  EXPECT_EQ(two.RemoteBytesBound(0), 5 * 8);
 
   const Partition three = Partitioner::EdgeCut(toy, 3);
   const std::vector<int32_t> expected_three = {0, 0, 1, 1, 2, 2, 2};
@@ -59,7 +56,6 @@ TEST(Partition, DeterministicAcrossRebuilds) {
   const Partition b = Partitioner::Build(g, PartitionKind::kEdgeCut, 4);
   for (int32_t v = 0; v < g.num_nodes(); ++v) {
     ASSERT_EQ(a.OwnerOf(v), b.OwnerOf(v)) << "node " << v;
-    ASSERT_EQ(a.AdjBytes(v), b.AdjBytes(v)) << "node " << v;
   }
 }
 
@@ -108,24 +104,11 @@ TEST(Partition, HomeShardPluralityAndFolding) {
 
 // ------------------------------------------------------ byte accounting
 
-TEST(Partition, ExchangeByteAccounting) {
-  const Graph star = StarGraph(20);  // unweighted: 4 bytes per edge
-  const Partition p = Partitioner::EdgeCut(star, 4);
-  ASSERT_EQ(p.OwnerOf(0), 0);
-  EXPECT_EQ(p.AdjBytes(0), 20 * 4);
-  EXPECT_EQ(p.AdjBytes(1), 4);
-  // Everything shard 0 does not own (the 20 spokes, degree 1 each).
-  EXPECT_EQ(p.RemoteBytesBound(0), 20 * 4);
-
-  // A weighted graph ships values too (4 index + 4 value bytes per edge).
-  const Graph weighted = testing::ToyGraph();
-  const Partition wp = Partitioner::EdgeCut(weighted, 2);
-  int64_t total = 0;
-  for (int32_t v = 0; v < weighted.num_nodes(); ++v) {
-    total += wp.AdjBytes(v);
-  }
-  EXPECT_EQ(total, weighted.adj().nnz() * 8);
-  EXPECT_EQ(wp.RemoteBytesBound(0) + wp.RemoteBytesBound(1), total);
+// An owner ships a neighbor id per adjacency slot, plus its weight on a
+// weighted graph.
+TEST(Partition, BytesPerEdge) {
+  EXPECT_EQ(Partitioner::EdgeCut(StarGraph(20), 4).bytes_per_edge(), 4);  // unweighted
+  EXPECT_EQ(Partitioner::EdgeCut(testing::ToyGraph(), 2).bytes_per_edge(), 8);
 }
 
 }  // namespace

@@ -92,7 +92,7 @@ inline std::vector<core::Value> ReferenceSample(const std::string& algorithm,
 // for them routes to that shard (Partition::HomeShard).
 inline tensor::IdArray OwnedSeeds(const graph::Partition& partition, int shard, size_t count) {
   std::vector<int32_t> ids;
-  for (int32_t v = 0; v < partition.graph().num_nodes() && ids.size() < count; ++v) {
+  for (int32_t v = 0; v < partition.num_nodes() && ids.size() < count; ++v) {
     if (partition.OwnerOf(v) == shard) {
       ids.push_back(v);
     }
