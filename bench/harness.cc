@@ -82,11 +82,8 @@ CellResult BenchContext::RunGsampler(const std::string& dataset, const std::stri
   if (ap.updates_model) {
     opts.super_batch = 1;  // per-batch model updates preclude super-batching
   }
-  core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
-  if (algorithm == "HetGNN") {
-    sampler.BindGraph("rel0", &g.adj());
-    sampler.BindGraph("rel1", &g.adj());
-  }
+  core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts,
+                               std::move(ap.relations));
 
   std::vector<IdArray> batches = MakeBatches(g.train_ids(), config_.batch_size);
   const int64_t total = static_cast<int64_t>(batches.size());

@@ -47,12 +47,9 @@ std::shared_ptr<gs::core::SamplerSession> OpenSession(const std::string& algorit
                                                       const gs::graph::Graph& g,
                                                       std::shared_ptr<gs::core::CompiledPlan> plan) {
   gs::algorithms::AlgorithmProgram ap = gs::algorithms::MakeAlgorithm(algorithm, g);
-  auto session =
-      std::make_shared<gs::core::SamplerSession>(std::move(plan), g, std::move(ap.tensors));
-  if (algorithm == "HetGNN") {
-    session->BindGraph("rel0", &g.adj());
-    session->BindGraph("rel1", &g.adj());
-  }
+  auto session = std::make_shared<gs::core::SamplerSession>(std::move(plan), g,
+                                                           std::move(ap.tensors),
+                                                           std::move(ap.relations));
   session->Warmup(gs::tensor::IdArray::FromVector({0, 1, 2, 3, 4, 5, 6, 7}));
   return session;
 }

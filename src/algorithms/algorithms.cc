@@ -34,7 +34,7 @@ AlgorithmProgram DeepWalk(const graph::Graph& g, const DeepWalkParams& params) {
     cur = b.WalkStep(a, cur);
     b.Output(cur);
   }
-  return {"DeepWalk", std::move(b).Build(), {}, false};
+  return {"DeepWalk", std::move(b).Build(), {}, {}, false};
 }
 
 AlgorithmProgram Node2Vec(const graph::Graph& g, const Node2VecParams& params) {
@@ -53,7 +53,7 @@ AlgorithmProgram Node2Vec(const graph::Graph& g, const Node2VecParams& params) {
     prev = cur;
     cur = next;
   }
-  return {"Node2Vec", std::move(b).Build(), {}, false};
+  return {"Node2Vec", std::move(b).Build(), {}, {}, false};
 }
 
 AlgorithmProgram GraphSage(const graph::Graph& g, const SageParams& params) {
@@ -74,7 +74,7 @@ AlgorithmProgram GraphSage(const graph::Graph& g, const SageParams& params) {
     }
   }
   b.Output(cur);
-  return {"GraphSAGE", std::move(b).Build(), {}, false};
+  return {"GraphSAGE", std::move(b).Build(), {}, {}, false};
 }
 
 AlgorithmProgram VrGcn(const graph::Graph& g) {
@@ -98,7 +98,7 @@ AlgorithmProgram GraphSaint(const graph::Graph& g, const SaintParams& params) {
   MVal induced = a.Cols(nodes).Rows(nodes);  // A[nodes, nodes]
   b.Output(induced);
   b.Output(nodes);
-  return {"GraphSAINT", std::move(b).Build(), {}, false};
+  return {"GraphSAINT", std::move(b).Build(), {}, {}, false};
 }
 
 AlgorithmProgram PinSage(const graph::Graph& g, const PinSageParams& params) {
@@ -117,11 +117,10 @@ AlgorithmProgram PinSage(const graph::Graph& g, const PinSageParams& params) {
   MVal neighbors = b.TopKVisited(root, steps, params.k);
   b.Output(neighbors);
   b.Output(neighbors.Row());
-  return {"PinSAGE", std::move(b).Build(), {}, false};
+  return {"PinSAGE", std::move(b).Build(), {}, {}, false};
 }
 
 AlgorithmProgram HetGnn(const graph::Graph& g, const HetGnnParams& params) {
-  (void)g;
   Builder b;
   MVal rel0 = b.GraphNamed("rel0");
   MVal rel1 = b.GraphNamed("rel1");
@@ -138,7 +137,7 @@ AlgorithmProgram HetGnn(const graph::Graph& g, const HetGnnParams& params) {
   MVal neighbors = b.TopKVisited(root, steps, params.k);
   b.Output(neighbors);
   b.Output(neighbors.Row());
-  return {"HetGNN", std::move(b).Build(), {}, false};
+  return {"HetGNN", std::move(b).Build(), {}, {{"rel0", &g.adj()}, {"rel1", &g.adj()}}, false};
 }
 
 AlgorithmProgram Seal(const graph::Graph& g, const SealParams& params) {
@@ -170,7 +169,7 @@ AlgorithmProgram Seal(const graph::Graph& g, const SealParams& params) {
 
   tensor::Tensor init = tensor::Tensor::Full({g.num_nodes(), 1},
                                              1.0f / static_cast<float>(g.num_nodes()));
-  return {"SEAL", std::move(b).Build(), {{"pr_init", std::move(init)}}, false};
+  return {"SEAL", std::move(b).Build(), {{"pr_init", std::move(init)}}, {}, false};
 }
 
 AlgorithmProgram Shadow(const graph::Graph& g, const ShadowParams& params) {
@@ -189,7 +188,7 @@ AlgorithmProgram Shadow(const graph::Graph& g, const ShadowParams& params) {
   MVal induced = a.Cols(nodes).Rows(nodes);
   b.Output(induced);
   b.Output(nodes);
-  return {"ShaDow", std::move(b).Build(), {}, false};
+  return {"ShaDow", std::move(b).Build(), {}, {}, false};
 }
 
 AlgorithmProgram GcnBs(const graph::Graph& g, const BanditParams& params) {
@@ -207,7 +206,7 @@ AlgorithmProgram GcnBs(const graph::Graph& g, const BanditParams& params) {
   }
   b.Output(cur);
   tensor::Tensor w = tensor::Tensor::Full({g.num_edges()}, 1.0f);
-  return {"GCN-BS", std::move(b).Build(), {{"bandit_w", std::move(w)}}, true};
+  return {"GCN-BS", std::move(b).Build(), {{"bandit_w", std::move(w)}}, {}, true};
 }
 
 AlgorithmProgram Thanos(const graph::Graph& g, const BanditParams& params) {
@@ -255,7 +254,7 @@ AlgorithmProgram Pass(const graph::Graph& g, const PassParams& params) {
   tensors["W1"] = InitWeight(d, h, 0xF001);
   tensors["W2"] = InitWeight(d, h, 0xF002);
   tensors["W3"] = InitWeight(1, 3, 0xF003, 0.5f);
-  return {"PASS", std::move(b).Build(), std::move(tensors), true};
+  return {"PASS", std::move(b).Build(), std::move(tensors), {}, true};
 }
 
 AlgorithmProgram FastGcn(const graph::Graph& g, const LayerWiseParams& params) {
@@ -278,7 +277,7 @@ AlgorithmProgram FastGcn(const graph::Graph& g, const LayerWiseParams& params) {
     cur = sample.Row();
   }
   b.Output(cur);
-  return {"FastGCN", std::move(b).Build(), {}, false};
+  return {"FastGCN", std::move(b).Build(), {}, {}, false};
 }
 
 AlgorithmProgram Ladies(const graph::Graph& g, const LayerWiseParams& params) {
@@ -302,7 +301,7 @@ AlgorithmProgram Ladies(const graph::Graph& g, const LayerWiseParams& params) {
     cur = sample.Row();
   }
   b.Output(cur);
-  return {"LADIES", std::move(b).Build(), {}, false};
+  return {"LADIES", std::move(b).Build(), {}, {}, false};
 }
 
 AlgorithmProgram Asgcn(const graph::Graph& g, const LayerWiseParams& params) {
@@ -331,7 +330,7 @@ AlgorithmProgram Asgcn(const graph::Graph& g, const LayerWiseParams& params) {
   std::map<std::string, tensor::Tensor> tensors;
   tensors["features"] = g.features();
   tensors["as_w"] = InitWeight(g.features().cols(), 1, 0xA5C0);
-  return {"AS-GCN", std::move(b).Build(), std::move(tensors), true};
+  return {"AS-GCN", std::move(b).Build(), std::move(tensors), {}, true};
 }
 
 int64_t UpdateBanditWeights(const graph::Graph& g, const sparse::Matrix& sample,
@@ -362,60 +361,82 @@ int64_t UpdateBanditWeights(const graph::Graph& g, const sparse::Matrix& sample,
   return updated;
 }
 
-AlgorithmProgram MakeAlgorithm(const std::string& name, const graph::Graph& g) {
-  if (name == "DeepWalk") {
-    return DeepWalk(g);
-  }
-  if (name == "GraphSAINT") {
-    return GraphSaint(g);
-  }
-  if (name == "PinSAGE") {
-    return PinSage(g);
-  }
-  if (name == "HetGNN") {
-    return HetGnn(g);
-  }
-  if (name == "GraphSAGE") {
-    return GraphSage(g);
-  }
-  if (name == "VR-GCN") {
-    return VrGcn(g);
-  }
-  if (name == "SEAL") {
-    return Seal(g);
-  }
-  if (name == "ShaDow") {
-    return Shadow(g);
-  }
-  if (name == "Node2Vec") {
-    return Node2Vec(g);
-  }
-  if (name == "GCN-BS") {
-    return GcnBs(g);
-  }
-  if (name == "Thanos") {
-    return Thanos(g);
-  }
-  if (name == "PASS") {
-    return Pass(g);
-  }
-  if (name == "FastGCN") {
-    return FastGcn(g);
-  }
-  if (name == "AS-GCN") {
-    return Asgcn(g);
-  }
-  if (name == "LADIES") {
-    return Ladies(g);
-  }
-  GS_CHECK(false) << "unknown algorithm: " << name;
-  return {};
+namespace {
+
+using Fanouts = std::vector<int64_t>;
+
+// Layer-wise samplers read a fanout vector as one layer per entry, each
+// `front()` nodes wide.
+LayerWiseParams LayerWise(const Fanouts& fanouts) {
+  return {.num_layers = static_cast<int>(fanouts.size()), .layer_width = fanouts.front()};
 }
 
+Fanouts LayerWiseDefaults() {
+  const LayerWiseParams defaults;
+  return Fanouts(static_cast<size_t>(defaults.num_layers), defaults.layer_width);
+}
+
+// One row per Table-2 algorithm, in AllAlgorithmNames() order. `defaults`
+// is empty for the algorithms that take no fanouts, whose `make` ignores
+// its argument; the others' `make` always receives a non-empty vector.
+struct Entry {
+  std::string name;
+  Fanouts defaults;
+  AlgorithmProgram (*make)(const graph::Graph& g, const Fanouts& fanouts);
+};
+
+const std::vector<Entry>& Registry() {
+  static const std::vector<Entry> registry = {
+      {"DeepWalk", {}, [](const graph::Graph& g, const Fanouts&) { return DeepWalk(g); }},
+      {"GraphSAINT", {}, [](const graph::Graph& g, const Fanouts&) { return GraphSaint(g); }},
+      {"PinSAGE", {}, [](const graph::Graph& g, const Fanouts&) { return PinSage(g); }},
+      {"HetGNN", {}, [](const graph::Graph& g, const Fanouts&) { return HetGnn(g); }},
+      {"GraphSAGE", SageParams{}.fanouts,
+       [](const graph::Graph& g, const Fanouts& f) { return GraphSage(g, {.fanouts = f}); }},
+      {"VR-GCN", {}, [](const graph::Graph& g, const Fanouts&) { return VrGcn(g); }},
+      {"SEAL", {}, [](const graph::Graph& g, const Fanouts&) { return Seal(g); }},
+      {"ShaDow", {}, [](const graph::Graph& g, const Fanouts&) { return Shadow(g); }},
+      {"Node2Vec", {}, [](const graph::Graph& g, const Fanouts&) { return Node2Vec(g); }},
+      {"GCN-BS", BanditParams{}.fanouts,
+       [](const graph::Graph& g, const Fanouts& f) { return GcnBs(g, {.fanouts = f}); }},
+      {"Thanos", BanditParams{}.fanouts,
+       [](const graph::Graph& g, const Fanouts& f) { return Thanos(g, {.fanouts = f}); }},
+      {"PASS", PassParams{}.fanouts,
+       [](const graph::Graph& g, const Fanouts& f) { return Pass(g, {.fanouts = f}); }},
+      {"FastGCN", LayerWiseDefaults(),
+       [](const graph::Graph& g, const Fanouts& f) { return FastGcn(g, LayerWise(f)); }},
+      {"AS-GCN", LayerWiseDefaults(),
+       [](const graph::Graph& g, const Fanouts& f) { return Asgcn(g, LayerWise(f)); }},
+      {"LADIES", LayerWiseDefaults(),
+       [](const graph::Graph& g, const Fanouts& f) { return Ladies(g, LayerWise(f)); }},
+  };
+  return registry;
+}
+
+const Entry& Find(const std::string& name) {
+  const std::vector<Entry>& registry = Registry();
+  auto it = std::find_if(registry.begin(), registry.end(),
+                         [&name](const Entry& entry) { return entry.name == name; });
+  GS_CHECK(it != registry.end()) << "unknown algorithm: " << name;
+  return *it;
+}
+
+}  // namespace
+
+AlgorithmProgram MakeAlgorithm(const std::string& name, const graph::Graph& g,
+                               const std::vector<int64_t>& fanouts) {
+  const Entry& entry = Find(name);
+  return entry.make(g, fanouts.empty() ? entry.defaults : fanouts);
+}
+
+std::vector<int64_t> DefaultFanouts(const std::string& name) { return Find(name).defaults; }
+
 std::vector<std::string> AllAlgorithmNames() {
-  return {"DeepWalk", "GraphSAINT", "PinSAGE", "HetGNN", "GraphSAGE",
-          "VR-GCN",   "SEAL",       "ShaDow",  "Node2Vec", "GCN-BS",
-          "Thanos",   "PASS",       "FastGCN", "AS-GCN",  "LADIES"};
+  std::vector<std::string> names;
+  for (const Entry& entry : Registry()) {
+    names.push_back(entry.name);
+  }
+  return names;
 }
 
 }  // namespace gs::algorithms

@@ -1,7 +1,10 @@
 // The 15 graph sampling algorithms of the paper's Table 2, each expressed
 // once against the matrix-centric tracing API (core/trace.h) and compiled by
 // the gSampler engine. Factories return the traced Program plus the tensor
-// bindings it needs (features, model weights, bandit state, ...).
+// and relation bindings it needs (features, model weights, bandit state,
+// HetGNN's edge-type matrices, ...). The registry at the end of this header
+// is the one place that maps an algorithm name and a fanout vector to a
+// program.
 //
 // Simplifications relative to the original papers are documented on each
 // factory and in DESIGN.md; the sampling *structure* (node-wise vs
@@ -25,8 +28,15 @@ struct AlgorithmProgram {
   core::Program program;
   // Named tensor bindings consumed by the program.
   std::map<std::string, tensor::Tensor> tensors;
-  // Model-driven algorithms update tensors between batches; the engine
-  // excludes them from super-batch sampling (Section 4.4).
+  // Named relation matrices the program reads through Builder::GraphNamed
+  // (Bindings::named_graphs); each must outlive the sessions bound to it.
+  // Only HetGNN reads any, and its factory points both at the traced
+  // graph's adjacency.
+  std::map<std::string, const sparse::Matrix*> relations;
+  // Model-driven algorithms update tensors between batches, which rules out
+  // super-batch sampling (Section 4.4). The engine never reads this flag:
+  // the callers that run epochs (the CLI, benches, fuzzer and tests) set
+  // SamplerOptions::super_batch = 1 for these algorithms themselves.
   bool updates_model = false;
 };
 
@@ -56,8 +66,9 @@ struct PinSageParams {
 AlgorithmProgram PinSage(const graph::Graph& g, const PinSageParams& params = {});
 
 // HetGNN: restart walks alternating over two edge-type relation matrices (a
-// metapath), then top-k frequent neighbors. Relations are bound as named
-// graphs "rel0"/"rel1"; for homogeneous benchmarks both default to g.adj().
+// metapath), then top-k frequent neighbors. The program reads the named
+// graphs "rel0"/"rel1"; `relations` points both at g.adj(), and a caller
+// with real edge types binds its own matrices (SamplerSession::BindGraph).
 struct HetGnnParams {
   int num_walks = 10;
   int walk_length = 4;
@@ -164,8 +175,20 @@ int64_t UpdateBanditWeights(const graph::Graph& g, const sparse::Matrix& sample,
 
 // Builds an algorithm by Table-2 name ("DeepWalk", "GraphSAINT", "PinSAGE",
 // "HetGNN", "GraphSAGE", "VR-GCN", "SEAL", "ShaDow", "Node2Vec", "GCN-BS",
-// "Thanos", "PASS", "FastGCN", "AS-GCN", "LADIES") with default parameters.
-AlgorithmProgram MakeAlgorithm(const std::string& name, const graph::Graph& g);
+// "Thanos", "PASS", "FastGCN", "AS-GCN", "LADIES") with default parameters,
+// except for a non-empty `fanouts`: GraphSAGE, GCN-BS, Thanos and PASS
+// sample fanouts[l] neighbors at layer l; FastGCN, AS-GCN and LADIES run
+// fanouts.size() layers of fanouts.front() nodes each; the other eight
+// ignore it. Throws on an unknown name.
+AlgorithmProgram MakeAlgorithm(const std::string& name, const graph::Graph& g,
+                               const std::vector<int64_t>& fanouts = {});
+
+// The fanouts MakeAlgorithm(name, g) uses, in the same reading: the params
+// struct's defaults for the seven algorithms that take fanouts, empty for
+// the other eight. Throws on an unknown name.
+std::vector<int64_t> DefaultFanouts(const std::string& name);
+
+// The 15 names, in Table-2 order.
 std::vector<std::string> AllAlgorithmNames();
 
 }  // namespace gs::algorithms

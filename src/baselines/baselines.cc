@@ -11,6 +11,11 @@
 #include "sparse/kernels.h"
 
 namespace gs::baselines {
+
+struct EagerTwinState {
+  eager::EagerModel model;
+};
+
 namespace {
 
 using sparse::Matrix;
@@ -95,6 +100,8 @@ void AliasBuildKernel(const graph::Graph& g, const IdArray& cur, const IdArray* 
 
 // ------------------------------------------------------------ DGL / PyG
 
+// DGL and PyG both sample through the eager twins (SampleEagerTwin); each
+// system's Check table decides which cells it runs.
 class DglSim final : public Baseline {
  public:
   DglSim(const graph::Graph& g, bool cpu)
@@ -119,43 +126,15 @@ class DglSim final : public Baseline {
 
   BaselineResult SampleBatch(const std::string& algo, const IdArray& frontier,
                              Rng& rng) override {
-    const eager::Style style;  // greedy formats + message materialization
-    if (algo == "DeepWalk") {
-      return eager::DeepWalk(*graph_, frontier, algorithms::DeepWalkParams{}.walk_length, rng,
-                             style);
-    }
-    if (algo == "Node2Vec") {
-      const algorithms::Node2VecParams p;
-      return eager::Node2Vec(*graph_, frontier, p.walk_length, p.p, p.q, rng, style);
-    }
-    if (algo == "GraphSAGE") {
-      return eager::GraphSage(*graph_, frontier, algorithms::SageParams{}.fanouts, rng, style);
-    }
-    if (algo == "LADIES") {
-      const algorithms::LayerWiseParams p;
-      return eager::Ladies(*graph_, frontier, p.num_layers, p.layer_width, rng, style);
-    }
-    if (algo == "AS-GCN") {
-      const algorithms::LayerWiseParams p;
-      return eager::Asgcn(*graph_, frontier, p.num_layers, p.layer_width, model_, rng, style);
-    }
-    if (algo == "PASS") {
-      const algorithms::PassParams p;
-      return eager::Pass(*graph_, frontier, p.fanouts, p.hidden, model_, rng, style);
-    }
-    if (algo == "ShaDow") {
-      const algorithms::ShadowParams p;
-      return eager::Shadow(*graph_, frontier, p.depth, p.fanout, rng, style);
-    }
-    GS_CHECK(false) << system_ << " does not implement " << algo;
-    return {};
+    GS_CHECK(Check(algo) == Availability::kSupported) << system_ << " cannot run " << algo;
+    return SampleEagerTwin(algo, *graph_, frontier, state_, rng);
   }
 
  private:
   const graph::Graph* graph_;
   std::string system_;
   bool cpu_;
-  eager::EagerModel model_;
+  EagerTwinState state_;
 };
 
 class PygSim final : public Baseline {
@@ -181,30 +160,15 @@ class PygSim final : public Baseline {
 
   BaselineResult SampleBatch(const std::string& algo, const IdArray& frontier,
                              Rng& rng) override {
-    const eager::Style style;
-    if (algo == "DeepWalk") {
-      return eager::DeepWalk(*graph_, frontier, algorithms::DeepWalkParams{}.walk_length, rng,
-                             style);
-    }
-    if (algo == "Node2Vec") {
-      const algorithms::Node2VecParams p;
-      return eager::Node2Vec(*graph_, frontier, p.walk_length, p.p, p.q, rng, style);
-    }
-    if (algo == "GraphSAGE") {
-      return eager::GraphSage(*graph_, frontier, algorithms::SageParams{}.fanouts, rng, style);
-    }
-    if (algo == "ShaDow") {
-      const algorithms::ShadowParams p;
-      return eager::Shadow(*graph_, frontier, p.depth, p.fanout, rng, style);
-    }
-    GS_CHECK(false) << system_ << " does not implement " << algo;
-    return {};
+    GS_CHECK(Check(algo) == Availability::kSupported) << system_ << " cannot run " << algo;
+    return SampleEagerTwin(algo, *graph_, frontier, state_, rng);
   }
 
  private:
   const graph::Graph* graph_;
   std::string system_;
   bool cpu_;
+  EagerTwinState state_;
 };
 
 // ------------------------------------------------------------- SkyWalker
@@ -421,10 +385,6 @@ Rng MirroredBatchRng(uint64_t seed, uint64_t batch_index) {
   // rng_.Fork(j) (Fork is const, so earlier batches do not perturb it).
   return Rng(seed).Fork(batch_index);
 }
-
-struct EagerTwinState {
-  eager::EagerModel model;
-};
 
 std::shared_ptr<EagerTwinState> MakeEagerTwinState() {
   return std::make_shared<EagerTwinState>();

@@ -64,7 +64,8 @@ tensor::IdArray WarmupFrontier(const graph::Graph& graph) {
 }
 
 SamplerSession::SamplerSession(std::shared_ptr<CompiledPlan> plan, const graph::Graph& graph,
-                               std::map<std::string, tensor::Tensor> tensors)
+                               std::map<std::string, tensor::Tensor> tensors,
+                               Relations relations)
     : plan_(std::move(plan)),
       graph_(&graph),
       rng_(plan_->options().seed),
@@ -73,18 +74,20 @@ SamplerSession::SamplerSession(std::shared_ptr<CompiledPlan> plan, const graph::
   GS_CHECK(plan_ != nullptr);
   bindings_.graph = &graph.adj();
   bindings_.tensors = std::move(tensors);
+  bindings_.named_graphs = std::move(relations);
   Precompute();
 }
 
 SamplerSession::SamplerSession(Program program, const graph::Graph& graph,
                                std::map<std::string, tensor::Tensor> tensors,
-                               SamplerOptions options)
+                               SamplerOptions options, Relations relations)
     : SamplerSession(std::make_shared<CompiledPlan>(std::move(program), std::move(options)),
-                     graph, std::move(tensors)) {}
+                     graph, std::move(tensors), std::move(relations)) {}
 
 SamplerSession::SamplerSession(std::shared_ptr<CompiledPlan> plan,
                                std::shared_ptr<const graph::Snapshot> snapshot,
-                               std::map<std::string, tensor::Tensor> tensors)
+                               std::map<std::string, tensor::Tensor> tensors,
+                               Relations relations)
     : plan_(std::move(plan)),
       snapshot_(std::move(snapshot)),
       graph_(&snapshot_->graph()),
@@ -95,6 +98,7 @@ SamplerSession::SamplerSession(std::shared_ptr<CompiledPlan> plan,
   GS_CHECK(snapshot_ != nullptr);
   bindings_.graph = &graph_->adj();
   bindings_.tensors = std::move(tensors);
+  bindings_.named_graphs = std::move(relations);
   Precompute();
 }
 

@@ -35,13 +35,18 @@ class BatchProducer;
 // and (when preprocessing is on) evaluation of batch-invariant values.
 class SamplerSession {
  public:
+  // Named relation matrices (Bindings::named_graphs) a session starts with;
+  // each must outlive the session.
+  using Relations = std::map<std::string, const sparse::Matrix*>;
+
   SamplerSession(std::shared_ptr<CompiledPlan> plan, const graph::Graph& graph,
-                 std::map<std::string, tensor::Tensor> tensors = {});
+                 std::map<std::string, tensor::Tensor> tensors = {}, Relations relations = {});
 
   // Compiles `program` into a plan of its own (the pass pipeline runs here;
   // calibration waits for the first batch) and opens the session over it.
   SamplerSession(Program program, const graph::Graph& graph,
-                 std::map<std::string, tensor::Tensor> tensors, SamplerOptions options);
+                 std::map<std::string, tensor::Tensor> tensors, SamplerOptions options,
+                 Relations relations = {});
 
   // Snapshot-pinning constructor (gs::dyn): the session holds the snapshot's
   // shared_ptr for its whole lifetime, so the epoch's adjacency and features
@@ -50,7 +55,7 @@ class SamplerSession {
   // session over snapshot->graph() directly.
   SamplerSession(std::shared_ptr<CompiledPlan> plan,
                  std::shared_ptr<const graph::Snapshot> snapshot,
-                 std::map<std::string, tensor::Tensor> tensors = {});
+                 std::map<std::string, tensor::Tensor> tensors = {}, Relations relations = {});
 
   SamplerSession(const SamplerSession&) = delete;
   SamplerSession& operator=(const SamplerSession&) = delete;
@@ -72,8 +77,9 @@ class SamplerSession {
   // create a new SamplerSession over the shared plan instead.
   void BindTensor(const std::string& name, tensor::Tensor value);
 
-  // Binds a named relation matrix (heterogeneous programs). The matrix must
-  // outlive the session. Hard error after Warmup (see BindTensor).
+  // Binds a named relation matrix (heterogeneous programs), replacing the
+  // one the constructor bound under that name. The matrix must outlive the
+  // session. Hard error after Warmup (see BindTensor).
   void BindGraph(const std::string& name, const sparse::Matrix* matrix);
 
   // --- Serving hooks (gs::serving) -----------------------------------------

@@ -198,28 +198,15 @@ std::string HealthMonitor::DebugString() const {
   return out.str();
 }
 
-namespace {
-
-// Shared walk for the coverage helpers: calls fn(id) for each live-covered
-// seed. Returns {covered, considered}.
-template <typename Fn>
-std::pair<int64_t, int64_t> WalkCovered(const graph::Partition& partition,
-                                        const HealthMonitor& monitor, const int32_t* ids,
-                                        int64_t count, Fn&& fn) {
-  const int64_t n = partition.num_nodes();
-  const int num_shards = partition.num_shards();
+std::vector<int32_t> CoveredIds(const graph::Partition& partition,
+                                const HealthMonitor& monitor, const int32_t* ids,
+                                int64_t count) {
   // Alive() takes the monitor lock per call; memoize per shard.
-  std::vector<int8_t> covered_shard(static_cast<size_t>(num_shards), -1);
-  int64_t covered = 0;
-  int64_t considered = 0;
+  std::vector<int8_t> covered_shard(static_cast<size_t>(partition.num_shards()), -1);
+  std::vector<int32_t> out;
+  out.reserve(static_cast<size_t>(count));
   for (int64_t i = 0; i < count; ++i) {
-    if (ids[i] < 0) {
-      continue;  // walk dead-end marker
-    }
-    ++considered;
-    // Super-batch frontiers label node v of segment b as b*N + v.
-    const int32_t node = static_cast<int32_t>(ids[i] % n);
-    const int home = partition.OwnerOf(node);
+    const int home = partition.OwnerOf(ids[i]);
     int8_t& memo = covered_shard[static_cast<size_t>(home)];
     if (memo < 0) {
       bool alive = false;
@@ -229,30 +216,19 @@ std::pair<int64_t, int64_t> WalkCovered(const graph::Partition& partition,
       memo = alive ? 1 : 0;
     }
     if (memo == 1) {
-      ++covered;
-      fn(ids[i]);
+      out.push_back(ids[i]);
     }
   }
-  return {covered, considered};
+  return out;
 }
-
-}  // namespace
 
 double CoverageFraction(const graph::Partition& partition, const HealthMonitor& monitor,
                         const int32_t* ids, int64_t count) {
-  auto [covered, considered] =
-      WalkCovered(partition, monitor, ids, count, [](int32_t) {});
-  return considered == 0 ? 1.0
-                         : static_cast<double>(covered) / static_cast<double>(considered);
-}
-
-std::vector<int32_t> CoveredIds(const graph::Partition& partition,
-                                const HealthMonitor& monitor, const int32_t* ids,
-                                int64_t count) {
-  std::vector<int32_t> out;
-  out.reserve(static_cast<size_t>(count));
-  WalkCovered(partition, monitor, ids, count, [&out](int32_t id) { out.push_back(id); });
-  return out;
+  if (count == 0) {
+    return 1.0;
+  }
+  const size_t covered = CoveredIds(partition, monitor, ids, count).size();
+  return static_cast<double>(covered) / static_cast<double>(count);
 }
 
 }  // namespace gs::ha

@@ -153,19 +153,17 @@ class HealthMonitor {
   int64_t seq_ = 0;
 };
 
-// Fraction of `count` frontier seeds whose home shard still has at least
-// one live replica under `monitor`. Ids fold modulo the graph's node count
-// (super-batch labels); negative ids (walk dead-ends) are skipped. An
-// all-skipped or empty frontier has coverage 1.0 (there is nothing to
-// lose).
-double CoverageFraction(const graph::Partition& partition, const HealthMonitor& monitor,
-                        const int32_t* ids, int64_t count);
-
-// The subset of `ids` whose home shard is still covered, in input order
-// (negative ids dropped). Degraded serving samples exactly these.
+// The request seeds among `ids` (each in [0, num_nodes)) whose home shard
+// still has at least one live replica under `monitor`, in input order.
+// Degraded serving samples exactly these.
 std::vector<int32_t> CoveredIds(const graph::Partition& partition,
                                 const HealthMonitor& monitor, const int32_t* ids,
                                 int64_t count);
+
+// CoveredIds' share of the `count` seeds; an empty seed set has coverage
+// 1.0 (there is nothing to lose).
+double CoverageFraction(const graph::Partition& partition, const HealthMonitor& monitor,
+                        const int32_t* ids, int64_t count);
 
 }  // namespace gs::ha
 

@@ -164,13 +164,8 @@ tensor::IdArray MakeFrontiers(const graph::Graph& g, int64_t count, Rng& rng) {
 std::unique_ptr<SamplerSession> MakeSampler(const std::string& algorithm, const graph::Graph& g,
                                             const SamplerOptions& options) {
   algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(algorithm, g);
-  auto sampler = std::make_unique<SamplerSession>(std::move(ap.program), g,
-                                                  std::move(ap.tensors), options);
-  if (algorithm == "HetGNN") {
-    sampler->BindGraph("rel0", &g.adj());
-    sampler->BindGraph("rel1", &g.adj());
-  }
-  return sampler;
+  return std::make_unique<SamplerSession>(std::move(ap.program), g, std::move(ap.tensors),
+                                          options, std::move(ap.relations));
 }
 
 std::vector<BatchFingerprint> RunEpoch(const std::string& algorithm, const graph::Graph& g,

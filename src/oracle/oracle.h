@@ -82,7 +82,7 @@ struct OracleReport {
 core::SamplerOptions ReferenceOptions(const core::SamplerOptions& optimized);
 
 // Runs every applicable check for one algorithm x graph x options config on
-// the current device. HetGNN's relation graphs default to g.adj().
+// the current device, with the registry's tensor and relation bindings.
 OracleReport VerifyConfig(const std::string& algorithm, const graph::Graph& g,
                           const core::SamplerOptions& optimized,
                           const OracleOptions& options = {});

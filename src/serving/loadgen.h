@@ -29,7 +29,7 @@ struct LoadGenOptions {
   // node ids when the dataset has none).
   int64_t batch_size = 64;
   int num_tenants = 4;
-  // Per-request fanouts; empty = endpoint defaults.
+  // Per-request fanouts; empty = the algorithm's registry defaults.
   std::vector<int64_t> fanouts;
   // Relative deadline attached to every request; zero = none.
   std::chrono::nanoseconds deadline{0};

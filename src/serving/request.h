@@ -39,8 +39,9 @@ struct SampleRequest {
   // RNG stream: results are a pure function of (seeds, seed) for a given
   // plan, independent of which other requests share the execution.
   uint64_t seed = 0;
-  // Per-layer fanouts; empty = the endpoint's defaults. Part of the plan
-  // key: requests with different fanouts compile (and cache) distinct plans.
+  // Per-layer fanouts; empty = the algorithm's algorithms::DefaultFanouts.
+  // Part of the plan key: requests with different fanouts compile (and
+  // cache) distinct plans.
   std::vector<int64_t> fanouts;
   // Fair-queueing bucket.
   std::string tenant = "default";

@@ -107,87 +107,28 @@ std::vector<int64_t> ShedFanouts(const std::vector<int64_t>& fanouts) {
   return shed;
 }
 
-// Registry-backed program construction behind every endpoint factory.
-// Fanout vectors are honored for the fanout-parameterized algorithms;
-// others compile with their defaults.
-algorithms::AlgorithmProgram BuildProgram(const std::string& algorithm, const graph::Graph& g,
-                                          const std::vector<int64_t>& fanouts) {
-  if (!fanouts.empty()) {
-    if (algorithm == "GraphSAGE") {
-      return algorithms::GraphSage(g, algorithms::SageParams{.fanouts = fanouts});
-    }
-    if (algorithm == "GCN-BS") {
-      return algorithms::GcnBs(g, algorithms::BanditParams{.fanouts = fanouts});
-    }
-    if (algorithm == "Thanos") {
-      return algorithms::Thanos(g, algorithms::BanditParams{.fanouts = fanouts});
-    }
-    if (algorithm == "PASS") {
-      algorithms::PassParams params;
-      params.fanouts = fanouts;
-      return algorithms::Pass(g, params);
-    }
-    if (algorithm == "FastGCN" || algorithm == "LADIES" || algorithm == "AS-GCN") {
-      algorithms::LayerWiseParams params;
-      params.num_layers = static_cast<int>(fanouts.size());
-      params.layer_width = fanouts.front();
-      if (algorithm == "FastGCN") {
-        return algorithms::FastGcn(g, params);
-      }
-      if (algorithm == "LADIES") {
-        return algorithms::Ladies(g, params);
-      }
-      return algorithms::Asgcn(g, params);
-    }
-  }
-  return algorithms::MakeAlgorithm(algorithm, g);
-}
-
-std::vector<int64_t> RegistryDefaultFanouts(const std::string& algorithm) {
-  if (algorithm == "GraphSAGE") {
-    return algorithms::SageParams{}.fanouts;
-  }
-  if (algorithm == "GCN-BS" || algorithm == "Thanos") {
-    return algorithms::BanditParams{}.fanouts;
-  }
-  if (algorithm == "PASS") {
-    return algorithms::PassParams{}.fanouts;
-  }
-  if (algorithm == "FastGCN" || algorithm == "LADIES" || algorithm == "AS-GCN") {
-    const algorithms::LayerWiseParams defaults;
-    return std::vector<int64_t>(static_cast<size_t>(defaults.num_layers), defaults.layer_width);
-  }
-  return {};
-}
-
-// Shared by MakeEndpoint and MakeDynamicEndpoint, which add the graph source.
-Endpoint RegistryEndpoint(const std::string& algorithm, const std::string& dataset,
-                          const core::SamplerOptions& options) {
-  Endpoint ep;
-  ep.algorithm = algorithm;
-  ep.dataset = dataset;
-  ep.options = options;
-  ep.default_fanouts = RegistryDefaultFanouts(algorithm);
-  ep.factory = [algorithm](const graph::Graph& g, const std::vector<int64_t>& fanouts) {
-    return BuildProgram(algorithm, g, fanouts);
-  };
-  return ep;
-}
-
 }  // namespace
 
 Endpoint MakeEndpoint(const std::string& algorithm, const std::string& dataset,
                       const graph::Graph& graph, core::SamplerOptions options) {
-  Endpoint ep = RegistryEndpoint(algorithm, dataset, options);
-  ep.graph = &graph;
-  return ep;
+  return {.algorithm = algorithm,
+          .dataset = dataset,
+          .graph = &graph,
+          .factory = [algorithm](const graph::Graph& g, const std::vector<int64_t>& fanouts) {
+            return algorithms::MakeAlgorithm(algorithm, g, fanouts);
+          },
+          .options = options};
 }
 
 Endpoint MakeDynamicEndpoint(const std::string& algorithm, const std::string& dataset,
                              graph::GraphStore& store, core::SamplerOptions options) {
-  Endpoint ep = RegistryEndpoint(algorithm, dataset, options);
-  ep.store = &store;
-  return ep;
+  return {.algorithm = algorithm,
+          .dataset = dataset,
+          .factory = [algorithm](const graph::Graph& g, const std::vector<int64_t>& fanouts) {
+            return algorithms::MakeAlgorithm(algorithm, g, fanouts);
+          },
+          .options = options,
+          .store = &store};
 }
 
 Server::Server(ServerOptions options) : options_(options) {
@@ -208,6 +149,9 @@ void Server::RegisterEndpoint(Endpoint endpoint) {
   GS_CHECK(!running_) << "endpoints must be registered before Start()";
   GS_CHECK(endpoint.store != nullptr || endpoint.graph != nullptr);
   GS_CHECK(endpoint.factory != nullptr);
+  // Admission takes a request's default fanouts from the registry, which
+  // throws here, not in Submit, on an algorithm it does not know.
+  algorithms::DefaultFanouts(endpoint.algorithm);
   const std::string key = EndpointKey(endpoint.algorithm, endpoint.dataset);
   endpoints_[key] = std::move(endpoint);
 }
@@ -421,7 +365,8 @@ std::future<SampleResponse> Server::Submit(SampleRequest request) {
 
   // Graceful degradation: past the shed threshold, admit with halved
   // fanouts instead of rejecting outright.
-  std::vector<int64_t> fanouts = req.fanouts.empty() ? endpoint->default_fanouts : req.fanouts;
+  std::vector<int64_t> fanouts =
+      req.fanouts.empty() ? algorithms::DefaultFanouts(req.algorithm) : req.fanouts;
   const int64_t backlog = queued_.load(std::memory_order_relaxed);
   const int64_t shed_threshold =
       static_cast<int64_t>(options_.shed_occupancy * options_.queue_capacity);
@@ -618,8 +563,8 @@ std::shared_ptr<core::SamplerSession> Server::OpenSession(
     const std::shared_ptr<const graph::Snapshot>& snapshot,
     std::shared_ptr<core::CompiledPlan> plan) {
   const graph::Graph& graph = snapshot != nullptr ? snapshot->graph() : *endpoint.graph;
-  // With an adopted plan the trace only recovers the named tensor bindings:
-  // no passes and no calibration run.
+  // With an adopted plan the trace only recovers the named tensor and
+  // relation bindings: no passes and no calibration run.
   algorithms::AlgorithmProgram algorithm = endpoint.factory(graph, fanouts);
   if (plan == nullptr) {
     core::SamplerOptions options = endpoint.options;
@@ -631,9 +576,11 @@ std::shared_ptr<core::SamplerSession> Server::OpenSession(
   }
   auto session = snapshot != nullptr
                      ? std::make_shared<core::SamplerSession>(std::move(plan), snapshot,
-                                                              std::move(algorithm.tensors))
+                                                              std::move(algorithm.tensors),
+                                                              std::move(algorithm.relations))
                      : std::make_shared<core::SamplerSession>(std::move(plan), graph,
-                                                              std::move(algorithm.tensors));
+                                                              std::move(algorithm.tensors),
+                                                              std::move(algorithm.relations));
   session->Warmup(core::WarmupFrontier(graph));
   // The JIT attaches after Warmup: warmup calibrates the plan, and the
   // calibration state is part of CompiledPlan::Digest() — attaching earlier
@@ -918,9 +865,12 @@ void Server::Place(Execution& exec, Group& group) {
   }
   for (auto& pending : group) {
     const tensor::IdArray& seeds = pending->request.seeds;
-    pending->coverage = ha::CoverageFraction(partition, *monitor_, seeds.data(), seeds.size());
-    pending->frontier = tensor::IdArray::FromVector(
-        ha::CoveredIds(partition, *monitor_, seeds.data(), seeds.size()));
+    const std::vector<int32_t> covered =
+        ha::CoveredIds(partition, *monitor_, seeds.data(), seeds.size());
+    // Admission rejects empty seed sets, so the share is defined.
+    pending->coverage =
+        static_cast<double>(covered.size()) / static_cast<double>(seeds.size());
+    pending->frontier = tensor::IdArray::FromVector(covered);
   }
 }
 

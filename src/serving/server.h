@@ -95,9 +95,12 @@ class JitEngine;
 
 namespace gs::serving {
 
-// A servable (algorithm, dataset) pair. The factory traces the program
-// against a graph for a given effective fanout vector (empty = algorithm
-// defaults); the sampler options are part of the plan key.
+// A servable (algorithm, dataset) pair. `algorithm` names a registry
+// algorithm (algorithms::AllAlgorithmNames): a request without fanouts runs
+// at its algorithms::DefaultFanouts, which overload shedding halves. The
+// factory traces the program, tensors and relations against a graph for a
+// given effective fanout vector; the sampler options are part of the plan
+// key.
 struct Endpoint {
   std::string algorithm;
   std::string dataset;
@@ -106,9 +109,6 @@ struct Endpoint {
                                              const std::vector<int64_t>& fanouts)>
       factory;
   core::SamplerOptions options;
-  // Fallback fanouts used when a request does not specify any and overload
-  // shedding needs something to halve.
-  std::vector<int64_t> default_fanouts;
   // Dynamic graphs (gs::dyn): a mutable versioned store instead of a static
   // graph. When set, `graph` is ignored: every request resolves the store's
   // latest snapshot at admission (and pins it to completion), the plan key
@@ -117,9 +117,9 @@ struct Endpoint {
   graph::GraphStore* store = nullptr;
 };
 
-// Convenience endpoint over the Table-2 registry. Fanout vectors are honored
-// for the fanout-parameterized algorithms (GraphSAGE, GCN-BS, Thanos,
-// FastGCN, LADIES); others compile with their defaults.
+// Convenience endpoint over the Table-2 registry: the factory is
+// algorithms::MakeAlgorithm, which says how each algorithm reads a fanout
+// vector.
 Endpoint MakeEndpoint(const std::string& algorithm, const std::string& dataset,
                       const graph::Graph& graph, core::SamplerOptions options = {});
 

@@ -292,6 +292,57 @@ TEST(Registry, AllFifteenBuild) {
   EXPECT_THROW(MakeAlgorithm("NotAnAlgorithm", g), Error);
 }
 
+// The registry's fanout mapping (MakeAlgorithm's comment), spelled out with
+// the direct factories for f = {} and for a non-default f.
+TEST(Algorithms, RegistryAppliesFanouts) {
+  graph::Graph g = gs::testing::SmallRmat();
+  auto trace = [](const AlgorithmProgram& ap) { return ap.program.ToString(); };
+  const std::vector<int64_t> f = {4, 3};
+  const std::vector<int64_t> layers = {64, 64};
+  const LayerWiseParams layer_params{.num_layers = 2, .layer_width = 64};
+  const LayerWiseParams layer_defaults;
+  const std::vector<int64_t> layer_wise(static_cast<size_t>(layer_defaults.num_layers),
+                                        layer_defaults.layer_width);
+  struct Row {
+    std::vector<int64_t> defaults;  // DefaultFanouts(name)
+    std::vector<int64_t> fanouts;   // the non-default f
+    std::string at_defaults;        // the direct factory's trace at its defaults
+    std::string at_fanouts;         // ... and under `fanouts`
+  };
+  const std::map<std::string, Row> rows = {
+      {"DeepWalk", {{}, f, trace(DeepWalk(g)), trace(DeepWalk(g))}},
+      {"GraphSAINT", {{}, f, trace(GraphSaint(g)), trace(GraphSaint(g))}},
+      {"PinSAGE", {{}, f, trace(PinSage(g)), trace(PinSage(g))}},
+      {"HetGNN", {{}, f, trace(HetGnn(g)), trace(HetGnn(g))}},
+      {"GraphSAGE",
+       {SageParams{}.fanouts, f, trace(GraphSage(g)), trace(GraphSage(g, {.fanouts = f}))}},
+      {"VR-GCN", {{}, f, trace(VrGcn(g)), trace(VrGcn(g))}},
+      {"SEAL", {{}, f, trace(Seal(g)), trace(Seal(g))}},
+      {"ShaDow", {{}, f, trace(Shadow(g)), trace(Shadow(g))}},
+      {"Node2Vec", {{}, f, trace(Node2Vec(g)), trace(Node2Vec(g))}},
+      {"GCN-BS", {BanditParams{}.fanouts, f, trace(GcnBs(g)), trace(GcnBs(g, {.fanouts = f}))}},
+      {"Thanos",
+       {BanditParams{}.fanouts, f, trace(Thanos(g)), trace(Thanos(g, {.fanouts = f}))}},
+      {"PASS", {PassParams{}.fanouts, f, trace(Pass(g)), trace(Pass(g, {.fanouts = f}))}},
+      {"FastGCN", {layer_wise, layers, trace(FastGcn(g)), trace(FastGcn(g, layer_params))}},
+      {"AS-GCN", {layer_wise, layers, trace(Asgcn(g)), trace(Asgcn(g, layer_params))}},
+      {"LADIES", {layer_wise, layers, trace(Ladies(g)), trace(Ladies(g, layer_params))}},
+  };
+  ASSERT_EQ(AllAlgorithmNames().size(), rows.size());
+  for (const std::string& name : AllAlgorithmNames()) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(rows.count(name), 1u);
+    const Row& row = rows.at(name);
+    EXPECT_EQ(DefaultFanouts(name), row.defaults);
+    EXPECT_EQ(trace(MakeAlgorithm(name, g)), row.at_defaults);
+    EXPECT_EQ(trace(MakeAlgorithm(name, g, {})), row.at_defaults);
+    EXPECT_EQ(trace(MakeAlgorithm(name, g, row.fanouts)), row.at_fanouts);
+    // Exactly the algorithms without default fanouts ignore f.
+    EXPECT_EQ(row.at_fanouts == row.at_defaults, row.defaults.empty());
+  }
+  EXPECT_THROW(DefaultFanouts("NotAnAlgorithm"), Error);
+}
+
 TEST(Registry, ModelDrivenFlags) {
   graph::Graph g = gs::testing::SmallRmat();
   EXPECT_TRUE(MakeAlgorithm("PASS", g).updates_model);

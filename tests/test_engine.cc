@@ -35,11 +35,8 @@ TEST_P(AllAlgorithms, CompilesAndSamples) {
   graph::Graph g = gs::testing::SmallRmat(250, 2500, 33, true);
   algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(name, g);
   SamplerOptions opts;
-  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
-  if (name == "HetGNN") {
-    sampler.BindGraph("rel0", &g.adj());
-    sampler.BindGraph("rel1", &g.adj());
-  }
+  SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts,
+                         std::move(ap.relations));
   std::vector<Value> out = sampler.Sample(Iota(16));
   EXPECT_FALSE(out.empty());
   // Any matrix output must reference valid original-graph ids.
@@ -172,10 +169,9 @@ TEST(Engine, SuperBatchIsBitIdenticalToSolo) {
       algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(name, g);
       SamplerOptions opts;
       opts.super_batch = super_batch;
-      SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+      SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), opts,
+                             std::move(ap.relations));
       EXPECT_TRUE(sampler.Coalescable()) << name;
-      sampler.BindGraph("rel0", &g.adj());  // HetGNN's relations; unused elsewhere
-      sampler.BindGraph("rel1", &g.adj());
       std::vector<std::vector<Value>> batches;
       BatchProducer producer(sampler, seeds, 8);
       EpochBatch batch;
@@ -277,9 +273,8 @@ TEST(Engine, LabeledRunsLaunchThePlainRunsKernels) {
   };
   for (const std::string& name : algorithms::AllAlgorithmNames()) {
     algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(name, g);
-    SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), SamplerOptions{});
-    sampler.BindGraph("rel0", &g.adj());  // HetGNN's relations; unused elsewhere
-    sampler.BindGraph("rel1", &g.adj());
+    SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors), SamplerOptions{},
+                           std::move(ap.relations));
     sampler.Warmup(frontier);
     const int64_t model_before = v100.stream().counters().model_ns;
     const int64_t plain = launches([&] { sampler.Sample(frontier); });

@@ -224,11 +224,7 @@ TEST_P(AllAlgorithmsFeature, GatherMatchesEagerLookup) {
   ASSERT_TRUE(g.features().defined());
   algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(name, g);
   core::SamplerSession sampler(std::move(ap.program), g, std::move(ap.tensors),
-                               core::SamplerOptions{});
-  if (name == "HetGNN") {
-    sampler.BindGraph("rel0", &g.adj());
-    sampler.BindGraph("rel1", &g.adj());
-  }
+                               core::SamplerOptions{}, std::move(ap.relations));
   const IdArray seeds = Seeds({2, 19, 57, 111, 222, 280});
   sampler.Warmup(seeds);
 

@@ -209,27 +209,21 @@ TEST(CoverageTest, FractionCountsLiveHomeShards) {
   const graph::Partition p =
       graph::Partitioner::Build(g, graph::PartitionKind::kEdgeCut, 2, 1);
   HealthMonitor monitor(2);
-  const int32_t n = static_cast<int32_t>(g.num_nodes());
   const int32_t a0 = OwnedSeeds(p, 0, 2)[0];
   const int32_t a1 = OwnedSeeds(p, 0, 2)[1];
   const int32_t b0 = OwnedSeeds(p, 1, 1)[0];
-  // Mixed frontier: three shard-0 seeds (one a folded super-batch label),
-  // one shard-1 seed, one walk dead-end marker.
-  const std::vector<int32_t> ids = {a0, a1, b0, -1, static_cast<int32_t>(a0 + n)};
+  // Mixed request seeds: two on shard 0, one on shard 1.
+  const std::vector<int32_t> ids = {a0, a1, b0};
 
   EXPECT_DOUBLE_EQ(CoverageFraction(p, monitor, ids.data(), ids.size()), 1.0);
-  EXPECT_EQ(CoveredIds(p, monitor, ids.data(), ids.size()),
-            (std::vector<int32_t>{a0, a1, b0, static_cast<int32_t>(a0 + n)}));
+  EXPECT_EQ(CoveredIds(p, monitor, ids.data(), ids.size()), (std::vector<int32_t>{a0, a1, b0}));
 
   monitor.ReportDeviceLost(1);
-  EXPECT_DOUBLE_EQ(CoverageFraction(p, monitor, ids.data(), ids.size()), 0.75);
-  EXPECT_EQ(CoveredIds(p, monitor, ids.data(), ids.size()),
-            (std::vector<int32_t>{a0, a1, static_cast<int32_t>(a0 + n)}));
+  EXPECT_DOUBLE_EQ(CoverageFraction(p, monitor, ids.data(), ids.size()), 2.0 / 3.0);
+  EXPECT_EQ(CoveredIds(p, monitor, ids.data(), ids.size()), (std::vector<int32_t>{a0, a1}));
 
-  // Nothing to lose: empty or all-dead-end frontiers are fully covered.
+  // Nothing to lose: an empty seed set is fully covered.
   EXPECT_DOUBLE_EQ(CoverageFraction(p, monitor, ids.data(), 0), 1.0);
-  const std::vector<int32_t> dead_ends = {-1, -1};
-  EXPECT_DOUBLE_EQ(CoverageFraction(p, monitor, dead_ends.data(), dead_ends.size()), 1.0);
 }
 
 // With r=2 a shard stays covered while ANY of its replica devices lives.

@@ -48,7 +48,9 @@ using jit::KernelCacheOptions;
 using jit::Region;
 using jit::RegionExtractor;
 using tensor::IdArray;
+using testing::CompileAlgorithm;
 using testing::ExpectBitIdentical;
+using testing::MakeSession;
 
 graph::Graph JitGraph() { return testing::SmallRmat(300, 3000, 41); }
 
@@ -82,40 +84,12 @@ SamplerOptions Optimized(uint64_t seed = 0xD1FF) {
   return opts;
 }
 
-std::shared_ptr<CompiledPlan> Compile(const std::string& name, const graph::Graph& g,
-                                      SamplerOptions options,
-                                      std::map<std::string, tensor::Tensor>* tensors) {
-  algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(name, g);
-  if (ap.updates_model) {
-    options.super_batch = 1;
-  }
-  *tensors = std::move(ap.tensors);
-  return std::make_shared<CompiledPlan>(std::move(ap.program), options, name);
-}
-
-// Builds a warmed session over `plan`, optionally with a JIT table attached
-// (the serving order: Warmup — which calibrates the plan and finalizes its
-// digest — then the table).
-std::shared_ptr<SamplerSession> MakeSession(
-    std::shared_ptr<CompiledPlan> plan, const graph::Graph& g,
-    std::map<std::string, tensor::Tensor> tensors,
-    std::shared_ptr<const core::FusedKernelTable> table = nullptr) {
-  auto session = std::make_shared<SamplerSession>(std::move(plan), g, std::move(tensors));
-  if (session->plan().label() == "HetGNN") {
-    session->BindGraph("rel0", &g.adj());
-    session->BindGraph("rel1", &g.adj());
-  }
-  session->Warmup(Seeds({0, 1, 2, 3}));
-  session->SetJitTable(std::move(table));
-  return session;
-}
-
 // ------------------------------------------------------- region extraction
 
 TEST(RegionExtraction, RanksFollowTopoOrderAndFeedersAreRecorded) {
   graph::Graph g = JitGraph();
-  std::map<std::string, tensor::Tensor> tensors;
-  auto plan = Compile("GraphSAGE", g, Optimized(), &tensors);
+  algorithms::AlgorithmProgram bindings;
+  auto plan = CompileAlgorithm("GraphSAGE", g, Optimized(), &bindings);
   const std::vector<Region> regions = RegionExtractor::Extract(plan->program());
   ASSERT_FALSE(regions.empty()) << "fusion on: GraphSAGE must contain fused regions";
   for (size_t i = 0; i < regions.size(); ++i) {
@@ -137,8 +111,8 @@ TEST(RegionExtraction, RanksFollowTopoOrderAndFeedersAreRecorded) {
   // Fusion off: no fused nodes, no regions, and TableFor returns nullptr.
   SamplerOptions unfused = Optimized();
   unfused.enable_fusion = false;
-  std::map<std::string, tensor::Tensor> t2;
-  auto plain = Compile("GraphSAGE", g, unfused, &t2);
+  algorithms::AlgorithmProgram t2;
+  auto plain = CompileAlgorithm("GraphSAGE", g, unfused, &t2);
   EXPECT_TRUE(RegionExtractor::Extract(plain->program()).empty());
   JitEngine engine(EngineOptions(ScratchDir("noregions")));
   EXPECT_EQ(engine.TableFor(*plain), nullptr);
@@ -148,10 +122,10 @@ TEST(RegionExtraction, RanksAreStableAcrossRecompilation) {
   // The rank is half of the artifact key, so re-deriving the same plan in
   // another process must produce identical (rank, signature) lists.
   graph::Graph g = JitGraph();
-  std::map<std::string, tensor::Tensor> t1;
-  std::map<std::string, tensor::Tensor> t2;
-  auto a = Compile("LADIES", g, Optimized(), &t1);
-  auto b = Compile("LADIES", g, Optimized(), &t2);
+  algorithms::AlgorithmProgram t1;
+  algorithms::AlgorithmProgram t2;
+  auto a = CompileAlgorithm("LADIES", g, Optimized(), &t1);
+  auto b = CompileAlgorithm("LADIES", g, Optimized(), &t2);
   ASSERT_EQ(a->Digest(), b->Digest());
   const std::vector<Region> ra = RegionExtractor::Extract(a->program());
   const std::vector<Region> rb = RegionExtractor::Extract(b->program());
@@ -165,8 +139,8 @@ TEST(RegionExtraction, RanksAreStableAcrossRecompilation) {
 
 TEST(Emitter, EmitsKeyedSelfContainedSource) {
   graph::Graph g = JitGraph();
-  std::map<std::string, tensor::Tensor> tensors;
-  auto plan = Compile("GraphSAGE", g, Optimized(), &tensors);
+  algorithms::AlgorithmProgram bindings;
+  auto plan = CompileAlgorithm("GraphSAGE", g, Optimized(), &bindings);
   const std::vector<Region> regions = RegionExtractor::Extract(plan->program());
   ASSERT_FALSE(regions.empty());
   for (const Region& r : regions) {
@@ -198,8 +172,8 @@ TEST(Emitter, DeclinesUnsupportedFanouts) {
 
 TEST(KernelCacheTest, CompilesMemoizesAndReloadsPersistedArtifacts) {
   graph::Graph g = JitGraph();
-  std::map<std::string, tensor::Tensor> tensors;
-  auto plan = Compile("GraphSAGE", g, Optimized(), &tensors);
+  algorithms::AlgorithmProgram bindings;
+  auto plan = CompileAlgorithm("GraphSAGE", g, Optimized(), &bindings);
   const std::vector<Region> regions = RegionExtractor::Extract(plan->program());
   ASSERT_FALSE(regions.empty());
   const Region& r = regions.front();
@@ -269,11 +243,11 @@ TEST(JitOracle, AllAlgorithmsBitIdenticalToInterpreter) {
   jit::ResetGlobalJitStats();
   int jitted_algorithms = 0;
   for (const std::string& algo : algorithms::AllAlgorithmNames()) {
-    std::map<std::string, tensor::Tensor> tensors;
-    auto plan = Compile(algo, g, Optimized(), &tensors);
+    algorithms::AlgorithmProgram bindings;
+    auto plan = CompileAlgorithm(algo, g, Optimized(), &bindings);
     std::shared_ptr<const core::FusedKernelTable> table = engine.TableFor(*plan);
-    auto interp = MakeSession(plan, g, tensors, nullptr);
-    auto jitted = MakeSession(plan, g, tensors, table);
+    auto interp = MakeSession(plan, g, bindings, nullptr);
+    auto jitted = MakeSession(plan, g, bindings, table);
     if (table != nullptr) {
       ++jitted_algorithms;
     }
@@ -373,8 +347,8 @@ TEST(JitOracle, MutatedEpochSnapshotBitIdentical) {
 TEST(JitOracle, OneMemberRequestsRunTheNativeSliceSample) {
   graph::Graph g = JitGraph();
   JitEngine engine(EngineOptions(ScratchDir("onemember")));
-  std::map<std::string, tensor::Tensor> tensors;
-  auto plan = Compile("GraphSAGE", g, Optimized(), &tensors);
+  algorithms::AlgorithmProgram bindings;
+  auto plan = CompileAlgorithm("GraphSAGE", g, Optimized(), &bindings);
   std::shared_ptr<const core::FusedKernelTable> table = engine.TableFor(*plan);
   ASSERT_NE(table, nullptr);
   const auto& nodes = plan->program().nodes();
@@ -383,8 +357,8 @@ TEST(JitOracle, OneMemberRequestsRunTheNativeSliceSample) {
                             return n.kind == core::OpKind::kFusedSliceSample;
                           }),
             2);
-  auto interp = MakeSession(plan, g, tensors, nullptr);
-  auto jitted = MakeSession(plan, g, tensors, table);
+  auto interp = MakeSession(plan, g, bindings, nullptr);
+  auto jitted = MakeSession(plan, g, bindings, table);
 
   const IdArray frontier = Seeds({5, 17, 2, 42, 8});
   int64_t hits = jit::GlobalJitStats().hits;
@@ -415,12 +389,12 @@ TEST(JitOracle, NativeSliceSampleChargesTheInterpretersCosts) {
   device::DeviceGuard guard(v100);
   graph::Graph g = JitGraph();
   JitEngine engine(EngineOptions(ScratchDir("costs")));
-  std::map<std::string, tensor::Tensor> tensors;
-  auto plan = Compile("GraphSAGE", g, Optimized(), &tensors);
+  algorithms::AlgorithmProgram bindings;
+  auto plan = CompileAlgorithm("GraphSAGE", g, Optimized(), &bindings);
   std::shared_ptr<const core::FusedKernelTable> table = engine.TableFor(*plan);
   ASSERT_NE(table, nullptr);
-  auto interp = MakeSession(plan, g, tensors, nullptr);
-  auto jitted = MakeSession(plan, g, tensors, table);
+  auto interp = MakeSession(plan, g, bindings, nullptr);
+  auto jitted = MakeSession(plan, g, bindings, table);
   auto cost = [&v100](const SamplerSession& session, std::vector<Value>* out) {
     const device::StreamCounters before = v100.stream().counters();
     *out = session.SampleSeeded(Seeds({5, 17, 2, 42, 8}), 9);
@@ -452,8 +426,8 @@ TEST(JitFault, CompileFaultDemotesWithZeroFailedRequests) {
   jit::ResetGlobalJitStats();
 
   // Engine level: all regions demote, none compile.
-  std::map<std::string, tensor::Tensor> tensors;
-  auto plan = Compile("GraphSAGE", g, Optimized(), &tensors);
+  algorithms::AlgorithmProgram bindings;
+  auto plan = CompileAlgorithm("GraphSAGE", g, Optimized(), &bindings);
   JitEngine engine(EngineOptions(ScratchDir("faulted")));
   std::shared_ptr<const core::FusedKernelTable> table = engine.TableFor(*plan);
   jit::JitStats stats = jit::GlobalJitStats();
@@ -462,8 +436,8 @@ TEST(JitFault, CompileFaultDemotesWithZeroFailedRequests) {
   EXPECT_EQ(stats.demotions, stats.regions);
 
   // Session level: the demoted table declines and the interpreter serves.
-  auto interp = MakeSession(plan, g, tensors, nullptr);
-  auto demoted = MakeSession(plan, g, tensors, table);
+  auto interp = MakeSession(plan, g, bindings, nullptr);
+  auto demoted = MakeSession(plan, g, bindings, table);
   const IdArray frontier = Seeds({4, 9, 16, 25});
   ExpectBitIdentical(interp->SampleSeeded(frontier, 11),
                      demoted->SampleSeeded(frontier, 11), "demoted table");
@@ -496,12 +470,12 @@ TEST(JitFault, CompileFaultDemotesWithZeroFailedRequests) {
 TEST(JitEngineTest, WarmRestartReloadsArtifactsWithoutRecompiling) {
   graph::Graph g = JitGraph();
   const std::string dir = ScratchDir("restart");
-  std::map<std::string, tensor::Tensor> tensors;
-  auto plan = Compile("GraphSAGE", g, Optimized(), &tensors);
+  algorithms::AlgorithmProgram bindings;
+  auto plan = CompileAlgorithm("GraphSAGE", g, Optimized(), &bindings);
   // Calibrate first: warmup mutates the plan's calibration state, which is
   // part of Digest() — artifact keys are only stable once that has happened
   // (serving attaches post-warmup for the same reason).
-  auto interp = MakeSession(plan, g, tensors, nullptr);
+  auto interp = MakeSession(plan, g, bindings, nullptr);
 
   JitEngine cold(EngineOptions(dir));
   ASSERT_NE(cold.TableFor(*plan), nullptr);
@@ -519,7 +493,7 @@ TEST(JitEngineTest, WarmRestartReloadsArtifactsWithoutRecompiling) {
   EXPECT_GT(jit::GlobalJitStats().artifact_hits, 0);
 
   // The reloaded kernels still match the interpreter.
-  auto jitted = MakeSession(plan, g, tensors, table);
+  auto jitted = MakeSession(plan, g, bindings, table);
   const IdArray frontier = Seeds({3, 33, 133});
   ExpectBitIdentical(interp->SampleSeeded(frontier, 5),
                      jitted->SampleSeeded(frontier, 5), "warm restart");
@@ -530,8 +504,8 @@ TEST(JitEngineTest, WarmRestartReloadsArtifactsWithoutRecompiling) {
 
 TEST(JitEngineTest, DisableEnvKillsTheJit) {
   graph::Graph g = JitGraph();
-  std::map<std::string, tensor::Tensor> tensors;
-  auto plan = Compile("GraphSAGE", g, Optimized(), &tensors);
+  algorithms::AlgorithmProgram bindings;
+  auto plan = CompileAlgorithm("GraphSAGE", g, Optimized(), &bindings);
   ::setenv("GS_JIT_DISABLE", "1", 1);
   JitEngine engine(EngineOptions(ScratchDir("disabled")));
   EXPECT_EQ(engine.TableFor(*plan), nullptr);

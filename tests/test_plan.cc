@@ -39,7 +39,9 @@ using core::SamplerOptions;
 using core::SamplerSession;
 using core::Value;
 using tensor::IdArray;
+using testing::CompileAlgorithm;
 using testing::ExpectBitIdentical;
+using testing::MakeSession;
 
 graph::Graph PlanGraph() { return testing::SmallRmat(400, 4000, 23); }
 
@@ -51,31 +53,6 @@ std::string ScratchDir(const std::string& tag) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
-}
-
-// Builds (plan, session) for a Table-2 algorithm, handling HetGNN's extra
-// relation graphs, and warms the session up.
-std::shared_ptr<SamplerSession> MakeSession(std::shared_ptr<CompiledPlan> plan,
-                                            const graph::Graph& g,
-                                            std::map<std::string, tensor::Tensor> tensors = {}) {
-  auto session = std::make_shared<SamplerSession>(std::move(plan), g, std::move(tensors));
-  if (session->plan().label() == "HetGNN") {
-    session->BindGraph("rel0", &g.adj());
-    session->BindGraph("rel1", &g.adj());
-  }
-  session->Warmup(Seeds({0, 1, 2, 3}));
-  return session;
-}
-
-std::shared_ptr<CompiledPlan> CompileAlgorithm(const std::string& name, const graph::Graph& g,
-                                               SamplerOptions options,
-                                               std::map<std::string, tensor::Tensor>* tensors) {
-  algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(name, g);
-  if (ap.updates_model) {
-    options.super_batch = 1;
-  }
-  *tensors = std::move(ap.tensors);
-  return std::make_shared<CompiledPlan>(std::move(ap.program), options, name);
 }
 
 // ------------------------------------------------------- pass manager
@@ -130,8 +107,8 @@ TEST(PassManager, EveryPassPreservesVerifyOnAllAlgorithms) {
 
 TEST(CompiledPlan, ReportFoldsPassStats) {
   graph::Graph g = PlanGraph();
-  std::map<std::string, tensor::Tensor> tensors;
-  auto plan = CompileAlgorithm("GraphSAGE", g, {}, &tensors);
+  algorithms::AlgorithmProgram bindings;
+  auto plan = CompileAlgorithm("GraphSAGE", g, {}, &bindings);
   const core::OptimizationReport report = plan->report();
   ASSERT_FALSE(report.passes.empty());
   int64_t total_rewrites = 0;
@@ -156,9 +133,9 @@ TEST(PlanRoundTrip, AllAlgorithmsBitIdenticalAfterReload) {
       {Seeds({0, 1, 2, 3, 4, 5, 6, 7}), 7}, {Seeds({11, 23, 42}), 31337}};
   for (const std::string& name : algorithms::AllAlgorithmNames()) {
     SCOPED_TRACE(name);
-    std::map<std::string, tensor::Tensor> tensors;
-    auto plan = CompileAlgorithm(name, g, {}, &tensors);
-    auto original = MakeSession(plan, g, tensors);
+    algorithms::AlgorithmProgram bindings;
+    auto plan = CompileAlgorithm(name, g, {}, &bindings);
+    auto original = MakeSession(plan, g, bindings);
     ASSERT_TRUE(plan->calibrated());
     ASSERT_TRUE(plan->frozen());
 
@@ -174,7 +151,7 @@ TEST(PlanRoundTrip, AllAlgorithmsBitIdenticalAfterReload) {
     std::shared_ptr<CompiledPlan> twice = CompiledPlan::Deserialize(loaded->Serialize());
     EXPECT_EQ(twice->Digest(), plan->Digest());
 
-    auto reloaded = MakeSession(loaded, g, tensors);
+    auto reloaded = MakeSession(loaded, g, bindings);
     for (const auto& [frontier, seed] : probes) {
       ExpectBitIdentical(original->SampleSeeded(frontier, seed),
                          reloaded->SampleSeeded(frontier, seed), name);
@@ -184,14 +161,14 @@ TEST(PlanRoundTrip, AllAlgorithmsBitIdenticalAfterReload) {
 
 TEST(PlanRoundTrip, LoadedPlanPreservesOptionsAndTuning) {
   graph::Graph g = PlanGraph();
-  std::map<std::string, tensor::Tensor> tensors;
+  algorithms::AlgorithmProgram bindings;
   SamplerOptions options;
   options.super_batch = 0;  // auto-tune
   options.seed = 0xFEED;
   options.calibration_batches = 2;
-  auto plan = CompileAlgorithm("GraphSAGE", g, options, &tensors);
+  auto plan = CompileAlgorithm("GraphSAGE", g, options, &bindings);
   {
-    SamplerSession session(plan, g, tensors);
+    SamplerSession session(plan, g, bindings.tensors);
     // BatchProducer triggers auto-tuning and writes the result through to
     // the (not yet frozen) plan.
     core::BatchProducer producer(session, g.train_ids(), 16);
@@ -210,9 +187,9 @@ TEST(PlanRoundTrip, LoadedPlanPreservesOptionsAndTuning) {
 
 TEST(PlanRoundTrip, TamperedArtifactIsRejected) {
   graph::Graph g = PlanGraph();
-  std::map<std::string, tensor::Tensor> tensors;
-  auto plan = CompileAlgorithm("FastGCN", g, {}, &tensors);
-  MakeSession(plan, g, tensors);
+  algorithms::AlgorithmProgram bindings;
+  auto plan = CompileAlgorithm("FastGCN", g, {}, &bindings);
+  MakeSession(plan, g, bindings);
   std::string text = plan->Serialize();
 
   // Flip a semantic byte (the options line) without updating the digest.
@@ -228,9 +205,9 @@ TEST(PlanRoundTrip, TamperedArtifactIsRejected) {
 TEST(PlanRoundTrip, FileHelpersRoundTrip) {
   graph::Graph g = PlanGraph();
   const std::string dir = ScratchDir("file");
-  std::map<std::string, tensor::Tensor> tensors;
-  auto plan = CompileAlgorithm("LADIES", g, {}, &tensors);
-  MakeSession(plan, g, tensors);
+  algorithms::AlgorithmProgram bindings;
+  auto plan = CompileAlgorithm("LADIES", g, {}, &bindings);
+  MakeSession(plan, g, bindings);
 
   const std::string path = dir + "/ladies.plan";
   core::SavePlanFile(*plan, path);
@@ -420,8 +397,8 @@ TEST(SamplerSession, RebindingAfterWarmupIsAnError) {
   auto plan = std::make_shared<CompiledPlan>(std::move(ap.program), SamplerOptions{}, "FastGCN");
   SamplerSession session(plan, g, ap.tensors);
 
-  // Rebinding before Warmup is allowed (that is how HetGNN attaches its
-  // relation graphs)...
+  // Rebinding before Warmup is allowed (that is how a heterogeneous graph
+  // attaches its own relation matrices, examples/heterogeneous.cpp)...
   session.BindGraph("unused_rel", &g.adj());
   session.Warmup(Seeds({0, 1, 2, 3}));
   // ...but after Warmup the session is in the concurrent serving phase and
@@ -433,10 +410,10 @@ TEST(SamplerSession, RebindingAfterWarmupIsAnError) {
 
 TEST(SamplerSession, SharedPlanServesMultipleSessions) {
   graph::Graph g = PlanGraph();
-  std::map<std::string, tensor::Tensor> tensors;
-  auto plan = CompileAlgorithm("GraphSAGE", g, {}, &tensors);
-  auto a = MakeSession(plan, g, tensors);
-  auto b = MakeSession(plan, g, tensors);  // second session, same frozen plan
+  algorithms::AlgorithmProgram bindings;
+  auto plan = CompileAlgorithm("GraphSAGE", g, {}, &bindings);
+  auto a = MakeSession(plan, g, bindings);
+  auto b = MakeSession(plan, g, bindings);  // second session, same frozen plan
   ExpectBitIdentical(a->SampleSeeded(Seeds({5, 6, 7}), 99),
                      b->SampleSeeded(Seeds({5, 6, 7}), 99), "shared plan");
 }
@@ -492,11 +469,11 @@ TEST(PlanCachePersistence, SaveAllLoadFromRoundTrip) {
   const std::string cfg = serving::PassConfigDigest(options);
 
   auto build = [&](const std::string& algorithm) {
-    std::map<std::string, tensor::Tensor> tensors;
+    algorithms::AlgorithmProgram bindings;
     SamplerOptions o = options;
     o.super_batch = 1;
-    auto plan = CompileAlgorithm(algorithm, g, o, &tensors);
-    return MakeSession(plan, g, tensors);
+    auto plan = CompileAlgorithm(algorithm, g, o, &bindings);
+    return MakeSession(plan, g, bindings);
   };
 
   uint64_t fastgcn_digest = 0;
@@ -520,9 +497,7 @@ TEST(PlanCachePersistence, SaveAllLoadFromRoundTrip) {
         ++activations;
         EXPECT_TRUE(plan->restored());
         EXPECT_EQ(key.pass_config, cfg);
-        std::map<std::string, tensor::Tensor> tensors;
-        algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(key.algorithm, g);
-        return MakeSession(std::move(plan), g, ap.tensors);
+        return MakeSession(std::move(plan), g, algorithms::MakeAlgorithm(key.algorithm, g));
       });
   EXPECT_EQ(loaded, 2);
   EXPECT_EQ(activations, 2);
@@ -552,12 +527,12 @@ TEST(PlanCachePersistence, CorruptArtifactsAreSkippedNotFatal) {
   const std::string cfg = serving::PassConfigDigest({});
   {
     serving::PlanCache cache(int64_t{64} * 1024 * 1024, nullptr);
-    std::map<std::string, tensor::Tensor> tensors;
+    algorithms::AlgorithmProgram bindings;
     SamplerOptions o;
     o.super_batch = 1;
-    auto plan = CompileAlgorithm("GraphSAGE", g, o, &tensors);
+    auto plan = CompileAlgorithm("GraphSAGE", g, o, &bindings);
     cache.GetOrBuild({"GraphSAGE", "rmat", "dev", cfg, {}},
-                     [&](auto) { return MakeSession(plan, g, tensors); });
+                     [&](auto) { return MakeSession(plan, g, bindings); });
     ASSERT_EQ(cache.SaveAll(dir), 1);
   }
   // Truncate the artifact; the index still points at it.

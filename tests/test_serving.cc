@@ -461,6 +461,34 @@ TEST(Server, ServesRequestsAndReportsStages) {
   EXPECT_FALSE(stats.ToString().empty());
 }
 
+// Every registry algorithm can be served, HetGNN's relations included: one
+// endpoint per Table-2 name on an unsharded and on a 2-shard server, each
+// response at the algorithm's default fanouts bit-identical to the
+// single-device reference.
+TEST(Server, ServesEveryTable2Algorithm) {
+  graph::Graph g = ServingGraph();
+  const tensor::IdArray seeds = Seeds({5, 17, 42, 101, 250});
+  for (const int shards : {1, 2}) {
+    Server server(testing::ShardedOptions(shards));
+    for (const std::string& algorithm : algorithms::AllAlgorithmNames()) {
+      server.RegisterEndpoint(MakeEndpoint(algorithm, "small", g));
+    }
+    server.Start();
+    for (const std::string& algorithm : algorithms::AllAlgorithmNames()) {
+      const std::string where = algorithm + " x" + std::to_string(shards);
+      const SampleResponse response =
+          server.Submit(testing::DefaultRequest(algorithm, seeds, 77)).get();
+      if (response.status != Status::kOk) {
+        ADD_FAILURE() << where << ": " << response.error;
+        continue;
+      }
+      testing::ExpectBitIdentical(response.outputs,
+                                  testing::ReferenceSample(algorithm, g, seeds, 77), where);
+    }
+    server.Stop();
+  }
+}
+
 TEST(Server, UnknownEndpointAndEmptySeedsFailFast) {
   graph::Graph g = ServingGraph();
   Server server(SmallServer());

@@ -97,7 +97,7 @@ struct ShardEngine {
     algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(algorithm, g);
     session = std::make_unique<core::SamplerSession>(
         std::make_shared<core::CompiledPlan>(std::move(ap.program), options), g,
-        std::move(ap.tensors));
+        std::move(ap.tensors), std::move(ap.relations));
     session->Warmup(core::WarmupFrontier(g));
   }
 
@@ -247,9 +247,9 @@ TEST(FrontierExchangeTest, ChargesTheCheaperOfPicksAndWholeLists) {
 }
 
 // Fusion never adds exchange bytes: for every algorithm sharded execution
-// can run (all but HetGNN's relation graphs and the model-updating ones), a
-// session with fusion records the hops of the session without it, with the
-// same frontier and remote nodes, and ships at most its bytes. The fused
+// can run (all but the model-updating ones), a session with fusion records
+// the hops of the session without it, with the same frontier and remote
+// nodes, and ships at most its bytes. The fused
 // layer-wise kernels read A's columns in place and a fused walk reports one
 // hop per step, in step order, so walks and whole-list hops ship equal
 // bytes. A fused slice-sample ships its picks where the unfused slice ships
@@ -257,12 +257,12 @@ TEST(FrontierExchangeTest, ChargesTheCheaperOfPicksAndWholeLists) {
 // remote nodes are hubs. The expected counts pin the unfused side too, so a
 // hop dropped on both sides fails: LADIES hops for A[:, f] and (A**2)[:, f]
 // in each of its two layers, and a walk hops once per step (PinSAGE: 10
-// walks of 3).
+// walks of 3; HetGNN: 10 walks of 4).
 TEST(FrontierExchangeTest, FusionNeverAddsExchangeBytes) {
   const std::map<std::string, size_t> kHops = {
-      {"DeepWalk", 80}, {"GraphSAINT", 5}, {"PinSAGE", 30}, {"GraphSAGE", 2},
-      {"VR-GCN", 2},    {"SEAL", 5},       {"ShaDow", 3},   {"Node2Vec", 80},
-      {"FastGCN", 2},   {"LADIES", 4},
+      {"DeepWalk", 80}, {"GraphSAINT", 5}, {"PinSAGE", 30}, {"HetGNN", 40},
+      {"GraphSAGE", 2}, {"VR-GCN", 2},     {"SEAL", 5},     {"ShaDow", 3},
+      {"Node2Vec", 80}, {"FastGCN", 2},    {"LADIES", 4},
   };
   const std::set<std::pair<std::string, int>> kCheaper = {
       {"GraphSAGE", 1}, {"VR-GCN", 1}, {"ShaDow", 1}};
@@ -271,7 +271,7 @@ TEST(FrontierExchangeTest, FusionNeverAddsExchangeBytes) {
   const IdArray frontier = Seeds({5, 17, 42, 101, 250});
   size_t checked = 0;
   for (const std::string& algorithm : algorithms::AllAlgorithmNames()) {
-    if (algorithm == "HetGNN" || algorithms::MakeAlgorithm(algorithm, g).updates_model) {
+    if (algorithms::MakeAlgorithm(algorithm, g).updates_model) {
       EXPECT_EQ(kHops.count(algorithm), 0u) << algorithm << " cannot run sharded";
       continue;
     }

@@ -76,16 +76,42 @@ inline void ExpectBitIdentical(const std::vector<core::Value>& a,
   }
 }
 
+// Compiles a Table-2 algorithm as the epoch callers do (model-updating
+// algorithms at super_batch 1); `bindings` receives its tensors and
+// relations.
+inline std::shared_ptr<core::CompiledPlan> CompileAlgorithm(
+    const std::string& name, const graph::Graph& g, core::SamplerOptions options,
+    algorithms::AlgorithmProgram* bindings) {
+  algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(name, g);
+  if (ap.updates_model) {
+    options.super_batch = 1;
+  }
+  auto plan = std::make_shared<core::CompiledPlan>(std::move(ap.program), options, name);
+  *bindings = std::move(ap);
+  return plan;
+}
+
+// A session over `plan` with `bindings`' tensors and relations, warmed up,
+// then `table` attached (the serving order: Warmup calibrates the plan and
+// so finalizes the digest the JIT keys its artifacts by).
+inline std::shared_ptr<core::SamplerSession> MakeSession(
+    std::shared_ptr<core::CompiledPlan> plan, const graph::Graph& g,
+    const algorithms::AlgorithmProgram& bindings = {},
+    std::shared_ptr<const core::FusedKernelTable> table = nullptr) {
+  auto session = std::make_shared<core::SamplerSession>(std::move(plan), g, bindings.tensors,
+                                                        bindings.relations);
+  session->Warmup(tensor::IdArray::FromVector({0, 1, 2, 3}));
+  session->SetJitTable(std::move(table));
+  return session;
+}
+
 // Single-device reference: same program, default options, same seed.
 inline std::vector<core::Value> ReferenceSample(const std::string& algorithm,
                                                 const graph::Graph& g,
                                                 const tensor::IdArray& frontier, uint64_t seed) {
-  algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(algorithm, g);
-  auto plan = std::make_shared<core::CompiledPlan>(std::move(ap.program), core::SamplerOptions{},
-                                                   algorithm);
-  core::SamplerSession session(std::move(plan), g, std::move(ap.tensors));
-  session.Warmup(tensor::IdArray::FromVector({0, 1, 2, 3}));
-  return session.SampleSeeded(frontier, seed);
+  algorithms::AlgorithmProgram bindings;
+  return MakeSession(CompileAlgorithm(algorithm, g, {}, &bindings), g, bindings)
+      ->SampleSeeded(frontier, seed);
 }
 
 // The first `count` nodes `partition` homes on `shard`, ascending. A request

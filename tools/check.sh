@@ -27,7 +27,9 @@
 #   plans      for every Table-2 algorithm, compile + serialize + reload the
 #              plan and require bit-identical samples from the restored
 #              artifact (gsampler_cli --verify-plan), saving each under
-#              build/plans/ so a --load-plan run can pick them up.
+#              build/plans/ so a --load-plan run can pick them up; then
+#              serve 16 requests through a registry endpoint
+#              (gsampler_cli --serve), which fails on any failed request.
 #   oracle     optimized-vs-reference checks for every algorithm plus the
 #              primitive distribution tests, then a 200-draw pass fuzz.
 #   shard      edge-cut owner goldens and byte accounting, the
@@ -153,13 +155,14 @@ run_tier() {
 }
 
 run_plans() {
-  echo "== plans: round-trip every algorithm =="
+  echo "== plans: round-trip and serve every algorithm =="
   build gsampler_cli
   mkdir -p build/plans
   local alg
   for alg in $(./build/tools/gsampler_cli --list | sed -n 's/^algorithms: //p'); do
     ./build/tools/gsampler_cli --algorithm "$alg" --dataset PD --scale 0.1 \
       --verify-plan --save-plan "build/plans/$alg.plan"
+    ./build/tools/gsampler_cli --algorithm "$alg" --dataset PD --scale 0.05 --serve --requests 16
   done
 }
 

@@ -274,8 +274,7 @@ gs::oracle::OracleReport RunConfig(const FuzzConfig& c) {
 // b mod N — each drawn id maps onto a node that shard homes, so the request
 // routes there — and every shard gets checked. Model-updating algorithms
 // are skipped (SampleSeeded is pure, but their contract is defined over the
-// stateful epoch path serving does not run), as is HetGNN (its extra
-// relation bindings have no endpoint hook).
+// stateful epoch path serving does not run).
 //
 // Under --kill-shard one shard is permanently lost from the first placement
 // probe (a seeded shard.lost FaultPlan with after=0) and the server runs 2
@@ -286,14 +285,14 @@ gs::oracle::OracleReport RunConfig(const FuzzConfig& c) {
 // plan cannot touch it.
 Verdict ShardCheck(const FuzzConfig& c, Fixture& fx) {
   gs::algorithms::AlgorithmProgram ref = gs::algorithms::MakeAlgorithm(c.algo, fx.g);
-  if (ref.updates_model || c.algo == "HetGNN") {
-    return {Verdict::kSkipped, "skipped (stateful or extra bindings)"};
+  if (ref.updates_model) {
+    return {Verdict::kSkipped, "skipped (stateful)"};
   }
   gs::core::SamplerOptions opts = ToSamplerOptions(c);
   opts.super_batch = 1;  // both sides sample one request at a time
   SamplerSession session(
       std::make_shared<gs::core::CompiledPlan>(std::move(ref.program), opts, c.algo), fx.g,
-      std::move(ref.tensors));
+      std::move(ref.tensors), std::move(ref.relations));
   session.Warmup(IdArray::FromVector({0, 1, 2, 3}));
 
   gs::serving::ServerOptions server_opts;
@@ -450,15 +449,10 @@ Verdict JitCheck(const FuzzConfig& c, Fixture& fx) {
     opts.super_batch = 1;
   }
   auto plan = std::make_shared<gs::core::CompiledPlan>(std::move(ap.program), opts, c.algo);
-  SamplerSession interp(plan, fx.g, ap.tensors);
-  SamplerSession jitted(plan, fx.g, ap.tensors);
-  for (SamplerSession* session : {&interp, &jitted}) {
-    if (c.algo == "HetGNN") {
-      session->BindGraph("rel0", &fx.g.adj());
-      session->BindGraph("rel1", &fx.g.adj());
-    }
-    session->Warmup(IdArray::FromVector({0, 1, 2, 3}));
-  }
+  SamplerSession interp(plan, fx.g, ap.tensors, ap.relations);
+  SamplerSession jitted(plan, fx.g, ap.tensors, ap.relations);
+  interp.Warmup(IdArray::FromVector({0, 1, 2, 3}));
+  jitted.Warmup(IdArray::FromVector({0, 1, 2, 3}));
   // Post-warmup, like serving: warmup calibrates the plan, and calibration
   // is part of the digest the artifact keys embed.
   const auto table = engine->TableFor(*plan);

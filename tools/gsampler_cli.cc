@@ -314,17 +314,14 @@ gs::jit::JitEngine& CliJitEngine() {
 }
 
 // Shared session construction over a plan: re-traces the algorithm for its
-// tensor bindings, attaches HetGNN's relation graphs, and warms up.
+// tensor and relation bindings, and warms up.
 std::shared_ptr<gs::core::SamplerSession> OpenSession(
     const Args& args, const gs::graph::Graph& g, std::shared_ptr<gs::core::CompiledPlan> plan,
     const gs::tensor::IdArray& warmup) {
   namespace core = gs::core;
   gs::algorithms::AlgorithmProgram ap = gs::algorithms::MakeAlgorithm(args.algorithm, g);
-  auto session = std::make_shared<core::SamplerSession>(std::move(plan), g, std::move(ap.tensors));
-  if (args.algorithm == "HetGNN") {
-    session->BindGraph("rel0", &g.adj());
-    session->BindGraph("rel1", &g.adj());
-  }
+  auto session = std::make_shared<core::SamplerSession>(std::move(plan), g, std::move(ap.tensors),
+                                                        std::move(ap.relations));
   session->Warmup(warmup);
   if (args.jit) {
     // After Warmup: calibration is part of the plan digest the kernel
@@ -489,11 +486,7 @@ int main(int argc, char** argv) {
       plan = std::make_shared<core::CompiledPlan>(std::move(ap.program), options,
                                                   args.algorithm);
     }
-    core::SamplerSession sampler(plan, g, std::move(ap.tensors));
-    if (args.algorithm == "HetGNN") {
-      sampler.BindGraph("rel0", &g.adj());
-      sampler.BindGraph("rel1", &g.adj());
-    }
+    core::SamplerSession sampler(plan, g, std::move(ap.tensors), std::move(ap.relations));
     if (args.jit) {
       // Warmup first: calibration is folded into the plan digest the JIT
       // keys its artifacts by, so attaching before it would compile kernels
