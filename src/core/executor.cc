@@ -51,6 +51,7 @@ sparse::Format GreedyPreferredFormat(const Node& node) {
     case OpKind::kFusedSliceSample:
     case OpKind::kFusedSliceCollectiveSample:
     case OpKind::kFusedSliceReduce:
+    case OpKind::kFusedSliceReduceSample:
     case OpKind::kWalkStep:
     case OpKind::kNode2VecStep:
       return sparse::Format::kCsc;
@@ -96,16 +97,37 @@ void EnsureFormat(const sparse::Matrix& m, sparse::Format format) {
 
 thread_local HopObserver* t_hop_observer = nullptr;
 
+// The walkers `cur` followed by the previous position of each one that
+// searches it: a Node2Vec step from a node with in-neighbors reads both
+// nodes' lists. Ids may carry super-batch labels; m's CSC is the one the
+// step's kernel read.
+tensor::IdArray WithPrevious(const sparse::Matrix& m, const tensor::IdArray& cur,
+                             const tensor::IdArray& prev) {
+  const sparse::OffsetArray& indptr = m.Csc().indptr;
+  const int64_t n = m.num_cols();
+  std::vector<int32_t> ids(cur.data(), cur.data() + cur.size());
+  for (int64_t i = 0; i < cur.size(); ++i) {
+    if (cur[i] >= 0 && prev[i] >= 0 && indptr[cur[i] % n + 1] > indptr[cur[i] % n]) {
+      ids.push_back(prev[i]);
+    }
+  }
+  return tensor::IdArray::FromVector(ids);
+}
+
 // Notifies the observer when `n` is a frontier hop against the base graph:
 // a slice (fused or not)/walk whose matrix operand has no column id map
 // (only the full adjacency — and matrices sharing its column space —
 // qualifies; already-sliced subgraphs are local by construction). A fused
-// walk is one hop per step, in step order, like the chain it replaced.
-// Each hop carries the slots its kernel draws per frontier entry (0: the
-// whole list). A restart walker's coin is drawn inside the kernel, so its
-// one slot is an upper bound.
+// walk is one hop per step, in step order, like the chain it replaced, and
+// a layer's fused_slice_reduce_sample is one hop over its matrix: its
+// probability matrix shares that matrix's lists. Each hop carries the slots
+// its kernel draws per frontier entry (0: the whole list). A restart
+// walker's coin is drawn inside the kernel, so its one slot is an upper
+// bound. A Node2Vec hop's frontier also holds the previous position of
+// each walker whose step searches its list.
 void NotifyHop(HopObserver* observer, const Node& n, const std::vector<Value>& values) {
   int64_t slots = 0;
+  bool node2vec = false;
   switch (n.kind) {
     case OpKind::kFusedSliceSample:
       slots = n.attrs.k;
@@ -115,12 +137,16 @@ void NotifyHop(HopObserver* observer, const Node& n, const std::vector<Value>& v
       slots = 1;
       break;
     case OpKind::kFusedWalk:
-      slots = n.attrs.step_kind == OpKind::kNode2VecStep ? 0 : 1;
+      node2vec = n.attrs.step_kind == OpKind::kNode2VecStep;
+      slots = node2vec ? 0 : 1;
+      break;
+    case OpKind::kNode2VecStep:
+      node2vec = true;
       break;
     case OpKind::kSliceCols:
     case OpKind::kFusedSliceCollectiveSample:
     case OpKind::kFusedSliceReduce:
-    case OpKind::kNode2VecStep:
+    case OpKind::kFusedSliceReduceSample:
       break;
     default:
       return;
@@ -131,14 +157,18 @@ void NotifyHop(HopObserver* observer, const Node& n, const std::vector<Value>& v
       ids.kind != ValueKind::kIds || !ids.ids.defined()) {
     return;
   }
-  observer->OnHop(m.matrix, ids.ids, slots);
-  if (n.kind == OpKind::kFusedWalk) {
-    // Step t + 1 starts from path row t. Empty rows are reported too, as
-    // the unfused chain reports its empty frontiers; Verify caps the count.
-    const tensor::IdArray& path = values[static_cast<size_t>(n.id)].ids;
-    for (int64_t row = 0; row + 1 < n.attrs.k; ++row) {
-      observer->OnHop(m.matrix, sparse::WalkPathRow(path, n.attrs.k, row), slots);
+  // Step t + 1 of a fused walk starts from path row t, and its previous
+  // positions are step t's walkers. Empty rows are reported too, as the
+  // unfused chain reports its empty frontiers; Verify caps the count.
+  const int64_t steps = n.kind == OpKind::kFusedWalk ? n.attrs.k : 1;
+  tensor::IdArray cur = ids.ids;
+  tensor::IdArray prev = node2vec ? values[static_cast<size_t>(n.inputs[2])].ids : cur;
+  for (int64_t t = 0; t < steps; ++t) {
+    if (t > 0) {
+      prev = cur;
+      cur = sparse::WalkPathRow(values[static_cast<size_t>(n.id)].ids, steps, t - 1);
     }
+    observer->OnHop(m.matrix, node2vec ? WithPrevious(m.matrix, cur, prev) : cur, slots);
   }
 }
 
@@ -260,7 +290,8 @@ Executor::Executor(const Program& program, ExecOptions options)
   if (options_.layout == LayoutMode::kPlanned) {
     for (const Node& n : program.nodes()) {
       if ((n.kind == OpKind::kCollectiveSample ||
-           n.kind == OpKind::kFusedSliceCollectiveSample) &&
+           n.kind == OpKind::kFusedSliceCollectiveSample ||
+           n.kind == OpKind::kFusedSliceReduceSample) &&
           !n.inputs.empty()) {
         const Node& in = program.node(n.inputs[0]);
         GS_CHECK(!in.compact_rows)
@@ -511,6 +542,9 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
     case OpKind::kFusedSliceCollectiveSample:
       return finish_structure(sparse::FusedSliceCollectiveSample(
           matrix_in(0), ids_in(1), node.attrs.k, tensor_in(2).array(), rngs));
+    case OpKind::kFusedSliceReduceSample:
+      return finish_structure(sparse::FusedSliceReduceSample(matrix_in(0), ids_in(1),
+                                                             node.attrs.k, matrix_in(2), rngs));
 
     case OpKind::kRowIds: {
       const sparse::Matrix& m = matrix_in(0);

@@ -72,8 +72,10 @@ enum class LayoutMode {
 // being gathered from it, and `slots`, the adjacency slots the kernel draws
 // per frontier entry: k for a fused slice-sample, 1 for a uniform or
 // restart walk step, and 0 for a hop that reads whole lists (column slice,
-// the layer-wise fused kernels, Node2Vec). These are exactly the points
-// where a multi-device run would pull remote adjacency.
+// the layer-wise fused kernels, Node2Vec). A Node2Vec hop's frontier is its
+// walkers followed by the previous position of each walker whose step
+// searches that position's list. These are exactly the points where a multi-device run
+// would pull remote adjacency.
 // shard::FrontierExchange implements this to charge the interconnect
 // all-to-all; the observer is a pure cost-model tap and must not influence
 // execution (sampled output is identical with or without one), launch a

@@ -46,6 +46,7 @@ const char* OpKindName(OpKind kind) {
     case OpKind::kFusedSliceSample: return "fused_slice_sample";
     case OpKind::kFusedSliceCollectiveSample: return "fused_slice_collective_sample";
     case OpKind::kFusedSliceReduce: return "fused_slice_reduce";
+    case OpKind::kFusedSliceReduceSample: return "fused_slice_reduce_sample";
     case OpKind::kFusedEdgeMap: return "fused_edge_map";
     case OpKind::kFusedEdgeMapReduce: return "fused_edge_map_reduce";
     case OpKind::kConvertFormat: return "convert_format";
@@ -78,6 +79,7 @@ bool OpKindFromName(const std::string& name, OpKind* kind) {
       OpKind::kFusedSliceReduce,  OpKind::kFusedEdgeMap,
       OpKind::kFusedEdgeMapReduce, OpKind::kConvertFormat,
       OpKind::kFusedWalk,         OpKind::kWalkPathStep,
+      OpKind::kFusedSliceReduceSample,
   };
   for (const OpKind candidate : kAll) {
     if (name == OpKindName(candidate)) {
@@ -105,6 +107,7 @@ ValueKind OutputKindOf(OpKind kind) {
     case OpKind::kCompactRows:
     case OpKind::kFusedSliceSample:
     case OpKind::kFusedSliceCollectiveSample:
+    case OpKind::kFusedSliceReduceSample:
     case OpKind::kFusedEdgeMap:
     case OpKind::kConvertFormat:
     case OpKind::kTopKVisited:
@@ -148,8 +151,24 @@ bool IsStructureOp(OpKind kind) {
     case OpKind::kCollectiveSample:
     case OpKind::kFusedSliceSample:
     case OpKind::kFusedSliceCollectiveSample:
+    case OpKind::kFusedSliceReduceSample:
     case OpKind::kCompactRows:
       return true;
+    default:
+      return false;
+  }
+}
+
+bool IsEdgeMapOp(const Node& n) {
+  switch (n.kind) {
+    case OpKind::kEltwiseScalar:
+    case OpKind::kBroadcast:
+    case OpKind::kEltwiseBinary:
+    case OpKind::kDenseEltwise:
+    case OpKind::kFusedEdgeMap:
+      return true;
+    case OpKind::kSddmm:
+      return n.attrs.flag;  // only the mul-existing form composes as a stage
     default:
       return false;
   }
@@ -178,6 +197,8 @@ Signature SignatureOf(OpKind kind) {
       return {{VK::kMatrix, VK::kIds}};
     case OpKind::kFusedSliceCollectiveSample:
       return {{VK::kMatrix, VK::kIds, VK::kTensor}};
+    case OpKind::kFusedSliceReduceSample:
+      return {{VK::kMatrix, VK::kIds, VK::kMatrix}};
     case OpKind::kSumAxis:
     case OpKind::kEltwiseScalar:
     case OpKind::kEdgeValues:
@@ -337,6 +358,15 @@ void Program::Verify() const {
     }
     for (int in : n.inputs) {
       GS_CHECK_LT(in, n.id) << "topological order violated at node " << n.id;
+    }
+    // The kernel reads the probability matrix's lists as the matrix's own,
+    // which only an edge map of that matrix guarantees.
+    if (n.kind == OpKind::kFusedSliceReduceSample) {
+      const Node& probs = node(n.inputs[2]);
+      GS_CHECK(IsEdgeMapOp(probs) && probs.inputs[0] == n.inputs[0])
+          << "node " << n.id << " (fused_slice_reduce_sample) reads node " << probs.id << " ("
+          << OpKindName(probs.kind) << "), not an edge map of its matrix input %"
+          << n.inputs[0];
     }
   }
   for (int out : outputs_) {

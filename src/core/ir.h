@@ -81,6 +81,9 @@ enum class OpKind {
   kFusedSliceSample,    // (matrix, ids) -> matrix    attrs.k  (Extract-Select)
   kFusedSliceCollectiveSample,  // (matrix, ids, probs_tensor) -> matrix  attrs.k
   kFusedSliceReduce,            // (matrix, ids) -> tensor   row sums of matrix[:, ids]
+  // fused_slice_collective_sample(A, f, fused_slice_reduce(M, f)) in one
+  // kernel; M must be an edge map of A (IsEdgeMapOp, A its matrix input).
+  kFusedSliceReduceSample,      // (matrix, ids, probs_matrix) -> matrix  attrs.k
   kFusedEdgeMap,        // (matrix, operands...) -> matrix   attrs.stages
   kFusedEdgeMapReduce,  // (matrix, operands...) -> tensor   attrs.stages, axis
   kConvertFormat,       // (matrix) -> matrix          attrs.format (layout pass)
@@ -140,6 +143,11 @@ struct Node {
   ValueKind output_kind() const { return OutputKindOf(kind); }
 };
 
+// True for edge-map operators: per-edge value updates of their first
+// (matrix) input on an unchanged structure. An SDDMM is one only in its
+// mul-existing form.
+bool IsEdgeMapOp(const Node& n);
+
 class Program {
  public:
   // Appends a node; inputs must reference earlier nodes (the node list is
@@ -167,7 +175,8 @@ class Program {
   // Structural checks: topological input order, arity, and value-kind
   // agreement for every operator, plus the fused-walk attributes (a walk
   // step kind, 1..kMaxFusedWalkSteps steps, projections of an existing row
-  // of a fused walk). Throws gs::Error on violations.
+  // of a fused walk) and a fused_slice_reduce_sample's probability matrix
+  // (an edge map of its own matrix input). Throws gs::Error on violations.
   void Verify() const;
 
   // Human-readable listing (one node per line).

@@ -5,7 +5,8 @@
 //   2. HoistOverExtract      — move batch-invariant edge ops above A[:, f]
 //   3. MarkInvariant         — flag nodes computable at compile time
 //   4. FuseExtractSelect     — A[:, f] read in place by its one consumer:
-//                              individual/collective sample, row sum
+//                              individual/collective sample, row sum; a
+//                              layer's row sum and sample in one kernel
 //   5. FuseEdgeMaps          — collapse edge-map chains (no intermediates)
 //   6. FuseEdgeMapReduce     — absorb maps into reductions
 //   7. FuseWalks             — a chain of walk steps becomes one kernel
@@ -50,7 +51,11 @@ void MarkInvariant(Program& program);
 // Extract-Select fusion (Figure 5a): a column slice whose only consumer is
 // a node-wise sample, a layer-wise (collective) sample or an axis-0 sum is
 // folded into that consumer, which then reads the slice's columns in place.
-// Returns number of fusions.
+// A fused collective sample of A whose probabilities are the fused row sums
+// of an edge map of A over the same frontier, with no other consumer, then
+// takes that edge map as its probability operand and sums it in its own
+// kernel (fused_slice_reduce_sample), which reads each frontier column
+// once. Returns number of fusions, counting that one as a fusion too.
 int FuseExtractSelect(Program& program);
 
 // Edge-map chain fusion (Figure 5b): canonicalizes edge-map ops to

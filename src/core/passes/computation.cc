@@ -39,6 +39,7 @@ bool IsRandomOp(OpKind kind) {
     case OpKind::kCollectiveSample:
     case OpKind::kFusedSliceSample:
     case OpKind::kFusedSliceCollectiveSample:
+    case OpKind::kFusedSliceReduceSample:
     case OpKind::kWalkStep:
     case OpKind::kWalkRestartStep:
     case OpKind::kNode2VecStep:
@@ -74,22 +75,6 @@ bool ContinuesWalk(const Node& prev, const Node& next) {
       return next.inputs[2] == prev.inputs[1];
     default:
       return true;
-  }
-}
-
-// Edge-map operators: per-edge value updates on an unchanged structure.
-bool IsEdgeMapOp(const Node& n) {
-  switch (n.kind) {
-    case OpKind::kEltwiseScalar:
-    case OpKind::kBroadcast:
-    case OpKind::kEltwiseBinary:
-    case OpKind::kDenseEltwise:
-    case OpKind::kFusedEdgeMap:
-      return true;
-    case OpKind::kSddmm:
-      return n.attrs.flag;  // only the mul-existing form composes as a stage
-    default:
-      return false;
   }
 }
 
@@ -286,6 +271,31 @@ int FuseExtractSelect(Program& p) {
              : layer_wise ? OpKind::kFusedSliceCollectiveSample
                           : OpKind::kFusedSliceReduce;
     n.inputs = std::move(inputs);
+    ++fusions;
+  }
+  // A sample whose row probabilities are the row sums of an edge map M of
+  // its own matrix over the same frontier (LADIES' A ** 2, AS-GCN's A * h)
+  // reads each frontier column once:
+  //   fused_slice_collective_sample(A, f, fused_slice_reduce(M, f))
+  //     ->  fused_slice_reduce_sample(A, f, M)
+  // A must not be an edge map itself, so that edge-map fusion never moves
+  // M off A (Program::Verify requires M to read A).
+  const std::vector<int> sum_uses = p.UseCounts();
+  for (Node& n : p.nodes()) {
+    if (n.kind != OpKind::kFusedSliceCollectiveSample) {
+      continue;
+    }
+    const Node& reduce = p.node(n.inputs[2]);
+    if (reduce.kind != OpKind::kFusedSliceReduce || reduce.inputs[1] != n.inputs[1] ||
+        sum_uses[static_cast<size_t>(reduce.id)] != 1) {
+      continue;
+    }
+    const Node& m = p.node(reduce.inputs[0]);
+    if (!IsEdgeMapOp(m) || m.inputs[0] != n.inputs[0] || IsEdgeMapOp(p.node(n.inputs[0]))) {
+      continue;
+    }
+    n.kind = OpKind::kFusedSliceReduceSample;
+    n.inputs[2] = m.id;
     ++fusions;
   }
   if (fusions > 0) {

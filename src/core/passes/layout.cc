@@ -108,7 +108,8 @@ void SelectDataLayout(Program& program, const Bindings& bindings,
   // here would also make plans data-dependent.
   std::vector<int> collective_inputs;
   for (const Node& n : program.nodes()) {
-    if ((n.kind == OpKind::kCollectiveSample || n.kind == OpKind::kFusedSliceCollectiveSample) &&
+    if ((n.kind == OpKind::kCollectiveSample || n.kind == OpKind::kFusedSliceCollectiveSample ||
+         n.kind == OpKind::kFusedSliceReduceSample) &&
         !n.inputs.empty()) {
       collective_inputs.push_back(n.inputs[0]);
     }

@@ -222,13 +222,4 @@ std::vector<int32_t> CoveredIds(const graph::Partition& partition,
   return out;
 }
 
-double CoverageFraction(const graph::Partition& partition, const HealthMonitor& monitor,
-                        const int32_t* ids, int64_t count) {
-  if (count == 0) {
-    return 1.0;
-  }
-  const size_t covered = CoveredIds(partition, monitor, ids, count).size();
-  return static_cast<double>(covered) / static_cast<double>(count);
-}
-
 }  // namespace gs::ha

@@ -160,11 +160,6 @@ std::vector<int32_t> CoveredIds(const graph::Partition& partition,
                                 const HealthMonitor& monitor, const int32_t* ids,
                                 int64_t count);
 
-// CoveredIds' share of the `count` seeds; an empty seed set has coverage
-// 1.0 (there is nothing to lose).
-double CoverageFraction(const graph::Partition& partition, const HealthMonitor& monitor,
-                        const int32_t* ids, int64_t count);
-
 }  // namespace gs::ha
 
 #endif  // GSAMPLER_HA_HEALTH_H_

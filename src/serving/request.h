@@ -41,7 +41,8 @@ struct SampleRequest {
   uint64_t seed = 0;
   // Per-layer fanouts; empty = the algorithm's algorithms::DefaultFanouts.
   // Part of the plan key: requests with different fanouts compile (and
-  // cache) distinct plans.
+  // cache) distinct plans. An algorithm without default fanouts ignores
+  // them, so its requests all key as empty fanouts.
   std::vector<int64_t> fanouts;
   // Fair-queueing bucket.
   std::string tenant = "default";

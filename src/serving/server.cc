@@ -363,10 +363,14 @@ std::future<SampleResponse> Server::Submit(SampleRequest request) {
     }
   }
 
-  // Graceful degradation: past the shed threshold, admit with halved
-  // fanouts instead of rejecting outright.
-  std::vector<int64_t> fanouts =
-      req.fanouts.empty() ? algorithms::DefaultFanouts(req.algorithm) : req.fanouts;
+  // An algorithm without default fanouts ignores them, so its requests
+  // share one plan key whatever fanouts they carry. Graceful degradation:
+  // past the shed threshold, admit with halved fanouts instead of
+  // rejecting outright.
+  std::vector<int64_t> fanouts = algorithms::DefaultFanouts(req.algorithm);
+  if (!fanouts.empty() && !req.fanouts.empty()) {
+    fanouts = req.fanouts;
+  }
   const int64_t backlog = queued_.load(std::memory_order_relaxed);
   const int64_t shed_threshold =
       static_cast<int64_t>(options_.shed_occupancy * options_.queue_capacity);

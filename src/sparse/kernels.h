@@ -111,10 +111,10 @@ Matrix CollectiveSample(const Matrix& m, int64_t k, const ValueArray& row_probs,
 Matrix FusedSliceSample(const Matrix& m, const IdArray& cols, int64_t k, std::span<Rng> rngs,
                         IdArray* node_set = nullptr);
 
-// Fused Extract-Select for layer-wise sampling: the two kernels read the
+// Fused Extract-Select for layer-wise sampling: these kernels read the
 // frontier's columns of m in place, so m[:, cols] is never materialized.
-// Their results are bit-identical to the unfused pairs, with the frontier
-// resolved as in SliceColumns. Both require CSC on m.
+// Their results are bit-identical to the unfused chains, with the frontier
+// resolved as in SliceColumns. All require CSC on m.
 
 // CollectiveSample(m[:, cols], k, row_probs), with one rng per segment.
 Matrix FusedSliceCollectiveSample(const Matrix& m, const IdArray& cols, int64_t k,
@@ -122,6 +122,17 @@ Matrix FusedSliceCollectiveSample(const Matrix& m, const IdArray& cols, int64_t 
 
 // SumAxis(m[:, cols], 0) over the slice's (labeled) row space.
 ValueArray FusedSliceReduce(const Matrix& m, const IdArray& cols, int64_t num_segments = 1);
+
+// FusedSliceCollectiveSample(a, cols, k, FusedSliceReduce(m, cols)) in one
+// launch, for an m that shares a's pattern (an edge map of a, such as
+// LADIES' a ** 2): the row probabilities are m's frontier column sums, in
+// FusedSliceReduce's order. Each frontier column is one UVA access, of m's
+// list plus the values of a's kept edges, and the kernel charges the two
+// kernels' summed work items and HBM bytes, so only the saved launch and
+// the re-read change the cost. Throws gs::Error when m does not share a's
+// pattern.
+Matrix FusedSliceReduceSample(const Matrix& a, const IdArray& cols, int64_t k, const Matrix& m,
+                              std::span<Rng> rngs);
 
 // --------------------------------------------------------------- Finalize
 

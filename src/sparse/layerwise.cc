@@ -1,6 +1,6 @@
-// Layer-wise select kernels: collective sampling and the two fused
-// layer-wise Extract-Select kernels, which read the frontier's columns of
-// the base matrix in place instead of slicing them.
+// Layer-wise select kernels: collective sampling and the fused layer-wise
+// Extract-Select kernels, which read the frontier's columns of the base
+// matrix in place instead of slicing them.
 //
 // All collective samples share one RowSelection: candidate gathering,
 // per-segment draws and the selected-row edge filter. That is what keeps a
@@ -239,57 +239,23 @@ Matrix CollectiveSample(const Matrix& m, int64_t k, const ValueArray& row_probs,
   return result;
 }
 
-Matrix FusedSliceCollectiveSample(const Matrix& m, const IdArray& cols, int64_t k,
-                                  const ValueArray& row_probs, std::span<Rng> rngs) {
-  GS_CHECK_GT(k, 0);
-  const Compressed& csc = m.Csc();
-  const bool weighted = csc.values.defined();
-  device::KernelScope kernel(CurrentStream());
-  const Frontier frontier(m, cols, static_cast<int64_t>(rngs.size()));
-  const RowOperand rows(frontier.num_rows(), frontier.row_ids(), row_probs.size());
+namespace {
 
-  const RowSelection selection(rows, row_probs, k, rngs.size() == 1 ? 0 : m.num_cols(), rngs);
-  const int64_t t = frontier.size();
-  Compressed out = selection.Filter(csc, t, [&](int64_t i) { return frontier[i]; });
-  // The filter reads every frontier edge's row id but the value of a kept
-  // edge only.
-  int64_t scanned = 0;
-  int64_t pcie = 0;
-  for (int64_t i = 0; i < t; ++i) {
-    const int32_t c = frontier[i].local;
-    const int64_t deg = csc.indptr[c + 1] - csc.indptr[c];
-    const int64_t kept = weighted ? out.indptr[i + 1] - out.indptr[i] : 0;
-    scanned += deg;
-    pcie += internal::UvaCharge(m, static_cast<uint64_t>(m.GlobalColId(c)),
-                                (deg + kept) * int64_t{4});
-  }
-  const int64_t out_nnz = out.indptr[t];
-
-  Matrix result = Matrix::FromCsc(selection.size(), t, std::move(out));
-  result.SetRowIds(selection.GlobalIds());
-  result.SetRowsCompact(true);
-  result.SetColIds(cols.Clone());
-  kernel.Finish({.parallel_items = std::max<int64_t>(scanned, 1),
-                 .hbm_bytes = (scanned + rows.num_rows()) * int64_t{4} +
-                              out_nnz * int64_t{weighted ? 12 : 8},
-                 .pcie_bytes = pcie});
-  return result;
-}
-
-ValueArray FusedSliceReduce(const Matrix& m, const IdArray& cols, int64_t num_segments) {
+// Row sums of m's frontier columns in the slice's row space, column by
+// column in frontier order: SumAxis' order over the CSC slice. Adds the
+// pass's work items and HBM bytes to `charge`; with `uva` it also reads
+// each column through m's UVA cache (the fused sample below makes that one
+// read itself).
+ValueArray ReduceColumns(const Matrix& m, const Frontier& frontier, bool uva,
+                         device::KernelStats* charge) {
   const Compressed& csc = m.Csc();
   const bool weighted = csc.values.defined();
   const int64_t edge_bytes = weighted ? 8 : 4;
-  device::KernelScope kernel(CurrentStream());
-  const Frontier frontier(m, cols, num_segments);
-
-  // Same per-row summation order as SumAxis over the CSC slice.
   ValueArray out = ValueArray::Full(frontier.num_rows(), 0.0f);
   float* sums = out.data();
   const int32_t* indices = csc.indices.data();
   const float* values = csc.values.data();
   int64_t scanned = 0;
-  int64_t pcie = 0;
   for (int64_t i = 0; i < frontier.size(); ++i) {
     const SliceColumn c = frontier[i];
     const int64_t begin = csc.indptr[c.local];
@@ -305,13 +271,90 @@ ValueArray FusedSliceReduce(const Matrix& m, const IdArray& cols, int64_t num_se
       }
     }
     scanned += end - begin;
-    pcie += internal::UvaCharge(m, static_cast<uint64_t>(m.GlobalColId(c.local)),
-                                (end - begin) * edge_bytes);
+    if (uva) {
+      charge->pcie_bytes += internal::UvaCharge(
+          m, static_cast<uint64_t>(m.GlobalColId(c.local)), (end - begin) * edge_bytes);
+    }
   }
-  kernel.Finish({.parallel_items = std::max<int64_t>(scanned, 1),
-                 .hbm_bytes = scanned * edge_bytes + out.bytes(),
-                 .pcie_bytes = pcie});
+  charge->parallel_items += std::max<int64_t>(scanned, 1);
+  charge->hbm_bytes += scanned * edge_bytes + out.bytes();
   return out;
+}
+
+// CollectiveSample(a[:, cols], k, row_probs) read in place. Each frontier
+// column is one UVA access of deg * list_bytes (its list) plus 4 bytes per
+// kept edge of a weighted `a` (the filter reads a kept edge's value only).
+// Adds the filter's work items and bytes to `charge`.
+Matrix SampleColumns(const Matrix& a, const IdArray& cols, const Frontier& frontier, int64_t k,
+                     const ValueArray& row_probs, std::span<Rng> rngs, int64_t list_bytes,
+                     device::KernelStats* charge) {
+  const Compressed& csc = a.Csc();
+  const bool weighted = csc.values.defined();
+  const RowOperand rows(frontier.num_rows(), frontier.row_ids(), row_probs.size());
+  const RowSelection selection(rows, row_probs, k, rngs.size() == 1 ? 0 : a.num_cols(), rngs);
+  const int64_t t = frontier.size();
+  Compressed out = selection.Filter(csc, t, [&](int64_t i) { return frontier[i]; });
+  int64_t scanned = 0;
+  for (int64_t i = 0; i < t; ++i) {
+    const int32_t c = frontier[i].local;
+    const int64_t deg = csc.indptr[c + 1] - csc.indptr[c];
+    const int64_t kept = weighted ? out.indptr[i + 1] - out.indptr[i] : 0;
+    scanned += deg;
+    charge->pcie_bytes += internal::UvaCharge(a, static_cast<uint64_t>(a.GlobalColId(c)),
+                                              deg * list_bytes + kept * int64_t{4});
+  }
+  const int64_t out_nnz = out.indptr[t];
+
+  Matrix result = Matrix::FromCsc(selection.size(), t, std::move(out));
+  result.SetRowIds(selection.GlobalIds());
+  result.SetRowsCompact(true);
+  result.SetColIds(cols.Clone());
+  charge->parallel_items += std::max<int64_t>(scanned, 1);
+  charge->hbm_bytes +=
+      (scanned + rows.num_rows()) * int64_t{4} + out_nnz * int64_t{weighted ? 12 : 8};
+  return result;
+}
+
+}  // namespace
+
+Matrix FusedSliceCollectiveSample(const Matrix& m, const IdArray& cols, int64_t k,
+                                  const ValueArray& row_probs, std::span<Rng> rngs) {
+  GS_CHECK_GT(k, 0);
+  m.Csc();
+  device::KernelScope kernel(CurrentStream());
+  const Frontier frontier(m, cols, static_cast<int64_t>(rngs.size()));
+  device::KernelStats charge{.parallel_items = 0};
+  Matrix result = SampleColumns(m, cols, frontier, k, row_probs, rngs, 4, &charge);
+  kernel.Finish(charge);
+  return result;
+}
+
+ValueArray FusedSliceReduce(const Matrix& m, const IdArray& cols, int64_t num_segments) {
+  m.Csc();
+  device::KernelScope kernel(CurrentStream());
+  const Frontier frontier(m, cols, num_segments);
+  device::KernelStats charge{.parallel_items = 0};
+  ValueArray out = ReduceColumns(m, frontier, /*uva=*/true, &charge);
+  kernel.Finish(charge);
+  return out;
+}
+
+Matrix FusedSliceReduceSample(const Matrix& a, const IdArray& cols, int64_t k, const Matrix& m,
+                              std::span<Rng> rngs) {
+  GS_CHECK_GT(k, 0);
+  GS_CHECK(a.SharesPatternWith(m))
+      << "fused_slice_reduce_sample: the probability matrix must share the matrix's pattern";
+  a.Csc();
+  const bool m_weighted = m.Csc().values.defined();
+  device::KernelScope kernel(CurrentStream());
+  const Frontier frontier(a, cols, static_cast<int64_t>(rngs.size()));
+  device::KernelStats charge{.parallel_items = 0};
+  const ValueArray row_probs = ReduceColumns(m, frontier, /*uva=*/false, &charge);
+  // One read per column: m's list (indices and values) serves both passes.
+  Matrix result =
+      SampleColumns(a, cols, frontier, k, row_probs, rngs, m_weighted ? 8 : 4, &charge);
+  kernel.Finish(charge);
+  return result;
 }
 
 }  // namespace gs::sparse

@@ -381,6 +381,7 @@ IdArray Node2VecWalk(const Matrix& m, const IdArray& start, const IdArray& prev,
         out[i] = -1;
         continue;
       }
+      int32_t searched = -1;  // the previous node, when its list was searched
       if (before[i] < 0) {
         const auto slot = static_cast<int64_t>(w.rng.UniformInt(static_cast<uint64_t>(deg)));
         out[i] = w.offset + csc.indices[begin + slot];
@@ -402,9 +403,16 @@ IdArray Node2VecWalk(const Matrix& m, const IdArray& start, const IdArray& prev,
         const int32_t slot = SampleWeightedOne(bias, w.rng);
         out[i] = slot >= 0 ? w.offset + csc.indices[begin + slot] : -1;
         edges_scored += deg;
+        searched = prev_node;
       }
       if (m.IsUva()) {
         pcie += internal::UvaCharge(m, static_cast<uint64_t>(w.node), deg * int64_t{4});
+        if (searched >= 0) {
+          // The adjacency test read the previous node's list too.
+          pcie += internal::UvaCharge(
+              m, static_cast<uint64_t>(searched),
+              (csc.indptr[searched + 1] - csc.indptr[searched]) * int64_t{4});
+        }
       }
     }
     before = cur;

@@ -252,7 +252,7 @@ const std::map<std::string, PlainRunCost>& PlainRunGoldens() {
       {"HetGNN", {42, 252803}},   {"GraphSAGE", {2, 13113}},  {"VR-GCN", {2, 12129}},
       {"SEAL", {10, 64566}},      {"ShaDow", {6, 38454}},     {"Node2Vec", {2, 13280}},
       {"GCN-BS", {4, 26306}},     {"Thanos", {4, 26306}},     {"PASS", {24, 177505}},
-      {"FastGCN", {6, 39126}},    {"AS-GCN", {10, 65140}},    {"LADIES", {10, 65140}},
+      {"FastGCN", {6, 39126}},    {"AS-GCN", {8, 53140}},     {"LADIES", {8, 53140}},
   };
   return goldens;
 }

@@ -215,15 +215,10 @@ TEST(CoverageTest, FractionCountsLiveHomeShards) {
   // Mixed request seeds: two on shard 0, one on shard 1.
   const std::vector<int32_t> ids = {a0, a1, b0};
 
-  EXPECT_DOUBLE_EQ(CoverageFraction(p, monitor, ids.data(), ids.size()), 1.0);
   EXPECT_EQ(CoveredIds(p, monitor, ids.data(), ids.size()), (std::vector<int32_t>{a0, a1, b0}));
 
   monitor.ReportDeviceLost(1);
-  EXPECT_DOUBLE_EQ(CoverageFraction(p, monitor, ids.data(), ids.size()), 2.0 / 3.0);
   EXPECT_EQ(CoveredIds(p, monitor, ids.data(), ids.size()), (std::vector<int32_t>{a0, a1}));
-
-  // Nothing to lose: an empty seed set is fully covered.
-  EXPECT_DOUBLE_EQ(CoverageFraction(p, monitor, ids.data(), 0), 1.0);
 }
 
 // With r=2 a shard stays covered while ANY of its replica devices lives.
@@ -237,9 +232,8 @@ TEST(CoverageTest, ReplicasKeepShardsCovered) {
   // Shard 1's replica chain is devices {1, 0}: losing device 1 alone
   // leaves the replica on device 0 serving it.
   monitor.ReportDeviceLost(1);
-  EXPECT_DOUBLE_EQ(CoverageFraction(p, monitor, ids.data(), ids.size()), 1.0);
+  EXPECT_EQ(CoveredIds(p, monitor, ids.data(), ids.size()).size(), ids.size());
   monitor.ReportDeviceLost(0);
-  EXPECT_DOUBLE_EQ(CoverageFraction(p, monitor, ids.data(), ids.size()), 0.0);
   EXPECT_TRUE(CoveredIds(p, monitor, ids.data(), ids.size()).empty());
 }
 

@@ -135,6 +135,8 @@ TEST(OpKindMeta, NamesAndKindsConsistent) {
   EXPECT_EQ(OutputKindOf(OpKind::kFusedSliceCollectiveSample), ValueKind::kMatrix);
   EXPECT_TRUE(IsStructureOp(OpKind::kFusedSliceCollectiveSample));
   EXPECT_FALSE(IsStructureOp(OpKind::kFusedSliceReduce));
+  EXPECT_EQ(OutputKindOf(OpKind::kFusedSliceReduceSample), ValueKind::kMatrix);
+  EXPECT_TRUE(IsStructureOp(OpKind::kFusedSliceReduceSample));
   EXPECT_EQ(OutputKindOf(OpKind::kRowIds), ValueKind::kIds);
   EXPECT_EQ(OutputKindOf(OpKind::kSumAxis), ValueKind::kTensor);
   EXPECT_EQ(OutputKindOf(OpKind::kTopKVisited), ValueKind::kMatrix);

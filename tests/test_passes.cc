@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "algorithms/algorithms.h"
 #include "core/engine.h"
@@ -129,19 +132,86 @@ Program OneLayer(const std::string& algorithm) {
 }
 
 TEST(FuseExtractSelect, LadiesLayerReadsBothSlicesInPlace) {
-  // (A**2)[:, f].sum(0) and A[:, f].collective_sample(k, p) each become
-  // one fused node; no slice is left.
+  // (A**2)[:, f].sum(0) and A[:, f].collective_sample(k, p) become one
+  // node that reads A's frontier columns once and sums A**2 in its kernel;
+  // no slice or separate row sum is left.
   const Program p = Optimize(OneLayer("LADIES"), SamplerOptions{});
   EXPECT_EQ(CountKind(p, OpKind::kSliceCols), 0);
-  EXPECT_EQ(CountKind(p, OpKind::kFusedSliceReduce), 1);
-  EXPECT_EQ(CountKind(p, OpKind::kFusedSliceCollectiveSample), 1);
+  EXPECT_EQ(CountKind(p, OpKind::kFusedSliceReduce), 0);
+  EXPECT_EQ(CountKind(p, OpKind::kFusedSliceCollectiveSample), 0);
+  EXPECT_EQ(CountKind(p, OpKind::kFusedSliceReduceSample), 1);
   EXPECT_EQ(CountKind(p, OpKind::kCollectiveSample), 0);
   for (const Node& n : p.nodes()) {
-    if (n.kind == OpKind::kFusedSliceCollectiveSample) {
+    if (n.kind == OpKind::kFusedSliceReduceSample) {
       EXPECT_EQ(p.node(n.inputs[0]).kind, OpKind::kGraphInput);
-      EXPECT_EQ(p.node(n.inputs[2]).kind, OpKind::kFusedSliceReduce);
+      EXPECT_EQ(p.node(n.inputs[1]).kind, OpKind::kFrontierInput);
+      const Node& squared = p.node(n.inputs[2]);
+      EXPECT_EQ(squared.kind, OpKind::kEltwiseScalar);
+      EXPECT_EQ(squared.attrs.bop, BinaryOp::kPow);
+      EXPECT_EQ(squared.attrs.scalar, 2.0f);
+      EXPECT_EQ(squared.inputs[0], n.inputs[0]);
+      EXPECT_TRUE(squared.invariant);
       EXPECT_FALSE(n.invariant);
     }
+  }
+}
+
+// The shapes the one-launch layer needs, each broken once: the row sum
+// feeds another consumer, sums another frontier, or reduces a matrix that
+// is not an edge map of the sampled matrix. Each keeps the fused pair, and
+// the intact shape (the last case) becomes one node.
+TEST(FuseExtractSelect, ReduceSampleNeedsTheLayersOwnSumOfAnEdgeMap) {
+  struct Case {
+    std::string name;
+    std::function<void(Builder&, MVal, IVal)> trace;
+    bool fuses;
+  };
+  const std::vector<Case> cases = {
+      {"second consumer",
+       [](Builder& b, MVal a, IVal f) {
+         TVal probs = a.Cols(f).Pow(2.0f).Sum(0);
+         b.Output(a.Cols(f).CollectiveSample(4, probs));
+         b.Output(probs);
+       },
+       false},
+      {"another frontier",
+       [](Builder& b, MVal a, IVal f) {
+         IVal g = a.Cols(f).IndividualSample(2).Row();
+         b.Output(a.Cols(f).CollectiveSample(4, a.Cols(g).Pow(2.0f).Sum(0)));
+       },
+       false},
+      {"the matrix itself",
+       [](Builder& b, MVal a, IVal f) {
+         b.Output(a.Cols(f).CollectiveSample(4, a.Cols(f).Sum(0)));
+       },
+       false},
+      {"an edge map of another matrix",
+       [](Builder& b, MVal a, IVal f) {
+         MVal other = b.GraphNamed("rel0");
+         b.Output(a.Cols(f).CollectiveSample(4, other.Cols(f).Pow(2.0f).Sum(0)));
+       },
+       false},
+      // Edge-map fusion later moves (A*2)**2 onto A itself.
+      {"a sampled matrix that is an edge map",
+       [](Builder& b, MVal a, IVal f) {
+         MVal scaled = a * 2.0f;
+         b.Output(scaled.Cols(f).CollectiveSample(4, scaled.Cols(f).Pow(2.0f).Sum(0)));
+       },
+       false},
+      {"an edge map of the matrix",
+       [](Builder& b, MVal a, IVal f) {
+         b.Output(a.Cols(f).CollectiveSample(4, a.Cols(f).Pow(2.0f).Sum(0)));
+       },
+       true},
+  };
+  for (const Case& c : cases) {
+    Builder b;
+    MVal a = b.Graph();
+    IVal f = b.Frontier();
+    c.trace(b, a, f);
+    const Program p = Optimize(std::move(b).Build(), SamplerOptions{});
+    EXPECT_EQ(CountKind(p, OpKind::kFusedSliceReduceSample), c.fuses ? 1 : 0) << c.name;
+    EXPECT_EQ(CountKind(p, OpKind::kFusedSliceCollectiveSample), c.fuses ? 0 : 1) << c.name;
   }
 }
 
@@ -176,12 +246,15 @@ TEST(FuseExtractSelect, DisabledLeavesLayerWisePlansUnfused) {
     const Program fused = Optimize(OneLayer(algorithm), SamplerOptions{});
     EXPECT_EQ(CountKind(unfused, OpKind::kFusedSliceCollectiveSample), 0) << algorithm;
     EXPECT_EQ(CountKind(unfused, OpKind::kFusedSliceReduce), 0) << algorithm;
+    EXPECT_EQ(CountKind(unfused, OpKind::kFusedSliceReduceSample), 0) << algorithm;
     EXPECT_EQ(CountKind(unfused, OpKind::kCollectiveSample), 1) << algorithm;
-    // Every fusion removes exactly one slice node.
-    const int fusions = CountKind(fused, OpKind::kFusedSliceCollectiveSample) +
-                        CountKind(fused, OpKind::kFusedSliceReduce);
-    EXPECT_EQ(CountKind(unfused, OpKind::kSliceCols), fusions) << algorithm;
-    EXPECT_EQ(unfused.size(), fused.size() + fusions) << algorithm;
+    // Every fused sample or row sum removes exactly one slice node, and a
+    // one-launch layer two slices and its row sum.
+    const int reduce_samples = CountKind(fused, OpKind::kFusedSliceReduceSample);
+    const int slices = CountKind(fused, OpKind::kFusedSliceCollectiveSample) +
+                       CountKind(fused, OpKind::kFusedSliceReduce) + 2 * reduce_samples;
+    EXPECT_EQ(CountKind(unfused, OpKind::kSliceCols), slices) << algorithm;
+    EXPECT_EQ(unfused.size(), fused.size() + slices + reduce_samples) << algorithm;
   }
 }
 

@@ -320,6 +320,57 @@ TEST(UntrustedPlan, WalkAtTheStepCapLoadsAndRuns) {
   }
 }
 
+// ---------------------------------------- untrusted layer-wise artifacts
+
+// "in=a,b,c" for a node's inputs, as the artifact writes them.
+std::string InputList(const std::vector<int>& inputs) {
+  std::string list;
+  for (const int in : inputs) {
+    list += (list.empty() ? "" : ",") + std::to_string(in);
+  }
+  return " in=" + list + " ";
+}
+
+// Each LADIES layer samples in one fused_slice_reduce_sample that sums
+// A ** 2 in its own kernel, reading that matrix's lists as A's. An artifact
+// whose probability operand is anything but an edge map of the node's own
+// matrix fails Program::Verify with a typed error: the matrix itself, the
+// first layer's sample, or an edge map of that sample.
+TEST(UntrustedPlan, ReduceSampleNeedsAnEdgeMapOfItsMatrix) {
+  graph::Graph g = PlanGraph();
+  algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm("LADIES", g);
+  CompiledPlan plan(std::move(ap.program), SamplerOptions{}, "LADIES");
+  const core::Program& p = plan.program();
+  std::vector<int> samples;
+  for (const core::Node& n : p.nodes()) {
+    if (n.kind == core::OpKind::kFusedSliceReduceSample) {
+      samples.push_back(n.id);
+    }
+  }
+  ASSERT_EQ(samples.size(), 2u);
+  int sample_edge_map = -1;
+  for (const core::Node& n : p.nodes()) {
+    if (n.kind == core::OpKind::kFusedEdgeMap && n.inputs[0] == samples[0]) {
+      sample_edge_map = n.id;
+    }
+  }
+  ASSERT_GE(sample_edge_map, 0);
+  const std::string text = plan.Serialize();
+  const core::Node& second = p.node(samples[1]);
+  EXPECT_EQ(CompiledPlan::Deserialize(Resign(text))->Digest(), plan.Digest());
+  const std::vector<std::pair<std::string, int>> defects = {
+      {"the matrix itself", second.inputs[0]},
+      {"the first layer's sample", samples[0]},
+      {"an edge map of the first layer's sample", sample_edge_map},
+  };
+  for (const auto& [defect, probs] : defects) {
+    const std::string artifact =
+        EditNode(text, second.id, InputList(second.inputs),
+                 InputList({second.inputs[0], second.inputs[1], probs}));
+    EXPECT_THROW({ (void)CompiledPlan::Deserialize(artifact); }, Error) << defect;
+  }
+}
+
 // The kernels one seeded request launches on the current device, and its
 // outputs.
 int64_t SeededLaunches(const SamplerSession& session, const IdArray& frontier, uint64_t seed,

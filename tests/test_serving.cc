@@ -489,6 +489,60 @@ TEST(Server, ServesEveryTable2Algorithm) {
   }
 }
 
+// DeepWalk takes no fanouts, so whatever fanouts its requests carry they
+// share one plan key: the first request's compile is the endpoint's only
+// plan-cache miss, every response is bit-identical, and requests that
+// differ only in fanouts coalesce. Four such requests queue while the first
+// holds the only worker in its plan compile; they then run as one group.
+TEST(Server, FanoutFreeAlgorithmsShareOnePlan) {
+  graph::Graph g = ServingGraph();
+  Server server(SmallServer(/*workers=*/1));
+  std::promise<void> compiling;
+  std::promise<void> release;
+  std::once_flag signalled;
+  Endpoint endpoint = MakeEndpoint("DeepWalk", "rmat", g);
+  endpoint.factory = [trace = endpoint.factory, &compiling, &signalled,
+                      released = release.get_future().share()](
+                         const graph::Graph& graph, const std::vector<int64_t>& fanouts) {
+    std::call_once(signalled, [&compiling] { compiling.set_value(); });
+    released.wait();
+    return trace(graph, fanouts);
+  };
+  server.RegisterEndpoint(std::move(endpoint));
+  server.Start();
+  auto submit = [&server](std::vector<int64_t> fanouts) {
+    SampleRequest req;
+    req.algorithm = "DeepWalk";
+    req.dataset = "rmat";
+    req.seeds = Seeds({3, 14, 15});
+    req.seed = 92;
+    req.fanouts = std::move(fanouts);
+    return server.Submit(std::move(req));
+  };
+  std::vector<std::future<SampleResponse>> futures;
+  futures.push_back(submit({}));
+  compiling.get_future().wait();
+  for (std::vector<int64_t> fanouts :
+       std::vector<std::vector<int64_t>>{{}, {4, 4}, {8}, {}}) {
+    futures.push_back(submit(std::move(fanouts)));
+  }
+  release.set_value();
+  std::vector<SampleResponse> responses;
+  for (auto& f : futures) {
+    responses.push_back(f.get());
+  }
+  server.Stop();
+  for (size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_EQ(responses[i].status, Status::kOk) << "request " << i << ": " << responses[i].error;
+    testing::ExpectBitIdentical(responses[i].outputs, responses[0].outputs,
+                                "request " + std::to_string(i));
+    EXPECT_EQ(responses[i].group_size, i == 0 ? 1 : 4) << "request " << i;
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.plan_cache_misses, 1);
+  EXPECT_EQ(stats.coalesced_executions, 1);
+}
+
 TEST(Server, UnknownEndpointAndEmptySeedsFailFast) {
   graph::Graph g = ServingGraph();
   Server server(SmallServer());

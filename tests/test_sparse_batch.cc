@@ -137,6 +137,20 @@ struct OpRun {
   int64_t pcie_bytes = 0;
 };
 
+// The result of `call` with the kernels and bytes it charged to the
+// current stream.
+OpRun Measure(const std::function<Matrix()>& call) {
+  device::Stream& stream = device::Current().stream();
+  const device::StreamCounters before = stream.counters();
+  OpRun run;
+  run.out = call();
+  const device::StreamCounters after = stream.counters();
+  run.kernels = after.kernels_launched - before.kernels_launched;
+  run.hbm_bytes = after.hbm_bytes - before.hbm_bytes;
+  run.pcie_bytes = after.pcie_bytes - before.pcie_bytes;
+  return run;
+}
+
 // One call of `op` on the frontier `cols` of a's columns: segments > 1
 // means labeled ids with one rng per segment, 1 a solo call (num_nodes 0).
 // The kernels that sample an already extracted matrix get A[:, cols],
@@ -158,30 +172,21 @@ OpRun RunOp(Op op, const Matrix& a, const IdArray& cols, int64_t segments, std::
   } else if (op == Op::kCollectiveSampleSliceRows) {
     probs = SumAxis(extracted, 0);
   }
-  device::Stream& stream = device::Current().stream();
-  const device::StreamCounters before = stream.counters();
-  OpRun run;
-  switch (op) {
-    case Op::kSliceColumns:
-      run.out = SliceColumns(input, cols, segments);
-      break;
-    case Op::kFusedSliceSample:
-      run.out = FusedSliceSample(input, cols, kFanout, rngs);
-      break;
-    case Op::kIndividualSample:
-    case Op::kIndividualSampleBiased:
-      run.out = IndividualSample(input, kFanout, probs, rngs, num_nodes);
-      break;
-    case Op::kCollectiveSample:
-    case Op::kCollectiveSampleSliceRows:
-      run.out = CollectiveSample(input, kFanout, probs, rngs, num_nodes);
-      break;
-  }
-  const device::StreamCounters after = stream.counters();
-  run.kernels = after.kernels_launched - before.kernels_launched;
-  run.hbm_bytes = after.hbm_bytes - before.hbm_bytes;
-  run.pcie_bytes = after.pcie_bytes - before.pcie_bytes;
-  return run;
+  return Measure([&] {
+    switch (op) {
+      case Op::kSliceColumns:
+        return SliceColumns(input, cols, segments);
+      case Op::kFusedSliceSample:
+        return FusedSliceSample(input, cols, kFanout, rngs);
+      case Op::kIndividualSample:
+      case Op::kIndividualSampleBiased:
+        return IndividualSample(input, kFanout, probs, rngs, num_nodes);
+      case Op::kCollectiveSample:
+      case Op::kCollectiveSampleSliceRows:
+        return CollectiveSample(input, kFanout, probs, rngs, num_nodes);
+    }
+    return Matrix{};
+  });
 }
 
 // A 3-segment call of `op` on g is one launch and equals three solo calls.
@@ -453,6 +458,141 @@ TEST(FusedLayerWise, SegmentedRequiresBaseGraphAndLabelsInRange) {
   EXPECT_THROW(FusedSliceReduce(g.adj(), IdArray::FromVector({static_cast<int32_t>(2 * n)}), 2),
                Error);
   EXPECT_THROW(FusedSliceReduce(g.adj(), IdArray::FromVector({-1}), 2), Error);
+}
+
+// -------------------------------------------------- the one-launch layer
+
+// The probability matrices of the layer-wise programs: LADIES' A ** 2 and
+// AS-GCN's row-scaled A (an edge map with a per-node vector).
+std::vector<std::pair<std::string, Matrix>> EdgeMapsOf(const Matrix& a, int64_t n) {
+  return {{"pow", EltwiseScalar(a, BinaryOp::kPow, 2.0f)},
+          {"row-scaled", Broadcast(a, BinaryOp::kMul, NodeProbs(n), 0)}};
+}
+
+// FusedSliceReduceSample against the two fused kernels it replaces
+// (FusedSliceReduce, then FusedSliceCollectiveSample) and against the
+// unfused chain (SliceColumns, SumAxis, CollectiveSample), bit for bit:
+// solo and 3 segments, weighted and unweighted, device-resident and UVA,
+// for both edge maps. It launches one kernel where the pair launches two and
+// moves the pair's HBM bytes; everything consumed the same draws. (Its PCIe
+// bytes are pinned below: through a cache that keeps every column, the
+// pair's sample hits the columns its reduce fetched.)
+TEST(FusedLayerWise, ReduceSampleIsBitIdenticalToThePairAndTheChain) {
+  for (const bool weighted : {true, false}) {
+    const graph::Graph g = gs::testing::SmallRmat(300, 3000, 9, weighted);
+    const int64_t n = g.num_nodes();
+    for (const bool uva : {false, true}) {
+      for (const int64_t segments : {int64_t{1}, int64_t{3}}) {
+        const IdArray cols = LabeledFrontier(n, segments, 6, 60 + static_cast<uint64_t>(segments));
+        for (const int64_t k : {int64_t{3}, int64_t{10000}}) {
+          feature::HotSetCache pair_cache(16);
+          feature::HotSetCache fused_cache(16);
+          const Matrix pair_a = Resident(g.adj(), uva ? &pair_cache : nullptr);
+          const Matrix fused_a = Resident(g.adj(), uva ? &fused_cache : nullptr);
+          const auto pair_maps = EdgeMapsOf(pair_a, n);
+          const auto fused_maps = EdgeMapsOf(fused_a, n);
+          for (size_t map = 0; map < pair_maps.size(); ++map) {
+            const std::string name = std::string(weighted ? "weighted" : "unweighted") +
+                                     (uva ? " uva" : " device") +
+                                     " segments=" + std::to_string(segments) +
+                                     " k=" + std::to_string(k) + " " + pair_maps[map].first;
+            std::vector<Rng> pair_rngs = Streams(segments, 7);
+            std::vector<Rng> fused_rngs = Streams(segments, 7);
+            std::vector<Rng> chain_rngs = Streams(segments, 7);
+            const OpRun pair = Measure([&] {
+              const ValueArray probs = FusedSliceReduce(pair_maps[map].second, cols, segments);
+              return FusedSliceCollectiveSample(pair_a, cols, k, probs, pair_rngs);
+            });
+            const OpRun fused = Measure([&] {
+              return FusedSliceReduceSample(fused_a, cols, k, fused_maps[map].second, fused_rngs);
+            });
+            const Matrix chain = CollectiveSample(
+                SliceColumns(g.adj(), cols, segments), k,
+                SumAxis(SliceColumns(pair_maps[map].second, cols, segments), 0), chain_rngs,
+                segments > 1 ? n : 0);
+            gs::testing::ExpectBitIdentical({Value::OfMatrix(fused.out)},
+                                            {Value::OfMatrix(pair.out)}, name + " vs pair");
+            gs::testing::ExpectBitIdentical({Value::OfMatrix(fused.out)},
+                                            {Value::OfMatrix(chain)}, name + " vs chain");
+            EXPECT_TRUE(fused.out.rows_compact()) << name;
+            if (k == 10000) {
+              EXPECT_GT(fused.out.nnz(), 0) << name;
+            }
+            for (int64_t b = 0; b < segments; ++b) {
+              const uint64_t next = fused_rngs[static_cast<size_t>(b)].NextU64();
+              EXPECT_EQ(next, pair_rngs[static_cast<size_t>(b)].NextU64()) << name;
+              EXPECT_EQ(next, chain_rngs[static_cast<size_t>(b)].NextU64()) << name;
+            }
+            EXPECT_EQ(fused.kernels, 1) << name;
+            EXPECT_EQ(pair.kernels, 2) << name;
+            EXPECT_EQ(fused.hbm_bytes, pair.hbm_bytes) << name;
+            EXPECT_EQ(fused.pcie_bytes > 0, uva) << name;
+          }
+        }
+      }
+    }
+  }
+}
+
+// On a UVA graph whose cache holds one slot, every access to a column other
+// than the one read last misses. The pair reads each of t distinct frontier
+// columns twice (2t misses): the sample re-reads the indices the reduce
+// fetched, 4 bytes per frontier edge. The one-launch layer reads each
+// column once (t misses): the reduce's list plus the sample's kept values.
+TEST(FusedLayerWise, ReduceSampleReadsEachColumnOnce) {
+  for (const bool weighted : {true, false}) {
+    const graph::Graph g = gs::testing::SmallRmat(300, 3000, 9, weighted);
+    const IdArray cols = LabeledFrontier(g.num_nodes(), 1, 12, 77);
+    const Compressed& csc = g.adj().Csc();
+    int64_t frontier_edges = 0;
+    for (int64_t i = 0; i < cols.size(); ++i) {
+      frontier_edges += csc.indptr[cols[i] + 1] - csc.indptr[cols[i]];
+    }
+    feature::HotSetCache pair_cache(1);
+    feature::HotSetCache fused_cache(1);
+    const Matrix pair_a = Resident(g.adj(), &pair_cache);
+    const Matrix fused_a = Resident(g.adj(), &fused_cache);
+    const Matrix pair_m = EltwiseScalar(pair_a, BinaryOp::kPow, 2.0f);
+    const Matrix fused_m = EltwiseScalar(fused_a, BinaryOp::kPow, 2.0f);
+    Rng pair_rng(3);
+    Rng fused_rng(3);
+    const OpRun pair = Measure([&] {
+      return FusedSliceCollectiveSample(pair_a, cols, 5, FusedSliceReduce(pair_m, cols),
+                                        {&pair_rng, 1});
+    });
+    const OpRun fused =
+        Measure([&] { return FusedSliceReduceSample(fused_a, cols, 5, fused_m, {&fused_rng, 1}); });
+    const std::string name = weighted ? "weighted" : "unweighted";
+    gs::testing::ExpectBitIdentical({Value::OfMatrix(fused.out)}, {Value::OfMatrix(pair.out)},
+                                    name);
+    EXPECT_EQ(pair_cache.misses(), 2 * cols.size()) << name;
+    EXPECT_EQ(fused_cache.misses(), cols.size()) << name;
+    EXPECT_EQ(pair_cache.hits() + fused_cache.hits(), 0) << name;
+    EXPECT_EQ(pair.pcie_bytes - fused.pcie_bytes, 4 * frontier_edges) << name;
+  }
+}
+
+// Negative and NaN edge values of the probability matrix make negative or
+// NaN row sums, which the shared row selection rejects, solo and
+// segmented; so is a probability matrix with another pattern.
+TEST(FusedLayerWise, ReduceSampleRejectsNegativeNanAndForeignProbabilities) {
+  const graph::Graph g = gs::testing::SmallRmat();
+  const int64_t n = g.num_nodes();
+  for (const int64_t segments : {int64_t{1}, int64_t{2}}) {
+    const IdArray cols = LabeledFrontier(n, segments, 4, 5);
+    for (const float bad : {-0.5f, std::numeric_limits<float>::quiet_NaN()}) {
+      const Matrix m = EltwiseScalar(g.adj(), BinaryOp::kMul, bad);
+      std::vector<Rng> rngs = Streams(segments, 3);
+      EXPECT_THROW(FusedSliceReduceSample(g.adj(), cols, 4, m, rngs), Error)
+          << "segments=" << segments << " p=" << bad;
+    }
+  }
+  const graph::Graph other = gs::testing::SmallRmat(300, 2000, 5);
+  Rng rng(3);
+  EXPECT_THROW(FusedSliceReduceSample(g.adj(), IdArray::FromVector({1, 2}), 4,
+                                      EltwiseScalar(other.adj(), BinaryOp::kPow, 2.0f),
+                                      {&rng, 1}),
+               Error);
 }
 
 TEST(MapIdsModulo, WrapsAndKeepsNegatives) {

@@ -13,6 +13,7 @@
 
 #include "common/error.h"
 #include "device/device.h"
+#include "feature/hot_set_cache.h"
 #include "fault/status.h"
 #include "sparse/kernels.h"
 #include "tests/testing.h"
@@ -483,6 +484,30 @@ TEST(Node2VecStep, ExtremeParamsSteerWalk) {
   IdArray no_prev = IdArray::FromVector({-1});
   IdArray next = Node2VecStep(g.adj(), cur, no_prev, 2.0f, 0.5f, {&rng, 1});
   EXPECT_GE(next[0], 0);
+}
+
+// A biased Node2Vec step searches the previous node's list for every
+// candidate, so on a UVA graph it charges that list through the cache like
+// the current one: with a cold one-slot cache both miss. A first step
+// (previous position -1) reads only the current node's list.
+TEST(Node2VecStep, UvaChargesThePreviousNodesList) {
+  // Node 1's in-list is {0, 2, 3}, node 0's {1, 2}.
+  std::vector<std::pair<int32_t, int32_t>> edges = {{0, 1}, {1, 0}, {1, 2}, {2, 1},
+                                                    {0, 2}, {2, 0}, {3, 1}, {1, 3}};
+  const graph::Graph g = graph::Graph::FromEdges("tri", 4, edges);
+  const IdArray cur = IdArray::FromVector({1});
+  for (const int32_t prev : {0, -1}) {
+    feature::HotSetCache cache(1);
+    Matrix uva = Matrix::FromCsc(4, 4, g.adj().Csc());
+    uva.SetUvaCache(&cache);
+    device::Stream& stream = device::Current().stream();
+    const int64_t before = stream.counters().pcie_bytes;
+    Rng rng(7);
+    Node2VecStep(uva, cur, IdArray::FromVector({prev}), 2.0f, 0.5f, {&rng, 1});
+    const int64_t pcie = stream.counters().pcie_bytes - before;
+    EXPECT_EQ(pcie, prev >= 0 ? (3 + 2) * 4 : 3 * 4) << "prev " << prev;
+    EXPECT_EQ(cache.misses(), prev >= 0 ? 2 : 1) << "prev " << prev;
+  }
 }
 
 TEST(WalkRestart, AlwaysRestartsAtProbabilityOne) {

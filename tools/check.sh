@@ -30,6 +30,9 @@
 #              build/plans/ so a --load-plan run can pick them up; then
 #              serve 16 requests through a registry endpoint
 #              (gsampler_cli --serve), which fails on any failed request.
+#              The layer-wise algorithms (LADIES, AS-GCN, FastGCN) also
+#              round-trip on the UVA-resident PP graph, whose kernels
+#              charge the UVA cache.
 #   oracle     optimized-vs-reference checks for every algorithm plus the
 #              primitive distribution tests, then a 200-draw pass fuzz.
 #   shard      edge-cut owner goldens and byte accounting, the
@@ -163,6 +166,9 @@ run_plans() {
     ./build/tools/gsampler_cli --algorithm "$alg" --dataset PD --scale 0.1 \
       --verify-plan --save-plan "build/plans/$alg.plan"
     ./build/tools/gsampler_cli --algorithm "$alg" --dataset PD --scale 0.05 --serve --requests 16
+  done
+  for alg in LADIES AS-GCN FastGCN; do
+    ./build/tools/gsampler_cli --algorithm "$alg" --dataset PP --scale 0.05 --verify-plan
   done
 }
 
